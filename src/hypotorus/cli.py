@@ -11,14 +11,12 @@ Everything is driven by one JSON config (see :class:`ExperimentConfig`);
 command-line flags override individual fields.  Outputs are UTF-8 CSV with
 a header row and '.' decimals, plus JSON reports with sorted keys -- the
 same config bytes always produce the same output bytes.  Exit codes:
-0 ok, 1 config error, 2 resonance, 3 degenerate data.  The environment
-variable HYPOTORUS_THREADS caps the solver's mode-level parallelism.
+0 ok, 1 config error, 2 resonance, 3 degenerate data.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -33,8 +31,7 @@ from .diagnostics import DegenerateData, GSParams, fit_decay, pm_seminorms
 from .diophantine import (classify_rational, construct_liouville,
                           distance_sequence, liouville_fit)
 from .formulas import FormulaError, TrigPolynomial, parse_formula
-from .modes import (AllModesResonant, DivisorReport, DivisorRow, ModeField,
-                    solve_field)
+from .modes import AllModesResonant, ModeField, solve_field
 from .spectrum import EigenSequence, build_eigensequence
 from .torusfn import TorusFunction, grid
 from .witness import (L0_reduction_witness, NoCertificate, PartitionNotFound,
@@ -290,8 +287,13 @@ class ExperimentConfig:
 
     def coefficient(self) -> tuple:
         """(TorusFunction, TrigPolynomial | None); the poly when c is a formula."""
-        if self._d["c_file"] is not None:
-            return _read_samples_csv(self._d["c_file"]), None
+        path = self._d["c_file"]
+        if path is not None:
+            try:
+                return TorusFunction.from_sample_csv(
+                    Path(path).read_text(encoding="utf-8")), None
+            except (OSError, ValueError) as e:
+                raise ConfigError(f"c_file {path}: {e}") from None
         _need(self._d["c"] is not None,
               "a coefficient is required: set 'c' (formula) or 'c_file' (samples)")
         poly = parse_formula(self._d["c"])
@@ -320,26 +322,6 @@ class ExperimentConfig:
 
     def kappa_value(self):
         return None if self._d["kappa"] is None else _parse_kappa(self._d["kappa"])
-
-
-def _read_samples_csv(path: str) -> TorusFunction:
-    """Coefficient samples from a 't,re,im' CSV (grid implied by row count)."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as e:
-        raise ConfigError(f"cannot read c_file {path}: {e}") from None
-    _need(bool(lines) and lines[0].strip() == "t,re,im",
-          f"c_file {path} must start with header 't,re,im'")
-    vals = []
-    for ln in lines[1:]:
-        if not ln.strip():
-            continue
-        _, re_s, im_s = ln.split(",")
-        vals.append(complex(float(re_s), float(im_s)))
-    try:
-        return TorusFunction(vals)
-    except ValueError as e:
-        raise ConfigError(f"c_file {path}: {e}") from None
 
 
 # --------------------------------------------------------------------------- #
@@ -373,26 +355,15 @@ def _write_json(path: Path, obj) -> None:
 # solve
 # --------------------------------------------------------------------------- #
 
-def _all_resonant_report(c: TorusFunction, f: ModeField) -> DivisorReport:
-    """Divisor rows for the everything-resonates case (no solve to report)."""
-    c0 = complex(c.mean())
-    rows = []
-    for j in f.defined():
-        lam = float(f.eigs.lambdas[j])
-        div = abs(1.0 - cmath.exp(-2j * math.pi * lam * c0))
-        rows.append(DivisorRow(j=j, lam=lam, divisor=div, resonant=True))
-    return DivisorReport(rows=rows)
-
-
 def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     eigs = cfg.eigensequence()
     c, _ = cfg.coefficient()
     f = cfg.forcing(eigs)
     try:
         u, rep = solve_field(c, f)
-    except AllModesResonant:
+    except AllModesResonant as exc:
         u = ModeField([None] * cfg["j_modes"], eigs)
-        rep = _all_resonant_report(c, f)
+        rep = exc.report
     _write_text(out / "u_field.csv", u.to_csv())
     _write_text(out / "divisors.csv", rep.to_csv())
     resonant = sorted(rep.resonant_indices())

@@ -178,14 +178,12 @@ class DecayFit:
         }
 
 
-def _sup_stack(field: ModeField, k_max: int) -> list:
-    """sups[k][j] = sup_t |d_t^k u_j| (NaN where the mode is undefined)."""
-    sups = []
-    cur = field
-    for _ in range(k_max + 1):
-        sups.append(cur.sup_norms())
-        cur = cur.derivative()
-    return sups
+def _derivative_stack(field: ModeField, k_max: int) -> list:
+    """[u, d_t u, ..., d_t^k_max u]."""
+    stack = [field]
+    for _ in range(k_max):
+        stack.append(stack[-1].derivative())
+    return stack
 
 
 def fit_decay(field: ModeField, params: GSParams, k_max: int = 4,
@@ -208,7 +206,8 @@ def fit_decay(field: ModeField, params: GSParams, k_max: int = 4,
     if not (0 <= lo < hi <= J):
         raise ValueError(f"window {window} escapes [0, {J}]")
 
-    sups = _sup_stack(field, k_max)
+    # sups[k][j] = sup_t |d_t^k u_j| (NaN where the mode is undefined)
+    sups = [d.sup_norms() for d in _derivative_stack(field, k_max)]
     s0 = sups[0]
     usable = [j for j in range(lo, hi)
               if not math.isnan(s0[j]) and s0[j] > _FLOOR]
@@ -237,12 +236,8 @@ def fit_decay(field: ModeField, params: GSParams, k_max: int = 4,
     sub_exp = bool(eps_hi < 0.5 * eps_lo) if eps_lo > 1e-12 else bool(eps <= 1e-12)
 
     # derivative-growth order: sup over modes per k, against log k!
-    tops = []
-    for k in range(k_max + 1):
-        col = sups[k][usable]
-        col = col[~np.isnan(col)]
-        top = float(np.max(col)) if col.size else 0.0
-        tops.append(top)
+    cols = np.array(sups)[:, usable]
+    tops = np.where(np.isnan(cols), 0.0, cols).max(axis=1).tolist()
     ks = [k for k, top in enumerate(tops) if top > _FLOOR]
     note = ""
     if len(ks) >= 2:
@@ -336,25 +331,17 @@ def pm_seminorms(u: ModeField, eigs: EigenSequence, M_max: int = 8,
 
     # stack of log|d_t^k u_j(t)|, -inf where zero or undefined
     logabs = []
-    cur = u
-    n_t = u.n
-    for _ in range(k_max + 1):
-        mat = np.full((J, n_t), -np.inf)
-        for j, e in enumerate(cur.entries):
-            if e is None:
-                continue
-            a = np.abs(np.asarray(e.samples))
-            with np.errstate(divide="ignore"):
-                mat[j] = np.where(a > 0.0, np.log(a, where=a > 0.0,
-                                                  out=np.full(n_t, -np.inf)), -np.inf)
+    for d in _derivative_stack(u, k_max):
+        a = np.abs(d.samples)
+        mat = np.full(a.shape, -np.inf)
+        np.log(a, where=(a > 0.0) & d.mask[:, None], out=mat)
         logabs.append(mat)
-        cur = cur.derivative()
 
     values = np.zeros((M_max + 1, k_max + 1))
     tail_share = 0.0
     # index of the last mode that is present at all
-    alive = [j for j in range(J) if np.any(np.isfinite(logabs[0][j]))]
-    j_last = alive[-1] if alive else None
+    alive = np.flatnonzero(np.isfinite(logabs[0]).any(axis=1))
+    j_last = int(alive[-1]) if alive.size else None
     for M in range(M_max + 1):
         w = np.zeros(J) if M == 0 else 2.0 * M * loglam
         for k in range(k_max + 1):
@@ -413,14 +400,7 @@ def x_seminorms(u: ModeField, basis: HermiteBasis, alpha: int, beta: int,
     if J > basis.J:
         raise ValueError(f"field holds {J} modes but the basis only {basis.J}")
 
-    cur = u
-    for _ in range(k):
-        cur = cur.derivative()
-    n_t = u.n
-    coeff = np.zeros((J, n_t), dtype=np.complex128)
-    for j, e in enumerate(cur.entries):
-        if e is not None:
-            coeff[j] = np.asarray(e.samples)
+    coeff = _derivative_stack(u, k)[-1].samples    # undefined modes are zero rows
 
     # transfer matrix of x^alpha d_x^beta on the first J coefficients
     T = np.eye(J)

@@ -38,15 +38,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .spectrum import EigenSequence
-from .torusfn import MeanDecomposition, TorusFunction
+from .torusfn import MeanDecomposition, TorusFunction, grid
 
 __all__ = [
     "ModeField",
@@ -81,7 +79,11 @@ class ResonantMode(Exception):
 
 
 class AllModesResonant(Exception):
-    """Every requested mode was resonant — there is nothing to solve."""
+    """Every requested mode was resonant; ``report`` holds their divisor rows."""
+
+    def __init__(self, message: str, report: "DivisorReport"):
+        self.report = report
+        super().__init__(message)
 
 
 class OverflowClamped(UserWarning):
@@ -290,40 +292,71 @@ def solve_mode(lam: float, c: TorusFunction, f: TorusFunction, *,
 # --------------------------------------------------------------------------- #
 
 class ModeField:
-    """A truncated eigenfunction expansion: entry j is u_j(t) (or None).
+    """A truncated eigenfunction expansion u = sum_j u_j(t) phi_j(x) on one grid.
 
-    ``None`` marks a mode left undefined — solve_field uses it for resonant
-    modes, matching the finite exceptional set of the theory.  All defined
-    entries live on one common grid.
+    ``samples`` is a read-only (J, n) complex128 array whose row j holds u_j
+    at the grid points t_i = 2*pi*i/n; ``mask`` is a read-only (J,) boolean
+    array, False where mode j is undefined (solve_field leaves resonant modes
+    undefined, matching the finite exceptional set of the theory).  Undefined
+    rows hold zeros; a field with no defined mode has n = 0 columns.  The
+    constructor takes a list of ``TorusFunction | None`` and indexing hands
+    rows back in that form, with the coefficients TorusFunction would hold.
     """
 
     def __init__(self, entries: list[TorusFunction | None], eigs: EigenSequence):
-        if len(entries) > eigs.J:
-            raise ValueError(f"{len(entries)} entries but eigensequence holds {eigs.J}")
-        if not entries:
-            raise ValueError("empty mode field")
         sizes = {e.n for e in entries if e is not None}
         if len(sizes) > 1:
             raise ValueError(f"entries live on different grids: {sorted(sizes)}")
-        self.entries = list(entries)
+        samples = np.zeros((len(entries), sizes.pop() if sizes else 0),
+                           dtype=np.complex128)
+        coeffs = np.zeros_like(samples)
+        for j, e in enumerate(entries):
+            if e is not None:
+                samples[j] = e.samples
+                coeffs[j] = e.coeffs
+        self._set(samples, np.array([e is not None for e in entries]), eigs, coeffs)
+
+    @classmethod
+    def _of(cls, samples: np.ndarray, mask: np.ndarray, eigs: EigenSequence,
+            coeffs: np.ndarray | None = None) -> "ModeField":
+        obj = cls.__new__(cls)
+        obj._set(samples, mask, eigs, coeffs)
+        return obj
+
+    def _set(self, samples: np.ndarray, mask: np.ndarray, eigs: EigenSequence,
+             coeffs: np.ndarray | None) -> None:
+        if samples.shape[0] > eigs.J:
+            raise ValueError(f"{samples.shape[0]} entries but eigensequence holds {eigs.J}")
+        if samples.shape[0] == 0:
+            raise ValueError("empty mode field")
+        if mask.any():
+            grid(samples.shape[1])  # validates the grid size
+        samples.flags.writeable = False
+        mask.flags.writeable = False
+        self.samples = samples
+        self.mask = mask
+        self._coeffs = coeffs
         self.eigs = eigs
 
     @property
     def J(self) -> int:
-        return len(self.entries)
+        return self.samples.shape[0]
 
     @property
     def n(self) -> int:
-        for e in self.entries:
-            if e is not None:
-                return e.n
-        raise ValueError("all entries undefined")
+        if not self.mask.any():
+            raise ValueError("all entries undefined")
+        return self.samples.shape[1]
 
     def __iter__(self):
-        return iter(self.entries)
+        return (self[j] for j in range(self.J))
 
     def __getitem__(self, j: int) -> TorusFunction | None:
-        return self.entries[j]
+        if not self.mask[j]:
+            return None
+        if self._coeffs is None:
+            return TorusFunction(self.samples[j])
+        return TorusFunction._from_parts(self.samples[j], self._coeffs[j])
 
     @classmethod
     def zeros(cls, eigs: EigenSequence, J: int, n: int = 256) -> "ModeField":
@@ -338,56 +371,77 @@ class ModeField:
         return cls(entries, eigs)
 
     def defined(self) -> list[int]:
-        return [j for j, e in enumerate(self.entries) if e is not None]
+        return np.flatnonzero(self.mask).tolist()
 
     def sup_norms(self) -> np.ndarray:
         """sup_t |u_j(t)| per mode; NaN where the mode is undefined."""
-        return np.array([np.nan if e is None else e.sup_norm() for e in self.entries])
+        return np.where(self.mask, np.abs(self.samples).max(axis=1, initial=0.0), np.nan)
 
     def derivative(self) -> "ModeField":
-        return ModeField([None if e is None else e.derivative() for e in self.entries],
-                         self.eigs)
+        """Spectral t-derivative of every mode, as TorusFunction.derivative does
+        it: Nyquist mode to zero, coefficients kept for the next derivative."""
+        if not self.mask.any():
+            return self
+        n = self.samples.shape[1]
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        k[n // 2] = 0.0
+        if self._coeffs is None:
+            self._coeffs = np.fft.fft(self.samples, axis=1) / n
+        dc = 1j * k * self._coeffs
+        return ModeField._of(np.fft.ifft(dc * n, axis=1), self.mask, self.eigs, dc)
 
     def map(self, fn) -> "ModeField":
-        return ModeField([None if e is None else fn(e) for e in self.entries], self.eigs)
+        return ModeField([None if e is None else fn(e) for e in self], self.eigs)
 
     # ---- CSV interchange: long format, one row per (mode, grid point) ---- #
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["j", "t", "re", "im"])
-        for j, e in enumerate(self.entries):
-            if e is None:
-                continue
-            for t, z in zip(e.grid, e.samples):
-                w.writerow([j, repr(float(t)), repr(float(z.real)), repr(float(z.imag))])
-        return buf.getvalue()
+        lines = ["j,t,re,im\n"]
+        if self.mask.any():
+            ts = [repr(t) for t in grid(self.n).tolist()]
+            for j in self.defined():
+                re, im = self.samples[j].real.tolist(), self.samples[j].imag.tolist()
+                lines.append("".join([f"{j},{t},{r!r},{i!r}\n"
+                                      for t, r, i in zip(ts, re, im)]))
+        return "".join(lines)
 
     @classmethod
     def from_csv(cls, text: str, eigs: EigenSequence, J: int | None = None) -> "ModeField":
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or [h.strip() for h in rows[0]] != ["j", "t", "re", "im"]:
             raise ValueError("mode-field CSV must have header j,t,re,im")
-        per_mode: dict[int, list[complex]] = {}
-        for js, _, re_s, im_s in rows[1:]:
-            per_mode.setdefault(int(js), []).append(complex(float(re_s), float(im_s)))
-        if not per_mode:
-            raise ValueError("mode-field CSV holds no data rows")
-        J = J if J is not None else max(per_mode) + 1
-        entries: list[TorusFunction | None] = [None] * J
-        for j, vals in per_mode.items():
-            entries[j] = TorusFunction(vals)
-        return cls(entries, eigs)
+        if len(rows) == 1 or any(len(r) != 4 for r in rows[1:]):
+            raise ValueError("mode-field CSV needs data rows of four fields j,t,re,im")
+        j_s, _, re_s, im_s = zip(*rows[1:])
+        js = np.array([int(s) for s in j_s])
+        J = int(js.max()) + 1 if J is None else J
+        limit = min(J, eigs.J)
+        bad = js[(js < 0) | (js >= limit)]
+        if bad.size:
+            raise ValueError(f"mode index {bad[0]} in the CSV is outside 0..{limit - 1}")
+        counts = np.bincount(js, minlength=J)
+        mask = counts > 0
+        n = int(counts.max())
+        if np.any(counts[mask] != n):
+            raise ValueError("modes in the CSV hold different numbers of samples")
+        order = np.argsort(js, kind="stable")
+        samples = np.zeros((J, n), dtype=np.complex128)
+        # component writes keep signed zeros and infinities that re + 1j*im would not
+        samples.real[mask] = np.array(list(map(float, re_s)))[order].reshape(-1, n)
+        samples.imag[mask] = np.array(list(map(float, im_s)))[order].reshape(-1, n)
+        return cls._of(samples, mask, eigs)
 
 
 def apply_operator(c: TorusFunction, u: ModeField) -> ModeField:
-    """f_j = u_j' + i*lam_j*c*u_j for every defined mode."""
-    lam = u.eigs.lambdas
-    out: list[TorusFunction | None] = []
-    for j, e in enumerate(u.entries):
-        out.append(None if e is None else apply_mode(float(lam[j]), c, e))
-    return ModeField(out, u.eigs)
+    """f_j = u_j' + i*lam_j*c*u_j for every defined mode (see apply_mode)."""
+    if not u.mask.any():
+        return u
+    if c.n != u.n:
+        c = c.resample(u.n)
+    lam = u.eigs.lambdas[:u.J, None]
+    f = u.derivative().samples + ((1j * lam) * c.samples) * u.samples
+    f[~u.mask] = 0.0
+    return ModeField._of(f, u.mask, u.eigs)
 
 
 # --------------------------------------------------------------------------- #
@@ -427,53 +481,37 @@ class DivisorReport:
         return buf.getvalue()
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("HYPOTORUS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def solve_field(c: TorusFunction, f: ModeField, *, formula: str | int = "auto",
                 tol_res: float = TOL_RES) -> tuple[ModeField, DivisorReport]:
     """Solve every defined mode of f; resonant modes stay undefined (None).
 
-    Raises AllModesResonant when no mode at all could be solved.  Modes are
-    independent, so they may be solved concurrently (HYPOTORUS_THREADS caps
-    the pool); results do not depend on the schedule.
+    Raises AllModesResonant, carrying the divisor report, when no mode at
+    all could be solved.
     """
     if c.n != f.n:
         c = c.resample(f.n)
     dec = c.decompose_mean()
-    lam = f.eigs.lambdas
-
-    def one(j: int) -> tuple[TorusFunction | None, DivisorRow | None]:
-        fj = f.entries[j]
-        if fj is None:
-            return None, None  # undefined input mode: nothing to solve or report
+    samples = np.zeros((f.J, f.n), dtype=np.complex128)
+    coeffs = np.zeros_like(samples)
+    mask = np.zeros(f.J, dtype=bool)
+    rows = []
+    for j in f.defined():
+        lam_j = float(f.eigs.lambdas[j])
         try:
-            sol = solve_mode_detailed(float(lam[j]), c, fj, dec=dec,
+            sol = solve_mode_detailed(lam_j, c, f[j], dec=dec,
                                       formula=formula, tol_res=tol_res)
         except ResonantMode as exc:
-            return None, DivisorRow(j, float(lam[j]), exc.divisor, True)
-        return sol.u, DivisorRow(j, float(lam[j]), sol.divisor, False, sol.formula,
-                                 sol.residual, sol.ill_conditioned, sol.refactored)
+            rows.append(DivisorRow(j, lam_j, exc.divisor, True))
+            continue
+        samples[j], coeffs[j], mask[j] = sol.u.samples, sol.u.coeffs, True
+        rows.append(DivisorRow(j, lam_j, sol.divisor, False, sol.formula,
+                               sol.residual, sol.ill_conditioned, sol.refactored))
 
-    js = list(range(f.J))
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, js))
-    else:
-        results = [one(j) for j in js]
-
-    entries = [r[0] for r in results]
-    report = DivisorReport([r[1] for r in results if r[1] is not None])
-    if all(e is None for e in entries):
+    report = DivisorReport(rows)
+    if not mask.any():
         raise AllModesResonant(
-            f"all {f.J} modes resonant (e.g. lambda*c0 in Z for every mode)")
-    return ModeField(entries, f.eigs), report
+            f"all {f.J} modes resonant (e.g. lambda*c0 in Z for every mode)", report)
+    return ModeField._of(samples, mask, f.eigs, coeffs), report
 
 
 # --------------------------------------------------------------------------- #

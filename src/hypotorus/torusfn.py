@@ -88,6 +88,13 @@ class TorusFunction:
         return obj
 
     @classmethod
+    def _from_parts(cls, samples: np.ndarray, coeffs: np.ndarray) -> "TorusFunction":
+        """Samples together with their already known coefficient vector."""
+        obj = cls(samples)
+        obj._coeffs = _freeze(np.array(coeffs, dtype=np.complex128))
+        return obj
+
+    @classmethod
     def from_coeff_dict(cls, coeffs: dict[int, complex], n: int = _DEFAULT_N) -> "TorusFunction":
         """Build from {frequency: coefficient}; frequencies must fit the band."""
         n = _check_size(n)
@@ -314,11 +321,12 @@ class TorusFunction:
 
     @classmethod
     def from_sample_csv(cls, text: str) -> "TorusFunction":
+        """Inverse of :meth:`to_sample_csv`; blank rows are skipped."""
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or [h.strip() for h in rows[0]] != ["t", "re", "im"]:
             raise ValueError("sample CSV must have header t,re,im")
-        vals = [complex(float(r), float(i)) for _, r, i in rows[1:]]
-        return cls(vals)
+        body = [row for row in rows[1:] if "".join(row).strip()]
+        return cls([complex(float(r), float(i)) for _, r, i in body])
 
     def to_coeff_csv(self) -> str:
         """Coefficient table as CSV with header ``k,re,im`` (Nyquist split)."""

@@ -766,7 +766,7 @@ def sign_change_witness(c: TorusFunction, eigs: EigenSequence, params=(1, Fracti
     mirrored window (argmin anchor); mixed-sign spectra are restricted to the
     positive-lambda subsequence, as recorded in meta.
     """
-    m_ord, mu = params
+    _, mu = params
     cc = c.resample(N)
     a = cc.real_part()
     b = cc.imag_part()
@@ -925,7 +925,7 @@ def plateau_witness(c: TorusFunction, intervals: Sequence[float], eigs: EigenSeq
 
     has |u_j| = 1 on the whole plateau (in particular at both anchors).
     """
-    m_ord, mu = params
+    _, mu = params
     cc = c.resample(N)
     a = cc.real_part()
     b = cc.imag_part()

@@ -107,8 +107,8 @@ def test_solve_partial_resonance_exits_2(tmp_path):
     assert res["resonant_indices"] == [1]
     eigs = build_eigensequence("harmonic1d", 8)
     u = ModeField.from_csv((out / "u_field.csv").read_text(), eigs, J=8)
-    assert u.entries[0] is not None
-    assert u.entries[1] is None
+    assert u[0] is not None
+    assert u[1] is None
 
 
 def test_solve_all_resonant_exits_2(tmp_path):
@@ -133,16 +133,19 @@ def test_solve_missing_f_exits_1(tmp_path, capsys):
     assert "f" in err
 
 
-def test_solve_threads_env_does_not_change_bytes(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, j_modes=16, grid_n=64, c="1/2",
-                       f={k: "exp(it)" for k in ("0", "3", "5", "11")})
-    outs = []
-    for name, threads in (("a", "1"), ("b", "4")):
-        monkeypatch.setenv("HYPOTORUS_THREADS", threads)
+def test_solve_resonant_divisors_do_not_depend_on_other_modes(tmp_path):
+    # c = 1/3: lambda = 3 and 9 (modes 1, 4) resonate.  Forcing mode 0 too
+    # leaves one mode to solve; without it every forced mode resonates.
+    rows = []
+    for name, modes in (("mixed", ("0", "1", "4")), ("all", ("1", "4"))):
+        cfg = write_config(tmp_path, name=f"{name}.json", j_modes=8, grid_n=64,
+                           c="1/3", f={k: "exp(it)" for k in modes})
         out = tmp_path / name
-        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert outs[0] == outs[1]
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        lines = (out / "divisors.csv").read_text().splitlines()
+        rows.append([r for r in lines[1:] if r.split(",")[0] in ("1", "4")])
+    assert len(rows[0]) == 2
+    assert rows[0] == rows[1]
 
 
 def test_solve_coefficient_from_sample_file(tmp_path):
@@ -298,6 +301,20 @@ def test_decay_zero_field_exits_3(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 3
     assert "floor" in capsys.readouterr().err
+
+
+def test_decay_mode_index_outside_field_exits_1(tmp_path, capsys):
+    t = 2.0 * np.pi * np.arange(8) / 8
+    upath = tmp_path / "u.csv"
+    upath.write_text("\n".join(["j,t,re,im"] + [f"9,{ti!r},1.0,0.0" for ti in t]) + "\n",
+                     encoding="utf-8")
+    cfg = write_config(tmp_path, j_modes=8)
+    code = main(["decay", "--config", cfg, "--input", str(upath),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "mode index 9" in err
+    assert "Traceback" not in err
 
 
 def test_decay_single_mode_is_trivial_report(tmp_path):

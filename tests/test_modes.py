@@ -328,14 +328,54 @@ def test_mode_field_validation():
 
 def test_mode_field_csv_roundtrip():
     eigs = build_eigensequence("harmonic1d", 3)
-    entries = [f_harmonic(32), None, TorusFunction.constant(2j, 32)]
-    mf = ModeField(entries, eigs)
+    mf = ModeField([f_harmonic(32), None, TorusFunction.constant(2j, 32)], eigs)
     text = mf.to_csv()
     assert text.splitlines()[0] == "j,t,re,im"
     back = ModeField.from_csv(text, eigs, J=3)
     assert back[1] is None
-    assert np.allclose(back[0].samples, mf[0].samples)
-    assert np.allclose(back[2].samples, mf[2].samples)
+    assert back.samples.tobytes() == mf.samples.tobytes()
+    assert back.to_csv() == text
+
+    # signed zeros, a subnormal and infinities survive parsing bit for bit
+    vals = [(-0.0, 0.0), (5e-324, -0.0), (1.0 / 3.0, -5e-324), (-math.inf, math.inf)]
+    text = "j,t,re,im\n" + "".join(f"2,{t!r},{re!r},{im!r}\n"
+                                   for t, (re, im) in zip(grid(4).tolist(), vals))
+    back = ModeField.from_csv(text, eigs, J=3)
+    expect = np.zeros(4, dtype=np.complex128)
+    expect.real, expect.imag = zip(*vals)
+    assert back.defined() == [2]
+    assert back.samples[2].tobytes() == expect.tobytes()
+    assert back.to_csv() == text
+
+
+@pytest.mark.parametrize("j", [-1, 3])
+def test_mode_field_csv_rejects_out_of_range_index(j):
+    eigs = build_eigensequence("harmonic1d", 3)
+    text = "j,t,re,im\n" + "".join(f"{j},0.0,1.0,0.0\n" for _ in range(4))
+    with pytest.raises(ValueError, match=f"mode index {j} "):
+        ModeField.from_csv(text, eigs, J=3)
+
+
+def test_field_operations_match_per_mode_reference():
+    # the whole-array operations reproduce the per-mode ones bit for bit
+    eigs = build_eigensequence("harmonic1d", 6)
+    rng = np.random.default_rng(3)
+    entries = [TorusFunction(rng.standard_normal(64) + 1j * rng.standard_normal(64))
+               for _ in range(6)]
+    entries[2] = None
+    u = ModeField(entries, eigs)
+    c = c_instance("A", 64)
+    du, fu, sups = u.derivative(), apply_operator(c, u), u.sup_norms()
+    d2u = du.derivative()
+    for j, e in enumerate(entries):
+        if e is None:
+            assert du[j] is None and fu[j] is None and math.isnan(sups[j])
+            continue
+        assert du[j].samples.tobytes() == e.derivative().samples.tobytes()
+        assert d2u[j].samples.tobytes() == e.derivative().derivative().samples.tobytes()
+        ref = apply_mode(float(eigs.lambdas[j]), c, e)
+        assert fu[j].samples.tobytes() == ref.samples.tobytes()
+        assert sups[j] == e.sup_norm()
 
 
 def test_divisor_report_csv():
@@ -347,19 +387,6 @@ def test_divisor_report_csv():
     assert lines[0] == "j,lambda,divisor,resonant"
     assert len(lines) == 5
     assert lines[2].endswith("true")  # lambda = 3 resonant at c0 = 1/3
-
-
-def test_solve_field_threads_deterministic(monkeypatch):
-    eigs = build_eigensequence("harmonic1d", 8)
-    t = grid(128)
-    entries = [TorusFunction(np.exp(1j * t) / (j + 1)) for j in range(8)]
-    f = ModeField(entries, eigs)
-    c = c_instance("A", 128)
-    u1, _ = solve_field(c, f)
-    monkeypatch.setenv("HYPOTORUS_THREADS", "4")
-    u2, _ = solve_field(c, f)
-    for j in range(8):
-        assert np.array_equal(u1[j].samples, u2[j].samples)
 
 
 # --------------------------------------------------------------------------- #
