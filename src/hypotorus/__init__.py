@@ -20,6 +20,7 @@ Layout
 ``witness``      explicit counterexample constructions
 ``diagnostics``  decay fitting and seminorm growth tables
 ``formulas``     exact trigonometric-polynomial parsing for config files
+``jsonio``       the JSON encoding of every artifact
 ``cli``          the ``hypotorus`` command-line entry point
 """
 

@@ -26,7 +26,6 @@ separates exact arithmetic ("definitive") from fitted evidence
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,6 +41,7 @@ from .diophantine import (
     distance_sequence,
     liouville_fit,
 )
+from .jsonio import dumps
 
 __all__ = [
     "NonRealInput",
@@ -84,36 +84,6 @@ class NonRealInput(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# JSON plumbing
-# ---------------------------------------------------------------------------
-
-def _jsonable(v):
-    """Recursively convert evidence values to plain JSON types.
-
-    Fractions become {"num", "den"} string pairs so that exactness survives
-    the round trip regardless of magnitude.
-    """
-    if isinstance(v, Fraction):
-        return {"num": str(v.numerator), "den": str(v.denominator)}
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    if isinstance(v, (complex, np.complexfloating)):
-        z = complex(v)
-        return {"re": z.real, "im": z.imag}
-    if v is None or isinstance(v, str):
-        return v
-    if isinstance(v, Mapping):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return [_jsonable(x) for x in v]
-    return str(v)
-
-
-# ---------------------------------------------------------------------------
 # sign analysis
 # ---------------------------------------------------------------------------
 
@@ -151,7 +121,7 @@ class SignReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
+        return dumps(self.as_dict())
 
 
 def _circular_runs(mask: np.ndarray) -> List[Tuple[int, int]]:
@@ -216,7 +186,7 @@ class WitnessPlan:
     detail: Mapping[str, object] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {"kind": self.kind, "detail": _jsonable(dict(self.detail))}
+        return {"kind": self.kind, "detail": dict(self.detail)}
 
 
 @dataclass(frozen=True)
@@ -254,12 +224,12 @@ class Verdict:
             "decision": self.decision,
             "branch": self.branch,
             "confidence": self.confidence,
-            "evidence": _jsonable(dict(self.evidence)),
+            "evidence": dict(self.evidence),
             "witness": None if self.witness_handle is None else self.witness_handle.as_dict(),
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
+        return dumps(self.as_dict())
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import jsonio
 from .classify import Verdict, classify, classify_constant
 from .diagnostics import DegenerateData, GSParams, fit_decay, pm_seminorms
 from .diophantine import (classify_rational, construct_liouville,
@@ -328,27 +329,13 @@ class ExperimentConfig:
 # output plumbing
 # --------------------------------------------------------------------------- #
 
-def _json_ready(v):
-    if isinstance(v, dict):
-        return {str(k): _json_ready(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_json_ready(x) for x in v]
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, np.generic):
-        v = v.item()
-    if isinstance(v, float) and not math.isfinite(v):
-        return None
-    return v
-
-
 def _write_text(path: Path, text: str) -> None:
     path.write_text(text if text.endswith("\n") else text + "\n",
                     encoding="utf-8")
 
 
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(_json_ready(obj), indent=2, sort_keys=True))
+    jsonio.write(path, obj)
 
 
 # --------------------------------------------------------------------------- #
@@ -429,7 +416,7 @@ def _emit_witness(bundle: WitnessBundle, out: Path) -> None:
 
 def cmd_classify(cfg: ExperimentConfig, out: Path) -> int:
     verdict, c_fn, _, eigs = _classify(cfg)
-    _write_text(out / "verdict.json", verdict.to_json())
+    _write_json(out / "verdict.json", verdict.as_dict())
     if cfg["witness"] and verdict.decision == "notGH":
         try:
             _emit_witness(_witness_from_plan(cfg, verdict, c_fn, eigs), out)
@@ -459,7 +446,7 @@ def cmd_diophantine(cfg: ExperimentConfig, out: Path) -> int:
     cert = None
     if cfg["construct_levels"] is not None:
         cert = construct_liouville(eigs, params, cfg["construct_levels"])
-        _write_text(out / "certificate.json", cert.to_json())
+        _write_json(out / "certificate.json", cert.as_dict())
         if kappa is None:
             # the distance table and fit then describe the number just built
             kappa = cert.kappa
@@ -485,11 +472,11 @@ def cmd_diophantine(cfg: ExperimentConfig, out: Path) -> int:
                                 f"modes, the table holds {len(seq)}")
         else:
             report["kind"] = "fit"
-            report["fit"] = json.loads(liouville_fit(seq).to_json())
+            report["fit"] = liouville_fit(seq).as_dict()
         if (isinstance(kappa, Fraction) and eigs.integer_valued
                 and kappa.denominator <= _RATIONAL_DEN_CAP):
             rv = classify_rational(kappa.numerator, kappa.denominator, eigs)
-            report["rational"] = json.loads(rv.to_json())
+            report["rational"] = rv.as_dict()
         _write_json(out / "fit.json", report)
 
     return EXIT_OK
@@ -531,7 +518,7 @@ def cmd_witness(cfg: ExperimentConfig, out: Path) -> int:
 
     if kind == "auto":
         verdict, c_fn, _, eigs = _classify(cfg)
-        _write_text(out / "verdict.json", verdict.to_json())
+        _write_json(out / "verdict.json", verdict.as_dict())
         if verdict.decision != "notGH":
             print(f"error: the operator classifies {verdict.decision} "
                   f"(branch {verdict.branch}); no witness exists",

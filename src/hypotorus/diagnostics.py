@@ -92,30 +92,30 @@ class GSParams:
 # least squares helpers
 # --------------------------------------------------------------------------- #
 
-def _ols(x: np.ndarray, y: np.ndarray):
-    """Slope, intercept, r^2 of a plain least-squares line."""
-    x = np.asarray(x, dtype=np.float64)
+def ols(y, *xs) -> tuple:
+    """Least squares y ~ b_1 x_1 + ... + b_k x_k + c; returns (b_1, ..., b_k, c, r^2).
+
+    Every fit in the package goes through here: decay and seminorm growth,
+    the Liouville windows, the witness forcing decay.  The data are shifted
+    (y by its first value, each regressor by its mean) before the solve, so
+    power-law abscissae such as (j+1)^e stay well conditioned, near-flat y
+    keeps its digits, and a constant y gives slopes of exactly 0.  A
+    regressor that takes a single value carries no slope: its coefficient is
+    0, and when no regressor varies the fit is the mean of y with r^2 = 1.
+    """
     y = np.asarray(y, dtype=np.float64)
-    vx = np.var(x)
-    if vx == 0.0:
-        return 0.0, float(np.mean(y)), 1.0
-    slope = float(np.cov(x, y, bias=True)[0, 1] / vx)
-    intercept = float(np.mean(y) - slope * np.mean(x))
-    ss_res = float(np.sum((y - slope * x - intercept) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return slope, intercept, r2
-
-
-def _ols2(x1: np.ndarray, x2: np.ndarray, y: np.ndarray):
-    """Coefficients (b1, b2, intercept) and r^2 of y ~ b1 x1 + b2 x2 + c."""
-    A = np.column_stack([np.asarray(x1, float), np.asarray(x2, float),
-                         np.ones(len(y))])
-    coef, *_ = np.linalg.lstsq(A, np.asarray(y, float), rcond=None)
-    resid = np.asarray(y, float) - A @ coef
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    return float(coef[0]), float(coef[1]), float(coef[2]), r2
+    X = np.column_stack([np.asarray(x, dtype=np.float64) for x in xs])
+    flat = np.ptp(X, axis=0) == 0.0
+    mx = X.mean(axis=0)
+    Xc = np.where(flat, 0.0, X - mx)
+    y0 = float(y[0])
+    my = float(np.mean(y - y0))
+    yc = y - y0 - my
+    coef = np.linalg.lstsq(Xc, yc, rcond=None)[0]
+    ss_res = float(np.sum((yc - Xc @ coef) ** 2))
+    ss_tot = float(yc @ yc)
+    r2 = 1.0 if flat.all() or ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return (*coef.tolist(), y0 + my - float(mx @ coef), r2)
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -159,17 +159,13 @@ class DecayFit:
         return math.isfinite(self.epsilon) and self.r2 >= _R2_CLAIM
 
     def as_dict(self) -> dict:
-        def safe(v):
-            return v if isinstance(v, str) or v is None or (
-                isinstance(v, (bool, int))) else (
-                None if not math.isfinite(v) else float(v))
         return {
-            "epsilon": safe(self.epsilon),
-            "C": safe(self.C),
-            "sigma_fit": safe(self.sigma_fit),
-            "sigma_fit_joint": safe(self.sigma_fit_joint),
-            "r2": safe(self.r2),
-            "r2_sigma": safe(self.r2_sigma),
+            "epsilon": self.epsilon,
+            "C": self.C,
+            "sigma_fit": self.sigma_fit,
+            "sigma_fit_joint": self.sigma_fit_joint,
+            "r2": self.r2,
+            "r2_sigma": self.r2_sigma,
             "window": list(self.window),
             "n_used": self.n_used,
             "sub_exponential": self.sub_exponential,
@@ -227,12 +223,12 @@ def fit_decay(field: ModeField, params: GSParams, k_max: int = 4,
     ju = np.array(usable, dtype=np.float64)
     x = (ju + 1.0) ** params.e
     y = -np.log(s0[usable].astype(np.float64))
-    eps, intercept, r2 = _ols(x, y)
+    eps, intercept, r2 = ols(y, x)
     C = math.exp(-intercept)
 
     half = len(usable) // 2
-    eps_lo, _, _ = _ols(x[:half], y[:half])
-    eps_hi, _, _ = _ols(x[half:], y[half:])
+    eps_lo, _, _ = ols(y[:half], x[:half])
+    eps_hi, _, _ = ols(y[half:], x[half:])
     sub_exp = bool(eps_hi < 0.5 * eps_lo) if eps_lo > 1e-12 else bool(eps <= 1e-12)
 
     # derivative-growth order: sup over modes per k, against log k!
@@ -244,9 +240,9 @@ def fit_decay(field: ModeField, params: GSParams, k_max: int = 4,
         lk = np.array([math.lgamma(k + 1) for k in ks])
         z = np.array([math.log(tops[k]) - math.log(C) for k in ks]) if C > 0 \
             else np.array([math.log(tops[k]) for k in ks])
-        sigma, _, r2_sigma = _ols(lk, z)
+        sigma, _, r2_sigma = ols(z, lk)
         zz = np.array([math.log(tops[k]) for k in ks])
-        sigma_joint, _, _, _ = _ols2(lk, np.array(ks, float), zz)
+        sigma_joint, _, _, _ = ols(zz, lk, ks)
     else:
         sigma = sigma_joint = float("nan")
         r2_sigma = 0.0
@@ -296,19 +292,17 @@ class PMTable:
         return buf.getvalue()
 
     def as_dict(self) -> dict:
-        def safe(v):
-            return None if not math.isfinite(v) else float(v)
         return {
             "M_max": self.M_max,
             "k_max": self.k_max,
-            "slope_M": safe(self.slope_M),
-            "slope_M_raw": safe(self.slope_M_raw),
-            "r2_M": safe(self.r2_M),
-            "slope_k": safe(self.slope_k),
-            "slope_k_raw": safe(self.slope_k_raw),
-            "r2_k": safe(self.r2_k),
-            "tail_share": safe(self.tail_share),
-            "values": [[safe(v) for v in row] for row in self.values.tolist()],
+            "slope_M": self.slope_M,
+            "slope_M_raw": self.slope_M_raw,
+            "r2_M": self.r2_M,
+            "slope_k": self.slope_k,
+            "slope_k_raw": self.slope_k_raw,
+            "r2_k": self.r2_k,
+            "tail_share": self.tail_share,
+            "values": self.values,
         }
 
 
@@ -362,8 +356,8 @@ def pm_seminorms(u: ModeField, eigs: EigenSequence, M_max: int = 8,
         xi = idx[keep].astype(np.float64)
         x1 = xi * np.log(np.maximum(xi, 1.0))
         yv = np.log(ys[keep])
-        raw, _, _ = _ols(x1, yv)
-        joint, _, _, r2 = _ols2(x1, xi, yv)
+        raw, _, _ = ols(yv, x1)
+        joint, _, _, r2 = ols(yv, x1, xi)
         return joint, raw, r2
 
     slope_M, slope_M_raw, r2_M = growth_fit(values[:, 0], np.arange(M_max + 1))

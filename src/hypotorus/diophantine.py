@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import json
 import math
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .diagnostics import ols
+from .jsonio import dumps, unlimited_int_digits
 from .spectrum import EigenSequence
 
 __all__ = [
@@ -248,24 +248,23 @@ class FitReport:
     n_modes_used: int
     heuristic: bool = True
 
+    def as_dict(self) -> dict:
+        return {
+            "classification": self.classification,
+            "heuristic": self.heuristic,
+            "windows": [list(w) for w in self.windows],
+            "slopes": list(self.slopes),
+            "normalized_slopes": list(self.normalized_slopes),
+            "raw_slopes": list(self.raw_slopes),
+            "max_over_median": self.max_over_median,
+            "growth_monotone": self.growth_monotone,
+            "resonant_indices": list(self.resonant_indices),
+            "exponent": self.e,
+            "n_modes_used": self.n_modes_used,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "classification": self.classification,
-                "heuristic": self.heuristic,
-                "windows": [list(w) for w in self.windows],
-                "slopes": list(self.slopes),
-                "normalized_slopes": list(self.normalized_slopes),
-                "raw_slopes": list(self.raw_slopes),
-                "max_over_median": self.max_over_median,
-                "growth_monotone": self.growth_monotone,
-                "resonant_indices": list(self.resonant_indices),
-                "exponent": self.e,
-                "n_modes_used": self.n_modes_used,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return dumps(self.as_dict())
 
 
 def _dyadic_windows(n_modes: int) -> Iterable[Tuple[int, int]]:
@@ -273,14 +272,6 @@ def _dyadic_windows(n_modes: int) -> Iterable[Tuple[int, int]]:
     while 2 ** (k + 1) <= n_modes:
         yield (2 ** k, 2 ** (k + 1))
         k += 1
-
-
-def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
-    xm = x - x.mean()
-    den = float(xm @ xm)
-    if den == 0.0:
-        return float("nan")
-    return float(xm @ (y - y.mean())) / den
 
 
 def liouville_fit(seq: DistanceSequence) -> FitReport:
@@ -334,11 +325,11 @@ def liouville_fit(seq: DistanceSequence) -> FitReport:
         if ok_env.sum() < 4:
             continue
         windows.append((lo, hi))
-        s = _ols_slope(xs[ok_env], es[ok_env])
+        s = ols(es[ok_env], xs[ok_env])[0]
         slopes.append(s)
         norm_slopes.append(s * float(x[lo]))
         raw_slopes.append(
-            _ols_slope(xs[ok_raw], y[lo:hi][ok_raw]) if ok_raw.sum() >= 4 else float("nan")
+            ols(y[lo:hi][ok_raw], xs[ok_raw])[0] if ok_raw.sum() >= 4 else float("nan")
         )
 
     med = max(float(np.median(norm_slopes)), _MEDIAN_FLOOR)
@@ -397,24 +388,22 @@ class RationalVerdict:
             return "resonant/Liouville-degenerate"
         return f"uniformly non-Liouville with floor {self.floor}"
 
+    def as_dict(self) -> dict:
+        return {
+            "p": self.p,
+            "q": self.q,
+            "kind": self.kind,
+            "scope": self.scope,
+            "resonant": self.resonant,
+            "period": self.period,
+            "resonant_classes": list(self.resonant_classes),
+            "class_variable": self.class_variable,
+            "floor": self.floor,
+            "verdict": self.verdict,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "q": self.q,
-                "kind": self.kind,
-                "scope": self.scope,
-                "resonant": self.resonant,
-                "period": self.period,
-                "resonant_classes": list(self.resonant_classes),
-                "class_variable": self.class_variable,
-                "floor": None if self.floor is None else
-                    {"num": str(self.floor.numerator), "den": str(self.floor.denominator)},
-                "verdict": self.verdict,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return dumps(self.as_dict())
 
 
 def classify_rational(p: int, q: int, eigs: EigenSequence) -> RationalVerdict:
@@ -532,27 +521,6 @@ def _frac_le_pow2(a: int, b: int, K: int) -> bool:
     return (a << K) <= b
 
 
-@contextmanager
-def _unlimited_int_digits():
-    """Certificates for deep levels carry integers with tens of thousands of
-    digits; lift CPython's conversion guard around our own (de)serialization."""
-    get = getattr(sys, "get_int_max_str_digits", None)
-    set_ = getattr(sys, "set_int_max_str_digits", None)
-    if get is None or set_ is None:  # pragma: no cover - older interpreters
-        yield
-        return
-    old = get()
-    set_(0)
-    try:
-        yield
-    finally:
-        set_(old)
-
-
-def _fraction_json(v: Fraction) -> dict:
-    return {"num": str(v.numerator), "den": str(v.denominator)}
-
-
 def _fraction_from_json(obj: dict) -> Fraction:
     return Fraction(int(obj["num"]), int(obj["den"]))
 
@@ -609,34 +577,33 @@ class LiouvilleCertificate:
     def gaps(self) -> Tuple[Fraction, ...]:
         return tuple(lev.gap for lev in self.levels)
 
+    def as_dict(self) -> dict:
+        with unlimited_int_digits():
+            return {
+                "kappa": self.kappa,
+                "n": self.n,
+                "mu": self.mu,
+                "exponent": self.e,
+                "eigs_kind": self.eigs_kind,
+                "ap_index": list(self.ap_index),
+                "levels": [
+                    {
+                        "j": str(lev.j),
+                        "lambda": str(lev.lam),
+                        "tau": str(lev.tau),
+                        "gap": lev.gap,
+                        "K": str(lev.K),
+                    }
+                    for lev in self.levels
+                ],
+            }
+
     def to_json(self) -> str:
-        with _unlimited_int_digits():
-            return json.dumps(
-                {
-                    "kappa": _fraction_json(self.kappa),
-                    "n": self.n,
-                    "mu": _fraction_json(self.mu),
-                    "exponent": _fraction_json(self.e),
-                    "eigs_kind": self.eigs_kind,
-                    "ap_index": list(self.ap_index),
-                    "levels": [
-                        {
-                            "j": str(lev.j),
-                            "lambda": str(lev.lam),
-                            "tau": str(lev.tau),
-                            "gap": _fraction_json(lev.gap),
-                            "K": str(lev.K),
-                        }
-                        for lev in self.levels
-                    ],
-                },
-                indent=2,
-                sort_keys=True,
-            )
+        return dumps(self.as_dict())
 
     @staticmethod
     def from_json(text: str) -> "LiouvilleCertificate":
-        with _unlimited_int_digits():
+        with unlimited_int_digits():
             obj = json.loads(text)
             levels = tuple(
                 CertLevel(
@@ -659,7 +626,7 @@ class LiouvilleCertificate:
             )
 
     def to_csv(self, path) -> None:
-        with _unlimited_int_digits(), open(path, "w", encoding="utf-8") as fh:
+        with unlimited_int_digits(), open(path, "w", encoding="utf-8") as fh:
             fh.write("level,j,lambda,tau,gap_num,gap_den,K\n")
             for i, lev in enumerate(self.levels, start=1):
                 fh.write(

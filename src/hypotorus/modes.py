@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectrum import EigenSequence
-from .torusfn import MeanDecomposition, TorusFunction, grid
+from .torusfn import MeanDecomposition, TorusFunction, check_sample_times, grid
 
 __all__ = [
     "ModeField",
@@ -412,7 +412,7 @@ class ModeField:
             raise ValueError("mode-field CSV must have header j,t,re,im")
         if len(rows) == 1 or any(len(r) != 4 for r in rows[1:]):
             raise ValueError("mode-field CSV needs data rows of four fields j,t,re,im")
-        j_s, _, re_s, im_s = zip(*rows[1:])
+        j_s, t_s, re_s, im_s = zip(*rows[1:])
         js = np.array([int(s) for s in j_s])
         J = int(js.max()) + 1 if J is None else J
         limit = min(J, eigs.J)
@@ -425,6 +425,10 @@ class ModeField:
         if np.any(counts[mask] != n):
             raise ValueError("modes in the CSV hold different numbers of samples")
         order = np.argsort(js, kind="stable")
+        pos = np.empty(js.size, dtype=np.intp)      # each row's place in its mode
+        pos[order] = np.tile(np.arange(n), int(mask.sum()))
+        check_sample_times(np.array(list(map(float, t_s))), grid(n)[pos],
+                           range(2, js.size + 2))
         samples = np.zeros((J, n), dtype=np.complex128)
         # component writes keep signed zeros and infinities that re + 1j*im would not
         samples.real[mask] = np.array(list(map(float, re_s)))[order].reshape(-1, n)

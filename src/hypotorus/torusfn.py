@@ -51,6 +51,21 @@ def grid(n: int = _DEFAULT_N) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
+def check_sample_times(t: np.ndarray, expected: np.ndarray, lines) -> None:
+    """Refuse a sample CSV whose ``t`` column strays from its grid points.
+
+    ``t[r]`` was read from file line ``lines[r]`` and must lie within 1e-9
+    of ``expected[r]``; rows stored in another order would otherwise load as
+    a different (e.g. time-reversed) function.
+    """
+    bad = np.flatnonzero(~(np.abs(t - expected) <= 1e-9))
+    if bad.size:
+        r = int(bad[0])
+        raise ValueError(
+            f"line {lines[r]}: t = {float(t[r])!r} is not the grid point "
+            f"{float(expected[r])!r}; samples must run through t = 2*pi*i/n in order")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -325,7 +340,10 @@ class TorusFunction:
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or [h.strip() for h in rows[0]] != ["t", "re", "im"]:
             raise ValueError("sample CSV must have header t,re,im")
-        body = [row for row in rows[1:] if "".join(row).strip()]
+        lines = [k + 1 for k, row in enumerate(rows) if k and "".join(row).strip()]
+        body = [rows[k - 1] for k in lines]
+        check_sample_times(np.array([float(row[0]) for row in body]),
+                           grid(len(body)), lines)
         return cls([complex(float(r), float(i)) for _, r, i in body])
 
     def to_coeff_csv(self) -> str:

@@ -44,17 +44,18 @@ from __future__ import annotations
 import cmath
 import csv
 import io
-import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .diophantine import LiouvilleCertificate, _unlimited_int_digits, classify_rational
+from .diagnostics import ols
+from .diophantine import LiouvilleCertificate, classify_rational
+from .jsonio import plain, unlimited_int_digits, write as write_json
 from .modes import ModeField, apply_mode
 from .spectrum import EigenSequence
 from .torusfn import TorusFunction, grid
@@ -246,17 +247,6 @@ class DecayRecord:
     note: str = ""
 
 
-def _linfit(x: np.ndarray, z: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope of z against x plus the usual R^2."""
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, z, rcond=None)
-    pred = A @ coef
-    ss_res = float(np.sum((z - pred) ** 2))
-    ss_tot = float(np.sum((z - np.mean(z)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    return float(coef[0]), r2
-
-
 def _decay_record(levels: Sequence[WitnessLevel], exponent: float) -> DecayRecord:
     sups = np.array([lv.sup_f for lv in levels], dtype=np.float64)
     keep = sups > _FIT_FLOOR
@@ -280,37 +270,19 @@ def _decay_record(levels: Sequence[WitnessLevel], exponent: float) -> DecayRecor
                            rate_lambda=math.nan, r2_lambda=math.nan,
                            n_fit=int(len(z)),
                            note=(note + "; " if note else "") + "fewer than two usable levels")
-    eps, r2 = _linfit(np.power(js, exponent), z)
-    rate, r2l = _linfit(lams, z)
+    eps, _, r2 = ols(z, np.power(js, exponent))
+    rate, _, r2l = ols(z, lams)
     return DecayRecord(f_zero=False, eps_f=eps, r2=r2, rate_lambda=rate,
                        r2_lambda=r2l, n_fit=int(len(z)), note=note)
 
 
-def _json_safe(v):
-    """Best-effort conversion of meta values to JSON-encodable data."""
+def _own_types(v):
+    """``default`` hook for :mod:`jsonio`: the witness module's own types."""
     if isinstance(v, GevreyBump):
         return v.summary()
     if isinstance(v, TorusFunction):
         return {"n": v.n, "sup": v.sup_norm()}
-    if isinstance(v, Fraction):
-        return {"num": str(v.numerator), "den": str(v.denominator)}
-    if isinstance(v, (bool, str)) or v is None:
-        return v
-    if isinstance(v, Integral):
-        # deep Liouville levels carry indices far beyond what JSON consumers
-        # can parse as numbers; follow the certificate format and emit strings
-        i = int(v)
-        return i if i.bit_length() <= 64 else str(i)
-    if isinstance(v, (float, np.floating)):
-        f = float(v)
-        return f if math.isfinite(f) else None
-    if isinstance(v, (complex, np.complexfloating)):
-        return {"re": float(v.real), "im": float(v.imag)}
-    if isinstance(v, dict):
-        return {str(k): _json_safe(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return [_json_safe(x) for x in v]
-    return str(v)
+    raise TypeError(type(v).__name__)
 
 
 @dataclass
@@ -368,19 +340,17 @@ class WitnessBundle:
     # -- verification -------------------------------------------------- #
 
     def verify(self, tol_residual: Optional[float] = None) -> dict:
-        """Re-run the bundle's own checks; returns a report dict with "ok"."""
+        """Re-run the bundle's own checks, recomputing every residual from
+        u, f and c; returns a report dict with "ok"."""
+        return self._report([_residual(lv, self.c) for lv in self.levels
+                             if lv.sampled], tol_residual)
+
+    def _report(self, residuals: list, tol_residual: Optional[float] = None) -> dict:
         tol = tol_residual if tol_residual is not None else (
             TOL_RESIDUAL_CONSTANT if self.kind == "constant" else TOL_RESIDUAL)
-        residuals = []
-        for lv in self.levels:
-            if not lv.sampled:
-                continue
-            r = (apply_mode(lv.lam, self.c, lv.u) - lv.f).sup_norm()
-            residuals.append((lv.j, r))
-        max_res = max((r for _, r in residuals), default=None)
         floor = min((lv.sup_u for lv in self.levels), default=0.0)
         checks = {
-            "residuals_ok": all(r < tol for _, r in residuals),
+            "residuals_ok": all(r < tol for r in residuals),
             "floor_positive": floor > 0.0,
             # floor_u is a reported lower bound; every level must respect it
             "floor_holds": floor >= self.floor_u - 1e-12 * max(1.0, self.floor_u),
@@ -390,7 +360,7 @@ class WitnessBundle:
         return {
             "ok": all(checks.values()),
             "checks": checks,
-            "max_residual": max_res,
+            "max_residual": max(residuals, default=None),
             "n_sampled": len(residuals),
             "floor_u": floor,
             "eps_f": self.decay.eps_f,
@@ -401,48 +371,46 @@ class WitnessBundle:
 
     def manifest(self) -> dict:
         dec = self.decay
-        with _unlimited_int_digits():
-            return self._manifest_dict(dec)
-
-    def _manifest_dict(self, dec: DecayRecord) -> dict:
-        return {
-            "kind": self.kind,
-            "eigs_kind": self.eigs_kind,
-            "exponent": self.exponent,
-            "floor_u": self.floor_u,
-            "n_levels": len(self.levels),
-            "subsequence": [_json_safe(j) for j in self.subsequence],
-            "decay": {
-                "f_zero": dec.f_zero,
-                "eps_f": _json_safe(dec.eps_f),
-                "r2": _json_safe(dec.r2),
-                "rate_lambda": _json_safe(dec.rate_lambda),
-                "r2_lambda": _json_safe(dec.r2_lambda),
-                "n_fit": dec.n_fit,
-                "note": dec.note,
-            },
-            "levels": [
-                {
-                    "j": _json_safe(lv.j),
-                    "lambda": _json_safe(lv.lam),
-                    "lambda_exact": None if lv.lam_exact is None else str(lv.lam_exact),
-                    "sup_u": lv.sup_u,
-                    "sup_f": lv.sup_f,
-                    "residual": _json_safe(lv.residual),
-                    "sampled": lv.sampled,
-                    "freq": _json_safe(lv.freq),
-                    "note": lv.note,
-                }
-                for lv in self.levels
-            ],
-            "meta": _json_safe(self.meta),
-        }
+        with unlimited_int_digits():      # str() of certificate-sized integers
+            return plain({
+                "kind": self.kind,
+                "eigs_kind": self.eigs_kind,
+                "exponent": self.exponent,
+                "floor_u": self.floor_u,
+                "n_levels": len(self.levels),
+                "subsequence": self.subsequence,
+                "decay": {
+                    "f_zero": dec.f_zero,
+                    "eps_f": dec.eps_f,
+                    "r2": dec.r2,
+                    "rate_lambda": dec.rate_lambda,
+                    "r2_lambda": dec.r2_lambda,
+                    "n_fit": dec.n_fit,
+                    "note": dec.note,
+                },
+                "levels": [
+                    {
+                        "j": lv.j,
+                        "lambda": lv.lam,
+                        "lambda_exact": (None if lv.lam_exact is None
+                                         else str(lv.lam_exact)),
+                        "sup_u": lv.sup_u,
+                        "sup_f": lv.sup_f,
+                        "residual": lv.residual,
+                        "sampled": lv.sampled,
+                        "freq": lv.freq,
+                        "note": lv.note,
+                    }
+                    for lv in self.levels
+                ],
+                "meta": self.meta,
+            }, default=_own_types)
 
     def norms_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["j", "sup_u", "sup_f"])
-        with _unlimited_int_digits():
+        with unlimited_int_digits():
             for lv in self.levels:
                 w.writerow([lv.j, repr(float(lv.sup_u)), repr(float(lv.sup_f))])
         return buf.getvalue()
@@ -452,9 +420,7 @@ class WitnessBundle:
         os.makedirs(directory, exist_ok=True)
         man_path = os.path.join(directory, "manifest.json")
         csv_path = os.path.join(directory, "norms.csv")
-        with _unlimited_int_digits(), open(man_path, "w", encoding="utf-8") as fh:
-            json.dump(self.manifest(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(man_path, self.manifest())
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(self.norms_csv())
         return {"manifest": man_path, "norms": csv_path}
@@ -541,16 +507,13 @@ def constant_witness(alpha, eigs: EigenSequence, L: int = 4,
         if abs(tau) <= N // 2 - 1:
             u = TorusFunction.harmonic(-tau, N)
             f = TorusFunction.zero(N)
-            res = (apply_mode(lam_f, c_tf, u) - f).sup_norm()
             note = ""
         else:
             u = f = None
-            res = None
             note = ("frequency beyond the grid band; "
                     "f = i(alpha*lambda - tau)e^{-i tau t} = 0 exactly")
         levels.append(WitnessLevel(j=j, lam=lam_f, sup_u=1.0, sup_f=0.0,
-                                   u=u, f=f, lam_exact=lam, residual=res,
-                                   freq=tau, note=note))
+                                   u=u, f=f, lam_exact=lam, freq=tau, note=note))
 
     exponent = _exponent_of(eigs, mu)
     bundle = WitnessBundle(
@@ -592,21 +555,18 @@ def _constant_from_certificate(cert: LiouvilleCertificate, eigs: EigenSequence,
         if abs(lev.tau) <= N // 2 - 1 and abs(lam_f) * abs(float(kappa)) <= _BAND_FRACTION * N / 2:
             u = TorusFunction.harmonic(-lev.tau, N)
             f = TorusFunction.harmonic(-lev.tau, N) * complex(1j * float(delta))
-            res = (apply_mode(lam_f, c_tf, u) - f).sup_norm()
             note = ""
         else:
             u = f = None
-            res = None
             note = ("frequency beyond the grid band; identity "
                     "u' + i kappa lambda u = i(kappa lambda - tau)e^{-i tau t} "
                     "holds term-by-term, gap recomputed exactly")
         levels.append(WitnessLevel(j=lev.j, lam=lam_f, sup_u=1.0, sup_f=sup_f,
-                                   u=u, f=f, lam_exact=lev.lam, residual=res,
-                                   freq=lev.tau,
+                                   u=u, f=f, lam_exact=lev.lam, freq=lev.tau,
                                    note=note))
 
     exponent = float(cert.e)
-    with _unlimited_int_digits():
+    with unlimited_int_digits():
         alpha_str = str(kappa)          # certificate rationals outgrow the 3.11+ str guard
     bundle = WitnessBundle(
         kind="constant",
@@ -636,9 +596,18 @@ def _gap_log10(gap: Fraction) -> float:
     return (num.bit_length() - den.bit_length()) * math.log10(2.0)
 
 
-def _require(bundle: WitnessBundle, tol: float) -> None:
-    rep = bundle.verify(tol_residual=tol)
-    if not rep["ok"]:
+def _residual(lv: WitnessLevel, c: TorusFunction) -> float:
+    """sup|u' + i lam c u - f| of a grid-sampled level."""
+    return float((apply_mode(lv.lam, c, lv.u) - lv.f).sup_norm())
+
+
+def _require(bundle: WitnessBundle, tol: float, checks=None) -> None:
+    """Store each sampled level's residual on the level, computed once, and
+    refuse the bundle unless the named checks (default: all) pass."""
+    bundle.levels = [replace(lv, residual=_residual(lv, bundle.c)) if lv.sampled
+                     else lv for lv in bundle.levels]
+    rep = bundle._report([lv.residual for lv in bundle.levels if lv.sampled], tol)
+    if not all(rep["checks"][k] for k in checks or rep["checks"]):
         raise RuntimeError(
             f"witness verification failed for kind={bundle.kind!r}: {rep['checks']} "
             f"(max residual {rep['max_residual']})")
@@ -848,7 +817,6 @@ def sign_change_witness(c: TorusFunction, eigs: EigenSequence, params=(1, Fracti
         f_w[(g_w == 0.0) | (g_w == 1.0)] = 0.0
         u_tf = TorusFunction.from_samples(_roll_to_circle(u_w, k0))
         f_tf = TorusFunction.from_samples(_roll_to_circle(f_w, k0))
-        res = (apply_mode(lam, cc, u_tf) - f_tf).sup_norm()
         at_anchor = abs(u_w[i])
         if abs(at_anchor - 1.0) > 1e-9:
             raise RuntimeError(
@@ -857,8 +825,7 @@ def sign_change_witness(c: TorusFunction, eigs: EigenSequence, params=(1, Fracti
         levels.append(WitnessLevel(j=int(idx), lam=lam,
                                    sup_u=float(np.max(np.abs(u_w))),
                                    sup_f=float(np.max(np.abs(f_w))),
-                                   u=u_tf, f=f_tf, lam_exact=lam_exact,
-                                   residual=float(res)))
+                                   u=u_tf, f=f_tf, lam_exact=lam_exact))
 
     exponent = _exponent_of(eigs, mu)
     decay = _decay_record(levels, exponent)
@@ -1041,13 +1008,11 @@ def plateau_witness(c: TorusFunction, intervals: Sequence[float], eigs: EigenSeq
         f_w[((g0_w == 0.0) | (g0_w == 1.0)) & ((g1_w == 0.0) | (g1_w == 1.0))] = 0.0
         u_tf = TorusFunction.from_samples(_roll_to_circle(u_w, k0))
         f_tf = TorusFunction.from_samples(_roll_to_circle(f_w, k0))
-        res = (apply_mode(lam, cc, u_tf) - f_tf).sup_norm()
         lam_exact = eigs.exact_lambda(j) if eigs.integer_valued else None
         levels.append(WitnessLevel(j=j, lam=lam,
                                    sup_u=float(np.max(np.abs(u_w))),
                                    sup_f=float(np.max(np.abs(f_w))),
-                                   u=u_tf, f=f_tf, lam_exact=lam_exact,
-                                   residual=float(res)))
+                                   u=u_tf, f=f_tf, lam_exact=lam_exact))
 
     exponent = _exponent_of(eigs, mu)
     decay = _decay_record(levels, exponent)
@@ -1174,16 +1139,13 @@ def L0_reduction_witness(c: TorusFunction, certificate: LiouvilleCertificate,
             phase = np.exp(-1j * lam_f * A)
             u_tf = TorusFunction.from_samples(phase * bracket)
             f_tf = TorusFunction.from_samples(one_minus_E * phase * phv)
-            res = (apply_mode(lam_f, cc, u_tf) - f_tf).sup_norm()
             note = ""
         else:
             u_tf = f_tf = None
-            res = None
             note = ("bandwidth beyond the grid; identity verified through the "
                     "exact residue (|1 - E| = 2|sin(pi delta)|)")
         levels.append(WitnessLevel(j=lev.j, lam=lam_f, sup_u=sup_u, sup_f=sup_f,
-                                   u=u_tf, f=f_tf, lam_exact=lev.lam,
-                                   residual=res, note=note))
+                                   u=u_tf, f=f_tf, lam_exact=lev.lam, note=note))
 
     exponent = float(certificate.e)
     decay = _decay_record(levels, exponent)
@@ -1209,11 +1171,7 @@ def L0_reduction_witness(c: TorusFunction, certificate: LiouvilleCertificate,
         },
     )
     # the floor here is |u(t_l)| = I_phi, not min sup_u (sup_u >= I_phi always)
-    rep = bundle.verify(tol_residual=TOL_RESIDUAL)
-    if not (rep["checks"]["residuals_ok"] and rep["checks"]["decay_ok"]):
-        raise RuntimeError(
-            f"witness verification failed for kind='l0-reduction': {rep['checks']} "
-            f"(max residual {rep['max_residual']})")
+    _require(bundle, TOL_RESIDUAL, ("residuals_ok", "decay_ok"))
     if min(lv.sup_u for lv in levels) < I_phi - 1e-9:
         raise RuntimeError("internal: some level's sup|u| fell below int(phi)")
     return bundle

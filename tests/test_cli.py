@@ -149,7 +149,7 @@ def test_solve_resonant_divisors_do_not_depend_on_other_modes(tmp_path):
 
 
 def test_solve_coefficient_from_sample_file(tmp_path):
-    t = 2.0 * np.pi * np.arange(64) / 64
+    t = (2.0 * np.pi * np.arange(64) / 64).tolist()   # plain floats: t is parsed
     lines = ["t,re,im"] + [f"{ti!r},0.5,0.0" for ti in t]
     cpath = tmp_path / "c.csv"
     cpath.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -160,6 +160,20 @@ def test_solve_coefficient_from_sample_file(tmp_path):
     eigs = build_eigensequence("harmonic1d", 8)
     u = ModeField.from_csv((out / "u_field.csv").read_text(), eigs, J=8)
     assert abs(u.sup_norms()[5] - 1.0 / 6.5) < 1e-9
+
+
+def test_coefficient_file_rows_out_of_t_order_exit_1(tmp_path, capsys):
+    t = (2.0 * np.pi * np.arange(64) / 64).tolist()
+    lines = ["t,re,im"] + [f"{ti!r},{0.5 + 0.1 * math.cos(ti)!r},0.0" for ti in t[::-1]]
+    cpath = tmp_path / "c.csv"
+    cpath.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path, j_modes=8, grid_n=64, c_file=str(cpath),
+                       f={"5": "exp(it)"})
+    code = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"c_file {cpath}: line 2: t = {t[-1]!r} is not the grid point 0.0" in err
+    assert "Traceback" not in err
 
 
 # --------------------------------------------------------------------------- #
@@ -291,7 +305,7 @@ def test_decay_zero_field_exits_3(tmp_path, capsys):
     eigs = build_eigensequence("harmonic1d", 33)
     field = ModeField([None] * 33, eigs)
     rows = ["j,t,re,im"]
-    t = 2.0 * np.pi * np.arange(8) / 8
+    t = (2.0 * np.pi * np.arange(8) / 8).tolist()
     for j in range(33):
         rows += [f"{j},{ti!r},0.0,0.0" for ti in t]
     upath = tmp_path / "u.csv"
@@ -317,8 +331,23 @@ def test_decay_mode_index_outside_field_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_decay_rows_out_of_t_order_exit_1(tmp_path, capsys):
+    t = (2.0 * np.pi * np.arange(8) / 8).tolist()
+    upath = tmp_path / "u.csv"
+    upath.write_text("\n".join(["j,t,re,im"] + [f"5,{ti!r},{math.cos(ti)!r},0.0"
+                                               for ti in t[::-1]]) + "\n",
+                     encoding="utf-8")
+    cfg = write_config(tmp_path, j_modes=64)
+    code = main(["decay", "--config", cfg, "--input", str(upath),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "line 2: t = 5.497787143782138 is not the grid point 0.0" in err
+    assert "Traceback" not in err
+
+
 def test_decay_single_mode_is_trivial_report(tmp_path):
-    t = 2.0 * np.pi * np.arange(8) / 8
+    t = (2.0 * np.pi * np.arange(8) / 8).tolist()
     rows = ["j,t,re,im"] + [
         f"5,{ti!r},{math.cos(ti)!r},{math.sin(ti)!r}" for ti in t]
     upath = tmp_path / "u.csv"
@@ -408,6 +437,10 @@ def _run_cookbook(config_path: Path, out: Path, solve_dir: Path) -> None:
     assert code in (0, 2), f"{config_path.name} exited {code}"
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def test_cookbook_exists_and_is_deterministic(tmp_path):
     configs = sorted(COOKBOOK.glob("*.json"))
     assert len(configs) >= 5, "cookbook should ship several ready-made configs"
@@ -421,3 +454,6 @@ def test_cookbook_exists_and_is_deterministic(tmp_path):
             _run_cookbook(cfg, out, seed_solve)
             runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert runs[0] == runs[1], f"{cfg.name} is not byte-deterministic"
+        for name, data in runs[0].items():
+            if name.endswith(".json"):   # strict JSON: no NaN or Infinity
+                json.loads(data, parse_constant=_refuse_constant)

@@ -13,6 +13,7 @@ from hypotorus.diagnostics import (
     GSParams,
     fit_decay,
     lemma25_check,
+    ols,
     pm_seminorms,
     regularity_loss_report,
     x_seminorms,
@@ -66,6 +67,74 @@ def test_gsparams_validation():
         gs(sigma=math.inf)
     with pytest.raises(ValueError):
         GSParams(mu=Fraction(1, 2), sigma=2.0, n=0, m=2)
+
+
+# --------------------------------------------------------------------------- #
+# least squares
+# --------------------------------------------------------------------------- #
+
+def exact_ols(y, *xs):
+    """(b_1, ..., b_k, c, r^2) from the normal equations in rational arithmetic."""
+    n = len(y)
+    Y = [Fraction(v) for v in y]
+    X = [[Fraction(v) for v in x] for x in xs]
+    my, mx = sum(Y) / n, [sum(x) / n for x in X]
+    yc = [v - my for v in Y]
+    xc = [[v - m for v in x] for x, m in zip(X, mx)]
+    A = [[sum(a * b for a, b in zip(p, q)) for q in xc] for p in xc]
+    r = [sum(a * b for a, b in zip(p, yc)) for p in xc]
+    if len(xs) == 1:
+        b = [r[0] / A[0][0]]
+    else:
+        det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
+        b = [(r[0] * A[1][1] - r[1] * A[0][1]) / det,
+             (A[0][0] * r[1] - A[1][0] * r[0]) / det]
+    res = [v - sum(bi * x[t] for bi, x in zip(b, xc)) for t, v in enumerate(yc)]
+    r2 = 1 - sum(v * v for v in res) / sum(v * v for v in yc)
+    return [float(v) for v in b] + [float(my - sum(bi * m for bi, m in zip(b, mx))),
+                                    float(r2)]
+
+
+def test_ols_matches_exact_least_squares():
+    rng = np.random.default_rng(7)
+    k = np.arange(5.0)
+    lk = np.array([math.lgamma(v + 1) for v in k])
+    cases = [
+        (3.0 - 0.7 * (k + 1) ** 0.5 + 0.01 * rng.standard_normal(5), ((k + 1) ** 0.5,)),
+        (2.0 + 1e-12 * rng.standard_normal(5), (lk,)),          # near-flat data
+        (2.0 + 1e-12 * rng.standard_normal(5), (lk, k)),
+        (rng.standard_normal(8), (np.arange(8.0) ** 2, np.arange(8.0))),
+        (np.log(np.arange(1.0, 65.0)), ((np.arange(64.0) + 1) ** 0.25,)),
+    ]
+    for y, xs in cases:
+        got, want = ols(y, *xs), exact_ols(y, *xs)
+        assert len(got) == len(xs) + 2
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * abs(w) + 1e-300
+
+
+def test_ols_zero_variance_and_constant_data():
+    y = np.array([1.0, 2.0, 4.0])
+    slope, c, r2 = ols(y, np.full(3, 2.5))
+    assert slope == 0.0 and r2 == 1.0 and abs(c - 7.0 / 3.0) < 1e-15
+    slope_flat, slope, c, r2 = ols(y, np.zeros(3), np.arange(3.0))
+    assert slope_flat == 0.0 and abs(slope - 1.5) < 1e-15 and r2 < 1.0
+    # a constant y has slopes of exactly zero, whatever its mean rounds to
+    x = (np.arange(64, 128) + 1.0) ** 0.5
+    assert ols(np.full(64, 3.7), x) == (0.0, 3.7, 1.0)
+
+
+def test_fit_decay_k_max_1_reaches_the_zero_variance_case():
+    # with k_max = 1 the derivative-growth regressor log k! is (0, 0): the
+    # documented zero-variance result, sigma 0 with r^2 1, is what comes out.
+    # The other fits regress on strictly increasing abscissae ((j+1)^e,
+    # k log k with k >= 3 points, lambda_j) and cannot reach the case.
+    eigs = build_eigensequence("harmonic1d", 32)
+    field = ModeField([TorusFunction.harmonic(1, 64) * math.exp(-(j + 1))
+                       for j in range(32)], eigs)
+    fit = fit_decay(field, gs(), k_max=1)
+    assert fit.sigma_fit == 0.0 and fit.r2_sigma == 1.0
+    assert fit.sigma_fit_joint == 0.0
 
 
 # --------------------------------------------------------------------------- #

@@ -345,6 +345,21 @@ class TestLiouvilleFit:
         assert obj["heuristic"] is True
         assert len(obj["slopes"]) == len(obj["windows"])
 
+    def test_report_json_writes_null_for_an_unfittable_raw_window(self):
+        # kappa = 1/2 resonates with the even values 8..14, so window [4, 8)
+        # has no nonzero distance and its raw slope is NaN
+        values = [1, 3, 5, 7, 8, 10, 12, 14] + [2 * j + 1 for j in range(8, 64)]
+        eigs = build_eigensequence("table", 64, values=values)
+        rep = dio.liouville_fit(dio.distance_sequence(Fraction(1, 2), eigs))
+        assert rep.windows[0] == (4, 8) and math.isnan(rep.raw_slopes[0])
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        obj = json.loads(rep.to_json(), parse_constant=refuse)
+        assert obj["raw_slopes"][0] is None
+        assert obj == json.loads(json.dumps(rep.as_dict()).replace("NaN", "null"))
+
     def test_windows_are_dyadic(self, h1d):
         rep = dio.liouville_fit(dio.distance_sequence(Fraction(1, 2), h1d))
         assert rep.windows[0] == (4, 8)

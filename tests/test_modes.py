@@ -356,6 +356,21 @@ def test_mode_field_csv_rejects_out_of_range_index(j):
         ModeField.from_csv(text, eigs, J=3)
 
 
+def test_mode_field_csv_rejects_rows_out_of_t_order():
+    eigs = build_eigensequence("harmonic1d", 3)
+    mf = ModeField([f_harmonic(8), None, TorusFunction.constant(2j, 8)], eigs)
+    header, *rows = mf.to_csv().splitlines()
+    assert ModeField.from_csv("\n".join([header] + rows), eigs, J=3).to_csv() == mf.to_csv()
+    # mode 2 written backwards in t: its first row (line 10) holds t = 7*2pi/8
+    reversed_2 = rows[:8] + rows[8:][::-1]
+    with pytest.raises(ValueError, match="line 10: t = 5.497787143782138 "):
+        ModeField.from_csv("\n".join([header] + reversed_2), eigs, J=3)
+    # interleaved modes are fine as long as each mode runs forward in t
+    interleaved = [r for pair in zip(rows[:8], rows[8:]) for r in pair]
+    back = ModeField.from_csv("\n".join([header] + interleaved), eigs, J=3)
+    assert back.samples.tobytes() == mf.samples.tobytes()
+
+
 def test_field_operations_match_per_mode_reference():
     # the whole-array operations reproduce the per-mode ones bit for bit
     eigs = build_eigensequence("harmonic1d", 6)

@@ -224,6 +224,20 @@ def test_sample_csv_roundtrip(rng):
     assert np.allclose(g.samples, f.samples, atol=0.0)  # repr floats are exact
 
 
+def test_sample_csv_rejects_rows_out_of_t_order(rng):
+    f = random_trig_poly(rng, n=16, band=3)
+    header, *rows = f.to_sample_csv().splitlines()
+    with pytest.raises(ValueError, match="line 2: t = 5.890486225480862 "):
+        TorusFunction.from_sample_csv("\n".join([header] + rows[::-1]))
+    shifted = rows[1:] + rows[:1]          # samples rotated by one grid step
+    with pytest.raises(ValueError, match="line 2: "):
+        TorusFunction.from_sample_csv("\n".join([header] + shifted))
+    # blank rows are skipped and do not shift the reported line
+    text = "\n".join([header] + rows[:3] + [""] + rows[4:3:-1] + rows[3:4] + rows[5:])
+    with pytest.raises(ValueError, match="line 6: "):
+        TorusFunction.from_sample_csv(text)
+
+
 def test_coeff_csv_roundtrip(rng):
     f = random_trig_poly(rng, n=32, band=5)
     text = f.to_coeff_csv()

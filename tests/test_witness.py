@@ -262,6 +262,25 @@ def test_sign_change_mode_identities(sin_witness):
         assert abs(abs(lv.u.eval_at(sin_witness.meta["t_star"])) - 1.0) < 1e-6
 
 
+def test_construction_computes_each_residual_once(monkeypatch):
+    import hypotorus.witness as witness_mod
+
+    calls = []
+
+    def counting(lam, c, u):
+        calls.append(lam)
+        return apply_mode(lam, c, u)
+
+    monkeypatch.setattr(witness_mod, "apply_mode", counting)
+    eigs = build_eigensequence("harmonic1d", 16)
+    b = sign_change_witness(c_sin(256), eigs, (1, Fraction(1, 2)), N=256)
+    assert len(calls) == 16                   # one per sampled level
+    rep = b.verify()                          # the independent re-check
+    assert len(calls) == 32
+    assert rep["ok"] and rep["n_sampled"] == 16
+    assert rep["max_residual"] == max(lv.residual for lv in b.levels)
+
+
 def test_sign_change_forcing_decays_at_the_margin_rate(sin_witness):
     d = sin_witness.decay
     assert d.r2_lambda > 0.95
