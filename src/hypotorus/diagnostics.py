@@ -175,7 +175,8 @@ class DecayFit:
 
 
 def _derivative_stack(field: ModeField, k_max: int) -> list:
-    """[u, d_t u, ..., d_t^k_max u]."""
+    """[u, d_t u, ..., d_t^k_max u]; a second stack of the same field reuses
+    the first one's fields (ModeField.derivative keeps its result)."""
     stack = [field]
     for _ in range(k_max):
         stack.append(stack[-1].derivative())

@@ -55,6 +55,10 @@ __all__ = [
 # exp(-x) into a bound 2^(-K) without ever touching floats.
 _L2E_UP = Fraction(1442696, 1000000)
 
+# Longest residue period classify_rational scans for the power kinds, whose
+# residues follow no progression; about a second of integer arithmetic.
+_POWER_SCAN_CAP = 1 << 20
+
 # max/median threshold for the bounded-slope test, growth factor for the
 # monotone-growth flag, and the floor applied to the median.  The test runs
 # on scale-normalized slopes (envelope growth per e-fold of x), whose natural
@@ -406,6 +410,26 @@ class RationalVerdict:
         return dumps(self.as_dict())
 
 
+def _progression_residues(p: int, q: int, a: int,
+                          step: int) -> Tuple[Tuple[int, ...], Optional[Fraction]]:
+    """Zero classes and floor of ``p (a + step idx) mod q`` over ``idx`` in [0, q).
+
+    The residues fill one coset ``p a + g Z_q`` of the subgroup ``g Z_q``,
+    ``g = gcd(p step, q)``.  Zero lies in it iff ``g | p a``, and then the
+    zero classes are ``idx0 + t q/g`` for ``t < g``; the other residues are
+    ``g, 2g, ..., q - g``.  Otherwise the residues nearest 0 and q are
+    ``r0`` and ``q - (g - r0)`` with ``r0 = p a mod g``.  O(log q) work
+    (plus the ``g`` classes, at most ``step`` of them when gcd(p, q) = 1).
+    """
+    g = math.gcd(p * step, q)
+    r0 = (p * a) % g
+    if r0:
+        return (), Fraction(min(r0, g - r0), q)
+    period = q // g
+    idx0 = (-(p * a // g) * pow(p * step // g, -1, period)) % period
+    return tuple(range(idx0, q, period)), (Fraction(g, q) if g < q else None)
+
+
 def classify_rational(p: int, q: int, eigs: EigenSequence) -> RationalVerdict:
     """Exact verdict for rational ``kappa = p/q`` (``q > 0``).
 
@@ -415,6 +439,9 @@ def classify_rational(p: int, q: int, eigs: EigenSequence) -> RationalVerdict:
     index for the product kind), so either some residue class is resonant --
     then infinitely many modes are unsolvable and the operator side is
     degenerate -- or every distance sits at or above an exact positive floor.
+    ``harmonic1d`` and the ``harmonic_nd`` block index are arithmetic
+    progressions and are decided in closed form; ``harmonic1d_power`` scans
+    one period and raises ValueError when ``q`` exceeds ``_POWER_SCAN_CAP``.
     """
     p, q = int(p), int(q)
     if q <= 0:
@@ -438,20 +465,24 @@ def classify_rational(p: int, q: int, eigs: EigenSequence) -> RationalVerdict:
 
     kind = eigs.kind
     head = kind.split()[0]
-    if head in ("harmonic1d", "harmonic1d_power"):
-        k = int(kind.split()[1]) if head == "harmonic1d_power" else 1
-        vals = [(2 * j + 1) ** k for j in range(q)]
-        classes, floor = residues(vals)
+    if head == "harmonic1d":
+        classes, floor = _progression_residues(p, q, 1, 2)     # lambda = 2j + 1
+        scope, period, var = "infinite", q, "j"
+    elif head == "harmonic1d_power":
+        if q > _POWER_SCAN_CAP:
+            raise ValueError(
+                f"kappa denominator {q} exceeds the residue scan bound "
+                f"{_POWER_SCAN_CAP} for {kind!r}")
+        k = int(kind.split()[1])
+        classes, floor = residues((2 * j + 1) ** k for j in range(q))
         scope, period, var = "infinite", q, "j"
     elif head == "harmonic_nd":
         # every energy block n + 2*ell is hit by at least one mode, so the
         # residue pattern in the block index decides recurrence
-        vals = [eigs.n + 2 * ell for ell in range(q)]
-        classes, floor = residues(vals)
+        classes, floor = _progression_residues(p, q, eigs.n, 2)
         scope, period, var = "infinite", q, "block"
     else:
-        vals = list(eigs.exact)
-        classes, floor = residues(vals)
+        classes, floor = residues(eigs.exact)
         scope, period, var = "window", None, "j"
 
     return RationalVerdict(

@@ -27,10 +27,15 @@ small budget the solver switches to an equivalent Fourier collocation system
 
     i k uhat_k + i lam (chat * uhat)_k = fhat_k      (* = circular convolution)
 
-which is solved densely and is exact on the grid up to linear-algebra
-roundoff.  Every solve is verified by applying the operator back to the
+which is exact on the grid up to linear-algebra roundoff.  When c has degree
+d small against n (a formula c), the system is cyclic banded in frequency
+order: a batched banded LU with partial pivoting, plus a rank-2d Woodbury
+correction for the wrap-around corners, solves many modes in O(n) numpy
+steps.  A wide band (a sampled c with a full spectrum) is solved densely, mode
+by mode.  Every solve is verified by applying the operator back to the
 result; if the integral path misses its residual budget the mode is re-solved
-by collocation and flagged ``refactored``.
+by collocation and flagged ``refactored``.  ``solve_field`` sends all its
+collocation-bound modes through one batched call.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,6 +71,7 @@ TOL_RES = 1e-8          # divisor below this -> mode treated as resonant
 TOL_ILL = 1e-4          # divisor below this -> solvable but flagged ill-conditioned
 CLAMP = 700.0           # |real exponent| cap, the IEEE-double overflow boundary
 OSC_BUDGET = 10.0       # max |lam|*osc(Im C) for the integral path in auto mode
+_BAND_TOL = 64 * np.finfo(float).eps   # |chat_k| below this * max|chat| is roundoff
 
 
 class ResonantMode(Exception):
@@ -174,19 +180,160 @@ def _solve_integral(lam: float, dec: MeanDecomposition, f: TorusFunction,
     return TorusFunction(u), clamped
 
 
-def _solve_collocation(lam: float, c: TorusFunction, f: TorusFunction) -> TorusFunction:
-    """Dense Fourier collocation: exact on the grid up to solver roundoff."""
-    n = f.n
+def _band_width(chat: np.ndarray) -> int:
+    """Largest |k| whose coefficient chat_k lies above roundoff.
+
+    A coefficient at or below _BAND_TOL * max|chat| is indistinguishable from
+    the FFT roundoff of the samples (a formula c of degree d leaves a tail of
+    ~1e-17 beyond d).  Dropping such a tail perturbs the operator by at most
+    |lam| * sum of the dropped |chat_k|; the residual every solve is checked
+    with uses the full c, so it shows that perturbation if it ever matters.
+    """
+    n = chat.shape[0]
+    big = np.flatnonzero(np.abs(chat) > _BAND_TOL * np.abs(chat).max())
+    return int(np.abs(np.fft.fftfreq(n, d=1.0 / n)[big]).max()) if big.size else 0
+
+
+def _banded_lu_solve(G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Solve B x = X in place for a batch of band matrices (partial pivoting).
+
+    ``G[:, s, q]`` holds B[s, s - d + q] for q = 0..2d (entries outside the
+    matrix are zero) and ``X`` is (m, n, r).  Elimination runs on a sliding
+    (d+1) x (2d+1) window, one numpy step per column for the whole batch; row
+    s of U (columns s..s+2d, the band grown by pivoting) overwrites G[:, s]
+    after that row has left the window.  Returns the (m,) mask of modes whose
+    pivot column was exactly zero.  Only elementwise operations touch the
+    batch axis, so each mode's bytes do not depend on the batch it rides in.
+    """
+    m, n, w = G.shape
+    d = (w - 1) // 2
+    rows = np.arange(m)
+    singular = np.zeros(m, dtype=bool)
+    W = np.zeros((m, d + 1, w), dtype=np.complex128)   # rows s..s+d, cols s..s+2d
+    for i in range(d + 1):
+        W[:, i, :i + d + 1] = G[:, i, d - i:]
+    Xw = X[:, :d + 1].copy()
+    for s in range(n):
+        p = np.argmax(np.abs(W[:, :, 0]), axis=1)
+        for win in (W, Xw):
+            top = win[rows, p]
+            win[rows, p] = win[:, 0]
+            win[:, 0] = top
+        piv = W[:, 0, 0]
+        zero = piv == 0
+        singular |= zero
+        piv[zero] = 1.0
+        l = W[:, 1:, :1] / piv[:, None, None]
+        W[:, 1:, 1:] -= l * W[:, :1, 1:]
+        Xw[:, 1:] -= l * Xw[:, :1]
+        G[:, s] = W[:, 0]
+        X[:, s] = Xw[:, 0]
+        W[:, :-1, :-1] = W[:, 1:, 1:]
+        W[:, :-1, -1] = 0.0
+        Xw[:, :-1] = Xw[:, 1:]
+        W[:, -1] = G[:, s + d + 1] if s + d + 1 < n else 0.0
+        Xw[:, -1] = X[:, s + d + 1] if s + d + 1 < n else 0.0
+    for s in range(n - 1, -1, -1):           # column-oriented back substitution
+        X[:, s] /= G[:, s, :1]
+        t = np.arange(max(0, s - 2 * d), s)
+        X[:, t] -= G[:, t, s - t][:, :, None] * X[:, s, None, :]
+    return singular
+
+
+def _solve_cyclic_banded(lams: np.ndarray, chat: np.ndarray, fhat: np.ndarray,
+                         d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Collocation for a batch when chat vanishes beyond |k| = d.
+
+    In frequency order (fftshift) the matrix A = diag(ik) + i lam conv(chat)
+    is cyclic banded: a band B of half-width d plus the 2d wrap-around
+    corner entries, which couple the highest frequencies with the lowest.
+    A = B + U V^T with U the unit columns of the corner rows R, so by the
+    Sherman-Morrison-Woodbury identity
+        x = y - Z (I + V^T Z)^{-1} V^T y,    y = B^{-1} f,  Z = B^{-1} U,
+    and one banded solve with 2d + 1 right-hand sides restores the corners
+    exactly.  B is invertible when Im c >= 0 (or <= 0) is not identically 0:
+    Re x*Bx = -lam x*T(Im c)x with T the positive definite Toeplitz section.
+    """
+    m, n = fhat.shape
+    w = 2 * d + 1
+    q = np.arange(w)
+    k = np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / n))
+    k[0] = 0.0                                # same Nyquist rule as derivative()
+    G = np.empty((m, n, w), dtype=np.complex128)
+    G[:] = (1j * lams)[:, None, None] * chat[(d - q) % n]
+    G[:, :, d] += 1j * k
+    cols = np.arange(n)[:, None] - d + q      # column of G[:, s, q]
+    corner = (cols < 0) | (cols >= n)
+    R = np.r_[0:d, n - d:n]                   # corner rows; corner columns are R too
+    slot = np.zeros(n, dtype=np.intp)
+    slot[R] = np.arange(2 * d)
+    ri, qi = np.nonzero(corner[R])
+    V = np.zeros((m, 2 * d, 2 * d), dtype=np.complex128)   # V^T restricted to columns R
+    V[:, ri, slot[cols[R[ri], qi] % n]] = G[:, R[ri], qi]
+    G[:, corner] = 0.0
+
+    X = np.zeros((m, n, w), dtype=np.complex128)
+    X[:, :, 0] = np.fft.fftshift(fhat, axes=1)
+    X[:, R, 1 + np.arange(2 * d)] = 1.0
+    singular = _banded_lu_solve(G, X)
+    y, Z = X[:, :, 0], X[:, :, 1:]
+
+    S = np.zeros((m, 2 * d, 2 * d), dtype=np.complex128)
+    S[:, np.arange(2 * d), np.arange(2 * d)] = 1.0
+    Vy = np.zeros((m, 2 * d), dtype=np.complex128)
+    for i in range(2 * d):                    # fixed-order sums, no batched BLAS
+        S += V[:, :, i, None] * Z[:, R[i], None, :]
+        Vy += V[:, :, i] * y[:, R[i], None]
+    try:
+        coef = np.linalg.solve(S, Vy[..., None])[..., 0]
+    except np.linalg.LinAlgError:             # find the singular modes one by one
+        coef = np.zeros_like(Vy)
+        for i in range(m):
+            try:
+                coef[i] = np.linalg.solve(S[i], Vy[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+    x = y.copy()
+    for i in range(2 * d):
+        x -= Z[:, :, i] * coef[:, i, None]
+    return np.fft.ifftshift(x, axes=1), singular
+
+
+def _solve_collocation(lams: np.ndarray, c: TorusFunction,
+                       fhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier collocation for a batch of modes: exact on the grid up to
+    solver roundoff.
+
+    ``lams`` is (m,), ``fhat`` the (m, n) forcing coefficients; returns the
+    (m, n) solution coefficients and an (m,) mask of modes whose matrix is
+    singular (a true resonance).  A narrow band (8(3d+1) <= n, the crossover
+    measured for n = 256..1024) goes through the cyclic-banded solver in
+    chunks whose working set stays within the ~3 n^2 complex numbers of one
+    dense solve; a wide band, such as a sampled c with a full spectrum, is
+    solved densely mode by mode.
+    """
+    m, n = fhat.shape
+    chat = c.coeffs
+    d = _band_width(chat)
+    uhat = np.empty((m, n), dtype=np.complex128)
+    singular = np.zeros(m, dtype=bool)
+    if 8 * (3 * d + 1) <= n:
+        step = max(1, 3 * n // (2 * (2 * d + 1)))   # G and X: 2 n (2d+1) per mode
+        for lo in range(0, m, step):
+            hi = lo + step
+            uhat[lo:hi], singular[lo:hi] = _solve_cyclic_banded(
+                lams[lo:hi], chat, fhat[lo:hi], d)
+        return uhat, singular
     k = np.fft.fftfreq(n, d=1.0 / n)
     k[n // 2] = 0.0                           # same Nyquist rule as derivative()
     idx = np.arange(n)
-    conv = c.coeffs[(idx[:, None] - idx[None, :]) % n]
-    A = np.diag(1j * k) + 1j * lam * conv
-    try:
-        uhat = np.linalg.solve(A, f.coeffs)
-    except np.linalg.LinAlgError as exc:  # exactly singular: true resonance
-        raise ResonantMode(lam, 0.0, f"collocation matrix singular for lambda={lam}") from exc
-    return TorusFunction.from_coeffs(uhat)
+    conv = chat[(idx[:, None] - idx[None, :]) % n]
+    for i, lam in enumerate(lams):
+        try:
+            uhat[i] = np.linalg.solve(np.diag(1j * k) + 1j * lam * conv, fhat[i])
+        except np.linalg.LinAlgError:         # exactly singular: true resonance
+            singular[i] = True
+    return uhat, singular
 
 
 # --------------------------------------------------------------------------- #
@@ -215,6 +362,48 @@ def apply_mode(lam: float, c: TorusFunction, u: TorusFunction) -> TorusFunction:
     return u.derivative() + (1j * lam) * c * u
 
 
+def _audit(lam: float, dec: MeanDecomposition, f: TorusFunction,
+           tol_res: float) -> tuple[int, ModeSolution]:
+    """The sign-rule formula and the mode's audit record before any solve.
+
+    The record (``u`` still None, formula "fourier") carries the divisor of
+    that formula, the residual budget and the conditioning flag.  Raises
+    ResonantMode when the divisor is below ``tol_res``.
+    """
+    which = _select_formula(lam, dec.c0.imag)
+    divisor = _divisor(lam, dec.c0, which)
+    if divisor < tol_res:
+        raise ResonantMode(lam, divisor)
+    budget = 1e-8 * (1.0 + f.sup_norm() / divisor) if divisor else math.inf
+    return which, ModeSolution(u=None, lam=lam, divisor=divisor, formula="fourier",
+                               residual=math.nan, residual_budget=budget,
+                               ill_conditioned=divisor < TOL_ILL)
+
+
+def _collocation_bound(lam: float, dec: MeanDecomposition, formula: str | int) -> bool:
+    """Forced collocation, or auto mode past the integral path's stability budget."""
+    osc = float(np.ptp(dec.tilde_primitive.samples.imag))
+    return formula == "fourier" or (formula == "auto" and abs(lam) * osc > OSC_BUDGET)
+
+
+def _collocate(c: TorusFunction, fs: list[TorusFunction],
+               recs: list[ModeSolution]) -> list[ModeSolution | ResonantMode]:
+    """Solve the modes of ``recs`` (audit records without ``u``) in one batched
+    collocation call; each solution's residual is taken against the full c."""
+    uhat, singular = _solve_collocation(np.array([r.lam for r in recs]), c,
+                                        np.array([f.coeffs for f in fs]))
+    out: list[ModeSolution | ResonantMode] = []
+    for rec, f, row, bad in zip(recs, fs, uhat, singular):
+        if bad:  # exactly singular: true resonance
+            out.append(ResonantMode(rec.lam, 0.0,
+                                    f"collocation matrix singular for lambda={rec.lam}"))
+            continue
+        u = TorusFunction.from_coeffs(row)
+        out.append(replace(rec, u=u, formula="fourier",
+                           residual=(apply_mode(rec.lam, c, u) - f).sup_norm()))
+    return out
+
+
 def solve_mode_detailed(lam: float, c: TorusFunction, f: TorusFunction, *,
                         dec: MeanDecomposition | None = None,
                         formula: str | int = "auto",
@@ -230,55 +419,29 @@ def solve_mode_detailed(lam: float, c: TorusFunction, f: TorusFunction, *,
         c = c.resample(f.n)
     if dec is None:
         dec = c.decompose_mean()
-    c0 = dec.c0
+    which, rec = _audit(lam, dec, f, tol_res)
 
-    which = _select_formula(lam, c0.imag)
-    divisor = _divisor(lam, c0, which)
-    if divisor < tol_res:
-        raise ResonantMode(lam, divisor)
-    ill = divisor < TOL_ILL
-
-    budget = 1e-8 * (1.0 + f.sup_norm() / divisor)
-
-    osc = float(np.ptp(dec.tilde_primitive.samples.imag))
-    use_integral = abs(lam) * osc <= OSC_BUDGET
-    clamped = False
-    refactored = False
-
-    if formula == "fourier":
-        u = _solve_collocation(lam, c, f)
-        name = "fourier"
-    elif formula in (1, 2):
-        which = int(formula)
-        divisor = _divisor(lam, c0, which)
-        if divisor < tol_res:
-            raise ResonantMode(lam, divisor)
+    if _collocation_bound(lam, dec, formula):
+        sol = _collocate(c, [f], [rec])[0]
+    elif formula in ("auto", 1, 2):
+        divisor = rec.divisor
+        if formula != "auto":
+            which = int(formula)
+            divisor = _divisor(lam, dec.c0, which)
+            if divisor < tol_res:
+                raise ResonantMode(lam, divisor)
         u, clamped = _solve_integral(lam, dec, f, which)
-        if clamped:
+        if clamped:  # only a forced formula can clamp; the selected side cannot
             warnings.warn(f"exponent clamped at +-{CLAMP} for lambda={lam}", OverflowClamped)
-        name = f"solu{which}"
-    elif formula == "auto":
-        if use_integral:
-            u, clamped = _solve_integral(lam, dec, f, which)
-            name = f"solu{which}"
-            if clamped:  # cannot happen on the selected side; defensive
-                warnings.warn(f"exponent clamped for lambda={lam}", OverflowClamped)
-        else:
-            u = _solve_collocation(lam, c, f)
-            name = "fourier"
+        sol = replace(rec, u=u, divisor=divisor, formula=f"solu{which}", clamped=clamped,
+                      residual=(apply_mode(lam, c, u) - f).sup_norm())
+        if formula == "auto" and not sol.residual <= sol.residual_budget:  # NaN misses
+            sol = _collocate(c, [f], [replace(sol, refactored=True)])[0]
     else:
         raise ValueError(f"formula must be 'auto', 1, 2 or 'fourier', got {formula!r}")
-
-    residual = (apply_mode(lam, c, u) - f).sup_norm()
-    if formula == "auto" and name != "fourier" and residual > budget:
-        u = _solve_collocation(lam, c, f)
-        name = "fourier"
-        refactored = True
-        residual = (apply_mode(lam, c, u) - f).sup_norm()
-
-    return ModeSolution(u=u, lam=lam, divisor=divisor, formula=name,
-                        residual=residual, residual_budget=budget,
-                        ill_conditioned=ill, clamped=clamped, refactored=refactored)
+    if isinstance(sol, ResonantMode):
+        raise sol
+    return sol
 
 
 def solve_mode(lam: float, c: TorusFunction, f: TorusFunction, *,
@@ -336,6 +499,7 @@ class ModeField:
         self.samples = samples
         self.mask = mask
         self._coeffs = coeffs
+        self._derivative: ModeField | None = None
         self.eigs = eigs
 
     @property
@@ -379,16 +543,24 @@ class ModeField:
 
     def derivative(self) -> "ModeField":
         """Spectral t-derivative of every mode, as TorusFunction.derivative does
-        it: Nyquist mode to zero, coefficients kept for the next derivative."""
+        it: Nyquist mode to zero, coefficients kept for the next derivative.
+
+        The field is immutable, so the result is kept and later calls return
+        it: ``decay`` differentiates one field for fit_decay and again for
+        pm_seminorms.
+        """
         if not self.mask.any():
             return self
-        n = self.samples.shape[1]
-        k = np.fft.fftfreq(n, d=1.0 / n)
-        k[n // 2] = 0.0
-        if self._coeffs is None:
-            self._coeffs = np.fft.fft(self.samples, axis=1) / n
-        dc = 1j * k * self._coeffs
-        return ModeField._of(np.fft.ifft(dc * n, axis=1), self.mask, self.eigs, dc)
+        if self._derivative is None:
+            n = self.samples.shape[1]
+            k = np.fft.fftfreq(n, d=1.0 / n)
+            k[n // 2] = 0.0
+            if self._coeffs is None:
+                self._coeffs = np.fft.fft(self.samples, axis=1) / n
+            dc = 1j * k * self._coeffs
+            self._derivative = ModeField._of(np.fft.ifft(dc * n, axis=1),
+                                             self.mask, self.eigs, dc)
+        return self._derivative
 
     def map(self, fn) -> "ModeField":
         return ModeField([None if e is None else fn(e) for e in self], self.eigs)
@@ -489,26 +661,51 @@ def solve_field(c: TorusFunction, f: ModeField, *, formula: str | int = "auto",
                 tol_res: float = TOL_RES) -> tuple[ModeField, DivisorReport]:
     """Solve every defined mode of f; resonant modes stay undefined (None).
 
-    Raises AllModesResonant, carrying the divisor report, when no mode at
-    all could be solved.
+    Each mode's path is decided first; every collocation-bound mode, and in
+    auto mode every integral solve that misses its residual budget, then goes
+    through one batched collocation call.  Raises AllModesResonant, carrying
+    the divisor report, when no mode at all could be solved.
     """
     if c.n != f.n:
         c = c.resample(f.n)
     dec = c.decompose_mean()
+    sols: dict[int, ModeSolution | ResonantMode] = {}
+    js, fs, recs = [], [], []
+    for j in f.defined():
+        lam_j = float(f.eigs.lambdas[j])
+        try:
+            if _collocation_bound(lam_j, dec, formula):
+                rec = _audit(lam_j, dec, f[j], tol_res)[1]
+            else:
+                # auto on the integral side is the sign-rule formula plus the
+                # residual check made here, so that a miss joins the batch
+                which = _select_formula(lam_j, dec.c0.imag) if formula == "auto" else formula
+                sol = solve_mode_detailed(lam_j, c, f[j], dec=dec,
+                                          formula=which, tol_res=tol_res)
+                if formula != "auto" or sol.residual <= sol.residual_budget:
+                    sols[j] = sol
+                    continue
+                rec = replace(sol, refactored=True)
+        except ResonantMode as exc:
+            sols[j] = exc
+            continue
+        js.append(j)
+        fs.append(f[j])
+        recs.append(rec)
+    if recs:
+        sols.update(zip(js, _collocate(c, fs, recs)))
+
     samples = np.zeros((f.J, f.n), dtype=np.complex128)
     coeffs = np.zeros_like(samples)
     mask = np.zeros(f.J, dtype=bool)
     rows = []
     for j in f.defined():
-        lam_j = float(f.eigs.lambdas[j])
-        try:
-            sol = solve_mode_detailed(lam_j, c, f[j], dec=dec,
-                                      formula=formula, tol_res=tol_res)
-        except ResonantMode as exc:
-            rows.append(DivisorRow(j, lam_j, exc.divisor, True))
+        sol = sols[j]
+        if isinstance(sol, ResonantMode):
+            rows.append(DivisorRow(j, sol.lam, sol.divisor, True))
             continue
         samples[j], coeffs[j], mask[j] = sol.u.samples, sol.u.coeffs, True
-        rows.append(DivisorRow(j, lam_j, sol.divisor, False, sol.formula,
+        rows.append(DivisorRow(j, sol.lam, sol.divisor, False, sol.formula,
                                sol.residual, sol.ill_conditioned, sol.refactored))
 
     report = DivisorReport(rows)

@@ -227,6 +227,24 @@ def test_pm_row_zero_matches_geometric_sum():
     assert np.all(table.values[:, 1:] == 0.0)
 
 
+def test_decay_differentiates_the_field_once():
+    # fit_decay then pm_seminorms on one field: the second derivative stack
+    # is made of the first one's fields, not of rebuilt copies
+    def stack(u):
+        out = [u]
+        for _ in range(4):
+            out.append(out[-1].derivative())
+        return out
+
+    eigs = build_eigensequence("harmonic1d", 32)
+    u = ModeField([TorusFunction.from_callable(
+        lambda t, j=j: np.exp(-0.3 * j) * np.cos((j % 3) * t), 64) for j in range(32)], eigs)
+    fit_decay(u, gs(), k_max=4)
+    first = stack(u)
+    pm_seminorms(u, eigs, k_max=4)
+    assert all(a is b for a, b in zip(first, stack(u)))
+
+
 def test_pm_zero_field_is_zero():
     eigs = build_eigensequence("harmonic1d", 8)
     table = pm_seminorms(ModeField.zeros(eigs, 8, 32), eigs, M_max=3, k_max=2)

@@ -4,6 +4,9 @@ Liouville fit, and certified construction."""
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -281,6 +284,65 @@ class TestClassifyRational:
         v2 = dio.classify_rational(1, 2, h1d)
         obj2 = json.loads(v2.to_json())
         assert obj2["floor"] == {"num": "1", "den": "2"}
+
+
+    def test_closed_form_matches_residue_scan(self):
+        # the scan over one period that classify_rational used to run is the
+        # reference for the closed form on arithmetic-progression spectra
+        kinds = [("harmonic1d", lambda idx: 2 * idx + 1)]
+        kinds += [(f"harmonic_nd {n}", lambda idx, n=n: n + 2 * idx) for n in (1, 2, 3, 4)]
+        for kind, lam_of in kinds:
+            eigs = build_eigensequence(kind, 8)
+            for q in range(1, 301):
+                ps = [p for p in range(q) if math.gcd(p, q) == 1]
+                r = (np.array(ps)[:, None] * lam_of(np.arange(q))[None, :]) % q
+                dmin = np.where(r == 0, q, np.minimum(r, q - r)).min(axis=1).tolist()
+                for p, row, dq in zip(ps, r, dmin):
+                    v = dio.classify_rational(p, q, eigs)
+                    assert v.resonant_classes == tuple(np.flatnonzero(row == 0).tolist()), (kind, p, q)
+                    assert v.floor == (Fraction(dq, q) if dq < q else None), (kind, p, q)
+
+    def test_power_kind_scan_is_bounded(self):
+        eigs = build_eigensequence("harmonic1d_power 2", 8)
+        q = dio._POWER_SCAN_CAP + 1
+        with pytest.raises(ValueError, match="scan bound"):
+            dio.classify_rational(1, q, eigs)
+
+
+# Constant formula means with huge denominators.  Before the closed form
+# these built a list of q residues, so each runs in a child process with its
+# address space capped: a regression fails the test instead of exhausting
+# the machine's memory.
+_GUARDED_CLI = """
+import resource, sys
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from hypotorus.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("config, code, decision", [
+    ({"c": "0.70710678118654752", "j_modes": 128, "witness": True}, 0, "GH"),
+    ({"c": "1/3 + 1/10000000000"}, 0, "GH"),
+    ({"c": "1/3 + 1/10000000000", "model": {"kind": "harmonic1d_power 2"}}, 1, None),
+])
+def test_huge_denominator_constant_is_decided_quickly(tmp_path, config, code, decision):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _GUARDED_CLI, "classify", "--config", str(cfg),
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == code, proc.stderr
+    if decision is None:
+        assert "scan bound" in proc.stderr and "Traceback" not in proc.stderr
+    else:
+        verdict = json.loads((out / "verdict.json").read_text(encoding="utf-8"))
+        assert (verdict["decision"], verdict["confidence"]) == (decision, "definitive")
+        assert verdict["evidence"]["rational"]["floor"]["num"] == "1"
 
 
 # --------------------------------------------------------------------------- #

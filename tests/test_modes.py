@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hypotorus.modes import (
     solve_mode,
     solve_mode_detailed,
 )
+from hypotorus.modes import _band_width, _solve_cyclic_banded
 from hypotorus.spectrum import build_eigensequence
 from hypotorus.torusfn import TorusFunction, grid
 
@@ -211,6 +214,121 @@ def test_grid_doubling_stability():
     u256 = solve_mode(3.0, c, f)
     u512 = solve_mode(3.0, c_instance("A", 512), f_harmonic(512))
     assert np.max(np.abs(u512.samples[::2] - u256.samples)) < 1e-9
+
+
+# --------------------------------------------------------------------------- #
+# cyclic-banded collocation against the dense collocation matrix
+# --------------------------------------------------------------------------- #
+
+def dense_collocation(lam, c, f):
+    """Reference: the full n x n collocation matrix diag(ik) + i lam conv(chat)."""
+    n = f.n
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    k[n // 2] = 0.0
+    idx = np.arange(n)
+    A = np.diag(1j * k) + 1j * lam * c.coeffs[(idx[:, None] - idx[None, :]) % n]
+    return TorusFunction.from_coeffs(np.linalg.solve(A, f.coeffs))
+
+
+def banded_collocation(lam, c, f, d):
+    uhat, singular = _solve_cyclic_banded(np.array([lam]), c.coeffs, f.coeffs[None], d)
+    assert not singular[0]
+    return TorusFunction.from_coeffs(uhat[0])
+
+
+def trig_poly(rng, n, d, sign):
+    """Random c of degree d whose imaginary part has the given sign."""
+    t = grid(n)
+    re = rng.normal() + 0 * t + sum(0.3 * rng.normal() * np.cos(k * t + rng.uniform(0, 2 * np.pi))
+                            for k in range(1, d + 1))
+    amps = 0.3 * np.abs(rng.normal(size=d))
+    im = (amps.sum() * rng.uniform(1.0, 2.0) + 0.1 + 0 * t
+          + sum(a * np.cos(k * t + rng.uniform(0, 2 * np.pi))
+                for k, a in zip(range(1, d + 1), amps)))
+    return TorusFunction(re + 1j * sign * im)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 4), st.sampled_from([64, 256, 1024]), st.floats(0.0, 1.0),
+       st.sampled_from([-1, 1]), st.integers(0, 2 ** 31 - 1))
+def test_banded_collocation_matches_dense(d, n, lam_frac, sign, seed):
+    rng = np.random.default_rng(seed)
+    c = trig_poly(rng, n, d, sign)
+    t = grid(n)
+    f = TorusFunction(sum(rng.normal() * np.exp(1j * k * t) for k in range(-6, 7)))
+    lam = float(max(1, round(lam_frac * n)))
+    assert _band_width(c.coeffs) == d
+    u = banded_collocation(lam, c, f, d)
+    ref = dense_collocation(lam, c, f)
+    assert (u - ref).sup_norm() <= 1e-10 * ref.sup_norm()
+    budget = solve_mode_detailed(lam, c, f, formula="fourier").residual_budget
+    assert (apply_mode(lam, c, u) - f).sup_norm() <= budget
+
+
+def test_banded_collocation_keeps_the_cyclic_corners():
+    # d = 2 at the top of the spectrum: the 2d wrap-around entries couple
+    # frequencies near +-n/2, and dropping them is wrong by ~1e-2
+    n = 1024
+    t = grid(n)
+    c = TorusFunction(1j * (1 - np.cos(t)) + 0.3 * np.cos(2 * t))
+    f = TorusFunction(np.exp(1j * t) + 0.5 * np.exp(-3j * t))
+    u = banded_collocation(1023.0, c, f, 2)
+    ref = dense_collocation(1023.0, c, f)
+    assert (u - ref).sup_norm() <= 1e-10 * ref.sup_norm()
+
+
+@pytest.mark.parametrize("c_of", [
+    lambda t: 0.75j * (1 - np.cos(t)) + 0.2 * np.cos(3 * t),   # banded
+    lambda t: 1j / (1.2 - np.cos(t)),                         # full spectrum: dense
+])
+def test_solve_field_is_batch_invariant(c_of):
+    n, J = 128, 64
+    eigs = build_eigensequence("harmonic1d", J)
+    t = grid(n)
+    rng = np.random.default_rng(11)
+    f = ModeField([TorusFunction(np.exp(1j * t) + 0.1 * rng.normal() * np.cos(3 * t))
+                   for _ in range(J)], eigs)
+    c = TorusFunction(c_of(t))
+    u, report = solve_field(c, f)
+    assert sum(r.formula == "fourier" for r in report.rows) > J // 2
+    for j, row in enumerate(report.rows):
+        sol = solve_mode_detailed(float(eigs.lambdas[j]), c, f[j])
+        assert u[j].samples.tobytes() == sol.u.samples.tobytes()
+        assert (row.formula, row.residual) == (sol.formula, sol.residual)
+        assert row.residual <= sol.residual_budget
+
+
+def test_forced_fourier_resonance_is_singular():
+    # the divisor check is off (a zero divisor once divided the budget by
+    # zero), so the zero pivot at k = -3 must catch it
+    for formula in ("fourier", "auto"):   # auto: the integral path's NaN misses
+        with pytest.raises(ResonantMode), np.errstate(divide="ignore", invalid="ignore"):
+            solve_mode_detailed(3.0, TorusFunction.constant(1.0), f_harmonic(),
+                                formula=formula, tol_res=0.0)
+    # in a batch only the singular mode is resonant: lam = 3 with c = 1/3
+    eigs = build_eigensequence("harmonic1d", 4)
+    f = ModeField([f_harmonic(64)] * 4, eigs)
+    _, report = solve_field(TorusFunction.constant(1.0 / 3.0, 64), f,
+                            formula="fourier", tol_res=0.0)
+    assert [r.resonant for r in report.rows] == [False, True, False, False]
+    assert report.rows[1].divisor == 0.0
+
+
+def test_banded_solve_imports_no_scipy():
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from hypotorus.modes import ModeField, solve_field\n"
+            "from hypotorus.spectrum import build_eigensequence\n"
+            "from hypotorus.torusfn import TorusFunction, grid\n"
+            "t = grid(256)\n"
+            "eigs = build_eigensequence('harmonic1d', 16)\n"
+            "f = ModeField([TorusFunction(np.exp(1j * t))] * 16, eigs)\n"
+            "_, rep = solve_field(TorusFunction(1j * (1 - np.cos(t))), f)\n"
+            "assert sum(r.formula == 'fourier' for r in rep.rows) >= 10\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --------------------------------------------------------------------------- #
