@@ -120,13 +120,19 @@ def divisor_sandwich(x: float) -> Tuple[float, float, float]:
 # distance sequences
 # ---------------------------------------------------------------------------
 
+def _exact_mu(mu: Union[Fraction, int, float]) -> Fraction:
+    """mu as a Fraction: exact for int and Fraction, nearest with denominator
+    at most 10**9 for a float."""
+    return Fraction(mu).limit_denominator(10**9) if isinstance(mu, float) else Fraction(mu)
+
+
 def exponent_from_params(params: Tuple[int, Union[Fraction, float]]) -> Fraction:
     """Exponent ``1/(2 n mu)`` as an exact Fraction."""
     n, mu = params
     n = int(n)
     if n < 1:
         raise ValueError(f"dimension n must be a positive integer, got {n}")
-    mu = Fraction(mu) if not isinstance(mu, float) else Fraction(mu).limit_denominator(10**9)
+    mu = _exact_mu(mu)
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     return 1 / (2 * n * mu)
@@ -203,8 +209,7 @@ def distance_sequence(
         raise ValueError(f"J={J} exceeds the tabulated window {len(eigs)}")
     e = exponent_from_params(params)
     n, mu = params
-    params_norm = (int(n), Fraction(mu) if not isinstance(mu, float)
-                   else Fraction(mu).limit_denominator(10**9))
+    params_norm = (int(n), _exact_mu(mu))
     js = tuple(range(n_modes))
     exact = isinstance(kappa, (Fraction, int)) and eigs.integer_valued
     if exact:
@@ -707,7 +712,7 @@ def construct_liouville(
         raise ValueError("construction needs strictly increasing eigenvalues")
     e = exponent_from_params(params)
     n, mu = params
-    mu = Fraction(mu) if not isinstance(mu, float) else Fraction(mu).limit_denominator(10**9)
+    mu = _exact_mu(mu)
     base, step = eigs.ap_index
 
     j1 = int(j_start)

@@ -34,8 +34,10 @@ correction for the wrap-around corners, solves many modes in O(n) numpy
 steps.  A wide band (a sampled c with a full spectrum) is solved densely, mode
 by mode.  Every solve is verified by applying the operator back to the
 result; if the integral path misses its residual budget the mode is re-solved
-by collocation and flagged ``refactored``.  ``solve_field`` sends all its
-collocation-bound modes through one batched call.
+by collocation and flagged ``refactored``.  One routine makes these choices
+for a batch of modes and sends every collocation mode, budget misses
+included, through one batched call: ``solve_mode_detailed`` is a batch of
+one, ``solve_field`` a batch of every defined mode of the field.
 """
 
 from __future__ import annotations
@@ -45,11 +47,13 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .spectrum import EigenSequence
-from .torusfn import MeanDecomposition, TorusFunction, check_sample_times, grid
+from .torusfn import (MeanDecomposition, TorusFunction, check_sample_times, grid,
+                      wavenumbers)
 
 __all__ = [
     "ModeField",
@@ -257,8 +261,7 @@ def _solve_cyclic_banded(lams: np.ndarray, chat: np.ndarray, fhat: np.ndarray,
     m, n = fhat.shape
     w = 2 * d + 1
     q = np.arange(w)
-    k = np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / n))
-    k[0] = 0.0                                # same Nyquist rule as derivative()
+    k = np.fft.fftshift(wavenumbers(n))
     G = np.empty((m, n, w), dtype=np.complex128)
     G[:] = (1j * lams)[:, None, None] * chat[(d - q) % n]
     G[:, :, d] += 1j * k
@@ -324,8 +327,7 @@ def _solve_collocation(lams: np.ndarray, c: TorusFunction,
             uhat[lo:hi], singular[lo:hi] = _solve_cyclic_banded(
                 lams[lo:hi], chat, fhat[lo:hi], d)
         return uhat, singular
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    k[n // 2] = 0.0                           # same Nyquist rule as derivative()
+    k = wavenumbers(n)
     idx = np.arange(n)
     conv = chat[(idx[:, None] - idx[None, :]) % n]
     for i, lam in enumerate(lams):
@@ -362,50 +364,73 @@ def apply_mode(lam: float, c: TorusFunction, u: TorusFunction) -> TorusFunction:
     return u.derivative() + (1j * lam) * c * u
 
 
-def _audit(lam: float, dec: MeanDecomposition, f: TorusFunction,
-           tol_res: float) -> tuple[int, ModeSolution]:
-    """The sign-rule formula and the mode's audit record before any solve.
+def _solve_modes(lams: Sequence[float], c: TorusFunction, dec: MeanDecomposition,
+                 fs: Iterable[TorusFunction], formula: str | int,
+                 tol_res: float) -> list[ModeSolution | ResonantMode]:
+    """Solve u' + i*lam*c*u = f for each pair of ``lams`` and ``fs`` (c and
+    every f on one grid, ``dec`` the mean decomposition of c).
 
-    The record (``u`` still None, formula "fourier") carries the divisor of
-    that formula, the residual budget and the conditioning flag.  Raises
-    ResonantMode when the divisor is below ``tol_res``.
+    This is where each mode's path is decided.  The sign rule picks the
+    integral formula whose divisor, residual budget and conditioning flag
+    audit the mode; a divisor below ``tol_res`` makes it resonant.  Forced
+    collocation, and in auto mode |lam|*osc(Im C) > OSC_BUDGET, sends the mode
+    to collocation; otherwise its integral formula runs (a forced formula is
+    resonant when its own divisor is below ``tol_res`` or exactly 0), and in
+    auto mode a solve that misses its residual budget (NaN misses) joins the
+    collocation modes flagged ``refactored``.  All collocation modes go
+    through one batched call.  Every residual is taken against the full c.
     """
-    which = _select_formula(lam, dec.c0.imag)
-    divisor = _divisor(lam, dec.c0, which)
-    if divisor < tol_res:
-        raise ResonantMode(lam, divisor)
-    budget = 1e-8 * (1.0 + f.sup_norm() / divisor) if divisor else math.inf
-    return which, ModeSolution(u=None, lam=lam, divisor=divisor, formula="fourier",
-                               residual=math.nan, residual_budget=budget,
-                               ill_conditioned=divisor < TOL_ILL)
-
-
-def _collocation_bound(lam: float, dec: MeanDecomposition, formula: str | int) -> bool:
-    """Forced collocation, or auto mode past the integral path's stability budget."""
+    if formula not in ("auto", 1, 2, "fourier"):
+        raise ValueError(f"formula must be 'auto', 1, 2 or 'fourier', got {formula!r}")
     osc = float(np.ptp(dec.tilde_primitive.samples.imag))
-    return formula == "fourier" or (formula == "auto" and abs(lam) * osc > OSC_BUDGET)
-
-
-def _collocate(c: TorusFunction, fs: list[TorusFunction],
-               recs: list[ModeSolution]) -> list[ModeSolution | ResonantMode]:
-    """Solve the modes of ``recs`` (audit records without ``u``) in one batched
-    collocation call; each solution's residual is taken against the full c."""
-    uhat, singular = _solve_collocation(np.array([r.lam for r in recs]), c,
-                                        np.array([f.coeffs for f in fs]))
-    out: list[ModeSolution | ResonantMode] = []
-    for rec, f, row, bad in zip(recs, fs, uhat, singular):
-        if bad:  # exactly singular: true resonance
-            out.append(ResonantMode(rec.lam, 0.0,
-                                    f"collocation matrix singular for lambda={rec.lam}"))
+    out: list[ModeSolution | ResonantMode | None] = []
+    batch: list[tuple[int, ModeSolution, TorusFunction]] = []
+    for lam, f in zip(lams, fs):
+        which = _select_formula(lam, dec.c0.imag)
+        divisor = _divisor(lam, dec.c0, which)
+        if divisor < tol_res:
+            out.append(ResonantMode(lam, divisor))
             continue
-        u = TorusFunction.from_coeffs(row)
-        out.append(replace(rec, u=u, formula="fourier",
-                           residual=(apply_mode(rec.lam, c, u) - f).sup_norm()))
+        rec = ModeSolution(u=None, lam=lam, divisor=divisor, formula="fourier",
+                           residual=math.nan,
+                           residual_budget=(1e-8 * (1.0 + f.sup_norm() / divisor)
+                                            if divisor else math.inf),
+                           ill_conditioned=divisor < TOL_ILL)
+        if formula == "fourier" or (formula == "auto" and abs(lam) * osc > OSC_BUDGET):
+            batch.append((len(out), rec, f))
+            out.append(None)
+            continue
+        if formula != "auto":
+            which = int(formula)
+            divisor = _divisor(lam, dec.c0, which)
+            if divisor < tol_res or divisor == 0.0:
+                out.append(ResonantMode(lam, divisor))
+                continue
+        u, clamped = _solve_integral(lam, dec, f, which)
+        if clamped:  # only a forced formula can clamp; the selected side cannot
+            warnings.warn(f"exponent clamped at +-{CLAMP} for lambda={lam}", OverflowClamped)
+        sol = replace(rec, u=u, divisor=divisor, formula=f"solu{which}", clamped=clamped,
+                      residual=(apply_mode(lam, c, u) - f).sup_norm())
+        if formula == "auto" and not sol.residual <= sol.residual_budget:
+            batch.append((len(out), replace(sol, refactored=True), f))
+            out.append(None)
+        else:
+            out.append(sol)
+    if batch:
+        uhat, singular = _solve_collocation(np.array([rec.lam for _, rec, _ in batch]), c,
+                                            np.array([f.coeffs for _, _, f in batch]))
+        for (i, rec, f), row, bad in zip(batch, uhat, singular):
+            if bad:  # exactly singular: true resonance
+                out[i] = ResonantMode(rec.lam, 0.0,
+                                      f"collocation matrix singular for lambda={rec.lam}")
+                continue
+            u = TorusFunction.from_coeffs(row)
+            out[i] = replace(rec, u=u, formula="fourier",
+                             residual=(apply_mode(rec.lam, c, u) - f).sup_norm())
     return out
 
 
 def solve_mode_detailed(lam: float, c: TorusFunction, f: TorusFunction, *,
-                        dec: MeanDecomposition | None = None,
                         formula: str | int = "auto",
                         tol_res: float = TOL_RES) -> ModeSolution:
     """Solve u' + i*lam*c*u = f; returns the solution with its audit record.
@@ -413,32 +438,11 @@ def solve_mode_detailed(lam: float, c: TorusFunction, f: TorusFunction, *,
     ``formula`` is "auto" (sign rule + stability budget), 1 or 2 (force an
     integral formula), or "fourier" (force collocation).  Every path is
     residual-verified; in auto mode an integral solve that misses its budget
-    is redone by collocation and flagged.
+    is redone by collocation and flagged.  Raises ResonantMode on resonance.
     """
     if c.n != f.n:
         c = c.resample(f.n)
-    if dec is None:
-        dec = c.decompose_mean()
-    which, rec = _audit(lam, dec, f, tol_res)
-
-    if _collocation_bound(lam, dec, formula):
-        sol = _collocate(c, [f], [rec])[0]
-    elif formula in ("auto", 1, 2):
-        divisor = rec.divisor
-        if formula != "auto":
-            which = int(formula)
-            divisor = _divisor(lam, dec.c0, which)
-            if divisor < tol_res:
-                raise ResonantMode(lam, divisor)
-        u, clamped = _solve_integral(lam, dec, f, which)
-        if clamped:  # only a forced formula can clamp; the selected side cannot
-            warnings.warn(f"exponent clamped at +-{CLAMP} for lambda={lam}", OverflowClamped)
-        sol = replace(rec, u=u, divisor=divisor, formula=f"solu{which}", clamped=clamped,
-                      residual=(apply_mode(lam, c, u) - f).sup_norm())
-        if formula == "auto" and not sol.residual <= sol.residual_budget:  # NaN misses
-            sol = _collocate(c, [f], [replace(sol, refactored=True)])[0]
-    else:
-        raise ValueError(f"formula must be 'auto', 1, 2 or 'fourier', got {formula!r}")
+    sol = _solve_modes([lam], c, c.decompose_mean(), [f], formula, tol_res)[0]
     if isinstance(sol, ResonantMode):
         raise sol
     return sol
@@ -553,11 +557,9 @@ class ModeField:
             return self
         if self._derivative is None:
             n = self.samples.shape[1]
-            k = np.fft.fftfreq(n, d=1.0 / n)
-            k[n // 2] = 0.0
             if self._coeffs is None:
                 self._coeffs = np.fft.fft(self.samples, axis=1) / n
-            dc = 1j * k * self._coeffs
+            dc = 1j * wavenumbers(n) * self._coeffs
             self._derivative = ModeField._of(np.fft.ifft(dc * n, axis=1),
                                              self.mask, self.eigs, dc)
         return self._derivative
@@ -661,46 +663,21 @@ def solve_field(c: TorusFunction, f: ModeField, *, formula: str | int = "auto",
                 tol_res: float = TOL_RES) -> tuple[ModeField, DivisorReport]:
     """Solve every defined mode of f; resonant modes stay undefined (None).
 
-    Each mode's path is decided first; every collocation-bound mode, and in
-    auto mode every integral solve that misses its residual budget, then goes
-    through one batched collocation call.  Raises AllModesResonant, carrying
-    the divisor report, when no mode at all could be solved.
+    All modes go through one _solve_modes call, which batches every
+    collocation solve.  Raises AllModesResonant, carrying the divisor report,
+    when no mode at all could be solved.
     """
     if c.n != f.n:
         c = c.resample(f.n)
-    dec = c.decompose_mean()
-    sols: dict[int, ModeSolution | ResonantMode] = {}
-    js, fs, recs = [], [], []
-    for j in f.defined():
-        lam_j = float(f.eigs.lambdas[j])
-        try:
-            if _collocation_bound(lam_j, dec, formula):
-                rec = _audit(lam_j, dec, f[j], tol_res)[1]
-            else:
-                # auto on the integral side is the sign-rule formula plus the
-                # residual check made here, so that a miss joins the batch
-                which = _select_formula(lam_j, dec.c0.imag) if formula == "auto" else formula
-                sol = solve_mode_detailed(lam_j, c, f[j], dec=dec,
-                                          formula=which, tol_res=tol_res)
-                if formula != "auto" or sol.residual <= sol.residual_budget:
-                    sols[j] = sol
-                    continue
-                rec = replace(sol, refactored=True)
-        except ResonantMode as exc:
-            sols[j] = exc
-            continue
-        js.append(j)
-        fs.append(f[j])
-        recs.append(rec)
-    if recs:
-        sols.update(zip(js, _collocate(c, fs, recs)))
+    js = f.defined()
+    sols = _solve_modes([float(f.eigs.lambdas[j]) for j in js], c, c.decompose_mean(),
+                        (f[j] for j in js), formula, tol_res)
 
     samples = np.zeros((f.J, f.n), dtype=np.complex128)
     coeffs = np.zeros_like(samples)
     mask = np.zeros(f.J, dtype=bool)
     rows = []
-    for j in f.defined():
-        sol = sols[j]
+    for j, sol in zip(js, sols):
         if isinstance(sol, ResonantMode):
             rows.append(DivisorRow(j, sol.lam, sol.divisor, True))
             continue

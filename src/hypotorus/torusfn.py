@@ -31,6 +31,7 @@ __all__ = [
     "TorusFunction",
     "MeanDecomposition",
     "grid",
+    "wavenumbers",
 ]
 
 _DEFAULT_N = 256
@@ -49,6 +50,17 @@ def grid(n: int = _DEFAULT_N) -> np.ndarray:
     """The uniform grid t_i = 2*pi*i/n, i = 0..n-1."""
     n = _check_size(n)
     return 2.0 * np.pi * np.arange(n) / n
+
+
+def wavenumbers(n: int) -> np.ndarray:
+    """Integer frequencies in FFT ordering with the Nyquist slot set to 0.
+
+    The spectral derivative multiplies coefficient k by i*k for these k: the
+    Nyquist cosine's derivative vanishes at every grid point.
+    """
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    k[n // 2] = 0.0
+    return k
 
 
 def check_sample_times(t: np.ndarray, expected: np.ndarray, lines) -> None:
@@ -195,10 +207,7 @@ class TorusFunction:
 
     def derivative(self) -> "TorusFunction":
         """Spectral derivative; the Nyquist mode is sent to zero."""
-        n = self.n
-        k = np.fft.fftfreq(n, d=1.0 / n)  # integer frequencies, Nyquist = -N/2
-        k[n // 2] = 0.0
-        return TorusFunction.from_coeffs(1j * k * self.coeffs)
+        return TorusFunction.from_coeffs(1j * wavenumbers(self.n) * self.coeffs)
 
     def antiderivative_zero_mean_part(self) -> "TorusFunction":
         """Antiderivative of (self - mean), normalized to vanish at t = 0.

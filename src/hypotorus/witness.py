@@ -624,10 +624,12 @@ def _cover_primitive(fn: TorusFunction) -> tuple[float, np.ndarray]:
     return drift, np.real(np.asarray(P.samples))
 
 
-def _phi_cover(drift: float, P: np.ndarray, N: int) -> np.ndarray:
-    """The primitive on 2N points of the covering line [0, 4*pi)."""
-    t = 2.0 * math.pi * np.arange(2 * N) / N
-    return drift * t + np.concatenate([P, P])
+def _window_primitive(drift: float, P: np.ndarray, k0: int, length: int) -> np.ndarray:
+    """The primitive drift*t + P(t) at the ``length`` cover points k0, k0+1, ...
+    of the covering line (N = len(P) points per period, length <= 2N - k0)."""
+    N = len(P)
+    t = 2.0 * math.pi * np.arange(k0, k0 + length) / N
+    return drift * t + np.concatenate([P, P])[k0:k0 + length]
 
 
 def _best_window(phi_cover: np.ndarray, N: int) -> Optional[dict]:
@@ -689,9 +691,13 @@ def _partition_indices(B: np.ndarray, i: int, depth: float, N: int) -> Optional[
     return None
 
 
-def _roll_to_circle(values: np.ndarray, k0: int) -> np.ndarray:
-    """Window-ordered samples (window index m = circle index (k0+m) mod N)."""
-    return np.roll(values, k0)
+def _window_derivative(g_w: np.ndarray, k0: int) -> np.ndarray:
+    """Real spectral derivative of window-ordered samples (window index m =
+    circle index (k0+m) mod N).  The samples are rolled to the circle,
+    differentiated there and rolled back: the FFT of a rolled array is not
+    bitwise the rolled FFT, so this order fixes the witness bytes."""
+    dg = TorusFunction.from_samples(np.roll(g_w, k0)).derivative()
+    return np.roll(np.real(np.asarray(dg.samples)), -k0)
 
 
 def _masked_exp(g: np.ndarray, exponent: np.ndarray) -> np.ndarray:
@@ -756,7 +762,7 @@ def sign_change_witness(c: TorusFunction, eigs: EigenSequence, params=(1, Fracti
 
     drift_b, Pb = _cover_primitive(b)
     drift_a, Pa = _cover_primitive(a)
-    phi = _phi_cover(drift_b, Pb, N)
+    phi = _window_primitive(drift_b, Pb, 0, 2 * N)
     found = _best_window(side * phi, N)
     if found is None:
         raise PartitionNotFound(
@@ -786,16 +792,14 @@ def sign_change_witness(c: TorusFunction, eigs: EigenSequence, params=(1, Fracti
                            (alpha_loc, beta_loc), N)
 
     # window-ordered primitives anchored at the window anchor
-    ta = 2.0 * math.pi * np.arange(k0, k0 + N) / N
-    Bw = (drift_b * ta + np.concatenate([Pb, Pb])[k0:k0 + N])
+    Bw = _window_primitive(drift_b, Pb, k0, N)
     Bw = Bw - Bw[i]
-    Aw = (drift_a * ta + np.concatenate([Pa, Pa])[k0:k0 + N])
+    Aw = _window_primitive(drift_a, Pa, k0, N)
     Aw = Aw - Aw[i]
 
     g_w = np.real(np.asarray(g_star.samples.samples))
     psi_w = np.real(np.asarray(psi_star.samples.samples))
-    dg_circle = TorusFunction.from_samples(_roll_to_circle(g_w, k0)).derivative()
-    dg_w = np.roll(np.real(np.asarray(dg_circle.samples)), -k0)
+    dg_w = _window_derivative(g_w, k0)
     E_w = psi_w * (Bw - 1j * Aw)
 
     levels = []
@@ -815,8 +819,8 @@ def sign_change_witness(c: TorusFunction, eigs: EigenSequence, params=(1, Fracti
         # the bump is flat to all orders where it is exactly 0 or 1, so the
         # true g*' vanishes there; drop the band-endpoint ringing samples
         f_w[(g_w == 0.0) | (g_w == 1.0)] = 0.0
-        u_tf = TorusFunction.from_samples(_roll_to_circle(u_w, k0))
-        f_tf = TorusFunction.from_samples(_roll_to_circle(f_w, k0))
+        u_tf = TorusFunction.from_samples(np.roll(u_w, k0))
+        f_tf = TorusFunction.from_samples(np.roll(f_w, k0))
         at_anchor = abs(u_w[i])
         if abs(at_anchor - 1.0) > 1e-9:
             raise RuntimeError(
@@ -853,8 +857,8 @@ def sign_change_witness(c: TorusFunction, eigs: EigenSequence, params=(1, Fracti
             },
             "bumps": {"g_star": g_star, "psi_star": psi_star},
             "drift": {"b": drift_b, "a": drift_a},
-            "B_window": TorusFunction.from_samples(_roll_to_circle(Bw, k0)),
-            "A_window": TorusFunction.from_samples(_roll_to_circle(Aw, k0)),
+            "B_window": TorusFunction.from_samples(np.roll(Bw, k0)),
+            "A_window": TorusFunction.from_samples(np.roll(Aw, k0)),
             "primitive_note": ("B_window/A_window hold window-coordinate values "
                                "(periodic iff the respective drift vanishes)"),
         },
@@ -919,9 +923,8 @@ def plateau_witness(c: TorusFunction, intervals: Sequence[float], eigs: EigenSeq
 
     drift_b, Pb = _cover_primitive(b)
     drift_a, Pa = _cover_primitive(a)
-    ta = 2.0 * math.pi * np.arange(k0, k0 + N) / N
-    Phib = drift_b * ta + np.concatenate([Pb, Pb])[k0:k0 + N]
-    Phia = drift_a * ta + np.concatenate([Pa, Pa])[k0:k0 + N]
+    Phib = _window_primitive(drift_b, Pb, k0, N)
+    Phia = _window_primitive(drift_a, Pa, k0, N)
     bw = np.roll(bs, -k0)                              # window-ordered b
 
     l0 = loc(step * i0) / step                         # window-local indices
@@ -980,10 +983,8 @@ def plateau_witness(c: TorusFunction, intervals: Sequence[float], eigs: EigenSeq
     A = Phia - Phia[w0]
     g0_w = np.real(np.asarray(g0.samples.samples))
     g1_w = np.real(np.asarray(g1.samples.samples))
-    dg0_w = np.roll(np.real(np.asarray(
-        TorusFunction.from_samples(_roll_to_circle(g0_w, k0)).derivative().samples)), -k0)
-    dg1_w = np.roll(np.real(np.asarray(
-        TorusFunction.from_samples(_roll_to_circle(g1_w, k0)).derivative().samples)), -k0)
+    dg0_w = _window_derivative(g0_w, k0)
+    dg1_w = _window_derivative(g1_w, k0)
 
     levels = []
     # forcing lives only on the outer flanks: on the shared seam band
@@ -1006,8 +1007,8 @@ def plateau_witness(c: TorusFunction, intervals: Sequence[float], eigs: EigenSeq
         # other bump is constant there too), so the true forcing vanishes;
         # drop the band-endpoint ringing samples
         f_w[((g0_w == 0.0) | (g0_w == 1.0)) & ((g1_w == 0.0) | (g1_w == 1.0))] = 0.0
-        u_tf = TorusFunction.from_samples(_roll_to_circle(u_w, k0))
-        f_tf = TorusFunction.from_samples(_roll_to_circle(f_w, k0))
+        u_tf = TorusFunction.from_samples(np.roll(u_w, k0))
+        f_tf = TorusFunction.from_samples(np.roll(f_w, k0))
         lam_exact = eigs.exact_lambda(j) if eigs.integer_valued else None
         levels.append(WitnessLevel(j=j, lam=lam,
                                    sup_u=float(np.max(np.abs(u_w))),
@@ -1034,9 +1035,9 @@ def plateau_witness(c: TorusFunction, intervals: Sequence[float], eigs: EigenSeq
                      "m1": (tcut + tau[m1]) % (2 * math.pi)},
             "bumps": {"g0": g0, "g1": g1},
             "drift": {"b": drift_b, "a": drift_a},
-            "B0_window": TorusFunction.from_samples(_roll_to_circle(B0, k0)),
-            "B1_window": TorusFunction.from_samples(_roll_to_circle(B1, k0)),
-            "A_window": TorusFunction.from_samples(_roll_to_circle(A, k0)),
+            "B0_window": TorusFunction.from_samples(np.roll(B0, k0)),
+            "B1_window": TorusFunction.from_samples(np.roll(B1, k0)),
+            "A_window": TorusFunction.from_samples(np.roll(A, k0)),
             "primitive_note": ("window-coordinate values, cut at `cut`; "
                                "periodic iff the respective drift vanishes"),
         },

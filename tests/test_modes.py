@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -277,11 +278,12 @@ def test_banded_collocation_keeps_the_cyclic_corners():
     assert (u - ref).sup_norm() <= 1e-10 * ref.sup_norm()
 
 
+@pytest.mark.parametrize("formula", ["auto", 1, 2, "fourier"])
 @pytest.mark.parametrize("c_of", [
     lambda t: 0.75j * (1 - np.cos(t)) + 0.2 * np.cos(3 * t),   # banded
     lambda t: 1j / (1.2 - np.cos(t)),                         # full spectrum: dense
 ])
-def test_solve_field_is_batch_invariant(c_of):
+def test_solve_field_is_batch_invariant(c_of, formula):
     n, J = 128, 64
     eigs = build_eigensequence("harmonic1d", J)
     t = grid(n)
@@ -289,13 +291,41 @@ def test_solve_field_is_batch_invariant(c_of):
     f = ModeField([TorusFunction(np.exp(1j * t) + 0.1 * rng.normal() * np.cos(3 * t))
                    for _ in range(J)], eigs)
     c = TorusFunction(c_of(t))
-    u, report = solve_field(c, f)
-    assert sum(r.formula == "fourier" for r in report.rows) > J // 2
-    for j, row in enumerate(report.rows):
-        sol = solve_mode_detailed(float(eigs.lambdas[j]), c, f[j])
+    # a forced formula on the unstable side clamps and overflows: the point
+    # here is that the batch reproduces the single-mode solve, NaNs included
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", OverflowClamped)
+        u, report = solve_field(c, f, formula=formula)
+        sols = [solve_mode_detailed(float(eigs.lambdas[j]), c, f[j], formula=formula)
+                for j in range(J)]
+    if formula in ("auto", "fourier"):
+        assert sum(r.formula == "fourier" for r in report.rows) > J // 2
+    for j, (row, sol) in enumerate(zip(report.rows, sols)):
         assert u[j].samples.tobytes() == sol.u.samples.tobytes()
-        assert (row.formula, row.residual) == (sol.formula, sol.residual)
-        assert row.residual <= sol.residual_budget
+        assert row.formula == sol.formula
+        assert np.float64(row.divisor).tobytes() == np.float64(sol.divisor).tobytes()
+        assert np.float64(row.residual).tobytes() == np.float64(sol.residual).tobytes()
+        if formula == "auto":
+            assert row.residual <= sol.residual_budget
+
+
+@pytest.mark.parametrize("formula", [1, 2])
+def test_forced_formula_exact_resonance_raises(formula):
+    # tol_res = 0 turns the divisor threshold off, but a forced formula's
+    # divisor of exactly 0 is still a resonance: the formula would divide by
+    # lam*c0 + k = 0 and return NaN samples
+    with np.errstate(all="raise"), pytest.raises(ResonantMode) as exc:
+        solve_mode_detailed(3.0, TorusFunction.constant(1.0, 64),
+                            TorusFunction.harmonic(1, 64), formula=formula, tol_res=0.0)
+    assert exc.value.divisor == 0.0
+    # in a batch only the modes with lam*c0 in Z: lam = 2, 4, 4, 6 and c0 = 1/4
+    eigs = build_eigensequence("harmonic_nd 2", 4)
+    f = ModeField([f_harmonic(64)] * 4, eigs)
+    with np.errstate(all="raise"):
+        _, report = solve_field(TorusFunction.constant(0.25, 64), f,
+                                formula=formula, tol_res=0.0)
+    assert [r.resonant for r in report.rows] == [False, True, True, False]
+    assert report.rows[0].formula == report.rows[3].formula == f"solu{formula}"
 
 
 def test_forced_fourier_resonance_is_singular():

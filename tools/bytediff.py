@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Byte-compare the CLI outputs of two source trees.
+
+    python tools/bytediff.py PARENT_TREE CHANGE_TREE OUT_DIR
+
+Runs the same CLI calls under each tree, in OUT_DIR/parent and
+OUT_DIR/change, with PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1:
+every cookbook config, the ops of the three benchmark workloads for seeds 1
+and 101 (CHANGE_TREE/perfbench/workloads.py) and three extra solve configs.
+Prints every file and exit code that differs; exits 1 if any does.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+EXTRA = {   # solve configs; notgh: Im c changes sign, collocation misses its budget
+    "notgh": {"c": "1/2 + i sin t", "grid_n": 1024, "j_modes": 64,
+              "f": {str(j): "exp(it)" for j in range(64)}},
+    "all-resonant": {"c": "1/3", "grid_n": 64, "j_modes": 8,
+                     "f": {str(j): "exp(it)" for j in (1, 4)}},
+    "mixed": {"c": "1/3", "grid_n": 64, "j_modes": 8,
+              "f": {str(j): "exp(it)" for j in (1, 2, 4)}},
+}
+
+
+def calls(change: Path, workloads) -> list:
+    """Write the generated configs under the working directory; return the
+    calls as (name, argv), the output paths relative to that directory."""
+    out = []
+    cook = sorted((change / "cookbook").glob("*.json"),
+                  key=lambda p: (not p.name.startswith("solve"), p.name))
+    for p in cook:  # solve configs first: decay reads the first one's field
+        cmd = p.name.split("_", 1)[0]
+        argv = [cmd, "--config", str(p), "--out", f"cookbook/{p.stem}"]
+        if cmd == "decay":
+            argv += ["--input", f"cookbook/{cook[0].stem}/u_field.csv"]
+        out.append((f"cookbook/{p.stem}", argv))
+    for w in workloads.WORKLOADS:
+        for seed in (1, 101):
+            out += [(f"{w}-{seed}/{op.name}", [str(a) for a in op.argv])
+                    for op in workloads.generate(w, seed, Path(f"{w}-{seed}"))]
+    Path("extra").mkdir()
+    for name, cfg in EXTRA.items():
+        Path("extra", f"{name}.json").write_text(json.dumps(cfg, indent=1))
+        out.append((f"extra/{name}", ["solve", "--config", f"extra/{name}.json",
+                                      "--out", f"extra/{name}"]))
+    return out
+
+
+def run(tree: Path, side: Path, change: Path, workloads) -> dict:
+    """Exit code of every call, run under ``tree`` with ``side`` as cwd."""
+    side.mkdir(parents=True)
+    os.chdir(side)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+               PYTHONDONTWRITEBYTECODE="1")
+    return {name: subprocess.run([sys.executable, "-m", "hypotorus.cli", *argv],
+                                 env=env, capture_output=True).returncode
+            for name, argv in calls(change, workloads)}
+
+
+def main(argv: list) -> int:
+    if len(argv) != 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    parent, change, out = (Path(a).resolve() for a in argv)
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(change / "perfbench"))
+    import workloads
+    codes = {s: run(t, out / s, change, workloads)
+             for s, t in (("parent", parent), ("change", change))}
+    diffs = [f"exit code {k}: {codes['parent'][k]} -> {codes['change'][k]}"
+             for k in codes["parent"] if codes["parent"][k] != codes["change"][k]]
+    files = {s: {p.relative_to(out / s) for p in (out / s).rglob("*") if p.is_file()}
+             for s in codes}
+    for rel in sorted(files["parent"] | files["change"]):
+        a, b = out / "parent" / rel, out / "change" / rel
+        if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
+            diffs.append(f"file {rel}")
+    print("\n".join(diffs) or f"identical: {len(files['change'])} files, "
+          f"{len(codes['change'])} exit codes")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
