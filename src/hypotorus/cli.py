@@ -291,8 +291,8 @@ class ExperimentConfig:
         path = self._d["c_file"]
         if path is not None:
             try:
-                return TorusFunction.from_sample_csv(
-                    Path(path).read_text(encoding="utf-8")), None
+                with open(path, encoding="utf-8") as fh:
+                    return TorusFunction.from_sample_csv(fh), None
             except (OSError, ValueError) as e:
                 raise ConfigError(f"c_file {path}: {e}") from None
         _need(self._d["c"] is not None,
@@ -305,11 +305,8 @@ class ExperimentConfig:
 
     def forcing(self, eigs: EigenSequence) -> ModeField:
         if self._d["f_file"] is not None:
-            try:
-                text = Path(self._d["f_file"]).read_text(encoding="utf-8")
-            except OSError as e:
-                raise ConfigError(f"cannot read f_file: {e}") from None
-            return ModeField.from_csv(text, eigs, J=self._d["j_modes"])
+            with _open_text(self._d["f_file"], "f_file") as fh:
+                return ModeField.from_csv(fh, eigs, J=self._d["j_modes"])
         _need(self._d["f"] is not None,
               "solve needs a forcing term: provide 'f' (mode->formula map) "
               "or 'f_file' (mode-field CSV)")
@@ -328,6 +325,14 @@ class ExperimentConfig:
 # --------------------------------------------------------------------------- #
 # output plumbing
 # --------------------------------------------------------------------------- #
+
+def _open_text(path, what: str):
+    """``path`` opened as UTF-8 text for a reader that takes a handle."""
+    try:
+        return open(path, encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(f"cannot read {what}: {e}") from None
+
 
 def _write_text(path: Path, text: str) -> None:
     path.write_text(text if text.endswith("\n") else text + "\n",
@@ -490,12 +495,9 @@ def cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
     path = cfg["input"]
     _need(path is not None, "decay needs 'input': a u-field CSV "
                             "(cmd_solve output composes directly)")
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise ConfigError(f"cannot read input {path}: {e}") from None
-    eigs = cfg.eigensequence()
-    u = ModeField.from_csv(text, eigs, J=cfg["j_modes"])
+    with _open_text(path, f"input {path}") as fh:
+        eigs = cfg.eigensequence()
+        u = ModeField.from_csv(fh, eigs, J=cfg["j_modes"])
     fit = fit_decay(u, cfg.gsparams(), k_max=cfg["k_max"])
     pm = pm_seminorms(u, eigs, M_max=8, k_max=min(cfg["k_max"], 4))
     _write_text(out / "pm_table.csv", pm.to_csv())

@@ -52,8 +52,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .spectrum import EigenSequence
-from .torusfn import (MeanDecomposition, TorusFunction, check_sample_times, grid,
-                      wavenumbers)
+from .torusfn import MeanDecomposition, SampleRows, TorusFunction, grid, wavenumbers
 
 __all__ = [
     "ModeField",
@@ -580,14 +579,12 @@ class ModeField:
         return "".join(lines)
 
     @classmethod
-    def from_csv(cls, text: str, eigs: EigenSequence, J: int | None = None) -> "ModeField":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or [h.strip() for h in rows[0]] != ["j", "t", "re", "im"]:
-            raise ValueError("mode-field CSV must have header j,t,re,im")
-        if len(rows) == 1 or any(len(r) != 4 for r in rows[1:]):
-            raise ValueError("mode-field CSV needs data rows of four fields j,t,re,im")
-        j_s, t_s, re_s, im_s = zip(*rows[1:])
-        js = np.array([int(s) for s in j_s])
+    def from_csv(cls, source, eigs: EigenSequence, J: int | None = None) -> "ModeField":
+        """Inverse of :meth:`to_csv`, from the text or a text handle (see
+        :class:`~hypotorus.torusfn.SampleRows`); rows may come in any mode
+        order, each mode's rows in grid order."""
+        rows = SampleRows(source, ("j", "t", "re", "im"), "mode-field CSV")
+        js = rows.column("j")
         J = int(js.max()) + 1 if J is None else J
         limit = min(J, eigs.J)
         bad = js[(js < 0) | (js >= limit)]
@@ -601,12 +598,11 @@ class ModeField:
         order = np.argsort(js, kind="stable")
         pos = np.empty(js.size, dtype=np.intp)      # each row's place in its mode
         pos[order] = np.tile(np.arange(n), int(mask.sum()))
-        check_sample_times(np.array(list(map(float, t_s))), grid(n)[pos],
-                           range(2, js.size + 2))
+        rows.check_t(rows.column("t"), grid(n)[pos])
         samples = np.zeros((J, n), dtype=np.complex128)
         # component writes keep signed zeros and infinities that re + 1j*im would not
-        samples.real[mask] = np.array(list(map(float, re_s)))[order].reshape(-1, n)
-        samples.imag[mask] = np.array(list(map(float, im_s)))[order].reshape(-1, n)
+        samples.real[mask] = rows.column("re")[order].reshape(-1, n)
+        samples.imag[mask] = rows.column("im")[order].reshape(-1, n)
         return cls._of(samples, mask, eigs)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
@@ -63,19 +64,113 @@ def wavenumbers(n: int) -> np.ndarray:
     return k
 
 
-def check_sample_times(t: np.ndarray, expected: np.ndarray, lines) -> None:
-    """Refuse a sample CSV whose ``t`` column strays from its grid points.
+def _number(s: str, dtype) -> int | float:
+    """``s`` as loadtxt reads it into ``dtype``: Python's int or float syntax,
+    ASCII only, without ``_`` separators, an int within int64."""
+    if "_" in s or not s.isascii():
+        raise ValueError(s)
+    if dtype is np.float64:
+        return float(s)
+    v = int(s)
+    if not -2**63 <= v < 2**63:
+        raise ValueError(s)
+    return v
 
-    ``t[r]`` was read from file line ``lines[r]`` and must lie within 1e-9
-    of ``expected[r]``; rows stored in another order would otherwise load as
-    a different (e.g. time-reversed) function.
+
+class SampleRows:
+    """The data rows of a sample CSV (``t,re,im`` or ``j,t,re,im``), by column.
+
+    The first line must be the header ``names``; every later line holds one
+    comma-separated field per name.  Empty lines are skipped, and errors give
+    the file line, counting the header as line 1.  Column ``j`` is read as
+    int64, every other column as float64 by CPython's string-to-double
+    conversion, so a ``repr`` float comes back bit for bit.  Fields are not
+    unquoted, and numbers take no ``_`` separators.
+
+    One ``np.loadtxt`` pass parses every row, reading a handle in chunks.  If
+    it fails, the rows are split again in Python to find the fault: a wrong
+    field count raises at once, a value that does not parse raises when its
+    column is asked for, so each reader keeps its own check order.  The file
+    is re-read only on that path and when ``line`` is called, so ``source``
+    is the CSV text or a seekable text handle positioned at the header.
     """
-    bad = np.flatnonzero(~(np.abs(t - expected) <= 1e-9))
-    if bad.size:
-        r = int(bad[0])
-        raise ValueError(
-            f"line {lines[r]}: t = {float(t[r])!r} is not the grid point "
-            f"{float(expected[r])!r}; samples must run through t = 2*pi*i/n in order")
+
+    def __init__(self, source, names: tuple[str, ...], what: str):
+        fh = io.StringIO(source) if isinstance(source, str) else source
+        self._fh, self._start, self._lines = fh, fh.tell(), None
+        if [h.strip() for h in fh.readline().split(",")] != list(names):
+            raise ValueError(f"{what} must have header {','.join(names)}")
+        dtype = [(name, np.int64 if name == "j" else np.float64) for name in names]
+        self._errors: dict[str, str] = {}
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data rows: see below
+                self._table = np.loadtxt(fh, dtype=dtype, delimiter=",",
+                                         comments=None, ndmin=1)
+            self.size = len(self._table)
+        except ValueError as e:
+            self._table = self._diagnose(names, what)
+            if not self._errors:
+                raise ValueError(f"{what}: {e}") from None
+            self.size = len(self._lines)
+        if self.size == 0:
+            raise ValueError(f"{what} needs data rows of {len(names)} fields "
+                             f"{','.join(names)}")
+
+    def _data_lines(self):
+        """(file line, text) of every non-empty line after the header."""
+        self._fh.seek(self._start)
+        self._fh.readline()
+        return [(ln, s) for ln, s in enumerate((s.rstrip("\r\n") for s in self._fh), 2) if s]
+
+    def _diagnose(self, names, what) -> dict[str, np.ndarray]:
+        """The columns that parse, split in Python after loadtxt failed;
+        ``_errors`` names the first bad line of every other column."""
+        rows = self._data_lines()
+        self._lines = [ln for ln, _ in rows]
+        fields = [s.split(",") for _, s in rows]
+        for ln, f in zip(self._lines, fields):
+            if len(f) != len(names):
+                raise ValueError(f"line {ln}: {len(f)} fields; {what} rows hold "
+                                 f"{len(names)} ({','.join(names)})")
+        table = {}
+        for k, name in enumerate(names):
+            dtype = np.int64 if name == "j" else np.float64
+            vals = []
+            try:
+                for r, f in enumerate(fields):
+                    vals.append(_number(f[k], dtype))
+            except ValueError:
+                self._errors[name] = (f"line {self._lines[r]}: {name} = {fields[r][k]!r} "
+                                      f"does not parse as {dtype.__name__}")
+            else:
+                table[name] = np.array(vals, dtype=dtype)
+        return table
+
+    def column(self, name: str) -> np.ndarray:
+        if name in self._errors:
+            raise ValueError(self._errors[name])
+        return self._table[name]
+
+    def line(self, r: int) -> int:
+        """File line of data row ``r``."""
+        if self._lines is None:
+            self._lines = [ln for ln, _ in self._data_lines()]
+        return self._lines[r]
+
+    def check_t(self, t: np.ndarray, expected: np.ndarray) -> None:
+        """Refuse a ``t`` column that strays from its grid points.
+
+        ``t[r]``, read from data row r, must lie within 1e-9 of
+        ``expected[r]``; rows stored in another order would otherwise load as
+        a different (e.g. time-reversed) function.
+        """
+        bad = np.flatnonzero(~(np.abs(t - expected) <= 1e-9))
+        if bad.size:
+            r = int(bad[0])
+            raise ValueError(
+                f"line {self.line(r)}: t = {float(t[r])!r} is not the grid point "
+                f"{float(expected[r])!r}; samples must run through t = 2*pi*i/n in order")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -344,16 +439,15 @@ class TorusFunction:
         return buf.getvalue()
 
     @classmethod
-    def from_sample_csv(cls, text: str) -> "TorusFunction":
-        """Inverse of :meth:`to_sample_csv`; blank rows are skipped."""
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or [h.strip() for h in rows[0]] != ["t", "re", "im"]:
-            raise ValueError("sample CSV must have header t,re,im")
-        lines = [k + 1 for k, row in enumerate(rows) if k and "".join(row).strip()]
-        body = [rows[k - 1] for k in lines]
-        check_sample_times(np.array([float(row[0]) for row in body]),
-                           grid(len(body)), lines)
-        return cls([complex(float(r), float(i)) for _, r, i in body])
+    def from_sample_csv(cls, source) -> "TorusFunction":
+        """Inverse of :meth:`to_sample_csv`, from the text or a text handle
+        (see :class:`SampleRows`)."""
+        rows = SampleRows(source, ("t", "re", "im"), "sample CSV")
+        rows.check_t(rows.column("t"), grid(rows.size))
+        samples = np.empty(rows.size, dtype=np.complex128)
+        # component writes keep signed zeros and infinities that re + 1j*im would not
+        samples.real, samples.imag = rows.column("re"), rows.column("im")
+        return cls(samples)
 
     def to_coeff_csv(self) -> str:
         """Coefficient table as CSV with header ``k,re,im`` (Nyquist split)."""

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -517,6 +518,145 @@ def test_mode_field_csv_rejects_rows_out_of_t_order():
     interleaved = [r for pair in zip(rows[:8], rows[8:]) for r in pair]
     back = ModeField.from_csv("\n".join([header] + interleaved), eigs, J=3)
     assert back.samples.tobytes() == mf.samples.tobytes()
+
+
+# --------------------------------------------------------------------------- #
+# the sample-CSV parser behind ModeField.from_csv and from_sample_csv
+# --------------------------------------------------------------------------- #
+
+def _mode_rows(j=1, n=4):
+    return [f"{j},{t!r},{float(k)!r},-0.0" for k, t in enumerate(grid(n).tolist())]
+
+
+@pytest.mark.parametrize("bad, match", [
+    ("1,{t!r},1.0", "line 4: 3 fields; mode-field CSV rows hold 4 "),
+    ("1,{t!r},x,0.0", "line 4: re = 'x' does not parse as float64"),
+    ("1.0,{t!r},1.0,0.0", "line 4: j = '1.0' does not parse as int64"),
+])
+def test_mode_field_csv_names_the_first_bad_line(bad, match):
+    eigs = build_eigensequence("harmonic1d", 3)
+    rows, t = _mode_rows(n=8), grid(8).tolist()
+    rows[2] = bad.format(t=t[2])
+    with pytest.raises(ValueError, match=match):
+        ModeField.from_csv("\n".join(["j,t,re,im"] + rows) + "\n", eigs, J=3)
+    rows[5] = bad.format(t=t[5])   # the same fault further down is not the one named
+    with pytest.raises(ValueError, match=match):
+        ModeField.from_csv("\n".join(["j,t,re,im"] + rows) + "\n", eigs, J=3)
+
+
+def test_mode_field_csv_checks_in_order():
+    # header, field counts, j, mode range, equal counts, t, then re and im;
+    # each text below also holds a fault of a later check
+    eigs = build_eigensequence("harmonic1d", 3)
+    bad_re = [r.replace(",2.0,", ",x,") for r in _mode_rows()]
+    cases = [
+        ("j,t,re\n" + "\n".join(bad_re), "header j,t,re,im"),
+        ("\n".join(["j,t,re,im", "1,0.0"] + bad_re), "line 2: 2 fields"),
+        ("\n".join(["j,t,re,im", "a,0.0,1.0,0.0"] + _mode_rows(j=9) + bad_re), "j = 'a'"),
+        ("\n".join(["j,t,re,im"] + _mode_rows(j=9) + bad_re), "mode index 9 "),
+        ("\n".join(["j,t,re,im", "2,0.5,x,0.0"] + bad_re), "different numbers of samples"),
+        ("\n".join(["j,t,re,im"] + [r.replace(",1.5707963267948966,", ",t,")
+                                    for r in bad_re]), "line 3: t = 't'"),
+        ("\n".join(["j,t,re,im"] + bad_re[::-1]), "line 2: t = 4.71238898038469 "),
+        ("\n".join(["j,t,re,im"] + bad_re), "line 4: re = 'x'"),
+    ]
+    for text, match in cases:
+        with pytest.raises(ValueError, match=match):
+            ModeField.from_csv(text, eigs, J=3)
+
+
+def test_sample_csv_readers_skip_blank_rows_and_keep_file_lines():
+    eigs = build_eigensequence("harmonic1d", 3)
+    rows = _mode_rows()
+    plain = ModeField.from_csv("\n".join(["j,t,re,im"] + rows), eigs, J=3)
+    spaced = "\n".join(["j,t,re,im", "", rows[0], "", "", rows[1], "\r"] + rows[2:] + ["", ""])
+    back = ModeField.from_csv(spaced, eigs, J=3)
+    assert back.samples.tobytes() == plain.samples.tobytes()
+    # after skipped blank lines, errors give the file line of the bad row
+    swapped = ["j,t,re,im", "", rows[0], "", rows[2], rows[1], rows[3]]
+    with pytest.raises(ValueError, match="line 5: t = 3.141592653589793 "):
+        ModeField.from_csv("\n".join(swapped), eigs, J=3)
+    with pytest.raises(ValueError, match="line 6: im = '-0.0y' "):
+        ModeField.from_csv("\n".join(["j,t,re,im", "", rows[0], "", rows[1], rows[2] + "y",
+                                      rows[3]]), eigs, J=3)
+    with pytest.raises(ValueError, match="line 5: t = 3.141592653589793 "):
+        TorusFunction.from_sample_csv("\n".join(
+            ["t,re,im"] + [r.split(",", 1)[1] if r else "" for r in swapped[1:]]))
+    # a row of spaces or of empty fields is not blank
+    with pytest.raises(ValueError, match="line 3: 1 fields"):
+        ModeField.from_csv("\n".join(["j,t,re,im", rows[0], "  "] + rows[1:]), eigs, J=3)
+
+
+def test_sample_csv_readers_take_a_file_handle(tmp_path):
+    eigs = build_eigensequence("harmonic1d", 3)
+    mf = ModeField([f_harmonic(8), None, TorusFunction.constant(2j, 8)], eigs)
+    path = tmp_path / "u.csv"
+    path.write_text(mf.to_csv(), encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        assert ModeField.from_csv(fh, eigs, J=3).samples.tobytes() == mf.samples.tobytes()
+    path.write_text(mf[2].to_sample_csv(), encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        assert TorusFunction.from_sample_csv(fh) == mf[2]
+
+
+_SPECIAL_BITS = [0, 1 << 63, 1, (1 << 52) - 1, (1 << 63) | 1, 0x7FF0 << 48, 0xFFF0 << 48,
+                 0x7FF8 << 48, 0xFFF8 << 48, 0x7FF0_0000_0000_0001, 0xFFFF_FFFF_FFFF_FFFF]
+_float_bits = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(_SPECIAL_BITS))
+
+
+def _floats(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64).tolist()
+
+
+def _parsed_bits(values):
+    # repr writes every NaN as "nan", so a NaN's sign and payload are not kept
+    return np.array([float(repr(x)) for x in values]).view(np.uint64)
+
+
+@given(j=st.integers(0, 2), bits=st.lists(_float_bits, min_size=16, max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_mode_field_csv_parses_every_float_bit_for_bit(j, bits):
+    eigs = build_eigensequence("harmonic1d", 3)
+    re, im = _floats(bits[:8]), _floats(bits[8:])
+    text = "j,t,re,im\n" + "".join(f"{j},{t!r},{r!r},{i!r}\n"
+                                   for t, r, i in zip(grid(8).tolist(), re, im))
+    back = ModeField.from_csv(text, eigs, J=3)
+    assert back.defined() == [j]
+    assert back.samples[j].real.view(np.uint64).tolist() == _parsed_bits(re).tolist()
+    assert back.samples[j].imag.view(np.uint64).tolist() == _parsed_bits(im).tolist()
+    assert back.to_csv() == text
+
+
+@given(bits=st.lists(_float_bits, min_size=8, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_sample_csv_parses_every_float_bit_for_bit(bits):
+    re, im = _floats(bits[:4]), _floats(bits[4:])
+    text = "t,re,im\n" + "".join(f"{t!r},{r!r},{i!r}\n"
+                                 for t, r, i in zip(grid(4).tolist(), re, im))
+    back = TorusFunction.from_sample_csv(text)
+    assert back.samples.real.view(np.uint64).tolist() == _parsed_bits(re).tolist()
+    assert back.samples.imag.view(np.uint64).tolist() == _parsed_bits(im).tolist()
+    assert back.to_sample_csv() == text
+
+
+def test_mode_field_csv_reads_a_file_in_bounded_memory(tmp_path):
+    # J = 128, N = 1024: the 8.8 MB text is never held whole, nor one Python
+    # list per row; the traced peak stays within 8 copies of the field
+    eigs = build_eigensequence("harmonic1d", 128)
+    rng = np.random.default_rng(6)
+    samples = rng.standard_normal((128, 1024)) + 1j * rng.standard_normal((128, 1024))
+    mf = ModeField._of(samples, np.ones(128, dtype=bool), eigs)
+    path = tmp_path / "u.csv"
+    path.write_text(mf.to_csv(), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            back = ModeField.from_csv(fh, eigs, J=128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.samples.tobytes() == samples.tobytes()
+    assert peak <= 8 * samples.nbytes, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_field_operations_match_per_mode_reference():

@@ -6,11 +6,14 @@
 Runs the same CLI calls under each tree, in OUT_DIR/parent and
 OUT_DIR/change, with PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1:
 every cookbook config, the ops of the three benchmark workloads for seeds 1
-and 101 (CHANGE_TREE/perfbench/workloads.py) and three extra solve configs.
+and 101 (CHANGE_TREE/perfbench/workloads.py), five extra solve configs and a
+decay of the notgh solve's field.  Two extras read CSVs the tool writes, so
+every CSV reader of the CLI (decay input, f_file, c_file) runs.
 Prints every file and exit code that differs; exits 1 if any does.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,7 +26,21 @@ EXTRA = {   # solve configs; notgh: Im c changes sign, collocation misses its bu
                      "f": {str(j): "exp(it)" for j in (1, 4)}},
     "mixed": {"c": "1/3", "grid_n": 64, "j_modes": 8,
               "f": {str(j): "exp(it)" for j in (1, 2, 4)}},
+    "f-file": {"c": "1/2 + 1/5 cos t", "grid_n": 64, "j_modes": 8,
+               "f_file": "extra/f_modes.csv"},
+    "c-file": {"c_file": "extra/c_samples.csv", "grid_n": 64, "j_modes": 8,
+               "f": {"1": "exp(it)", "5": "exp(2it)"}},
 }
+
+
+def inputs() -> dict:
+    """A mode CSV (modes 1, 3, 6) and a sample CSV of c on a 64-point grid,
+    with long, varied digits and signed zeros."""
+    t = [2.0 * math.pi * i / 64 for i in range(64)]
+    f = "".join(f"{j},{s!r},{math.sin(j * s + 1) / 7 ** j!r},"
+                f"{-0.0 if j == 3 else math.cos(s) / j!r}\n" for j in (1, 3, 6) for s in t)
+    c = "".join(f"{s!r},{0.5 + math.cos(s) / 3!r},{(1 - math.cos(s)) / 10!r}\n" for s in t)
+    return {"f_modes.csv": "j,t,re,im\n" + f, "c_samples.csv": "t,re,im\n" + c}
 
 
 def calls(change: Path, workloads) -> list:
@@ -43,10 +60,15 @@ def calls(change: Path, workloads) -> list:
             out += [(f"{w}-{seed}/{op.name}", [str(a) for a in op.argv])
                     for op in workloads.generate(w, seed, Path(f"{w}-{seed}"))]
     Path("extra").mkdir()
+    for name, text in inputs().items():
+        Path("extra", name).write_text(text)
     for name, cfg in EXTRA.items():
         Path("extra", f"{name}.json").write_text(json.dumps(cfg, indent=1))
         out.append((f"extra/{name}", ["solve", "--config", f"extra/{name}.json",
                                       "--out", f"extra/{name}"]))
+    Path("extra/decay.json").write_text(json.dumps({"j_modes": 64}))
+    out.append(("extra/notgh-decay", ["decay", "--config", "extra/decay.json", "--input",
+                                      "extra/notgh/u_field.csv", "--out", "extra/notgh-decay"]))
     return out
 
 
