@@ -67,6 +67,8 @@ __all__ = [
     "solve_field",
     "apply_mode",
     "apply_operator",
+    "operator_residuals",
+    "row_chunks",
     "equivalence_check",
 ]
 
@@ -606,16 +608,51 @@ class ModeField:
         return cls._of(samples, mask, eigs)
 
 
+def row_chunks(rows: int, n: int) -> Iterable[slice]:
+    """Slices of ``rows`` rows of ``n`` samples, 2^18 samples or one row each,
+    so a batch's temporaries stay small beside its (rows, n) arrays."""
+    step = max(1, (1 << 18) // n)
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def _apply_rows(lam: np.ndarray, c: TorusFunction, u: np.ndarray,
+                coeffs: np.ndarray | None) -> np.ndarray:
+    """u_s' + i*lam_s*c*u_s for every row s of ``u`` (c on the rows' grid),
+    with apply_mode's arithmetic; ``coeffs`` are the rows' trig coefficients
+    if known exactly, else fft(u)/n."""
+    n = u.shape[1]
+    if coeffs is None:
+        coeffs = np.fft.fft(u, axis=1) / n
+    du = np.fft.ifft(1j * wavenumbers(n) * coeffs * n, axis=1)
+    return du + ((1j * lam[:, None]) * c.samples) * u
+
+
 def apply_operator(c: TorusFunction, u: ModeField) -> ModeField:
     """f_j = u_j' + i*lam_j*c*u_j for every defined mode (see apply_mode)."""
     if not u.mask.any():
         return u
-    if c.n != u.n:
-        c = c.resample(u.n)
-    lam = u.eigs.lambdas[:u.J, None]
-    f = u.derivative().samples + ((1j * lam) * c.samples) * u.samples
+    f = _apply_rows(u.eigs.lambdas[:u.J], c.resample(u.n), u.samples, u._coeffs)
     f[~u.mask] = 0.0
     return ModeField._of(f, u.mask, u.eigs)
+
+
+def operator_residuals(lam: Sequence[float], c: TorusFunction, u: np.ndarray,
+                       f: np.ndarray, coeffs: np.ndarray | None = None) -> np.ndarray:
+    """sup_t |u_s' + i*lam_s*c*u_s - f_s| for every row s of the (S, n) arrays
+    ``u`` and ``f``, as apply_operator computes it, in chunks of rows.
+
+    ``coeffs`` holds the exact trig coefficients of the rows of ``u`` where
+    they are known (a pure harmonic's one-hot spectrum); otherwise they are
+    taken from the samples by FFT.  Each row's value equals the per-mode
+    ``(apply_mode(lam_s, c, u_s) - f_s).sup_norm()`` bit for bit.
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    c = c.resample(u.shape[1])
+    out = np.empty(u.shape[0])
+    for s in row_chunks(*u.shape):
+        r = _apply_rows(lam[s], c, u[s], None if coeffs is None else coeffs[s])
+        out[s] = np.abs(r - f[s]).max(axis=1)
+    return out
 
 
 # --------------------------------------------------------------------------- #

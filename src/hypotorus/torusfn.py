@@ -77,6 +77,17 @@ def _number(s: str, dtype) -> int | float:
     return v
 
 
+def _text_lines(text: str):
+    """The lines of ``text`` as ``io.StringIO(text)`` yields them, read
+    through 64k-character pieces cut after a newline, so the text is never
+    copied whole."""
+    i = 0
+    while i < len(text):
+        j = text.find("\n", i + (1 << 16)) + 1 or len(text)
+        yield from io.StringIO(text[i:j])
+        i = j
+
+
 class SampleRows:
     """The data rows of a sample CSV (``t,re,im`` or ``j,t,re,im``), by column.
 
@@ -92,20 +103,22 @@ class SampleRows:
     field count raises at once, a value that does not parse raises when its
     column is asked for, so each reader keeps its own check order.  The file
     is re-read only on that path and when ``line`` is called, so ``source``
-    is the CSV text or a seekable text handle positioned at the header.
+    is the CSV text or a seekable text handle positioned at the header.  Text
+    is split into lines lazily, never copied whole.
     """
 
     def __init__(self, source, names: tuple[str, ...], what: str):
-        fh = io.StringIO(source) if isinstance(source, str) else source
-        self._fh, self._start, self._lines = fh, fh.tell(), None
-        if [h.strip() for h in fh.readline().split(",")] != list(names):
+        self._src, self._lines = source, None
+        self._start = None if isinstance(source, str) else source.tell()
+        lines = self._read()
+        if [h.strip() for h in next(lines, "").split(",")] != list(names):
             raise ValueError(f"{what} must have header {','.join(names)}")
         dtype = [(name, np.int64 if name == "j" else np.float64) for name in names]
         self._errors: dict[str, str] = {}
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no data rows: see below
-                self._table = np.loadtxt(fh, dtype=dtype, delimiter=",",
+                self._table = np.loadtxt(lines, dtype=dtype, delimiter=",",
                                          comments=None, ndmin=1)
             self.size = len(self._table)
         except ValueError as e:
@@ -117,11 +130,19 @@ class SampleRows:
             raise ValueError(f"{what} needs data rows of {len(names)} fields "
                              f"{','.join(names)}")
 
+    def _read(self):
+        """The source's lines from the header on: the handle rewound, or the
+        text split lazily."""
+        if self._start is None:
+            return _text_lines(self._src)
+        self._src.seek(self._start)
+        return self._src
+
     def _data_lines(self):
         """(file line, text) of every non-empty line after the header."""
-        self._fh.seek(self._start)
-        self._fh.readline()
-        return [(ln, s) for ln, s in enumerate((s.rstrip("\r\n") for s in self._fh), 2) if s]
+        lines = self._read()
+        next(lines, None)
+        return [(ln, s) for ln, s in enumerate((s.rstrip("\r\n") for s in lines), 2) if s]
 
     def _diagnose(self, names, what) -> dict[str, np.ndarray]:
         """The columns that parse, split in Python after loadtxt failed;

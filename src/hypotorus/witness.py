@@ -3,7 +3,7 @@
 Each constructor returns a :class:`WitnessBundle` holding a sparse subsequence
 of modes j_l where the mode equation
 
-    u' + i*lambda_j*c(t)*u = f_j          (see :func:`modes.apply_mode`)
+    u' + i*lambda_j*c(t)*u = f_j          (see :func:`modes.apply_operator`)
 
 is satisfied with sup|u_{j_l}| bounded below by a positive constant while
 sup|f_{j_l}| decays exponentially (or vanishes): regular data forced through
@@ -31,12 +31,14 @@ Numerics
 --------
 Real parts of every evaluated exponent are <= 0 by construction, so ``exp``
 may underflow to zero but can never overflow; no clamping is needed on the
-decay side (the mode-solver clamp policy would only bind at +700).  Residual
-checks run through :func:`modes.apply_mode` on the sample grid for levels the
-grid resolves (bandwidth below ~0.45 of Nyquist); levels beyond that carry
-``residual=None`` and are verified on their closed form in exact rational
-arithmetic.  Per-mode assembly is independent across levels and could be
-farmed out; everything here is pure given the grid.
+decay side (the mode-solver clamp policy would only bind at +700).  A bundle
+keeps the levels its grid resolves (bandwidth below ~0.45 of Nyquist) as
+rows of two (S, N) arrays, u and f; the bump constructions fill them in
+chunks of levels, broadcasting lambda over the window exponents.  All
+residuals of a bundle come from one batched :func:`modes.operator_residuals`
+call, at construction and again in :meth:`WitnessBundle.verify`.  Levels
+beyond the grid band carry ``residual=None`` and are verified on their
+closed form in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ import numpy as np
 from .diagnostics import ols
 from .diophantine import LiouvilleCertificate, classify_rational
 from .jsonio import plain, unlimited_int_digits, write as write_json
-from .modes import ModeField, apply_mode
+from .modes import operator_residuals, row_chunks
 from .spectrum import EigenSequence
 from .torusfn import TorusFunction, grid
 
@@ -205,27 +207,27 @@ def gevrey_bump(sigma: float, support: Sequence[float], plateau: Sequence[float]
 class WitnessLevel:
     """One active mode of a witness.
 
-    ``u``/``f`` hold grid samples when the level's bandwidth fits the grid;
-    otherwise they are None and the level is described by its closed form
-    (``freq`` for the constant construction) with ``residual=None`` and a note
-    saying how the identity was verified.  ``sup_u``/``sup_f`` are exact where
-    the construction pins them (1.0, 0.0, |gap|) and grid maxima otherwise.
+    ``row`` is the level's row in its bundle's ``u``/``f`` arrays when the
+    level's bandwidth fits the grid; otherwise it is None and the level is
+    described by its closed form (``freq`` for the constant construction)
+    with ``residual=None`` and a note saying how the identity was verified.
+    ``sup_u``/``sup_f`` are exact where the construction pins them (1.0, 0.0,
+    |gap|) and grid maxima otherwise.
     """
 
     j: int
     lam: float
     sup_u: float
     sup_f: float
-    u: Optional[TorusFunction] = None
-    f: Optional[TorusFunction] = None
     lam_exact: object = None
     residual: Optional[float] = None
     freq: Optional[int] = None      # constant witness: u = exp(-i*freq*t)
     note: str = ""
+    row: Optional[int] = None
 
     @property
     def sampled(self) -> bool:
-        return self.u is not None
+        return self.row is not None
 
 
 @dataclass(frozen=True)
@@ -289,12 +291,15 @@ def _own_types(v):
 class WitnessBundle:
     """A verified non-hypoellipticity witness on a sparse mode subsequence.
 
-    ``levels`` is the primary storage (the construction is zero off the
-    subsequence, so nothing else is kept); ``u``/``f`` ModeField views over
-    the grid-sampled levels are built on demand by :meth:`to_mode_fields`.
-    ``floor_u`` is the reported constant c0 with sup|u_{j_l}| >= c0 > 0, and
-    ``decay`` summarizes the forcing decay; ``exponent`` is the Gelfand-Shilov
-    abscissa power 1/(2 n mu) used for the fit.
+    ``levels`` lists the subsequence (the construction is zero off it, so
+    nothing else is kept).  ``u`` and ``f`` are read-only (S, N) complex128
+    arrays whose rows hold the S grid-sampled levels, in level order, at the
+    points t_i = 2*pi*i/N; ``u_coeffs`` holds the exact trig coefficients of
+    the rows of ``u`` when they are pure harmonics (the constant
+    construction), else None.  ``floor_u`` is the reported constant c0 with
+    sup|u_{j_l}| >= c0 > 0, and ``decay`` summarizes the forcing decay;
+    ``exponent`` is the Gelfand-Shilov abscissa power 1/(2 n mu) used for the
+    fit.
     """
 
     kind: str
@@ -304,6 +309,9 @@ class WitnessBundle:
     exponent: float
     floor_u: float
     decay: DecayRecord
+    u: np.ndarray
+    f: np.ndarray
+    u_coeffs: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -314,36 +322,17 @@ class WitnessBundle:
     def subsequence(self) -> list[int]:
         return [lv.j for lv in self.levels]
 
-    def level(self, j: int) -> WitnessLevel:
-        for lv in self.levels:
-            if lv.j == j:
-                return lv
-        raise KeyError(f"mode {j} is not on the witness subsequence")
-
-    def to_mode_fields(self) -> tuple[ModeField, ModeField]:
-        """Dense (u, f) ModeFields over the grid-sampled levels, None elsewhere."""
-        sampled = [lv for lv in self.levels if lv.sampled]
-        if not sampled:
-            raise RuntimeError("no grid-sampled levels in this bundle")
-        J = max(lv.j for lv in sampled) + 1
-        if J > self.eigs.J:
-            raise RuntimeError(
-                f"sampled subsequence reaches j = {J - 1} beyond the stored "
-                f"eigenvalue window (J = {self.eigs.J})")
-        us: list[Optional[TorusFunction]] = [None] * J
-        fs: list[Optional[TorusFunction]] = [None] * J
-        for lv in sampled:
-            us[lv.j] = lv.u
-            fs[lv.j] = lv.f
-        return ModeField(us, self.eigs), ModeField(fs, self.eigs)
-
     # -- verification -------------------------------------------------- #
 
     def verify(self, tol_residual: Optional[float] = None) -> dict:
         """Re-run the bundle's own checks, recomputing every residual from
         u, f and c; returns a report dict with "ok"."""
-        return self._report([_residual(lv, self.c) for lv in self.levels
-                             if lv.sampled], tol_residual)
+        return self._report(self._residuals(), tol_residual)
+
+    def _residuals(self) -> list[float]:
+        """sup|u' + i lam c u - f| of every row, in one batched call."""
+        lams = [lv.lam for lv in self.levels if lv.sampled]
+        return operator_residuals(lams, self.c, self.u, self.f, self.u_coeffs).tolist()
 
     def _report(self, residuals: list, tol_residual: Optional[float] = None) -> dict:
         tol = tol_residual if tol_residual is not None else (
@@ -495,40 +484,29 @@ def constant_witness(alpha, eigs: EigenSequence, L: int = 4,
                 f"within the first {scan_cap} indices")
         route = "rational-resonance"
 
-    c_tf = TorusFunction.constant(complex(float(frac)), N)
-    levels = []
+    levels, taus = [], []
     for j in js:
         lam = eigs.exact_lambda(j)
         tau_frac = frac * lam
         if tau_frac.denominator != 1:
             raise AssertionError(f"internal: mode {j} is not resonant for {frac}")
         tau = int(tau_frac)
-        lam_f = float(lam)
-        if abs(tau) <= N // 2 - 1:
-            u = TorusFunction.harmonic(-tau, N)
-            f = TorusFunction.zero(N)
-            note = ""
-        else:
-            u = f = None
-            note = ("frequency beyond the grid band; "
-                    "f = i(alpha*lambda - tau)e^{-i tau t} = 0 exactly")
-        levels.append(WitnessLevel(j=j, lam=lam_f, sup_u=1.0, sup_f=0.0,
-                                   u=u, f=f, lam_exact=lam, freq=tau, note=note))
+        sampled = abs(tau) <= N // 2 - 1
+        levels.append(WitnessLevel(
+            j=j, lam=float(lam), sup_u=1.0, sup_f=0.0, lam_exact=lam, freq=tau,
+            row=len(taus) if sampled else None,
+            note="" if sampled else ("frequency beyond the grid band; "
+                                     "f = i(alpha*lambda - tau)e^{-i tau t} = 0 exactly")))
+        if sampled:
+            taus.append(tau)
 
-    exponent = _exponent_of(eigs, mu)
-    bundle = WitnessBundle(
-        kind="constant",
-        levels=levels,
-        c=c_tf,
-        eigs=eigs,
-        exponent=exponent,
-        floor_u=1.0,
-        decay=_decay_record(levels, exponent),
-        meta={"alpha": str(frac), "route": route,
-              "tau": [lv.freq for lv in levels]},
-    )
-    _require(bundle, TOL_RESIDUAL_CONSTANT)
-    return bundle
+    u, u_coeffs = _harmonics(taus, N)
+    return _verified(TOL_RESIDUAL_CONSTANT, kind="constant", levels=levels,
+                     c=TorusFunction.constant(complex(float(frac)), N), eigs=eigs,
+                     exponent=_exponent_of(eigs, mu), floor_u=1.0,
+                     u=u, f=np.zeros_like(u), u_coeffs=u_coeffs,
+                     meta={"alpha": str(frac), "route": route,
+                           "tau": [lv.freq for lv in levels]})
 
 
 def _constant_from_certificate(cert: LiouvilleCertificate, eigs: EigenSequence,
@@ -541,51 +519,43 @@ def _constant_from_certificate(cert: LiouvilleCertificate, eigs: EigenSequence,
             f"kind {eigs.kind!r}")
 
     kappa = cert.kappa
-    c_tf = TorusFunction.constant(complex(float(kappa)), N)
-    levels = []
+    levels, taus, scales = [], [], []
     for lev in cert.levels[:max(1, L)]:
         delta = kappa * lev.lam - lev.tau          # signed; |delta| == lev.gap
         if abs(delta) != lev.gap:
             raise NoCertificate(f"certificate gap mismatch at level j={lev.j}")
-        sup_f = float(lev.gap)                      # may underflow to 0.0: honest in doubles
         try:
             lam_f = float(lev.lam)
         except OverflowError:                       # deep levels outgrow doubles
             lam_f = math.inf
-        if abs(lev.tau) <= N // 2 - 1 and abs(lam_f) * abs(float(kappa)) <= _BAND_FRACTION * N / 2:
-            u = TorusFunction.harmonic(-lev.tau, N)
-            f = TorusFunction.harmonic(-lev.tau, N) * complex(1j * float(delta))
-            note = ""
-        else:
-            u = f = None
-            note = ("frequency beyond the grid band; identity "
-                    "u' + i kappa lambda u = i(kappa lambda - tau)e^{-i tau t} "
-                    "holds term-by-term, gap recomputed exactly")
-        levels.append(WitnessLevel(j=lev.j, lam=lam_f, sup_u=1.0, sup_f=sup_f,
-                                   u=u, f=f, lam_exact=lev.lam, freq=lev.tau,
-                                   note=note))
+        sampled = (abs(lev.tau) <= N // 2 - 1
+                   and abs(lam_f) * abs(float(kappa)) <= _BAND_FRACTION * N / 2)
+        levels.append(WitnessLevel(
+            # sup_f = |gap| may underflow to 0.0: honest in doubles
+            j=lev.j, lam=lam_f, sup_u=1.0, sup_f=float(lev.gap), lam_exact=lev.lam,
+            freq=lev.tau, row=len(taus) if sampled else None,
+            note="" if sampled else ("frequency beyond the grid band; identity "
+                                     "u' + i kappa lambda u = i(kappa lambda - tau)e^{-i tau t} "
+                                     "holds term-by-term, gap recomputed exactly")))
+        if sampled:
+            taus.append(lev.tau)
+            scales.append(complex(1j * float(delta)))
 
-    exponent = float(cert.e)
+    u, u_coeffs = _harmonics(taus, N)
     with unlimited_int_digits():
         alpha_str = str(kappa)          # certificate rationals outgrow the 3.11+ str guard
-    bundle = WitnessBundle(
-        kind="constant",
-        levels=levels,
-        c=c_tf,
-        eigs=eigs,
-        exponent=exponent,
-        floor_u=1.0,
-        decay=_decay_record(levels, exponent),
-        meta={
-            "alpha": alpha_str,
-            "route": "liouville-certificate",
-            "gap_log10": [_gap_log10(lev.gap) for lev in cert.levels[:max(1, L)]],
-            "K": [lev.K for lev in cert.levels[:max(1, L)]],
-            "tau": [lev.tau for lev in cert.levels[:max(1, L)]],
-        },
-    )
-    _require(bundle, TOL_RESIDUAL_CONSTANT)
-    return bundle
+    return _verified(TOL_RESIDUAL_CONSTANT, kind="constant", levels=levels,
+                     c=TorusFunction.constant(complex(float(kappa)), N), eigs=eigs,
+                     exponent=float(cert.e), floor_u=1.0,
+                     u=u, f=u * np.array(scales, dtype=np.complex128)[:, None],
+                     u_coeffs=u_coeffs,
+                     meta={
+                         "alpha": alpha_str,
+                         "route": "liouville-certificate",
+                         "gap_log10": [_gap_log10(lev.gap) for lev in cert.levels[:max(1, L)]],
+                         "K": [lev.K for lev in cert.levels[:max(1, L)]],
+                         "tau": [lev.tau for lev in cert.levels[:max(1, L)]],
+                     })
 
 
 def _gap_log10(gap: Fraction) -> float:
@@ -596,21 +566,30 @@ def _gap_log10(gap: Fraction) -> float:
     return (num.bit_length() - den.bit_length()) * math.log10(2.0)
 
 
-def _residual(lv: WitnessLevel, c: TorusFunction) -> float:
-    """sup|u' + i lam c u - f| of a grid-sampled level."""
-    return float((apply_mode(lv.lam, c, lv.u) - lv.f).sup_norm())
+def _harmonics(taus: Sequence[int], N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows e^{-i tau t} on the N-grid and their one-hot trig coefficients."""
+    coeffs = np.zeros((len(taus), N), dtype=np.complex128)
+    coeffs[np.arange(len(taus)), [-tau % N for tau in taus]] = 1.0
+    return np.fft.ifft(coeffs * N, axis=1), coeffs
 
 
-def _require(bundle: WitnessBundle, tol: float, checks=None) -> None:
-    """Store each sampled level's residual on the level, computed once, and
-    refuse the bundle unless the named checks (default: all) pass."""
-    bundle.levels = [replace(lv, residual=_residual(lv, bundle.c)) if lv.sampled
-                     else lv for lv in bundle.levels]
-    rep = bundle._report([lv.residual for lv in bundle.levels if lv.sampled], tol)
+def _verified(tol: float, checks=None, **parts) -> WitnessBundle:
+    """The bundle of ``parts`` with its decay record and each sampled level's
+    residual, computed once; refused unless the named checks (default: all)
+    pass."""
+    for a in (parts["u"], parts["f"], parts.get("u_coeffs")):
+        if a is not None:
+            a.flags.writeable = False
+    bundle = WitnessBundle(decay=_decay_record(parts["levels"], parts["exponent"]), **parts)
+    res = bundle._residuals()
+    bundle.levels = [lv if lv.row is None else replace(lv, residual=res[lv.row])
+                     for lv in bundle.levels]
+    rep = bundle._report(res, tol)
     if not all(rep["checks"][k] for k in checks or rep["checks"]):
         raise RuntimeError(
             f"witness verification failed for kind={bundle.kind!r}: {rep['checks']} "
             f"(max residual {rep['max_residual']})")
+    return bundle
 
 
 # --------------------------------------------------------------------------- #
@@ -691,20 +670,48 @@ def _partition_indices(B: np.ndarray, i: int, depth: float, N: int) -> Optional[
     return None
 
 
-def _window_derivative(g_w: np.ndarray, k0: int) -> np.ndarray:
-    """Real spectral derivative of window-ordered samples (window index m =
-    circle index (k0+m) mod N).  The samples are rolled to the circle,
-    differentiated there and rolled back: the FFT of a rolled array is not
-    bitwise the rolled FFT, so this order fixes the witness bytes."""
-    dg = TorusFunction.from_samples(np.roll(g_w, k0)).derivative()
-    return np.roll(np.real(np.asarray(dg.samples)), -k0)
+def _bump_levels(eigs: EigenSequence, js: np.ndarray, bumps, k0: int):
+    """The levels ``js`` of a bump witness and their (S, N) u and f arrays.
 
+    Each bump is (g, E, bands) in window order (window index m = circle index
+    (k0+m) mod N): a GevreyBump g, the exponent E of its factor exp(lambda E)
+    and the inclusive index ranges of its transition bands.  On the circle
+    grid, row s holds for lambda = lambda_{js[s]}
 
-def _masked_exp(g: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    """g * exp(exponent) with the exponent forced to 0 wherever g == 0,
-    so points outside the support can never overflow."""
-    safe = np.where(g > 0.0, exponent, 0.0)
-    return g * np.exp(safe)
+        u = sum over the bumps of g exp(lambda E),
+        f = g' exp(lambda E) on each bump's bands, 0 elsewhere,
+
+    with g' the spectral derivative on the circle.  The exponent is forced to
+    0 wherever g == 0, so points outside a support can never overflow.  Off
+    the bands, and wherever every bump is flat (exactly 0 or 1), g' vanishes
+    to all orders; writing 0 there drops the spectral-derivative ringing that
+    would put a flat noise floor under sup|f|.  Rows are filled in chunks.
+    """
+    gs = [np.roll(np.real(g.samples.samples), k0) for g, _, _ in bumps]
+    N = len(gs[0])
+    flat = np.logical_and.reduce([(g == 0.0) | (g == 1.0) for g in gs])
+    circ = []
+    for g, (_, E, bands) in zip(gs, bumps):
+        idx = (np.concatenate([np.arange(lo, hi + 1) for lo, hi in bands]) + k0) % N
+        circ.append((g, np.real(TorusFunction(g).derivative().samples),
+                     np.roll(E, k0), idx[~flat[idx]]))
+    lams = np.asarray(eigs.lambdas, dtype=np.float64)[js]
+    u = np.empty((len(js), N), dtype=np.complex128)
+    f = np.zeros_like(u)
+    sup_u, sup_f = np.empty(len(js)), np.empty(len(js))
+    for s in row_chunks(*u.shape):
+        for k, (g, dg, E, idx) in enumerate(circ):
+            expo = lams[s, None] * E
+            term = g * np.exp(np.where(g > 0.0, expo, 0.0))
+            u[s] = u[s] + term if k else term
+            with np.errstate(under="ignore"):
+                f[s, idx] = dg[idx] * np.exp(expo[:, idx])
+        sup_u[s], sup_f[s] = np.abs(u[s]).max(axis=1), np.abs(f[s]).max(axis=1)
+    levels = [WitnessLevel(j=int(j), lam=float(lams[r]), sup_u=float(sup_u[r]),
+                           sup_f=float(sup_f[r]), row=r,
+                           lam_exact=eigs.exact_lambda(int(j)) if eigs.integer_valued else None)
+              for r, j in enumerate(js)]
+    return levels, u, f
 
 
 def _band_check(lam_max: float, c_sup: float, N: int, who: str) -> None:
@@ -797,50 +804,20 @@ def sign_change_witness(c: TorusFunction, eigs: EigenSequence, params=(1, Fracti
     Aw = _window_primitive(drift_a, Pa, k0, N)
     Aw = Aw - Aw[i]
 
-    g_w = np.real(np.asarray(g_star.samples.samples))
-    psi_w = np.real(np.asarray(psi_star.samples.samples))
-    dg_w = _window_derivative(g_w, k0)
-    E_w = psi_w * (Bw - 1j * Aw)
-
-    levels = []
+    # g*' is nonzero only on the transition bands [alpha*,gamma*], [delta*,beta*]
+    psi_w = np.real(psi_star.samples.samples)
+    levels, u, f = _bump_levels(eigs, use, [
+        (g_star, psi_w * (Bw - 1j * Aw), [(part["la"], part["lb"]), (part["ra"], part["rb"])])], k0)
     t_anchor = (t0 + tau[i]) % (2.0 * math.pi)
-    # g*' is genuinely nonzero only on the two transition bands [alpha*,gamma*]
-    # and [delta*,beta*]; zeroing f elsewhere drops the spectral-derivative
-    # ringing that would otherwise put a flat noise floor under sup|f_j|
-    bands = (slice(part["la"], part["lb"] + 1), slice(part["ra"], part["rb"] + 1))
-    for idx in use:
-        lam = float(lams[idx])
-        expo = lam * E_w
-        u_w = _masked_exp(g_w, expo)
-        f_w = np.zeros(N, dtype=np.complex128)
-        with np.errstate(under="ignore"):
-            for band in bands:
-                f_w[band] = dg_w[band] * np.exp(expo[band])
-        # the bump is flat to all orders where it is exactly 0 or 1, so the
-        # true g*' vanishes there; drop the band-endpoint ringing samples
-        f_w[(g_w == 0.0) | (g_w == 1.0)] = 0.0
-        u_tf = TorusFunction.from_samples(np.roll(u_w, k0))
-        f_tf = TorusFunction.from_samples(np.roll(f_w, k0))
-        at_anchor = abs(u_w[i])
-        if abs(at_anchor - 1.0) > 1e-9:
-            raise RuntimeError(
-                f"internal: |u({t_anchor:.4f})| = {at_anchor!r} != 1 at level {idx}")
-        lam_exact = eigs.exact_lambda(int(idx)) if eigs.integer_valued else None
-        levels.append(WitnessLevel(j=int(idx), lam=lam,
-                                   sup_u=float(np.max(np.abs(u_w))),
-                                   sup_f=float(np.max(np.abs(f_w))),
-                                   u=u_tf, f=f_tf, lam_exact=lam_exact))
+    at_anchor = np.abs(u[:, (k0 + i) % N])
+    bad = np.flatnonzero(np.abs(at_anchor - 1.0) > 1e-9)
+    if bad.size:
+        raise RuntimeError(f"internal: |u({t_anchor:.4f})| = {at_anchor[bad[0]]!r} "
+                           f"!= 1 at level {use[bad[0]]}")
 
-    exponent = _exponent_of(eigs, mu)
-    decay = _decay_record(levels, exponent)
-    bundle = WitnessBundle(
-        kind="sign-change",
-        levels=levels,
-        c=cc,
-        eigs=eigs,
-        exponent=exponent,
-        floor_u=min(lv.sup_u for lv in levels),
-        decay=decay,
+    bundle = _verified(
+        TOL_RESIDUAL, kind="sign-change", levels=levels, c=cc, eigs=eigs, u=u, f=f,
+        exponent=_exponent_of(eigs, mu), floor_u=min(lv.sup_u for lv in levels),
         meta={
             "side": "max" if side > 0 else "min",
             "subsequence_note": sub_note,
@@ -863,7 +840,7 @@ def sign_change_witness(c: TorusFunction, eigs: EigenSequence, params=(1, Fracti
                                "(periodic iff the respective drift vanishes)"),
         },
     )
-    _require(bundle, TOL_RESIDUAL)
+    decay = bundle.decay
     if not decay.f_zero and decay.rate_lambda < 0.8 * c_star:
         raise RuntimeError(
             f"internal: fitted decay rate {decay.rate_lambda:.4f} fell below "
@@ -981,50 +958,18 @@ def plateau_witness(c: TorusFunction, intervals: Sequence[float], eigs: EigenSeq
     B0 = Phib - Phib[w0]
     B1 = Phib - Phib[w1]
     A = Phia - Phia[w0]
-    g0_w = np.real(np.asarray(g0.samples.samples))
-    g1_w = np.real(np.asarray(g1.samples.samples))
-    dg0_w = _window_derivative(g0_w, k0)
-    dg1_w = _window_derivative(g1_w, k0)
+    # forcing lives only on the outer flanks [la, lb] (g0 rising) and [ra, rb]
+    # (g1 falling): on the shared seam band (m0, m1) the complement identity
+    # gives g0 + g1 == 1 while b == 0, so the two derivative contributions
+    # cancel exactly and the true forcing is identically zero there --
+    # writing 0 instead of the numerically cancelled sum keeps sup|f_j| free
+    # of a roundoff floor
+    levels, u, f = _bump_levels(eigs, np.arange(len(lams)), [
+        (g0, B0 - 1j * A, [(la, lb)]), (g1, B1 - 1j * A, [(ra, rb)])], k0)
 
-    levels = []
-    # forcing lives only on the outer flanks: on the shared seam band
-    # (m0, m1) the complement identity gives g0 + g1 == 1 while b == 0,
-    # so the two derivative contributions cancel exactly and the true
-    # forcing is identically zero there -- writing 0 instead of the
-    # numerically cancelled sum keeps sup|f_j| free of a roundoff floor
-    flank0 = slice(la, lb + 1)                   # rising flank of g0
-    flank1 = slice(ra, rb + 1)                   # falling flank of g1
-    for j, lam in enumerate(lams):
-        lam = float(lam)
-        e0 = lam * (B0 - 1j * A)
-        e1 = lam * (B1 - 1j * A)
-        u_w = _masked_exp(g0_w, e0) + _masked_exp(g1_w, e1)
-        f_w = np.zeros(N, dtype=np.complex128)
-        with np.errstate(under="ignore"):
-            f_w[flank0] = dg0_w[flank0] * np.exp(e0[flank0])
-            f_w[flank1] = dg1_w[flank1] * np.exp(e1[flank1])
-        # each bump is flat to all orders where it is exactly 0 or 1 (and the
-        # other bump is constant there too), so the true forcing vanishes;
-        # drop the band-endpoint ringing samples
-        f_w[((g0_w == 0.0) | (g0_w == 1.0)) & ((g1_w == 0.0) | (g1_w == 1.0))] = 0.0
-        u_tf = TorusFunction.from_samples(np.roll(u_w, k0))
-        f_tf = TorusFunction.from_samples(np.roll(f_w, k0))
-        lam_exact = eigs.exact_lambda(j) if eigs.integer_valued else None
-        levels.append(WitnessLevel(j=j, lam=lam,
-                                   sup_u=float(np.max(np.abs(u_w))),
-                                   sup_f=float(np.max(np.abs(f_w))),
-                                   u=u_tf, f=f_tf, lam_exact=lam_exact))
-
-    exponent = _exponent_of(eigs, mu)
-    decay = _decay_record(levels, exponent)
-    bundle = WitnessBundle(
-        kind="plateau",
-        levels=levels,
-        c=cc,
-        eigs=eigs,
-        exponent=exponent,
-        floor_u=min(lv.sup_u for lv in levels),
-        decay=decay,
+    return _verified(
+        TOL_RESIDUAL, kind="plateau", levels=levels, c=cc, eigs=eigs, u=u, f=f,
+        exponent=_exponent_of(eigs, mu), floor_u=min(lv.sup_u for lv in levels),
         meta={
             "anchors": {"t0": t0, "t1": t1},
             "cut": tcut,
@@ -1042,8 +987,6 @@ def plateau_witness(c: TorusFunction, intervals: Sequence[float], eigs: EigenSeq
                                "periodic iff the respective drift vanishes"),
         },
     )
-    _require(bundle, TOL_RESIDUAL)
-    return bundle
 
 
 # --------------------------------------------------------------------------- #
@@ -1123,41 +1066,35 @@ def L0_reduction_witness(c: TorusFunction, certificate: LiouvilleCertificate,
     Phi_phi = drift_phi * t + Pphi                      # cumulative from 0
 
     lam_cap = _BAND_FRACTION * (N / 2.0) / max(a.sup_norm(), 1e-300)
-    levels = []
+    levels, us, fs = [], [], []
     for lev in certificate.levels:
         delta = kappa * lev.lam - lev.tau               # exact signed residue
         E = cmath.exp(-2j * math.pi * float(delta))
         one_minus_E = 1.0 - E
         lam_f = float(lev.lam)
         bracket = Phi_phi + E * (I_phi - Phi_phi)
-        sup_u = float(np.max(np.abs(bracket)))
-        sup_f = abs(one_minus_E) * float(np.max(phv))
         u_at_anchor = abs(bracket[anchor_idx])          # = |E| * I_phi = I_phi
         if abs(u_at_anchor - I_phi) > 1e-9 * max(1.0, I_phi):
             raise RuntimeError(
                 f"internal: |u(t_l)| = {u_at_anchor!r} != int(phi) = {I_phi!r}")
-        if lam_f <= lam_cap:
+        sampled = lam_f <= lam_cap
+        levels.append(WitnessLevel(
+            j=lev.j, lam=lam_f, sup_u=float(np.max(np.abs(bracket))),
+            sup_f=abs(one_minus_E) * float(np.max(phv)), lam_exact=lev.lam,
+            row=len(us) if sampled else None,
+            note="" if sampled else ("bandwidth beyond the grid; identity verified "
+                                     "through the exact residue (|1 - E| = 2|sin(pi delta)|)")))
+        if sampled:
             phase = np.exp(-1j * lam_f * A)
-            u_tf = TorusFunction.from_samples(phase * bracket)
-            f_tf = TorusFunction.from_samples(one_minus_E * phase * phv)
-            note = ""
-        else:
-            u_tf = f_tf = None
-            note = ("bandwidth beyond the grid; identity verified through the "
-                    "exact residue (|1 - E| = 2|sin(pi delta)|)")
-        levels.append(WitnessLevel(j=lev.j, lam=lam_f, sup_u=sup_u, sup_f=sup_f,
-                                   u=u_tf, f=f_tf, lam_exact=lev.lam, note=note))
+            us.append(phase * bracket)
+            fs.append(one_minus_E * phase * phv)
 
-    exponent = float(certificate.e)
-    decay = _decay_record(levels, exponent)
-    bundle = WitnessBundle(
-        kind="l0-reduction",
-        levels=levels,
-        c=cc,
-        eigs=eigs,
-        exponent=exponent,
-        floor_u=I_phi,
-        decay=decay,
+    # the floor here is |u(t_l)| = I_phi, not min sup_u (sup_u >= I_phi always)
+    bundle = _verified(
+        TOL_RESIDUAL, ("residuals_ok", "decay_ok"), kind="l0-reduction", levels=levels,
+        c=cc, eigs=eigs, exponent=float(certificate.e), floor_u=I_phi,
+        u=np.array(us, dtype=np.complex128).reshape(-1, N),
+        f=np.array(fs, dtype=np.complex128).reshape(-1, N),
         meta={
             "a0": str(kappa),
             "t_anchor": t_anchor,
@@ -1171,8 +1108,6 @@ def L0_reduction_witness(c: TorusFunction, certificate: LiouvilleCertificate,
             "u_floor_note": "|u_l(t_l)| = int(phi) exactly, independent of l",
         },
     )
-    # the floor here is |u(t_l)| = I_phi, not min sup_u (sup_u >= I_phi always)
-    _require(bundle, TOL_RESIDUAL, ("residuals_ok", "decay_ok"))
     if min(lv.sup_u for lv in levels) < I_phi - 1e-9:
         raise RuntimeError("internal: some level's sup|u| fell below int(phi)")
     return bundle

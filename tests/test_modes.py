@@ -599,7 +599,32 @@ def test_sample_csv_readers_take_a_file_handle(tmp_path):
         assert TorusFunction.from_sample_csv(fh) == mf[2]
 
 
-_SPECIAL_BITS = [0, 1 << 63, 1, (1 << 52) - 1, (1 << 63) | 1, 0x7FF0 << 48, 0xFFF0 << 48,
+def test_sample_csv_text_reads_like_its_file(tmp_path):
+    # a text of many 64k-character pieces, with blank lines and CRLF ends
+    # that straddle piece boundaries, reads and fails as its file does
+    eigs = build_eigensequence("harmonic1d", 3)
+    rows = _mode_rows(n=4096)
+    path = tmp_path / "u.csv"
+
+    def read_both(rows):
+        text = "j,t,re,im\r\n" + "".join(r + ("\r\n\n" if k % 7 == 0 else "\r\n")
+                                         for k, r in enumerate(rows))
+        path.write_text(text, encoding="utf-8", newline="")
+        yield lambda: ModeField.from_csv(text, eigs, J=3)
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield lambda: ModeField.from_csv(fh, eigs, J=3)
+
+    a, b = (read() for read in read_both(rows))
+    assert a.samples.tobytes() == b.samples.tobytes()
+    assert a.samples[1].real.tolist() == [float(k) for k in range(4096)]
+    k = 3000
+    rows[k] = rows[k].replace(f",{float(k)!r},", ",x,")
+    for read in read_both(rows):
+        with pytest.raises(ValueError, match=f"line {2 + k + (k + 6) // 7}: re = 'x' "):
+            read()
+
+
+_SPECIAL_BITS = [0, 1 << 63, 1,(1 << 52) - 1, (1 << 63) | 1, 0x7FF0 << 48, 0xFFF0 << 48,
                  0x7FF8 << 48, 0xFFF8 << 48, 0x7FF0_0000_0000_0001, 0xFFFF_FFFF_FFFF_FFFF]
 _float_bits = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(_SPECIAL_BITS))
 
@@ -640,23 +665,29 @@ def test_sample_csv_parses_every_float_bit_for_bit(bits):
 
 
 def test_mode_field_csv_reads_a_file_in_bounded_memory(tmp_path):
-    # J = 128, N = 1024: the 8.8 MB text is never held whole, nor one Python
-    # list per row; the traced peak stays within 8 copies of the field
+    # J = 128, N = 1024: neither the 8.8 MB text nor one Python list per row
+    # is copied whole, from a file or from the text itself; the traced peak
+    # stays within 8 copies of the field
     eigs = build_eigensequence("harmonic1d", 128)
     rng = np.random.default_rng(6)
     samples = rng.standard_normal((128, 1024)) + 1j * rng.standard_normal((128, 1024))
     mf = ModeField._of(samples, np.ones(128, dtype=bool), eigs)
+    text = mf.to_csv()
     path = tmp_path / "u.csv"
-    path.write_text(mf.to_csv(), encoding="utf-8")
-    tracemalloc.start()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            back = ModeField.from_csv(fh, eigs, J=128)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert back.samples.tobytes() == samples.tobytes()
-    assert peak <= 8 * samples.nbytes, f"peak {peak / 1e6:.1f} MB"
+    path.write_text(text, encoding="utf-8")
+    for source in ("file", "str"):
+        tracemalloc.start()
+        try:
+            if source == "file":
+                with open(path, encoding="utf-8") as fh:
+                    back = ModeField.from_csv(fh, eigs, J=128)
+            else:
+                back = ModeField.from_csv(text, eigs, J=128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.samples.tobytes() == samples.tobytes(), source
+        assert peak <= 8 * samples.nbytes, f"{source}: peak {peak / 1e6:.1f} MB"
 
 
 def test_field_operations_match_per_mode_reference():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypotorus.diophantine import construct_liouville
-from hypotorus.modes import apply_mode
+from hypotorus.modes import apply_mode, operator_residuals
 from hypotorus.spectrum import build_eigensequence
 from hypotorus.torusfn import TorusFunction, grid
 from hypotorus.witness import (
@@ -170,8 +170,7 @@ def test_constant_integer_solution_is_the_conjugate_harmonic():
     b = constant_witness(2, eigs, L=3, N=256)
     for lv in b.levels:
         expect = TorusFunction.harmonic(-2 * (2 * lv.j + 1), 256)
-        assert np.allclose(np.asarray(lv.u.samples), np.asarray(expect.samples),
-                           atol=1e-12)
+        assert np.allclose(b.u[lv.row], np.asarray(expect.samples), atol=1e-12)
 
 
 def test_constant_rational_resonant_subsequence():
@@ -259,7 +258,8 @@ def test_sign_change_mode_identities(sin_witness):
     for lv in sin_witness.levels:
         assert lv.residual < 1e-7
         assert abs(lv.sup_u - 1.0) < 1e-12
-        assert abs(abs(lv.u.eval_at(sin_witness.meta["t_star"])) - 1.0) < 1e-6
+        u = TorusFunction(sin_witness.u[lv.row])
+        assert abs(abs(u.eval_at(sin_witness.meta["t_star"])) - 1.0) < 1e-6
 
 
 def test_construction_computes_each_residual_once(monkeypatch):
@@ -267,18 +267,51 @@ def test_construction_computes_each_residual_once(monkeypatch):
 
     calls = []
 
-    def counting(lam, c, u):
-        calls.append(lam)
-        return apply_mode(lam, c, u)
+    def counting(lam, c, u, f, coeffs=None):
+        calls.append(len(lam))
+        return operator_residuals(lam, c, u, f, coeffs)
 
-    monkeypatch.setattr(witness_mod, "apply_mode", counting)
+    monkeypatch.setattr(witness_mod, "operator_residuals", counting)
     eigs = build_eigensequence("harmonic1d", 16)
     b = sign_change_witness(c_sin(256), eigs, (1, Fraction(1, 2)), N=256)
-    assert len(calls) == 16                   # one per sampled level
+    assert calls == [16]                      # one batch of every sampled level
     rep = b.verify()                          # the independent re-check
-    assert len(calls) == 32
+    assert calls == [16, 16]
     assert rep["ok"] and rep["n_sampled"] == 16
     assert rep["max_residual"] == max(lv.residual for lv in b.levels)
+
+
+def _every_kind():
+    eigs = build_eigensequence("harmonic1d", 16)
+    c, iv = plateau_coefficient()
+    base = build_eigensequence("harmonic1d", 40)
+    cert = construct_liouville(base, (1, Fraction(1, 2)), L=3)
+    c_l0 = TorusFunction(float(cert.kappa) + 0.3 * np.cos(grid(512)) + 0j)
+    return {
+        "constant": lambda: constant_witness(Fraction(1, 3), eigs, L=4, N=64),
+        "certificate": lambda: constant_witness(cert, eigs),
+        "sign-change": lambda: sign_change_witness(c_sin(a0=0.5), eigs, N=1024),
+        "plateau": lambda: plateau_witness(c, iv, eigs, N=1024),
+        "L0": lambda: L0_reduction_witness(c_l0, cert, base, N=512),
+    }
+
+
+@pytest.mark.parametrize("kind", ["constant", "certificate", "sign-change", "plateau", "L0"])
+def test_batched_residuals_equal_the_per_level_operator(kind):
+    # oracle: apply_mode on one level at a time; pure modes keep their exact
+    # one-hot spectrum through TorusFunction.harmonic
+    b = _every_kind()[kind]()
+    sampled = [lv for lv in b.levels if lv.sampled]
+    assert sampled and [lv.row for lv in sampled] == list(range(len(sampled)))
+    assert b.u.shape == b.f.shape == (len(sampled), b.c.n)
+    assert not (b.u.flags.writeable or b.f.flags.writeable)
+    for lv in sampled:
+        u = (TorusFunction.harmonic(-lv.freq, b.c.n) if b.kind == "constant"
+             else TorusFunction(b.u[lv.row]))
+        assert u.samples.tobytes() == b.u[lv.row].tobytes()
+        ref = (apply_mode(lv.lam, b.c, u) - TorusFunction(b.f[lv.row])).sup_norm()
+        assert lv.residual == ref
+    assert b.verify()["max_residual"] == max(lv.residual for lv in sampled)
 
 
 def test_sign_change_forcing_decays_at_the_margin_rate(sin_witness):
@@ -308,8 +341,8 @@ def test_sign_change_u_and_f_vanish_off_the_bump(sin_witness):
     lv = sin_witness.levels[3]
     # the construction anchors window coordinates at meta["t0"]
     k0 = int(round(sin_witness.meta["t0"] / (2 * math.pi / 1024)))
-    uv = np.roll(np.asarray(lv.u.samples), -k0)
-    fv = np.roll(np.asarray(lv.f.samples), -k0)
+    uv = np.roll(sin_witness.u[lv.row], -k0)
+    fv = np.roll(sin_witness.f[lv.row], -k0)
     off = gv == 0.0
     assert np.all(uv[off] == 0.0)
     assert np.all(fv[off] == 0.0)
@@ -410,11 +443,12 @@ def test_plateau_modulus_is_one_on_the_whole_plateau(plateau_bundle):
     b = plateau_bundle
     t0, t1 = b.meta["anchors"]["t0"], b.meta["anchors"]["t1"]
     for lv in (b.levels[0], b.levels[-1]):
-        assert abs(abs(lv.u.eval_at(t0)) - 1.0) < 1e-6
-        assert abs(abs(lv.u.eval_at(t1)) - 1.0) < 1e-6
-        tg = np.asarray(lv.u.grid)
+        u = TorusFunction(b.u[lv.row])
+        assert abs(abs(u.eval_at(t0)) - 1.0) < 1e-6
+        assert abs(abs(u.eval_at(t1)) - 1.0) < 1e-6
+        tg = np.asarray(u.grid)
         inside = (tg >= t0 + 0.05) & (tg <= t1 - 0.05)
-        assert np.max(np.abs(np.abs(np.asarray(lv.u.samples)[inside]) - 1.0)) < 1e-9
+        assert np.max(np.abs(np.abs(np.asarray(u.samples)[inside]) - 1.0)) < 1e-9
 
 
 def test_plateau_solution_vanishes_where_both_bumps_do(plateau_bundle):
@@ -423,7 +457,7 @@ def test_plateau_solution_vanishes_where_both_bumps_do(plateau_bundle):
     g1 = np.real(np.asarray(b.meta["bumps"]["g1"].samples.samples))
     k0 = int(round(b.meta["cut"] / (2 * math.pi / 1024)))
     for lv in (b.levels[0], b.levels[-1]):
-        uw = np.roll(np.asarray(lv.u.samples), -k0)
+        uw = np.roll(b.u[lv.row], -k0)
         dead = (g0 == 0.0) & (g1 == 0.0)
         assert dead.any()
         assert np.all(uw[dead] == 0.0)
@@ -481,8 +515,8 @@ def test_l0_floor_is_the_bump_integral_on_every_level(liouville_setup):
     I_phi = b.meta["I_phi"]
     assert I_phi > 0.0
     for lv in b.levels:
-        assert abs(abs(lv.u.eval_at(b.meta["t_anchor"])) - I_phi) < 1e-8 if lv.sampled \
-            else True
+        assert abs(abs(TorusFunction(b.u[lv.row]).eval_at(b.meta["t_anchor"])) - I_phi) \
+            < 1e-8 if lv.sampled else True
         assert lv.sup_u <= I_phi * (1.0 + 1e-9)
     floors = [lv.sup_u for lv in b.levels]
     assert max(floors) - min(floors) < 1e-9 * I_phi

@@ -6,9 +6,10 @@
 Runs the same CLI calls under each tree, in OUT_DIR/parent and
 OUT_DIR/change, with PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1:
 every cookbook config, the ops of the three benchmark workloads for seeds 1
-and 101 (CHANGE_TREE/perfbench/workloads.py), five extra solve configs and a
-decay of the notgh solve's field.  Two extras read CSVs the tool writes, so
-every CSV reader of the CLI (decay input, f_file, c_file) runs.
+and 101 (CHANGE_TREE/perfbench/workloads.py), five extra solve configs, a
+decay of the notgh solve's field and one witness per constructor.  Three
+extras read CSVs the tool writes, so every CSV reader of the CLI (decay
+input, f_file, c_file) runs.
 Prints every file and exit code that differs; exits 1 if any does.
 """
 
@@ -31,16 +32,36 @@ EXTRA = {   # solve configs; notgh: Im c changes sign, collocation misses its bu
     "c-file": {"c_file": "extra/c_samples.csv", "grid_n": 64, "j_modes": 8,
                "f": {"1": "exp(it)", "5": "exp(2it)"}},
 }
+WITNESS = {  # one witness call per constructor; sign-change runs in the benchmark ops
+    "constant": {"c": "1/3", "witness_kind": "constant", "witness_n": 8, "j_modes": 16},
+    "L0": {"c": "3/10 cos t", "witness_kind": "L0", "construct_levels": 3, "j_modes": 40},
+    "plateau": {"c_file": "extra/c_plateau.csv", "witness_kind": "plateau",
+                "intervals": [1.5, 3.5], "witness_n": 1024, "j_modes": 16},
+}
+
+
+def _bump(t: float, a: float, g: float, d: float, b: float) -> float:
+    """The order-2 Gevrey bump: 0 off (a, b), 1 on [g, d], steps built from
+    the ramp exp(-1/x)."""
+    def step(x):
+        r = lambda y: math.exp(-1.0 / y) if y > 0.0 else 0.0
+        return 0.0 if x <= 0.0 else 1.0 if x >= 1.0 else r(x) / (r(x) + r(1.0 - x))
+    return step((t - a) / (g - a)) * step((b - t) / (b - d))
 
 
 def inputs() -> dict:
     """A mode CSV (modes 1, 3, 6) and a sample CSV of c on a 64-point grid,
-    with long, varied digits and signed zeros."""
+    with long, varied digits and signed zeros; and a c on the 1024-point grid
+    whose Im c is + on (0.5, 1.5), exactly 0 on [1.5, 3.5] and - on (3.5, 4.5)."""
     t = [2.0 * math.pi * i / 64 for i in range(64)]
     f = "".join(f"{j},{s!r},{math.sin(j * s + 1) / 7 ** j!r},"
                 f"{-0.0 if j == 3 else math.cos(s) / j!r}\n" for j in (1, 3, 6) for s in t)
     c = "".join(f"{s!r},{0.5 + math.cos(s) / 3!r},{(1 - math.cos(s)) / 10!r}\n" for s in t)
-    return {"f_modes.csv": "j,t,re,im\n" + f, "c_samples.csv": "t,re,im\n" + c}
+    t = [2.0 * math.pi * i / 1024 for i in range(1024)]
+    p = "".join(f"{s!r},0.0,{4.0 * (_bump(s, 0.5, 0.95, 1.05, 1.5) - _bump(s, 3.5, 3.95, 4.05, 4.5))!r}\n"
+                for s in t)
+    return {"f_modes.csv": "j,t,re,im\n" + f, "c_samples.csv": "t,re,im\n" + c,
+            "c_plateau.csv": "t,re,im\n" + p}
 
 
 def calls(change: Path, workloads) -> list:
@@ -69,6 +90,10 @@ def calls(change: Path, workloads) -> list:
     Path("extra/decay.json").write_text(json.dumps({"j_modes": 64}))
     out.append(("extra/notgh-decay", ["decay", "--config", "extra/decay.json", "--input",
                                       "extra/notgh/u_field.csv", "--out", "extra/notgh-decay"]))
+    for name, cfg in WITNESS.items():
+        Path("extra", f"witness-{name}.json").write_text(json.dumps(cfg, indent=1))
+        out.append((f"extra/witness-{name}", ["witness", "--config", f"extra/witness-{name}.json",
+                                              "--out", f"extra/witness-{name}"]))
     return out
 
 
