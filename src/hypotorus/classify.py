@@ -37,7 +37,6 @@ from .torusfn import TorusFunction
 from .spectrum import EigenSequence
 from .diophantine import (
     classify_rational,
-    dist_to_int,
     distance_sequence,
     liouville_fit,
 )
@@ -555,9 +554,5 @@ def resonant_set(c0: complex, eigs: EigenSequence, tol: float = 1e-9) -> List[in
     Re(lambda_j c0) to the nearest integer below tol.
     """
     z = complex(c0)
-    out: List[int] = []
-    for j, lam in enumerate(np.asarray(eigs.lambdas, dtype=float)):
-        w = lam * z
-        if abs(w.imag) < tol and dist_to_int(w.real) < tol:
-            out.append(j)
-    return out
+    near = distance_sequence(z.real, eigs).d < tol
+    return np.flatnonzero(near & (np.abs(eigs.lambdas * z.imag) < tol)).tolist()

@@ -439,7 +439,9 @@ def cmd_classify(cfg: ExperimentConfig, out: Path) -> int:
 # diophantine
 # --------------------------------------------------------------------------- #
 
-_RATIONAL_DEN_CAP = 4096   # classify_rational walks residues mod the period
+# fit.json carries classify_rational's verdict up to this denominator; that
+# scans only the power kinds, under its own _POWER_SCAN_CAP
+_RATIONAL_DEN_CAP = 4096
 
 
 def cmd_diophantine(cfg: ExperimentConfig, out: Path) -> int:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .diagnostics import ols
 from .jsonio import dumps, unlimited_int_digits
-from .spectrum import EigenSequence
+from .spectrum import EigenSequence, _int_or_float
 
 __all__ = [
     "dist_to_int",
@@ -178,7 +178,7 @@ class DistanceSequence:
             for line in fh:
                 j_s, lam_s, d_s = line.strip().split(",")
                 js.append(int(j_s))
-                lams.append(int(lam_s) if "." not in lam_s else float(lam_s))
+                lams.append(_int_or_float(lam_s))
                 ds.append(float(d_s))
         e = exponent_from_params(params)
         n, mu = params
@@ -197,10 +197,10 @@ def distance_sequence(
 ) -> DistanceSequence:
     """Tabulate ``d_j = dist(kappa * lambda_j, Z)`` for ``j < J``.
 
-    With a ``Fraction`` kappa and integer eigenvalues the distances are
-    computed exactly (then rounded once to float for storage); zeros are
-    exact resonances.  Float kappa gives a heuristic table whose precision
-    degrades like ``|kappa| * lambda_j * eps``.
+    With a ``Fraction`` kappa ``p/q`` and integer eigenvalues, ``d_j =
+    min(r, q - r)/q`` with ``r = p lambda_j mod q`` in exact integer arithmetic,
+    rounded once to float; zeros are exact resonances.  Float kappa gives a
+    heuristic table whose precision degrades like ``|kappa| lambda_j eps``.
     """
     n_modes = len(eigs) if J is None else int(J)
     if n_modes < 1:
@@ -214,12 +214,14 @@ def distance_sequence(
     exact = isinstance(kappa, (Fraction, int)) and eigs.integer_valued
     if exact:
         kap = Fraction(kappa)
-        lams = tuple(eigs.exact_lambda(j) for j in js)
-        d = np.array([float(dist_to_int_exact(kap * lam)) for lam in lams])
+        lams = eigs.exact[:n_modes]
+        dq = _distance_numerators(lams, kap.numerator, kap.denominator)
+        d = (dq / kap.denominator).astype(float)
     else:
-        kap = float(kappa)
-        lams = tuple(float(eigs.lambdas[j]) for j in js)
-        d = np.array([dist_to_int(kap * lam) for lam in lams])
+        lams = tuple(eigs.lambdas[:n_modes].tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = np.mod(float(kappa) * eigs.lambdas[:n_modes], 1.0)
+        d = np.minimum(f, 1.0 - f)
     return DistanceSequence(kappa=kappa, params=params_norm, e=e,
                             js=js, lambdas=lams, d=d, exact=exact)
 
@@ -318,12 +320,7 @@ def liouville_fit(seq: DistanceSequence) -> FitReport:
     with np.errstate(divide="ignore"):
         y = np.where(d > 0.0, -np.log(d), np.nan)
 
-    env = np.empty(n_modes)
-    cur = -np.inf
-    for j in range(n_modes):
-        if not np.isnan(y[j]):
-            cur = max(cur, y[j])
-        env[j] = cur
+    env = np.maximum.accumulate(np.where(np.isnan(y), -np.inf, y))
 
     windows, slopes, norm_slopes, raw_slopes = [], [], [], []
     for lo, hi in _dyadic_windows(n_modes):
@@ -435,6 +432,14 @@ def _progression_residues(p: int, q: int, a: int,
     return tuple(range(idx0, q, period)), (Fraction(g, q) if g < q else None)
 
 
+def _distance_numerators(lams, p: int, q: int) -> np.ndarray:
+    """``q dist(p lambda / q, Z) = min(r, q - r)``, ``r = p lambda mod q``, for
+    each integer ``lambda``: Python ints in an object array, exact at any size
+    (int / int then rounds correctly, as ``float(Fraction)`` does)."""
+    r = np.asarray(lams, dtype=object) * p % q
+    return np.minimum(r, q - r)
+
+
 def classify_rational(p: int, q: int, eigs: EigenSequence) -> RationalVerdict:
     """Exact verdict for rational ``kappa = p/q`` (``q > 0``).
 
@@ -454,41 +459,29 @@ def classify_rational(p: int, q: int, eigs: EigenSequence) -> RationalVerdict:
     if not eigs.integer_valued:
         raise ValueError("classify_rational needs integer eigenvalues")
 
-    def residues(values: Iterable[int]) -> Tuple[Tuple[int, ...], Optional[Fraction]]:
-        zero_classes = []
-        min_nonzero = None
-        for idx, lam in enumerate(values):
-            r = (p * lam) % q
-            if r == 0:
-                zero_classes.append(idx)
-            else:
-                dq = min(r, q - r)
-                if min_nonzero is None or dq < min_nonzero:
-                    min_nonzero = dq
-        floor = None if min_nonzero is None else Fraction(min_nonzero, q)
-        return tuple(zero_classes), floor
-
     kind = eigs.kind
     head = kind.split()[0]
+    scope, period, var = "infinite", q, "j"
     if head == "harmonic1d":
         classes, floor = _progression_residues(p, q, 1, 2)     # lambda = 2j + 1
-        scope, period, var = "infinite", q, "j"
-    elif head == "harmonic1d_power":
-        if q > _POWER_SCAN_CAP:
-            raise ValueError(
-                f"kappa denominator {q} exceeds the residue scan bound "
-                f"{_POWER_SCAN_CAP} for {kind!r}")
-        k = int(kind.split()[1])
-        classes, floor = residues((2 * j + 1) ** k for j in range(q))
-        scope, period, var = "infinite", q, "j"
     elif head == "harmonic_nd":
         # every energy block n + 2*ell is hit by at least one mode, so the
         # residue pattern in the block index decides recurrence
         classes, floor = _progression_residues(p, q, eigs.n, 2)
-        scope, period, var = "infinite", q, "block"
+        var = "block"
     else:
-        classes, floor = residues(eigs.exact)
-        scope, period, var = "window", None, "j"
+        if head == "harmonic1d_power":
+            if q > _POWER_SCAN_CAP:
+                raise ValueError(
+                    f"kappa denominator {q} exceeds the residue scan bound "
+                    f"{_POWER_SCAN_CAP} for {kind!r}")
+            lams = np.arange(1, 2 * q, 2, dtype=object) ** int(kind.split()[1])
+        else:
+            lams, scope, period = eigs.exact, "window", None
+        dq = _distance_numerators(lams, p, q)
+        zero = dq == 0
+        classes = tuple(np.flatnonzero(zero).tolist())
+        floor = None if zero.all() else Fraction(int(dq[~zero].min()), q)
 
     return RationalVerdict(
         p=p, q=q, kind=kind, scope=scope,

@@ -89,8 +89,10 @@ class EigenSequence:
         return self.J
 
     def exact_lambda(self, j: int) -> int:
-        """lambda_j as an exact integer, valid for any j >= 0 (not just the
-        stored window) when the model has a closed form."""
+        """lambda_j as an exact integer: read from the stored window when j
+        lies in it, else from the model's closed form (valid for any j >= 0)."""
+        if self.exact is not None and 0 <= j < len(self.exact):
+            return self.exact[j]
         if self.ap_index is not None:
             base, step = self.ap_index
             return base + step * j
@@ -99,14 +101,12 @@ class EigenSequence:
             return (2 * j + 1) ** k
         if self.kind.startswith("harmonic_nd"):
             return _nd_value(j, self.n)
-        if self.exact is not None and j < len(self.exact):
-            return self.exact[j]
         raise ValueError(f"no exact integer formula for kind {self.kind!r} at j={j}")
 
     @property
     def integer_valued(self) -> bool:
-        return self.exact is not None or self.ap_index is not None \
-            or self.kind.split()[0] in ("harmonic1d", "harmonic1d_power", "harmonic_nd")
+        """The window is tabulated as exact integers (every built-in kind)."""
+        return self.exact is not None
 
     # ---- CSV interchange (columns j, lambda) ---------------------------- #
 
@@ -127,13 +127,16 @@ class EigenSequence:
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or [h.strip() for h in rows[0]] != ["j", "lambda"]:
             raise ValueError("eigenvalue CSV must have header j,lambda")
-        vals: list[int | float] = []
-        for _, s in rows[1:]:
-            try:
-                vals.append(int(s))
-            except ValueError:
-                vals.append(float(s))
+        vals = [_int_or_float(s) for _, s in rows[1:]]
         return build_eigensequence("table", len(vals), values=vals, m=m, n=n)
+
+
+def _int_or_float(s: str) -> int | float:
+    """An eigenvalue cell of a CSV: an int when it is one, else a float."""
+    try:
+        return int(s)
+    except ValueError:
+        return float(s)
 
 
 def _nd_count_below(q: int, n: int) -> int:
@@ -142,12 +145,13 @@ def _nd_count_below(q: int, n: int) -> int:
 
 
 def _nd_value(j: int, n: int) -> int:
-    """lambda_j = 2q + n where q is the energy level containing flat index j."""
-    q = 0
-    # C(q+n, n) grows like q^n/n!; this loop is fine for any j reachable here
-    while _nd_count_below(q + 1, n) <= j:
-        q += 1
-    return 2 * q + n
+    """lambda_j = 2q + n where q is the energy level containing flat index j:
+    the largest q with C(q+n-1, n) <= j, found by bisection."""
+    lo, hi = 0, j + 1                   # C(j+n, n) >= j + 1 bounds q above
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _nd_count_below(mid, n) <= j else (lo, mid)
+    return 2 * lo + n
 
 
 def build_eigensequence(kind: str, J: int, *, values: Sequence | None = None,

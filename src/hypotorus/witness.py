@@ -46,6 +46,7 @@ from __future__ import annotations
 import cmath
 import csv
 import io
+import itertools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -56,10 +57,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .diagnostics import ols
-from .diophantine import LiouvilleCertificate, classify_rational
+from .diophantine import LiouvilleCertificate, RationalVerdict, classify_rational
 from .jsonio import plain, unlimited_int_digits, write as write_json
 from .modes import operator_residuals, row_chunks
-from .spectrum import EigenSequence
+from .spectrum import EigenSequence, _nd_count_below
 from .torusfn import TorusFunction, grid
 
 __all__ = [
@@ -441,7 +442,6 @@ def constant_witness(alpha, eigs: EigenSequence, L: int = 4,
     if isinstance(alpha, LiouvilleCertificate):
         return _constant_from_certificate(alpha, eigs, L, N)
 
-    frac = None
     if isinstance(alpha, Fraction):
         frac = alpha
     elif isinstance(alpha, Integral):
@@ -461,28 +461,17 @@ def constant_witness(alpha, eigs: EigenSequence, L: int = 4,
             f"eigenvalue kind {eigs.kind!r} has no exact integer form; "
             f"resonance cannot be certified")
 
-    q = frac.denominator
-    if q == 1:
-        js = list(range(L))
-        route = "integer-resonance"
-    else:
-        rv = classify_rational(frac.numerator, q, eigs)
-        if not rv.resonant:
-            raise NoCertificate(
-                f"alpha = {frac} never resonates on {eigs.kind!r} "
-                f"(divisor floor {rv.floor}); nothing to witness")
-        js = []
-        j = 0
-        scan_cap = max(64, 4 * L * (rv.period or q))
-        while len(js) < L and j < scan_cap:
-            if (frac.numerator * eigs.exact_lambda(j)) % q == 0:
-                js.append(j)
-            j += 1
-        if len(js) < L:
-            raise NoCertificate(
-                f"found only {len(js)} resonant modes for alpha = {frac} "
-                f"within the first {scan_cap} indices")
-        route = "rational-resonance"
+    rv = classify_rational(frac.numerator, frac.denominator, eigs)
+    if not rv.resonant:
+        raise NoCertificate(
+            f"alpha = {frac} never resonates on {eigs.kind!r} "
+            f"(divisor floor {rv.floor}); nothing to witness")
+    js = _resonant_modes(rv, eigs.n, L)
+    if len(js) < L:
+        raise NoCertificate(
+            f"found only {len(js)} resonant modes for alpha = {frac} "
+            f"in the stored window of {len(eigs)}")
+    route = "integer-resonance" if frac.denominator == 1 else "rational-resonance"
 
     levels, taus = [], []
     for j in js:
@@ -507,6 +496,22 @@ def constant_witness(alpha, eigs: EigenSequence, L: int = 4,
                      u=u, f=np.zeros_like(u), u_coeffs=u_coeffs,
                      meta={"alpha": str(frac), "route": route,
                            "tau": [lv.freq for lv in levels]})
+
+
+def _resonant_modes(rv: RationalVerdict, n: int, L: int) -> list[int]:
+    """The first ``L`` modes of ``rv``'s resonant classes, in increasing order.
+    A window verdict lists them; otherwise each class recurs with the period,
+    and a block class (``harmonic_nd`` in dimension n) holds every mode of
+    block b, [C(b+n-1, n), C(b+n, n)).  A 1-d mode is a block of one."""
+    if rv.period is None:
+        return list(rv.resonant_classes[:L])
+    dim = n if rv.class_variable == "block" else 1
+    js: list[int] = []
+    for b in (c + t * rv.period for t in itertools.count() for c in rv.resonant_classes):
+        lo, hi = _nd_count_below(b, dim), _nd_count_below(b + 1, dim)
+        js.extend(range(lo, min(hi, lo + L - len(js))))
+        if len(js) >= L:
+            return js
 
 
 def _constant_from_certificate(cert: LiouvilleCertificate, eigs: EigenSequence,

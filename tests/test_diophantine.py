@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypotorus import diophantine as dio
+from hypotorus.diagnostics import ols
 from hypotorus.modes import small_divisor
-from hypotorus.spectrum import build_eigensequence
+from hypotorus.spectrum import EigenSequence, build_eigensequence
 
 # Frozen output of the greedy construction on the harmonic oscillator line
 # with (n, mu) = (1, 1/2), L = 3, default caps.  Verified independently by
@@ -164,6 +165,17 @@ class TestDistanceSequence:
         assert back.lambdas == seq.lambdas
         np.testing.assert_array_equal(back.d, seq.d)
 
+    def test_csv_roundtrip_of_float_lambdas_in_exponent_form(self, tmp_path):
+        # repr writes a float lambda >= 1e16 as '1e+16', which is no int literal
+        eigs = build_eigensequence("table", 8, values=[1.5, 2.5, 1e16, 3e16, 1e17,
+                                                       2.5e17, 1e20, 1.25e22])
+        seq = dio.distance_sequence(0.3, eigs)
+        path = tmp_path / "d.csv"
+        seq.to_csv(path)
+        back = dio.DistanceSequence.from_csv(path, kappa=0.3)
+        assert back.lambdas == seq.lambdas
+        np.testing.assert_array_equal(back.d, seq.d)
+
     def test_window_validation(self, h1d):
         with pytest.raises(ValueError):
             dio.distance_sequence(Fraction(1, 2), h1d, J=10**7)
@@ -175,6 +187,110 @@ class TestDistanceSequence:
                                      params=(1, Fraction(1, 1))).e == Fraction(1, 2)
         assert dio.distance_sequence(Fraction(1, 2), h1d, J=64,
                                      params=(2, 0.5)).e == Fraction(1, 2)
+
+
+_EXACT_KINDS = ["harmonic1d", "harmonic1d_power 2", "harmonic1d_power 3",
+                "harmonic_nd 2", "harmonic_nd 3", "table"]
+
+
+@st.composite
+def _integer_tables(draw):
+    """Integer values of strictly increasing modulus and random signs."""
+    steps = draw(st.lists(st.integers(1, 2**72), min_size=1, max_size=32))
+    signs = draw(st.lists(st.booleans(), min_size=len(steps), max_size=len(steps)))
+    vals, acc = [], 0
+    for step, neg in zip(steps, signs):
+        acc += step
+        vals.append(-acc if neg else acc)
+    return vals
+
+
+def _exact_eigs(kind, table):
+    if kind == "table":
+        return build_eigensequence("table", len(table), values=table)
+    return build_eigensequence(kind, 32)
+
+
+def _scan_residues(p, q, values):
+    """Zero classes and floor of p*lambda mod q by a scan over the values."""
+    zero_classes, min_nonzero = [], None
+    for idx, lam in enumerate(values):
+        r = (p * lam) % q
+        if r == 0:
+            zero_classes.append(idx)
+        else:
+            dq = min(r, q - r)
+            if min_nonzero is None or dq < min_nonzero:
+                min_nonzero = dq
+    return tuple(zero_classes), None if min_nonzero is None else Fraction(min_nonzero, q)
+
+
+class TestResiduePath:
+    @given(p=st.integers(-2**70, 2**70), q=st.integers(1, 2**70),
+           kind=st.sampled_from(_EXACT_KINDS), table=_integer_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_distances_are_the_rounded_fractions(self, p, q, kind, table):
+        eigs = _exact_eigs(kind, table)
+        kappa = Fraction(p, q)
+        seq = dio.distance_sequence(kappa, eigs)
+        want = np.array([float(dio.dist_to_int_exact(kappa * lam)) for lam in eigs.exact])
+        assert seq.exact and seq.lambdas == tuple(eigs.exact)
+        assert seq.d.tobytes() == want.tobytes()
+
+    @given(p=st.integers(-2**70, 2**70), q=st.integers(1, 400), k=st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_power_classes_and_floor_match_the_scan(self, p, q, k):
+        v = dio.classify_rational(p, q, build_eigensequence(f"harmonic1d_power {k}", 8))
+        classes, floor = _scan_residues(p, q, ((2 * j + 1) ** k for j in range(q)))
+        assert (v.resonant_classes, v.floor, v.period) == (classes, floor, q)
+
+    @given(p=st.integers(-2**70, 2**70), q=st.integers(1, 2**70), table=_integer_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_table_classes_and_floor_match_the_scan(self, p, q, table):
+        v = dio.classify_rational(p, q, build_eigensequence("table", len(table), values=table))
+        assert (v.resonant_classes, v.floor) == _scan_residues(p, q, table)
+
+    @given(kappa=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from([0.5, -2.5, 5e-324, -5e-324, 0.1, 1e308])),
+           lams=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                   st.sampled_from([0.5, 1.5, -3.0, 5e-324, 1e16])),
+                         min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_float_distances_match_the_scalar_helper(self, kappa, lams):
+        eigs = EigenSequence("table", np.array(sorted(lams, key=abs)), m=2, n=1)
+        seq = dio.distance_sequence(kappa, eigs)
+        want = np.array([dio.dist_to_int(kappa * lam) for lam in eigs.lambdas.tolist()])
+        assert not seq.exact
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(seq.d), nan)
+        assert seq.d[~nan].tobytes() == want[~nan].tobytes()
+
+    @given(lead=st.integers(0, 30), zeros=st.lists(st.integers(0, 199), max_size=16),
+           ds=st.lists(st.floats(5e-324, 0.5), min_size=64, max_size=200))
+    @settings(max_examples=100, deadline=None)
+    def test_fit_envelope_matches_the_loop(self, lead, zeros, ds):
+        # resonant modes (d = 0) give NaN in -log d; a leading run of them
+        # leaves the envelope at -inf
+        d = np.array([0.0] * lead + ds)
+        n = len(d)
+        d[[lead + z % len(ds) for z in zeros]] = 0.0
+        seq = dio.DistanceSequence(kappa=float("nan"), params=(1, Fraction(1, 2)), e=Fraction(1),
+                                   js=tuple(range(n)), lambdas=tuple(range(n)), d=d, exact=False)
+        rep = dio.liouville_fit(seq)
+        with np.errstate(divide="ignore"):
+            y = np.where(d > 0.0, -np.log(d), np.nan)
+        env, cur = np.empty(n), -np.inf      # the running record, one mode at a time
+        for j in range(n):
+            if not np.isnan(y[j]):
+                cur = max(cur, y[j])
+            env[j] = cur
+        x = np.arange(1.0, n + 1.0)
+        windows = [(lo, hi) for lo, hi in dio._dyadic_windows(n)
+                   if np.isfinite(env[lo:hi]).sum() >= 4]
+        assert rep.windows == tuple(windows)
+        for (lo, hi), slope in zip(windows, rep.slopes):
+            ok = np.isfinite(env[lo:hi])
+            assert slope == ols(env[lo:hi][ok], x[lo:hi][ok])[0]
 
 
 def test_exponent_from_params_validation():
@@ -322,20 +438,25 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def _run_guarded(tmp_path, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _GUARDED_CLI, command, "--config", str(cfg),
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env=env)
+    return proc, out
+
+
 @pytest.mark.parametrize("config, code, decision", [
     ({"c": "0.70710678118654752", "j_modes": 128, "witness": True}, 0, "GH"),
     ({"c": "1/3 + 1/10000000000"}, 0, "GH"),
     ({"c": "1/3 + 1/10000000000", "model": {"kind": "harmonic1d_power 2"}}, 1, None),
 ])
 def test_huge_denominator_constant_is_decided_quickly(tmp_path, config, code, decision):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config), encoding="utf-8")
-    out = tmp_path / "out"
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-c", _GUARDED_CLI, "classify", "--config", str(cfg),
-         "--out", str(out)],
-        capture_output=True, text=True, timeout=60, env=env)
+    proc, out = _run_guarded(tmp_path, "classify", config)
     assert proc.returncode == code, proc.stderr
     if decision is None:
         assert "scan bound" in proc.stderr and "Traceback" not in proc.stderr
@@ -343,6 +464,20 @@ def test_huge_denominator_constant_is_decided_quickly(tmp_path, config, code, de
         verdict = json.loads((out / "verdict.json").read_text(encoding="utf-8"))
         assert (verdict["decision"], verdict["confidence"]) == (decision, "definitive")
         assert verdict["evidence"]["rational"]["floor"]["num"] == "1"
+
+
+@pytest.mark.parametrize("command, config", [
+    ("classify", {"c": "1/2000000000001", "witness": True}),
+    ("witness", {"c": "1/2000000000001", "witness_kind": "constant"}),
+])
+def test_huge_denominator_resonance_witness_is_built_quickly(tmp_path, command, config):
+    # 2j + 1 = 0 mod q first at j = (q - 1)/2, then once per period q
+    q = 2000000000001
+    proc, out = _run_guarded(tmp_path, command, config)
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["subsequence"] == [(q - 1) // 2 + t * q for t in range(4)]
+    assert manifest["meta"]["tau"] == [1, 3, 5, 7]
 
 
 # --------------------------------------------------------------------------- #

@@ -64,9 +64,12 @@ def test_harmonic_nd_multiplicities_against_bruteforce():
 
 
 def test_harmonic_nd_exact_formula_matches_window():
-    e = build_eigensequence("harmonic_nd 3", 40)
-    for j in range(40):
-        assert e.exact_lambda(j) == int(e.lambdas[j])
+    # exact_lambda reads the stored window, and the closed form beyond it
+    for n in (1, 2, 3, 4):
+        e = build_eigensequence(f"harmonic_nd {n}", 40)
+        wide = build_eigensequence(f"harmonic_nd {n}", 3000)
+        for j in range(3000):
+            assert e.exact_lambda(j) == wide.exact[j] == int(wide.lambdas[j])
 
 
 def test_table_validation():

@@ -8,11 +8,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypotorus.diophantine import construct_liouville
+from hypotorus.diophantine import classify_rational, construct_liouville
 from hypotorus.modes import apply_mode, operator_residuals
 from hypotorus.spectrum import build_eigensequence
 from hypotorus.torusfn import TorusFunction, grid
 from hypotorus.witness import (
+    _resonant_modes,
     GevreyBump,
     NoCertificate,
     PartitionNotFound,
@@ -181,6 +182,42 @@ def test_constant_rational_resonant_subsequence():
     assert b.meta["tau"] == RESONANT_THIRD_TAUS
     assert b.decay.f_zero
     assert b.verify()["ok"]
+
+
+def test_constant_resonance_deep_in_the_nd_spectrum():
+    # lambda = 3 + 2b first hits 2001 in block b = 999, which starts at the
+    # flat index C(1001, 3) ~ 1.67e8: far beyond any scan of mode indices
+    eigs = build_eigensequence("harmonic_nd 3", 16)
+    b = constant_witness(Fraction(1, 2001), eigs)
+    start = math.comb(1001, 3)
+    assert [lv.j for lv in b.levels] == [start, start + 1, start + 2, start + 3]
+    for lv in b.levels:
+        assert lv.lam_exact == 2001 and (Fraction(1, 2001) * lv.lam_exact).denominator == 1
+    assert b.meta["tau"] == [1, 1, 1, 1]
+    assert b.verify()["ok"]
+
+
+@pytest.mark.parametrize("kind, J", [("harmonic1d", 256), ("harmonic1d_power 2", 256),
+                                     ("harmonic1d_power 3", 256), ("harmonic_nd 2", 2048),
+                                     ("harmonic_nd 3", 8192)])
+def test_resonant_modes_are_the_first_hits_of_a_mode_scan(kind, J):
+    # reference: the scan over mode indices that constant_witness used to run
+    eigs = build_eigensequence(kind, J)
+    for q in range(2, 24):
+        for p in (1, -1, 5, q + 2):
+            rv = classify_rational(p, q, eigs)
+            if not rv.resonant:
+                continue
+            scan = [j for j, lam in enumerate(eigs.exact) if (p * lam) % q == 0][:6]
+            assert _resonant_modes(rv, eigs.n, len(scan)) == scan, (kind, p, q)
+
+
+def test_constant_resonance_on_a_table_is_read_from_its_window():
+    eigs = build_eigensequence("table", 16, values=list(range(1, 17)))
+    b = constant_witness(Fraction(1, 5), eigs, L=3)
+    assert [lv.j for lv in b.levels] == [4, 9, 14]
+    with pytest.raises(NoCertificate, match="stored window"):
+        constant_witness(Fraction(1, 5), eigs, L=4)
 
 
 def test_constant_non_resonant_rational_refused():

@@ -7,9 +7,11 @@ Runs the same CLI calls under each tree, in OUT_DIR/parent and
 OUT_DIR/change, with PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1:
 every cookbook config, the ops of the three benchmark workloads for seeds 1
 and 101 (CHANGE_TREE/perfbench/workloads.py), five extra solve configs, a
-decay of the notgh solve's field and one witness per constructor.  Three
-extras read CSVs the tool writes, so every CSV reader of the CLI (decay
-input, f_file, c_file) runs.
+decay of the notgh solve's field, six diophantine tables (every integer
+eigenvalue kind, a negative kappa, a denominator near 2^60 and a decimal)
+and one witness per constructor, plus a constant one at denominator 20001.
+Three extras read CSVs the tool writes, so every CSV reader of the CLI
+(decay input, f_file, c_file) runs.
 Prints every file and exit code that differs; exits 1 if any does.
 """
 
@@ -34,9 +36,20 @@ EXTRA = {   # solve configs; notgh: Im c changes sign, collocation misses its bu
 }
 WITNESS = {  # one witness call per constructor; sign-change runs in the benchmark ops
     "constant": {"c": "1/3", "witness_kind": "constant", "witness_n": 8, "j_modes": 16},
+    "constant-q20001": {"c": "1/20001", "witness_kind": "constant", "j_modes": 16},
     "L0": {"c": "3/10 cos t", "witness_kind": "L0", "construct_levels": 3, "j_modes": 40},
     "plateau": {"c_file": "extra/c_plateau.csv", "witness_kind": "plateau",
                 "intervals": [1.5, 3.5], "witness_n": 1024, "j_modes": 16},
+}
+
+DIOPHANTINE = {  # exact tables on every integer kind, and the float table
+    "nd3": {"kappa": "5/11", "model": {"kind": "harmonic_nd 3"}, "j_modes": 4096},
+    "power2": {"kappa": "7/16", "model": {"kind": "harmonic1d_power 2"}, "j_modes": 4096},
+    "table": {"kappa": "3/7", "j_modes": 256,
+              "model": {"kind": "table", "values": [j * j + 1 for j in range(256)]}},
+    "negative": {"kappa": "-3/7", "j_modes": 1024},
+    "q2e60": {"kappa": "987654321987654321/1152921504606846977", "j_modes": 4096},
+    "decimal": {"kappa": "0.7071067811865476", "j_modes": 4096},
 }
 
 
@@ -90,6 +103,11 @@ def calls(change: Path, workloads) -> list:
     Path("extra/decay.json").write_text(json.dumps({"j_modes": 64}))
     out.append(("extra/notgh-decay", ["decay", "--config", "extra/decay.json", "--input",
                                       "extra/notgh/u_field.csv", "--out", "extra/notgh-decay"]))
+    for name, cfg in DIOPHANTINE.items():
+        Path("extra", f"diophantine-{name}.json").write_text(json.dumps(cfg, indent=1))
+        out.append((f"extra/diophantine-{name}", ["diophantine", "--config",
+                                                  f"extra/diophantine-{name}.json",
+                                                  "--out", f"extra/diophantine-{name}"]))
     for name, cfg in WITNESS.items():
         Path("extra", f"witness-{name}.json").write_text(json.dumps(cfg, indent=1))
         out.append((f"extra/witness-{name}", ["witness", "--config", f"extra/witness-{name}.json",
