@@ -451,7 +451,8 @@ def classify_rational(p: int, q: int, eigs: EigenSequence) -> RationalVerdict:
     degenerate -- or every distance sits at or above an exact positive floor.
     ``harmonic1d`` and the ``harmonic_nd`` block index are arithmetic
     progressions and are decided in closed form; ``harmonic1d_power`` scans
-    one period and raises ValueError when ``q`` exceeds ``_POWER_SCAN_CAP``.
+    one period, 2^16 modes at a time, and raises ValueError when ``q``
+    exceeds ``_POWER_SCAN_CAP``.
     """
     p, q = int(p), int(q)
     if q <= 0:
@@ -475,13 +476,23 @@ def classify_rational(p: int, q: int, eigs: EigenSequence) -> RationalVerdict:
                 raise ValueError(
                     f"kappa denominator {q} exceeds the residue scan bound "
                     f"{_POWER_SCAN_CAP} for {kind!r}")
-            lams = np.arange(1, 2 * q, 2, dtype=object) ** int(kind.split()[1])
+            # j in chunks, so the object arrays of one chunk are all that is held
+            k, step = int(kind.split()[1]), 1 << 16
+            chunks = (np.arange(2 * lo + 1, 2 * min(lo + step, q), 2, dtype=object) ** k
+                      for lo in range(0, q, step))
         else:
-            lams, scope, period = eigs.exact, "window", None
-        dq = _distance_numerators(lams, p, q)
-        zero = dq == 0
-        classes = tuple(np.flatnonzero(zero).tolist())
-        floor = None if zero.all() else Fraction(int(dq[~zero].min()), q)
+            chunks, scope, period = [eigs.exact], "window", None
+        hits, low, base = [], None, 0
+        for lams in chunks:
+            dq = _distance_numerators(lams, p, q)
+            zero = dq == 0
+            hits += (np.flatnonzero(zero) + base).tolist()
+            if not zero.all():
+                m = int(dq[~zero].min())
+                low = m if low is None else min(low, m)
+            base += dq.size
+        classes = tuple(hits)
+        floor = None if low is None else Fraction(low, q)
 
     return RationalVerdict(
         p=p, q=q, kind=kind, scope=scope,

@@ -35,9 +35,8 @@ steps.  A wide band (a sampled c with a full spectrum) is solved densely, mode
 by mode.  Every solve is verified by applying the operator back to the
 result; if the integral path misses its residual budget the mode is re-solved
 by collocation and flagged ``refactored``.  One routine makes these choices
-for a batch of modes and sends every collocation mode, budget misses
-included, through one batched call: ``solve_mode_detailed`` is a batch of
-one, ``solve_field`` a batch of every defined mode of the field.
+with masks over the (m, n) forcing rows and returns the solution rows plus one
+array per audit column; ``solve_mode_detailed`` hands it a single row.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -138,51 +137,50 @@ def small_divisor(lam: float, c0: complex) -> float:
     return _divisor(lam, complex(c0), 1)
 
 
-def _select_formula(lam: float, b0: float) -> int:
-    # first formula iff lam*b0 <= 0 (ties go to the first)
-    return 1 if lam * b0 <= 0.0 else 2
-
-
 # --------------------------------------------------------------------------- #
 # the two closed-form integral paths and the collocation path
 # --------------------------------------------------------------------------- #
 
-def _exp_factor(z_real: float, z_imag: float) -> tuple[complex, bool]:
-    """exp(z) with the real part clamped to +-CLAMP; returns (value, clamped?)."""
-    clamped = abs(z_real) > CLAMP
-    zr = max(-CLAMP, min(CLAMP, z_real))
-    return complex(math.exp(zr) * math.cos(z_imag), math.exp(zr) * math.sin(z_imag)), clamped
+def _prefactor(lam: float, c0: complex, which: int) -> tuple[complex, bool]:
+    """pref * intfac of one mode's integral formula, the real exponent of its
+    E-factor clamped to +-CLAMP (with a warning); returns (value, clamped?)."""
+    x, y = 2.0 * math.pi * lam * c0.imag, -2.0 * math.pi * lam * c0.real  # E1 = e^{x+iy} = 1/E2
+    if which == 2:
+        x, y = -x, -y
+    r = math.exp(max(-CLAMP, min(CLAMP, x)))
+    E = complex(r * math.cos(y), r * math.sin(y))
+    d = 1.0 - E if which == 1 else E - 1.0
+    if abs(x) > CLAMP:  # only a forced formula can clamp; the selected side cannot
+        warnings.warn(f"exponent clamped at +-{CLAMP} for lambda={lam}", OverflowClamped)
+    return (1.0 / d) * d, abs(x) > CLAMP
 
 
-def _solve_integral(lam: float, dec: MeanDecomposition, f: TorusFunction,
-                    which: int) -> tuple[TorusFunction, bool]:
-    """One of the two closed-form formulas; returns (u, clamped_flag)."""
-    n = f.n
-    c0 = dec.c0
-    Ct = dec.tilde_primitive
-    # center Im C so the gauge exponent is symmetric around 0
-    im = Ct.samples.imag
-    mid = 0.5 * (im.max() + im.min())
-    Cc = Ct.samples - 1j * mid
-
-    gauge = np.exp(1j * lam * Cc)             # e^{+i lam C(t)}
-    G = np.fft.fft(gauge * f.samples) / n     # Ghat_k
+def _solve_integral(lams: np.ndarray, dec: MeanDecomposition, F: np.ndarray,
+                    scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Samples and fft/n coefficients of the closed-form solution of each row
+    of ``F``, with eigenvalue lams[s] and its formula's pref * intfac scale[s].
+    Products keep the single-mode operand order, in place so that one (m, n)
+    buffer is live at a time: complex multiplication is not bitwise
+    commutative under FMA, and a row's bytes must not depend on its batch."""
+    n = F.shape[1]
+    Ct = dec.tilde_primitive.samples          # centre Im C: the gauge exponent is symmetric
+    Cc = Ct - 1j * (0.5 * (Ct.imag.max() + Ct.imag.min()))
+    lam = lams[:, None]
     k = np.fft.fftfreq(n, d=1.0 / n)          # integers; slot n/2 holds -n/2
-    core = G / (1j * (lam * c0 + k))
-    core[n // 2] = 0.0                        # Nyquist convention matches derivative()
-
-    if which == 1:
-        E1, clamped = _exp_factor(2.0 * math.pi * lam * c0.imag,
-                                  -2.0 * math.pi * lam * c0.real)
-        pref, intfac = 1.0 / (1.0 - E1), (1.0 - E1)
-    else:
-        E2, clamped = _exp_factor(-2.0 * math.pi * lam * c0.imag,
-                                  2.0 * math.pi * lam * c0.real)
-        pref, intfac = 1.0 / (E2 - 1.0), (E2 - 1.0)
-
-    synth = np.fft.ifft(core) * n             # sum_k core_k e^{ikt} on the grid
-    u = (pref * intfac) * np.exp(-1j * lam * Cc) * synth
-    return TorusFunction(u), clamped
+    g = np.exp(1j * lam * Cc)                 # e^{+i lam C(t)}
+    g *= F
+    g = np.fft.fft(g, axis=1)
+    g /= n                                    # Ghat_k
+    g /= 1j * (lam * dec.c0 + k)              # core_k
+    g[:, n // 2] = 0.0                        # Nyquist convention matches derivative()
+    g = np.fft.ifft(g, axis=1)
+    g *= n                                    # sum_k core_k e^{ikt} on the grid
+    u = np.exp(-1j * lam * Cc)
+    np.multiply(scale[:, None], u, out=u)     # (pref * intfac) * e^{-i lam C(t)}
+    u *= g
+    uhat = np.fft.fft(u, axis=1)
+    uhat /= n
+    return u, uhat
 
 
 def _band_width(chat: np.ndarray) -> int:
@@ -362,73 +360,82 @@ def apply_mode(lam: float, c: TorusFunction, u: TorusFunction) -> TorusFunction:
     """f = u' + i*lam*c*u (spectral derivative, pointwise product)."""
     if c.n != u.n:
         c = c.resample(u.n)
-    return u.derivative() + (1j * lam) * c * u
+    return TorusFunction(_apply_rows(np.array([lam], dtype=np.float64), c,
+                                     u.samples[None], u.coeffs[None])[0])
 
 
-def _solve_modes(lams: Sequence[float], c: TorusFunction, dec: MeanDecomposition,
-                 fs: Iterable[TorusFunction], formula: str | int,
-                 tol_res: float) -> list[ModeSolution | ResonantMode]:
-    """Solve u' + i*lam*c*u = f for each pair of ``lams`` and ``fs`` (c and
-    every f on one grid, ``dec`` the mean decomposition of c).
+def _solve_modes(lams: np.ndarray, js: np.ndarray, c: TorusFunction,
+                 dec: MeanDecomposition, F: np.ndarray, Fhat: np.ndarray | None,
+                 formula: str | int, tol_res: float) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Solve u' + i*lam*c*u = f for the rows ``js`` of the (m, n) forcing
+    samples ``F`` (coefficients ``Fhat``, or None for fft(F)/n), ``lams``
+    aligned to ``js``, c on the rows' grid with mean decomposition ``dec``.
 
-    This is where each mode's path is decided.  The sign rule picks the
-    integral formula whose divisor, residual budget and conditioning flag
-    audit the mode; a divisor below ``tol_res`` makes it resonant.  Forced
-    collocation, and in auto mode |lam|*osc(Im C) > OSC_BUDGET, sends the mode
-    to collocation; otherwise its integral formula runs (a forced formula is
-    resonant when its own divisor is below ``tol_res`` or exactly 0), and in
-    auto mode a solve that misses its residual budget (NaN misses) joins the
-    collocation modes flagged ``refactored``.  All collocation modes go
-    through one batched call.  Every residual is taken against the full c.
+    Returns the (m, n) solution samples and coefficients (zero off ``js`` and
+    on resonant rows) and one audit column per ModeSolution field, plus
+    ``resonant`` and ``singular`` (an exactly singular collocation matrix).
+    Masks pick each mode's path: the sign rule's formula gives the divisor,
+    budget and conditioning flag, and a divisor below ``tol_res`` is
+    resonant.  Forced collocation, or |lam|*osc(Im C) > OSC_BUDGET in auto
+    mode, sends a mode to collocation; else its formula runs (a forced one is
+    resonant if its own divisor is below ``tol_res`` or 0), and in auto mode a
+    budget miss (NaN misses) joins collocation as ``refactored``.  Both paths
+    run over chunks of rows; every residual comes from operator_residuals.
     """
     if formula not in ("auto", 1, 2, "fourier"):
         raise ValueError(f"formula must be 'auto', 1, 2 or 'fourier', got {formula!r}")
+    n, c0 = F.shape[1], dec.c0
+    which = np.where(lams * c0.imag <= 0.0, 1, 2)   # sign rule; ties go to the first
+    divisor = np.array([_divisor(lam, c0, w) for lam, w in zip(lams.tolist(), which.tolist())])
+    with np.errstate(all="ignore"):                 # scalar arithmetic: no warnings
+        budget = np.where(divisor != 0.0,
+                          1e-8 * (1.0 + np.abs(F).max(axis=1)[js] / divisor), math.inf)
+    ill = divisor < TOL_ILL
+    resonant = divisor < tol_res
     osc = float(np.ptp(dec.tilde_primitive.samples.imag))
-    out: list[ModeSolution | ResonantMode | None] = []
-    batch: list[tuple[int, ModeSolution, TorusFunction]] = []
-    for lam, f in zip(lams, fs):
-        which = _select_formula(lam, dec.c0.imag)
-        divisor = _divisor(lam, dec.c0, which)
-        if divisor < tol_res:
-            out.append(ResonantMode(lam, divisor))
-            continue
-        rec = ModeSolution(u=None, lam=lam, divisor=divisor, formula="fourier",
-                           residual=math.nan,
-                           residual_budget=(1e-8 * (1.0 + f.sup_norm() / divisor)
-                                            if divisor else math.inf),
-                           ill_conditioned=divisor < TOL_ILL)
-        if formula == "fourier" or (formula == "auto" and abs(lam) * osc > OSC_BUDGET):
-            batch.append((len(out), rec, f))
-            out.append(None)
-            continue
-        if formula != "auto":
-            which = int(formula)
-            divisor = _divisor(lam, dec.c0, which)
-            if divisor < tol_res or divisor == 0.0:
-                out.append(ResonantMode(lam, divisor))
-                continue
-        u, clamped = _solve_integral(lam, dec, f, which)
-        if clamped:  # only a forced formula can clamp; the selected side cannot
-            warnings.warn(f"exponent clamped at +-{CLAMP} for lambda={lam}", OverflowClamped)
-        sol = replace(rec, u=u, divisor=divisor, formula=f"solu{which}", clamped=clamped,
-                      residual=(apply_mode(lam, c, u) - f).sup_norm())
-        if formula == "auto" and not sol.residual <= sol.residual_budget:
-            batch.append((len(out), replace(sol, refactored=True), f))
-            out.append(None)
-        else:
-            out.append(sol)
-    if batch:
-        uhat, singular = _solve_collocation(np.array([rec.lam for _, rec, _ in batch]), c,
-                                            np.array([f.coeffs for _, _, f in batch]))
-        for (i, rec, f), row, bad in zip(batch, uhat, singular):
-            if bad:  # exactly singular: true resonance
-                out[i] = ResonantMode(rec.lam, 0.0,
-                                      f"collocation matrix singular for lambda={rec.lam}")
-                continue
-            u = TorusFunction.from_coeffs(row)
-            out[i] = replace(rec, u=u, formula="fourier",
-                             residual=(apply_mode(rec.lam, c, u) - f).sup_norm())
-    return out
+    coll = ~resonant & ((formula == "fourier")
+                        | ((formula == "auto") & (np.abs(lams) * osc > OSC_BUDGET)))
+    integral = ~resonant & ~coll
+    if formula in (1, 2):
+        which[:] = formula
+        forced = np.flatnonzero(integral)
+        divisor[forced] = [_divisor(lam, c0, formula) for lam in lams[forced].tolist()]
+        resonant[forced] = (divisor[forced] < tol_res) | (divisor[forced] == 0.0)
+        integral &= ~resonant
+
+    U, Uhat = np.zeros((2, F.shape[0], n), dtype=np.complex128)
+    residual = np.full(lams.shape, math.nan)
+
+    def finish(pos: np.ndarray, solve) -> None:
+        """Fill rows r = js[pos] by chunks from solve(p, r); take their residuals."""
+        for s in row_chunks(pos.size, n):
+            p, r = pos[s], js[pos[s]]
+            U[r], Uhat[r] = solve(p, r)
+            residual[p] = operator_residuals(lams[p], c, U[r], F[r], Uhat[r])
+
+    scale = np.zeros(lams.shape, dtype=np.complex128)
+    clamped, singular = np.zeros((2, lams.size), dtype=bool)
+    for p in np.flatnonzero(integral).tolist():
+        scale[p], clamped[p] = _prefactor(lams[p].item(), c0, int(which[p]))
+    finish(np.flatnonzero(integral), lambda p, r: _solve_integral(lams[p], dec, F[r], scale[p]))
+    refactored = integral & (formula == "auto") & ~(residual <= budget)
+    coll |= refactored
+    pos = np.flatnonzero(coll)
+    if pos.size:
+        r = js[pos]
+        fhat = np.fft.fft(F[r], axis=1) / n if Fhat is None else Fhat[r]
+        Uhat[r], singular[pos] = _solve_collocation(lams[pos], c, fhat)
+        finish(pos[~singular[pos]],
+               lambda p, r: (np.fft.ifft(Uhat[r] * n, axis=1), Uhat[r]))
+    resonant |= singular
+    U[js[resonant]] = Uhat[js[resonant]] = 0.0
+    ok = ~resonant       # resonant rows read as a resonant DivisorRow's defaults
+    return U, Uhat, {
+        "divisor": np.where(singular, 0.0, divisor),
+        "formula": np.select([~ok, coll, which == 1], ["", "fourier", "solu1"], "solu2"),
+        "residual": np.where(ok, residual, math.nan), "residual_budget": budget,
+        "ill_conditioned": ill & ok, "clamped": clamped & ok, "refactored": refactored & ok,
+        "resonant": resonant, "singular": singular}
 
 
 def solve_mode_detailed(lam: float, c: TorusFunction, f: TorusFunction, *,
@@ -443,10 +450,15 @@ def solve_mode_detailed(lam: float, c: TorusFunction, f: TorusFunction, *,
     """
     if c.n != f.n:
         c = c.resample(f.n)
-    sol = _solve_modes([lam], c, c.decompose_mean(), [f], formula, tol_res)[0]
-    if isinstance(sol, ResonantMode):
-        raise sol
-    return sol
+    U, Uhat, audit = _solve_modes(np.array([lam], dtype=np.float64), np.zeros(1, dtype=np.intp),
+                                  c, c.decompose_mean(), f.samples[None], f.coeffs[None],
+                                  formula, tol_res)
+    a = {k: v[0].item() for k, v in audit.items()}
+    if a.pop("singular"):
+        raise ResonantMode(lam, 0.0, f"collocation matrix singular for lambda={lam}")
+    if a.pop("resonant"):
+        raise ResonantMode(lam, a["divisor"])
+    return ModeSolution(TorusFunction._from_parts(U[0], Uhat[0]), lam, **a)
 
 
 def solve_mode(lam: float, c: TorusFunction, f: TorusFunction, *,
@@ -565,9 +577,6 @@ class ModeField:
                                              self.mask, self.eigs, dc)
         return self._derivative
 
-    def map(self, fn) -> "ModeField":
-        return ModeField([None if e is None else fn(e) for e in self], self.eigs)
-
     # ---- CSV interchange: long format, one row per (mode, grid point) ---- #
 
     def to_csv(self) -> str:
@@ -609,16 +618,16 @@ class ModeField:
 
 
 def row_chunks(rows: int, n: int) -> Iterable[slice]:
-    """Slices of ``rows`` rows of ``n`` samples, 2^18 samples or one row each,
+    """Slices of ``rows`` rows of ``n`` samples, 2^16 samples or one row each,
     so a batch's temporaries stay small beside its (rows, n) arrays."""
-    step = max(1, (1 << 18) // n)
+    step = max(1, (1 << 16) // n)
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
 def _apply_rows(lam: np.ndarray, c: TorusFunction, u: np.ndarray,
                 coeffs: np.ndarray | None) -> np.ndarray:
-    """u_s' + i*lam_s*c*u_s for every row s of ``u`` (c on the rows' grid),
-    with apply_mode's arithmetic; ``coeffs`` are the rows' trig coefficients
+    """u_s' + i*lam_s*c*u_s for every row s of ``u`` (c on the rows' grid), the
+    one arithmetic of the operator; ``coeffs`` are the rows' trig coefficients
     if known exactly, else fft(u)/n."""
     n = u.shape[1]
     if coeffs is None:
@@ -643,8 +652,7 @@ def operator_residuals(lam: Sequence[float], c: TorusFunction, u: np.ndarray,
 
     ``coeffs`` holds the exact trig coefficients of the rows of ``u`` where
     they are known (a pure harmonic's one-hot spectrum); otherwise they are
-    taken from the samples by FFT.  Each row's value equals the per-mode
-    ``(apply_mode(lam_s, c, u_s) - f_s).sup_norm()`` bit for bit.
+    taken from the samples by FFT.
     """
     lam = np.asarray(lam, dtype=np.float64)
     c = c.resample(u.shape[1])
@@ -696,29 +704,21 @@ def solve_field(c: TorusFunction, f: ModeField, *, formula: str | int = "auto",
                 tol_res: float = TOL_RES) -> tuple[ModeField, DivisorReport]:
     """Solve every defined mode of f; resonant modes stay undefined (None).
 
-    All modes go through one _solve_modes call, which batches every
-    collocation solve.  Raises AllModesResonant, carrying the divisor report,
-    when no mode at all could be solved.
+    One _solve_modes call fills the (J, n) solution arrays from the defined
+    rows and returns the audit columns of the divisor report.  Raises
+    AllModesResonant, carrying that report, when no mode could be solved.
     """
     if c.n != f.n:
         c = c.resample(f.n)
-    js = f.defined()
-    sols = _solve_modes([float(f.eigs.lambdas[j]) for j in js], c, c.decompose_mean(),
-                        (f[j] for j in js), formula, tol_res)
-
-    samples = np.zeros((f.J, f.n), dtype=np.complex128)
-    coeffs = np.zeros_like(samples)
+    js = np.flatnonzero(f.mask)
+    lams = f.eigs.lambdas[js]
+    samples, coeffs, a = _solve_modes(lams, js, c, c.decompose_mean(), f.samples,
+                                      f._coeffs, formula, tol_res)
+    cols = ("divisor", "resonant", "formula", "residual", "ill_conditioned", "refactored")
+    report = DivisorReport([DivisorRow(*row) for row in zip(
+        js.tolist(), lams.tolist(), *(a[k].tolist() for k in cols))])
     mask = np.zeros(f.J, dtype=bool)
-    rows = []
-    for j, sol in zip(js, sols):
-        if isinstance(sol, ResonantMode):
-            rows.append(DivisorRow(j, sol.lam, sol.divisor, True))
-            continue
-        samples[j], coeffs[j], mask[j] = sol.u.samples, sol.u.coeffs, True
-        rows.append(DivisorRow(j, sol.lam, sol.divisor, False, sol.formula,
-                               sol.residual, sol.ill_conditioned, sol.refactored))
-
-    report = DivisorReport(rows)
+    mask[js[~a["resonant"]]] = True
     if not mask.any():
         raise AllModesResonant(
             f"all {f.J} modes resonant (e.g. lambda*c0 in Z for every mode)", report)

@@ -7,12 +7,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypotorus import diophantine as dio
@@ -237,6 +238,10 @@ class TestResiduePath:
         assert seq.exact and seq.lambdas == tuple(eigs.exact)
         assert seq.d.tobytes() == want.tobytes()
 
+    # q = 9 * 25 * 1001 spans four 2^16-mode scan chunks, and q | (2j+1)^k
+    # exactly when 15015 | 2j+1: fifteen resonant classes, in every chunk
+    @example(p=4, q=225225, k=2)
+    @example(p=4, q=225225, k=3)
     @given(p=st.integers(-2**70, 2**70), q=st.integers(1, 400), k=st.integers(1, 4))
     @settings(max_examples=150, deadline=None)
     def test_power_classes_and_floor_match_the_scan(self, p, q, k):
@@ -423,6 +428,19 @@ class TestClassifyRational:
         q = dio._POWER_SCAN_CAP + 1
         with pytest.raises(ValueError, match="scan bound"):
             dio.classify_rational(1, q, eigs)
+
+    def test_power_scan_memory_stays_within_a_chunk(self):
+        # the whole period at once held ~134 MB of Python ints at this q
+        q = (1 << 20) - 3                   # prime: one resonant class, 2j+1 = q
+        eigs = build_eigensequence("harmonic1d_power 2", 8)
+        tracemalloc.start()
+        try:
+            v = dio.classify_rational(1, q, eigs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (v.resonant_classes, v.floor) == (((q - 1) // 2,), Fraction(1, q))
+        assert peak < 40e6, f"peak {peak / 1e6:.0f} MB"
 
 
 # Constant formula means with huge denominators.  Before the closed form

@@ -291,23 +291,55 @@ def test_solve_field_is_batch_invariant(c_of, formula):
     rng = np.random.default_rng(11)
     f = ModeField([TorusFunction(np.exp(1j * t) + 0.1 * rng.normal() * np.cos(3 * t))
                    for _ in range(J)], eigs)
+    # read back from CSV the field holds no coefficients: solve_field takes
+    # fft(f)/n of its rows itself, solve_mode_detailed that of one row
+    f_csv = ModeField.from_csv(f.to_csv(), eigs)
+    assert f_csv._coeffs is None
     c = TorusFunction(c_of(t))
-    # a forced formula on the unstable side clamps and overflows: the point
-    # here is that the batch reproduces the single-mode solve, NaNs included
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore", OverflowClamped)
-        u, report = solve_field(c, f, formula=formula)
-        sols = [solve_mode_detailed(float(eigs.lambdas[j]), c, f[j], formula=formula)
-                for j in range(J)]
-    if formula in ("auto", "fourier"):
-        assert sum(r.formula == "fourier" for r in report.rows) > J // 2
-    for j, (row, sol) in enumerate(zip(report.rows, sols)):
-        assert u[j].samples.tobytes() == sol.u.samples.tobytes()
-        assert row.formula == sol.formula
-        assert np.float64(row.divisor).tobytes() == np.float64(sol.divisor).tobytes()
-        assert np.float64(row.residual).tobytes() == np.float64(sol.residual).tobytes()
-        if formula == "auto":
-            assert row.residual <= sol.residual_budget
+    for f in (f, f_csv):
+        # a forced formula on the unstable side clamps and overflows: the point
+        # here is that the batch reproduces the single-mode solve, NaNs included
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", OverflowClamped)
+            u, report = solve_field(c, f, formula=formula)
+            sols = [solve_mode_detailed(float(eigs.lambdas[j]), c, f[j], formula=formula)
+                    for j in range(J)]
+        if formula in ("auto", "fourier"):
+            assert sum(r.formula == "fourier" for r in report.rows) > J // 2
+        for j, (row, sol) in enumerate(zip(report.rows, sols)):
+            assert u[j].samples.tobytes() == sol.u.samples.tobytes()
+            assert row.formula == sol.formula
+            assert np.float64(row.divisor).tobytes() == np.float64(sol.divisor).tobytes()
+            assert np.float64(row.residual).tobytes() == np.float64(sol.residual).tobytes()
+            if formula == "auto":
+                assert row.residual <= sol.residual_budget
+
+
+@pytest.mark.parametrize("c_of, paths", [
+    (lambda t: 0.5 + 1j * np.sin(t), {"solu1", "fourier"}),
+    (lambda t: 0.5 + 0.3 * np.sign(np.sin(t)), {"refactored"}),   # integral misses
+])
+def test_solve_field_builds_no_torus_function_per_mode(monkeypatch, c_of, paths):
+    # the solver works on (J, n) rows and audit columns: how many
+    # TorusFunctions it creates, counted as the benchmark tracer counts
+    # them, must not grow with J
+    t = grid(256)
+    c = TorusFunction(c_of(t))
+    init = TorusFunction.__init__
+    counts = {}
+    for J in (8, 64):
+        eigs = build_eigensequence("harmonic1d", J)
+        f = ModeField([TorusFunction(np.exp(1j * t))] * J, eigs)
+        counts[J] = 0
+
+        def counting(obj, *args, J=J, **kwargs):
+            counts[J] += 1
+            init(obj, *args, **kwargs)
+        monkeypatch.setattr(TorusFunction, "__init__", counting)
+        _, report = solve_field(c, f)
+        monkeypatch.undo()
+        assert paths <= {"refactored" if r.refactored else r.formula for r in report.rows}
+    assert counts[8] == counts[64], counts
 
 
 @pytest.mark.parametrize("formula", [1, 2])

@@ -6,7 +6,7 @@
 Runs the same CLI calls under each tree, in OUT_DIR/parent and
 OUT_DIR/change, with PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1:
 every cookbook config, the ops of the three benchmark workloads for seeds 1
-and 101 (CHANGE_TREE/perfbench/workloads.py), five extra solve configs, a
+and 101 (CHANGE_TREE/perfbench/workloads.py), seven extra solve configs, a
 decay of the notgh solve's field, six diophantine tables (every integer
 eigenvalue kind, a negative kappa, a denominator near 2^60 and a decimal)
 and one witness per constructor, plus a constant one at denominator 20001.
@@ -33,6 +33,12 @@ EXTRA = {   # solve configs; notgh: Im c changes sign, collocation misses its bu
                "f_file": "extra/f_modes.csv"},
     "c-file": {"c_file": "extra/c_samples.csv", "grid_n": 64, "j_modes": 8,
                "f": {"1": "exp(it)", "5": "exp(2it)"}},
+    # batches over more than one chunk of rows: the integral path, and
+    # banded collocation (256 modes per chunk at this grid)
+    "chunks-integral": {"c": "1/2 + 3/10 cos t", "grid_n": 1024, "j_modes": 300,
+                        "f": {str(j): "exp(it)" for j in range(300)}},
+    "chunks-banded": {"c": "i(1 - cos t)", "grid_n": 512, "j_modes": 300,
+                      "f": {str(j): "exp(it)" for j in range(300)}},
 }
 WITNESS = {  # one witness call per constructor; sign-change runs in the benchmark ops
     "constant": {"c": "1/3", "witness_kind": "constant", "witness_n": 8, "j_modes": 16},
