@@ -21,6 +21,7 @@ Layout
 ``diagnostics``  decay fitting and seminorm growth tables
 ``formulas``     exact trigonometric-polynomial parsing for config files
 ``jsonio``       the JSON encoding of every artifact
+``csvio``        the CSV format of every table artifact
 ``cli``          the ``hypotorus`` command-line entry point
 """
 

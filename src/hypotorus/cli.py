@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import jsonio
+from . import csvio, jsonio
 from .classify import Verdict, classify, classify_constant
 from .diagnostics import DegenerateData, GSParams, fit_decay, pm_seminorms
 from .diophantine import (classify_rational, construct_liouville,
@@ -335,8 +335,7 @@ def _open_text(path, what: str):
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.write_text(text if text.endswith("\n") else text + "\n",
-                    encoding="utf-8")
+    csvio.write(path, text)
 
 
 def _write_json(path: Path, obj) -> None:

@@ -17,8 +17,6 @@ suppressed when r^2 < 0.9.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -26,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import csvio
 from .modes import ModeField
 from .spectrum import EigenSequence, HermiteBasis, ladder_diff_x, ladder_mul_x, _phi_matrix
 
@@ -284,13 +283,8 @@ class PMTable:
     tail_share: float
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["M", "k", "S"])
-        for M in range(self.M_max + 1):
-            for k in range(self.k_max + 1):
-                w.writerow([M, k, repr(float(self.values[M, k]))])
-        return buf.getvalue()
+        M, k = np.indices(self.values.shape)
+        return csvio.text(("M", "k", "S"), M.ravel(), k.ravel(), self.values.ravel())
 
     def as_dict(self) -> dict:
         return {

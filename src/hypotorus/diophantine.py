@@ -30,9 +30,10 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import csvio
 from .diagnostics import ols
 from .jsonio import dumps, unlimited_int_digits
-from .spectrum import EigenSequence, _int_or_float
+from .spectrum import EigenSequence
 
 __all__ = [
     "dist_to_int",
@@ -163,30 +164,18 @@ class DistanceSequence:
         return tuple(int(self.js[i]) for i in np.flatnonzero(self.d == 0.0))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("j,lambda,d\n")
-            for j, lam, dj in zip(self.js, self.lambdas, self.d):
-                fh.write(f"{j},{lam},{float(dj)!r}\n")
+        csvio.write(path, csvio.text(("j", "lambda", "d"), self.js, self.lambdas, self.d))
 
     @staticmethod
     def from_csv(path, kappa=float("nan"), params=(1, Fraction(1, 2))) -> "DistanceSequence":
-        js, lams, ds = [], [], []
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "j,lambda,d":
-                raise ValueError(f"unexpected header {header!r}")
-            for line in fh:
-                j_s, lam_s, d_s = line.strip().split(",")
-                js.append(int(j_s))
-                lams.append(_int_or_float(lam_s))
-                ds.append(float(d_s))
-        e = exponent_from_params(params)
+        with open(path, encoding="utf-8") as fh:
+            rows = csvio.SampleRows(fh, ("j", "lambda", "d"), "distance CSV")
         n, mu = params
-        return DistanceSequence(
-            kappa=kappa, params=(int(n), Fraction(mu)), e=e,
-            js=tuple(js), lambdas=tuple(lams),
-            d=np.asarray(ds, dtype=float), exact=False,
-        )
+        return DistanceSequence(kappa=kappa, params=(int(n), Fraction(mu)),
+                                e=exponent_from_params(params),
+                                js=tuple(rows.column("j").tolist()),
+                                lambdas=tuple(rows.column("lambda").tolist()),
+                                d=rows.column("d").copy(), exact=False)
 
 
 def distance_sequence(
@@ -664,15 +653,6 @@ class LiouvilleCertificate:
                 eigs_kind=obj["eigs_kind"],
                 ap_index=tuple(int(v) for v in obj["ap_index"]),
             )
-
-    def to_csv(self, path) -> None:
-        with unlimited_int_digits(), open(path, "w", encoding="utf-8") as fh:
-            fh.write("level,j,lambda,tau,gap_num,gap_den,K\n")
-            for i, lev in enumerate(self.levels, start=1):
-                fh.write(
-                    f"{i},{lev.j},{lev.lam},{lev.tau},"
-                    f"{lev.gap.numerator},{lev.gap.denominator},{lev.K}\n"
-                )
 
 
 def construct_liouville(

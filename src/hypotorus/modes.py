@@ -41,8 +41,6 @@ array per audit column; ``solve_mode_detailed`` hands it a single row.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -50,8 +48,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import csvio
 from .spectrum import EigenSequence
-from .torusfn import MeanDecomposition, SampleRows, TorusFunction, grid, wavenumbers
+from .torusfn import MeanDecomposition, TorusFunction, grid, wavenumbers
 
 __all__ = [
     "ModeField",
@@ -580,21 +579,21 @@ class ModeField:
     # ---- CSV interchange: long format, one row per (mode, grid point) ---- #
 
     def to_csv(self) -> str:
-        lines = ["j,t,re,im\n"]
+        """One block of rows per defined mode; ``t`` is rendered once."""
+        blocks = ["j,t,re,im\n"]
         if self.mask.any():
-            ts = [repr(t) for t in grid(self.n).tolist()]
-            for j in self.defined():
-                re, im = self.samples[j].real.tolist(), self.samples[j].imag.tolist()
-                lines.append("".join([f"{j},{t},{r!r},{i!r}\n"
-                                      for t, r, i in zip(ts, re, im)]))
-        return "".join(lines)
+            n, ts = self.n, csvio.cells(grid(self.n))
+            blocks += [csvio.rows([str(j)] * n, ts, csvio.cells(self.samples[j].real),
+                                  csvio.cells(self.samples[j].imag))
+                       for j in self.defined()]
+        return "".join(blocks)
 
     @classmethod
     def from_csv(cls, source, eigs: EigenSequence, J: int | None = None) -> "ModeField":
         """Inverse of :meth:`to_csv`, from the text or a text handle (see
-        :class:`~hypotorus.torusfn.SampleRows`); rows may come in any mode
+        :class:`~hypotorus.csvio.SampleRows`); rows may come in any mode
         order, each mode's rows in grid order."""
-        rows = SampleRows(source, ("j", "t", "re", "im"), "mode-field CSV")
+        rows = csvio.SampleRows(source, ("j", "t", "re", "im"), "mode-field CSV")
         js = rows.column("j")
         J = int(js.max()) + 1 if J is None else J
         limit = min(J, eigs.J)
@@ -691,13 +690,10 @@ class DivisorReport:
         return max(vals) if vals else float("nan")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["j", "lambda", "divisor", "resonant"])
-        for r in self.rows:
-            w.writerow([r.j, repr(float(r.lam)), repr(float(r.divisor)),
-                        "true" if r.resonant else "false"])
-        return buf.getvalue()
+        return csvio.text(("j", "lambda", "divisor", "resonant"),
+                          [r.j for r in self.rows], [float(r.lam) for r in self.rows],
+                          [float(r.divisor) for r in self.rows],
+                          [bool(r.resonant) for r in self.rows])
 
 
 def solve_field(c: TorusFunction, f: ModeField, *, formula: str | int = "auto",

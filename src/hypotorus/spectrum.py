@@ -25,13 +25,13 @@ ladder identities
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+
+from . import csvio
 
 __all__ = [
     "EigenSequence",
@@ -111,32 +111,20 @@ class EigenSequence:
     # ---- CSV interchange (columns j, lambda) ---------------------------- #
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["j", "lambda"])
-        if self.exact is not None:
-            for j, lam in enumerate(self.exact):
-                w.writerow([j, lam])
-        else:
-            for j, lam in enumerate(self.lambdas):
-                w.writerow([j, repr(float(lam))])
-        return buf.getvalue()
+        return csvio.text(("j", "lambda"), range(self.J),
+                          self.lambdas if self.exact is None else self.exact)
 
     @classmethod
     def from_csv(cls, text: str, m: int = 2, n: int = 1) -> "EigenSequence":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or [h.strip() for h in rows[0]] != ["j", "lambda"]:
-            raise ValueError("eigenvalue CSV must have header j,lambda")
-        vals = [_int_or_float(s) for _, s in rows[1:]]
-        return build_eigensequence("table", len(vals), values=vals, m=m, n=n)
-
-
-def _int_or_float(s: str) -> int | float:
-    """An eigenvalue cell of a CSV: an int when it is one, else a float."""
-    try:
-        return int(s)
-    except ValueError:
-        return float(s)
+        """Inverse of :meth:`to_csv`; ``j`` must run 0, 1, 2, ... in order."""
+        rows = csvio.SampleRows(text, ("j", "lambda"), "eigenvalue CSV")
+        off = np.flatnonzero(rows.column("j") != np.arange(rows.size))
+        if off.size:
+            r = int(off[0])
+            raise ValueError(f"line {rows.line(r)}: j = {rows.column('j')[r]} where "
+                             f"{r} is due; eigenvalue rows run j = 0, 1, 2, ... in order")
+        return build_eigensequence("table", rows.size, values=rows.column("lambda").tolist(),
+                                   m=m, n=n)
 
 
 def _nd_count_below(q: int, n: int) -> int:
@@ -206,13 +194,15 @@ def build_eigensequence(kind: str, J: int, *, values: Sequence | None = None,
             raise ValueError(f"table holds {len(values)} values, J={J} requested")
         vals = list(values)[:J]
         arr = np.array([float(v) for v in vals])
-        a = np.abs(arr)
-        if np.any(np.diff(a) < 0):
+        exact = tuple(int(v) for v in vals) if all(
+            isinstance(v, (int, np.integer)) for v in vals) else None
+        # an integer table is checked on its exact values: floats merge
+        # integers above 2^53
+        a = np.abs(arr) if exact is None else np.array([abs(v) for v in exact], dtype=object)
+        if np.any(a[1:] < a[:-1]):
             raise ValueError("table eigenvalues must have nondecreasing |lambda_j|")
         if J >= 8 and a[-1] <= a[J // 2]:
             raise ValueError("table eigenvalues do not diverge over the stored range")
-        exact = tuple(int(v) for v in vals) if all(
-            isinstance(v, (int, np.integer)) for v in vals) else None
         return EigenSequence("table", arr, m=m, n=n, exact=exact)
 
     raise ValueError(f"unknown eigensequence kind {kind!r}")

@@ -20,13 +20,12 @@ coefficient buffers are handed out read-only.
 
 from __future__ import annotations
 
-import csv
-import io
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 import numpy as np
+
+from . import csvio
 
 __all__ = [
     "TorusFunction",
@@ -62,136 +61,6 @@ def wavenumbers(n: int) -> np.ndarray:
     k = np.fft.fftfreq(n, d=1.0 / n)
     k[n // 2] = 0.0
     return k
-
-
-def _number(s: str, dtype) -> int | float:
-    """``s`` as loadtxt reads it into ``dtype``: Python's int or float syntax,
-    ASCII only, without ``_`` separators, an int within int64."""
-    if "_" in s or not s.isascii():
-        raise ValueError(s)
-    if dtype is np.float64:
-        return float(s)
-    v = int(s)
-    if not -2**63 <= v < 2**63:
-        raise ValueError(s)
-    return v
-
-
-def _text_lines(text: str):
-    """The lines of ``text`` as ``io.StringIO(text)`` yields them, read
-    through 64k-character pieces cut after a newline, so the text is never
-    copied whole."""
-    i = 0
-    while i < len(text):
-        j = text.find("\n", i + (1 << 16)) + 1 or len(text)
-        yield from io.StringIO(text[i:j])
-        i = j
-
-
-class SampleRows:
-    """The data rows of a sample CSV (``t,re,im`` or ``j,t,re,im``), by column.
-
-    The first line must be the header ``names``; every later line holds one
-    comma-separated field per name.  Empty lines are skipped, and errors give
-    the file line, counting the header as line 1.  Column ``j`` is read as
-    int64, every other column as float64 by CPython's string-to-double
-    conversion, so a ``repr`` float comes back bit for bit.  Fields are not
-    unquoted, and numbers take no ``_`` separators.
-
-    One ``np.loadtxt`` pass parses every row, reading a handle in chunks.  If
-    it fails, the rows are split again in Python to find the fault: a wrong
-    field count raises at once, a value that does not parse raises when its
-    column is asked for, so each reader keeps its own check order.  The file
-    is re-read only on that path and when ``line`` is called, so ``source``
-    is the CSV text or a seekable text handle positioned at the header.  Text
-    is split into lines lazily, never copied whole.
-    """
-
-    def __init__(self, source, names: tuple[str, ...], what: str):
-        self._src, self._lines = source, None
-        self._start = None if isinstance(source, str) else source.tell()
-        lines = self._read()
-        if [h.strip() for h in next(lines, "").split(",")] != list(names):
-            raise ValueError(f"{what} must have header {','.join(names)}")
-        dtype = [(name, np.int64 if name == "j" else np.float64) for name in names]
-        self._errors: dict[str, str] = {}
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no data rows: see below
-                self._table = np.loadtxt(lines, dtype=dtype, delimiter=",",
-                                         comments=None, ndmin=1)
-            self.size = len(self._table)
-        except ValueError as e:
-            self._table = self._diagnose(names, what)
-            if not self._errors:
-                raise ValueError(f"{what}: {e}") from None
-            self.size = len(self._lines)
-        if self.size == 0:
-            raise ValueError(f"{what} needs data rows of {len(names)} fields "
-                             f"{','.join(names)}")
-
-    def _read(self):
-        """The source's lines from the header on: the handle rewound, or the
-        text split lazily."""
-        if self._start is None:
-            return _text_lines(self._src)
-        self._src.seek(self._start)
-        return self._src
-
-    def _data_lines(self):
-        """(file line, text) of every non-empty line after the header."""
-        lines = self._read()
-        next(lines, None)
-        return [(ln, s) for ln, s in enumerate((s.rstrip("\r\n") for s in lines), 2) if s]
-
-    def _diagnose(self, names, what) -> dict[str, np.ndarray]:
-        """The columns that parse, split in Python after loadtxt failed;
-        ``_errors`` names the first bad line of every other column."""
-        rows = self._data_lines()
-        self._lines = [ln for ln, _ in rows]
-        fields = [s.split(",") for _, s in rows]
-        for ln, f in zip(self._lines, fields):
-            if len(f) != len(names):
-                raise ValueError(f"line {ln}: {len(f)} fields; {what} rows hold "
-                                 f"{len(names)} ({','.join(names)})")
-        table = {}
-        for k, name in enumerate(names):
-            dtype = np.int64 if name == "j" else np.float64
-            vals = []
-            try:
-                for r, f in enumerate(fields):
-                    vals.append(_number(f[k], dtype))
-            except ValueError:
-                self._errors[name] = (f"line {self._lines[r]}: {name} = {fields[r][k]!r} "
-                                      f"does not parse as {dtype.__name__}")
-            else:
-                table[name] = np.array(vals, dtype=dtype)
-        return table
-
-    def column(self, name: str) -> np.ndarray:
-        if name in self._errors:
-            raise ValueError(self._errors[name])
-        return self._table[name]
-
-    def line(self, r: int) -> int:
-        """File line of data row ``r``."""
-        if self._lines is None:
-            self._lines = [ln for ln, _ in self._data_lines()]
-        return self._lines[r]
-
-    def check_t(self, t: np.ndarray, expected: np.ndarray) -> None:
-        """Refuse a ``t`` column that strays from its grid points.
-
-        ``t[r]``, read from data row r, must lie within 1e-9 of
-        ``expected[r]``; rows stored in another order would otherwise load as
-        a different (e.g. time-reversed) function.
-        """
-        bad = np.flatnonzero(~(np.abs(t - expected) <= 1e-9))
-        if bad.size:
-            r = int(bad[0])
-            raise ValueError(
-                f"line {self.line(r)}: t = {float(t[r])!r} is not the grid point "
-                f"{float(expected[r])!r}; samples must run through t = 2*pi*i/n in order")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -452,47 +321,18 @@ class TorusFunction:
 
     def to_sample_csv(self) -> str:
         """Samples as CSV with header ``t,re,im`` ('.' decimal, UTF-8)."""
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t", "re", "im"])
-        for t, z in zip(self.grid, self._samples):
-            w.writerow([repr(float(t)), repr(float(z.real)), repr(float(z.imag))])
-        return buf.getvalue()
+        return csvio.text(("t", "re", "im"), self.grid, self._samples.real, self._samples.imag)
 
     @classmethod
     def from_sample_csv(cls, source) -> "TorusFunction":
         """Inverse of :meth:`to_sample_csv`, from the text or a text handle
-        (see :class:`SampleRows`)."""
-        rows = SampleRows(source, ("t", "re", "im"), "sample CSV")
+        (see :class:`~hypotorus.csvio.SampleRows`)."""
+        rows = csvio.SampleRows(source, ("t", "re", "im"), "sample CSV")
         rows.check_t(rows.column("t"), grid(rows.size))
         samples = np.empty(rows.size, dtype=np.complex128)
         # component writes keep signed zeros and infinities that re + 1j*im would not
         samples.real, samples.imag = rows.column("re"), rows.column("im")
         return cls(samples)
-
-    def to_coeff_csv(self) -> str:
-        """Coefficient table as CSV with header ``k,re,im`` (Nyquist split)."""
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["k", "re", "im"])
-        for k, z in self.coeff_table():
-            w.writerow([k, repr(float(z.real)), repr(float(z.imag))])
-        return buf.getvalue()
-
-    @classmethod
-    def from_coeff_csv(cls, text: str) -> "TorusFunction":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or [h.strip() for h in rows[0]] != ["k", "re", "im"]:
-            raise ValueError("coefficient CSV must have header k,re,im")
-        entries = [(int(k), complex(float(r), float(i))) for k, r, i in rows[1:]]
-        kmax = max(abs(k) for k, _ in entries) if entries else 0
-        n = 4
-        while n // 2 < max(kmax, 2):
-            n *= 2
-        c = np.zeros(n, dtype=np.complex128)
-        for k, z in entries:
-            c[k % n] += z  # +-N/2 rows fold back onto the Nyquist slot
-        return cls.from_coeffs(c)
 
 
 @dataclass(frozen=True)

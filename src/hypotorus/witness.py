@@ -44,8 +44,6 @@ closed form in exact rational arithmetic.
 from __future__ import annotations
 
 import cmath
-import csv
-import io
 import itertools
 import math
 import os
@@ -56,6 +54,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import csvio
 from .diagnostics import ols
 from .diophantine import LiouvilleCertificate, RationalVerdict, classify_rational
 from .jsonio import plain, unlimited_int_digits, write as write_json
@@ -397,13 +396,9 @@ class WitnessBundle:
             }, default=_own_types)
 
     def norms_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["j", "sup_u", "sup_f"])
-        with unlimited_int_digits():
-            for lv in self.levels:
-                w.writerow([lv.j, repr(float(lv.sup_u)), repr(float(lv.sup_f))])
-        return buf.getvalue()
+        return csvio.text(("j", "sup_u", "sup_f"), [lv.j for lv in self.levels],
+                          [float(lv.sup_u) for lv in self.levels],
+                          [float(lv.sup_f) for lv in self.levels])
 
     def write(self, directory: str) -> dict:
         """Write manifest.json and norms.csv under ``directory``; returns paths."""
@@ -411,8 +406,7 @@ class WitnessBundle:
         man_path = os.path.join(directory, "manifest.json")
         csv_path = os.path.join(directory, "norms.csv")
         write_json(man_path, self.manifest())
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.norms_csv())
+        csvio.write(csv_path, self.norms_csv())
         return {"manifest": man_path, "norms": csv_path}
 
 

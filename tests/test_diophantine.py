@@ -249,6 +249,8 @@ class TestResiduePath:
         classes, floor = _scan_residues(p, q, ((2 * j + 1) ** k for j in range(q)))
         assert (v.resonant_classes, v.floor, v.period) == (classes, floor, q)
 
+    # above 2^53 these four values share a float, so the float view does not diverge
+    @example(p=1, q=7, table=[1, 2, 3, 4] + [72057594037927900 + k for k in range(4)])
     @given(p=st.integers(-2**70, 2**70), q=st.integers(1, 2**70), table=_integer_tables())
     @settings(max_examples=150, deadline=None)
     def test_table_classes_and_floor_match_the_scan(self, p, q, table):
@@ -671,15 +673,6 @@ class TestConstructLiouville:
         assert obj["kappa"] == {"num": "20699", "den": "65547"}
         assert obj["levels"][1]["lambda"] == "19"
         assert obj["levels"][0]["gap"] == {"num": "1150", "den": "21849"}
-
-    def test_csv_export(self, h1d, tmp_path):
-        cert = dio.construct_liouville(h1d, (1, Fraction(1, 2)), 3)
-        path = tmp_path / "cert.csv"
-        cert.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "level,j,lambda,tau,gap_num,gap_den,K"
-        assert lines[1] == "1,1,3,1,1150,21849,3"
-        assert len(lines) == 4
 
     def test_verify_rejects_tampering(self, h1d):
         cert = dio.construct_liouville(h1d, (1, Fraction(1, 2)), 3)

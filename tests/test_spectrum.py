@@ -78,6 +78,17 @@ def test_table_validation():
         build_eigensequence("table", 4, values=[1, 3, 2, 10])
     with pytest.raises(ValueError):  # non-divergent tail
         build_eigensequence("table", 8, values=[1, 2, 3, 4, 5, 5, 5, 5])
+
+
+def test_integer_table_order_is_checked_exactly():
+    # above 2^53 the float view merges neighbouring integers
+    with pytest.raises(ValueError, match="nondecreasing"):
+        build_eigensequence("table", 8, values=[1, 2, 3, 4, 5, 6, 2**60 + 2, 2**60 + 1])
+    big = [72057594037927900 + k for k in range(4)]
+    e = build_eigensequence("table", 8, values=[1, 2, 3, 4] + big)
+    assert e.exact == (1, 2, 3, 4, *big)
+    with pytest.raises(ValueError, match="do not diverge"):
+        build_eigensequence("table", 8, values=[1, 2, 3, 4] + [big[0]] * 4)
     with pytest.raises(ValueError):
         build_eigensequence("nonsense", 4)
     with pytest.raises(ValueError):

@@ -238,19 +238,9 @@ def test_sample_csv_rejects_rows_out_of_t_order(rng):
         TorusFunction.from_sample_csv(text)
 
 
-def test_coeff_csv_roundtrip(rng):
-    f = random_trig_poly(rng, n=32, band=5)
-    text = f.to_coeff_csv()
-    assert text.splitlines()[0] == "k,re,im"
-    g = TorusFunction.from_coeff_csv(text)
-    assert np.allclose(g.eval_at(grid(32)), f.samples, atol=1e-12)
-
-
 def test_csv_rejects_wrong_header():
     with pytest.raises(ValueError):
         TorusFunction.from_sample_csv("a,b,c\n0,0,0\n")
-    with pytest.raises(ValueError):
-        TorusFunction.from_coeff_csv("t,re,im\n0,0,0\n")
 
 
 # --------------------------------------------------------------------------- #

@@ -7,8 +7,9 @@ Runs the same CLI calls under each tree, in OUT_DIR/parent and
 OUT_DIR/change, with PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1:
 every cookbook config, the ops of the three benchmark workloads for seeds 1
 and 101 (CHANGE_TREE/perfbench/workloads.py), seven extra solve configs, a
-decay of the notgh solve's field, six diophantine tables (every integer
-eigenvalue kind, a negative kappa, a denominator near 2^60 and a decimal)
+decay of the notgh solve's field, eight diophantine tables (every integer
+eigenvalue kind, a negative kappa, a denominator near 2^60, a decimal, a
+float-valued table and an integer table beyond 2^64)
 and one witness per constructor, plus a constant one at denominator 20001.
 Three extras read CSVs the tool writes, so every CSV reader of the CLI
 (decay input, f_file, c_file) runs.
@@ -56,6 +57,13 @@ DIOPHANTINE = {  # exact tables on every integer kind, and the float table
     "negative": {"kappa": "-3/7", "j_modes": 1024},
     "q2e60": {"kappa": "987654321987654321/1152921504606846977", "j_modes": 4096},
     "decimal": {"kappa": "0.7071067811865476", "j_modes": 4096},
+    # both lambda spellings of distances.csv: repr floats (1e+16 is no int
+    # literal) and integers beyond 64 bits
+    "float-table": {"kappa": "0.3", "j_modes": 8,
+                    "model": {"kind": "table", "values": [1.5, 2.5, 1e16, 3e16, 1e17,
+                                                          2.5e17, 1e20, 1.25e22]}},
+    "table-2e64": {"kappa": "3/7", "j_modes": 64,
+                   "model": {"kind": "table", "values": [2**64 + j * j for j in range(64)]}},
 }
 
 
