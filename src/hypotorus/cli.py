@@ -11,7 +11,10 @@ Everything is driven by one JSON config (see :class:`ExperimentConfig`);
 command-line flags override individual fields.  Outputs are UTF-8 CSV with
 a header row and '.' decimals, plus JSON reports with sorted keys -- the
 same config bytes always produce the same output bytes.  Exit codes:
-0 ok, 1 config error, 2 resonance, 3 degenerate data.
+0 ok, 1 config error or failed witness construction (a witness that misses
+its residual budget included), 2 resonance, 3 degenerate data.
+``classify --witness`` exits 0 when its witness is unavailable or misses its
+budget: it warns and writes the reason to witness_plan.json.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from .modes import AllModesResonant, ModeField, solve_field
 from .spectrum import EigenSequence, build_eigensequence
 from .torusfn import TorusFunction, grid
 from .witness import (L0_reduction_witness, NoCertificate, PartitionNotFound,
-                      PatternNotFound, WitnessBundle, constant_witness,
-                      plateau_witness, sign_change_witness)
+                      PatternNotFound, WitnessBudgetMiss, WitnessBundle,
+                      constant_witness, plateau_witness, sign_change_witness)
 
 __all__ = ["ConfigError", "ExperimentConfig", "WitnessUnavailable", "main"]
 
@@ -424,7 +427,7 @@ def cmd_classify(cfg: ExperimentConfig, out: Path) -> int:
     if cfg["witness"] and verdict.decision == "notGH":
         try:
             _emit_witness(_witness_from_plan(cfg, verdict, c_fn, eigs), out)
-        except WitnessUnavailable as e:
+        except (WitnessUnavailable, WitnessBudgetMiss) as e:
             print(f"warning: witness not emitted: {e}", file=sys.stderr)
             _write_json(out / "witness_plan.json", {
                 "plan": None if verdict.witness_handle is None
@@ -662,7 +665,7 @@ def main(argv: Optional[list] = None) -> int:
     except WitnessUnavailable as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NoCertificate, PartitionNotFound, PatternNotFound) as e:
+    except (NoCertificate, PartitionNotFound, PatternNotFound, WitnessBudgetMiss) as e:
         print(f"error: witness construction failed: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, OSError) as e:

@@ -142,6 +142,19 @@ def _nd_value(j: int, n: int) -> int:
     return 2 * lo + n
 
 
+def _float_view(values: Sequence) -> np.ndarray:
+    """``values`` as float64; a value beyond the float range (or NaN) is
+    refused with ValueError, not left to overflow on conversion."""
+    try:
+        lam = np.array(values, dtype=np.float64)
+    except OverflowError:
+        lam = np.array([np.inf])
+    if not np.all(np.isfinite(lam)):
+        raise ValueError(f"eigenvalues must be finite and within the float range "
+                         f"(|lambda| <= {np.finfo(np.float64).max:.6g})")
+    return lam
+
+
 def build_eigensequence(kind: str, J: int, *, values: Sequence | None = None,
                         m: int = 2, n: int = 1) -> EigenSequence:
     """Construct one of the built-in spectra (or wrap a user table).
@@ -157,7 +170,7 @@ def build_eigensequence(kind: str, J: int, *, values: Sequence | None = None,
 
     if head == "harmonic1d" and len(parts) == 1:
         exact = tuple(2 * j + 1 for j in range(J))
-        return EigenSequence("harmonic1d", np.array(exact, dtype=float),
+        return EigenSequence("harmonic1d", _float_view(exact),
                              m=2, n=1, exact=exact, ap_index=(1, 2))
 
     if head == "harmonic1d_power":
@@ -166,9 +179,12 @@ def build_eigensequence(kind: str, J: int, *, values: Sequence | None = None,
         k = int(parts[1])
         if k < 1:
             raise ValueError("power k >= 1 required")
+        if k * ((2 * J - 1).bit_length() - 1) >= 1024:     # lambda_{J-1} >= 2^1024
+            raise ValueError(f"harmonic1d_power {k}: lambda_{J - 1} = {2 * J - 1}^{k} "
+                             f"is beyond the float range")
         exact = tuple((2 * j + 1) ** k for j in range(J))
         ap = (1, 2) if k == 1 else None
-        return EigenSequence(f"harmonic1d_power {k}", np.array(exact, dtype=float),
+        return EigenSequence(f"harmonic1d_power {k}", _float_view(exact),
                              m=2 * k, n=1, exact=exact, ap_index=ap)
 
     if head == "harmonic_nd":
@@ -184,7 +200,7 @@ def build_eigensequence(kind: str, J: int, *, values: Sequence | None = None,
             q += 1
         exact = tuple(vals[:J])
         ap = (1, 2) if nd == 1 else None
-        return EigenSequence(f"harmonic_nd {nd}", np.array(exact, dtype=float),
+        return EigenSequence(f"harmonic_nd {nd}", _float_view(exact),
                              m=2, n=nd, exact=exact, ap_index=ap)
 
     if head == "table":
@@ -193,7 +209,7 @@ def build_eigensequence(kind: str, J: int, *, values: Sequence | None = None,
         if len(values) < J:
             raise ValueError(f"table holds {len(values)} values, J={J} requested")
         vals = list(values)[:J]
-        arr = np.array([float(v) for v in vals])
+        arr = _float_view(vals)
         exact = tuple(int(v) for v in vals) if all(
             isinstance(v, (int, np.integer)) for v in vals) else None
         # an integer table is checked on its exact values: floats merge

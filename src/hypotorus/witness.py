@@ -34,11 +34,16 @@ may underflow to zero but can never overflow; no clamping is needed on the
 decay side (the mode-solver clamp policy would only bind at +700).  A bundle
 keeps the levels its grid resolves (bandwidth below ~0.45 of Nyquist) as
 rows of two (S, N) arrays, u and f; the bump constructions fill them in
-chunks of levels, broadcasting lambda over the window exponents.  All
-residuals of a bundle come from one batched :func:`modes.operator_residuals`
-call, at construction and again in :meth:`WitnessBundle.verify`.  Levels
-beyond the grid band carry ``residual=None`` and are verified on their
-closed form in exact rational arithmetic.
+chunks of levels, broadcasting lambda over the window exponents.  Each
+bump's exp(lambda E) is taken once, on its support and transition bands
+only, and feeds both u and f.  The sign-change window is scored for all N
+window starts at once from two sparse range tables (first argmax and min,
+int32 indices) over the 2N-point cover: O(N log N), and the same window as
+a scan of every start.  All residuals of a bundle come from one batched
+:func:`modes.operator_residuals` call, at construction and again in
+:meth:`WitnessBundle.verify`.  Levels beyond the grid band carry
+``residual=None`` and are verified on their closed form in exact rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ __all__ = [
     "NoCertificate",
     "PartitionNotFound",
     "PatternNotFound",
+    "WitnessBudgetMiss",
     "GevreyBump",
     "gevrey_bump",
     "WitnessLevel",
@@ -98,6 +104,16 @@ class PartitionNotFound(RuntimeError):
 
 class PatternNotFound(RuntimeError):
     """the (+, 0, -) plateau pattern is absent at grid resolution."""
+
+
+class WitnessBudgetMiss(RuntimeError):
+    """A built witness misses its residual budget on its N-point grid."""
+
+    def __init__(self, kind: str, max_residual: float, tol: float, N: int):
+        self.kind, self.max_residual, self.tol, self.N = kind, max_residual, tol, N
+        super().__init__(
+            f"{kind} witness misses its residual budget at N = {N}: max residual "
+            f"{max_residual:.3e} > tolerance {tol:.1e}; a larger witness_n may meet it")
 
 
 # --------------------------------------------------------------------------- #
@@ -575,7 +591,7 @@ def _harmonics(taus: Sequence[int], N: int) -> tuple[np.ndarray, np.ndarray]:
 def _verified(tol: float, checks=None, **parts) -> WitnessBundle:
     """The bundle of ``parts`` with its decay record and each sampled level's
     residual, computed once; refused unless the named checks (default: all)
-    pass."""
+    pass, with :class:`WitnessBudgetMiss` when a residual misses ``tol``."""
     for a in (parts["u"], parts["f"], parts.get("u_coeffs")):
         if a is not None:
             a.flags.writeable = False
@@ -584,7 +600,10 @@ def _verified(tol: float, checks=None, **parts) -> WitnessBundle:
     bundle.levels = [lv if lv.row is None else replace(lv, residual=res[lv.row])
                      for lv in bundle.levels]
     rep = bundle._report(res, tol)
-    if not all(rep["checks"][k] for k in checks or rep["checks"]):
+    failed = [k for k in checks or rep["checks"] if not rep["checks"][k]]
+    if "residuals_ok" in failed:
+        raise WitnessBudgetMiss(bundle.kind, rep["max_residual"], tol, bundle.c.n)
+    if failed:
         raise RuntimeError(
             f"witness verification failed for kind={bundle.kind!r}: {rep['checks']} "
             f"(max residual {rep['max_residual']})")
@@ -610,28 +629,67 @@ def _window_primitive(drift: float, P: np.ndarray, k0: int, length: int) -> np.n
     return drift * t + np.concatenate([P, P])[k0:k0 + length]
 
 
+def _range_picks(x: np.ndarray, top: int, keep_left) -> np.ndarray:
+    """Sparse table of range picks over ``x``, levels 0..``top``.
+
+    Row k holds at p the index in x[p:p + 2^k] that ``keep_left`` picks
+    (np.greater_equal: the first argmax; np.less_equal: the first argmin).
+    Each level merges two halves of the level below and keeps the left pick
+    on a tie.  Entries past a level's last full range are 0 and never read.
+    """
+    n = len(x)
+    table = np.zeros((top + 1, n), dtype=np.int32)
+    table[0] = np.arange(n)
+    for k in range(1, top + 1):
+        h = 1 << (k - 1)
+        a, b = table[k - 1, :n - 2 * h + 1], table[k - 1, h:n - h + 1]
+        table[k, :n - 2 * h + 1] = np.where(keep_left(x[a], x[b]), a, b)
+    return table
+
+
+def _range_query(x: np.ndarray, table: np.ndarray, lo: np.ndarray, length: np.ndarray,
+                 keep_left) -> np.ndarray:
+    """The pick of x[lo:lo + length] for every query (length >= 1), merged
+    from the two table ranges of length 2^floor(log2 length) that cover it."""
+    k = np.frexp(length)[1] - 1                  # floor(log2 length), exact
+    a, b = table[k, lo], table[k, lo + length - (1 << k)]
+    return np.where(keep_left(x[a], x[b]), a, b)
+
+
 def _best_window(phi_cover: np.ndarray, N: int) -> Optional[dict]:
-    """Exhaustive window scan: start k0, interior argmax i, two-sided depth.
+    """Best window start k0, interior argmax i, two-sided depth, all windows at once.
 
     For each window [k0, k0+N) of one period on the cover, the anchor is the
-    windowed argmax of the primitive; the score is the smaller of the deepest
-    excursions of (phi(anchor) - phi) strictly left and right of the anchor.
-    Returns the best window or None when no window has an interior anchor
-    with positive two-sided depth.
+    windowed first argmax of the primitive; the score is the smaller of the
+    deepest excursions of (phi(anchor) - phi) strictly left and right of the
+    anchor, min(M - min_left, M - min_right) with M = phi(anchor).  Every
+    window is answered from two sparse tables over the 2N cover (range
+    first-argmax and range min, O(N log N) to build, O(1) per query).
+    Rounding is monotone, so this depth equals the min over j of
+    fl(M - phi_j) bit for bit.  Anchors within two samples of a window end
+    and depths <= 1e-12 are skipped; the first window with the largest depth
+    wins.  Returns None when no window qualifies; ``B`` = phi - M is built
+    for the winner only.
     """
-    best = None
-    for k0 in range(N):
-        w = phi_cover[k0:k0 + N]
-        i = int(np.argmax(w))
-        if i < 2 or i > N - 3:
-            continue
-        B = w - w[i]
-        depth = min(float(np.max(-B[:i])), float(np.max(-B[i + 1:])))
-        if depth <= 1e-12:
-            continue
-        if best is None or depth > best["depth"]:
-            best = {"k0": k0, "i": i, "depth": depth, "B": B}
-    return best
+    top = int(N).bit_length() - 1                # the longest query spans N
+    k0 = np.arange(N)
+    anchor = _range_query(phi_cover, _range_picks(phi_cover, top, np.greater_equal),
+                          k0, np.full(N, N), np.greater_equal)
+    i = anchor - k0
+    interior = (i >= 2) & (i <= N - 3)
+    k0, anchor, i = k0[interior], anchor[interior], i[interior]
+    lows = _range_picks(phi_cover, top, np.less_equal)
+    low = lambda lo, length: phi_cover[_range_query(phi_cover, lows, lo, length,
+                                                    np.less_equal)]
+    M = phi_cover[anchor]
+    depth = np.minimum(M - low(k0, i), M - low(anchor + 1, N - 1 - i))
+    deep = np.flatnonzero(depth > 1e-12)
+    if not deep.size:
+        return None
+    w = deep[np.argmax(depth[deep])]
+    k, a = int(k0[w]), int(anchor[w])
+    return {"k0": k, "i": a - k, "depth": float(depth[w]),
+            "B": phi_cover[k:k + N] - phi_cover[a]}
 
 
 def _component(mask: np.ndarray, center: int) -> tuple[int, int]:
@@ -680,11 +738,13 @@ def _bump_levels(eigs: EigenSequence, js: np.ndarray, bumps, k0: int):
         u = sum over the bumps of g exp(lambda E),
         f = g' exp(lambda E) on each bump's bands, 0 elsewhere,
 
-    with g' the spectral derivative on the circle.  The exponent is forced to
-    0 wherever g == 0, so points outside a support can never overflow.  Off
-    the bands, and wherever every bump is flat (exactly 0 or 1), g' vanishes
-    to all orders; writing 0 there drops the spectral-derivative ringing that
-    would put a flat noise floor under sup|f|.  Rows are filled in chunks.
+    with g' the spectral derivative on the circle.  exp(lambda E) is taken
+    once per bump, on the union of its support (g > 0) and its bands, and
+    feeds both u and f; u is exactly 0 off the supports, so points outside
+    a support can never overflow.  Off the bands, and wherever every bump is
+    flat (exactly 0 or 1), g' vanishes to all orders; writing 0 there drops
+    the spectral-derivative ringing that would put a flat noise floor under
+    sup|f|.  Rows are filled in chunks.
     """
     gs = [np.roll(np.real(g.samples.samples), k0) for g, _, _ in bumps]
     N = len(gs[0])
@@ -692,19 +752,30 @@ def _bump_levels(eigs: EigenSequence, js: np.ndarray, bumps, k0: int):
     circ = []
     for g, (_, E, bands) in zip(gs, bumps):
         idx = (np.concatenate([np.arange(lo, hi + 1) for lo, hi in bands]) + k0) % N
-        circ.append((g, np.real(TorusFunction(g).derivative().samples),
-                     np.roll(E, k0), idx[~flat[idx]]))
+        idx = idx[~flat[idx]]
+        supp = np.flatnonzero(g > 0.0)
+        cols = np.union1d(supp, idx)
+        dg = np.real(TorusFunction(g).derivative().samples)
+        circ.append((g[supp], dg[idx], np.roll(E, k0)[cols], supp, idx,
+                     np.searchsorted(cols, supp), np.searchsorted(cols, idx)))
     lams = np.asarray(eigs.lambdas, dtype=np.float64)[js]
-    u = np.empty((len(js), N), dtype=np.complex128)
+    u = np.zeros((len(js), N), dtype=np.complex128)
     f = np.zeros_like(u)
     sup_u, sup_f = np.empty(len(js)), np.empty(len(js))
     for s in row_chunks(*u.shape):
-        for k, (g, dg, E, idx) in enumerate(circ):
-            expo = lams[s, None] * E
-            term = g * np.exp(np.where(g > 0.0, expo, 0.0))
-            u[s] = u[s] + term if k else term
+        for k, (g, dg, E, supp, idx, at_supp, at_idx) in enumerate(circ):
             with np.errstate(under="ignore"):
-                f[s, idx] = dg[idx] * np.exp(expo[:, idx])
+                e = np.exp(lams[s, None] * E)
+            term = g * e[:, at_supp]
+            if k:
+                # later bumps add on the whole row, so that off their
+                # support u + 0 turns a -0 into +0 as a full-grid sum does
+                full = np.zeros_like(u[s])
+                full[:, supp] = term
+                u[s] = u[s] + full
+            else:
+                u[s, supp] = term
+            f[s, idx] = dg * e[:, at_idx]
         sup_u[s], sup_f[s] = np.abs(u[s]).max(axis=1), np.abs(f[s]).max(axis=1)
     levels = [WitnessLevel(j=int(j), lam=float(lams[r]), sup_u=float(sup_u[r]),
                            sup_f=float(sup_f[r]), row=r,
@@ -731,11 +802,14 @@ def sign_change_witness(c: TorusFunction, eigs: EigenSequence, params=(1, Fracti
                         N: int = 1024, sigma: float = 2.0) -> WitnessBundle:
     """Witness for Im c changing sign.
 
-    Let Phi be the primitive of b = Im c on the covering line.  An exhaustive
-    window scan places one period (t0, t0 + 2pi] so that the windowed argmax
-    t* is interior with the deepest possible two-sided excursion ``depth`` of
-    B(t) = Phi(t) - Phi(t*) below zero; the certified margin is c* = depth/2
-    (the partition intervals are the level sets where the excursion exceeds c*).
+    Let Phi be the primitive of b = Im c on the covering line.  Among the N
+    grid-aligned periods (t0, t0 + 2pi], :func:`_best_window` picks the one
+    whose windowed first argmax t* is interior with the deepest two-sided
+    excursion ``depth`` of B(t) = Phi(t) - Phi(t*) below zero, the first
+    such window on a tie.  It scores every window at once from range-max
+    and range-min tables over the cover, and builds B for the winner only.
+    The certified margin is c* = depth/2 (the partition intervals are the
+    level sets where the excursion exceeds c*).
     With bumps g* (support [alpha*, beta*], flat on [gamma*, delta*] around
     t*) and psi* (flat on [alpha*, beta*], vanishing at the window ends),
 
@@ -743,9 +817,12 @@ def sign_change_witness(c: TorusFunction, eigs: EigenSequence, params=(1, Fracti
 
     where A is the analogously anchored primitive of Re c.  Then |u_j(t*)| = 1
     exactly, |u_j| <= 1, and f_j lives on the transition bands where B < -c*,
-    giving sup|f_j| <~ exp(-c* lambda_j).  Modes with negative lambda use the
-    mirrored window (argmin anchor); mixed-sign spectra are restricted to the
-    positive-lambda subsequence, as recorded in meta.
+    giving sup|f_j| <~ exp(-c* lambda_j).  Each level takes the exponential
+    once, on the support of g* and its bands, for both u_j and f_j.  Modes
+    with negative lambda use the mirrored window (argmin anchor); mixed-sign
+    spectra are restricted to the positive-lambda subsequence, as recorded
+    in meta.  A level that misses the residual budget ``TOL_RESIDUAL`` on
+    the N-point grid raises :class:`WitnessBudgetMiss`.
     """
     _, mu = params
     cc = c.resample(N)

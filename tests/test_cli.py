@@ -1,6 +1,7 @@
 """Command-line front end: config parsing, orchestration, file outputs.
 
-Exit-code contract: 0 ok, 1 config error, 2 resonance, 3 degenerate data.
+Exit-code contract: 0 ok, 1 config error or failed witness construction,
+2 resonance, 3 degenerate data.
 The solver amplitude oracle is undetermined coefficients: for c = 1/2 and
 f_5 = e^{it} on the odd spectrum, u_5 = e^{it} / (i (1 + lambda_5/2)) with
 lambda_5 = 11, so sup|u_5| = 1/6.5.
@@ -401,6 +402,35 @@ def test_witness_on_gh_operator_exits_1(tmp_path, capsys):
     code = main(["witness", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 1
     assert "GH" in capsys.readouterr().err
+
+
+def test_witness_budget_miss_is_reported_not_raised(tmp_path, capsys):
+    # at the default witness_n = 1024 the sin 4t witness misses 1e-7 (4.9e-7)
+    cfg = write_config(tmp_path, c="1/2 + i sin 4t", j_modes=64)
+    out = tmp_path / "classify"
+    assert main(["classify", "--witness", "--config", cfg, "--out", str(out)]) == 0
+    assert read_json(out, "verdict.json")["decision"] == "notGH"
+    plan = read_json(out, "witness_plan.json")
+    assert plan["plan"]["kind"] == "sign-change"
+    assert "residual budget at N = 1024" in plan["reason"]
+    assert not (out / "manifest.json").exists()
+    assert "warning: witness not emitted" in capsys.readouterr().err
+    assert main(["witness", "--config", cfg, "--out", str(tmp_path / "w")]) == 1
+    assert "witness construction failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["solve", "classify", "diophantine"])
+@pytest.mark.parametrize("model", [
+    {"kind": "harmonic1d_power 400"},
+    {"kind": "table", "values": [1, 2, 3, 4, 5, 6, 7, 10**400]},
+], ids=["power-400", "table-1e400"])
+def test_eigenvalues_beyond_the_float_range_exit_1(tmp_path, capsys, cmd, model):
+    cfg = write_config(tmp_path, c="1/2", f={"1": "exp(it)"}, kappa="1/3",
+                       j_modes=8, model=model)
+    assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "model: " in err and "float range" in err
+    assert "Traceback" not in err
 
 
 # --------------------------------------------------------------------------- #

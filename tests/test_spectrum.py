@@ -95,6 +95,25 @@ def test_integer_table_order_is_checked_exactly():
         build_eigensequence("harmonic1d", 0)
 
 
+@pytest.mark.parametrize("kind, values", [
+    ("harmonic1d_power 400", None),                       # 15^400 > 1.8e308
+    ("table", [1, 2, 3, 4, 5, 6, 7, 10**400]),
+    ("table", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, math.inf]),
+    ("table", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, math.nan]),
+])
+def test_eigenvalues_beyond_the_float_range_are_refused(kind, values):
+    with pytest.raises(ValueError, match="float range"):
+        build_eigensequence(kind, 8, values=values)
+    # the largest power that still fits is built
+    assert build_eigensequence("harmonic1d_power 262", 8).lambdas[-1] == 15.0 ** 262
+
+
+def test_huge_power_is_refused_before_its_integers_are_built():
+    # lambda_7 = 15^k >= 2^(3k): refused from the exponent alone
+    with pytest.raises(ValueError, match=r"harmonic1d_power 1000000: lambda_7 = 15\^1000000"):
+        build_eigensequence("harmonic1d_power 1000000", 8)
+
+
 def test_eigensequence_csv_roundtrip():
     e = build_eigensequence("harmonic1d", 10)
     text = e.to_csv()

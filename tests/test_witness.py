@@ -12,12 +12,16 @@ from hypotorus.diophantine import classify_rational, construct_liouville
 from hypotorus.modes import apply_mode, operator_residuals
 from hypotorus.spectrum import build_eigensequence
 from hypotorus.torusfn import TorusFunction, grid
+import hypotorus.witness as witness_mod
 from hypotorus.witness import (
+    _best_window,
     _resonant_modes,
     GevreyBump,
     NoCertificate,
     PartitionNotFound,
     PatternNotFound,
+    TOL_RESIDUAL,
+    WitnessBudgetMiss,
     WitnessBundle,
     constant_witness,
     gevrey_bump,
@@ -430,6 +434,19 @@ def test_sign_change_grid_too_small_for_spectrum():
         sign_change_witness(c_sin(128), eigs, (1, Fraction(1, 2)), N=128)
 
 
+def test_sign_change_budget_miss_is_typed():
+    # sin 4t: the bump's transition bands narrow with k, and at N = 1024 the
+    # top levels miss the residual budget
+    c = TorusFunction(0.5 + 1j * np.sin(4.0 * grid(1024)))
+    with pytest.raises(WitnessBudgetMiss) as err:
+        sign_change_witness(c, build_eigensequence("harmonic1d", 64), N=1024)
+    miss = err.value
+    assert isinstance(miss, RuntimeError)
+    assert (miss.kind, miss.tol, miss.N) == ("sign-change", TOL_RESIDUAL, 1024)
+    assert TOL_RESIDUAL < miss.max_residual < 1e-5
+    assert f"{miss.max_residual:.3e}" in str(miss)
+
+
 @given(amp=st.floats(min_value=0.5, max_value=2.0))
 @settings(max_examples=8, deadline=None)
 def test_sign_change_margin_scales_with_amplitude(amp):
@@ -439,6 +456,138 @@ def test_sign_change_margin_scales_with_amplitude(amp):
     b = sign_change_witness(c, eigs, (1, Fraction(1, 2)), N=512)
     assert abs(b.meta["depth"] - 2.0 * amp) < 1e-2 * amp
     assert b.verify()["ok"]
+
+
+# --------------------------------------------------------------------------- #
+# window search and bump levels against their direct formulas
+# --------------------------------------------------------------------------- #
+
+def _scan_windows(phi_cover, N):
+    """Oracle for _best_window: the exhaustive scan, one window at a time."""
+    best = None
+    for k0 in range(N):
+        w = phi_cover[k0:k0 + N]
+        i = int(np.argmax(w))
+        if i < 2 or i > N - 3:
+            continue
+        B = w - w[i]
+        depth = min(float(np.max(-B[:i])), float(np.max(-B[i + 1:])))
+        if depth <= 1e-12:
+            continue
+        if best is None or depth > best["depth"]:
+            best = {"k0": k0, "i": i, "depth": depth, "B": B}
+    return best
+
+
+def _cover(kind, N, rng):
+    """A 2N-point cover input of the given family."""
+    if kind == "walk":
+        return np.cumsum(rng.standard_normal(2 * N))
+    if kind == "trig":       # a sampled primitive with drift, as the witness builds it
+        t = 2.0 * np.pi * np.arange(N) / N
+        P = sum(rng.standard_normal() * np.sin(k * t + rng.uniform(0, 2 * np.pi))
+                for k in range(1, 4))
+        return witness_mod._window_primitive(rng.uniform(-0.5, 0.5), P - P[0], 0, 2 * N)
+    if kind == "ties":       # coarse levels: many tied maxima and minima
+        return np.round(np.cumsum(rng.integers(-2, 3, 2 * N)) / 4.0, 1)
+    return np.cumsum(rng.random(2 * N))          # monotone: every argmax at a window end
+
+
+@given(N=st.integers(8, 256), side=st.sampled_from([1, -1]),
+       kind=st.sampled_from(["walk", "trig", "ties", "monotone"]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_best_window_equals_the_exhaustive_scan(N, side, kind, seed):
+    phi = side * _cover(kind, N, np.random.default_rng(seed))
+    got, want = _best_window(phi, N), _scan_windows(phi, N)
+    if want is None:
+        assert got is None
+        return
+    assert (got["k0"], got["i"], got["depth"]) == (want["k0"], want["i"], want["depth"])
+    assert got["B"].tobytes() == want["B"].tobytes()
+
+
+def test_best_window_keeps_the_first_of_tied_windows():
+    # period 16 repeated: every shift of the same well ties, the first wins
+    N = 16
+    period = np.array([0, -1, -3, -1, 0, 2, 5, 2, 0, -2, -4, -2, 0, 1, 1, 0], float)
+    phi = np.tile(period, 2)
+    got, want = _best_window(phi, N), _scan_windows(phi, N)
+    assert (got["k0"], got["i"], got["depth"]) == (want["k0"], want["i"], want["depth"])
+    assert (got["k0"], got["depth"]) == (0, 8.0)
+    assert _best_window(np.arange(2.0 * N), N) is None
+
+
+def _full_grid_bump_levels(eigs, js, bumps, k0):
+    """Oracle for _bump_levels' u and f: exp(lambda E) on the whole grid for u
+    and again on the band columns for f."""
+    gs = [np.roll(np.real(g.samples.samples), k0) for g, _, _ in bumps]
+    N = len(gs[0])
+    flat = np.logical_and.reduce([(g == 0.0) | (g == 1.0) for g in gs])
+    lams = np.asarray(eigs.lambdas, dtype=np.float64)[js]
+    u = np.empty((len(js), N), dtype=np.complex128)
+    f = np.zeros_like(u)
+    for k, (g, (_, E, bands)) in enumerate(zip(gs, bumps)):
+        idx = (np.concatenate([np.arange(lo, hi + 1) for lo, hi in bands]) + k0) % N
+        idx = idx[~flat[idx]]
+        dg = np.real(TorusFunction(g).derivative().samples)
+        expo = lams[:, None] * np.roll(E, k0)
+        term = g * np.exp(np.where(g > 0.0, expo, 0.0))
+        u = u + term if k else term
+        with np.errstate(under="ignore"):
+            f[:, idx] = dg[idx] * np.exp(expo[:, idx])
+    return u, f
+
+
+def _levels_input(two: bool):
+    """(eigs, js, bumps, k0) for _bump_levels on a 256-grid: one bump, or two
+    bumps summed across a shared transition band as the plateau witness
+    does.  The exponents reach -2000 at the top level, so exp underflows to
+    signed zeros on part of every support."""
+    N, k0 = 256, 37
+    tau = 2.0 * np.pi * np.arange(N) / N
+    E = -15.0 * (1.0 - np.cos(tau)) - 1j * np.sin(3.0 * tau)
+    eigs = build_eigensequence("harmonic1d", 64)
+    js = np.arange(0, 64, 3)
+    if not two:
+        g = gevrey_bump(2.0, (tau[20], tau[230]), (tau[60], tau[200]), N)
+        return eigs, js, [(g, E, [(20, 60), (200, 230)])], k0
+    g0 = gevrey_bump(2.0, (tau[20], tau[140]), (tau[60], tau[120]), N)
+    g1 = gevrey_bump(2.0, (tau[120], tau[230]), (tau[140], tau[200]), N)
+    return eigs, js, [(g0, E, [(20, 60)]), (g1, 0.5 * E, [(200, 230)])], k0
+
+
+@pytest.mark.parametrize("two", [False, True], ids=["one-bump", "two-bumps"])
+def test_bump_levels_match_the_full_grid_formula_bit_for_bit(two):
+    args = _levels_input(two)
+    levels, u, f = witness_mod._bump_levels(*args)
+    u_ref, f_ref = _full_grid_bump_levels(*args)
+    assert np.signbit(u_ref.view(np.float64)).any()      # the signed zeros are there
+    assert u.tobytes() == u_ref.tobytes()
+    assert f.tobytes() == f_ref.tobytes()
+    assert [lv.sup_u for lv in levels] == np.abs(u_ref).max(axis=1).tolist()
+    assert [lv.sup_f for lv in levels] == np.abs(f_ref).max(axis=1).tolist()
+
+
+@pytest.mark.parametrize("kind", ["sign-change", "plateau"])
+def test_witness_bump_levels_match_the_full_grid_formula(kind, monkeypatch):
+    seen = []
+
+    def recording(*args):
+        seen.append(args)
+        return real(*args)
+
+    real = witness_mod._bump_levels
+    monkeypatch.setattr(witness_mod, "_bump_levels", recording)
+    if kind == "sign-change":
+        b = sign_change_witness(c_sin(a0=0.5), build_eigensequence("harmonic1d", 48), N=1024)
+    else:
+        c, iv = plateau_coefficient(amp=1.0)
+        b = plateau_witness(c, iv, build_eigensequence("harmonic1d", 48), N=1024)
+    (args,) = seen
+    u, f = _full_grid_bump_levels(*args)
+    assert b.u.tobytes() == u.tobytes()
+    assert b.f.tobytes() == f.tobytes()
 
 
 # --------------------------------------------------------------------------- #

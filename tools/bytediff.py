@@ -9,8 +9,11 @@ every cookbook config, the ops of the three benchmark workloads for seeds 1
 and 101 (CHANGE_TREE/perfbench/workloads.py), seven extra solve configs, a
 decay of the notgh solve's field, eight diophantine tables (every integer
 eigenvalue kind, a negative kappa, a denominator near 2^60, a decimal, a
-float-valued table and an integer table beyond 2^64)
-and one witness per constructor, plus a constant one at denominator 20001.
+float-valued table and an integer table beyond 2^64), one witness per
+constructor, a constant one at denominator 20001, and four more sign-change
+witnesses: the mirrored window of a negative table, a drifting Im c, two
+harmonics, and 1/2 + i sin 4t at the default witness_n, which misses its
+residual budget and exits 1.
 Three extras read CSVs the tool writes, so every CSV reader of the CLI
 (decay input, f_file, c_file) runs.
 Prints every file and exit code that differs; exits 1 if any does.
@@ -41,12 +44,24 @@ EXTRA = {   # solve configs; notgh: Im c changes sign, collocation misses its bu
     "chunks-banded": {"c": "i(1 - cos t)", "grid_n": 512, "j_modes": 300,
                       "f": {str(j): "exp(it)" for j in range(300)}},
 }
-WITNESS = {  # one witness call per constructor; sign-change runs in the benchmark ops
+WITNESS = {  # one witness call per constructor; sign-change also runs in the benchmark ops
     "constant": {"c": "1/3", "witness_kind": "constant", "witness_n": 8, "j_modes": 16},
     "constant-q20001": {"c": "1/20001", "witness_kind": "constant", "j_modes": 16},
     "L0": {"c": "3/10 cos t", "witness_kind": "L0", "construct_levels": 3, "j_modes": 40},
     "plateau": {"c_file": "extra/c_plateau.csv", "witness_kind": "plateau",
                 "intervals": [1.5, 3.5], "witness_n": 1024, "j_modes": 16},
+    # sign-change windows beyond the benchmark's b sin kt: the mirrored
+    # (argmin) window of a negative table, a drifting primitive, two
+    # harmonics, and a witness that misses its residual budget (exit 1)
+    "sign-change-mirrored": {"c": "1/2 + i sin 2t", "witness_kind": "sign-change",
+                             "witness_n": 2048, "j_modes": 32,
+                             "model": {"kind": "table",
+                                       "values": [-(2 * j + 1) for j in range(32)]}},
+    "sign-change-drift": {"c": "1/4 + i(1/5 + sin t)", "witness_kind": "sign-change",
+                          "witness_n": 2048, "j_modes": 64},
+    "sign-change-two-harmonics": {"c": "1/4 + i(sin t - 1/3 sin 2t)",
+                                  "witness_kind": "sign-change"},
+    "sign-change-miss": {"c": "1/2 + i sin 4t", "j_modes": 64},
 }
 
 DIOPHANTINE = {  # exact tables on every integer kind, and the float table
