@@ -22,122 +22,31 @@ Layout
 ``formulas``     exact trigonometric-polynomial parsing for config files
 ``jsonio``       the JSON encoding of every artifact
 ``csvio``        the CSV format of every table artifact
+``errors``       the error classes and the exit code each carries
 ``cli``          the ``hypotorus`` command-line entry point
 """
 
-from .classify import (
-    BRANCH_DIOPHANTINE,
-    BRANCH_NONREAL,
-    BRANCH_RESONANCE,
-    BRANCH_SIGN,
-    BRANCH_SIGN_CHANGE,
-    Verdict,
-    WitnessPlan,
-    classify,
-    classify_constant,
-)
-from .diagnostics import (
-    DecayFit,
-    GSParams,
-    PMTable,
-    fit_decay,
-    lemma25_check,
-    pm_seminorms,
-    x_seminorms,
-)
-from .diophantine import (
-    DistanceSequence,
-    LiouvilleCertificate,
-    RationalVerdict,
-    classify_rational,
-    construct_liouville,
-    dist_to_int,
-    dist_to_int_exact,
-    distance_sequence,
-    divisor_sandwich,
-    liouville_fit,
-)
+import types
+
+from .classify import (BRANCH_DIOPHANTINE, BRANCH_NONREAL, BRANCH_RESONANCE, BRANCH_SIGN,
+                       BRANCH_SIGN_CHANGE, Verdict, WitnessPlan, classify, classify_constant)
+from .diagnostics import (DecayFit, GSParams, PMTable, fit_decay, lemma25_check, pm_seminorms,
+                          x_seminorms)
+from .diophantine import (DistanceSequence, LiouvilleCertificate, RationalVerdict,
+                          classify_rational, construct_liouville, dist_to_int,
+                          dist_to_int_exact, distance_sequence, divisor_sandwich, liouville_fit)
+from .errors import ConfigError, HypotorusError
 from .formulas import FormulaError, TrigPolynomial, parse_formula
-from .modes import (
-    AllModesResonant,
-    DivisorReport,
-    ModeField,
-    apply_mode,
-    apply_operator,
-    solve_field,
-    solve_mode,
-)
+from .modes import (AllModesResonant, DivisorReport, ModeField, apply_mode, apply_operator,
+                    solve_field, solve_mode)
 from .spectrum import EigenSequence, HermiteBasis, build_eigensequence
 from .torusfn import MeanDecomposition, TorusFunction, grid
-from .witness import (
-    GevreyBump,
-    NoCertificate,
-    WitnessBundle,
-    L0_reduction_witness,
-    constant_witness,
-    plateau_witness,
-    sign_change_witness,
-)
+from .witness import (GevreyBump, NoCertificate, WitnessBundle, L0_reduction_witness,
+                      constant_witness, plateau_witness, sign_change_witness)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    # periodic functions
-    "TorusFunction",
-    "MeanDecomposition",
-    "grid",
-    # spectra
-    "EigenSequence",
-    "HermiteBasis",
-    "build_eigensequence",
-    # solver
-    "ModeField",
-    "DivisorReport",
-    "AllModesResonant",
-    "solve_mode",
-    "solve_field",
-    "apply_mode",
-    "apply_operator",
-    # arithmetic of divisors
-    "dist_to_int",
-    "dist_to_int_exact",
-    "divisor_sandwich",
-    "DistanceSequence",
-    "distance_sequence",
-    "liouville_fit",
-    "RationalVerdict",
-    "classify_rational",
-    "LiouvilleCertificate",
-    "construct_liouville",
-    # decision procedure
-    "Verdict",
-    "WitnessPlan",
-    "classify",
-    "classify_constant",
-    "BRANCH_SIGN",
-    "BRANCH_SIGN_CHANGE",
-    "BRANCH_RESONANCE",
-    "BRANCH_DIOPHANTINE",
-    "BRANCH_NONREAL",
-    # witnesses
-    "WitnessBundle",
-    "GevreyBump",
-    "NoCertificate",
-    "constant_witness",
-    "sign_change_witness",
-    "plateau_witness",
-    "L0_reduction_witness",
-    # diagnostics
-    "GSParams",
-    "DecayFit",
-    "PMTable",
-    "fit_decay",
-    "pm_seminorms",
-    "x_seminorms",
-    "lemma25_check",
-    # formula parsing
-    "TrigPolynomial",
-    "FormulaError",
-    "parse_formula",
-    "__version__",
-]
+# every name imported above
+__all__ = ["__version__"] + sorted(
+    name for name, obj in globals().items()
+    if not (name.startswith("_") or isinstance(obj, types.ModuleType)))

@@ -33,6 +33,7 @@ from typing import List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from .errors import HypotorusError
 from .torusfn import TorusFunction
 from .spectrum import EigenSequence
 from .diophantine import (
@@ -78,7 +79,7 @@ _BRANCHES_NOTGH = frozenset({BRANCH_SIGN_CHANGE, BRANCH_RESONANCE, BRANCH_DIOPHA
 _FORMULA_KINDS = ("harmonic1d", "harmonic1d_power", "harmonic_nd")
 
 
-class NonRealInput(ValueError):
+class NonRealInput(HypotorusError, ValueError):
     """Sign analysis was asked of a function with a genuine imaginary part."""
 
 

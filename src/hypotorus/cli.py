@@ -10,19 +10,26 @@ Subcommands
 Everything is driven by one JSON config (see :class:`ExperimentConfig`);
 command-line flags override individual fields.  Outputs are UTF-8 CSV with
 a header row and '.' decimals, plus JSON reports with sorted keys -- the
-same config bytes always produce the same output bytes.  Exit codes:
-0 ok, 1 config error or failed witness construction (a witness that misses
-its residual budget included), 2 resonance, 3 degenerate data.
-``classify --witness`` exits 0 when its witness is unavailable or misses its
-budget: it warns and writes the reason to witness_plan.json.
+same config bytes always produce the same output bytes.
+
+Exit codes (README.md tabulates them by class): 0 ok, else the
+``exit_code`` of the :class:`~hypotorus.errors.HypotorusError` that stopped
+the run -- 1 config error (an array over :data:`MAX_ARRAY_BYTES` included),
+unavailable or failed witness, or certificate level overflow; 2 resonance;
+3 degenerate data.  An output path the OS refuses exits 1; any other
+exception is a bug and shows its traceback.  ``classify --witness`` exits 0
+when its witness is unavailable or misses its budget: it warns and writes
+the reason to witness_plan.json.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
-import math
+import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -31,30 +38,35 @@ import numpy as np
 
 from . import csvio, jsonio
 from .classify import Verdict, classify, classify_constant
-from .diagnostics import DegenerateData, GSParams, fit_decay, pm_seminorms
+from .diagnostics import GSParams, fit_decay, pm_seminorms
 from .diophantine import (classify_rational, construct_liouville,
                           distance_sequence, liouville_fit)
-from .formulas import FormulaError, TrigPolynomial, parse_formula
+from .errors import ConfigError, HypotorusError
+from .formulas import parse_formula, parse_rational, parse_real
 from .modes import AllModesResonant, ModeField, solve_field
 from .spectrum import EigenSequence, build_eigensequence
 from .torusfn import TorusFunction, grid
-from .witness import (L0_reduction_witness, NoCertificate, PartitionNotFound,
-                      PatternNotFound, WitnessBudgetMiss, WitnessBundle,
+from .witness import (L0_reduction_witness, WitnessBudgetMiss, WitnessBundle,
                       constant_witness, plateau_witness, sign_change_witness)
 
-__all__ = ["ConfigError", "ExperimentConfig", "WitnessUnavailable", "main"]
+__all__ = ["ConfigError", "ExperimentConfig", "MAX_ARRAY_BYTES", "WitnessUnavailable",
+           "main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RESONANCE = 2
-EXIT_DEGENERATE = 3
+
+#: Ceiling in bytes on a run's largest array, as ExperimentConfig.array_bytes
+#: estimates it (decay: the input field times its k_max + 1 derivatives); a
+#: config above it is refused before anything is built.  The benchmark's
+#: largest is a 64 MiB (512, 8192) witness store.  Peak memory is a few times
+#: the largest array: ~5x for a solve, whose collocation copies the field.
+MAX_ARRAY_BYTES = 1 << 27
+_MODE_BYTES = 512    # per mode across the per-mode tables (diophantine measures ~500)
+_CELL_BYTES = 16     # one complex sample
 
 
-class ConfigError(ValueError):
-    """The configuration (file or flags) cannot drive the requested command."""
-
-
-class WitnessUnavailable(RuntimeError):
+class WitnessUnavailable(HypotorusError, RuntimeError):
     """The verdict's witness plan has no packaged executable constructor."""
 
 
@@ -82,6 +94,8 @@ _DEFAULTS = {
     "witness_kind": "auto",
     "witness_n": None,
 }
+# integer keys and their least values (construct_levels and witness_n may be null)
+_INT_KEYS = (("grid_n", 4), ("j_modes", 1), ("k_max", 0), ("construct_levels", 1), ("witness_n", 4))
 _WITNESS_KINDS = ("auto", "constant", "sign-change", "plateau", "L0")
 _MODEL_KINDS = ("harmonic1d", "harmonic1d_power", "harmonic_nd", "table")
 
@@ -99,28 +113,32 @@ def _as_int(v, name: str, lo: int = None) -> int:
     return v
 
 
-def _norm_number_string(v, name: str) -> str:
-    """Accept a number or string, keep it as its exact string spelling."""
-    if isinstance(v, bool):
-        raise ConfigError(f"{name} must be a number or string, got {v!r}")
-    if isinstance(v, (int, float)):
-        return repr(v) if isinstance(v, float) else str(v)
-    _need(isinstance(v, str) and v.strip() != "", f"{name} must be a number or string")
-    return v.strip()
+def _json_int(s: str) -> int:     # int() refuses more than 4300 digits
+    _need(len(s) <= 4000, f"config holds an integer of {len(s)} digits")
+    return int(s)
 
 
-def _parse_kappa(s: str):
-    """'p/q' and integer strings are exact Fractions; decimals are floats."""
+def _is_real(x) -> bool:
+    """x is an int or float within the float range (so not NaN or inf)."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
+def _section(d: dict, name: str, defaults: dict) -> dict:
+    """The config's ``name`` object, checked for unknown keys, with defaults."""
+    _need(isinstance(d[name], dict), f"{name} must be an object")
+    bad = set(d[name]) - set(defaults)
+    _need(not bad, f"unknown {name} keys: {sorted(bad)}")
+    return {**defaults, **d[name]}
+
+
+@contextmanager
+def _context(what: str):
+    """Prefix ``what`` to the message of a ConfigError raised inside."""
     try:
-        if "/" in s:
-            return Fraction(s)
-        return Fraction(int(s))
-    except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        raise ConfigError(f"kappa {s!r} is neither a rational p/q nor a number")
+        yield
+    except ConfigError as e:
+        raise ConfigError(f"{what}: {e}") from None
 
 
 class ExperimentConfig:
@@ -139,7 +157,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, parse_int=_json_int)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from None
         _need(isinstance(obj, dict), "config top level must be a JSON object")
@@ -149,7 +167,7 @@ class ExperimentConfig:
     def from_file(cls, path: str) -> "ExperimentConfig":
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as e:
+        except (OSError, UnicodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from None
         return cls.from_json(text)
 
@@ -165,51 +183,36 @@ class ExperimentConfig:
         _need(not unknown, f"unknown config keys: {sorted(unknown)}")
         d = {**_DEFAULTS, **data}
 
-        model = d["model"]
-        _need(isinstance(model, dict), "model must be an object")
-        bad = set(model) - set(_MODEL_DEFAULTS)
-        _need(not bad, f"unknown model keys: {sorted(bad)}")
-        model = {**_MODEL_DEFAULTS, **model}
+        model = d["model"] = _section(d, "model", _MODEL_DEFAULTS)
         kind_ok = (isinstance(model["kind"], str) and model["kind"].strip()
                    and model["kind"].split()[0] in _MODEL_KINDS)
         _need(kind_ok,
               f"model.kind must be one of {_MODEL_KINDS} (got {model['kind']!r})")
-        _as_int(model["m"], "model.m", 1)
-        _as_int(model["n"], "model.n", 1)
         if model["values"] is not None:
             _need(isinstance(model["values"], list)
                   and all(isinstance(x, (int, float)) and not isinstance(x, bool)
                           for x in model["values"]),
                   "model.values must be a list of numbers")
-        d["model"] = model
 
-        params = d["params"]
-        _need(isinstance(params, dict), "params must be an object")
-        bad = set(params) - set(_PARAM_DEFAULTS)
-        _need(not bad, f"unknown params keys: {sorted(bad)}")
-        params = {**_PARAM_DEFAULTS, **params}
-        try:
-            mu = Fraction(params["mu"])
-        except (ValueError, TypeError, ZeroDivisionError):
-            raise ConfigError(f"params.mu {params['mu']!r} is not a rational") from None
+        params = d["params"] = _section(d, "params", _PARAM_DEFAULTS)
+        with _context("params.mu"):
+            mu = parse_rational(params["mu"])
         _need(mu >= Fraction(1, 2), f"params.mu must be >= 1/2, got {mu}")
         params["mu"] = str(mu)
         sigma = params["sigma"]
-        _need(isinstance(sigma, (int, float)) and not isinstance(sigma, bool)
-              and math.isfinite(float(sigma)) and float(sigma) > 1.0,
+        _need(_is_real(sigma) and sigma > 1,
               f"params.sigma must be a finite number > 1, got {sigma!r}")
         params["sigma"] = float(sigma)
-        _as_int(params["m"], "params.m", 1)
-        _as_int(params["n"], "params.n", 1)
-        d["params"] = params
-
-        _as_int(d["grid_n"], "grid_n", 4)
-        _as_int(d["j_modes"], "j_modes", 1)
-        _as_int(d["k_max"], "k_max", 0)
-        if d["construct_levels"] is not None:
-            _as_int(d["construct_levels"], "construct_levels", 1)
-        if d["witness_n"] is not None:
-            _as_int(d["witness_n"], "witness_n", 4)
+        for key in ("m", "n"):
+            _as_int(model[key], f"model.{key}", 1)
+            _as_int(params[key], f"params.{key}", 1)
+        for key, lo in _INT_KEYS:
+            if d[key] is not None or key not in ("construct_levels", "witness_n"):
+                _as_int(d[key], key, lo)
+                _need(key not in ("grid_n", "witness_n") or d[key] & (d[key] - 1) == 0,
+                      f"{key} must be a power of two, got {d[key]}")
+        for n in (params["n"], model["n"]):     # the exponents 1/(2 n mu) as doubles
+            _need(2 * n * mu < 2**1000, f"2 n mu must stay below 2^1000, got n = {n}, mu = {mu}")
         _need(isinstance(d["witness"], bool), "witness must be true/false")
         _need(d["witness_kind"] in _WITNESS_KINDS,
               f"witness_kind must be one of {_WITNESS_KINDS}")
@@ -218,51 +221,43 @@ class ExperimentConfig:
             if d[key] is not None:
                 _need(isinstance(d[key], str), f"{key} must be a string")
         if d["c"] is not None:
-            try:
+            with _context("coefficient formula"):
                 parse_formula(d["c"])
-            except FormulaError as e:
-                raise ConfigError(f"coefficient formula: {e}") from None
 
         if d["f"] is not None:
             _need(isinstance(d["f"], dict), "f must map mode index to formula")
             norm_f = {}
             for k, v in d["f"].items():
-                try:
-                    j = int(k)
-                except (TypeError, ValueError):
-                    raise ConfigError(f"f key {k!r} is not a mode index") from None
+                _need(re.fullmatch(r"\s*[+-]?\d+\s*", k) is not None,
+                      f"f key {k!r} is not a mode index")
+                j = int(k)
                 _need(j >= 0, f"f mode index must be >= 0, got {j}")
                 _need(isinstance(v, str), f"f[{j}] must be a formula string")
-                try:
+                with _context(f"f[{j}]"):
                     parse_formula(v)
-                except FormulaError as e:
-                    raise ConfigError(f"f[{j}]: {e}") from None
                 norm_f[str(j)] = v
             d["f"] = norm_f
 
         if d["intervals"] is not None:
             iv = d["intervals"]
-            _need(isinstance(iv, list) and len(iv) == 2
-                  and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                          for x in iv),
-                  "intervals must be [t0, t1]")
+            _need(isinstance(iv, list) and len(iv) == 2 and all(map(_is_real, iv)),
+                  "intervals must be [t0, t1] with finite t0, t1")
             d["intervals"] = [float(iv[0]), float(iv[1])]
 
-        if d["kappa"] is not None:
-            d["kappa"] = _norm_number_string(d["kappa"], "kappa")
-            _parse_kappa(d["kappa"])
+        if d["kappa"] is not None:      # kept as its exact string spelling
+            v = d["kappa"]
+            _need(isinstance(v, (int, float, str)) and not isinstance(v, bool) and str(v).strip(),
+                  f"kappa must be a number or string, got {v!r}")
+            d["kappa"] = repr(v) if isinstance(v, float) else str(v).strip()
+            with _context("kappa"):
+                kappa = parse_real(d["kappa"])
+            _need(abs(kappa) <= sys.float_info.max,
+                  f"kappa must be finite and within the float range, got {d['kappa']!r}")
         return d
 
     # -- views ----------------------------------------------------------------#
     def as_dict(self) -> dict:
-        out = dict(self._d)
-        out["model"] = dict(self._d["model"])
-        out["params"] = dict(self._d["params"])
-        if self._d["f"] is not None:
-            out["f"] = dict(self._d["f"])
-        if self._d["intervals"] is not None:
-            out["intervals"] = list(self._d["intervals"])
-        return out
+        return copy.deepcopy(self._d)
 
     def canonical_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True,
@@ -272,13 +267,24 @@ class ExperimentConfig:
         return self._d[key]
 
     # -- builders ---------------------------------------------------------------#
+    def array_bytes(self, command: str) -> int:
+        """Estimated bytes of the largest array ``command`` builds: a per-mode
+        table, the sampled c, the solved field (solve) or the (levels, N)
+        witness store, with at most max(J, 4) levels and N = 1024 (the
+        largest constructor default) when ``witness_n`` is unset."""
+        J, N = self._d["j_modes"], self._d["grid_n"]
+        sizes = [_MODE_BYTES * J, _CELL_BYTES * N]
+        if command == "solve":
+            sizes.append(_CELL_BYTES * J * N)
+        if command == "witness" or (command == "classify" and self._d["witness"]):
+            sizes.append(_CELL_BYTES * max(J, 4) * (self._d["witness_n"] or 1024))
+        return max(sizes)
+
     def eigensequence(self) -> EigenSequence:
         m = self._d["model"]
-        try:
+        with _context("model"):
             return build_eigensequence(m["kind"], self._d["j_modes"],
                                        values=m["values"], m=m["m"], n=m["n"])
-        except ValueError as e:
-            raise ConfigError(f"model: {e}") from None
 
     def params_tuple(self):
         p = self._d["params"]
@@ -293,24 +299,21 @@ class ExperimentConfig:
         """(TorusFunction, TrigPolynomial | None); the poly when c is a formula."""
         path = self._d["c_file"]
         if path is not None:
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    return TorusFunction.from_sample_csv(fh), None
-            except (OSError, ValueError) as e:
-                raise ConfigError(f"c_file {path}: {e}") from None
+            with _open_text(path, f"c_file {path}") as fh, _context(f"c_file {path}"):
+                c = TorusFunction.from_sample_csv(fh)
+            _need(np.isfinite(c.samples).all(), f"c_file {path}: samples must be finite")
+            return c, None
         _need(self._d["c"] is not None,
               "a coefficient is required: set 'c' (formula) or 'c_file' (samples)")
         poly = parse_formula(self._d["c"])
-        try:
-            return poly.to_torus_function(self._d["grid_n"]), poly
-        except ValueError as e:
-            raise ConfigError(f"coefficient synthesis: {e}") from None
+        return poly.to_torus_function(self._d["grid_n"]), poly
 
     def forcing(self, eigs: EigenSequence) -> ModeField:
         if self._d["f_file"] is not None:
             with _open_text(self._d["f_file"], "f_file") as fh:
-                return ModeField.from_csv(fh, eigs, J=self._d["j_modes"])
-        _need(self._d["f"] is not None,
+                return ModeField.from_csv(fh, eigs, J=self._d["j_modes"],
+                                          max_bytes=MAX_ARRAY_BYTES)
+        _need(bool(self._d["f"]),
               "solve needs a forcing term: provide 'f' (mode->formula map) "
               "or 'f_file' (mode-field CSV)")
         J, N = self._d["j_modes"], self._d["grid_n"]
@@ -322,7 +325,7 @@ class ExperimentConfig:
         return ModeField(entries, eigs)
 
     def kappa_value(self):
-        return None if self._d["kappa"] is None else _parse_kappa(self._d["kappa"])
+        return None if self._d["kappa"] is None else parse_real(self._d["kappa"])
 
 
 # --------------------------------------------------------------------------- #
@@ -330,9 +333,9 @@ class ExperimentConfig:
 # --------------------------------------------------------------------------- #
 
 def _open_text(path, what: str):
-    """``path`` opened as UTF-8 text for a reader that takes a handle."""
+    """``path`` as UTF-8 text; a non-UTF-8 byte reads as U+FFFD, which no CSV field takes."""
     try:
-        return open(path, encoding="utf-8")
+        return open(path, encoding="utf-8", errors="replace")
     except OSError as e:
         raise ConfigError(f"cannot read {what}: {e}") from None
 
@@ -389,23 +392,31 @@ def _classify(cfg: ExperimentConfig) -> tuple:
     return verdict, c_fn, poly, eigs
 
 
+def _build_witness(cfg: ExperimentConfig, kind: str, eigs: EigenSequence,
+                   c_fn: TorusFunction, detail: dict) -> WitnessBundle:
+    """The 'constant', 'sign-change' or 'plateau' witness of c_fn; ``detail``
+    holds the constant's alpha and the fallback plateau interval."""
+    params, sigma = cfg.params_tuple(), cfg["params"]["sigma"]
+    kw = {} if cfg["witness_n"] is None else {"N": cfg["witness_n"]}
+    if kind == "constant":
+        return constant_witness(detail["alpha"], eigs, mu=params[1], **kw)
+    if kind == "sign-change":
+        return sign_change_witness(c_fn, eigs, params, sigma=sigma, **kw)
+    interval = cfg["intervals"] or detail.get("interval")
+    _need(interval is not None, "witness_kind 'plateau' needs 'intervals': [t0, t1]")
+    return plateau_witness(c_fn, list(interval), eigs, sigma=sigma, params=params, **kw)
+
+
 def _witness_from_plan(cfg: ExperimentConfig, verdict: Verdict,
                        c_fn: TorusFunction, eigs: EigenSequence) -> WitnessBundle:
     plan = verdict.witness_handle
     if plan is None:
         raise WitnessUnavailable("the verdict carries no witness plan")
-    params = cfg.params_tuple()
-    sigma = cfg["params"]["sigma"]
-    kw = {} if cfg["witness_n"] is None else {"N": cfg["witness_n"]}
     if plan.kind == "constant-resonance":
         alpha = Fraction(str(plan.detail["alpha"]))
-        return constant_witness(alpha, eigs, mu=params[1], **kw)
-    if plan.kind == "sign-change":
-        return sign_change_witness(c_fn, eigs, params, sigma=sigma, **kw)
-    if plan.kind == "plateau":
-        interval = cfg["intervals"] or list(plan.detail["interval"])
-        return plateau_witness(c_fn, interval, eigs, sigma=sigma,
-                               params=params, **kw)
+        return _build_witness(cfg, "constant", eigs, c_fn, {"alpha": alpha})
+    if plan.kind in ("sign-change", "plateau"):
+        return _build_witness(cfg, plan.kind, eigs, c_fn, plan.detail)
     if plan.kind == "constant-liouville":
         raise WitnessUnavailable(
             "the Liouville suspicion is heuristic and carries no exact "
@@ -452,7 +463,8 @@ def cmd_diophantine(cfg: ExperimentConfig, out: Path) -> int:
 
     kappa = cfg.kappa_value()
     kappa_label = cfg["kappa"]
-    cert = None
+    _need(kappa is not None or cfg["construct_levels"] is not None,
+          "diophantine needs 'kappa' or 'construct_levels'")
     if cfg["construct_levels"] is not None:
         cert = construct_liouville(eigs, params, cfg["construct_levels"])
         _write_json(out / "certificate.json", cert.as_dict())
@@ -461,32 +473,27 @@ def cmd_diophantine(cfg: ExperimentConfig, out: Path) -> int:
             kappa = cert.kappa
             kappa_label = "constructed"
 
-    _need(kappa is not None or cert is not None,
-          "diophantine needs 'kappa' or 'construct_levels'")
-
-    if kappa is not None:
-        seq = distance_sequence(kappa, eigs, params, J=cfg["j_modes"])
-        seq.to_csv(out / "distances.csv")
-        report = {"kappa": kappa_label, "exact": seq.exact,
-                  "n_modes": len(seq)}
-        resonant = seq.resonant_indices
-        if len(resonant) > len(seq) // 2:
-            report["kind"] = "resonance-dominated"
-            report["n_resonant"] = len(resonant)
-            report["note"] = ("more than half the distances vanish exactly; "
-                              "kappa resonates along whole residue classes")
-        elif len(seq) < 64:
-            report["kind"] = "no-fit"
-            report["reason"] = (f"the windowed Liouville fit needs >= 64 "
-                                f"modes, the table holds {len(seq)}")
-        else:
-            report["kind"] = "fit"
-            report["fit"] = liouville_fit(seq).as_dict()
-        if (isinstance(kappa, Fraction) and eigs.integer_valued
-                and kappa.denominator <= _RATIONAL_DEN_CAP):
-            rv = classify_rational(kappa.numerator, kappa.denominator, eigs)
-            report["rational"] = rv.as_dict()
-        _write_json(out / "fit.json", report)
+    seq = distance_sequence(kappa, eigs, params, J=cfg["j_modes"])
+    seq.to_csv(out / "distances.csv")
+    report = {"kappa": kappa_label, "exact": seq.exact, "n_modes": len(seq)}
+    resonant = seq.resonant_indices
+    if len(resonant) > len(seq) // 2:
+        report["kind"] = "resonance-dominated"
+        report["n_resonant"] = len(resonant)
+        report["note"] = ("more than half the distances vanish exactly; "
+                          "kappa resonates along whole residue classes")
+    elif len(seq) < 64:
+        report["kind"] = "no-fit"
+        report["reason"] = (f"the windowed Liouville fit needs >= 64 "
+                            f"modes, the table holds {len(seq)}")
+    else:
+        report["kind"] = "fit"
+        report["fit"] = liouville_fit(seq).as_dict()
+    if (isinstance(kappa, Fraction) and eigs.integer_valued
+            and kappa.denominator <= _RATIONAL_DEN_CAP):
+        rv = classify_rational(kappa.numerator, kappa.denominator, eigs)
+        report["rational"] = rv.as_dict()
+    _write_json(out / "fit.json", report)
 
     return EXIT_OK
 
@@ -501,7 +508,9 @@ def cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
                             "(cmd_solve output composes directly)")
     with _open_text(path, f"input {path}") as fh:
         eigs = cfg.eigensequence()
-        u = ModeField.from_csv(fh, eigs, J=cfg["j_modes"])
+        # fit_decay holds the field's derivatives of orders 0..k_max at once
+        u = ModeField.from_csv(fh, eigs, J=cfg["j_modes"],
+                               max_bytes=MAX_ARRAY_BYTES // (cfg["k_max"] + 1))
     fit = fit_decay(u, cfg.gsparams(), k_max=cfg["k_max"])
     pm = pm_seminorms(u, eigs, M_max=8, k_max=min(cfg["k_max"], 4))
     _write_text(out / "pm_table.csv", pm.to_csv())
@@ -518,43 +527,35 @@ def cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_witness(cfg: ExperimentConfig, out: Path) -> int:
     kind = cfg["witness_kind"]
     eigs = cfg.eigensequence()
-    params = cfg.params_tuple()
-    sigma = cfg["params"]["sigma"]
-    kw = {} if cfg["witness_n"] is None else {"N": cfg["witness_n"]}
 
     if kind == "auto":
         verdict, c_fn, _, eigs = _classify(cfg)
         _write_json(out / "verdict.json", verdict.as_dict())
         if verdict.decision != "notGH":
-            print(f"error: the operator classifies {verdict.decision} "
-                  f"(branch {verdict.branch}); no witness exists",
-                  file=sys.stderr)
-            return EXIT_CONFIG
+            raise WitnessUnavailable(f"the operator classifies {verdict.decision} "
+                                     f"(branch {verdict.branch}); no witness exists")
         bundle = _witness_from_plan(cfg, verdict, c_fn, eigs)
-    elif kind == "constant":
-        _, poly = cfg.coefficient()
-        _need(poly is not None and poly.is_constant,
-              "witness_kind 'constant' needs a constant formula c")
-        _need(poly.mean.im == 0, "the constant witness needs real c")
-        bundle = constant_witness(poly.mean.re, eigs, mu=params[1], **kw)
-    elif kind == "sign-change":
-        c_fn, _ = cfg.coefficient()
-        bundle = sign_change_witness(c_fn, eigs, params, sigma=sigma, **kw)
-    elif kind == "plateau":
-        _need(cfg["intervals"] is not None,
-              "witness_kind 'plateau' needs 'intervals': [t0, t1]")
-        c_fn, _ = cfg.coefficient()
-        bundle = plateau_witness(c_fn, cfg["intervals"], eigs, sigma=sigma,
-                                 params=params, **kw)
+    elif kind != "L0":
+        c_fn, poly = cfg.coefficient()
+        detail = {}
+        if kind == "constant":
+            _need(poly is not None and poly.is_constant,
+                  "witness_kind 'constant' needs a constant formula c")
+            _need(poly.mean.im == 0, "the constant witness needs real c")
+            detail["alpha"] = poly.mean.re
+        bundle = _build_witness(cfg, kind, eigs, c_fn, detail)
     else:  # L0: certificate mean plus the config formula as oscillation
         L = cfg["construct_levels"] or 3
-        cert = construct_liouville(eigs, params, L)
+        cert = construct_liouville(eigs, cfg.params_tuple(), L)
         N = cfg["witness_n"] or 512
         t = grid(N)
         osc = np.zeros(N, dtype=np.complex128)
         if cfg["c"] is not None:
             poly = parse_formula(cfg["c"])
             _need(poly.is_real, "the L0 route needs a real-valued formula c")
+            _need(poly.max_freq < N // 2,
+                  f"c has frequency {poly.max_freq}, beyond the band of the "
+                  f"{N}-point witness grid")
             osc = np.asarray(poly.eval(t), dtype=np.complex128)
         c_fn = TorusFunction(float(cert.kappa) + osc)
         bundle = L0_reduction_witness(c_fn, cert, eigs, N=N)
@@ -594,14 +595,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="hypoellipticity verdict for c")
     common(sp)
-    sp.add_argument("--witness", action="store_true",
+    sp.add_argument("--witness", action="store_true", default=None,
                     help="also build and verify the witness behind a notGH verdict")
 
     sp = sub.add_parser("diophantine",
                         help="distance tables, Liouville fit, certificates")
     common(sp)
     sp.add_argument("--kappa", help="the number to test, e.g. 1/2 or 0.70710678")
-    sp.add_argument("--construct", type=int, metavar="L",
+    sp.add_argument("--construct", dest="construct_levels", type=int, metavar="L",
                     help="construct an L-level exponential-Liouville certificate")
 
     sp = sub.add_parser("decay", help="decay and seminorm diagnostics of a field")
@@ -611,32 +612,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("witness", help="build a non-hypoellipticity witness")
     common(sp)
-    sp.add_argument("--kind", choices=_WITNESS_KINDS, help="constructor family")
-    sp.add_argument("--levels", type=int, help="certificate levels for the L0 route")
+    sp.add_argument("--kind", dest="witness_kind", choices=_WITNESS_KINDS,
+                    help="constructor family")
+    sp.add_argument("--levels", dest="construct_levels", type=int,
+                    help="certificate levels for the L0 route")
     return p
 
 
 def _load_config(ns: argparse.Namespace) -> ExperimentConfig:
+    """The config file with the command's flags (dest = config key) over it,
+    refused if its largest array would exceed MAX_ARRAY_BYTES."""
     cfg = (ExperimentConfig.from_file(ns.config) if ns.config
            else ExperimentConfig.from_json("{}"))
-    over = {}
-    if getattr(ns, "f_file", None):
-        over["f_file"] = ns.f_file
-    if getattr(ns, "witness", False):
-        over["witness"] = True
-    if getattr(ns, "kappa", None) is not None:
-        over["kappa"] = ns.kappa
-    if getattr(ns, "construct", None) is not None:
-        over["construct_levels"] = ns.construct
-    if getattr(ns, "input", None) is not None:
-        over["input"] = ns.input
-    if getattr(ns, "k_max", None) is not None:
-        over["k_max"] = ns.k_max
-    if getattr(ns, "kind", None) is not None:
-        over["witness_kind"] = ns.kind
-    if getattr(ns, "levels", None) is not None:
-        over["construct_levels"] = ns.levels
-    return cfg.with_overrides(**over) if over else cfg
+    over = {k: getattr(ns, k) for k in _DEFAULTS if getattr(ns, k, None) is not None}
+    if over:
+        cfg = cfg.with_overrides(**over)
+    size = cfg.array_bytes(ns.command)
+    _need(size <= MAX_ARRAY_BYTES,
+          f"{ns.command} would build an array of ~{size >> 20} MiB, over the "
+          f"{MAX_ARRAY_BYTES >> 20} MiB ceiling; lower j_modes, grid_n or witness_n")
+    return cfg
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -654,21 +649,13 @@ def main(argv: Optional[list] = None) -> int:
         out = Path(ns.out)
         out.mkdir(parents=True, exist_ok=True)
         return _DISPATCH[ns.command](cfg, out)
-    except (ConfigError, FormulaError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        print(f"usage: hypotorus {ns.command} --config FILE --out DIR "
-              f"[command flags]", file=sys.stderr)
-        return EXIT_CONFIG
-    except DegenerateData as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except WitnessUnavailable as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NoCertificate, PartitionNotFound, PatternNotFound, WitnessBudgetMiss) as e:
-        print(f"error: witness construction failed: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, OSError) as e:
+    except HypotorusError as e:
+        print(f"error: {e.lead}{e}", file=sys.stderr)
+        if isinstance(e, ConfigError):
+            print(f"usage: hypotorus {ns.command} --config FILE --out DIR "
+                  f"[command flags]", file=sys.stderr)
+        return e.exit_code
+    except OSError as e:     # an output path the OS refuses
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

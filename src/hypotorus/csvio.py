@@ -24,6 +24,7 @@ import warnings
 
 import numpy as np
 
+from .errors import ConfigError
 from .jsonio import unlimited_int_digits
 
 __all__ = ["cells", "rows", "text", "write", "SampleRows"]
@@ -120,7 +121,7 @@ class SampleRows:
         self._start = None if isinstance(source, str) else source.tell()
         lines = self._read()
         if [h.strip() for h in next(lines, "").split(",")] != list(names):
-            raise ValueError(f"{what} must have header {','.join(names)}")
+            raise ConfigError(f"{what} must have header {','.join(names)}")
         dtype = [(name, _dtype(name)) for name in names]
         converters = {k: _int_or_float for k, name in enumerate(names) if name == "lambda"}
         self._errors: dict[str, str] = {}
@@ -133,11 +134,11 @@ class SampleRows:
         except ValueError as e:
             self._table = self._diagnose(names, what)
             if not self._errors:
-                raise ValueError(f"{what}: {e}") from None
+                raise ConfigError(f"{what}: {e}") from None
             self.size = len(self._lines)
         if self.size == 0:
-            raise ValueError(f"{what} needs data rows of {len(names)} fields "
-                             f"{','.join(names)}")
+            raise ConfigError(f"{what} needs data rows of {len(names)} fields "
+                              f"{','.join(names)}")
 
     def _read(self):
         """The source's lines from the header on: the handle rewound, or the
@@ -161,8 +162,8 @@ class SampleRows:
         fields = [s.split(",") for _, s in rows]
         for ln, f in zip(self._lines, fields):
             if len(f) != len(names):
-                raise ValueError(f"line {ln}: {len(f)} fields; {what} rows hold "
-                                 f"{len(names)} ({','.join(names)})")
+                raise ConfigError(f"line {ln}: {len(f)} fields; {what} rows hold "
+                                  f"{len(names)} ({','.join(names)})")
         table = {}
         for k, name in enumerate(names):
             dtype = _dtype(name)
@@ -181,7 +182,7 @@ class SampleRows:
 
     def column(self, name: str) -> np.ndarray:
         if name in self._errors:
-            raise ValueError(self._errors[name])
+            raise ConfigError(self._errors[name])
         return self._table[name]
 
     def line(self, r: int) -> int:
@@ -200,6 +201,6 @@ class SampleRows:
         bad = np.flatnonzero(~(np.abs(t - expected) <= 1e-9))
         if bad.size:
             r = int(bad[0])
-            raise ValueError(
+            raise ConfigError(
                 f"line {self.line(r)}: t = {float(t[r])!r} is not the grid point "
                 f"{float(expected[r])!r}; samples must run through t = 2*pi*i/n in order")

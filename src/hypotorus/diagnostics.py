@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import csvio
+from .errors import ConfigError, HypotorusError
 from .modes import ModeField
 from .spectrum import EigenSequence, HermiteBasis, ladder_diff_x, ladder_mul_x, _phi_matrix
 
@@ -46,11 +47,13 @@ _FLOOR = 1e-300
 _R2_CLAIM = 0.9
 
 
-class DegenerateData(ValueError):
+class DegenerateData(HypotorusError, ValueError):
     """Every coefficient sits below the 1e-300 floor; nothing to fit."""
 
+    exit_code = 3
 
-class DimensionUnsupported(ValueError):
+
+class DimensionUnsupported(HypotorusError, ValueError):
     """Physical-side seminorms are implemented for one x-dimension only."""
 
 
@@ -85,6 +88,13 @@ class GSParams:
     @property
     def e(self) -> float:
         return 1.0 / (2.0 * self.n * float(self.mu))
+
+
+def _exp(x: float) -> float:      # math.exp, with inf where that overflows
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 # --------------------------------------------------------------------------- #
@@ -195,7 +205,7 @@ def fit_decay(field: ModeField, params: GSParams, k_max: int = 4,
     """
     J = field.J
     if J < 32:
-        raise ValueError(f"fit_decay needs J >= 32 modes, got {J}")
+        raise ConfigError(f"fit_decay needs J >= 32 modes, got {J}")
     if k_max < 0:
         raise ValueError("k_max >= 0 required")
     lo, hi = window if window is not None else (0, J)
@@ -224,7 +234,7 @@ def fit_decay(field: ModeField, params: GSParams, k_max: int = 4,
     x = (ju + 1.0) ** params.e
     y = -np.log(s0[usable].astype(np.float64))
     eps, intercept, r2 = ols(y, x)
-    C = math.exp(-intercept)
+    C = _exp(-intercept)
 
     half = len(usable) // 2
     eps_lo, _, _ = ols(y[:half], x[:half])
@@ -337,7 +347,7 @@ def pm_seminorms(u: ModeField, eigs: EigenSequence, M_max: int = 8,
             lt = w[:, None] + 2.0 * logabs[k]
             log_s2 = _logsumexp(lt, axis=0)           # per grid time
             peak = float(np.max(log_s2))
-            values[M, k] = 0.0 if peak == -np.inf else math.exp(0.5 * peak)
+            values[M, k] = 0.0 if peak == -np.inf else _exp(0.5 * peak)
             if M == M_max and j_last is not None and peak > -np.inf:
                 t_star = int(np.argmax(log_s2))
                 share = lt[j_last, t_star] - log_s2[t_star]

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import csvio
 from .diagnostics import ols
+from .errors import ConfigError, HypotorusError
 from .jsonio import dumps, unlimited_int_digits
 from .spectrum import EigenSequence
 
@@ -70,7 +71,7 @@ _GROWTH_FACTOR = 2.0
 _MEDIAN_FLOOR = 1.0
 
 
-class LevelOverflow(RuntimeError):
+class LevelOverflow(HypotorusError, RuntimeError):
     """A certified construction level would exceed the configured caps."""
 
 
@@ -440,7 +441,7 @@ def classify_rational(p: int, q: int, eigs: EigenSequence) -> RationalVerdict:
     degenerate -- or every distance sits at or above an exact positive floor.
     ``harmonic1d`` and the ``harmonic_nd`` block index are arithmetic
     progressions and are decided in closed form; ``harmonic1d_power`` scans
-    one period, 2^16 modes at a time, and raises ValueError when ``q``
+    one period, 2^16 modes at a time, and raises ConfigError when ``q``
     exceeds ``_POWER_SCAN_CAP``.
     """
     p, q = int(p), int(q)
@@ -462,7 +463,7 @@ def classify_rational(p: int, q: int, eigs: EigenSequence) -> RationalVerdict:
     else:
         if head == "harmonic1d_power":
             if q > _POWER_SCAN_CAP:
-                raise ValueError(
+                raise ConfigError(
                     f"kappa denominator {q} exceeds the residue scan bound "
                     f"{_POWER_SCAN_CAP} for {kind!r}")
             # j in chunks, so the object arrays of one chunk are all that is held
@@ -503,6 +504,8 @@ def _nth_root_floor(x: int, k: int) -> int:
         return 0
     if k == 1:
         return x
+    if k >= x.bit_length():         # x < 2^k: the root lies in [1, 2)
+        return 1
     r = 1 << (-(-x.bit_length() // k))
     while True:
         rn = ((k - 1) * r + x // r ** (k - 1)) // k
@@ -685,15 +688,15 @@ def construct_liouville(
     if L < 1:
         raise ValueError(f"need at least one level, got L={L}")
     if not eigs.integer_valued:
-        raise ValueError("construction needs integer eigenvalues")
+        raise ConfigError("construction needs integer eigenvalues")
     if eigs.ap_index is None:
-        raise ValueError(
+        raise ConfigError(
             f"eigenvalue kind {eigs.kind!r} is not an arithmetic progression in j; "
             "the congruence step of the construction needs one"
         )
     lam_arr = eigs.lambdas
     if len(lam_arr) >= 2 and not np.all(np.diff(lam_arr) > 0):
-        raise ValueError("construction needs strictly increasing eigenvalues")
+        raise ConfigError("construction needs strictly increasing eigenvalues")
     e = exponent_from_params(params)
     n, mu = params
     mu = _exact_mu(mu)

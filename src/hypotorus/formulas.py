@@ -28,13 +28,16 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from .errors import ConfigError
 from .torusfn import TorusFunction
 
-__all__ = ["ExactComplex", "FormulaError", "TrigPolynomial", "parse_formula"]
+__all__ = ["ExactComplex", "FormulaError", "TrigPolynomial", "parse_formula",
+           "parse_rational", "parse_real"]
 
 
-class FormulaError(ValueError):
-    """The input is not a sentence of the coefficient mini-language."""
+class FormulaError(ConfigError):
+    """The input is not a sentence of the coefficient mini-language, or not
+    the number it should be."""
 
 
 # --------------------------------------------------------------------------- #
@@ -199,17 +202,26 @@ class TrigPolynomial:
 
     # -- realizations --------------------------------------------------------#
     def to_torus_function(self, n: int = 256) -> TorusFunction:
-        """Sample exactly onto an n-point grid (band must hold all modes)."""
-        return TorusFunction.from_coeff_dict(
-            {k: v.to_complex() for k, v in self._coeffs.items()}, n)
+        """Sample exactly onto an n-point grid; the band -n/2 <= k < n/2 must
+        hold every frequency."""
+        out = [k for k in self._coeffs if not -n // 2 <= k < n // 2]
+        if out:
+            raise FormulaError(f"frequency {out[0]} outside the band of an {n}-point grid")
+        return TorusFunction.from_coeff_dict(self._complex_coeffs(), n)
 
     def eval(self, t):
         """Pointwise value at float t (scalar or array)."""
         t = np.asarray(t, dtype=np.float64)
         acc = np.zeros(t.shape, dtype=np.complex128)
-        for k, v in self._coeffs.items():
-            acc += v.to_complex() * np.exp(1j * k * t)
+        for k, v in self._complex_coeffs().items():
+            acc += v * np.exp(1j * k * t)
         return acc if acc.shape else complex(acc)
+
+    def _complex_coeffs(self) -> Dict[int, complex]:
+        try:
+            return {k: v.to_complex() for k, v in self._coeffs.items()}
+        except OverflowError:
+            raise FormulaError("a coefficient lies beyond the float range") from None
 
     def as_dict(self) -> dict:
         """JSON-safe exact form: coefficient strings keyed by frequency."""
@@ -462,3 +474,25 @@ def parse_formula(text: str) -> TrigPolynomial:
     if not isinstance(text, str):
         raise FormulaError(f"formula must be a string, got {type(text).__name__}")
     return _Parser(text).parse()
+
+
+def parse_rational(value) -> Fraction:
+    """An int, a float or a string such as "1/2" or "0.5" as an exact
+    Fraction; FormulaError when it names no finite rational."""
+    try:
+        return Fraction(value)
+    except (ArithmeticError, TypeError, ValueError):
+        raise FormulaError(f"{value!r} is not a rational") from None
+
+
+def parse_real(text: str) -> Union[Fraction, float]:
+    """'p/q' and integer strings as exact Fractions, other numbers as floats;
+    FormulaError when ``text`` is no number."""
+    try:
+        return Fraction(text) if "/" in text else Fraction(int(text))
+    except (ValueError, ZeroDivisionError):
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        raise FormulaError(f"{text!r} is neither a rational p/q nor a number") from None

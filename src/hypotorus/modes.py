@@ -49,8 +49,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import csvio
+from .errors import ConfigError, HypotorusError
 from .spectrum import EigenSequence
-from .torusfn import MeanDecomposition, TorusFunction, grid, wavenumbers
+from .torusfn import MeanDecomposition, TorusFunction, _check_size, grid, wavenumbers
 
 __all__ = [
     "ModeField",
@@ -77,8 +78,10 @@ OSC_BUDGET = 10.0       # max |lam|*osc(Im C) for the integral path in auto mode
 _BAND_TOL = 64 * np.finfo(float).eps   # |chat_k| below this * max|chat| is roundoff
 
 
-class ResonantMode(Exception):
+class ResonantMode(HypotorusError):
     """lam*c0 is (numerically) an integer: the mode equation is not invertible."""
+
+    exit_code = 2
 
     def __init__(self, lam: float, divisor: float, message: str | None = None):
         self.lam = lam
@@ -87,8 +90,10 @@ class ResonantMode(Exception):
                          f"resonant mode: lambda={lam}, divisor={divisor:.3e} < {TOL_RES}")
 
 
-class AllModesResonant(Exception):
+class AllModesResonant(HypotorusError):
     """Every requested mode was resonant; ``report`` holds their divisor rows."""
+
+    exit_code = 2
 
     def __init__(self, message: str, report: "DivisorReport"):
         self.report = report
@@ -589,22 +594,28 @@ class ModeField:
         return "".join(blocks)
 
     @classmethod
-    def from_csv(cls, source, eigs: EigenSequence, J: int | None = None) -> "ModeField":
+    def from_csv(cls, source, eigs: EigenSequence, J: int | None = None,
+                 max_bytes: int | None = None) -> "ModeField":
         """Inverse of :meth:`to_csv`, from the text or a text handle (see
         :class:`~hypotorus.csvio.SampleRows`); rows may come in any mode
-        order, each mode's rows in grid order."""
+        order, each mode's rows in grid order.  A field whose (J, n) samples
+        would take more than ``max_bytes`` is refused before it is built."""
         rows = csvio.SampleRows(source, ("j", "t", "re", "im"), "mode-field CSV")
         js = rows.column("j")
         J = int(js.max()) + 1 if J is None else J
         limit = min(J, eigs.J)
         bad = js[(js < 0) | (js >= limit)]
         if bad.size:
-            raise ValueError(f"mode index {bad[0]} in the CSV is outside 0..{limit - 1}")
+            raise ConfigError(f"mode index {bad[0]} in the CSV is outside 0..{limit - 1}")
         counts = np.bincount(js, minlength=J)
         mask = counts > 0
         n = int(counts.max())
         if np.any(counts[mask] != n):
-            raise ValueError("modes in the CSV hold different numbers of samples")
+            raise ConfigError("modes in the CSV hold different numbers of samples")
+        _check_size(n, ConfigError)
+        if max_bytes is not None and 16 * J * n > max_bytes:
+            raise ConfigError(f"a ({J}, {n}) mode field takes {16 * J * n / 2**20:.0f} MiB, "
+                              f"over its budget of {max_bytes / 2**20:.0f} MiB")
         order = np.argsort(js, kind="stable")
         pos = np.empty(js.size, dtype=np.intp)      # each row's place in its mode
         pos[order] = np.tile(np.arange(n), int(mask.sum()))

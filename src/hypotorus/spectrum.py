@@ -26,12 +26,14 @@ ladder identities
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import csvio
+from .errors import ConfigError
 
 __all__ = [
     "EigenSequence",
@@ -134,8 +136,10 @@ def _nd_count_below(q: int, n: int) -> int:
 
 def _nd_value(j: int, n: int) -> int:
     """lambda_j = 2q + n where q is the energy level containing flat index j:
-    the largest q with C(q+n-1, n) <= j, found by bisection."""
-    lo, hi = 0, j + 1                   # C(j+n, n) >= j + 1 bounds q above
+    the largest q with C(q+n-1, n) <= j, bracketed by doubling, then bisected."""
+    lo, hi = 0, 1
+    while _nd_count_below(hi, n) <= j:
+        lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if _nd_count_below(mid, n) <= j else (lo, mid)
@@ -144,15 +148,22 @@ def _nd_value(j: int, n: int) -> int:
 
 def _float_view(values: Sequence) -> np.ndarray:
     """``values`` as float64; a value beyond the float range (or NaN) is
-    refused with ValueError, not left to overflow on conversion."""
+    refused with ConfigError, not left to overflow on conversion."""
     try:
         lam = np.array(values, dtype=np.float64)
     except OverflowError:
         lam = np.array([np.inf])
     if not np.all(np.isfinite(lam)):
-        raise ValueError(f"eigenvalues must be finite and within the float range "
-                         f"(|lambda| <= {np.finfo(np.float64).max:.6g})")
+        raise ConfigError(f"eigenvalues must be finite and within the float range "
+                          f"(|lambda| <= {np.finfo(np.float64).max:.6g})")
     return lam
+
+
+def _kind_int(parts: list, need: str) -> int:
+    """The integer after a kind word, e.g. the 2 of 'harmonic_nd 2'."""
+    if len(parts) != 2 or not re.fullmatch(r"[+-]?\d+", parts[1]):
+        raise ConfigError(need)
+    return int(parts[1])
 
 
 def build_eigensequence(kind: str, J: int, *, values: Sequence | None = None,
@@ -164,7 +175,7 @@ def build_eigensequence(kind: str, J: int, *, values: Sequence | None = None,
     ``"harmonic_nd n"``, or ``"table"`` (then ``values``, ``m``, ``n`` apply).
     """
     if J < 1:
-        raise ValueError("J >= 1 required")
+        raise ConfigError("J >= 1 required")
     parts = kind.split()
     head = parts[0]
 
@@ -174,40 +185,36 @@ def build_eigensequence(kind: str, J: int, *, values: Sequence | None = None,
                              m=2, n=1, exact=exact, ap_index=(1, 2))
 
     if head == "harmonic1d_power":
-        if len(parts) != 2:
-            raise ValueError("harmonic1d_power needs an exponent, e.g. 'harmonic1d_power 2'")
-        k = int(parts[1])
+        k = _kind_int(parts, "harmonic1d_power needs an exponent, e.g. 'harmonic1d_power 2'")
         if k < 1:
-            raise ValueError("power k >= 1 required")
+            raise ConfigError("power k >= 1 required")
         if k * ((2 * J - 1).bit_length() - 1) >= 1024:     # lambda_{J-1} >= 2^1024
-            raise ValueError(f"harmonic1d_power {k}: lambda_{J - 1} = {2 * J - 1}^{k} "
-                             f"is beyond the float range")
+            raise ConfigError(f"harmonic1d_power {k}: lambda_{J - 1} = {2 * J - 1}^{k} "
+                              f"is beyond the float range")
         exact = tuple((2 * j + 1) ** k for j in range(J))
         ap = (1, 2) if k == 1 else None
         return EigenSequence(f"harmonic1d_power {k}", _float_view(exact),
                              m=2 * k, n=1, exact=exact, ap_index=ap)
 
     if head == "harmonic_nd":
-        if len(parts) != 2:
-            raise ValueError("harmonic_nd needs a dimension, e.g. 'harmonic_nd 2'")
-        nd = int(parts[1])
+        nd = _kind_int(parts, "harmonic_nd needs a dimension, e.g. 'harmonic_nd 2'")
         if nd < 1:
-            raise ValueError("dimension n >= 1 required")
+            raise ConfigError("dimension n >= 1 required")
         vals: list[int] = []
         q = 0
-        while len(vals) < J:
-            vals.extend([2 * q + nd] * math.comb(q + nd - 1, nd - 1))
+        while len(vals) < J:    # energy 2q + nd has C(q+nd-1, nd-1) states
+            vals.extend([2 * q + nd] * min(math.comb(q + nd - 1, nd - 1), J - len(vals)))
             q += 1
-        exact = tuple(vals[:J])
+        exact = tuple(vals)
         ap = (1, 2) if nd == 1 else None
         return EigenSequence(f"harmonic_nd {nd}", _float_view(exact),
                              m=2, n=nd, exact=exact, ap_index=ap)
 
     if head == "table":
         if values is None:
-            raise ValueError("table kind requires explicit values")
+            raise ConfigError("table kind requires explicit values")
         if len(values) < J:
-            raise ValueError(f"table holds {len(values)} values, J={J} requested")
+            raise ConfigError(f"table holds {len(values)} values, J={J} requested")
         vals = list(values)[:J]
         arr = _float_view(vals)
         exact = tuple(int(v) for v in vals) if all(
@@ -216,12 +223,12 @@ def build_eigensequence(kind: str, J: int, *, values: Sequence | None = None,
         # integers above 2^53
         a = np.abs(arr) if exact is None else np.array([abs(v) for v in exact], dtype=object)
         if np.any(a[1:] < a[:-1]):
-            raise ValueError("table eigenvalues must have nondecreasing |lambda_j|")
+            raise ConfigError("table eigenvalues must have nondecreasing |lambda_j|")
         if J >= 8 and a[-1] <= a[J // 2]:
-            raise ValueError("table eigenvalues do not diverge over the stored range")
+            raise ConfigError("table eigenvalues do not diverge over the stored range")
         return EigenSequence("table", arr, m=m, n=n, exact=exact)
 
-    raise ValueError(f"unknown eigensequence kind {kind!r}")
+    raise ConfigError(f"unknown eigensequence kind {kind!r}")
 
 
 def weyl_ratio_spread(eigs: EigenSequence) -> float:

@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Union
 import numpy as np
 
 from . import csvio
+from .errors import ConfigError
 
 __all__ = [
     "TorusFunction",
@@ -39,10 +40,10 @@ _DEFAULT_N = 256
 Scalar = Union[int, float, complex]
 
 
-def _check_size(n: int) -> int:
+def _check_size(n: int, error: type = ValueError) -> int:
     n = int(n)
     if n < 4 or (n & (n - 1)) != 0:
-        raise ValueError(f"grid size must be a power of two >= 4, got {n}")
+        raise error(f"grid size must be a power of two >= 4, got {n}")
     return n
 
 
@@ -328,6 +329,7 @@ class TorusFunction:
         """Inverse of :meth:`to_sample_csv`, from the text or a text handle
         (see :class:`~hypotorus.csvio.SampleRows`)."""
         rows = csvio.SampleRows(source, ("t", "re", "im"), "sample CSV")
+        _check_size(rows.size, ConfigError)
         rows.check_t(rows.column("t"), grid(rows.size))
         samples = np.empty(rows.size, dtype=np.complex128)
         # component writes keep signed zeros and infinities that re + 1j*im would not

@@ -62,6 +62,7 @@ import numpy as np
 from . import csvio
 from .diagnostics import ols
 from .diophantine import LiouvilleCertificate, RationalVerdict, classify_rational
+from .errors import ConfigError, WitnessError
 from .jsonio import plain, unlimited_int_digits, write as write_json
 from .modes import operator_residuals, row_chunks
 from .spectrum import EigenSequence, _nd_count_below
@@ -72,6 +73,7 @@ __all__ = [
     "PartitionNotFound",
     "PatternNotFound",
     "WitnessBudgetMiss",
+    "WitnessCheckFailed",
     "GevreyBump",
     "gevrey_bump",
     "WitnessLevel",
@@ -94,19 +96,23 @@ _BAND_FRACTION = 0.45
 _FIT_FLOOR = 1e-300
 
 
-class NoCertificate(ValueError):
+class NoCertificate(WitnessError, ValueError):
     """alpha cannot back a witness: no resonance and no verified certificate."""
 
 
-class PartitionNotFound(RuntimeError):
+class PartitionNotFound(WitnessError, RuntimeError):
     """grid search found no positive margin for the sign-change partition."""
 
 
-class PatternNotFound(RuntimeError):
+class PatternNotFound(WitnessError, RuntimeError):
     """the (+, 0, -) plateau pattern is absent at grid resolution."""
 
 
-class WitnessBudgetMiss(RuntimeError):
+class WitnessCheckFailed(WitnessError, RuntimeError):
+    """A built witness fails one of its own checks."""
+
+
+class WitnessBudgetMiss(WitnessCheckFailed):
     """A built witness misses its residual budget on its N-point grid."""
 
     def __init__(self, kind: str, max_residual: float, tol: float, N: int):
@@ -486,6 +492,8 @@ def constant_witness(alpha, eigs: EigenSequence, L: int = 4,
     levels, taus = [], []
     for j in js:
         lam = eigs.exact_lambda(j)
+        if abs(lam) >= 2 ** 1024:
+            raise NoCertificate(f"resonant mode {j} has lambda beyond the float range")
         tau_frac = frac * lam
         if tau_frac.denominator != 1:
             raise AssertionError(f"internal: mode {j} is not resonant for {frac}")
@@ -604,7 +612,7 @@ def _verified(tol: float, checks=None, **parts) -> WitnessBundle:
     if "residuals_ok" in failed:
         raise WitnessBudgetMiss(bundle.kind, rep["max_residual"], tol, bundle.c.n)
     if failed:
-        raise RuntimeError(
+        raise WitnessCheckFailed(
             f"witness verification failed for kind={bundle.kind!r}: {rep['checks']} "
             f"(max residual {rep['max_residual']})")
     return bundle
@@ -789,7 +797,7 @@ def _band_check(lam_max: float, c_sup: float, N: int, who: str) -> None:
     allowed = _BAND_FRACTION * (N / 2.0)
     if need > allowed:
         n_req = int(2 ** math.ceil(math.log2(max(8.0, 2.0 * need / _BAND_FRACTION))))
-        raise ValueError(
+        raise ConfigError(
             f"{who}: level bandwidth ~{need:.0f} exceeds {allowed:.0f} "
             f"(= {_BAND_FRACTION} * Nyquist) at N = {N}; pass N >= {n_req}")
 
@@ -888,8 +896,8 @@ def sign_change_witness(c: TorusFunction, eigs: EigenSequence, params=(1, Fracti
     at_anchor = np.abs(u[:, (k0 + i) % N])
     bad = np.flatnonzero(np.abs(at_anchor - 1.0) > 1e-9)
     if bad.size:
-        raise RuntimeError(f"internal: |u({t_anchor:.4f})| = {at_anchor[bad[0]]!r} "
-                           f"!= 1 at level {use[bad[0]]}")
+        raise WitnessCheckFailed(f"internal: |u({t_anchor:.4f})| = {at_anchor[bad[0]]!r} "
+                                 f"!= 1 at level {use[bad[0]]}")
 
     bundle = _verified(
         TOL_RESIDUAL, kind="sign-change", levels=levels, c=cc, eigs=eigs, u=u, f=f,
@@ -918,7 +926,7 @@ def sign_change_witness(c: TorusFunction, eigs: EigenSequence, params=(1, Fracti
     )
     decay = bundle.decay
     if not decay.f_zero and decay.rate_lambda < 0.8 * c_star:
-        raise RuntimeError(
+        raise WitnessCheckFailed(
             f"internal: fitted decay rate {decay.rate_lambda:.4f} fell below "
             f"0.8 * c_star = {0.8 * c_star:.4f}")
     return bundle
@@ -955,7 +963,7 @@ def plateau_witness(c: TorusFunction, intervals: Sequence[float], eigs: EigenSeq
     b = cc.imag_part()
     t0, t1 = float(intervals[0]), float(intervals[1])
     if not (0.0 <= t0 < t1 < 2.0 * math.pi):
-        raise ValueError(f"need 0 <= t0 < t1 < 2*pi, got [{t0}, {t1}]")
+        raise ConfigError(f"need 0 <= t0 < t1 < 2*pi, got [{t0}, {t1}]")
 
     bs = np.real(np.asarray(b.samples))
     step = 2.0 * math.pi / N
@@ -1028,7 +1036,7 @@ def plateau_witness(c: TorusFunction, intervals: Sequence[float], eigs: EigenSeq
 
     lams = np.asarray(eigs.lambdas, dtype=np.float64)
     if np.any(lams <= 0):
-        raise ValueError("plateau_witness expects a positive spectrum")
+        raise ConfigError("plateau_witness expects a positive spectrum")
     _band_check(float(np.max(lams)), a.sup_norm() + b.sup_norm(), N, "plateau_witness")
 
     B0 = Phib - Phib[w0]
@@ -1151,7 +1159,7 @@ def L0_reduction_witness(c: TorusFunction, certificate: LiouvilleCertificate,
         bracket = Phi_phi + E * (I_phi - Phi_phi)
         u_at_anchor = abs(bracket[anchor_idx])          # = |E| * I_phi = I_phi
         if abs(u_at_anchor - I_phi) > 1e-9 * max(1.0, I_phi):
-            raise RuntimeError(
+            raise WitnessCheckFailed(
                 f"internal: |u(t_l)| = {u_at_anchor!r} != int(phi) = {I_phi!r}")
         sampled = lam_f <= lam_cap
         levels.append(WitnessLevel(
@@ -1185,5 +1193,5 @@ def L0_reduction_witness(c: TorusFunction, certificate: LiouvilleCertificate,
         },
     )
     if min(lv.sup_u for lv in levels) < I_phi - 1e-9:
-        raise RuntimeError("internal: some level's sup|u| fell below int(phi)")
+        raise WitnessCheckFailed("internal: some level's sup|u| fell below int(phi)")
     return bundle

@@ -1,14 +1,17 @@
 """Command-line front end: config parsing, orchestration, file outputs.
 
-Exit-code contract: 0 ok, 1 config error or failed witness construction,
-2 resonance, 3 degenerate data.
+Exit-code contract: 0 ok, else the ``exit_code`` of the HypotorusError that
+stopped the run, as README.md tabulates: 1 config error or failed witness
+construction, 2 resonance, 3 degenerate data.
 The solver amplitude oracle is undetermined coefficients: for c = 1/2 and
 f_5 = e^{it} on the odd spectrum, u_5 = e^{it} / (i (1 + lambda_5/2)) with
 lambda_5 = 11, so sup|u_5| = 1/6.5.
 """
 
+import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,11 +20,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypotorus.cli import ConfigError, ExperimentConfig, main
+from hypotorus.cli import (MAX_ARRAY_BYTES, ConfigError, ExperimentConfig, _build_parser,
+                           _load_config, main)
+from hypotorus.errors import HypotorusError
 from hypotorus.modes import ModeField
 from hypotorus.spectrum import build_eigensequence
 
-COOKBOOK = Path(__file__).resolve().parents[1] / "cookbook"
+ROOT = Path(__file__).resolve().parents[1]
+COOKBOOK = ROOT / "cookbook"
 
 
 def write_config(tmp_path, name="cfg.json", **fields):
@@ -487,3 +493,150 @@ def test_cookbook_exists_and_is_deterministic(tmp_path):
         for name, data in runs[0].items():
             if name.endswith(".json"):   # strict JSON: no NaN or Infinity
                 json.loads(data, parse_constant=_refuse_constant)
+
+
+# --------------------------------------------------------------------------- #
+# typed errors: each config below once ended in a traceback or a bare
+# ValueError; now each is a HypotorusError with its exit code
+# --------------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("kappa", ["nan", "inf", "1e400"])
+def test_non_finite_kappa_is_refused(tmp_path, capsys, kappa):
+    cfg = write_config(tmp_path, kappa=kappa)
+    out = tmp_path / "out"
+    assert main(["diophantine", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "kappa" in err and "Traceback" not in err
+    assert not (out / "distances.csv").exists()
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("diophantine", {"construct_levels": 4, "j_modes": 256}),
+    ("witness", {"witness_kind": "L0", "construct_levels": 5}),
+])
+def test_level_overflow_exits_1(tmp_path, capsys, command, fields):
+    cfg = write_config(tmp_path, **fields)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "level 4: needs mode index" in capsys.readouterr().err
+
+
+def test_witness_check_failure_exits_1(tmp_path, capsys):
+    # two eigenvalues 0: the built witness fails its decay check
+    cfg = write_config(tmp_path, c="1/2 + i sin t", j_modes=2,
+                       model={"kind": "table", "values": [0, 0]})
+    out = tmp_path / "out"
+    assert main(["classify", "--witness", "--config", cfg, "--out", str(out)]) == 1
+    assert "witness construction failed: witness verification failed" in capsys.readouterr().err
+    assert read_json(out, "verdict.json")["decision"] == "notGH"
+
+
+# --------------------------------------------------------------------------- #
+# size ceiling: estimates only, nothing is allocated
+# --------------------------------------------------------------------------- #
+
+def _config_sizes(argvs) -> dict:
+    """name -> array_bytes of each (name, argv) CLI call."""
+    sizes = {}
+    for name, argv in argvs:
+        ns = _build_parser().parse_args([str(a) for a in argv])
+        sizes[name] = _load_config(ns).array_bytes(ns.command)
+    return sizes
+
+
+def test_shipped_configs_stay_under_the_ceiling(tmp_path, monkeypatch):
+    # every cookbook config, the benchmark's ops (seeds 1 and 101) and the
+    # extra configs of tools/bytediff.py
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+    spec = importlib.util.spec_from_file_location("bytediff", ROOT / "tools" / "bytediff.py")
+    bytediff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bytediff)
+    monkeypatch.chdir(tmp_path)
+    sizes = _config_sizes(bytediff.calls(ROOT, workloads))
+    assert sum(name.startswith("cookbook/") for name in sizes) >= 5
+    assert max(sizes.values()) <= MAX_ARRAY_BYTES
+    # the largest: the verdicts witness store and the diophantine table
+    assert sizes["verdicts-1/classify-sign-change"] == 16 * 512 * 8192
+    assert sizes["verdicts-1/diophantine-rational"] == 512 * 65536
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("classify", {"c": "1/2", "j_modes": 10**8}),
+    ("classify", {"c": "1/2", "grid_n": 2**30}),
+    ("solve", {"c": "1/2", "grid_n": 65536, "j_modes": 65536}),
+    ("witness", {"c": "i sin t", "witness_n": 2**30}),
+    ("classify", {"c": "1/2 + i sin t", "witness": True, "j_modes": 1024, "witness_n": 2**14}),
+    ("witness", {"c": "1", "witness_kind": "constant", "j_modes": 1, "witness_n": 2**22}),
+    ("diophantine", {"kappa": "1/3", "j_modes": 2 * 10**8}),
+])
+def test_oversized_configs_are_refused_before_building(tmp_path, command, fields):
+    assert ExperimentConfig(fields).array_bytes(command) > MAX_ARRAY_BYTES
+    cfg = write_config(tmp_path, **fields)
+    with pytest.raises(ConfigError, match="ceiling"):
+        _load_config(_build_parser().parse_args([command, "--config", cfg]))
+
+
+def test_ceiling_counts_only_what_the_command_builds():
+    cfg = ExperimentConfig({"j_modes": 65536})            # grid_n 256: 256 MiB as a field
+    assert cfg.array_bytes("diophantine") == 512 * 65536
+    assert cfg.array_bytes("solve") == 16 * 65536 * 256
+    assert cfg.array_bytes("classify") == 512 * 65536
+    assert cfg.with_overrides(witness=True).array_bytes("classify") == 16 * 65536 * 1024
+
+
+def test_decay_ceiling_counts_every_derivative(tmp_path, capsys):
+    t = (2.0 * np.pi * np.arange(8) / 8).tolist()
+    upath = tmp_path / "u.csv"
+    upath.write_text("\n".join(["j,t,re,im"] + [f"{j},{ti!r},1.0,0.0" for j in range(40)
+                                               for ti in t]) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path, j_modes=40, k_max=10**9, input=str(upath))
+    assert main(["decay", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "(40, 8) mode field" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------- #
+# flags: each flag's dest is the config key it overrides
+# --------------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["solve", "--f-file", "f.csv"], "f_file", "f.csv"),
+    (["classify", "--witness"], "witness", True),
+    (["diophantine", "--kappa", "1/3"], "kappa", "1/3"),
+    (["diophantine", "--construct", "3"], "construct_levels", 3),
+    (["decay", "--input", "u.csv"], "input", "u.csv"),
+    (["decay", "--k-max", "2"], "k_max", 2),
+    (["witness", "--kind", "L0"], "witness_kind", "L0"),
+    (["witness", "--levels", "4"], "construct_levels", 4),
+])
+def test_flags_override_their_config_keys(tmp_path, argv, key, value):
+    cfg = write_config(tmp_path, witness=True, k_max=3)
+    assert _load_config(_build_parser().parse_args(argv))[key] == value
+    loaded = _load_config(_build_parser().parse_args(argv + ["--config", cfg]))
+    assert loaded[key] == value
+    # a flag left out keeps the file's value
+    assert (loaded["witness"], loaded["k_max"]) == (True, value if key == "k_max" else 3)
+
+
+# --------------------------------------------------------------------------- #
+# the README exit-code table
+# --------------------------------------------------------------------------- #
+
+def _error_classes() -> set:
+    found, todo = set(), [HypotorusError]
+    while todo:
+        cls = todo.pop()
+        found.add(cls)
+        todo += cls.__subclasses__()
+    return {c for c in found if c.__module__.startswith("hypotorus.")}
+
+
+def test_readme_exit_code_table_matches_the_classes():
+    import hypotorus.cli  # noqa: F401 -- every module that defines an error
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| `(\w+)` \| (\d) \|", text, flags=re.M))
+    classes = {cls.__name__: cls for cls in _error_classes()}
+    assert len(classes) == len(_error_classes())          # names are unique
+    assert sorted(rows) == sorted(classes)
+    for name, code in rows.items():
+        assert classes[name].exit_code == int(code), name
+    assert {cls.exit_code for cls in classes.values()} == {1, 2, 3}

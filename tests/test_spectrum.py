@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,34 @@ def test_harmonic_nd_exact_formula_matches_window():
         wide = build_eigensequence(f"harmonic_nd {n}", 3000)
         for j in range(3000):
             assert e.exact_lambda(j) == wide.exact[j] == int(wide.lambdas[j])
+
+
+def _whole_levels(n: int, J: int) -> tuple:
+    """harmonic_nd built the old way: every energy level whole, then cut to J."""
+    vals, q = [], 0
+    while len(vals) < J:
+        vals.extend([2 * q + n] * math.comb(q + n - 1, n - 1))
+        q += 1
+    return tuple(vals[:J])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_harmonic_nd_cut_levels_match_whole_levels(n):
+    for J in range(1, 501):
+        e = build_eigensequence(f"harmonic_nd {n}", J)
+        assert e.exact == _whole_levels(n, J)
+
+
+def test_harmonic_nd_huge_dimension_builds_only_its_window():
+    # level 1 alone holds 10^9 states; building it whole needed ~15 GB
+    tracemalloc.start()
+    try:
+        e = build_eigensequence("harmonic_nd 1000000000", 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.exact == (10**9,) + (10**9 + 2,) * 7
+    assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_table_validation():
