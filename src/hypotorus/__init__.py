@@ -30,8 +30,7 @@ import types
 
 from .classify import (BRANCH_DIOPHANTINE, BRANCH_NONREAL, BRANCH_RESONANCE, BRANCH_SIGN,
                        BRANCH_SIGN_CHANGE, Verdict, WitnessPlan, classify, classify_constant)
-from .diagnostics import (DecayFit, GSParams, PMTable, fit_decay, lemma25_check, pm_seminorms,
-                          x_seminorms)
+from .diagnostics import DecayFit, PMTable, fit_decay, lemma25_check, pm_seminorms, x_seminorms
 from .diophantine import (DistanceSequence, LiouvilleCertificate, RationalVerdict,
                           classify_rational, construct_liouville, dist_to_int,
                           dist_to_int_exact, distance_sequence, divisor_sandwich, liouville_fit)

@@ -301,11 +301,11 @@ def _constant_rational(frac: Fraction, eigs: EigenSequence) -> Verdict:
 
 
 def _constant_float(alpha: float, eigs: EigenSequence,
-                    params: Tuple[int, Union[Fraction, float]]) -> Verdict:
+                    mu: Union[Fraction, float]) -> Verdict:
     J = len(eigs.lambdas)
     kappa: Union[float, Fraction]
     kappa = Fraction(alpha) if eigs.integer_valued else alpha
-    seq = distance_sequence(kappa, eigs, params)
+    seq = distance_sequence(kappa, eigs, mu)
     res = seq.resonant_indices
     ev = {"route": "constant-float", "alpha": alpha, "beta": 0.0}
 
@@ -362,8 +362,7 @@ def _constant_float(alpha: float, eigs: EigenSequence,
 
 
 def classify_constant(alpha, beta, eigs: EigenSequence,
-                      params: Tuple[int, Union[Fraction, float]] = (1, Fraction(1, 2)),
-                      ) -> Verdict:
+                      mu: Union[Fraction, float] = Fraction(1, 2)) -> Verdict:
     """Verdict for the constant-coefficient operator with c = alpha + i*beta.
 
     Any nonzero ``beta`` is decisive by itself.  With ``beta = 0`` the
@@ -380,7 +379,7 @@ def classify_constant(alpha, beta, eigs: EigenSequence,
     frac = _exact_rational(alpha)
     if frac is not None and eigs.integer_valued:
         return _constant_rational(frac, eigs)
-    return _constant_float(_as_real(alpha, "alpha"), eigs, params)
+    return _constant_float(_as_real(alpha, "alpha"), eigs, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +407,14 @@ def _snap_mean(x: float) -> Tuple[Optional[Fraction], float]:
 
 
 def _reduce_to_mean(a0: float, rep: SignReport, eigs: EigenSequence,
-                    params, base_ev: dict) -> Verdict:
+                    mu, base_ev: dict) -> Verdict:
     """b == 0 on the grid: the verdict is the constant operator's at a0."""
     frac, err = _snap_mean(a0)
     if frac is not None:
-        sub = classify_constant(frac, 0, eigs, params)
+        sub = classify_constant(frac, 0, eigs, mu)
         red = {"a0": a0, "a0_exact": frac, "snap_error": err}
     else:
-        sub = classify_constant(a0, 0.0, eigs, params)
+        sub = classify_constant(a0, 0.0, eigs, mu)
         red = {"a0": a0, "a0_exact": None}
     red["note"] = ("imaginary part vanishes on the grid; verdict inherited "
                    "from the constant operator at the mean of the real part")
@@ -516,8 +515,7 @@ def _sign_change_tree(b: TorusFunction, rep: SignReport, a0: float, b0: float,
 
 
 def classify(c: TorusFunction, eigs: EigenSequence,
-             params: Tuple[int, Union[Fraction, float]] = (1, Fraction(1, 2)),
-             ) -> Verdict:
+             mu: Union[Fraction, float] = Fraction(1, 2)) -> Verdict:
     """Hypoellipticity verdict for L = D_t + c(t) P from samples of c.
 
     Runs the sign analysis of Im c first (either sign-definiteness or a
@@ -529,7 +527,7 @@ def classify(c: TorusFunction, eigs: EigenSequence,
     """
     m = c.mean()
     if (c - m).sup_norm() < _TOL_IMAG:
-        return classify_constant(m.real, m.imag, eigs, params)
+        return classify_constant(m.real, m.imag, eigs, mu)
 
     b = c.imag_part()
     rep = sign_report(b)
@@ -541,7 +539,7 @@ def classify(c: TorusFunction, eigs: EigenSequence,
         return Verdict("GH", BRANCH_SIGN, ev, "definitive")
     if rep.changes_sign:
         return _sign_change_tree(b, rep, a0, b0, eigs, base_ev)
-    return _reduce_to_mean(a0, rep, eigs, params, base_ev)
+    return _reduce_to_mean(a0, rep, eigs, mu, base_ev)
 
 
 # ---------------------------------------------------------------------------

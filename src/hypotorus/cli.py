@@ -8,18 +8,22 @@ Subcommands
     witness      build and verify a non-hypoellipticity witness
 
 Everything is driven by one JSON config (see :class:`ExperimentConfig`);
-command-line flags override individual fields.  Outputs are UTF-8 CSV with
-a header row and '.' decimals, plus JSON reports with sorted keys -- the
-same config bytes always produce the same output bytes.
+command-line flags override individual fields.  The operator's dimension n
+and order m come from ``model``, the spectrum of P (its kind, or
+``model.n`` / ``model.m`` for a table); ``params`` holds the class
+parameters ``mu`` and ``sigma`` only.  Outputs are UTF-8 CSV with a header
+row and '.' decimals, plus JSON reports with sorted keys -- the same config
+bytes always produce the same output bytes.
 
 Exit codes (README.md tabulates them by class): 0 ok, else the
 ``exit_code`` of the :class:`~hypotorus.errors.HypotorusError` that stopped
-the run -- 1 config error (an array over :data:`MAX_ARRAY_BYTES` included),
-unavailable or failed witness, or certificate level overflow; 2 resonance;
-3 degenerate data.  An output path the OS refuses exits 1; any other
-exception is a bug and shows its traceback.  ``classify --witness`` exits 0
-when its witness is unavailable or misses its budget: it warns and writes
-the reason to witness_plan.json.
+the run, or of :class:`~hypotorus.modes.AllModesResonant` when a solve
+leaves some modes resonant -- 1 config error (an array over
+:data:`MAX_ARRAY_BYTES` included), unavailable or failed witness, or
+certificate level overflow; 2 resonance; 3 degenerate data.  An output path
+the OS refuses exits 1; any other exception is a bug and shows its
+traceback.  ``classify --witness`` exits 0 when its witness is unavailable
+or misses its budget: it warns and writes the reason to witness_plan.json.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 
 from . import csvio, jsonio
 from .classify import Verdict, classify, classify_constant
-from .diagnostics import GSParams, fit_decay, pm_seminorms
+from .diagnostics import fit_decay, pm_seminorms
 from .diophantine import (classify_rational, construct_liouville,
                           distance_sequence, liouville_fit)
 from .errors import ConfigError, HypotorusError
@@ -51,10 +55,6 @@ from .witness import (L0_reduction_witness, WitnessBudgetMiss, WitnessBundle,
 
 __all__ = ["ConfigError", "ExperimentConfig", "MAX_ARRAY_BYTES", "WitnessUnavailable",
            "main"]
-
-EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_RESONANCE = 2
 
 #: Ceiling in bytes on a run's largest array, as ExperimentConfig.array_bytes
 #: estimates it (decay: the input field times its k_max + 1 derivatives); a
@@ -75,7 +75,7 @@ class WitnessUnavailable(HypotorusError, RuntimeError):
 # --------------------------------------------------------------------------- #
 
 _MODEL_DEFAULTS = {"kind": "harmonic1d", "m": 2, "n": 1, "values": None}
-_PARAM_DEFAULTS = {"m": 2, "mu": "1/2", "n": 1, "sigma": 2.0}
+_PARAM_DEFAULTS = {"mu": "1/2", "sigma": 2.0}
 _DEFAULTS = {
     "c": None,
     "c_file": None,
@@ -142,7 +142,8 @@ def _context(what: str):
 
 
 class ExperimentConfig:
-    """One experiment: spectrum model, coefficient, class parameters, sizes.
+    """One experiment: spectrum model (with n and m), coefficient, class
+    parameters (mu, sigma), sizes.
 
     Parsed configs are normalized (defaults filled, exact fields such as
     ``params.mu`` canonicalized to fraction strings) so that
@@ -205,14 +206,11 @@ class ExperimentConfig:
         params["sigma"] = float(sigma)
         for key in ("m", "n"):
             _as_int(model[key], f"model.{key}", 1)
-            _as_int(params[key], f"params.{key}", 1)
         for key, lo in _INT_KEYS:
             if d[key] is not None or key not in ("construct_levels", "witness_n"):
                 _as_int(d[key], key, lo)
                 _need(key not in ("grid_n", "witness_n") or d[key] & (d[key] - 1) == 0,
                       f"{key} must be a power of two, got {d[key]}")
-        for n in (params["n"], model["n"]):     # the exponents 1/(2 n mu) as doubles
-            _need(2 * n * mu < 2**1000, f"2 n mu must stay below 2^1000, got n = {n}, mu = {mu}")
         _need(isinstance(d["witness"], bool), "witness must be true/false")
         _need(d["witness_kind"] in _WITNESS_KINDS,
               f"witness_kind must be one of {_WITNESS_KINDS}")
@@ -281,19 +279,19 @@ class ExperimentConfig:
         return max(sizes)
 
     def eigensequence(self) -> EigenSequence:
+        """The model's spectrum, which carries n and m; refused unless
+        2 n mu < 2^1000, so that the exponent 1/(2 n mu) is a normal double."""
         m = self._d["model"]
         with _context("model"):
-            return build_eigensequence(m["kind"], self._d["j_modes"],
+            eigs = build_eigensequence(m["kind"], self._d["j_modes"],
                                        values=m["values"], m=m["m"], n=m["n"])
+        _need(2 * eigs.n * self.mu < 2**1000,
+              f"2 n mu must stay below 2^1000, got n = {eigs.n}, mu = {self.mu}")
+        return eigs
 
-    def params_tuple(self):
-        p = self._d["params"]
-        return (p["n"], Fraction(p["mu"]))
-
-    def gsparams(self) -> GSParams:
-        p = self._d["params"]
-        return GSParams(mu=Fraction(p["mu"]), sigma=p["sigma"],
-                        n=p["n"], m=p["m"])
+    @property
+    def mu(self) -> Fraction:
+        return Fraction(self._d["params"]["mu"])
 
     def coefficient(self) -> tuple:
         """(TorusFunction, TrigPolynomial | None); the poly when c is a formula."""
@@ -371,7 +369,7 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
         "n_resonant": len(resonant),
         "resonant_indices": resonant[:64],
     })
-    return EXIT_RESONANCE if resonant else EXIT_OK
+    return AllModesResonant.exit_code if resonant else 0
 
 
 # --------------------------------------------------------------------------- #
@@ -382,13 +380,12 @@ def _classify(cfg: ExperimentConfig) -> tuple:
     """(verdict, c_fn, poly, eigs); constants go through the exact route."""
     eigs = cfg.eigensequence()
     c_fn, poly = cfg.coefficient()
-    params = cfg.params_tuple()
     if poly is not None and poly.is_constant:
         mean = poly.mean
         beta = 0 if mean.im == 0 else float(mean.im)
-        verdict = classify_constant(mean.re, beta, eigs, params)
+        verdict = classify_constant(mean.re, beta, eigs, cfg.mu)
     else:
-        verdict = classify(c_fn, eigs, params)
+        verdict = classify(c_fn, eigs, cfg.mu)
     return verdict, c_fn, poly, eigs
 
 
@@ -396,15 +393,15 @@ def _build_witness(cfg: ExperimentConfig, kind: str, eigs: EigenSequence,
                    c_fn: TorusFunction, detail: dict) -> WitnessBundle:
     """The 'constant', 'sign-change' or 'plateau' witness of c_fn; ``detail``
     holds the constant's alpha and the fallback plateau interval."""
-    params, sigma = cfg.params_tuple(), cfg["params"]["sigma"]
+    mu, sigma = cfg.mu, cfg["params"]["sigma"]
     kw = {} if cfg["witness_n"] is None else {"N": cfg["witness_n"]}
     if kind == "constant":
-        return constant_witness(detail["alpha"], eigs, mu=params[1], **kw)
+        return constant_witness(detail["alpha"], eigs, mu=mu, **kw)
     if kind == "sign-change":
-        return sign_change_witness(c_fn, eigs, params, sigma=sigma, **kw)
+        return sign_change_witness(c_fn, eigs, mu, sigma=sigma, **kw)
     interval = cfg["intervals"] or detail.get("interval")
     _need(interval is not None, "witness_kind 'plateau' needs 'intervals': [t0, t1]")
-    return plateau_witness(c_fn, list(interval), eigs, sigma=sigma, params=params, **kw)
+    return plateau_witness(c_fn, list(interval), eigs, sigma=sigma, mu=mu, **kw)
 
 
 def _witness_from_plan(cfg: ExperimentConfig, verdict: Verdict,
@@ -445,7 +442,7 @@ def cmd_classify(cfg: ExperimentConfig, out: Path) -> int:
                 else verdict.witness_handle.as_dict(),
                 "reason": str(e),
             })
-    return EXIT_OK
+    return 0
 
 
 # --------------------------------------------------------------------------- #
@@ -459,21 +456,19 @@ _RATIONAL_DEN_CAP = 4096
 
 def cmd_diophantine(cfg: ExperimentConfig, out: Path) -> int:
     eigs = cfg.eigensequence()
-    params = cfg.params_tuple()
-
     kappa = cfg.kappa_value()
     kappa_label = cfg["kappa"]
     _need(kappa is not None or cfg["construct_levels"] is not None,
           "diophantine needs 'kappa' or 'construct_levels'")
     if cfg["construct_levels"] is not None:
-        cert = construct_liouville(eigs, params, cfg["construct_levels"])
+        cert = construct_liouville(eigs, cfg["construct_levels"], mu=cfg.mu)
         _write_json(out / "certificate.json", cert.as_dict())
         if kappa is None:
             # the distance table and fit then describe the number just built
             kappa = cert.kappa
             kappa_label = "constructed"
 
-    seq = distance_sequence(kappa, eigs, params, J=cfg["j_modes"])
+    seq = distance_sequence(kappa, eigs, cfg.mu, J=cfg["j_modes"])
     seq.to_csv(out / "distances.csv")
     report = {"kappa": kappa_label, "exact": seq.exact, "n_modes": len(seq)}
     resonant = seq.resonant_indices
@@ -494,8 +489,7 @@ def cmd_diophantine(cfg: ExperimentConfig, out: Path) -> int:
         rv = classify_rational(kappa.numerator, kappa.denominator, eigs)
         report["rational"] = rv.as_dict()
     _write_json(out / "fit.json", report)
-
-    return EXIT_OK
+    return 0
 
 
 # --------------------------------------------------------------------------- #
@@ -511,13 +505,13 @@ def cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
         # fit_decay holds the field's derivatives of orders 0..k_max at once
         u = ModeField.from_csv(fh, eigs, J=cfg["j_modes"],
                                max_bytes=MAX_ARRAY_BYTES // (cfg["k_max"] + 1))
-    fit = fit_decay(u, cfg.gsparams(), k_max=cfg["k_max"])
+    fit = fit_decay(u, cfg.mu, k_max=cfg["k_max"])
     pm = pm_seminorms(u, eigs, M_max=8, k_max=min(cfg["k_max"], 4))
     _write_text(out / "pm_table.csv", pm.to_csv())
     report = fit.as_dict()
     report["pm"] = {k: v for k, v in pm.as_dict().items() if k != "values"}
     _write_json(out / "decay.json", report)
-    return EXIT_OK
+    return 0
 
 
 # --------------------------------------------------------------------------- #
@@ -546,7 +540,7 @@ def cmd_witness(cfg: ExperimentConfig, out: Path) -> int:
         bundle = _build_witness(cfg, kind, eigs, c_fn, detail)
     else:  # L0: certificate mean plus the config formula as oscillation
         L = cfg["construct_levels"] or 3
-        cert = construct_liouville(eigs, cfg.params_tuple(), L)
+        cert = construct_liouville(eigs, L, mu=cfg.mu)
         N = cfg["witness_n"] or 512
         t = grid(N)
         osc = np.zeros(N, dtype=np.complex128)
@@ -561,7 +555,7 @@ def cmd_witness(cfg: ExperimentConfig, out: Path) -> int:
         bundle = L0_reduction_witness(c_fn, cert, eigs, N=N)
 
     _emit_witness(bundle, out)
-    return EXIT_OK
+    return 0
 
 
 # --------------------------------------------------------------------------- #
@@ -639,11 +633,10 @@ def main(argv: Optional[list] = None) -> int:
     try:
         ns = parser.parse_args(argv)
     except SystemExit as e:
-        code = e.code if isinstance(e.code, int) else 1
-        return EXIT_OK if code == 0 else EXIT_CONFIG
+        return 0 if e.code == 0 else ConfigError.exit_code
     if ns.command is None:
         parser.print_usage(sys.stderr)
-        return EXIT_CONFIG
+        return ConfigError.exit_code
     try:
         cfg = _load_config(ns)
         out = Path(ns.out)
@@ -657,7 +650,7 @@ def main(argv: Optional[list] = None) -> int:
         return e.exit_code
     except OSError as e:     # an output path the OS refuses
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ from .spectrum import EigenSequence, HermiteBasis, ladder_diff_x, ladder_mul_x, 
 __all__ = [
     "DegenerateData",
     "DimensionUnsupported",
-    "GSParams",
     "DecayFit",
     "PMTable",
     "Lemma25Result",
@@ -55,39 +54,6 @@ class DegenerateData(HypotorusError, ValueError):
 
 class DimensionUnsupported(HypotorusError, ValueError):
     """Physical-side seminorms are implemented for one x-dimension only."""
-
-
-# --------------------------------------------------------------------------- #
-# parameters
-# --------------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class GSParams:
-    """Class parameters (mu, sigma) with the operator's (n, m).
-
-    The derived index exponent e = 1/(2 n mu) drives every decay fit:
-    coefficients of a member decay like exp(-eps * j^e).
-    """
-
-    mu: object          # Fraction or float, mu >= 1/2
-    sigma: float        # sigma > 1
-    n: int = 1          # x-dimension
-    m: int = 2          # operator order
-
-    def __post_init__(self):
-        mu = float(self.mu)
-        if not (mu >= 0.5 and math.isfinite(mu)):
-            raise ValueError(f"mu >= 1/2 required, got {self.mu!r}")
-        if not (self.sigma > 1.0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma > 1 required, got {self.sigma!r}")
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"n >= 1 and m >= 1 required, got n={self.n}, m={self.m}")
-        if not (0.0 < self.e <= 1.0):
-            raise ValueError(f"exponent e = 1/(2 n mu) = {self.e} escapes (0, 1]")
-
-    @property
-    def e(self) -> float:
-        return 1.0 / (2.0 * self.n * float(self.mu))
 
 
 def _exp(x: float) -> float:      # math.exp, with inf where that overflows
@@ -192,9 +158,10 @@ def _derivative_stack(field: ModeField, k_max: int) -> list:
     return stack
 
 
-def fit_decay(field: ModeField, params: GSParams, k_max: int = 4,
+def fit_decay(field: ModeField, mu=Fraction(1, 2), k_max: int = 4,
               window: Optional[tuple] = None) -> DecayFit:
-    """Fit sup_t|u_j| ~ C exp(-epsilon (j+1)^e) and the k-derivative order.
+    """Fit sup_t|u_j| ~ C exp(-epsilon (j+1)^e) and the k-derivative order,
+    with e = field.eigs.exponent(mu) = 1/(2 n mu) for class ``mu``.
 
     Needs J >= 32 modes for an asymptotic claim.  Modes below the 1e-300
     floor (or undefined) are excluded; if fewer than eight usable modes
@@ -208,6 +175,7 @@ def fit_decay(field: ModeField, params: GSParams, k_max: int = 4,
         raise ConfigError(f"fit_decay needs J >= 32 modes, got {J}")
     if k_max < 0:
         raise ValueError("k_max >= 0 required")
+    e = float(field.eigs.exponent(mu))
     lo, hi = window if window is not None else (0, J)
     if not (0 <= lo < hi <= J):
         raise ValueError(f"window {window} escapes [0, {J}]")
@@ -231,7 +199,7 @@ def fit_decay(field: ModeField, params: GSParams, k_max: int = 4,
                   "no asymptotic fit"))
 
     ju = np.array(usable, dtype=np.float64)
-    x = (ju + 1.0) ** params.e
+    x = (ju + 1.0) ** e
     y = -np.log(s0[usable].astype(np.float64))
     eps, intercept, r2 = ols(y, x)
     C = _exp(-intercept)
@@ -489,11 +457,12 @@ def lemma25_check(gamma: float, s: float, epsilon: float, ell_max: int = 20,
 # loss of regularity
 # --------------------------------------------------------------------------- #
 
-def regularity_loss_report(f_fit: DecayFit, u_fit: DecayFit,
-                           params: GSParams) -> dict:
+def regularity_loss_report(f_fit: DecayFit, u_fit: DecayFit, eigs: EigenSequence,
+                           mu=Fraction(1, 2)) -> dict:
     """Compare the solved field's Gevrey order against the predicted bound.
 
-    The theory caps the solution's t-order at max(sigma(f), m mu): constant
+    The theory caps the solution's t-order at max(sigma(f), m mu), with m
+    the order of the operator whose spectrum is ``eigs``: constant
     coefficients lose nothing, variable ones at most lift the order to m mu.
     Flags are tolerant of fit noise (0.25 on the order scale) and only raised
     on reliable fits.
@@ -504,7 +473,7 @@ def regularity_loss_report(f_fit: DecayFit, u_fit: DecayFit,
                 f"{name}-fit has r2 = {fit.r2:.3f} < {_R2_CLAIM}; refusing to "
                 f"compare unreliable Gevrey orders")
     tol = 0.25
-    bound = max(f_fit.sigma_fit, float(params.m) * float(params.mu))
+    bound = max(f_fit.sigma_fit, float(eigs.m) * float(mu))
     s_u, s_f = u_fit.sigma_fit, f_fit.sigma_fit
     within = bool(s_u <= bound + tol) if math.isfinite(s_u) else True
     loss = bool(s_u > s_f + tol) if (math.isfinite(s_u) and math.isfinite(s_f)) \

@@ -16,8 +16,8 @@ the coefficient.  This module provides
   scheme and returns a certificate whose verification uses integer arithmetic
   only.
 
-Exponents follow the convention ``x_j = (j + 1)^(1/(2 n mu))`` for 0-based
-mode indices.
+Exponents follow the convention ``x_j = (j + 1)^e`` for 0-based mode
+indices, with ``e = eigs.exponent(mu) = 1/(2 n mu)`` read off the spectrum.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from . import csvio
 from .diagnostics import ols
 from .errors import ConfigError, HypotorusError
 from .jsonio import dumps, unlimited_int_digits
-from .spectrum import EigenSequence
+from .spectrum import EigenSequence, _exact_mu
 
 __all__ = [
     "dist_to_int",
@@ -50,7 +50,6 @@ __all__ = [
     "LiouvilleCertificate",
     "construct_liouville",
     "LevelOverflow",
-    "exponent_from_params",
 ]
 
 # Rational upper bound on log2(e) = 1.4426950408...; used to turn a bound
@@ -122,24 +121,6 @@ def divisor_sandwich(x: float) -> Tuple[float, float, float]:
 # distance sequences
 # ---------------------------------------------------------------------------
 
-def _exact_mu(mu: Union[Fraction, int, float]) -> Fraction:
-    """mu as a Fraction: exact for int and Fraction, nearest with denominator
-    at most 10**9 for a float."""
-    return Fraction(mu).limit_denominator(10**9) if isinstance(mu, float) else Fraction(mu)
-
-
-def exponent_from_params(params: Tuple[int, Union[Fraction, float]]) -> Fraction:
-    """Exponent ``1/(2 n mu)`` as an exact Fraction."""
-    n, mu = params
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"dimension n must be a positive integer, got {n}")
-    mu = _exact_mu(mu)
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    return 1 / (2 * n * mu)
-
-
 @dataclass(frozen=True)
 class DistanceSequence:
     """Distances ``d_j = dist(kappa * lambda_j, Z)`` over a mode window.
@@ -150,7 +131,6 @@ class DistanceSequence:
     """
 
     kappa: Union[float, Fraction]
-    params: Tuple[int, Fraction]
     e: Fraction
     js: Tuple[int, ...]
     lambdas: Tuple[int, ...] | Tuple[float, ...]
@@ -168,12 +148,10 @@ class DistanceSequence:
         csvio.write(path, csvio.text(("j", "lambda", "d"), self.js, self.lambdas, self.d))
 
     @staticmethod
-    def from_csv(path, kappa=float("nan"), params=(1, Fraction(1, 2))) -> "DistanceSequence":
+    def from_csv(path, kappa=float("nan"), e=Fraction(1)) -> "DistanceSequence":
         with open(path, encoding="utf-8") as fh:
             rows = csvio.SampleRows(fh, ("j", "lambda", "d"), "distance CSV")
-        n, mu = params
-        return DistanceSequence(kappa=kappa, params=(int(n), Fraction(mu)),
-                                e=exponent_from_params(params),
+        return DistanceSequence(kappa=kappa, e=Fraction(e),
                                 js=tuple(rows.column("j").tolist()),
                                 lambdas=tuple(rows.column("lambda").tolist()),
                                 d=rows.column("d").copy(), exact=False)
@@ -182,10 +160,11 @@ class DistanceSequence:
 def distance_sequence(
     kappa: Union[float, Fraction],
     eigs: EigenSequence,
-    params: Tuple[int, Union[Fraction, float]] = (1, Fraction(1, 2)),
+    mu: Union[Fraction, float] = Fraction(1, 2),
     J: Optional[int] = None,
 ) -> DistanceSequence:
-    """Tabulate ``d_j = dist(kappa * lambda_j, Z)`` for ``j < J``.
+    """Tabulate ``d_j = dist(kappa * lambda_j, Z)`` for ``j < J``, with the
+    exponent ``e = eigs.exponent(mu)`` of class ``mu`` for the fit.
 
     With a ``Fraction`` kappa ``p/q`` and integer eigenvalues, ``d_j =
     min(r, q - r)/q`` with ``r = p lambda_j mod q`` in exact integer arithmetic,
@@ -197,9 +176,7 @@ def distance_sequence(
         raise ValueError("need at least one mode")
     if J is not None and J > len(eigs):
         raise ValueError(f"J={J} exceeds the tabulated window {len(eigs)}")
-    e = exponent_from_params(params)
-    n, mu = params
-    params_norm = (int(n), _exact_mu(mu))
+    e = eigs.exponent(mu)
     js = tuple(range(n_modes))
     exact = isinstance(kappa, (Fraction, int)) and eigs.integer_valued
     if exact:
@@ -212,8 +189,7 @@ def distance_sequence(
         with np.errstate(over="ignore", invalid="ignore"):
             f = np.mod(float(kappa) * eigs.lambdas[:n_modes], 1.0)
         d = np.minimum(f, 1.0 - f)
-    return DistanceSequence(kappa=kappa, params=params_norm, e=e,
-                            js=js, lambdas=lams, d=d, exact=exact)
+    return DistanceSequence(kappa=kappa, e=e, js=js, lambdas=lams, d=d, exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +636,9 @@ class LiouvilleCertificate:
 
 def construct_liouville(
     eigs: EigenSequence,
-    params: Tuple[int, Union[Fraction, float]],
     L: int,
     *,
+    mu: Union[Fraction, float] = Fraction(1, 2),
     j_cap: Optional[int] = 10**6,
     bits_cap: int = 2_000_000,
     j_start: int = 1,
@@ -676,7 +652,8 @@ def construct_liouville(
     adjusted ``kappa - 1/(D lambda)`` equals ``tau/lambda`` exactly for an
     integer ``tau``.  Admissible means large enough that the adjustment --
     and the summed tail of all later adjustments, via a budget that halves
-    per level -- keeps every earlier gap below ``exp(-(j_i+1)^e)``.
+    per level -- keeps every earlier gap below ``exp(-(j_i+1)^e)``, where
+    ``e = eigs.exponent(mu)``.
 
     Raises :class:`LevelOverflow` when the next level would exceed ``j_cap``
     (pass ``None`` to lift; levels grow roughly like ``exp((j+1)^e)`` per
@@ -697,9 +674,7 @@ def construct_liouville(
     lam_arr = eigs.lambdas
     if len(lam_arr) >= 2 and not np.all(np.diff(lam_arr) > 0):
         raise ConfigError("construction needs strictly increasing eigenvalues")
-    e = exponent_from_params(params)
-    n, mu = params
-    mu = _exact_mu(mu)
+    e = eigs.exponent(mu)
     base, step = eigs.ap_index
 
     j1 = int(j_start)
@@ -759,8 +734,8 @@ def construct_liouville(
     cert = LiouvilleCertificate(
         kappa=kappa,
         levels=tuple(levels),
-        n=int(n),
-        mu=mu,
+        n=eigs.n,
+        mu=_exact_mu(mu),
         e=e,
         eigs_kind=eigs.kind,
         ap_index=(base, step),

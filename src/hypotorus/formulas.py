@@ -336,8 +336,6 @@ class _Parser:
             p = p + q if op == "+" else p - q
         return p
 
-    _STARTERS = {"NUM": True}
-
     def _starts_atom(self, t: _Tok) -> bool:
         if t.kind == "NUM":
             return True

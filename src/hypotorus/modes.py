@@ -76,6 +76,7 @@ TOL_ILL = 1e-4          # divisor below this -> solvable but flagged ill-conditi
 CLAMP = 700.0           # |real exponent| cap, the IEEE-double overflow boundary
 OSC_BUDGET = 10.0       # max |lam|*osc(Im C) for the integral path in auto mode
 _BAND_TOL = 64 * np.finfo(float).eps   # |chat_k| below this * max|chat| is roundoff
+_CHUNK_CELLS = 3 << 20  # complex numbers in one banded chunk's G and X (48 MiB)
 
 
 class ResonantMode(HypotorusError):
@@ -305,6 +306,14 @@ def _solve_cyclic_banded(lams: np.ndarray, chat: np.ndarray, fhat: np.ndarray,
     return np.fft.ifftshift(x, axes=1), singular
 
 
+def _banded_chunk(n: int, d: int) -> int:
+    """Modes per cyclic-banded chunk at grid n and band half-width d: G and X
+    hold 2 n (2d+1) complex numbers per mode, and a chunk holds at most the
+    ~3 n^2 of one dense solve and at most _CHUNK_CELLS.  A mode's bytes do
+    not depend on its chunk (see _banded_lu_solve)."""
+    return max(1, min(3 * n, _CHUNK_CELLS // n) // (2 * (2 * d + 1)))
+
+
 def _solve_collocation(lams: np.ndarray, c: TorusFunction,
                        fhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fourier collocation for a batch of modes: exact on the grid up to
@@ -314,9 +323,8 @@ def _solve_collocation(lams: np.ndarray, c: TorusFunction,
     (m, n) solution coefficients and an (m,) mask of modes whose matrix is
     singular (a true resonance).  A narrow band (8(3d+1) <= n, the crossover
     measured for n = 256..1024) goes through the cyclic-banded solver in
-    chunks whose working set stays within the ~3 n^2 complex numbers of one
-    dense solve; a wide band, such as a sampled c with a full spectrum, is
-    solved densely mode by mode.
+    chunks of :func:`_banded_chunk` modes; a wide band, such as a sampled c
+    with a full spectrum, is solved densely mode by mode.
     """
     m, n = fhat.shape
     chat = c.coeffs
@@ -324,7 +332,7 @@ def _solve_collocation(lams: np.ndarray, c: TorusFunction,
     uhat = np.empty((m, n), dtype=np.complex128)
     singular = np.zeros(m, dtype=bool)
     if 8 * (3 * d + 1) <= n:
-        step = max(1, 3 * n // (2 * (2 * d + 1)))   # G and X: 2 n (2d+1) per mode
+        step = _banded_chunk(n, d)
         for lo in range(0, m, step):
             hi = lo + step
             uhat[lo:hi], singular[lo:hi] = _solve_cyclic_banded(

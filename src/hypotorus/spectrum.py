@@ -11,8 +11,9 @@ Built-in spectra:
 * ``table``               — user-supplied values with declared (m, n).
 
 All spectra carry Weyl parameters (m, n) so that |lambda_j| ~ C j^{m/2n}.
-Indexing is 0-based (lambda_0 = 1 for the 1D oscillator); decay exponents
-elsewhere in the package use (j+1)^{1/(2 n mu)} so that j = 0 is harmless.
+Indexing is 0-based (lambda_0 = 1 for the 1D oscillator); the package's
+decay fits use (j+1)^e with e = :meth:`EigenSequence.exponent`, 1/(2 n mu),
+so that j = 0 is harmless.
 
 The Hermite layer provides L^2(R)-orthonormal eigenfunctions phi_j for the
 1D oscillator via the normalized three-term recurrence (no raw Hermite
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -105,6 +107,16 @@ class EigenSequence:
             return _nd_value(j, self.n)
         raise ValueError(f"no exact integer formula for kind {self.kind!r} at j={j}")
 
+    def exponent(self, mu) -> Fraction:
+        """The Gelfand-Shilov index exponent 1/(2 n mu) as an exact Fraction:
+        coefficients of a class-mu member decay like exp(-eps (j+1)^e).  A
+        float mu is read as the nearest rational with denominator at most
+        10**9; mu must be >= 1/2."""
+        mu = _exact_mu(mu)
+        if mu < Fraction(1, 2):
+            raise ValueError(f"mu >= 1/2 required, got {mu}")
+        return 1 / (2 * self.n * mu)
+
     @property
     def integer_valued(self) -> bool:
         """The window is tabulated as exact integers (every built-in kind)."""
@@ -127,6 +139,14 @@ class EigenSequence:
                              f"{r} is due; eigenvalue rows run j = 0, 1, 2, ... in order")
         return build_eigensequence("table", rows.size, values=rows.column("lambda").tolist(),
                                    m=m, n=n)
+
+
+def _exact_mu(mu) -> Fraction:
+    """mu as a Fraction: exact for int and Fraction, nearest with denominator
+    at most 10**9 for a float."""
+    if isinstance(mu, float) and not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu!r}")
+    return Fraction(mu).limit_denominator(10**9) if isinstance(mu, float) else Fraction(mu)
 
 
 def _nd_count_below(q: int, n: int) -> int:

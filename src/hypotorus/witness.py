@@ -436,10 +436,6 @@ class WitnessBundle:
 # constant coefficient: resonance and Liouville certificates
 # --------------------------------------------------------------------------- #
 
-def _exponent_of(eigs: EigenSequence, mu) -> float:
-    return 1.0 / (2.0 * eigs.n * float(mu))
-
-
 def constant_witness(alpha, eigs: EigenSequence, L: int = 4,
                      N: int = 256, mu=Fraction(1, 2)) -> WitnessBundle:
     """Witness for L = D_t + alpha*P with constant alpha.
@@ -510,7 +506,7 @@ def constant_witness(alpha, eigs: EigenSequence, L: int = 4,
     u, u_coeffs = _harmonics(taus, N)
     return _verified(TOL_RESIDUAL_CONSTANT, kind="constant", levels=levels,
                      c=TorusFunction.constant(complex(float(frac)), N), eigs=eigs,
-                     exponent=_exponent_of(eigs, mu), floor_u=1.0,
+                     exponent=float(eigs.exponent(mu)), floor_u=1.0,
                      u=u, f=np.zeros_like(u), u_coeffs=u_coeffs,
                      meta={"alpha": str(frac), "route": route,
                            "tau": [lv.freq for lv in levels]})
@@ -532,8 +528,11 @@ def _resonant_modes(rv: RationalVerdict, n: int, L: int) -> list[int]:
             return js
 
 
-def _constant_from_certificate(cert: LiouvilleCertificate, eigs: EigenSequence,
-                               L: int, N: int) -> WitnessBundle:
+def _check_certificate(cert, eigs: EigenSequence) -> None:
+    """Refuse ``cert`` unless it is a LiouvilleCertificate that verifies and
+    was built on the kind family of ``eigs``."""
+    if not isinstance(cert, LiouvilleCertificate):
+        raise NoCertificate("a verified LiouvilleCertificate is required")
     if not cert.verify():
         raise NoCertificate("the supplied LiouvilleCertificate fails verification")
     if eigs.kind.split()[0] != cert.eigs_kind.split()[0]:
@@ -541,6 +540,10 @@ def _constant_from_certificate(cert: LiouvilleCertificate, eigs: EigenSequence,
             f"certificate was built on {cert.eigs_kind!r}, got eigenvalues of "
             f"kind {eigs.kind!r}")
 
+
+def _constant_from_certificate(cert: LiouvilleCertificate, eigs: EigenSequence,
+                               L: int, N: int) -> WitnessBundle:
+    _check_certificate(cert, eigs)
     kappa = cert.kappa
     levels, taus, scales = [], [], []
     for lev in cert.levels[:max(1, L)]:
@@ -806,7 +809,7 @@ def _band_check(lam_max: float, c_sup: float, N: int, who: str) -> None:
 # change of sign of Im c
 # --------------------------------------------------------------------------- #
 
-def sign_change_witness(c: TorusFunction, eigs: EigenSequence, params=(1, Fraction(1, 2)),
+def sign_change_witness(c: TorusFunction, eigs: EigenSequence, mu=Fraction(1, 2),
                         N: int = 1024, sigma: float = 2.0) -> WitnessBundle:
     """Witness for Im c changing sign.
 
@@ -832,7 +835,6 @@ def sign_change_witness(c: TorusFunction, eigs: EigenSequence, params=(1, Fracti
     in meta.  A level that misses the residual budget ``TOL_RESIDUAL`` on
     the N-point grid raises :class:`WitnessBudgetMiss`.
     """
-    _, mu = params
     cc = c.resample(N)
     a = cc.real_part()
     b = cc.imag_part()
@@ -901,7 +903,7 @@ def sign_change_witness(c: TorusFunction, eigs: EigenSequence, params=(1, Fracti
 
     bundle = _verified(
         TOL_RESIDUAL, kind="sign-change", levels=levels, c=cc, eigs=eigs, u=u, f=f,
-        exponent=_exponent_of(eigs, mu), floor_u=min(lv.sup_u for lv in levels),
+        exponent=float(eigs.exponent(mu)), floor_u=min(lv.sup_u for lv in levels),
         meta={
             "side": "max" if side > 0 else "min",
             "subsequence_note": sub_note,
@@ -938,7 +940,7 @@ def sign_change_witness(c: TorusFunction, eigs: EigenSequence, params=(1, Fracti
 
 def plateau_witness(c: TorusFunction, intervals: Sequence[float], eigs: EigenSequence,
                     N: int = 1024, sigma: float = 2.0,
-                    params=(1, Fraction(1, 2))) -> WitnessBundle:
+                    mu=Fraction(1, 2)) -> WitnessBundle:
     """Two-bump witness for Im c vanishing identically on [t0, t1].
 
     Requires the (+, 0, -) pattern: b = Im c strictly positive mass just left
@@ -957,7 +959,6 @@ def plateau_witness(c: TorusFunction, intervals: Sequence[float], eigs: EigenSeq
 
     has |u_j| = 1 on the whole plateau (in particular at both anchors).
     """
-    _, mu = params
     cc = c.resample(N)
     a = cc.real_part()
     b = cc.imag_part()
@@ -1053,7 +1054,7 @@ def plateau_witness(c: TorusFunction, intervals: Sequence[float], eigs: EigenSeq
 
     return _verified(
         TOL_RESIDUAL, kind="plateau", levels=levels, c=cc, eigs=eigs, u=u, f=f,
-        exponent=_exponent_of(eigs, mu), floor_u=min(lv.sup_u for lv in levels),
+        exponent=float(eigs.exponent(mu)), floor_u=min(lv.sup_u for lv in levels),
         meta={
             "anchors": {"t0": t0, "t1": t1},
             "cut": tcut,
@@ -1100,14 +1101,7 @@ def L0_reduction_witness(c: TorusFunction, certificate: LiouvilleCertificate,
     if cc.imag_part().sup_norm() > 1e-12:
         raise ValueError("L0_reduction_witness requires Im c == 0 "
                          "(got a genuinely complex coefficient)")
-    if not isinstance(certificate, LiouvilleCertificate):
-        raise NoCertificate("a verified LiouvilleCertificate is required")
-    if not certificate.verify():
-        raise NoCertificate("the supplied LiouvilleCertificate fails verification")
-    if eigs.kind.split()[0] != certificate.eigs_kind.split()[0]:
-        raise NoCertificate(
-            f"certificate was built on {certificate.eigs_kind!r}, got eigenvalues "
-            f"of kind {eigs.kind!r}")
+    _check_certificate(certificate, eigs)
     kappa = certificate.kappa
     a0 = cc.mean().real
     if abs(a0 - float(kappa)) > 1e-12 * (1.0 + abs(float(kappa))):

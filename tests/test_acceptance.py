@@ -23,7 +23,7 @@ from hypotorus.classify import (
     BRANCH_RESONANCE,
     classify_constant,
 )
-from hypotorus.diagnostics import GSParams, fit_decay, lemma25_check, pm_seminorms
+from hypotorus.diagnostics import fit_decay, lemma25_check, pm_seminorms
 from hypotorus.diophantine import construct_liouville, divisor_sandwich
 from hypotorus.modes import ModeField, apply_operator, solve_field, solve_mode
 from hypotorus.spectrum import HermiteBasis, _phi_matrix, build_eigensequence
@@ -189,7 +189,7 @@ def test_c05_constant_coefficient_classification(eigs64):
 def test_c06_liouville_certificate_and_constant_witness():
     t0 = time.monotonic()
     eigs = build_eigensequence("harmonic1d", 40)
-    cert = construct_liouville(eigs, (1, Fraction(1, 2)), 4, j_cap=None)
+    cert = construct_liouville(eigs, 4, j_cap=None)
     assert len(cert.levels) == 4
     assert cert.verify() is True
 
@@ -247,7 +247,7 @@ def test_c07_sign_change_witness_quality(eigs64):
 # --------------------------------------------------------------------------- #
 
 def test_c08_decay_preserved_under_gh_coefficient(gh_solve):
-    fit = fit_decay(gh_solve, GSParams(mu=Fraction(1, 2), sigma=2.0, n=1, m=2), k_max=0)
+    fit = fit_decay(gh_solve, mu=Fraction(1, 2), k_max=0)
     assert fit.epsilon >= 0.25
     assert fit.r2 > 0.9
     print(f"criterion 8 PASS: planted eps_f = 0.5 comes out as eps_u = "

@@ -434,7 +434,7 @@ class TestClassify:
     def test_params_are_passed_through(self, h1d):
         # with mu = 1 the exponent halves; the constant fit still resolves
         c = TorusFunction.from_callable(lambda t: (math.sqrt(2) - 1) + 0.0 * t)
-        v = classify(c, h1d, params=(1, 1))
+        v = classify(c, h1d, mu=1)
         assert v.decision == "GH"
         assert v.evidence["fit"]["exponent"] == pytest.approx(0.5)
 

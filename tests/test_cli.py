@@ -82,6 +82,27 @@ def test_config_rejects_bad_values(raw):
         ExperimentConfig.from_json(raw)
 
 
+@pytest.mark.parametrize("key", ["n", "m"])
+def test_params_n_and_m_are_refused(tmp_path, capsys, key):
+    # n and m belong to the spectrum (model), not to the class parameters
+    cfg = write_config(tmp_path, c="1/2 + i sin t", params={key: 3})
+    assert main(["classify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert f"unknown params keys: ['{key}']" in capsys.readouterr().err
+
+
+def test_harmonic_nd_exponent_is_one_over_2_n_mu_everywhere(tmp_path):
+    # n = 2 from the kind and mu = 1/2 give e = 1/2 in the fit and the witness
+    nd2 = {"kind": "harmonic_nd 2"}
+    cfg = write_config(tmp_path, "d.json", model=nd2, kappa="0.7071067811865476",
+                       j_modes=128)
+    assert main(["diophantine", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+    assert read_json(tmp_path / "d", "fit.json")["fit"]["exponent"] == 0.5
+    cfg = write_config(tmp_path, "c.json", model=nd2, c="1/2 + i sin t", j_modes=32)
+    out = tmp_path / "c"
+    assert main(["classify", "--witness", "--config", cfg, "--out", str(out)]) == 0
+    assert read_json(out, "manifest.json")["exponent"] == 0.5
+
+
 # --------------------------------------------------------------------------- #
 # solve
 # --------------------------------------------------------------------------- #

@@ -48,12 +48,12 @@ def test_sample_csv_bytes_of_special_floats():
 
 def test_norms_csv_bytes_of_a_certificate_witness():
     eigs = build_eigensequence("harmonic1d", 40)
-    cert = construct_liouville(eigs, (1, Fraction(1, 2)), 3, j_cap=None)
+    cert = construct_liouville(eigs, 3, j_cap=None)
     b = constant_witness(cert, build_eigensequence("harmonic1d", 12))
     assert b.norms_csv() == ("j,sup_u,sup_f\n1,1.0,0.05263398782552977\n"
                              "9,1.0,1.525622835522602e-05\n32773,1.0,0.0\n")
     # the fourth level's index has 14234 digits, past CPython's str() guard
-    cert = construct_liouville(eigs, (1, Fraction(1, 2)), 4, j_cap=None)
+    cert = construct_liouville(eigs, 4, j_cap=None)
     text = constant_witness(cert, build_eigensequence("harmonic1d", 12)).norms_csv()
     assert len(text) == 14325
     assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -110,7 +110,7 @@ def test_distance_csv_names_the_bad_line(tmp_path, text, match):
 def test_distance_csv_reads_integers_of_any_size(tmp_path):
     eigs = build_eigensequence("table", 3, values=[2**64 + 1, 2**70, 10**300])
     seq = distance_sequence(Fraction(3, 7), eigs)
-    huge = DistanceSequence(kappa=Fraction(1, 3), params=(1, Fraction(1, 2)), e=Fraction(1),
+    huge = DistanceSequence(kappa=Fraction(1, 3), e=Fraction(1),
                             js=(0, 1), lambdas=(2**70, 10**5000), d=np.array([1 / 3, 1 / 3]),
                             exact=True)
     for seq in (seq, huge):

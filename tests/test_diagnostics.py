@@ -10,7 +10,6 @@ from hypotorus.diagnostics import (
     DecayFit,
     DegenerateData,
     DimensionUnsupported,
-    GSParams,
     fit_decay,
     lemma25_check,
     ols,
@@ -18,6 +17,7 @@ from hypotorus.diagnostics import (
     regularity_loss_report,
     x_seminorms,
 )
+from hypotorus.cli import ExperimentConfig
 from hypotorus.modes import ModeField, solve_field
 from hypotorus.spectrum import HermiteBasis, build_eigensequence
 from hypotorus.torusfn import TorusFunction
@@ -43,30 +43,21 @@ def constant_field(rates, eigs, n=64):
     return ModeField([TorusFunction.constant(math.exp(-r), n) for r in rates], eigs)
 
 
-def gs(mu=Fraction(1, 2), sigma=2.0, n=1, m=2):
-    return GSParams(mu=mu, sigma=sigma, n=n, m=m)
-
-
 # --------------------------------------------------------------------------- #
-# GSParams
+# Gelfand-Shilov parameters: mu on the spectrum, sigma in the config, n >= 1
 # --------------------------------------------------------------------------- #
-
-def test_gsparams_exponent():
-    p = gs()
-    assert p.e == 1.0
-    assert gs(mu=1.0).e == 0.5
-    assert gs(mu=Fraction(1, 2), n=2).e == 0.5
-
 
 def test_gsparams_validation():
+    field = constant_field([0.3 * (j + 1) for j in range(32)],
+                           build_eigensequence("harmonic1d", 32))
     with pytest.raises(ValueError):
-        gs(mu=0.25)                      # mu < 1/2
+        fit_decay(field, mu=0.25, k_max=0)           # mu < 1/2
     with pytest.raises(ValueError):
-        gs(sigma=1.0)                    # sigma <= 1
+        ExperimentConfig({"params": {"sigma": 1.0}})  # sigma <= 1
     with pytest.raises(ValueError):
-        gs(sigma=math.inf)
+        ExperimentConfig({"params": {"sigma": math.inf}})
     with pytest.raises(ValueError):
-        GSParams(mu=Fraction(1, 2), sigma=2.0, n=0, m=2)
+        build_eigensequence("table", 4, values=[1, 2, 3, 4], n=0)
 
 
 # --------------------------------------------------------------------------- #
@@ -132,7 +123,7 @@ def test_fit_decay_k_max_1_reaches_the_zero_variance_case():
     eigs = build_eigensequence("harmonic1d", 32)
     field = ModeField([TorusFunction.harmonic(1, 64) * math.exp(-(j + 1))
                        for j in range(32)], eigs)
-    fit = fit_decay(field, gs(), k_max=1)
+    fit = fit_decay(field, k_max=1)
     assert fit.sigma_fit == 0.0 and fit.r2_sigma == 1.0
     assert fit.sigma_fit_joint == 0.0
 
@@ -144,7 +135,7 @@ def test_fit_decay_k_max_1_reaches_the_zero_variance_case():
 def test_fit_decay_recovers_synthetic_exponential():
     eigs = build_eigensequence("harmonic1d", 48)
     field = constant_field([0.3 * (j + 1) for j in range(48)], eigs)
-    fit = fit_decay(field, gs(), k_max=2)
+    fit = fit_decay(field, k_max=2)
     assert abs(fit.epsilon - 0.3) < 1e-9
     assert abs(fit.C - 1.0) < 1e-9
     assert fit.r2 > 0.999
@@ -156,7 +147,7 @@ def test_fit_decay_flags_polynomial_decay():
     eigs = build_eigensequence("harmonic1d", 256)
     field = ModeField([TorusFunction.constant((j + 1.0) ** -2, 32)
                        for j in range(256)], eigs)
-    fit = fit_decay(field, gs(), k_max=0)
+    fit = fit_decay(field, k_max=0)
     assert fit.sub_exponential
     assert fit.epsilon < 0.1
 
@@ -165,7 +156,7 @@ def test_fit_decay_single_mode_is_trivial():
     eigs = build_eigensequence("harmonic1d", 32)
     f0 = TorusFunction.from_callable(np.sin, 64)
     field = ModeField([f0] + [TorusFunction.zero(64) for _ in range(31)], eigs)
-    fit = fit_decay(field, gs(), k_max=1)
+    fit = fit_decay(field, k_max=1)
     assert not fit.reliable
     assert "finite support" in fit.note
 
@@ -174,11 +165,11 @@ def test_fit_decay_rejects_empty_and_small():
     eigs = build_eigensequence("harmonic1d", 32)
     dead = ModeField([TorusFunction.zero(32) for _ in range(32)], eigs)
     with pytest.raises(DegenerateData):
-        fit_decay(dead, gs(), k_max=0)
+        fit_decay(dead, k_max=0)
     small = constant_field([j + 1.0 for j in range(8)],
                            build_eigensequence("harmonic1d", 8))
     with pytest.raises(ValueError):
-        fit_decay(small, gs(), k_max=0)
+        fit_decay(small, k_max=0)
 
 
 def test_fit_decay_sigma_from_harmonic_stack():
@@ -187,7 +178,7 @@ def test_fit_decay_sigma_from_harmonic_stack():
     eigs = build_eigensequence("harmonic1d", 32)
     field = ModeField([TorusFunction.harmonic(1, 64) * math.exp(-(j + 1))
                        for j in range(32)], eigs)
-    fit = fit_decay(field, gs(), k_max=6)
+    fit = fit_decay(field, k_max=6)
     assert abs(fit.epsilon - 1.0) < 1e-9
     assert abs(fit.sigma_fit) < 0.05
 
@@ -199,7 +190,7 @@ def test_fit_decay_sigma_sees_factorial_growth():
     eigs = build_eigensequence("harmonic1d", 32)
     base = TorusFunction.from_callable(lambda t: np.cos(5 * t), 128)
     field = ModeField([base * math.exp(-(j + 1)) for j in range(32)], eigs)
-    fit = fit_decay(field, gs(), k_max=6)
+    fit = fit_decay(field, k_max=6)
     assert fit.sigma_fit > 0.1
     assert abs(fit.sigma_fit_joint) < 0.1
 
@@ -239,7 +230,7 @@ def test_decay_differentiates_the_field_once():
     eigs = build_eigensequence("harmonic1d", 32)
     u = ModeField([TorusFunction.from_callable(
         lambda t, j=j: np.exp(-0.3 * j) * np.cos((j % 3) * t), 64) for j in range(32)], eigs)
-    fit_decay(u, gs(), k_max=4)
+    fit_decay(u, k_max=4)
     first = stack(u)
     pm_seminorms(u, eigs, k_max=4)
     assert all(a is b for a, b in zip(first, stack(u)))
@@ -402,30 +393,29 @@ def test_regularity_no_loss_for_constant_coefficient():
     eigs = build_eigensequence("harmonic1d", 48)
     f = _field_of_harmonics(eigs, 0.5)
     u, _ = solve_field(TorusFunction.constant(0.5, 64), f)
-    p = gs()
-    f_fit = fit_decay(f, p, k_max=4)
-    u_fit = fit_decay(u, p, k_max=4)
-    rep = regularity_loss_report(f_fit, u_fit, p)
-    assert rep["bound_sigma"] == max(f_fit.sigma_fit, float(p.m) * float(p.mu))
+    f_fit = fit_decay(f, k_max=4)
+    u_fit = fit_decay(u, k_max=4)
+    rep = regularity_loss_report(f_fit, u_fit, eigs, Fraction(1, 2))
+    assert rep["bound_sigma"] == max(f_fit.sigma_fit, float(eigs.m) * 0.5)
     assert rep["within_bound"]
     assert abs(u_fit.sigma_fit - f_fit.sigma_fit) < 0.3
     assert not rep["loss_detected"]
 
 
 def test_regularity_bound_arithmetic():
-    p2 = gs(m=2)
-    p4 = gs(m=4)
+    m2 = build_eigensequence("harmonic1d", 8)             # order m = 2
+    m4 = build_eigensequence("harmonic1d_power 2", 8)     # order m = 4
     fit = DecayFit(epsilon=1.0, C=1.0, sigma_fit=2.0, sigma_fit_joint=2.0,
                    r2=0.99, r2_sigma=0.99, window=(0, 10), n_used=10,
                    sub_exponential=False, note="")
-    rep2 = regularity_loss_report(fit, fit, p2)
-    rep4 = regularity_loss_report(fit, fit, p4)
+    rep2 = regularity_loss_report(fit, fit, m2)
+    rep4 = regularity_loss_report(fit, fit, m4)
     assert rep2["bound_sigma"] == 2.0     # max(2, 2*1/2) = 2
     assert rep4["bound_sigma"] == 2.0     # max(2, 4*1/2) = 2
     lowfit = DecayFit(epsilon=1.0, C=1.0, sigma_fit=1.2, sigma_fit_joint=1.2,
                       r2=0.99, r2_sigma=0.99, window=(0, 10), n_used=10,
                       sub_exponential=False, note="")
-    rep = regularity_loss_report(lowfit, lowfit, p4)
+    rep = regularity_loss_report(lowfit, lowfit, m4)
     assert rep["bound_sigma"] == 2.0      # mu*m dominates sigma_fit = 1.2
 
 
@@ -435,9 +425,8 @@ def test_regularity_bound_arithmetic():
 
 def test_solved_field_keeps_half_the_input_decay():
     eigs = build_eigensequence("harmonic1d", 48)
-    p = gs()
     f = _field_of_harmonics(eigs, 0.4)
     u, _ = solve_field(TorusFunction.constant(0.5, 64), f)
-    eps_f = fit_decay(f, p, k_max=0).epsilon
-    eps_u = fit_decay(u, p, k_max=0).epsilon
+    eps_f = fit_decay(f, k_max=0).epsilon
+    eps_u = fit_decay(u, k_max=0).epsilon
     assert eps_u >= 0.5 * eps_f

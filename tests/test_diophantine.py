@@ -183,11 +183,11 @@ class TestDistanceSequence:
 
     def test_exponent(self, h1d):
         assert dio.distance_sequence(Fraction(1, 2), h1d, J=64,
-                                     params=(1, Fraction(1, 2))).e == 1
+                                     mu=Fraction(1, 2)).e == 1
         assert dio.distance_sequence(Fraction(1, 2), h1d, J=64,
-                                     params=(1, Fraction(1, 1))).e == Fraction(1, 2)
-        assert dio.distance_sequence(Fraction(1, 2), h1d, J=64,
-                                     params=(2, 0.5)).e == Fraction(1, 2)
+                                     mu=Fraction(1, 1)).e == Fraction(1, 2)
+        nd2 = build_eigensequence("harmonic_nd 2", 64)
+        assert dio.distance_sequence(Fraction(1, 2), nd2, J=64, mu=0.5).e == Fraction(1, 2)
 
 
 _EXACT_KINDS = ["harmonic1d", "harmonic1d_power 2", "harmonic1d_power 3",
@@ -281,7 +281,7 @@ class TestResiduePath:
         d = np.array([0.0] * lead + ds)
         n = len(d)
         d[[lead + z % len(ds) for z in zeros]] = 0.0
-        seq = dio.DistanceSequence(kappa=float("nan"), params=(1, Fraction(1, 2)), e=Fraction(1),
+        seq = dio.DistanceSequence(kappa=float("nan"), e=Fraction(1),
                                    js=tuple(range(n)), lambdas=tuple(range(n)), d=d, exact=False)
         rep = dio.liouville_fit(seq)
         with np.errstate(divide="ignore"):
@@ -301,10 +301,13 @@ class TestResiduePath:
 
 
 def test_exponent_from_params_validation():
+    # the exponent 1/(2 n mu) of the fit comes from the spectrum: n >= 1 there,
+    # mu >= 1/2 in EigenSequence.exponent
     with pytest.raises(ValueError):
-        dio.exponent_from_params((0, Fraction(1, 2)))
+        build_eigensequence("table", 4, values=[1, 2, 3, 4], n=0)
     with pytest.raises(ValueError):
-        dio.exponent_from_params((1, Fraction(0)))
+        dio.distance_sequence(Fraction(1, 2), build_eigensequence("harmonic1d", 16),
+                              mu=Fraction(0))
 
 
 # --------------------------------------------------------------------------- #
@@ -531,13 +534,13 @@ class TestLiouvilleFit:
             assert rep.classification == "non-Liouville evidence", kappa
 
     def test_constructed_number_is_suspected(self, h1d):
-        cert = dio.construct_liouville(h1d, (1, Fraction(1, 2)), 3)
+        cert = dio.construct_liouville(h1d, 3)
         rep = dio.liouville_fit(dio.distance_sequence(cert.kappa, h1d))
         assert rep.classification == "Liouville suspected"
         assert rep.max_over_median >= 4.0
 
     def test_suspected_already_at_minimum_window(self, h1d):
-        cert = dio.construct_liouville(h1d, (1, Fraction(1, 2)), 3)
+        cert = dio.construct_liouville(h1d, 3)
         rep = dio.liouville_fit(dio.distance_sequence(cert.kappa, h1d, J=64))
         assert rep.classification == "Liouville suspected"
 
@@ -589,13 +592,13 @@ class TestLiouvilleFit:
 
 class TestConstructLiouville:
     def test_single_level_is_exact_hit(self, h1d):
-        cert = dio.construct_liouville(h1d, (1, Fraction(1, 2)), 1)
+        cert = dio.construct_liouville(h1d, 1)
         assert cert.kappa == Fraction(1, 3)
         assert cert.levels[0].gap == 0
         assert cert.verify()
 
     def test_three_levels_frozen_values(self, h1d):
-        cert = dio.construct_liouville(h1d, (1, Fraction(1, 2)), 3)
+        cert = dio.construct_liouville(h1d, 3)
         assert tuple(lv.j for lv in cert.levels) == L3_JS
         assert tuple(lv.lam for lv in cert.levels) == L3_LAMS
         assert tuple(lv.tau for lv in cert.levels) == L3_TAUS
@@ -606,7 +609,7 @@ class TestConstructLiouville:
 
     def test_gap_bound_against_mpmath(self, h1d):
         # independent high-precision check of gap <= exp(-(j+1)^e)
-        cert = dio.construct_liouville(h1d, (1, Fraction(1, 2)), 3)
+        cert = dio.construct_liouville(h1d, 3)
         with mpmath.workdps(60):
             for lv in cert.levels:
                 gap = mpmath.mpf(lv.gap.numerator) / mpmath.mpf(lv.gap.denominator)
@@ -622,7 +625,7 @@ class TestConstructLiouville:
                     assert mpmath.power(2, -K) <= mpmath.exp(-x)
 
     def test_four_levels_beyond_cap(self, h1d):
-        cert = dio.construct_liouville(h1d, (1, Fraction(1, 2)), 4, j_cap=None)
+        cert = dio.construct_liouville(h1d, 4, j_cap=None)
         assert tuple(lv.j.bit_length() for lv in cert.levels) == L4_J_BITS
         assert tuple(lv.lam.bit_length() for lv in cert.levels) == L4_LAM_BITS
         assert cert.levels[-1].gap == 0
@@ -630,15 +633,15 @@ class TestConstructLiouville:
 
     def test_default_cap_triggers_overflow(self, h1d):
         with pytest.raises(dio.LevelOverflow, match="cap 1000000"):
-            dio.construct_liouville(h1d, (1, Fraction(1, 2)), 4)
+            dio.construct_liouville(h1d, 4)
 
     def test_bits_cap_triggers_overflow(self, h1d):
         with pytest.raises(dio.LevelOverflow, match="bits"):
-            dio.construct_liouville(h1d, (1, Fraction(1, 2)), 5, j_cap=None)
+            dio.construct_liouville(h1d, 5, j_cap=None)
 
     def test_gentler_exponent_fits_more_levels(self, h1d):
         # mu = 1 halves the exponent, so four levels fit under the cap
-        cert = dio.construct_liouville(h1d, (1, Fraction(1, 1)), 4)
+        cert = dio.construct_liouville(h1d, 4, mu=1)
         assert len(cert.levels) == 4
         assert cert.levels[-1].j <= 10**6
         assert cert.verify()
@@ -646,36 +649,36 @@ class TestConstructLiouville:
     def test_requires_progression_structure(self):
         nd = build_eigensequence("harmonic_nd 2", 64)
         with pytest.raises(ValueError, match="arithmetic progression"):
-            dio.construct_liouville(nd, (2, Fraction(1, 2)), 2)
+            dio.construct_liouville(nd, 2)
         tab = build_eigensequence("table", 16, values=[j + 1 for j in range(16)])
         with pytest.raises(ValueError, match="arithmetic progression"):
-            dio.construct_liouville(tab, (1, Fraction(1, 2)), 2)
+            dio.construct_liouville(tab, 2)
 
     def test_requires_positive_levels(self, h1d):
         with pytest.raises(ValueError):
-            dio.construct_liouville(h1d, (1, Fraction(1, 2)), 0)
+            dio.construct_liouville(h1d, 0)
 
     def test_json_roundtrip(self, h1d):
-        cert = dio.construct_liouville(h1d, (1, Fraction(1, 2)), 3)
+        cert = dio.construct_liouville(h1d, 3)
         back = dio.LiouvilleCertificate.from_json(cert.to_json())
         assert back == cert
         assert back.verify()
 
     def test_json_roundtrip_huge(self, h1d):
-        cert = dio.construct_liouville(h1d, (1, Fraction(1, 2)), 4, j_cap=None)
+        cert = dio.construct_liouville(h1d, 4, j_cap=None)
         back = dio.LiouvilleCertificate.from_json(cert.to_json())
         assert back == cert
         assert back.verify()
 
     def test_json_uses_decimal_strings(self, h1d):
-        cert = dio.construct_liouville(h1d, (1, Fraction(1, 2)), 3)
+        cert = dio.construct_liouville(h1d, 3)
         obj = json.loads(cert.to_json())
         assert obj["kappa"] == {"num": "20699", "den": "65547"}
         assert obj["levels"][1]["lambda"] == "19"
         assert obj["levels"][0]["gap"] == {"num": "1150", "den": "21849"}
 
     def test_verify_rejects_tampering(self, h1d):
-        cert = dio.construct_liouville(h1d, (1, Fraction(1, 2)), 3)
+        cert = dio.construct_liouville(h1d, 3)
 
         def rebuild(**kw):
             fields = dict(kappa=cert.kappa, levels=cert.levels, n=cert.n,
@@ -698,7 +701,7 @@ class TestConstructLiouville:
         assert not rebuild(levels=out_of_order).verify()
 
     def test_level_distances_decrease_like_certified_bound(self, h1d):
-        cert = dio.construct_liouville(h1d, (1, Fraction(1, 2)), 3)
+        cert = dio.construct_liouville(h1d, 3)
         seq = dio.distance_sequence(cert.kappa, h1d)
         for lv in cert.levels:
             if lv.j < len(seq):

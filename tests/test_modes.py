@@ -23,7 +23,7 @@ from hypotorus.modes import (
     solve_mode,
     solve_mode_detailed,
 )
-from hypotorus.modes import _band_width, _solve_cyclic_banded
+from hypotorus.modes import _CHUNK_CELLS, _band_width, _banded_chunk, _solve_cyclic_banded
 from hypotorus.spectrum import build_eigensequence
 from hypotorus.torusfn import TorusFunction, grid
 
@@ -277,6 +277,18 @@ def test_banded_collocation_keeps_the_cyclic_corners():
     u = banded_collocation(1023.0, c, f, 2)
     ref = dense_collocation(1023.0, c, f)
     assert (u - ref).sup_norm() <= 1e-10 * ref.sup_norm()
+
+
+@pytest.mark.parametrize("n, d, modes", [
+    (512, 1, 256), (512, 2, 153),          # 3 n^2 cells, as before the cap
+    (1024, 1, 512), (1024, 2, 307),        # 3 n^2 = the cap
+    (4096, 1, 128), (4096, 2, 76),         # capped: was 2048 and 1228 modes
+])
+def test_banded_chunk_is_capped_at_chunk_cells(n, d, modes):
+    # G and X hold 2 n (2d+1) complex numbers per mode
+    assert _banded_chunk(n, d) == modes
+    assert modes * 2 * n * (2 * d + 1) <= min(3 * n * n, _CHUNK_CELLS)
+    assert _CHUNK_CELLS * 16 == 48 << 20
 
 
 @pytest.mark.parametrize("formula", ["auto", 1, 2, "fourier"])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -150,6 +151,27 @@ def test_eigensequence_csv_roundtrip():
     e2 = EigenSequence.from_csv(text, m=2, n=1)
     assert list(e2.lambdas) == list(e.lambdas)
     assert e2.exact == e.exact
+
+
+def test_exponent_is_exact_one_over_2_n_mu():
+    # n comes from the spectrum: the kind's dimension, or a table's declared n
+    h1 = build_eigensequence("harmonic1d", 8)
+    assert h1.exponent(Fraction(1, 2)) == 1 and isinstance(h1.exponent(1), Fraction)
+    assert h1.exponent(1) == Fraction(1, 2)
+    assert h1.exponent(0.7) == Fraction(5, 7)        # a float reads as 7/10
+    assert build_eigensequence("harmonic_nd 2", 8).exponent(Fraction(1, 2)) == Fraction(1, 2)
+    assert build_eigensequence("harmonic_nd 3", 8).exponent(Fraction(3, 2)) == Fraction(1, 9)
+    tab = build_eigensequence("table", 4, values=[1, 2, 3, 4], m=4, n=5)
+    assert tab.exponent(Fraction(1, 2)) == Fraction(1, 5)
+    with pytest.raises(ValueError):      # so n >= 1 in every exponent
+        build_eigensequence("table", 4, values=[1, 2, 3, 4], n=0)
+
+
+def test_exponent_refuses_mu_below_one_half():
+    h1 = build_eigensequence("harmonic1d", 8)
+    for mu in (Fraction(1, 4), 0.49, 0, -1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            h1.exponent(mu)
 
 
 def test_weyl_spread_harmonic_nd_2():

@@ -241,7 +241,7 @@ def test_constant_float_refused():
 
 def test_constant_liouville_certificate_transfers_gap_decay():
     eigs = build_eigensequence("harmonic1d", 40)
-    cert = construct_liouville(eigs, (1, Fraction(1, 2)), L=3)
+    cert = construct_liouville(eigs, L=3)
     b = constant_witness(cert, build_eigensequence("harmonic1d", 12))
     assert b.meta["route"] == "liouville-certificate"
     assert [lv.j for lv in b.levels] == [lev.j for lev in cert.levels]
@@ -284,7 +284,7 @@ def test_constant_every_integer_resonates(alpha):
 @pytest.fixture(scope="module")
 def sin_witness():
     eigs = build_eigensequence("harmonic1d", 64)
-    return sign_change_witness(c_sin(), eigs, (1, Fraction(1, 2)), N=1024)
+    return sign_change_witness(c_sin(), eigs, N=1024)
 
 
 def test_sign_change_finds_the_two_sided_well(sin_witness):
@@ -314,7 +314,7 @@ def test_construction_computes_each_residual_once(monkeypatch):
 
     monkeypatch.setattr(witness_mod, "operator_residuals", counting)
     eigs = build_eigensequence("harmonic1d", 16)
-    b = sign_change_witness(c_sin(256), eigs, (1, Fraction(1, 2)), N=256)
+    b = sign_change_witness(c_sin(256), eigs, N=256)
     assert calls == [16]                      # one batch of every sampled level
     rep = b.verify()                          # the independent re-check
     assert calls == [16, 16]
@@ -326,7 +326,7 @@ def _every_kind():
     eigs = build_eigensequence("harmonic1d", 16)
     c, iv = plateau_coefficient()
     base = build_eigensequence("harmonic1d", 40)
-    cert = construct_liouville(base, (1, Fraction(1, 2)), L=3)
+    cert = construct_liouville(base, L=3)
     c_l0 = TorusFunction(float(cert.kappa) + 0.3 * np.cos(grid(512)) + 0j)
     return {
         "constant": lambda: constant_witness(Fraction(1, 3), eigs, L=4, N=64),
@@ -393,7 +393,7 @@ def test_sign_change_u_and_f_vanish_off_the_bump(sin_witness):
 
 def test_sign_change_with_real_part_keeps_the_contract():
     eigs = build_eigensequence("harmonic1d", 32)
-    b = sign_change_witness(c_sin(a0=0.5), eigs, (1, Fraction(1, 2)), N=1024)
+    b = sign_change_witness(c_sin(a0=0.5), eigs, N=1024)
     assert b.verify()["ok"]
     assert all(lv.residual < 1e-7 for lv in b.levels)
     assert abs(b.floor_u - 1.0) < 1e-12
@@ -404,16 +404,15 @@ def test_sign_change_requires_an_actual_sign_change():
     eigs = build_eigensequence("harmonic1d", 16)
     c = TorusFunction.from_callable(lambda t: 1j * (1.0 - np.cos(t)), 1024)
     with pytest.raises(PartitionNotFound):
-        sign_change_witness(c, eigs, (1, Fraction(1, 2)), N=1024)
+        sign_change_witness(c, eigs, N=1024)
     with pytest.raises(PartitionNotFound):
-        sign_change_witness(TorusFunction.constant(0.7, 1024), eigs,
-                            (1, Fraction(1, 2)), N=1024)
+        sign_change_witness(TorusFunction.constant(0.7, 1024), eigs, N=1024)
 
 
 def test_sign_change_mixed_spectrum_restricts_to_positive_levels():
     vals = [(1 if j % 2 == 0 else -1) * (2 * j + 1) for j in range(16)]
     eigs = build_eigensequence("table", 16, values=vals, m=2, n=1)
-    b = sign_change_witness(c_sin(), eigs, (1, Fraction(1, 2)), N=1024)
+    b = sign_change_witness(c_sin(), eigs, N=1024)
     assert [lv.j for lv in b.levels] == list(range(0, 16, 2))
     assert "positive-lambda" in b.meta["subsequence_note"]
     assert b.verify()["ok"]
@@ -422,7 +421,7 @@ def test_sign_change_mixed_spectrum_restricts_to_positive_levels():
 def test_sign_change_negative_spectrum_mirrors_the_window():
     vals = [-(2 * j + 1) for j in range(12)]
     eigs = build_eigensequence("table", 12, values=vals, m=2, n=1)
-    b = sign_change_witness(c_sin(), eigs, (1, Fraction(1, 2)), N=1024)
+    b = sign_change_witness(c_sin(), eigs, N=1024)
     assert b.meta["side"] == "min"
     assert b.verify()["ok"]
     assert b.decay.rate_lambda >= 0.95 * b.meta["c_star"]
@@ -431,7 +430,7 @@ def test_sign_change_negative_spectrum_mirrors_the_window():
 def test_sign_change_grid_too_small_for_spectrum():
     eigs = build_eigensequence("harmonic1d", 64)
     with pytest.raises(ValueError, match="bandwidth"):
-        sign_change_witness(c_sin(128), eigs, (1, Fraction(1, 2)), N=128)
+        sign_change_witness(c_sin(128), eigs, N=128)
 
 
 def test_sign_change_budget_miss_is_typed():
@@ -453,7 +452,7 @@ def test_sign_change_margin_scales_with_amplitude(amp):
     eigs = build_eigensequence("harmonic1d", 8)
     t = grid(512)
     c = TorusFunction(1j * amp * np.sin(t))
-    b = sign_change_witness(c, eigs, (1, Fraction(1, 2)), N=512)
+    b = sign_change_witness(c, eigs, N=512)
     assert abs(b.meta["depth"] - 2.0 * amp) < 1e-2 * amp
     assert b.verify()["ok"]
 
@@ -687,7 +686,7 @@ def test_plateau_flanks_with_wrong_signs_rejected():
 @pytest.fixture(scope="module")
 def liouville_setup():
     base = build_eigensequence("harmonic1d", 40)
-    cert = construct_liouville(base, (1, Fraction(1, 2)), L=3)
+    cert = construct_liouville(base, L=3)
     n = 512
     t = grid(n)
     c = TorusFunction(float(cert.kappa) + 0.3 * np.cos(t) + 0j)
@@ -791,7 +790,7 @@ def test_plans_from_the_classifier_build_working_witnesses():
     plan = v.witness_handle
     assert plan.kind == "sign-change"
     assert plan.detail["constructor"] == "sign_change_witness"
-    b = sign_change_witness(c_sin(), eigs, (1, Fraction(1, 2)), N=1024)
+    b = sign_change_witness(c_sin(), eigs, N=1024)
     assert b.verify()["ok"]
 
     v2 = classify_constant(Fraction(1, 3), 0, eigs)
