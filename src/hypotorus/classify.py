@@ -41,7 +41,7 @@ from .diophantine import (
     distance_sequence,
     liouville_fit,
 )
-from .jsonio import dumps
+from .jsonio import dumps, plain
 
 __all__ = [
     "NonRealInput",
@@ -107,21 +107,8 @@ class SignReport:
     n: int
     tol: float = TOL_SIGN
 
-    def as_dict(self) -> dict:
-        return {
-            "min_b": self.min_b,
-            "max_b": self.max_b,
-            "mean_b": self.mean_b,
-            "zero_measure": self.zero_measure,
-            "changes_sign": self.changes_sign,
-            "identically_zero": self.identically_zero,
-            "longest_zero_run": self.longest_zero_run,
-            "n": self.n,
-            "tol": self.tol,
-        }
-
     def to_json(self) -> str:
-        return dumps(self.as_dict())
+        return dumps(self)
 
 
 def _circular_runs(mask: np.ndarray) -> List[Tuple[int, int]]:
@@ -185,9 +172,6 @@ class WitnessPlan:
     kind: str
     detail: Mapping[str, object] = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "detail": dict(self.detail)}
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -225,7 +209,7 @@ class Verdict:
             "branch": self.branch,
             "confidence": self.confidence,
             "evidence": dict(self.evidence),
-            "witness": None if self.witness_handle is None else self.witness_handle.as_dict(),
+            "witness": self.witness_handle,
         }
 
     def to_json(self) -> str:
@@ -532,7 +516,7 @@ def classify(c: TorusFunction, eigs: EigenSequence,
     b = c.imag_part()
     rep = sign_report(b)
     a0, b0 = float(m.real), float(m.imag)
-    base_ev = {"c0": {"re": a0, "im": b0}, "sign_report": rep.as_dict()}
+    base_ev = {"c0": {"re": a0, "im": b0}, "sign_report": plain(rep)}
 
     if not rep.identically_zero and not rep.changes_sign:
         ev = {**base_ev, "route": "variable-sign-definite"}

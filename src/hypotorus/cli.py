@@ -10,7 +10,8 @@ Subcommands
 Everything is driven by one JSON config (see :class:`ExperimentConfig`);
 command-line flags override individual fields.  The operator's dimension n
 and order m come from ``model``, the spectrum of P (its kind, or
-``model.n`` / ``model.m`` for a table); ``params`` holds the class
+``model.n`` / ``model.m`` for a table, the one kind that takes them, with
+``model.values``); ``params`` holds the class
 parameters ``mu`` and ``sigma`` only.  Outputs are UTF-8 CSV with a header
 row and '.' decimals, plus JSON reports with sorted keys -- the same config
 bytes always produce the same output bytes.
@@ -59,8 +60,10 @@ __all__ = ["ConfigError", "ExperimentConfig", "MAX_ARRAY_BYTES", "WitnessUnavail
 #: Ceiling in bytes on a run's largest array, as ExperimentConfig.array_bytes
 #: estimates it (decay: the input field times its k_max + 1 derivatives); a
 #: config above it is refused before anything is built.  The benchmark's
-#: largest is a 64 MiB (512, 8192) witness store.  Peak memory is a few times
-#: the largest array: ~5x for a solve, whose collocation copies the field.
+#: largest is a 64 MiB (512, 8192) witness store.  Peak memory is a multiple
+#: of the largest array: a solve of a 32 MiB field (J = 512, grid 4096) peaks at
+#: 433 MB RSS, about 13x, because ModeField.to_csv holds the whole 132 MB text
+#: (ROADMAP item 7, a streamed mode-field writer).
 MAX_ARRAY_BYTES = 1 << 27
 _MODE_BYTES = 512    # per mode across the per-mode tables (diophantine measures ~500)
 _CELL_BYTES = 16     # one complex sample
@@ -189,11 +192,18 @@ class ExperimentConfig:
                    and model["kind"].split()[0] in _MODEL_KINDS)
         _need(kind_ok,
               f"model.kind must be one of {_MODEL_KINDS} (got {model['kind']!r})")
-        if model["values"] is not None:
-            _need(isinstance(model["values"], list)
-                  and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                          for x in model["values"]),
-                  "model.values must be a list of numbers")
+        if model["kind"].split()[0] != "table":     # the kind fixes m, n and values
+            extra = sorted(set(data.get("model", {})) - {"kind"})
+            _need(not extra, f"model keys {extra} apply to kind 'table' only")
+            d["model"] = model = {"kind": model["kind"]}
+        else:
+            for key in ("m", "n"):
+                _as_int(model[key], f"model.{key}", 1)
+            if model["values"] is not None:
+                _need(isinstance(model["values"], list)
+                      and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                              for x in model["values"]),
+                      "model.values must be a list of numbers")
 
         params = d["params"] = _section(d, "params", _PARAM_DEFAULTS)
         with _context("params.mu"):
@@ -204,8 +214,6 @@ class ExperimentConfig:
         _need(_is_real(sigma) and sigma > 1,
               f"params.sigma must be a finite number > 1, got {sigma!r}")
         params["sigma"] = float(sigma)
-        for key in ("m", "n"):
-            _as_int(model[key], f"model.{key}", 1)
         for key, lo in _INT_KEYS:
             if d[key] is not None or key not in ("construct_levels", "witness_n"):
                 _as_int(d[key], key, lo)
@@ -284,7 +292,7 @@ class ExperimentConfig:
         m = self._d["model"]
         with _context("model"):
             eigs = build_eigensequence(m["kind"], self._d["j_modes"],
-                                       values=m["values"], m=m["m"], n=m["n"])
+                                       **{k: v for k, v in m.items() if k != "kind"})
         _need(2 * eigs.n * self.mu < 2**1000,
               f"2 n mu must stay below 2^1000, got n = {eigs.n}, mu = {self.mu}")
         return eigs
@@ -438,8 +446,7 @@ def cmd_classify(cfg: ExperimentConfig, out: Path) -> int:
         except (WitnessUnavailable, WitnessBudgetMiss) as e:
             print(f"warning: witness not emitted: {e}", file=sys.stderr)
             _write_json(out / "witness_plan.json", {
-                "plan": None if verdict.witness_handle is None
-                else verdict.witness_handle.as_dict(),
+                "plan": verdict.witness_handle,
                 "reason": str(e),
             })
     return 0
@@ -469,7 +476,7 @@ def cmd_diophantine(cfg: ExperimentConfig, out: Path) -> int:
             kappa_label = "constructed"
 
     seq = distance_sequence(kappa, eigs, cfg.mu, J=cfg["j_modes"])
-    seq.to_csv(out / "distances.csv")
+    _write_text(out / "distances.csv", seq.to_csv())
     report = {"kappa": kappa_label, "exact": seq.exact, "n_modes": len(seq)}
     resonant = seq.resonant_indices
     if len(resonant) > len(seq) // 2:
@@ -509,7 +516,7 @@ def cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
     pm = pm_seminorms(u, eigs, M_max=8, k_max=min(cfg["k_max"], 4))
     _write_text(out / "pm_table.csv", pm.to_csv())
     report = fit.as_dict()
-    report["pm"] = {k: v for k, v in pm.as_dict().items() if k != "values"}
+    report["pm"] = {k: v for k, v in jsonio.plain(pm).items() if k != "values"}
     _write_json(out / "decay.json", report)
     return 0
 

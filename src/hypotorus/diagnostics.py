@@ -26,6 +26,7 @@ import numpy as np
 
 from . import csvio
 from .errors import ConfigError, HypotorusError
+from .jsonio import plain
 from .modes import ModeField
 from .spectrum import EigenSequence, HermiteBasis, ladder_diff_x, ladder_mul_x, _phi_matrix
 
@@ -134,19 +135,7 @@ class DecayFit:
         return math.isfinite(self.epsilon) and self.r2 >= _R2_CLAIM
 
     def as_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "C": self.C,
-            "sigma_fit": self.sigma_fit,
-            "sigma_fit_joint": self.sigma_fit_joint,
-            "r2": self.r2,
-            "r2_sigma": self.r2_sigma,
-            "window": list(self.window),
-            "n_used": self.n_used,
-            "sub_exponential": self.sub_exponential,
-            "reliable": self.reliable,
-            "note": self.note,
-        }
+        return {**plain(self), "reliable": self.reliable}
 
 
 def _derivative_stack(field: ModeField, k_max: int) -> list:
@@ -263,20 +252,6 @@ class PMTable:
     def to_csv(self) -> str:
         M, k = np.indices(self.values.shape)
         return csvio.text(("M", "k", "S"), M.ravel(), k.ravel(), self.values.ravel())
-
-    def as_dict(self) -> dict:
-        return {
-            "M_max": self.M_max,
-            "k_max": self.k_max,
-            "slope_M": self.slope_M,
-            "slope_M_raw": self.slope_M_raw,
-            "r2_M": self.r2_M,
-            "slope_k": self.slope_k,
-            "slope_k_raw": self.slope_k_raw,
-            "r2_k": self.r2_k,
-            "tail_share": self.tail_share,
-            "values": self.values,
-        }
 
 
 def pm_seminorms(u: ModeField, eigs: EigenSequence, M_max: int = 8,
@@ -401,14 +376,6 @@ class Lemma25Result:
     j_star: tuple
     C_max: float
     bounded: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "gamma": self.gamma, "s": self.s, "epsilon": self.epsilon,
-            "ell_max": self.ell_max, "j_max": self.j_max,
-            "C_of_ell": list(self.C_of_ell), "j_star": list(self.j_star),
-            "C_max": self.C_max, "bounded": self.bounded,
-        }
 
 
 def lemma25_check(gamma: float, s: float, epsilon: float, ell_max: int = 20,

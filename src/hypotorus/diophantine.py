@@ -33,7 +33,7 @@ import numpy as np
 from . import csvio
 from .diagnostics import ols
 from .errors import ConfigError, HypotorusError
-from .jsonio import dumps, unlimited_int_digits
+from .jsonio import dumps, plain, unlimited_int_digits
 from .spectrum import EigenSequence, _exact_mu
 
 __all__ = [
@@ -144,13 +144,14 @@ class DistanceSequence:
     def resonant_indices(self) -> Tuple[int, ...]:
         return tuple(int(self.js[i]) for i in np.flatnonzero(self.d == 0.0))
 
-    def to_csv(self, path) -> None:
-        csvio.write(path, csvio.text(("j", "lambda", "d"), self.js, self.lambdas, self.d))
+    def to_csv(self) -> str:
+        return csvio.text(("j", "lambda", "d"), self.js, self.lambdas, self.d)
 
     @staticmethod
-    def from_csv(path, kappa=float("nan"), e=Fraction(1)) -> "DistanceSequence":
-        with open(path, encoding="utf-8") as fh:
-            rows = csvio.SampleRows(fh, ("j", "lambda", "d"), "distance CSV")
+    def from_csv(source, kappa=float("nan"), e=Fraction(1)) -> "DistanceSequence":
+        """Inverse of :meth:`to_csv`, from the text or a text handle (see
+        :class:`~hypotorus.csvio.SampleRows`)."""
+        rows = csvio.SampleRows(source, ("j", "lambda", "d"), "distance CSV")
         return DistanceSequence(kappa=kappa, e=Fraction(e),
                                 js=tuple(rows.column("j").tolist()),
                                 lambdas=tuple(rows.column("lambda").tolist()),
@@ -226,19 +227,9 @@ class FitReport:
     heuristic: bool = True
 
     def as_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "heuristic": self.heuristic,
-            "windows": [list(w) for w in self.windows],
-            "slopes": list(self.slopes),
-            "normalized_slopes": list(self.normalized_slopes),
-            "raw_slopes": list(self.raw_slopes),
-            "max_over_median": self.max_over_median,
-            "growth_monotone": self.growth_monotone,
-            "resonant_indices": list(self.resonant_indices),
-            "exponent": self.e,
-            "n_modes_used": self.n_modes_used,
-        }
+        d = plain(self)
+        d["exponent"] = d.pop("e")
+        return d
 
     def to_json(self) -> str:
         return dumps(self.as_dict())
@@ -361,18 +352,7 @@ class RationalVerdict:
         return f"uniformly non-Liouville with floor {self.floor}"
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "kind": self.kind,
-            "scope": self.scope,
-            "resonant": self.resonant,
-            "period": self.period,
-            "resonant_classes": list(self.resonant_classes),
-            "class_variable": self.class_variable,
-            "floor": self.floor,
-            "verdict": self.verdict,
-        }
+        return {**plain(self), "verdict": self.verdict}
 
     def to_json(self) -> str:
         return dumps(self.as_dict())

@@ -9,8 +9,11 @@ One recursive converter, :func:`plain`, maps program values to JSON data:
   precision past that;
 * numpy scalars -> Python scalars; ``bool`` is tested before ``int``;
 * mapping keys -> ``str``; tuples and arrays -> lists;
-* anything else -> ``str(v)``, unless a ``default`` hook (json's own
-  ``default=`` convention: return a stand-in or raise ``TypeError``) maps it.
+* a ``default`` hook (json's own ``default=`` convention: return a stand-in
+  or raise ``TypeError``) maps any other value it knows;
+* a dataclass instance that the hook leaves alone -> the mapping of its
+  fields, so a result object is written as its fields;
+* anything else -> ``str(v)``.
 
 :func:`dumps` writes the result with ``indent=2`` and sorted keys, and
 :func:`write` stores it with a trailing newline.  Certificates carry
@@ -25,6 +28,7 @@ import math
 import sys
 from collections.abc import Mapping
 from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -75,6 +79,8 @@ def _plain(v, default):
             pass
         else:
             return _plain(stand_in, default)
+    if is_dataclass(v) and not isinstance(v, type):
+        return {f.name: _plain(getattr(v, f.name), default) for f in fields(v)}
     return str(v)
 
 

@@ -381,7 +381,6 @@ class WitnessBundle:
     # -- export --------------------------------------------------------- #
 
     def manifest(self) -> dict:
-        dec = self.decay
         with unlimited_int_digits():      # str() of certificate-sized integers
             return plain({
                 "kind": self.kind,
@@ -390,15 +389,7 @@ class WitnessBundle:
                 "floor_u": self.floor_u,
                 "n_levels": len(self.levels),
                 "subsequence": self.subsequence,
-                "decay": {
-                    "f_zero": dec.f_zero,
-                    "eps_f": dec.eps_f,
-                    "r2": dec.r2,
-                    "rate_lambda": dec.rate_lambda,
-                    "r2_lambda": dec.r2_lambda,
-                    "n_fit": dec.n_fit,
-                    "note": dec.note,
-                },
+                "decay": self.decay,
                 "levels": [
                     {
                         "j": lv.j,

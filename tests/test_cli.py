@@ -90,6 +90,27 @@ def test_params_n_and_m_are_refused(tmp_path, capsys, key):
     assert f"unknown params keys: ['{key}']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, key", [
+    ({"kind": "harmonic1d", "n": 3}, "n"),
+    ({"kind": "harmonic_nd 2", "m": 4}, "m"),
+    ({"kind": "harmonic1d_power 2", "values": [1, 3, 5]}, "values"),
+])
+def test_model_n_m_and_values_are_refused_off_table(tmp_path, capsys, model, key):
+    # only a table takes them; every other kind fixes its own n, m and values
+    cfg = write_config(tmp_path, model=model, kappa="0.7071067811865476", j_modes=128)
+    assert main(["diophantine", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert f"model keys ['{key}'] apply to kind 'table' only" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "fit.json").exists()
+
+
+def test_table_model_keeps_its_m_and_n_defaults():
+    cfg = ExperimentConfig.from_json('{"model": {"kind": "table", "values": [1, 2]}}')
+    assert cfg["model"] == {"kind": "table", "m": 2, "n": 1, "values": [1, 2]}
+    again = cfg.with_overrides(j_modes=2)
+    assert again["model"] == cfg["model"] and again.eigensequence().n == 1
+    assert ExperimentConfig.from_json("{}")["model"] == {"kind": "harmonic1d"}
+
+
 def test_harmonic_nd_exponent_is_one_over_2_n_mu_everywhere(tmp_path):
     # n = 2 from the kind and mu = 1/2 give e = 1/2 in the fit and the witness
     nd2 = {"kind": "harmonic_nd 2"}

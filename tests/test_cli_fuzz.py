@@ -169,6 +169,7 @@ models = st.one_of(
         [-(2 * j + 1) for j in range(64)], [j * j + 1.5 for j in range(64)],
         [1.0, NAN, 3.0], [10**400] * 8, [5, 4, 3, 2, 1, 0, 0, 0], [1] * 64, "x"])),
     st.sampled_from([{"kind": "bogus"}, {"kind": 5}, {"kind": "harmonic1d", "m": 0},
+                     {"kind": "harmonic1d", "n": 3},
                      {"kind": "table", "values": [1, 2, 3, 4], "m": 10**9, "n": 10**9},
                      {"kind": "table", "values": [1, 2, 3, 4], "m": 10**400, "n": 10**400},
                      {"colour": "red"}, []]),

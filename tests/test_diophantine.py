@@ -157,23 +157,19 @@ class TestDistanceSequence:
         assert not seq.exact
         assert seq.d[0] == pytest.approx(dio.dist_to_int((0.25 + 1e-3) * 1.0))
 
-    def test_csv_roundtrip(self, h1d, tmp_path):
+    def test_csv_roundtrip(self, h1d):
         seq = dio.distance_sequence(Fraction(2, 7), h1d, J=96)
-        path = tmp_path / "d.csv"
-        seq.to_csv(path)
-        back = dio.DistanceSequence.from_csv(path, kappa=Fraction(2, 7))
+        back = dio.DistanceSequence.from_csv(seq.to_csv(), kappa=Fraction(2, 7))
         assert back.js == seq.js
         assert back.lambdas == seq.lambdas
         np.testing.assert_array_equal(back.d, seq.d)
 
-    def test_csv_roundtrip_of_float_lambdas_in_exponent_form(self, tmp_path):
+    def test_csv_roundtrip_of_float_lambdas_in_exponent_form(self):
         # repr writes a float lambda >= 1e16 as '1e+16', which is no int literal
         eigs = build_eigensequence("table", 8, values=[1.5, 2.5, 1e16, 3e16, 1e17,
                                                        2.5e17, 1e20, 1.25e22])
         seq = dio.distance_sequence(0.3, eigs)
-        path = tmp_path / "d.csv"
-        seq.to_csv(path)
-        back = dio.DistanceSequence.from_csv(path, kappa=0.3)
+        back = dio.DistanceSequence.from_csv(seq.to_csv(), kappa=0.3)
         assert back.lambdas == seq.lambdas
         np.testing.assert_array_equal(back.d, seq.d)
 

@@ -3,6 +3,7 @@
 import json
 import math
 from collections import OrderedDict
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +78,49 @@ def test_default_hook_maps_its_types_and_nothing_else():
         raise TypeError(type(v).__name__)
 
     assert plain([Opaque(), {1}], default=hook) == [{"opaque": [1, None]}, "{1}"]
+
+
+@dataclass(frozen=True)
+class Point:
+    x: float
+    label: str = "p"
+    tags: tuple = field(default=())
+
+
+@dataclass(frozen=True)
+class Pair:
+    first: Point
+    ratio: Fraction
+
+
+def test_dataclass_encodes_as_its_fields():
+    p = Point(1.5, tags=(Fraction(1, 2),))
+    fields = {"x": 1.5, "label": "p", "tags": [{"num": "1", "den": "2"}]}
+    assert plain(p) == fields
+    assert plain([p, {"k": p}]) == [fields, {"k": fields}]
+    assert plain(Pair(p, Fraction(3))) == {"first": fields,
+                                           "ratio": {"num": "3", "den": "1"}}
+
+
+def test_dataclass_non_finite_field_is_null():
+    assert plain(Point(math.nan)) == {"x": None, "label": "p", "tags": []}
+    assert json.loads(dumps(Point(-math.inf)))["x"] is None
+
+
+def test_default_hook_wins_over_the_dataclass_rule():
+    def hook(v):
+        if isinstance(v, Point):
+            return {"summary": v.label}
+        raise TypeError(type(v).__name__)
+
+    pair = Pair(Point(2.0, "q"), Fraction(1, 4))
+    assert plain(pair, default=hook) == {"first": {"summary": "q"},
+                                         "ratio": {"num": "1", "den": "4"}}
+
+
+def test_dataclass_class_is_not_encoded_as_data():
+    assert plain(Point) == str(Point)
+    assert plain({"type": Pair}) == {"type": str(Pair)}
 
 
 def test_dumps_is_sorted_indented_and_strict(tmp_path):

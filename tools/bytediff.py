@@ -13,8 +13,11 @@ float-valued table and an integer table beyond 2^64), one witness per
 constructor, a constant one at denominator 20001, and four more sign-change
 witnesses: the mirrored window of a negative table, a drifting Im c, two
 harmonics, and 1/2 + i sin 4t at the default witness_n, which misses its
-residual budget and exits 1.
-Three extras read CSVs the tool writes, so every CSV reader of the CLI
+residual budget and exits 1.  Two classify --witness calls: 1/2 + i sin 4t,
+which misses its budget, exits 0 and writes witness_plan.json; and the
+plateau c, whose variable-plateau verdict carries a sign_report and whose
+witness writes a plateau manifest.
+Some extras read CSVs the tool writes, so every CSV reader of the CLI
 (decay input, f_file, c_file) runs.
 Prints every file and exit code that differs; exits 1 if any does.
 """
@@ -62,6 +65,12 @@ WITNESS = {  # one witness call per constructor; sign-change also runs in the be
     "sign-change-two-harmonics": {"c": "1/4 + i(sin t - 1/3 sin 2t)",
                                   "witness_kind": "sign-change"},
     "sign-change-miss": {"c": "1/2 + i sin 4t", "j_modes": 64},
+}
+
+CLASSIFY = {  # classify --witness: a plan written on a budget miss, and a plateau
+    "witness-miss": {"c": "1/2 + i sin 4t", "j_modes": 64, "witness": True},
+    "plateau": {"c_file": "extra/c_plateau.csv", "grid_n": 1024, "j_modes": 16,
+                "intervals": [1.5, 3.5], "witness": True},
 }
 
 DIOPHANTINE = {  # exact tables on every integer kind, and the float table
@@ -141,6 +150,11 @@ def calls(change: Path, workloads) -> list:
         Path("extra", f"witness-{name}.json").write_text(json.dumps(cfg, indent=1))
         out.append((f"extra/witness-{name}", ["witness", "--config", f"extra/witness-{name}.json",
                                               "--out", f"extra/witness-{name}"]))
+    for name, cfg in CLASSIFY.items():
+        Path("extra", f"classify-{name}.json").write_text(json.dumps(cfg, indent=1))
+        out.append((f"extra/classify-{name}", ["classify", "--witness", "--config",
+                                               f"extra/classify-{name}.json",
+                                               "--out", f"extra/classify-{name}"]))
     return out
 
 
