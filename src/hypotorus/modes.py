@@ -664,20 +664,25 @@ def apply_operator(c: TorusFunction, u: ModeField) -> ModeField:
 
 
 def operator_residuals(lam: Sequence[float], c: TorusFunction, u: np.ndarray,
-                       f: np.ndarray, coeffs: np.ndarray | None = None) -> np.ndarray:
-    """sup_t |u_s' + i*lam_s*c*u_s - f_s| for every row s of the (S, n) arrays
-    ``u`` and ``f``, as apply_operator computes it, in chunks of rows.
+                       f: np.ndarray, coeffs: np.ndarray | None = None,
+                       cols=slice(None)) -> np.ndarray:
+    """sup_t |u_s' + i*lam_s*c*u_s - f_s| for every row s of the (S, n) array
+    ``u``, as apply_operator computes it, in chunks of rows.
 
-    ``coeffs`` holds the exact trig coefficients of the rows of ``u`` where
-    they are known (a pure harmonic's one-hot spectrum); otherwise they are
-    taken from the samples by FFT.
+    ``f`` holds the forcing on the columns ``cols`` of the grid only (all of
+    them by default) and f_s = 0 elsewhere: the operator's rows are reduced
+    by f in place on those columns, which is the full-grid difference bit
+    for bit.  ``coeffs`` holds the exact trig coefficients of the rows of
+    ``u`` where they are known (a pure harmonic's one-hot spectrum);
+    otherwise they are taken from the samples by FFT.
     """
     lam = np.asarray(lam, dtype=np.float64)
     c = c.resample(u.shape[1])
     out = np.empty(u.shape[0])
     for s in row_chunks(*u.shape):
         r = _apply_rows(lam[s], c, u[s], None if coeffs is None else coeffs[s])
-        out[s] = np.abs(r - f[s]).max(axis=1)
+        r[:, cols] -= f[s]
+        out[s] = np.abs(r).max(axis=1)
     return out
 
 

@@ -33,17 +33,21 @@ Real parts of every evaluated exponent are <= 0 by construction, so ``exp``
 may underflow to zero but can never overflow; no clamping is needed on the
 decay side (the mode-solver clamp policy would only bind at +700).  A bundle
 keeps the levels its grid resolves (bandwidth below ~0.45 of Nyquist) as
-rows of two (S, N) arrays, u and f; the bump constructions fill them in
-chunks of levels, broadcasting lambda over the window exponents.  Each
-bump's exp(lambda E) is taken once, on its support and transition bands
-only, and feeds both u and f.  The sign-change window is scored for all N
-window starts at once from two sparse range tables (first argmax and min,
-int32 indices) over the 2N-point cover: O(N log N), and the same window as
-a scan of every start.  All residuals of a bundle come from one batched
-:func:`modes.operator_residuals` call, at construction and again in
-:meth:`WitnessBundle.verify`.  Levels beyond the grid band carry
-``residual=None`` and are verified on their closed form in exact rational
-arithmetic.
+rows of an (S, N) array u and an (S, K) array f of the forcing on its K
+columns ``f_cols``, the only columns where f can be nonzero: the bump
+kinds' transition bands (at N = 8192, 49% of the grid for b sin t and 24%
+for b sin 3t), none for a resonant constant witness, all N for the
+Liouville routes.  The bump constructions fill both in chunks of levels,
+broadcasting lambda over the window exponents.  Each bump's exp(lambda E) is
+taken once, on its support and transition bands only, and feeds both u and
+f.  The sign-change window is scored for all N window starts at once from
+two sparse range tables (first argmax and min, int32 indices) over the
+2N-point cover: O(N log N), and the same window as a scan of every
+start.  All residuals of a bundle come from one batched
+:func:`modes.operator_residuals` call on u, f and ``f_cols``, at
+construction and again in :meth:`WitnessBundle.verify`.  Levels beyond the
+grid band carry ``residual=None`` and are verified on their closed form in
+exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -314,9 +318,13 @@ class WitnessBundle:
     """A verified non-hypoellipticity witness on a sparse mode subsequence.
 
     ``levels`` lists the subsequence (the construction is zero off it, so
-    nothing else is kept).  ``u`` and ``f`` are read-only (S, N) complex128
-    arrays whose rows hold the S grid-sampled levels, in level order, at the
-    points t_i = 2*pi*i/N; ``u_coeffs`` holds the exact trig coefficients of
+    nothing else is kept).  ``u`` is a read-only (S, N) complex128 array
+    whose rows hold the S grid-sampled levels, in level order, at the points
+    t_i = 2*pi*i/N.  ``f`` is a read-only (S, K) complex128 array of the
+    same rows' forcing on the grid columns ``f_cols``, a sorted read-only
+    (K,) integer index; the forcing is exactly +0.0 on every other column,
+    and :meth:`f_rows` scatters it back onto the grid.  ``u_coeffs`` holds
+    the exact trig coefficients of
     the rows of ``u`` when they are pure harmonics (the constant
     construction), else None.  ``floor_u`` is the reported constant c0 with
     sup|u_{j_l}| >= c0 > 0, and ``decay`` summarizes the forcing decay;
@@ -333,6 +341,7 @@ class WitnessBundle:
     decay: DecayRecord
     u: np.ndarray
     f: np.ndarray
+    f_cols: np.ndarray
     u_coeffs: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
 
@@ -344,6 +353,12 @@ class WitnessBundle:
     def subsequence(self) -> list[int]:
         return [lv.j for lv in self.levels]
 
+    def f_rows(self, s=slice(None)) -> np.ndarray:
+        """The rows ``s`` of the forcing on the whole N-grid, +0.0 off ``f_cols``."""
+        out = np.zeros(self.u[s].shape, dtype=np.complex128)
+        out[..., self.f_cols] = self.f[s]
+        return out
+
     # -- verification -------------------------------------------------- #
 
     def verify(self, tol_residual: Optional[float] = None) -> dict:
@@ -354,7 +369,8 @@ class WitnessBundle:
     def _residuals(self) -> list[float]:
         """sup|u' + i lam c u - f| of every row, in one batched call."""
         lams = [lv.lam for lv in self.levels if lv.sampled]
-        return operator_residuals(lams, self.c, self.u, self.f, self.u_coeffs).tolist()
+        return operator_residuals(lams, self.c, self.u, self.f, self.u_coeffs,
+                                  cols=self.f_cols).tolist()
 
     def _report(self, residuals: list, tol_residual: Optional[float] = None) -> dict:
         tol = tol_residual if tol_residual is not None else (
@@ -498,7 +514,8 @@ def constant_witness(alpha, eigs: EigenSequence, L: int = 4,
     return _verified(TOL_RESIDUAL_CONSTANT, kind="constant", levels=levels,
                      c=TorusFunction.constant(complex(float(frac)), N), eigs=eigs,
                      exponent=float(eigs.exponent(mu)), floor_u=1.0,
-                     u=u, f=np.zeros_like(u), u_coeffs=u_coeffs,
+                     u=u, f=np.zeros((len(taus), 0), dtype=np.complex128),
+                     f_cols=np.arange(0), u_coeffs=u_coeffs,
                      meta={"alpha": str(frac), "route": route,
                            "tau": [lv.freq for lv in levels]})
 
@@ -565,7 +582,7 @@ def _constant_from_certificate(cert: LiouvilleCertificate, eigs: EigenSequence,
                      c=TorusFunction.constant(complex(float(kappa)), N), eigs=eigs,
                      exponent=float(cert.e), floor_u=1.0,
                      u=u, f=u * np.array(scales, dtype=np.complex128)[:, None],
-                     u_coeffs=u_coeffs,
+                     f_cols=np.arange(N), u_coeffs=u_coeffs,
                      meta={
                          "alpha": alpha_str,
                          "route": "liouville-certificate",
@@ -594,7 +611,7 @@ def _verified(tol: float, checks=None, **parts) -> WitnessBundle:
     """The bundle of ``parts`` with its decay record and each sampled level's
     residual, computed once; refused unless the named checks (default: all)
     pass, with :class:`WitnessBudgetMiss` when a residual misses ``tol``."""
-    for a in (parts["u"], parts["f"], parts.get("u_coeffs")):
+    for a in (parts["u"], parts["f"], parts["f_cols"], parts.get("u_coeffs")):
         if a is not None:
             a.flags.writeable = False
     bundle = WitnessBundle(decay=_decay_record(parts["levels"], parts["exponent"]), **parts)
@@ -730,7 +747,8 @@ def _partition_indices(B: np.ndarray, i: int, depth: float, N: int) -> Optional[
 
 
 def _bump_levels(eigs: EigenSequence, js: np.ndarray, bumps, k0: int):
-    """The levels ``js`` of a bump witness and their (S, N) u and f arrays.
+    """The levels ``js`` of a bump witness, their (S, N) u, and their
+    forcing as an (S, K) array f on its K sorted band columns ``f_cols``.
 
     Each bump is (g, E, bands) in window order (window index m = circle index
     (k0+m) mod N): a GevreyBump g, the exponent E of its factor exp(lambda E)
@@ -746,26 +764,31 @@ def _bump_levels(eigs: EigenSequence, js: np.ndarray, bumps, k0: int):
     a support can never overflow.  Off the bands, and wherever every bump is
     flat (exactly 0 or 1), g' vanishes to all orders; writing 0 there drops
     the spectral-derivative ringing that would put a flat noise floor under
-    sup|f|.  Rows are filled in chunks.
+    sup|f|.  So f is kept on ``f_cols``, the union of the bumps' band
+    columns less the flat points, and is +0.0 elsewhere; a later bump
+    overwrites an earlier one on a shared column.  Rows are filled in chunks.
     """
     gs = [np.roll(np.real(g.samples.samples), k0) for g, _, _ in bumps]
     N = len(gs[0])
     flat = np.logical_and.reduce([(g == 0.0) | (g == 1.0) for g in gs])
+    idxs = [(np.concatenate([np.arange(lo, hi + 1) for lo, hi in bands]) + k0) % N
+            for _, _, bands in bumps]
+    idxs = [idx[~flat[idx]] for idx in idxs]
+    f_cols = np.unique(np.concatenate(idxs))
     circ = []
-    for g, (_, E, bands) in zip(gs, bumps):
-        idx = (np.concatenate([np.arange(lo, hi + 1) for lo, hi in bands]) + k0) % N
-        idx = idx[~flat[idx]]
+    for g, (_, E, _), idx in zip(gs, bumps, idxs):
         supp = np.flatnonzero(g > 0.0)
         cols = np.union1d(supp, idx)
         dg = np.real(TorusFunction(g).derivative().samples)
-        circ.append((g[supp], dg[idx], np.roll(E, k0)[cols], supp, idx,
+        circ.append((g[supp], dg[idx], np.roll(E, k0)[cols], supp,
+                     np.searchsorted(f_cols, idx),
                      np.searchsorted(cols, supp), np.searchsorted(cols, idx)))
     lams = np.asarray(eigs.lambdas, dtype=np.float64)[js]
     u = np.zeros((len(js), N), dtype=np.complex128)
-    f = np.zeros_like(u)
+    f = np.zeros((len(js), len(f_cols)), dtype=np.complex128)
     sup_u, sup_f = np.empty(len(js)), np.empty(len(js))
     for s in row_chunks(*u.shape):
-        for k, (g, dg, E, supp, idx, at_supp, at_idx) in enumerate(circ):
+        for k, (g, dg, E, supp, at_f, at_supp, at_idx) in enumerate(circ):
             with np.errstate(under="ignore"):
                 e = np.exp(lams[s, None] * E)
             term = g * e[:, at_supp]
@@ -777,13 +800,14 @@ def _bump_levels(eigs: EigenSequence, js: np.ndarray, bumps, k0: int):
                 u[s] = u[s] + full
             else:
                 u[s, supp] = term
-            f[s, idx] = dg * e[:, at_idx]
-        sup_u[s], sup_f[s] = np.abs(u[s]).max(axis=1), np.abs(f[s]).max(axis=1)
+            f[s, at_f] = dg * e[:, at_idx]
+        sup_u[s] = np.abs(u[s]).max(axis=1)
+        sup_f[s] = np.abs(f[s]).max(axis=1, initial=0.0)
     levels = [WitnessLevel(j=int(j), lam=float(lams[r]), sup_u=float(sup_u[r]),
                            sup_f=float(sup_f[r]), row=r,
                            lam_exact=eigs.exact_lambda(int(j)) if eigs.integer_valued else None)
               for r, j in enumerate(js)]
-    return levels, u, f
+    return levels, u, f, f_cols
 
 
 def _band_check(lam_max: float, c_sup: float, N: int, who: str) -> None:
@@ -883,7 +907,7 @@ def sign_change_witness(c: TorusFunction, eigs: EigenSequence, mu=Fraction(1, 2)
 
     # g*' is nonzero only on the transition bands [alpha*,gamma*], [delta*,beta*]
     psi_w = np.real(psi_star.samples.samples)
-    levels, u, f = _bump_levels(eigs, use, [
+    levels, u, f, f_cols = _bump_levels(eigs, use, [
         (g_star, psi_w * (Bw - 1j * Aw), [(part["la"], part["lb"]), (part["ra"], part["rb"])])], k0)
     t_anchor = (t0 + tau[i]) % (2.0 * math.pi)
     at_anchor = np.abs(u[:, (k0 + i) % N])
@@ -893,7 +917,8 @@ def sign_change_witness(c: TorusFunction, eigs: EigenSequence, mu=Fraction(1, 2)
                                  f"!= 1 at level {use[bad[0]]}")
 
     bundle = _verified(
-        TOL_RESIDUAL, kind="sign-change", levels=levels, c=cc, eigs=eigs, u=u, f=f,
+        TOL_RESIDUAL, kind="sign-change", levels=levels, c=cc, eigs=eigs,
+        u=u, f=f, f_cols=f_cols,
         exponent=float(eigs.exponent(mu)), floor_u=min(lv.sup_u for lv in levels),
         meta={
             "side": "max" if side > 0 else "min",
@@ -1040,11 +1065,12 @@ def plateau_witness(c: TorusFunction, intervals: Sequence[float], eigs: EigenSeq
     # cancel exactly and the true forcing is identically zero there --
     # writing 0 instead of the numerically cancelled sum keeps sup|f_j| free
     # of a roundoff floor
-    levels, u, f = _bump_levels(eigs, np.arange(len(lams)), [
+    levels, u, f, f_cols = _bump_levels(eigs, np.arange(len(lams)), [
         (g0, B0 - 1j * A, [(la, lb)]), (g1, B1 - 1j * A, [(ra, rb)])], k0)
 
     return _verified(
-        TOL_RESIDUAL, kind="plateau", levels=levels, c=cc, eigs=eigs, u=u, f=f,
+        TOL_RESIDUAL, kind="plateau", levels=levels, c=cc, eigs=eigs,
+        u=u, f=f, f_cols=f_cols,
         exponent=float(eigs.exponent(mu)), floor_u=min(lv.sup_u for lv in levels),
         meta={
             "anchors": {"t0": t0, "t1": t1},
@@ -1163,7 +1189,7 @@ def L0_reduction_witness(c: TorusFunction, certificate: LiouvilleCertificate,
         TOL_RESIDUAL, ("residuals_ok", "decay_ok"), kind="l0-reduction", levels=levels,
         c=cc, eigs=eigs, exponent=float(certificate.e), floor_u=I_phi,
         u=np.array(us, dtype=np.complex128).reshape(-1, N),
-        f=np.array(fs, dtype=np.complex128).reshape(-1, N),
+        f=np.array(fs, dtype=np.complex128).reshape(-1, N), f_cols=np.arange(N),
         meta={
             "a0": str(kappa),
             "t_anchor": t_anchor,

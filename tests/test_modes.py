@@ -23,7 +23,8 @@ from hypotorus.modes import (
     solve_mode,
     solve_mode_detailed,
 )
-from hypotorus.modes import _CHUNK_CELLS, _band_width, _banded_chunk, _solve_cyclic_banded
+from hypotorus.modes import (_CHUNK_CELLS, _apply_rows, _band_width, _banded_chunk,
+                             _solve_cyclic_banded, operator_residuals)
 from hypotorus.spectrum import build_eigensequence
 from hypotorus.torusfn import TorusFunction, grid
 
@@ -507,6 +508,27 @@ def test_apply_operator_inverse_of_solve():
     for j in range(4):
         num = (back[j] - f[j]).sup_norm()
         assert num < 1e-7 * (1 + f[j].sup_norm())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 10), st.integers(1, 80), st.floats(0.0, 1.0),
+       st.integers(0, 2 ** 31 - 1))
+def test_residuals_on_a_column_subset_equal_the_dense_call(log2n, rows, density, seed):
+    # f kept on a sorted column subset (none, some or all) gives the residuals
+    # of the dense f with +0.0 scattered elsewhere, bit for bit; half the band
+    # values sit near the operator's rows, so the subtraction cancels
+    n, rng = 1 << log2n, np.random.default_rng(seed)
+    c = TorusFunction(rng.normal(size=n) + 1j * rng.normal(size=n))
+    u = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+    lam = rng.uniform(-50.0, 50.0, rows)
+    cols = np.flatnonzero(rng.random(n) < density)
+    near = _apply_rows(lam, c, u, None)[:, cols] * (1.0 + 1e-9 * rng.normal(size=(rows, cols.size)))
+    band = np.where(rng.random((rows, cols.size)) < 0.5, near,
+                    rng.normal(size=(rows, cols.size)) + 0j)
+    dense = np.zeros_like(u)
+    dense[:, cols] = band
+    got = operator_residuals(lam, c, u, band, cols=cols)
+    assert got.tobytes() == operator_residuals(lam, c, u, dense).tobytes()
 
 
 def test_mode_field_validation():

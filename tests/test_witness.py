@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -308,9 +310,9 @@ def test_construction_computes_each_residual_once(monkeypatch):
 
     calls = []
 
-    def counting(lam, c, u, f, coeffs=None):
+    def counting(lam, c, u, f, coeffs=None, cols=slice(None)):
         calls.append(len(lam))
-        return operator_residuals(lam, c, u, f, coeffs)
+        return operator_residuals(lam, c, u, f, coeffs, cols)
 
     monkeypatch.setattr(witness_mod, "operator_residuals", counting)
     eigs = build_eigensequence("harmonic1d", 16)
@@ -344,15 +346,45 @@ def test_batched_residuals_equal_the_per_level_operator(kind):
     b = _every_kind()[kind]()
     sampled = [lv for lv in b.levels if lv.sampled]
     assert sampled and [lv.row for lv in sampled] == list(range(len(sampled)))
-    assert b.u.shape == b.f.shape == (len(sampled), b.c.n)
-    assert not (b.u.flags.writeable or b.f.flags.writeable)
+    assert b.u.shape == b.f_rows().shape == (len(sampled), b.c.n)
+    assert not (b.u.flags.writeable or b.f.flags.writeable or b.f_cols.flags.writeable)
     for lv in sampled:
         u = (TorusFunction.harmonic(-lv.freq, b.c.n) if b.kind == "constant"
              else TorusFunction(b.u[lv.row]))
         assert u.samples.tobytes() == b.u[lv.row].tobytes()
-        ref = (apply_mode(lv.lam, b.c, u) - TorusFunction(b.f[lv.row])).sup_norm()
+        ref = (apply_mode(lv.lam, b.c, u) - TorusFunction(b.f_rows(lv.row))).sup_norm()
         assert lv.residual == ref
     assert b.verify()["max_residual"] == max(lv.residual for lv in sampled)
+
+
+def test_verify_recomputes_the_residuals_from_the_band_store(sin_witness):
+    b = sin_witness
+    assert b.verify()["checks"]["residuals_ok"]
+    row, k = np.unravel_index(np.argmax(np.abs(b.f)), b.f.shape)
+    # drop the band column where |f| peaks: f reads as 0 there
+    keep = np.arange(len(b.f_cols)) != k
+    dropped = replace(b, f=b.f[:, keep], f_cols=b.f_cols[keep])
+    assert not dropped.verify()["checks"]["residuals_ok"]
+    # move one band value by 1e-6
+    moved = b.f.copy()
+    moved[row, k] += 1e-6
+    assert not replace(b, f=moved).verify()["checks"]["residuals_ok"]
+
+
+def test_sign_change_stores_its_forcing_on_the_bands_only():
+    eigs = build_eigensequence("harmonic1d", 128)
+    c = TorusFunction(0.5 + 1j * np.sin(3.0 * grid(2048)))
+    tracemalloc.start()
+    try:
+        b = sign_change_witness(c, eigs, N=2048)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert b.f.shape == (128, len(b.f_cols))
+    assert np.all(np.diff(b.f_cols) > 0)
+    assert b.f.nbytes <= 0.3 * b.u.nbytes
+    # u, f on its bands and the meta samples; a dense f alone is 1.0 u
+    assert held < 1.8 * b.u.nbytes
 
 
 def test_sign_change_forcing_decays_at_the_margin_rate(sin_witness):
@@ -383,7 +415,7 @@ def test_sign_change_u_and_f_vanish_off_the_bump(sin_witness):
     # the construction anchors window coordinates at meta["t0"]
     k0 = int(round(sin_witness.meta["t0"] / (2 * math.pi / 1024)))
     uv = np.roll(sin_witness.u[lv.row], -k0)
-    fv = np.roll(sin_witness.f[lv.row], -k0)
+    fv = np.roll(sin_witness.f_rows(lv.row), -k0)
     off = gv == 0.0
     assert np.all(uv[off] == 0.0)
     assert np.all(fv[off] == 0.0)
@@ -559,7 +591,9 @@ def _levels_input(two: bool):
 @pytest.mark.parametrize("two", [False, True], ids=["one-bump", "two-bumps"])
 def test_bump_levels_match_the_full_grid_formula_bit_for_bit(two):
     args = _levels_input(two)
-    levels, u, f = witness_mod._bump_levels(*args)
+    levels, u, f_band, f_cols = witness_mod._bump_levels(*args)
+    f = np.zeros_like(u)
+    f[:, f_cols] = f_band
     u_ref, f_ref = _full_grid_bump_levels(*args)
     assert np.signbit(u_ref.view(np.float64)).any()      # the signed zeros are there
     assert u.tobytes() == u_ref.tobytes()
@@ -586,7 +620,7 @@ def test_witness_bump_levels_match_the_full_grid_formula(kind, monkeypatch):
     (args,) = seen
     u, f = _full_grid_bump_levels(*args)
     assert b.u.tobytes() == u.tobytes()
-    assert b.f.tobytes() == f.tobytes()
+    assert b.f_rows().tobytes() == f.tobytes()
 
 
 # --------------------------------------------------------------------------- #

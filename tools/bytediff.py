@@ -10,13 +10,18 @@ and 101 (CHANGE_TREE/perfbench/workloads.py), seven extra solve configs, a
 decay of the notgh solve's field, eight diophantine tables (every integer
 eigenvalue kind, a negative kappa, a denominator near 2^60, a decimal, a
 float-valued table and an integer table beyond 2^64), one witness per
-constructor, a constant one at denominator 20001, and four more sign-change
-witnesses: the mirrored window of a negative table, a drifting Im c, two
-harmonics, and 1/2 + i sin 4t at the default witness_n, which misses its
-residual budget and exits 1.  Two classify --witness calls: 1/2 + i sin 4t,
-which misses its budget, exits 0 and writes witness_plan.json; and the
-plateau c, whose variable-plateau verdict carries a sign_report and whose
-witness writes a plateau manifest.
+constructor, a constant one at denominator 20001, a constant one on the
+auto route (classify, then its plan), and four more sign-change witnesses:
+the mirrored window of a negative table, a drifting Im c, two harmonics,
+and 1/2 + i sin 4t at the default witness_n, which misses its residual
+budget and exits 1.  Three classify --witness calls: 1/2 + i sin 4t, which
+misses its budget, exits 0 and writes witness_plan.json; the plateau c,
+whose variable-plateau verdict carries a sign_report and whose witness
+writes a plateau manifest; and 1/2 + i 3/4 sin 2t at benchmark size
+(j_modes 512, witness_n 8192).
+Band widths of the forcing store: the benchmark sign-change ops cover
+k = 3 (seed 1, f on 24% of the columns) and k = 1 (seed 101, 49%), the
+sin 2t classify call 36%, and the constant witnesses none (f_j = 0).
 Some extras read CSVs the tool writes, so every CSV reader of the CLI
 (decay input, f_file, c_file) runs.
 Prints every file and exit code that differs; exits 1 if any does.
@@ -50,6 +55,7 @@ EXTRA = {   # solve configs; notgh: Im c changes sign, collocation misses its bu
 WITNESS = {  # one witness call per constructor; sign-change also runs in the benchmark ops
     "constant": {"c": "1/3", "witness_kind": "constant", "witness_n": 8, "j_modes": 16},
     "constant-q20001": {"c": "1/20001", "witness_kind": "constant", "j_modes": 16},
+    "constant-auto": {"c": "1/3", "j_modes": 16},
     "L0": {"c": "3/10 cos t", "witness_kind": "L0", "construct_levels": 3, "j_modes": 40},
     "plateau": {"c_file": "extra/c_plateau.csv", "witness_kind": "plateau",
                 "intervals": [1.5, 3.5], "witness_n": 1024, "j_modes": 16},
@@ -67,10 +73,12 @@ WITNESS = {  # one witness call per constructor; sign-change also runs in the be
     "sign-change-miss": {"c": "1/2 + i sin 4t", "j_modes": 64},
 }
 
-CLASSIFY = {  # classify --witness: a plan written on a budget miss, and a plateau
+CLASSIFY = {  # classify --witness: a plan written on a budget miss, a plateau, benchmark size
     "witness-miss": {"c": "1/2 + i sin 4t", "j_modes": 64, "witness": True},
     "plateau": {"c_file": "extra/c_plateau.csv", "grid_n": 1024, "j_modes": 16,
                 "intervals": [1.5, 3.5], "witness": True},
+    "sign-change-k2": {"c": "1/2 + i 3/4 sin 2t", "j_modes": 512, "witness_n": 8192,
+                       "witness": True},
 }
 
 DIOPHANTINE = {  # exact tables on every integer kind, and the float table
