@@ -48,7 +48,7 @@ from .diophantine import (classify_rational, construct_liouville,
                           distance_sequence, liouville_fit)
 from .errors import ConfigError, HypotorusError
 from .formulas import parse_formula, parse_rational, parse_real
-from .modes import AllModesResonant, ModeField, solve_field
+from .modes import MAX_ARRAY_BYTES, AllModesResonant, ModeField, solve_field
 from .spectrum import EigenSequence, build_eigensequence
 from .torusfn import TorusFunction, grid
 from .witness import (L0_reduction_witness, WitnessBudgetMiss, WitnessBundle,
@@ -57,16 +57,6 @@ from .witness import (L0_reduction_witness, WitnessBudgetMiss, WitnessBundle,
 __all__ = ["ConfigError", "ExperimentConfig", "MAX_ARRAY_BYTES", "WitnessUnavailable",
            "main"]
 
-#: Ceiling in bytes on a run's largest array, as ExperimentConfig.array_bytes
-#: estimates it (decay: the input field times its k_max + 1 derivatives); a
-#: config above it is refused before anything is built.  The benchmark's
-#: largest is a sign-change witness at (512, 8192): u at 64 MiB plus f on its
-#: transition bands, 16-31 MiB (24-49% of the columns); classify --witness on
-#: it peaks at 122-137 MB RSS.  Peak memory is a multiple of the largest
-#: array: a solve of a 32 MiB field (J = 512, grid 4096) peaks at 433 MB RSS,
-#: about 13x, because ModeField.to_csv holds the whole 132 MB text (ROADMAP
-#: item 7, a streamed mode-field writer).
-MAX_ARRAY_BYTES = 1 << 27
 _MODE_BYTES = 512    # per mode across the per-mode tables (diophantine measures ~500)
 _CELL_BYTES = 16     # one complex sample
 

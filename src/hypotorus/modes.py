@@ -78,6 +78,19 @@ OSC_BUDGET = 10.0       # max |lam|*osc(Im C) for the integral path in auto mode
 _BAND_TOL = 64 * np.finfo(float).eps   # |chat_k| below this * max|chat| is roundoff
 _CHUNK_CELLS = 3 << 20  # complex numbers in one banded chunk's G and X (48 MiB)
 
+#: Ceiling in bytes on a run's largest array.  The CLI refuses a config whose
+#: largest array, as ExperimentConfig.array_bytes estimates it (decay: the
+#: input field times its k_max + 1 derivatives), would exceed it before
+#: anything is built; dense collocation refuses a grid whose n x n complex
+#: matrix would (n > 2048), before any n x n allocation.  The benchmark's
+#: largest is a sign-change witness at (512, 8192): u at 64 MiB plus f on its
+#: transition bands, 16-31 MiB (24-49% of the columns); classify --witness on
+#: it peaks at 122-137 MB RSS.  Peak memory is a multiple of the largest
+#: array: a solve of a 32 MiB field (J = 512, grid 4096) peaks at 433 MB RSS,
+#: about 13x, because ModeField.to_csv holds the whole 132 MB text; ROADMAP
+#: item 2 replaces this ceiling with a peak estimate per command.
+MAX_ARRAY_BYTES = 1 << 27
+
 
 class ResonantMode(HypotorusError):
     """lam*c0 is (numerically) an integer: the mode equation is not invertible."""
@@ -338,9 +351,17 @@ def _solve_collocation(lams: np.ndarray, c: TorusFunction,
             uhat[lo:hi], singular[lo:hi] = _solve_cyclic_banded(
                 lams[lo:hi], chat, fhat[lo:hi], d)
         return uhat, singular
+    if 16 * n * n > MAX_ARRAY_BYTES:
+        raise ConfigError(
+            f"dense collocation at grid n = {n}, band half-width d = {d} (the banded "
+            f"solver takes d <= {(n // 8 - 1) // 3}), needs an n x n complex matrix of "
+            f"{16 * n * n >> 20} MiB, over the {MAX_ARRAY_BYTES >> 20} MiB ceiling; "
+            f"lower grid_n or the degree of c")
     k = wavenumbers(n)
-    idx = np.arange(n)
-    conv = chat[(idx[:, None] - idx[None, :]) % n]
+    # conv[i, j] = chat[(i - j) mod n]: rows of a strided view of the
+    # reversed, doubled coefficients, with no (n, n) index array
+    rev = np.concatenate([chat, chat])[::-1]
+    conv = np.lib.stride_tricks.sliding_window_view(rev, n)[n - 1::-1]
     for i, lam in enumerate(lams):
         try:
             uhat[i] = np.linalg.solve(np.diag(1j * k) + 1j * lam * conv, fhat[i])
@@ -646,12 +667,27 @@ def _apply_rows(lam: np.ndarray, c: TorusFunction, u: np.ndarray,
                 coeffs: np.ndarray | None) -> np.ndarray:
     """u_s' + i*lam_s*c*u_s for every row s of ``u`` (c on the rows' grid), the
     one arithmetic of the operator; ``coeffs`` are the rows' trig coefficients
-    if known exactly, else fft(u)/n."""
+    if known exactly, else fft(u)/n.
+
+    The expression is ifft(i*k * coeffs * n) + ((i*lam_s) * c) * u_s, each
+    product and sum in that operand order, evaluated in place on two
+    temporaries the size of ``u``: the scaled coefficients, which the
+    inverse FFT overwrites with the derivative, and the product term.  The
+    caller's ``coeffs`` are never written to."""
     n = u.shape[1]
+    ik = 1j * wavenumbers(n)
     if coeffs is None:
-        coeffs = np.fft.fft(u, axis=1) / n
-    du = np.fft.ifft(1j * wavenumbers(n) * coeffs * n, axis=1)
-    return du + ((1j * lam[:, None]) * c.samples) * u
+        coeffs = np.fft.fft(u, axis=1)
+        coeffs /= n
+        np.multiply(ik, coeffs, out=coeffs)
+    else:
+        coeffs = ik * coeffs
+    coeffs *= n
+    du = np.fft.ifft(coeffs, axis=1, out=coeffs)
+    t = (1j * lam)[:, None] * c.samples
+    t *= u
+    du += t
+    return du
 
 
 def apply_operator(c: TorusFunction, u: ModeField) -> ModeField:

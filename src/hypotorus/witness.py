@@ -40,9 +40,13 @@ for b sin 3t), none for a resonant constant witness, all N for the
 Liouville routes.  The bump constructions fill both in chunks of levels,
 broadcasting lambda over the window exponents.  Each bump's exp(lambda E) is
 taken once, on its support and transition bands only, and feeds both u and
-f.  The sign-change window is scored for all N window starts at once from
-two sparse range tables (first argmax and min, int32 indices) over the
-2N-point cover: O(N log N), and the same window as a scan of every
+f.  Along an arithmetic spectrum (harmonic1d, an arithmetic table) a chunk
+of levels lambda_lo + r delta takes one exp per bump, exp(lambda_lo E), times
+a table of exp(r delta E) built once: each entry is one product of two
+exps, within ~3 |lambda E| eps relative of the direct exp, which every other
+spectrum keeps.  The sign-change window is scored for all N window starts
+at once from two sparse range tables (first argmax and min, int32 indices)
+over the 2N-point cover: O(N log N), and the same window as a scan of every
 start.  All residuals of a bundle come from one batched
 :func:`modes.operator_residuals` call on u, f and ``f_cols``, at
 construction and again in :meth:`WitnessBundle.verify`.  Levels beyond the
@@ -767,6 +771,19 @@ def _bump_levels(eigs: EigenSequence, js: np.ndarray, bumps, k0: int):
     sup|f|.  So f is kept on ``f_cols``, the union of the bumps' band
     columns less the flat points, and is +0.0 elsewhere; a later bump
     overwrites an earlier one on a shared column.  Rows are filled in chunks.
+
+    A chunk whose float lambdas are exactly lambda_lo + r*delta (r = 0, 1,
+    ...), with delta of the sign of lambda_lo, takes one exp per bump:
+    exp(lambda_lo E) times row r of the bump's table exp(r delta E), built
+    once per (bump, delta) with one row per chunk row.  Every harmonic1d
+    chunk and every arithmetic table chunk does; any other chunk takes
+    exp(lambda E) directly.  Re(lambda E) <= 0 by construction, and the
+    sign rule keeps both factors of modulus <= 1, so nothing overflows.
+    Each entry is one product of two exps, so its error does not grow
+    along the chunk: it stays within ~3 |lambda E| eps relative of the
+    direct exp (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3), the order of the direct exp's own argument rounding.  Where E
+    is exactly 0 (the sign-change anchor) both factors are exactly 1.
     """
     gs = [np.roll(np.real(g.samples.samples), k0) for g, _, _ in bumps]
     N = len(gs[0])
@@ -787,10 +804,19 @@ def _bump_levels(eigs: EigenSequence, js: np.ndarray, bumps, k0: int):
     u = np.zeros((len(js), N), dtype=np.complex128)
     f = np.zeros((len(js), len(f_cols)), dtype=np.complex128)
     sup_u, sup_f = np.empty(len(js)), np.empty(len(js))
+    tables = {}
     for s in row_chunks(*u.shape):
+        lam = lams[s]
+        d = lam[1] - lam[0] if lam.size > 1 else 0.0
+        ap = d * lam[0] > 0.0 and np.array_equal(lam, lam[0] + d * np.arange(lam.size))
         for k, (g, dg, E, supp, at_f, at_supp, at_idx) in enumerate(circ):
             with np.errstate(under="ignore"):
-                e = np.exp(lams[s, None] * E)
+                if ap:
+                    if (k, d) not in tables:
+                        tables[k, d] = np.exp((d * np.arange(s.stop - s.start))[:, None] * E)
+                    e = np.exp(lam[0] * E) * tables[k, d][:lam.size]
+                else:
+                    e = np.exp(lam[:, None] * E)
             term = g * e[:, at_supp]
             if k:
                 # later bumps add on the whole row, so that off their

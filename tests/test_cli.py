@@ -12,6 +12,7 @@ import importlib.util
 import json
 import math
 import re
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -616,6 +617,26 @@ def test_oversized_configs_are_refused_before_building(tmp_path, command, fields
     cfg = write_config(tmp_path, **fields)
     with pytest.raises(ConfigError, match="ceiling"):
         _load_config(_build_parser().parse_args([command, "--config", cfg]))
+
+
+def test_dense_collocation_over_the_ceiling_exits_1(tmp_path):
+    # band half-width d = 400 is too wide for the banded solver at grid 8192
+    # (8(3d + 1) > n); the dense branch's 1 GiB matrices are refused before
+    # any n x n array is built, though the up-front estimate (a 512 KiB field)
+    # passes.  The child runs under a 1 GiB address-space limit, so a build
+    # that is not refused fails on its own memory, not the machine's.
+    fields = {"c": "i(1 - cos t) + 1/100 sin 400t", "grid_n": 8192, "j_modes": 4,
+              "f": {str(j): "exp(it)" for j in range(4)}}
+    assert ExperimentConfig(fields).array_bytes("solve") <= MAX_ARRAY_BYTES
+    cfg = write_config(tmp_path, **fields)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypotorus.cli", "solve", "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    assert proc.returncode == 1
+    assert "grid n = 8192, band half-width d = 400" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_ceiling_counts_only_what_the_command_builds():

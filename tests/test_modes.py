@@ -24,9 +24,9 @@ from hypotorus.modes import (
     solve_mode_detailed,
 )
 from hypotorus.modes import (_CHUNK_CELLS, _apply_rows, _band_width, _banded_chunk,
-                             _solve_cyclic_banded, operator_residuals)
+                             _solve_cyclic_banded, operator_residuals, row_chunks)
 from hypotorus.spectrum import build_eigensequence
-from hypotorus.torusfn import TorusFunction, grid
+from hypotorus.torusfn import TorusFunction, grid, wavenumbers
 
 # ---------------------------------------------------------------------------
 # frozen oracle values (30-digit mpmath quadrature of the closed formulas,
@@ -529,6 +529,45 @@ def test_residuals_on_a_column_subset_equal_the_dense_call(log2n, rows, density,
     dense[:, cols] = band
     got = operator_residuals(lam, c, u, band, cols=cols)
     assert got.tobytes() == operator_residuals(lam, c, u, dense).tobytes()
+
+
+def _out_of_place_residuals(lam, c, u, f, coeffs, cols):
+    """The operator residuals as one out-of-place expression per chunk of rows."""
+    n = u.shape[1]
+    out = np.empty(u.shape[0])
+    for s in row_chunks(*u.shape):
+        co = np.fft.fft(u[s], axis=1) / n if coeffs is None else coeffs[s]
+        du = np.fft.ifft(1j * wavenumbers(n) * co * n, axis=1)
+        r = du + ((1j * lam[s, None]) * c.samples) * u[s]
+        r[:, cols] -= f[s]
+        out[s] = np.abs(r).max(axis=1)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 10), st.integers(1, 80), st.booleans(), st.booleans(),
+       st.integers(0, 2 ** 31 - 1))
+def test_in_place_residuals_equal_the_out_of_place_expression(log2n, rows, given_coeffs,
+                                                              subset, seed):
+    # the in-place kernel evaluates the same products and sums in the same
+    # operand order, so every residual agrees bit for bit; given coefficients
+    # (perturbed off fft(u)/n, so they are really used) are left untouched
+    n, rng = 1 << log2n, np.random.default_rng(seed)
+    c = TorusFunction(rng.normal(size=n) + 1j * rng.normal(size=n))
+    u = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+    lam = rng.uniform(-50.0, 50.0, rows)
+    coeffs = None
+    if given_coeffs:
+        coeffs = np.fft.fft(u, axis=1) / n * (1.0 + 1e-6 * rng.normal(size=(rows, n)))
+        kept = coeffs.copy()
+    cols = np.flatnonzero(rng.random(n) < 0.5) if subset else slice(None)
+    k = n if not subset else cols.size
+    f = rng.normal(size=(rows, k)) + 1j * rng.normal(size=(rows, k))
+    got = operator_residuals(lam, c, u, f, coeffs, cols=cols)
+    want = _out_of_place_residuals(lam, c, u, f, coeffs, cols)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    if given_coeffs:
+        assert coeffs.view(np.uint64).tobytes() == kept.view(np.uint64).tobytes()
 
 
 def test_mode_field_validation():

@@ -570,16 +570,39 @@ def _full_grid_bump_levels(eigs, js, bumps, k0):
     return u, f
 
 
-def _levels_input(two: bool):
+def _oracle_bound(eigs, js, bumps, k0):
+    """Per-entry bounds on |u - oracle| and |f - oracle| for levels built by
+    the anchor x table rule: 8 eps (1 + |lambda E|) times the modulus of each
+    bump's term, summed over the bumps, plus 1e-300 for results that
+    underflow into the subnormals."""
+    gs = [np.roll(np.real(g.samples.samples), k0) for g, _, _ in bumps]
+    lams = np.asarray(eigs.lambdas, dtype=np.float64)[js]
+    bu = bf = 1e-300
+    for g, (_, E, _) in zip(gs, bumps):
+        dg = np.real(TorusFunction(g).derivative().samples)
+        expo = lams[:, None] * np.roll(E, k0)
+        with np.errstate(under="ignore"):
+            w = 8.0 * np.finfo(float).eps * (1.0 + np.abs(expo)) * np.exp(expo.real)
+        bu = bu + g * w
+        bf = bf + np.abs(dg) * w
+    return bu, bf
+
+
+def _levels_input(two: bool, ap: bool = True):
     """(eigs, js, bumps, k0) for _bump_levels on a 256-grid: one bump, or two
     bumps summed across a shared transition band as the plateau witness
     does.  The exponents reach -2000 at the top level, so exp underflows to
-    signed zeros on part of every support."""
+    signed zeros on part of every support.  The levels lambda = 1, 7, ...,
+    127 form an arithmetic progression (the anchor x table rule); with
+    ``ap`` False the second level is moved off it (lambda = 1, 5, 13, ...),
+    so every exp is taken directly."""
     N, k0 = 256, 37
     tau = 2.0 * np.pi * np.arange(N) / N
     E = -15.0 * (1.0 - np.cos(tau)) - 1j * np.sin(3.0 * tau)
     eigs = build_eigensequence("harmonic1d", 64)
     js = np.arange(0, 64, 3)
+    if not ap:
+        js[1] = 2
     if not two:
         g = gevrey_bump(2.0, (tau[20], tau[230]), (tau[60], tau[200]), N)
         return eigs, js, [(g, E, [(20, 60), (200, 230)])], k0
@@ -588,12 +611,18 @@ def _levels_input(two: bool):
     return eigs, js, [(g0, E, [(20, 60)]), (g1, 0.5 * E, [(200, 230)])], k0
 
 
-@pytest.mark.parametrize("two", [False, True], ids=["one-bump", "two-bumps"])
-def test_bump_levels_match_the_full_grid_formula_bit_for_bit(two):
-    args = _levels_input(two)
-    levels, u, f_band, f_cols = witness_mod._bump_levels(*args)
+def _scattered(u, f_band, f_cols):
     f = np.zeros_like(u)
     f[:, f_cols] = f_band
+    return f
+
+
+@pytest.mark.parametrize("two", [False, True], ids=["one-bump", "two-bumps"])
+def test_bump_levels_match_the_full_grid_formula_bit_for_bit(two):
+    # off an arithmetic progression every exp is taken directly: bit for bit
+    args = _levels_input(two, ap=False)
+    levels, u, f_band, f_cols = witness_mod._bump_levels(*args)
+    f = _scattered(u, f_band, f_cols)
     u_ref, f_ref = _full_grid_bump_levels(*args)
     assert np.signbit(u_ref.view(np.float64)).any()      # the signed zeros are there
     assert u.tobytes() == u_ref.tobytes()
@@ -602,8 +631,24 @@ def test_bump_levels_match_the_full_grid_formula_bit_for_bit(two):
     assert [lv.sup_f for lv in levels] == np.abs(f_ref).max(axis=1).tolist()
 
 
+@pytest.mark.parametrize("two", [False, True], ids=["one-bump", "two-bumps"])
+def test_bump_levels_on_an_arithmetic_spectrum_stay_within_the_product_bound(two):
+    args = _levels_input(two)
+    levels, u, f_band, f_cols = witness_mod._bump_levels(*args)
+    f = _scattered(u, f_band, f_cols)
+    u_ref, f_ref = _full_grid_bump_levels(*args)
+    bu, bf = _oracle_bound(*args)
+    assert u.tobytes() != u_ref.tobytes()                 # the table rule ran
+    assert np.all(np.abs(u - u_ref) <= bu)
+    assert np.all(np.abs(f - f_ref) <= bf)
+    assert np.allclose([lv.sup_u for lv in levels], np.abs(u_ref).max(axis=1), rtol=1e-11)
+    assert np.allclose([lv.sup_f for lv in levels], np.abs(f_ref).max(axis=1), rtol=1e-11)
+
+
 @pytest.mark.parametrize("kind", ["sign-change", "plateau"])
 def test_witness_bump_levels_match_the_full_grid_formula(kind, monkeypatch):
+    # harmonic1d is an arithmetic progression: the levels take the anchor x
+    # table rule, within its bound of the full-grid formula
     seen = []
 
     def recording(*args):
@@ -619,8 +664,13 @@ def test_witness_bump_levels_match_the_full_grid_formula(kind, monkeypatch):
         b = plateau_witness(c, iv, build_eigensequence("harmonic1d", 48), N=1024)
     (args,) = seen
     u, f = _full_grid_bump_levels(*args)
-    assert b.u.tobytes() == u.tobytes()
-    assert b.f_rows().tobytes() == f.tobytes()
+    bu, bf = _oracle_bound(*args)
+    assert np.all(np.abs(b.u - u) <= bu)
+    assert np.all(np.abs(b.f_rows() - f) <= bf)
+    assert all(lv.residual < TOL_RESIDUAL for lv in b.levels)
+    if kind == "sign-change":
+        anchor = round(b.meta["t_star"] * b.c.n / (2.0 * math.pi)) % b.c.n
+        assert np.all(np.abs(b.u[:, anchor]) == 1.0)
 
 
 # --------------------------------------------------------------------------- #

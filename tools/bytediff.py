@@ -11,10 +11,12 @@ decay of the notgh solve's field, eight diophantine tables (every integer
 eigenvalue kind, a negative kappa, a denominator near 2^60, a decimal, a
 float-valued table and an integer table beyond 2^64), one witness per
 constructor, a constant one at denominator 20001, a constant one on the
-auto route (classify, then its plan), and four more sign-change witnesses:
+auto route (classify, then its plan), and five more sign-change witnesses:
 the mirrored window of a negative table, a drifting Im c, two harmonics,
-and 1/2 + i sin 4t at the default witness_n, which misses its residual
-budget and exits 1.  Three classify --witness calls: 1/2 + i sin 4t, which
+1/2 + i sin 4t at the default witness_n, which misses its residual budget
+and exits 1, and 1/2 + i sin t on harmonic1d_power 2, whose levels are no
+arithmetic progression and take every exp directly (the other bump
+witnesses run on arithmetic spectra and take one exp per row chunk).  Three classify --witness calls: 1/2 + i sin 4t, which
 misses its budget, exits 0 and writes witness_plan.json; the plateau c,
 whose variable-plateau verdict carries a sign_report and whose witness
 writes a plateau manifest; and 1/2 + i 3/4 sin 2t at benchmark size
@@ -71,6 +73,10 @@ WITNESS = {  # one witness call per constructor; sign-change also runs in the be
     "sign-change-two-harmonics": {"c": "1/4 + i(sin t - 1/3 sin 2t)",
                                   "witness_kind": "sign-change"},
     "sign-change-miss": {"c": "1/2 + i sin 4t", "j_modes": 64},
+    # lambda_j = (2j + 1)^2 is no arithmetic progression: every exp direct
+    "sign-change-power2": {"c": "1/2 + i sin t", "witness_kind": "sign-change",
+                           "witness_n": 2048, "j_modes": 8,
+                           "model": {"kind": "harmonic1d_power 2"}},
 }
 
 CLASSIFY = {  # classify --witness: a plan written on a budget miss, a plateau, benchmark size
