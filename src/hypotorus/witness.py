@@ -750,6 +750,15 @@ def _partition_indices(B: np.ndarray, i: int, depth: float, N: int) -> Optional[
     return None
 
 
+def _run_or_index(idx: np.ndarray):
+    """``idx`` as a slice when it is one run of consecutive increasing
+    indices (a support or band that does not wrap), else as it is: the same
+    elements, gathered and scattered without an index array."""
+    if idx.size and np.all(np.diff(idx) == 1):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
 def _bump_levels(eigs: EigenSequence, js: np.ndarray, bumps, k0: int):
     """The levels ``js`` of a bump witness, their (S, N) u, and their
     forcing as an (S, K) array f on its K sorted band columns ``f_cols``.
@@ -797,9 +806,9 @@ def _bump_levels(eigs: EigenSequence, js: np.ndarray, bumps, k0: int):
         supp = np.flatnonzero(g > 0.0)
         cols = np.union1d(supp, idx)
         dg = np.real(TorusFunction(g).derivative().samples)
-        circ.append((g[supp], dg[idx], np.roll(E, k0)[cols], supp,
-                     np.searchsorted(f_cols, idx),
-                     np.searchsorted(cols, supp), np.searchsorted(cols, idx)))
+        circ.append((g[supp], dg[idx], np.roll(E, k0)[cols], *map(_run_or_index, (
+            supp, np.searchsorted(f_cols, idx),
+            np.searchsorted(cols, supp), np.searchsorted(cols, idx)))))
     lams = np.asarray(eigs.lambdas, dtype=np.float64)[js]
     u = np.zeros((len(js), N), dtype=np.complex128)
     f = np.zeros((len(js), len(f_cols)), dtype=np.complex128)
