@@ -37,13 +37,13 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from . import csvio, jsonio
 from .classify import Verdict, classify, classify_constant
-from .diagnostics import fit_decay, pm_seminorms
+from .diagnostics import PMColumns, fit_decay
 from .diophantine import (classify_rational, construct_liouville,
                           distance_sequence, liouville_fit)
 from .errors import ConfigError, HypotorusError
@@ -338,7 +338,7 @@ def _open_text(path, what: str):
         raise ConfigError(f"cannot read {what}: {e}") from None
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, text: str | Iterable[str]) -> None:
     csvio.write(path, text)
 
 
@@ -359,7 +359,7 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     except AllModesResonant as exc:
         u = ModeField([None] * cfg["j_modes"], eigs)
         rep = exc.report
-    _write_text(out / "u_field.csv", u.to_csv())
+    _write_text(out / "u_field.csv", u.csv_pieces())
     _write_text(out / "divisors.csv", rep.to_csv())
     resonant = sorted(rep.resonant_indices())
     _write_json(out / "residuals.json", {
@@ -468,7 +468,7 @@ def cmd_diophantine(cfg: ExperimentConfig, out: Path) -> int:
             kappa_label = "constructed"
 
     seq = distance_sequence(kappa, eigs, cfg.mu, J=cfg["j_modes"])
-    _write_text(out / "distances.csv", seq.to_csv())
+    _write_text(out / "distances.csv", seq.csv_pieces())
     report = {"kappa": kappa_label, "exact": seq.exact, "n_modes": len(seq)}
     resonant = seq.resonant_indices
     if len(resonant) > len(seq) // 2:
@@ -501,11 +501,16 @@ def cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
                             "(cmd_solve output composes directly)")
     with _open_text(path, f"input {path}") as fh:
         eigs = cfg.eigensequence()
-        # fit_decay holds the field's derivatives of orders 0..k_max at once
+        # The ceiling counts k_max + 1 fields.  The pass below holds about
+        # two derivative levels, so this is conservative for memory, but it
+        # refuses a huge k_max before its FFT passes; ROADMAP item 2's peak
+        # estimate replaces it.
         u = ModeField.from_csv(fh, eigs, J=cfg["j_modes"],
                                max_bytes=MAX_ARRAY_BYTES // (cfg["k_max"] + 1))
-    fit = fit_decay(u, cfg.mu, k_max=cfg["k_max"])
-    pm = pm_seminorms(u, eigs, M_max=8, k_max=min(cfg["k_max"], 4))
+    # one pass over the derivative stack fits the decay and fills pm's columns
+    columns = PMColumns(eigs, u.J, M_max=8, k_max=min(cfg["k_max"], 4))
+    fit = fit_decay(u, cfg.mu, k_max=cfg["k_max"], pm=columns)
+    pm = columns.table()
     _write_text(out / "pm_table.csv", pm.to_csv())
     report = fit.as_dict()
     report["pm"] = {k: v for k, v in jsonio.plain(pm).items() if k != "values"}

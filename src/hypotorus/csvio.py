@@ -3,7 +3,9 @@
 A table is a header line of column names, then one line per row of
 comma-separated cells; every line ends with ``'\\n'`` and files are UTF-8.
 :func:`cells` renders a column, :func:`rows` joins rendered columns,
-:func:`text` puts the header on top and :func:`write` stores the text:
+:func:`pieces` yields the header and then the rows a block at a time,
+:func:`text` joins those pieces and :func:`write` stores either the text or
+the pieces as they come, so a large table is never held whole:
 
 * a float is its ``repr``, so it reads back bit for bit (NaN is ``nan``);
 * an int is its decimal ``str`` at any size (under
@@ -21,13 +23,16 @@ from __future__ import annotations
 import functools
 import io
 import warnings
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import ConfigError
 from .jsonio import unlimited_int_digits
 
-__all__ = ["cells", "rows", "text", "write", "SampleRows"]
+__all__ = ["cells", "rows", "pieces", "text", "write", "SampleRows"]
+
+_BLOCK_ROWS = 1 << 12   # rows rendered at a time by pieces
 
 
 def _cell(v) -> str:
@@ -52,15 +57,25 @@ def rows(*cell_columns) -> str:
     return "\n".join(lines)
 
 
+def pieces(names, *columns) -> Iterator[str]:
+    """The header line of ``names``, then the rows of ``columns`` by
+    :func:`cells`, one block of rows at a time; ``columns`` are sequences."""
+    yield ",".join(names) + "\n"
+    size = min(map(len, columns), default=0)
+    for lo in range(0, size, _BLOCK_ROWS):
+        yield rows(*(cells(col[lo:lo + _BLOCK_ROWS]) for col in columns))
+
+
 def text(names, *columns) -> str:
-    """The header line of ``names``, then the rows of ``columns`` by :func:`cells`."""
-    return ",".join(names) + "\n" + rows(*map(cells, columns))
+    """The table as one string: :func:`pieces` joined."""
+    return "".join(pieces(names, *columns))
 
 
-def write(path, text: str) -> None:
-    """Store ``text`` at ``path`` as UTF-8, line ends untranslated."""
+def write(path, text: str | Iterable[str]) -> None:
+    """Store ``text`` at ``path`` as UTF-8, line ends untranslated; ``text`` is
+    a string or an iterable of string pieces, each written as it comes."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def _dtype(name: str):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "Lemma25Result",
     "fit_decay",
     "pm_seminorms",
+    "PMColumns",
     "x_seminorms",
     "lemma25_check",
     "regularity_loss_report",
@@ -138,17 +139,20 @@ class DecayFit:
         return {**plain(self), "reliable": self.reliable}
 
 
-def _derivative_stack(field: ModeField, k_max: int) -> list:
-    """[u, d_t u, ..., d_t^k_max u]; a second stack of the same field reuses
-    the first one's fields (ModeField.derivative keeps its result)."""
-    stack = [field]
+def _derivative_stack(field: ModeField, k_max: int) -> Iterator[ModeField]:
+    """u, d_t u, ..., d_t^k_max u, one level at a time: each level is derived
+    from the one before, which the stack then lets go, so a caller that
+    keeps no level holds at most two."""
+    d = field
+    yield d
     for _ in range(k_max):
-        stack.append(stack[-1].derivative())
-    return stack
+        d = d.derivative()
+        yield d
 
 
 def fit_decay(field: ModeField, mu=Fraction(1, 2), k_max: int = 4,
-              window: Optional[tuple] = None) -> DecayFit:
+              window: Optional[tuple] = None, *,
+              pm: Optional[PMColumns] = None) -> DecayFit:
     """Fit sup_t|u_j| ~ C exp(-epsilon (j+1)^e) and the k-derivative order,
     with e = field.eigs.exponent(mu) = 1/(2 n mu) for class ``mu``.
 
@@ -158,6 +162,11 @@ def fit_decay(field: ModeField, mu=Fraction(1, 2), k_max: int = 4,
     Sub-exponential decay is flagged by slope collapse: the fitted rate over
     the upper half of the window falling below half the rate over the lower
     half (an exact exponential keeps them equal; (j+1)^{-p} does not).
+
+    ``pm``, the empty columns of a :func:`pm_seminorms` table of this field,
+    is filled from the same pass over the derivative stack, which then goes
+    to order max(k_max, pm.k_max): the field is differentiated once per
+    level for both.
     """
     J = field.J
     if J < 32:
@@ -170,7 +179,13 @@ def fit_decay(field: ModeField, mu=Fraction(1, 2), k_max: int = 4,
         raise ValueError(f"window {window} escapes [0, {J}]")
 
     # sups[k][j] = sup_t |d_t^k u_j| (NaN where the mode is undefined)
-    sups = [d.sup_norms() for d in _derivative_stack(field, k_max)]
+    sups = []
+    depth = k_max if pm is None else max(k_max, pm.k_max)
+    for k, d in enumerate(_derivative_stack(field, depth)):
+        if k <= k_max:
+            sups.append(d.sup_norms())
+        if pm is not None and k <= pm.k_max:
+            pm.add(k, d)
     s0 = sups[0]
     usable = [j for j in range(lo, hi)
               if not math.isnan(s0[j]) and s0[j] > _FLOOR]
@@ -254,6 +269,72 @@ class PMTable:
         return csvio.text(("M", "k", "S"), M.ravel(), k.ravel(), self.values.ravel())
 
 
+class PMColumns:
+    """The S(M, k) table of :func:`pm_seminorms`, filled one derivative level
+    k = 0..k_max at a time (by :func:`pm_seminorms`, or by the pass of
+    :func:`fit_decay` over the same field); log|d_t^k u| lives only while its
+    level is added."""
+
+    def __init__(self, eigs: EigenSequence, J: int, M_max: int, k_max: int):
+        if M_max < 0 or k_max < 0:
+            raise ValueError("M_max >= 0 and k_max >= 0 required")
+        lam = np.abs(np.asarray(eigs.lambdas[:J], dtype=np.float64))
+        with np.errstate(divide="ignore"):
+            loglam = np.log(lam)
+        self.weights = [np.zeros(J) if M == 0 else 2.0 * M * loglam
+                        for M in range(M_max + 1)]
+        self.k_max = k_max
+        self.values = np.zeros((M_max + 1, k_max + 1))
+        self.tail_share = 0.0
+        self.j_last = None
+
+    def add(self, k: int, d: ModeField) -> None:
+        """Column k from d = d_t^k u; level 0 comes first."""
+        # log|d_t^k u_j(t)|, -inf where zero or undefined
+        a = np.abs(d.samples)
+        logabs = np.full(a.shape, -np.inf)
+        np.log(a, where=(a > 0.0) & d.mask[:, None], out=logabs)
+        del a
+        if k == 0:     # index of the last mode that is present at all
+            alive = np.flatnonzero(np.isfinite(logabs).any(axis=1))
+            self.j_last = int(alive[-1]) if alive.size else None
+        logabs *= 2.0
+        M_max = len(self.weights) - 1
+        for M, w in enumerate(self.weights):
+            lt = w[:, None] + logabs
+            log_s2 = _logsumexp(lt, axis=0)           # per grid time
+            peak = float(np.max(log_s2))
+            self.values[M, k] = 0.0 if peak == -np.inf else _exp(0.5 * peak)
+            if M == M_max and self.j_last is not None and peak > -np.inf:
+                t_star = int(np.argmax(log_s2))
+                share = lt[self.j_last, t_star] - log_s2[t_star]
+                if math.isfinite(share):
+                    self.tail_share = max(self.tail_share, math.exp(share))
+
+    def table(self) -> PMTable:
+        """The filled table with its growth fits."""
+        values, M_max, k_max = self.values, len(self.weights) - 1, self.k_max
+
+        def growth_fit(ys: np.ndarray, idx: np.ndarray):
+            keep = ys > 0.0
+            if keep.sum() < 3:
+                return float("nan"), float("nan"), float("nan")
+            xi = idx[keep].astype(np.float64)
+            x1 = xi * np.log(np.maximum(xi, 1.0))
+            yv = np.log(ys[keep])
+            raw, _, _ = ols(yv, x1)
+            joint, _, _, r2 = ols(yv, x1, xi)
+            return joint, raw, r2
+
+        slope_M, slope_M_raw, r2_M = growth_fit(values[:, 0], np.arange(M_max + 1))
+        slope_k, slope_k_raw, r2_k = growth_fit(values[0, :], np.arange(k_max + 1))
+
+        return PMTable(values=values, M_max=M_max, k_max=k_max,
+                       slope_M=slope_M, slope_M_raw=slope_M_raw, r2_M=r2_M,
+                       slope_k=slope_k, slope_k_raw=slope_k_raw, r2_k=r2_k,
+                       tail_share=self.tail_share)
+
+
 def pm_seminorms(u: ModeField, eigs: EigenSequence, M_max: int = 8,
                  k_max: int = 4) -> PMTable:
     """Spectral-side seminorm table, computed in log space throughout.
@@ -264,57 +345,10 @@ def pm_seminorms(u: ModeField, eigs: EigenSequence, M_max: int = 8,
     absent.  The growth fits feed the membership comparison: the M-slope
     targets mu*m and the k-slope targets sigma.
     """
-    if M_max < 0 or k_max < 0:
-        raise ValueError("M_max >= 0 and k_max >= 0 required")
-    J = u.J
-    lam = np.abs(np.asarray(eigs.lambdas[:J], dtype=np.float64))
-    with np.errstate(divide="ignore"):
-        loglam = np.log(lam)
-
-    # stack of log|d_t^k u_j(t)|, -inf where zero or undefined
-    logabs = []
-    for d in _derivative_stack(u, k_max):
-        a = np.abs(d.samples)
-        mat = np.full(a.shape, -np.inf)
-        np.log(a, where=(a > 0.0) & d.mask[:, None], out=mat)
-        logabs.append(mat)
-
-    values = np.zeros((M_max + 1, k_max + 1))
-    tail_share = 0.0
-    # index of the last mode that is present at all
-    alive = np.flatnonzero(np.isfinite(logabs[0]).any(axis=1))
-    j_last = int(alive[-1]) if alive.size else None
-    for M in range(M_max + 1):
-        w = np.zeros(J) if M == 0 else 2.0 * M * loglam
-        for k in range(k_max + 1):
-            lt = w[:, None] + 2.0 * logabs[k]
-            log_s2 = _logsumexp(lt, axis=0)           # per grid time
-            peak = float(np.max(log_s2))
-            values[M, k] = 0.0 if peak == -np.inf else _exp(0.5 * peak)
-            if M == M_max and j_last is not None and peak > -np.inf:
-                t_star = int(np.argmax(log_s2))
-                share = lt[j_last, t_star] - log_s2[t_star]
-                if math.isfinite(share):
-                    tail_share = max(tail_share, math.exp(share))
-
-    def growth_fit(ys: np.ndarray, idx: np.ndarray):
-        keep = ys > 0.0
-        if keep.sum() < 3:
-            return float("nan"), float("nan"), float("nan")
-        xi = idx[keep].astype(np.float64)
-        x1 = xi * np.log(np.maximum(xi, 1.0))
-        yv = np.log(ys[keep])
-        raw, _, _ = ols(yv, x1)
-        joint, _, _, r2 = ols(yv, x1, xi)
-        return joint, raw, r2
-
-    slope_M, slope_M_raw, r2_M = growth_fit(values[:, 0], np.arange(M_max + 1))
-    slope_k, slope_k_raw, r2_k = growth_fit(values[0, :], np.arange(k_max + 1))
-
-    return PMTable(values=values, M_max=M_max, k_max=k_max,
-                   slope_M=slope_M, slope_M_raw=slope_M_raw, r2_M=r2_M,
-                   slope_k=slope_k, slope_k_raw=slope_k_raw, r2_k=r2_k,
-                   tail_share=tail_share)
+    pm = PMColumns(eigs, u.J, M_max, k_max)
+    for k, d in enumerate(_derivative_stack(u, k_max)):
+        pm.add(k, d)
+    return pm.table()
 
 
 # --------------------------------------------------------------------------- #
@@ -342,7 +376,10 @@ def x_seminorms(u: ModeField, basis: HermiteBasis, alpha: int, beta: int,
     if J > basis.J:
         raise ValueError(f"field holds {J} modes but the basis only {basis.J}")
 
-    coeff = _derivative_stack(u, k)[-1].samples    # undefined modes are zero rows
+    top = u
+    for _ in range(k):
+        top = top.derivative()
+    coeff = top.samples                            # undefined modes are zero rows
 
     # transfer matrix of x^alpha d_x^beta on the first J coefficients
     T = np.eye(J)

@@ -26,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -144,8 +144,12 @@ class DistanceSequence:
     def resonant_indices(self) -> Tuple[int, ...]:
         return tuple(int(self.js[i]) for i in np.flatnonzero(self.d == 0.0))
 
+    def csv_pieces(self) -> Iterator[str]:
+        """The CSV text in pieces: the header, then blocks of rows."""
+        return csvio.pieces(("j", "lambda", "d"), self.js, self.lambdas, self.d)
+
     def to_csv(self) -> str:
-        return csvio.text(("j", "lambda", "d"), self.js, self.lambdas, self.d)
+        return "".join(self.csv_pieces())
 
     @staticmethod
     def from_csv(source, kappa=float("nan"), e=Fraction(1)) -> "DistanceSequence":

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -80,15 +80,17 @@ _CHUNK_CELLS = 3 << 20  # complex numbers in one banded chunk's G and X (48 MiB)
 
 #: Ceiling in bytes on a run's largest array.  The CLI refuses a config whose
 #: largest array, as ExperimentConfig.array_bytes estimates it (decay: the
-#: input field times its k_max + 1 derivatives), would exceed it before
+#: input field times k_max + 1, conservative now that decay holds about two
+#: derivative levels at a time), would exceed it before
 #: anything is built; dense collocation refuses a grid whose n x n complex
 #: matrix would (n > 2048), before any n x n allocation.  The benchmark's
 #: largest is a sign-change witness at (512, 8192): u at 64 MiB plus f on its
 #: transition bands, 16-31 MiB (24-49% of the columns); classify --witness on
 #: it peaks at 122-137 MB RSS.  Peak memory is a multiple of the largest
-#: array: a solve of a 32 MiB field (J = 512, grid 4096) peaks at 433 MB RSS,
-#: about 13x, because ModeField.to_csv holds the whole 132 MB text; ROADMAP
-#: item 2 replaces this ceiling with a peak estimate per command.
+#: array: a solve of a 32 MiB field (J = 512, grid 4096, every mode forced)
+#: peaks at 225-229 MB RSS, about 7x, set by the banded chunk (the CSV is
+#: written one mode block at a time); ROADMAP item 2 replaces this ceiling
+#: with a peak estimate per command.
 MAX_ARRAY_BYTES = 1 << 27
 
 
@@ -549,7 +551,6 @@ class ModeField:
         self.samples = samples
         self.mask = mask
         self._coeffs = coeffs
-        self._derivative: ModeField | None = None
         self.eigs = eigs
 
     @property
@@ -595,32 +596,34 @@ class ModeField:
         """Spectral t-derivative of every mode, as TorusFunction.derivative does
         it: Nyquist mode to zero, coefficients kept for the next derivative.
 
-        The field is immutable, so the result is kept and later calls return
-        it: ``decay`` differentiates one field for fit_decay and again for
-        pm_seminorms.
+        The result is not kept: a stack of derivatives holds only the levels
+        its caller holds.  This field keeps its own coefficients once they
+        are computed.
         """
         if not self.mask.any():
             return self
-        if self._derivative is None:
-            n = self.samples.shape[1]
-            if self._coeffs is None:
-                self._coeffs = np.fft.fft(self.samples, axis=1) / n
-            dc = 1j * wavenumbers(n) * self._coeffs
-            self._derivative = ModeField._of(np.fft.ifft(dc * n, axis=1),
-                                             self.mask, self.eigs, dc)
-        return self._derivative
+        n = self.samples.shape[1]
+        if self._coeffs is None:
+            self._coeffs = np.fft.fft(self.samples, axis=1) / n
+        dc = 1j * wavenumbers(n) * self._coeffs
+        du = dc * n
+        return ModeField._of(np.fft.ifft(du, axis=1, out=du), self.mask, self.eigs, dc)
 
     # ---- CSV interchange: long format, one row per (mode, grid point) ---- #
 
-    def to_csv(self) -> str:
-        """One block of rows per defined mode; ``t`` is rendered once."""
-        blocks = ["j,t,re,im\n"]
+    def csv_pieces(self) -> Iterator[str]:
+        """The CSV text in pieces: the header, then one block of rows per
+        defined mode; ``t`` is rendered once."""
+        yield "j,t,re,im\n"
         if self.mask.any():
             n, ts = self.n, csvio.cells(grid(self.n))
-            blocks += [csvio.rows([str(j)] * n, ts, csvio.cells(self.samples[j].real),
-                                  csvio.cells(self.samples[j].imag))
-                       for j in self.defined()]
-        return "".join(blocks)
+            for j in self.defined():
+                yield csvio.rows([str(j)] * n, ts, csvio.cells(self.samples[j].real),
+                                 csvio.cells(self.samples[j].imag))
+
+    def to_csv(self) -> str:
+        """The whole CSV text; :meth:`csv_pieces` joined."""
+        return "".join(self.csv_pieces())
 
     @classmethod
     def from_csv(cls, source, eigs: EigenSequence, J: int | None = None,

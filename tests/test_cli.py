@@ -411,6 +411,27 @@ def test_decay_single_mode_is_trivial_report(tmp_path):
     assert fit["reliable"] is False
 
 
+@pytest.mark.parametrize("k_max", [0, 3, 7])
+def test_decay_differentiates_each_level_once(tmp_path, monkeypatch, k_max):
+    # fit_decay's stack (to k_max) and pm_seminorms' (to min(k_max, 4)) share
+    # one pass: the field is differentiated k_max times in all
+    eigs = build_eigensequence("harmonic1d", 40)
+    rng = np.random.default_rng(5)
+    samples = rng.standard_normal((40, 16)) * np.exp(-0.3 * np.arange(40))[:, None]
+    upath = tmp_path / "u.csv"
+    upath.write_text(ModeField._of(samples + 0j, np.ones(40, dtype=bool), eigs).to_csv(),
+                     encoding="utf-8")
+    calls = []
+    derivative = ModeField.derivative
+    monkeypatch.setattr(ModeField, "derivative",
+                        lambda self: calls.append(self) or derivative(self))
+    cfg = write_config(tmp_path, j_modes=40, k_max=k_max, input=str(upath))
+    assert main(["decay", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == k_max
+    assert (tmp_path / "o" / "pm_table.csv").read_text().splitlines()[-1].startswith(
+        f"8,{min(k_max, 4)},")
+
+
 def test_decay_missing_input_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, j_modes=64)
     code = main(["decay", "--config", cfg,

@@ -69,6 +69,24 @@ def test_cells_render_each_kind():
     assert csvio.rows(["1", "2"], ["x", "y"]) == "1,x\n2,y\n"
 
 
+def test_distance_csv_pieces_write_the_whole_text(tmp_path):
+    # three blocks of rows, the last one short; lambda columns of plain ints,
+    # ints beyond 2^64 and a float among ints: the bytes csvio.write stores
+    # from the pieces are to_csv's and the whole-text rendering's
+    J = 2 * csvio._BLOCK_ROWS + 5
+    d = np.random.default_rng(8).random(J)
+    d[[0, 7, J - 1]] = (-0.0, math.inf, math.nan)
+    for lambdas in (tuple(range(1, 2 * J, 2)),
+                    tuple(2**70 + j for j in range(J)),
+                    tuple(0.5 if j == J - 3 else j for j in range(J))):
+        seq = DistanceSequence(kappa=Fraction(1, 3), e=Fraction(1), js=tuple(range(J)),
+                               lambdas=lambdas, d=d, exact=True)
+        whole = "j,lambda,d\n" + csvio.rows(*map(csvio.cells, (seq.js, lambdas, d)))
+        csvio.write(tmp_path / "d.csv", seq.csv_pieces())
+        assert (tmp_path / "d.csv").read_bytes().decode("utf-8") == seq.to_csv() == whole
+    assert len(list(seq.csv_pieces())) == 4
+
+
 # --------------------------------------------------------------------------- #
 # the reader rules on the distance and eigenvalue CSVs
 # --------------------------------------------------------------------------- #

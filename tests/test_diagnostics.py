@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypotorus import diagnostics as dg
 from hypotorus.diagnostics import (
     DecayFit,
     DegenerateData,
     DimensionUnsupported,
+    PMColumns,
     fit_decay,
     lemma25_check,
     ols,
@@ -18,9 +21,10 @@ from hypotorus.diagnostics import (
     x_seminorms,
 )
 from hypotorus.cli import ExperimentConfig
+from hypotorus.jsonio import plain
 from hypotorus.modes import ModeField, solve_field
 from hypotorus.spectrum import HermiteBasis, build_eigensequence
-from hypotorus.torusfn import TorusFunction
+from hypotorus.torusfn import TorusFunction, grid, wavenumbers
 
 # ---------------------------------------------------------------------------
 # frozen oracle values (closed forms, not this code)
@@ -218,22 +222,186 @@ def test_pm_row_zero_matches_geometric_sum():
     assert np.all(table.values[:, 1:] == 0.0)
 
 
-def test_decay_differentiates_the_field_once():
-    # fit_decay then pm_seminorms on one field: the second derivative stack
-    # is made of the first one's fields, not of rebuilt copies
-    def stack(u):
-        out = [u]
-        for _ in range(4):
-            out.append(out[-1].derivative())
-        return out
-
+def test_decay_differentiates_the_field_once(monkeypatch):
+    # one pass serves fit_decay and pm_seminorms: each level is derived once,
+    # from the level before it, and the results are the two functions' own
     eigs = build_eigensequence("harmonic1d", 32)
     u = ModeField([TorusFunction.from_callable(
         lambda t, j=j: np.exp(-0.3 * j) * np.cos((j % 3) * t), 64) for j in range(32)], eigs)
-    fit_decay(u, k_max=4)
-    first = stack(u)
-    pm_seminorms(u, eigs, k_max=4)
-    assert all(a is b for a, b in zip(first, stack(u)))
+    calls, derivative = [], ModeField.derivative
+    monkeypatch.setattr(ModeField, "derivative",
+                        lambda self: calls.append(self) or derivative(self))
+    for k_max, pm_k_max in ((4, 4), (7, 4), (0, 0), (2, 5)):
+        calls.clear()
+        columns = PMColumns(eigs, 32, M_max=3, k_max=pm_k_max)
+        fit = fit_decay(u, k_max=k_max, pm=columns)
+        assert len(calls) == max(k_max, pm_k_max) and calls[:1] in ([], [u])
+        assert len({id(d) for d in calls}) == len(calls)
+        assert repr(fit.as_dict()) == repr(fit_decay(u, k_max=k_max).as_dict())
+        pm, alone = columns.table(), pm_seminorms(u, eigs, M_max=3, k_max=pm_k_max)
+        assert pm.values.tobytes() == alone.values.tobytes()
+        assert repr(plain(pm)) == repr(plain(alone))
+
+
+# fit_decay and pm_seminorms as they were when the derivative stack was a
+# list of every level, each derived with the whole-array ifft
+
+
+def _stack_whole(u, k_max):
+    stack = [u]
+    for _ in range(k_max):
+        d = stack[-1]
+        n = d.samples.shape[1]
+        if not d.mask.any():
+            stack.append(d)
+            continue
+        coeffs = np.fft.fft(d.samples, axis=1) / n if d._coeffs is None else d._coeffs
+        dc = 1j * wavenumbers(n) * coeffs
+        stack.append(ModeField._of(np.fft.ifft(dc * n, axis=1), d.mask, d.eigs, dc))
+    return stack
+
+
+def _fit_decay_whole(field, mu, k_max):
+    J = field.J
+    e = float(field.eigs.exponent(mu))
+    sups = [d.sup_norms() for d in _stack_whole(field, k_max)]
+    s0 = sups[0]
+    usable = [j for j in range(J) if not math.isnan(s0[j]) and s0[j] > dg._FLOOR]
+    if not usable:
+        raise DegenerateData("floor")
+    if len(usable) < 8:
+        return DecayFit(epsilon=math.inf, C=float("nan"), sigma_fit=float("nan"),
+                        sigma_fit_joint=float("nan"), r2=0.0, r2_sigma=0.0,
+                        window=(min(usable), max(usable)), n_used=len(usable),
+                        sub_exponential=False,
+                        note=(f"finite support: only {len(usable)} usable modes; "
+                              "no asymptotic fit"))
+    ju = np.array(usable, dtype=np.float64)
+    x = (ju + 1.0) ** e
+    y = -np.log(s0[usable].astype(np.float64))
+    eps, intercept, r2 = ols(y, x)
+    C = dg._exp(-intercept)
+    half = len(usable) // 2
+    eps_lo, _, _ = ols(y[:half], x[:half])
+    eps_hi, _, _ = ols(y[half:], x[half:])
+    sub_exp = bool(eps_hi < 0.5 * eps_lo) if eps_lo > 1e-12 else bool(eps <= 1e-12)
+    cols = np.array(sups)[:, usable]
+    tops = np.where(np.isnan(cols), 0.0, cols).max(axis=1).tolist()
+    ks = [k for k, top in enumerate(tops) if top > dg._FLOOR]
+    note = ""
+    if len(ks) >= 2:
+        lk = np.array([math.lgamma(k + 1) for k in ks])
+        z = np.array([math.log(tops[k]) - math.log(C) for k in ks]) if C > 0 \
+            else np.array([math.log(tops[k]) for k in ks])
+        sigma, _, r2_sigma = ols(z, lk)
+        zz = np.array([math.log(tops[k]) for k in ks])
+        sigma_joint, _, _, _ = ols(zz, lk, ks)
+    else:
+        sigma = sigma_joint = float("nan")
+        r2_sigma = 0.0
+        note = "derivative stack degenerate (all k >= 1 at floor); sigma undefined"
+    return DecayFit(epsilon=float(eps), C=float(C), sigma_fit=float(sigma),
+                    sigma_fit_joint=float(sigma_joint), r2=float(r2),
+                    r2_sigma=float(r2_sigma), window=(int(min(usable)), int(max(usable))),
+                    n_used=len(usable), sub_exponential=sub_exp, note=note)
+
+
+def _pm_whole(u, eigs, M_max, k_max):
+    J = u.J
+    lam = np.abs(np.asarray(eigs.lambdas[:J], dtype=np.float64))
+    with np.errstate(divide="ignore"):
+        loglam = np.log(lam)
+    logabs = []
+    for d in _stack_whole(u, k_max):
+        a = np.abs(d.samples)
+        mat = np.full(a.shape, -np.inf)
+        np.log(a, where=(a > 0.0) & d.mask[:, None], out=mat)
+        logabs.append(mat)
+    values = np.zeros((M_max + 1, k_max + 1))
+    tail_share = 0.0
+    alive = np.flatnonzero(np.isfinite(logabs[0]).any(axis=1))
+    j_last = int(alive[-1]) if alive.size else None
+    for M in range(M_max + 1):
+        w = np.zeros(J) if M == 0 else 2.0 * M * loglam
+        for k in range(k_max + 1):
+            lt = w[:, None] + 2.0 * logabs[k]
+            log_s2 = dg._logsumexp(lt, axis=0)
+            peak = float(np.max(log_s2))
+            values[M, k] = 0.0 if peak == -np.inf else dg._exp(0.5 * peak)
+            if M == M_max and j_last is not None and peak > -np.inf:
+                t_star = int(np.argmax(log_s2))
+                share = lt[j_last, t_star] - log_s2[t_star]
+                if math.isfinite(share):
+                    tail_share = max(tail_share, math.exp(share))
+    return values, tail_share
+
+
+def _random_field(J, n, seed, undefined, zero_rows):
+    rng = np.random.default_rng(seed)
+    rate, freq = rng.uniform(0.0, 0.5), rng.integers(0, n // 2, size=J)
+    t = grid(n)
+    samples = (np.exp(-rate * np.arange(J))[:, None]
+               * (rng.standard_normal((J, 1)) * np.exp(1j * freq[:, None] * t)
+                  + 0.1 * rng.standard_normal((J, n))))
+    mask = rng.random(J) >= undefined
+    samples[rng.random(J) < zero_rows] = 0.0
+    samples[~mask] = 0.0
+    return ModeField._of(samples, mask, build_eigensequence("harmonic1d", J))
+
+
+@given(J=st.integers(32, 64), logn=st.integers(3, 6), seed=st.integers(0, 2**32 - 1),
+       undefined=st.sampled_from([0.0, 0.2, 0.9, 1.0]), zero_rows=st.sampled_from([0.0, 0.3]),
+       k_max=st.integers(0, 6), M_max=st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_one_level_at_a_time_keeps_the_bytes(J, logn, seed, undefined, zero_rows,
+                                             k_max, M_max):
+    u = _random_field(J, 1 << logn, seed, undefined, zero_rows)
+    try:
+        want = _fit_decay_whole(u, Fraction(1, 2), k_max)
+    except DegenerateData:
+        with pytest.raises(DegenerateData):
+            fit_decay(u, k_max=k_max)
+    else:
+        assert repr(fit_decay(u, k_max=k_max).as_dict()) == repr(want.as_dict())
+        # one pass for both, as decay runs them
+        columns = PMColumns(u.eigs, J, M_max, min(k_max, 4))
+        assert repr(fit_decay(u, k_max=k_max, pm=columns).as_dict()) == repr(want.as_dict())
+        values, tail = _pm_whole(u, u.eigs, M_max, min(k_max, 4))
+        pm = columns.table()
+        assert (pm.values.tobytes(), repr(pm.tail_share)) == (values.tobytes(), repr(tail))
+    values, tail = _pm_whole(u, u.eigs, M_max, k_max)
+    table = pm_seminorms(u, u.eigs, M_max=M_max, k_max=k_max)
+    assert (table.values.tobytes(), repr(table.tail_share)) == (values.tobytes(), repr(tail))
+    ks, Ms = np.arange(k_max + 1), np.arange(M_max + 1)
+    for ys, idx, got in ((values[0, :], ks, (table.slope_k, table.slope_k_raw, table.r2_k)),
+                         (values[:, 0], Ms, (table.slope_M, table.slope_M_raw, table.r2_M))):
+        keep = ys > 0.0
+        if keep.sum() < 3:
+            assert all(math.isnan(g) for g in got)
+            continue
+        xi = idx[keep].astype(np.float64)
+        x1 = xi * np.log(np.maximum(xi, 1.0))
+        raw, _, _ = ols(np.log(ys[keep]), x1)
+        joint, _, _, r2 = ols(np.log(ys[keep]), x1, xi)
+        assert repr(got) == repr((joint, raw, r2))
+
+
+def test_decay_pass_holds_about_two_levels():
+    # J = 128, N = 1024, k_max = 4: the list of every level (samples and
+    # coefficients each) peaked near 14 copies of the field; one level at a
+    # time, beside the level it comes from, stays within 8
+    eigs = build_eigensequence("harmonic1d", 128)
+    rng = np.random.default_rng(9)
+    samples = ((rng.standard_normal((128, 1024)) + 1j * rng.standard_normal((128, 1024)))
+               * np.exp(-0.2 * np.arange(128))[:, None])
+    u = ModeField._of(samples, np.ones(128, dtype=bool), eigs)
+    tracemalloc.start()
+    try:
+        fit_decay(u, k_max=4, pm=PMColumns(eigs, 128, M_max=8, k_max=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * samples.nbytes, f"peak {peak / samples.nbytes:.1f} fields"
 
 
 def test_pm_zero_field_is_zero():

@@ -25,6 +25,7 @@ from hypotorus.modes import (
 )
 from hypotorus.modes import (_CHUNK_CELLS, _apply_rows, _band_width, _banded_chunk,
                              _solve_cyclic_banded, operator_residuals, row_chunks)
+from hypotorus import csvio
 from hypotorus.spectrum import build_eigensequence
 from hypotorus.torusfn import TorusFunction, grid, wavenumbers
 
@@ -793,6 +794,56 @@ def test_mode_field_csv_reads_a_file_in_bounded_memory(tmp_path):
             tracemalloc.stop()
         assert back.samples.tobytes() == samples.tobytes(), source
         assert peak <= 8 * samples.nbytes, f"{source}: peak {peak / 1e6:.1f} MB"
+
+
+def _to_csv_whole(mf):
+    # ModeField.to_csv as it was before the CSV was streamed: the whole text
+    blocks = ["j,t,re,im\n"]
+    if mf.mask.any():
+        n, ts = mf.n, csvio.cells(grid(mf.n))
+        blocks += [csvio.rows([str(j)] * n, ts, csvio.cells(mf.samples[j].real),
+                              csvio.cells(mf.samples[j].imag))
+                   for j in mf.defined()]
+    return "".join(blocks)
+
+
+@given(mask=st.lists(st.booleans(), min_size=1, max_size=6),
+       logn=st.integers(2, 4), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_streamed_field_csv_writes_the_whole_text(tmp_path_factory, mask, logn, data):
+    # interleaved undefined modes, none defined (header only), signed zeros,
+    # infinities and NaNs: the pieces csvio.write stores are to_csv's bytes,
+    # and the bytes of the whole-text writer
+    J, n = len(mask), 1 << logn
+    bits = data.draw(st.lists(_float_bits, min_size=2 * J * n, max_size=2 * J * n))
+    samples = np.zeros((J, n if any(mask) else 0), dtype=np.complex128)
+    if any(mask):
+        vals = np.array(_floats(bits)).reshape(2, J, n)
+        samples.real, samples.imag = vals[0], vals[1]
+        samples[~np.array(mask)] = 0.0
+    mf = ModeField._of(samples, np.array(mask), build_eigensequence("harmonic1d", J))
+    path = tmp_path_factory.mktemp("csv") / "u.csv"
+    csvio.write(path, mf.csv_pieces())
+    text = path.read_bytes().decode("utf-8")
+    assert text == mf.to_csv() == _to_csv_whole(mf)
+    assert (text == "j,t,re,im\n") == (not any(mask))
+
+
+def test_streamed_field_csv_writes_in_bounded_memory(tmp_path):
+    # J = 128, N = 1024: the whole-text writer peaked near 12 copies of the
+    # field (the text, then its join); one mode block at a time stays within 2
+    eigs = build_eigensequence("harmonic1d", 128)
+    rng = np.random.default_rng(7)
+    samples = rng.standard_normal((128, 1024)) + 1j * rng.standard_normal((128, 1024))
+    mf = ModeField._of(samples, np.ones(128, dtype=bool), eigs)
+    tracemalloc.start()
+    try:
+        csvio.write(tmp_path / "u.csv", mf.csv_pieces())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * samples.nbytes, f"peak {peak / 1e6:.1f} MB"
+    assert (tmp_path / "u.csv").read_bytes() == _to_csv_whole(mf).encode("utf-8")
 
 
 def test_field_operations_match_per_mode_reference():

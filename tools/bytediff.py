@@ -6,10 +6,11 @@
 Runs the same CLI calls under each tree, in OUT_DIR/parent and
 OUT_DIR/change, with PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1:
 every cookbook config, the ops of the three benchmark workloads for seeds 1
-and 101 (CHANGE_TREE/perfbench/workloads.py), seven extra solve configs, a
-decay of the notgh solve's field, eight diophantine tables (every integer
-eigenvalue kind, a negative kappa, a denominator near 2^60, a decimal, a
-float-valued table and an integer table beyond 2^64), one witness per
+and 101 (CHANGE_TREE/perfbench/workloads.py), seven extra solve configs,
+three decays of the notgh solve's field (k_max 4, 0 and 7), eight
+diophantine tables (every integer eigenvalue kind, a negative kappa, a
+denominator near 2^60, a decimal, a float-valued table and an integer table
+beyond 2^64), one witness per
 constructor, a constant one at denominator 20001, a constant one on the
 auto route (classify, then its plan), and five more sign-change witnesses:
 the mirrored window of a negative table, a drifting Im c, two harmonics,
@@ -54,6 +55,10 @@ EXTRA = {   # solve configs; notgh: Im c changes sign, collocation misses its bu
     "chunks-banded": {"c": "i(1 - cos t)", "grid_n": 512, "j_modes": 300,
                       "f": {str(j): "exp(it)" for j in range(300)}},
 }
+# decays of the notgh field: k_max 4 (the default), 0 (a one-column pm table)
+# and 7 (fit_decay's stack deeper than pm_seminorms' min(k_max, 4))
+DECAY = {"decay": {"j_modes": 64}, "decay-k0": {"j_modes": 64, "k_max": 0},
+         "decay-k7": {"j_modes": 64, "k_max": 7}}
 WITNESS = {  # one witness call per constructor; sign-change also runs in the benchmark ops
     "constant": {"c": "1/3", "witness_kind": "constant", "witness_n": 8, "j_modes": 16},
     "constant-q20001": {"c": "1/20001", "witness_kind": "constant", "j_modes": 16},
@@ -152,9 +157,11 @@ def calls(change: Path, workloads) -> list:
         Path("extra", f"{name}.json").write_text(json.dumps(cfg, indent=1))
         out.append((f"extra/{name}", ["solve", "--config", f"extra/{name}.json",
                                       "--out", f"extra/{name}"]))
-    Path("extra/decay.json").write_text(json.dumps({"j_modes": 64}))
-    out.append(("extra/notgh-decay", ["decay", "--config", "extra/decay.json", "--input",
-                                      "extra/notgh/u_field.csv", "--out", "extra/notgh-decay"]))
+    for name, cfg in DECAY.items():
+        Path("extra", f"{name}.json").write_text(json.dumps(cfg))
+        out.append((f"extra/notgh-{name}", ["decay", "--config", f"extra/{name}.json", "--input",
+                                            "extra/notgh/u_field.csv",
+                                            "--out", f"extra/notgh-{name}"]))
     for name, cfg in DIOPHANTINE.items():
         Path("extra", f"diophantine-{name}.json").write_text(json.dumps(cfg, indent=1))
         out.append((f"extra/diophantine-{name}", ["diophantine", "--config",
