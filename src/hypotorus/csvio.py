@@ -10,7 +10,8 @@ the pieces as they come, so a large table is never held whole:
 * a float is its ``repr``, so it reads back bit for bit (NaN is ``nan``);
 * an int is its decimal ``str`` at any size (under
   :func:`~hypotorus.jsonio.unlimited_int_digits`);
-* a bool is ``true`` or ``false``; numpy scalars are their Python values.
+* a bool is ``true`` or ``false``; numpy scalars are their Python values;
+* a str is a cell rendered already and is written as it is.
 
 :class:`SampleRows` is the one reader.  It types each column by its name:
 ``j`` and ``k`` int64, ``lambda`` an exact int or else a float, every other
@@ -37,6 +38,8 @@ _BLOCK_ROWS = 1 << 12   # rows rendered at a time by pieces
 
 def _cell(v) -> str:
     v = v.item() if isinstance(v, np.generic) else v
+    if isinstance(v, str):
+        return v
     return ("true" if v else "false") if isinstance(v, bool) else repr(v)
 
 
@@ -45,9 +48,10 @@ def cells(values) -> list[str]:
     floats = isinstance(values, np.ndarray) and values.dtype.kind == "f"
     values = values.tolist() if isinstance(values, np.ndarray) else list(values)
     with unlimited_int_digits():
-        if floats or set(map(type, values)) <= {int, float}:
+        types = set() if floats else set(map(type, values))
+        if types <= {int, float}:
             return list(map(repr, values))   # repr(int) is its str
-        return [_cell(v) for v in values]
+        return values if types == {str} else [_cell(v) for v in values]
 
 
 def rows(*cell_columns) -> str:

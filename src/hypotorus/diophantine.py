@@ -145,8 +145,19 @@ class DistanceSequence:
         return tuple(int(self.js[i]) for i in np.flatnonzero(self.d == 0.0))
 
     def csv_pieces(self) -> Iterator[str]:
-        """The CSV text in pieces: the header, then blocks of rows."""
-        return csvio.pieces(("j", "lambda", "d"), self.js, self.lambdas, self.d)
+        """The CSV text in pieces: the header, then blocks of rows.
+
+        An exact table at kappa = p/q holds at most floor(q/2) + 1 distinct
+        distances; when that is at most a quarter of its rows, each distinct
+        bit pattern of ``d`` is rendered once and its cell reused.  Keyed on
+        bits, -0.0 and 0.0 stay apart as their reprs do (equal floats would
+        merge them).  Any other table renders value by value."""
+        d = self.d
+        if self.exact and 4 * (Fraction(self.kappa).denominator // 2 + 1) <= d.size:
+            d = np.ascontiguousarray(d, dtype=np.float64)
+            bits, at = np.unique(d.view(np.uint64), return_inverse=True)
+            d = np.array(csvio.cells(bits.view(np.float64)), dtype=object)[at]
+        return csvio.pieces(("j", "lambda", "d"), self.js, self.lambdas, d)
 
     def to_csv(self) -> str:
         return "".join(self.csv_pieces())
@@ -384,8 +395,18 @@ def _progression_residues(p: int, q: int, a: int,
 
 def _distance_numerators(lams, p: int, q: int) -> np.ndarray:
     """``q dist(p lambda / q, Z) = min(r, q - r)``, ``r = p lambda mod q``, for
-    each integer ``lambda``: Python ints in an object array, exact at any size
-    (int / int then rounds correctly, as ``float(Fraction)`` does)."""
+    each integer ``lambda``: in int64 when max|lambda| |p| < 2^63 and
+    q < 2^53, else Python ints in an object array, exact at any size.  Either
+    way ``/ q`` then rounds correctly, as ``float(Fraction)`` does: int64
+    numerators below q < 2^53 and q itself are exact doubles."""
+    if q < 2**53:
+        try:
+            lam = np.array(lams, dtype=np.int64)
+        except OverflowError:       # an eigenvalue beyond int64
+            lam = np.empty(0, dtype=np.int64)
+        if lam.size and max(1, -int(lam.min()), int(lam.max())) * abs(p) < 2**63:
+            r = lam * p % q
+            return np.minimum(r, q - r)
     r = np.asarray(lams, dtype=object) * p % q
     return np.minimum(r, q - r)
 

@@ -68,6 +68,7 @@ __all__ = [
     "apply_operator",
     "operator_residuals",
     "row_chunks",
+    "index_runs",
     "equivalence_check",
 ]
 
@@ -667,27 +668,30 @@ def row_chunks(rows: int, n: int) -> Iterable[slice]:
 
 
 def _apply_rows(lam: np.ndarray, c: TorusFunction, u: np.ndarray,
-                coeffs: np.ndarray | None) -> np.ndarray:
+                coeffs: np.ndarray | None, ik: np.ndarray | None = None,
+                out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
     """u_s' + i*lam_s*c*u_s for every row s of ``u`` (c on the rows' grid), the
     one arithmetic of the operator; ``coeffs`` are the rows' trig coefficients
     if known exactly, else fft(u)/n.
 
     The expression is ifft(i*k * coeffs * n) + ((i*lam_s) * c) * u_s, each
-    product and sum in that operand order, evaluated in place on two
-    temporaries the size of ``u``: the scaled coefficients, which the
-    inverse FFT overwrites with the derivative, and the product term.  The
-    caller's ``coeffs`` are never written to."""
+    product and sum in that operand order, evaluated in place on two arrays
+    the shape of ``u``: ``out``, which holds the scaled coefficients, then
+    the derivative (the inverse FFT writes over them), then the result; and
+    ``tmp``, the product term.  Either is allocated when not given; ``ik``
+    is i*wavenumbers(n), computed when not given.  The caller's ``coeffs``
+    are never written to."""
     n = u.shape[1]
-    ik = 1j * wavenumbers(n)
+    ik = 1j * wavenumbers(n) if ik is None else ik
     if coeffs is None:
-        coeffs = np.fft.fft(u, axis=1)
-        coeffs /= n
-        np.multiply(ik, coeffs, out=coeffs)
+        out = np.fft.fft(u, axis=1, out=out)
+        out /= n
+        np.multiply(ik, out, out=out)
     else:
-        coeffs = ik * coeffs
-    coeffs *= n
-    du = np.fft.ifft(coeffs, axis=1, out=coeffs)
-    t = (1j * lam)[:, None] * c.samples
+        out = np.multiply(ik, coeffs, out=out)
+    out *= n
+    du = np.fft.ifft(out, axis=1, out=out)
+    t = np.multiply((1j * lam)[:, None], c.samples, out=tmp)
     t *= u
     du += t
     return du
@@ -702,6 +706,24 @@ def apply_operator(c: TorusFunction, u: ModeField) -> ModeField:
     return ModeField._of(f, u.mask, u.eigs)
 
 
+def index_runs(*idxs: np.ndarray) -> list[tuple[int, int]]:
+    """The bounds [a, b) of the runs of positions on which every one of the
+    equally long index arrays ``idxs`` steps by one, in order."""
+    cut = (np.flatnonzero(np.logical_or.reduce([np.diff(i) != 1 for i in idxs])) + 1).tolist()
+    return [(a, b) for a, b in zip([0, *cut], [*cut, len(idxs[0])]) if b > a]
+
+
+def _column_runs(cols) -> list[tuple[slice, slice]]:
+    """``cols`` (a slice, or strictly increasing column indices) as pairs
+    (grid columns, positions in ``cols``) of slices, one pair per run of
+    consecutive columns."""
+    if isinstance(cols, slice):
+        return [(cols, slice(None))]
+    cols = np.asarray(cols)
+    return [(slice(int(cols[a]), int(cols[b - 1]) + 1), slice(a, b))
+            for a, b in index_runs(cols)]
+
+
 def operator_residuals(lam: Sequence[float], c: TorusFunction, u: np.ndarray,
                        f: np.ndarray, coeffs: np.ndarray | None = None,
                        cols=slice(None)) -> np.ndarray:
@@ -709,19 +731,30 @@ def operator_residuals(lam: Sequence[float], c: TorusFunction, u: np.ndarray,
     ``u``, as apply_operator computes it, in chunks of rows.
 
     ``f`` holds the forcing on the columns ``cols`` of the grid only (all of
-    them by default) and f_s = 0 elsewhere: the operator's rows are reduced
-    by f in place on those columns, which is the full-grid difference bit
-    for bit.  ``coeffs`` holds the exact trig coefficients of the rows of
-    ``u`` where they are known (a pure harmonic's one-hot spectrum);
-    otherwise they are taken from the samples by FFT.
+    them by default; else strictly increasing indices) and f_s = 0
+    elsewhere: the operator's rows are reduced by f in place, one slice per
+    run of consecutive columns, which is the full-grid difference bit for
+    bit.  ``coeffs`` holds the exact trig coefficients of the rows of ``u``
+    where they are known (a pure harmonic's one-hot spectrum); otherwise
+    they are taken from the samples by FFT.  The chunks share one set of
+    buffers, the wave numbers and the runs, made once per call.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    c = c.resample(u.shape[1])
-    out = np.empty(u.shape[0])
-    for s in row_chunks(*u.shape):
-        r = _apply_rows(lam[s], c, u[s], None if coeffs is None else coeffs[s])
-        r[:, cols] -= f[s]
-        out[s] = np.abs(r).max(axis=1)
+    S, n = u.shape
+    c = c.resample(n)
+    ik = 1j * wavenumbers(n)
+    runs = _column_runs(cols)
+    shape = u[next(row_chunks(S, n), slice(0))].shape       # the largest chunk
+    buf, tmp = np.empty((2, *shape), dtype=np.complex128)
+    mag = np.empty(shape)
+    out = np.empty(S)
+    for s in row_chunks(S, n):
+        m = len(u[s])
+        r = _apply_rows(lam[s], c, u[s], None if coeffs is None else coeffs[s],
+                        ik, buf[:m], tmp[:m])
+        for at, of in runs:
+            r[:, at] -= f[s, of]
+        np.abs(r, out=mag[:m]).max(axis=1, out=out[s])
     return out
 
 

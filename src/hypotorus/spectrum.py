@@ -199,8 +199,9 @@ def build_eigensequence(kind: str, J: int, *, values: Sequence | None = None,
     parts = kind.split()
     head = parts[0]
 
+    odd = range(1, 2 * J, 2)    # 2j + 1 for j < J
     if head == "harmonic1d" and len(parts) == 1:
-        exact = tuple(2 * j + 1 for j in range(J))
+        exact = tuple(odd)
         return EigenSequence("harmonic1d", _float_view(exact),
                              m=2, n=1, exact=exact, ap_index=(1, 2))
 
@@ -211,7 +212,7 @@ def build_eigensequence(kind: str, J: int, *, values: Sequence | None = None,
         if k * ((2 * J - 1).bit_length() - 1) >= 1024:     # lambda_{J-1} >= 2^1024
             raise ConfigError(f"harmonic1d_power {k}: lambda_{J - 1} = {2 * J - 1}^{k} "
                               f"is beyond the float range")
-        exact = tuple((2 * j + 1) ** k for j in range(J))
+        exact = tuple(v ** k for v in odd)
         ap = (1, 2) if k == 1 else None
         return EigenSequence(f"harmonic1d_power {k}", _float_view(exact),
                              m=2 * k, n=1, exact=exact, ap_index=ap)

@@ -72,7 +72,7 @@ from .diagnostics import ols
 from .diophantine import LiouvilleCertificate, RationalVerdict, classify_rational
 from .errors import ConfigError, WitnessError
 from .jsonio import plain, unlimited_int_digits, write as write_json
-from .modes import operator_residuals, row_chunks
+from .modes import index_runs, operator_residuals, row_chunks
 from .spectrum import EigenSequence, _nd_count_below
 from .torusfn import TorusFunction, grid
 
@@ -752,7 +752,7 @@ def _partition_indices(B: np.ndarray, i: int, depth: float, N: int) -> Optional[
 
 def _run_or_index(idx: np.ndarray):
     """``idx`` as a slice when it is one run of consecutive increasing
-    indices (a support or band that does not wrap), else as it is: the same
+    indices (a support that does not wrap), else as it is: the same
     elements, gathered and scattered without an index array."""
     if idx.size and np.all(np.diff(idx) == 1):
         return slice(int(idx[0]), int(idx[-1]) + 1)
@@ -806,9 +806,11 @@ def _bump_levels(eigs: EigenSequence, js: np.ndarray, bumps, k0: int):
         supp = np.flatnonzero(g > 0.0)
         cols = np.union1d(supp, idx)
         dg = np.real(TorusFunction(g).derivative().samples)
-        circ.append((g[supp], dg[idx], np.roll(E, k0)[cols], *map(_run_or_index, (
-            supp, np.searchsorted(f_cols, idx),
-            np.searchsorted(cols, supp), np.searchsorted(cols, idx)))))
+        at_f, at_idx = np.searchsorted(f_cols, idx), np.searchsorted(cols, idx)
+        band = [(slice(at_f[a], at_f[a] + b - a), dg[idx[a:b]],
+                 slice(at_idx[a], at_idx[a] + b - a)) for a, b in index_runs(at_f, at_idx)]
+        circ.append((g[supp], np.roll(E, k0)[cols], band,
+                     *map(_run_or_index, (supp, np.searchsorted(cols, supp)))))
     lams = np.asarray(eigs.lambdas, dtype=np.float64)[js]
     u = np.zeros((len(js), N), dtype=np.complex128)
     f = np.zeros((len(js), len(f_cols)), dtype=np.complex128)
@@ -818,7 +820,7 @@ def _bump_levels(eigs: EigenSequence, js: np.ndarray, bumps, k0: int):
         lam = lams[s]
         d = lam[1] - lam[0] if lam.size > 1 else 0.0
         ap = d * lam[0] > 0.0 and np.array_equal(lam, lam[0] + d * np.arange(lam.size))
-        for k, (g, dg, E, supp, at_f, at_supp, at_idx) in enumerate(circ):
+        for k, (g, E, band, supp, at_supp) in enumerate(circ):
             with np.errstate(under="ignore"):
                 if ap:
                     if (k, d) not in tables:
@@ -835,7 +837,8 @@ def _bump_levels(eigs: EigenSequence, js: np.ndarray, bumps, k0: int):
                 u[s] = u[s] + full
             else:
                 u[s, supp] = term
-            f[s, at_f] = dg * e[:, at_idx]
+            for to, dg, at in band:
+                f[s, to] = dg * e[:, at]
         sup_u[s] = np.abs(u[s]).max(axis=1)
         sup_f[s] = np.abs(f[s]).max(axis=1, initial=0.0)
     levels = [WitnessLevel(j=int(j), lam=float(lams[r]), sup_u=float(sup_u[r]),

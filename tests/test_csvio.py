@@ -87,6 +87,28 @@ def test_distance_csv_pieces_write_the_whole_text(tmp_path):
     assert len(list(seq.csv_pieces())) == 4
 
 
+def test_distance_cells_are_keyed_on_bit_patterns():
+    # an exact table at q = 7 renders each distinct bit pattern of d once:
+    # -0.0 and 0.0 compare equal as floats but render apart, and a NaN, also
+    # one with a sign or a payload, is "nan"
+    J = 3 * csvio._BLOCK_ROWS + 7
+    pool = np.array([-0.0, 0.0, math.inf, -math.inf, math.nan, 1 / 7, 2 / 7, 5e-324])
+    pool = np.r_[pool, -pool[4:5], np.array([0x7FF8000000000001], np.uint64).view(float)]
+    d = pool[np.random.default_rng(5).integers(0, pool.size, J)]
+    d[:pool.size] = pool
+    seq = DistanceSequence(kappa=Fraction(2, 7), e=Fraction(1), js=tuple(range(J)),
+                           lambdas=tuple(range(1, 2 * J, 2)), d=d, exact=True)
+    assert list(seq.csv_pieces()) == list(csvio.pieces(("j", "lambda", "d"), seq.js,
+                                                       seq.lambdas, d))
+    assert "\n0,1,-0.0\n1,3,0.0\n2,5,inf\n3,7,-inf\n4,9,nan\n" in seq.to_csv()
+
+
+def test_cells_keep_rendered_strings():
+    assert csvio.cells(["0.5", "-0.0", "nan"]) == ["0.5", "-0.0", "nan"]
+    assert csvio.cells(np.array(["1", "x"], dtype=object)) == ["1", "x"]
+    assert csvio.cells(["x", 1, True, np.str_("y")]) == ["x", "1", "true", "y"]
+
+
 # --------------------------------------------------------------------------- #
 # the reader rules on the distance and eigenvalue CSVs
 # --------------------------------------------------------------------------- #

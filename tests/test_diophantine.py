@@ -223,6 +223,14 @@ def _scan_residues(p, q, values):
 
 
 class TestResiduePath:
+    # the int64 numerators need max|lambda| |p| < 2^63 and q < 2^53 (lambda_31
+    # = 63 on harmonic1d); one step past either bound takes Python ints
+    @example(p=(2**63 - 1) // 63, q=2**53 - 1, kind="harmonic1d", table=[1])
+    @example(p=-((2**63 - 1) // 63), q=2**53 - 111, kind="harmonic1d", table=[1])
+    @example(p=(2**63 - 1) // 63 + 1, q=2**53 - 1, kind="harmonic1d", table=[1])
+    @example(p=3, q=2**53, kind="harmonic1d", table=[1])
+    @example(p=1, q=5, kind="table", table=[2**63 - 1, -(2**63)])
+    @example(p=-1, q=5, kind="table", table=[-(2**63 - 1), 2**63 - 1])
     @given(p=st.integers(-2**70, 2**70), q=st.integers(1, 2**70),
            kind=st.sampled_from(_EXACT_KINDS), table=_integer_tables())
     @settings(max_examples=200, deadline=None)

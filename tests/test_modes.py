@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypotorus.modes import (
@@ -545,14 +545,32 @@ def _out_of_place_residuals(lam, c, u, f, coeffs, cols):
     return out
 
 
+def _layout_columns(layout, n, rng):
+    """The forcing columns of a layout: every column (a slice), a random
+    sorted subset, three runs holding columns 0 and n - 1, or none (K = 0)."""
+    if layout == "all":
+        return slice(None)
+    if layout == "subset":
+        return np.flatnonzero(rng.random(n) < 0.5)
+    if layout == "runs":
+        a, b, c, d = np.sort(rng.choice(np.arange(1, n), 4, replace=False))
+        return np.r_[0:a, b:c, d:n]
+    return np.empty(0, dtype=np.intp)
+
+
+# n = 1024 takes 64 rows a chunk: 70 rows end on a short chunk
+@example(log2n=10, rows=70, given_coeffs=False, layout="runs", seed=1)
+@example(log2n=10, rows=70, given_coeffs=True, layout="none", seed=2)
+@example(log2n=10, rows=130, given_coeffs=False, layout="subset", seed=3)
 @settings(max_examples=40, deadline=None)
-@given(st.integers(4, 10), st.integers(1, 80), st.booleans(), st.booleans(),
-       st.integers(0, 2 ** 31 - 1))
+@given(st.integers(4, 10), st.integers(1, 80), st.booleans(),
+       st.sampled_from(["all", "subset", "runs", "none"]), st.integers(0, 2 ** 31 - 1))
 def test_in_place_residuals_equal_the_out_of_place_expression(log2n, rows, given_coeffs,
-                                                              subset, seed):
+                                                              layout, seed):
     # the in-place kernel evaluates the same products and sums in the same
-    # operand order, so every residual agrees bit for bit; given coefficients
-    # (perturbed off fft(u)/n, so they are really used) are left untouched
+    # operand order, and subtracts f one run of columns at a time, so every
+    # residual agrees bit for bit; given coefficients (perturbed off
+    # fft(u)/n, so they are really used) are left untouched
     n, rng = 1 << log2n, np.random.default_rng(seed)
     c = TorusFunction(rng.normal(size=n) + 1j * rng.normal(size=n))
     u = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
@@ -561,8 +579,8 @@ def test_in_place_residuals_equal_the_out_of_place_expression(log2n, rows, given
     if given_coeffs:
         coeffs = np.fft.fft(u, axis=1) / n * (1.0 + 1e-6 * rng.normal(size=(rows, n)))
         kept = coeffs.copy()
-    cols = np.flatnonzero(rng.random(n) < 0.5) if subset else slice(None)
-    k = n if not subset else cols.size
+    cols = _layout_columns(layout, n, rng)
+    k = n if layout == "all" else cols.size
     f = rng.normal(size=(rows, k)) + 1j * rng.normal(size=(rows, k))
     got = operator_residuals(lam, c, u, f, coeffs, cols=cols)
     want = _out_of_place_residuals(lam, c, u, f, coeffs, cols)
