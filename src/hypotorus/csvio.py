@@ -11,7 +11,8 @@ the pieces as they come, so a large table is never held whole:
 * an int is its decimal ``str`` at any size (under
   :func:`~hypotorus.jsonio.unlimited_int_digits`);
 * a bool is ``true`` or ``false``; numpy scalars are their Python values;
-* a str is a cell rendered already and is written as it is.
+* a column made only of str holds cells rendered already and is written
+  as it is.
 
 :class:`SampleRows` is the one reader.  It types each column by its name:
 ``j`` and ``k`` int64, ``lambda`` an exact int or else a float, every other
@@ -38,8 +39,6 @@ _BLOCK_ROWS = 1 << 12   # rows rendered at a time by pieces
 
 def _cell(v) -> str:
     v = v.item() if isinstance(v, np.generic) else v
-    if isinstance(v, str):
-        return v
     return ("true" if v else "false") if isinstance(v, bool) else repr(v)
 
 

@@ -104,9 +104,8 @@ def test_distance_cells_are_keyed_on_bit_patterns():
 
 
 def test_cells_keep_rendered_strings():
-    assert csvio.cells(["0.5", "-0.0", "nan"]) == ["0.5", "-0.0", "nan"]
-    assert csvio.cells(np.array(["1", "x"], dtype=object)) == ["1", "x"]
-    assert csvio.cells(["x", 1, True, np.str_("y")]) == ["x", "1", "true", "y"]
+    # the rendered d column of DistanceSequence.csv_pieces: an object array of str
+    assert csvio.cells(np.array(["0.5", "-0.0", "nan"], dtype=object)) == ["0.5", "-0.0", "nan"]
 
 
 # --------------------------------------------------------------------------- #

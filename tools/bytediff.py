@@ -7,13 +7,14 @@ Runs the same CLI calls under each tree, in OUT_DIR/parent and
 OUT_DIR/change, with PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1:
 every cookbook config, the ops of the three benchmark workloads for seeds 1
 and 101 (CHANGE_TREE/perfbench/workloads.py), seven extra solve configs,
-three decays of the notgh solve's field (k_max 4, 0 and 7), ten
+three decays of the notgh solve's field (k_max 4, 0 and 7), eleven
 diophantine tables (every integer eigenvalue kind, a negative kappa, a
 denominator near 2^60, a decimal, a float-valued table, an integer table
-beyond 2^64, and two J = 65536 tables on either side of the distinct-value
-rule of distances.csv: 5/13, whose 7 distinct distances are rendered once
-each, and a denominator of 32771, whose 16386 possible distances exceed a
-quarter of the rows and are rendered value by value), one witness per
+beyond 2^64, and three J = 65536 tables on either side of the
+distinct-value rule of distances.csv: 5/13 and 12345/32771, whose 7 and
+16386 possible distances are at most three quarters of the rows and are
+rendered once each, and 12345/131101, whose 65551 exceed them and are
+rendered value by value), one witness per
 constructor, a constant one at denominator 20001, a constant one on the
 auto route (classify, then its plan), and five more sign-change witnesses:
 the mirrored window of a negative table, a drifting Im c, two harmonics,
@@ -112,7 +113,8 @@ DIOPHANTINE = {  # exact tables on every integer kind, and the float table
                    "model": {"kind": "table", "values": [2**64 + j * j for j in range(64)]}},
     # distances.csv rendered once per distinct distance, and value by value
     "distinct-q13": {"kappa": "5/13", "j_modes": 65536},
-    "by-value-q32771": {"kappa": "12345/32771", "j_modes": 65536},
+    "distinct-q32771": {"kappa": "12345/32771", "j_modes": 65536},
+    "by-value-q131101": {"kappa": "12345/131101", "j_modes": 65536},
 }
 
 
