@@ -42,6 +42,7 @@ from .diophantine import (
     liouville_fit,
 )
 from .jsonio import dumps, plain
+from .modes import index_runs
 
 __all__ = [
     "NonRealInput",
@@ -107,9 +108,6 @@ class SignReport:
     n: int
     tol: float = TOL_SIGN
 
-    def to_json(self) -> str:
-        return dumps(self)
-
 
 def _circular_runs(mask: np.ndarray) -> List[Tuple[int, int]]:
     """Maximal runs of True in a circular boolean array, as (start, length)."""
@@ -119,15 +117,11 @@ def _circular_runs(mask: np.ndarray) -> List[Tuple[int, int]]:
     if mask.all():
         return [(0, n)]
     off = int(np.flatnonzero(~mask)[0])
-    r = np.roll(mask, -off)  # now r[0] is False, so no run wraps
-    idx = np.flatnonzero(r)
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([idx[0]], idx[breaks + 1]))
-    ends = np.concatenate((idx[breaks], [idx[-1]]))
-    return [(int((s + off) % n), int(e - s + 1)) for s, e in zip(starts, ends)]
+    idx = np.flatnonzero(np.roll(mask, -off))  # a False comes first, so no run wraps
+    return [(int((idx[a] + off) % n), b - a) for a, b in index_runs(idx)]
 
 
-def sign_report(b: TorusFunction, tol_sign: float = TOL_SIGN) -> SignReport:
+def sign_report(b: TorusFunction) -> SignReport:
     """Sign statistics of a real-valued function from its grid samples.
 
     Raises :class:`NonRealInput` when the samples carry an imaginary part
@@ -139,7 +133,7 @@ def sign_report(b: TorusFunction, tol_sign: float = TOL_SIGN) -> SignReport:
         raise NonRealInput(
             f"expected a real-valued function; imaginary part has sup {imag_sup:.3e}")
     v = s.real
-    mask = np.abs(v) < tol_sign
+    mask = np.abs(v) < TOL_SIGN
     mn, mx = float(v.min()), float(v.max())
     runs = _circular_runs(mask)
     return SignReport(
@@ -147,11 +141,10 @@ def sign_report(b: TorusFunction, tol_sign: float = TOL_SIGN) -> SignReport:
         max_b=mx,
         mean_b=float(v.mean()),
         zero_measure=2.0 * math.pi * float(mask.sum()) / v.size,
-        changes_sign=(mn < -tol_sign) and (mx > tol_sign),
+        changes_sign=(mn < -TOL_SIGN) and (mx > TOL_SIGN),
         identically_zero=bool(mask.all()),
         longest_zero_run=max((ln for _, ln in runs), default=0),
         n=int(v.size),
-        tol=tol_sign,
     )
 
 

@@ -150,15 +150,16 @@ def _derivative_stack(field: ModeField, k_max: int) -> Iterator[ModeField]:
         yield d
 
 
-def fit_decay(field: ModeField, mu=Fraction(1, 2), k_max: int = 4,
-              window: Optional[tuple] = None, *,
+def fit_decay(field: ModeField, mu=Fraction(1, 2), k_max: int = 4, *,
               pm: Optional[PMColumns] = None) -> DecayFit:
     """Fit sup_t|u_j| ~ C exp(-epsilon (j+1)^e) and the k-derivative order,
     with e = field.eigs.exponent(mu) = 1/(2 n mu) for class ``mu``.
 
-    Needs J >= 32 modes for an asymptotic claim.  Modes below the 1e-300
-    floor (or undefined) are excluded; if fewer than eight usable modes
-    remain the data is finite-support and no asymptotic fit is attempted.
+    Needs J >= 32 modes for an asymptotic claim.  The fit runs over all J
+    modes less those below the 1e-300 floor (or undefined); the result's
+    ``window`` is the first and last mode kept.  If fewer than eight usable
+    modes remain the data is finite-support and no asymptotic fit is
+    attempted.
     Sub-exponential decay is flagged by slope collapse: the fitted rate over
     the upper half of the window falling below half the rate over the lower
     half (an exact exponential keeps them equal; (j+1)^{-p} does not).
@@ -174,9 +175,6 @@ def fit_decay(field: ModeField, mu=Fraction(1, 2), k_max: int = 4,
     if k_max < 0:
         raise ValueError("k_max >= 0 required")
     e = float(field.eigs.exponent(mu))
-    lo, hi = window if window is not None else (0, J)
-    if not (0 <= lo < hi <= J):
-        raise ValueError(f"window {window} escapes [0, {J}]")
 
     # sups[k][j] = sup_t |d_t^k u_j| (NaN where the mode is undefined)
     sups = []
@@ -187,7 +185,7 @@ def fit_decay(field: ModeField, mu=Fraction(1, 2), k_max: int = 4,
         if pm is not None and k <= pm.k_max:
             pm.add(k, d)
     s0 = sups[0]
-    usable = [j for j in range(lo, hi)
+    usable = [j for j in range(J)
               if not math.isnan(s0[j]) and s0[j] > _FLOOR]
     if not usable:
         raise DegenerateData(

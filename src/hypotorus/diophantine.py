@@ -649,13 +649,11 @@ def construct_liouville(
     mu: Union[Fraction, float] = Fraction(1, 2),
     j_cap: Optional[int] = 10**6,
     bits_cap: int = 2_000_000,
-    j_start: int = 1,
-    tau_start: int = 1,
 ) -> LiouvilleCertificate:
     """Greedy exact-rational construction of an exponential-Liouville number.
 
-    Starting from ``kappa_1 = tau_1 / lambda_{j_1}``, each new level picks the
-    smallest admissible eigenvalue ``lambda = lambda_{j}`` with
+    Starting from ``kappa_1 = 1/lambda_1`` (level j_1 = 1), each new level
+    picks the smallest admissible eigenvalue ``lambda = lambda_{j}`` with
     ``P * lambda == 1 (mod D)`` (``kappa = P/D`` in lowest terms), so the
     adjusted ``kappa - 1/(D lambda)`` equals ``tau/lambda`` exactly for an
     integer ``tau``.  Admissible means large enough that the adjustment --
@@ -685,15 +683,11 @@ def construct_liouville(
     e = eigs.exponent(mu)
     base, step = eigs.ap_index
 
-    j1 = int(j_start)
-    lam1 = base + step * j1
-    if lam1 < 2:
-        raise ValueError(f"starting eigenvalue {lam1} is too small to carry a denominator")
-    tau1 = int(tau_start)
-    kappa = Fraction(tau1, lam1)
-    js = [j1]
+    lam1 = base + step
+    kappa = Fraction(1, lam1)
+    js = [1]
     lams = [lam1]
-    taus = [tau1]
+    taus = [1]
 
     for lev in range(2, L + 1):
         P, D = kappa.numerator, kappa.denominator

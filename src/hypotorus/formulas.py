@@ -86,10 +86,6 @@ class ExactComplex:
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
-    def as_pair(self) -> Tuple[str, str]:
-        """Exact string pair ("1/2", "-3/4") for lossless serialization."""
-        return str(self.re), str(self.im)
-
     def __str__(self) -> str:
         if self.im == 0:
             return str(self.re)
@@ -183,10 +179,6 @@ class TrigPolynomial:
                 out[k] = out.get(k, _EC_ZERO) + v1 * v2
         return TrigPolynomial(out)
 
-    def scale(self, q: Union[int, Fraction]) -> "TrigPolynomial":
-        qe = ExactComplex(Fraction(q))
-        return TrigPolynomial({k: v * qe for k, v in self._coeffs.items()})
-
     def __truediv__(self, q: Union[int, Fraction]) -> "TrigPolynomial":
         return TrigPolynomial({k: v / q for k, v in self._coeffs.items()})
 
@@ -222,17 +214,6 @@ class TrigPolynomial:
             return {k: v.to_complex() for k, v in self._coeffs.items()}
         except OverflowError:
             raise FormulaError("a coefficient lies beyond the float range") from None
-
-    def as_dict(self) -> dict:
-        """JSON-safe exact form: coefficient strings keyed by frequency."""
-        return {
-            "coeffs": {str(k): list(v.as_pair())
-                       for k, v in sorted(self._coeffs.items())},
-            "is_real": self.is_real,
-            "is_constant": self.is_constant,
-            "max_freq": self.max_freq,
-            "mean": list(self.mean.as_pair()),
-        }
 
 
 # --------------------------------------------------------------------------- #

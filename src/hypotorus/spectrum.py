@@ -277,22 +277,19 @@ def hermite_eval(j: int, x) -> np.ndarray | float:
         phi_0 = pi^{-1/4} exp(-x^2/2),
         phi_{j+1} = x sqrt(2/(j+1)) phi_j - sqrt(j/(j+1)) phi_{j-1},
 
-    which keeps every intermediate O(1); safe for j <= 512, |x| <= 30.
+    which keeps every intermediate O(1); safe for j <= 512, |x| <= 30.  It
+    is column j of ``_phi_matrix(j + 1, x)``.
     """
     if j < 0:
         raise ValueError("mode index j >= 0 required")
     xx = np.asarray(x, dtype=np.float64)
-    scalar = xx.ndim == 0
-    xx = np.atleast_1d(xx)
-    prev = np.zeros_like(xx)
-    cur = np.pi ** -0.25 * np.exp(-xx * xx / 2.0)
-    for i in range(j):
-        prev, cur = cur, xx * math.sqrt(2.0 / (i + 1)) * cur - math.sqrt(i / (i + 1.0)) * prev
-    return float(cur[0]) if scalar else cur
+    col = _phi_matrix(j + 1, xx.ravel())[:, j]
+    return float(col[0]) if xx.ndim == 0 else col.reshape(xx.shape)
 
 
 def _phi_matrix(J: int, x: np.ndarray) -> np.ndarray:
-    """Matrix Phi[i, j] = phi_j(x_i) for j < J, by the same recurrence."""
+    """Matrix Phi[i, j] = phi_j(x_i) for j < J, by the recurrence of
+    hermite_eval."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty((x.shape[0], J))
     prev = np.zeros_like(x)

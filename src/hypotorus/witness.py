@@ -136,13 +136,12 @@ class WitnessBudgetMiss(WitnessCheckFailed):
 
 def _ramp(x: np.ndarray, sigma: float) -> np.ndarray:
     """The flat ramp r(x) = exp(-x^(-1/(sigma-1))) for x > 0, else 0."""
-    xx = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = np.zeros_like(xx)
-    pos = xx > 0.0
+    out = np.zeros_like(x)
+    pos = x > 0.0
     p = 1.0 / (sigma - 1.0)
     with np.errstate(over="ignore", divide="ignore", under="ignore"):
         # x^-p overflows to inf for tiny x; exp(-inf) = 0 is the right limit
-        out[pos] = np.exp(-np.power(xx[pos], -p))
+        out[pos] = np.exp(-np.power(x[pos], -p))
     return out
 
 
@@ -153,15 +152,14 @@ def _step(x: np.ndarray, sigma: float) -> np.ndarray:
     (0, 1), and s(x) + s(1-x) = 1, which the plateau witness uses to make two
     bumps sum to one across a shared transition band.
     """
-    xx = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    lo = _ramp(xx, sigma)
-    hi = _ramp(1.0 - xx, sigma)
-    out = np.empty_like(xx)
-    out[xx <= 0.0] = 0.0
-    out[xx >= 1.0] = 1.0
-    mid = (xx > 0.0) & (xx < 1.0)
+    lo = _ramp(x, sigma)
+    hi = _ramp(1.0 - x, sigma)
+    out = np.empty_like(x)
+    out[x <= 0.0] = 0.0
+    out[x >= 1.0] = 1.0
+    mid = (x > 0.0) & (x < 1.0)
     out[mid] = lo[mid] / (lo[mid] + hi[mid])
-    return out.reshape(np.shape(x))
+    return out
 
 
 @dataclass(frozen=True)
@@ -171,29 +169,14 @@ class GevreyBump:
     Exactly 0 outside ``support`` = [alpha, beta], exactly 1 on ``plateau`` =
     [gamma, delta], monotone on the two transition bands, values in [0, 1]
     everywhere -- and all four statements hold at grid points by construction,
-    not up to rounding.  ``samples`` carries the N-grid trace; calling the
-    object evaluates the closed form at arbitrary points.
+    not up to rounding.  ``samples`` carries the N-grid trace, the only
+    form in which the bump is used.
     """
 
     sigma: float
     support: tuple[float, float]
     plateau: tuple[float, float]
     samples: TorusFunction
-
-    def __call__(self, t):
-        a, b = self.support
-        g, d = self.plateau
-        tt = np.asarray(t, dtype=np.float64)
-        up = _step((tt - a) / (g - a), self.sigma)
-        down = _step((b - tt) / (b - d), self.sigma)
-        out = up * down
-        if np.isscalar(t) or out.shape == ():
-            return float(out)
-        return out
-
-    def derivative(self) -> TorusFunction:
-        """Spectral derivative of the sampled bump."""
-        return self.samples.derivative()
 
     def summary(self) -> dict:
         return {
@@ -542,12 +525,13 @@ def _resonant_modes(rv: RationalVerdict, n: int, L: int) -> list[int]:
 
 def _check_certificate(cert, eigs: EigenSequence) -> None:
     """Refuse ``cert`` unless it is a LiouvilleCertificate that verifies and
-    was built on the kind family of ``eigs``."""
+    whose progression lambda_j = base + step*j is that of ``eigs``: the
+    levels it claims are then eigenvalues of ``eigs``."""
     if not isinstance(cert, LiouvilleCertificate):
         raise NoCertificate("a verified LiouvilleCertificate is required")
     if not cert.verify():
         raise NoCertificate("the supplied LiouvilleCertificate fails verification")
-    if eigs.kind.split()[0] != cert.eigs_kind.split()[0]:
+    if eigs.ap_index != cert.ap_index:
         raise NoCertificate(
             f"certificate was built on {cert.eigs_kind!r}, got eigenvalues of "
             f"kind {eigs.kind!r}")
@@ -716,14 +700,11 @@ def _best_window(phi_cover: np.ndarray, N: int) -> Optional[dict]:
 
 
 def _component(mask: np.ndarray, center: int) -> tuple[int, int]:
-    """Inclusive index run of True containing ``center``."""
-    lo = center
-    while lo - 1 >= 0 and mask[lo - 1]:
-        lo -= 1
-    hi = center
-    while hi + 1 < len(mask) and mask[hi + 1]:
-        hi += 1
-    return lo, hi
+    """Inclusive index run of True containing ``center``, a True index."""
+    pos = np.flatnonzero(mask)
+    k = int(np.searchsorted(pos, center))
+    a, b = next(r for r in index_runs(pos) if r[0] <= k < r[1])
+    return int(pos[a]), int(pos[b - 1])
 
 
 def _partition_indices(B: np.ndarray, i: int, depth: float, N: int) -> Optional[dict]:
@@ -754,7 +735,7 @@ def _run_or_index(idx: np.ndarray):
     """``idx`` as a slice when it is one run of consecutive increasing
     indices (a support that does not wrap), else as it is: the same
     elements, gathered and scattered without an index array."""
-    if idx.size and np.all(np.diff(idx) == 1):
+    if len(index_runs(idx)) == 1:
         return slice(int(idx[0]), int(idx[-1]) + 1)
     return idx
 
@@ -1134,8 +1115,7 @@ def plateau_witness(c: TorusFunction, intervals: Sequence[float], eigs: EigenSeq
 # --------------------------------------------------------------------------- #
 
 def L0_reduction_witness(c: TorusFunction, certificate: LiouvilleCertificate,
-                         eigs: EigenSequence, N: int = 512,
-                         phi=None) -> WitnessBundle:
+                         eigs: EigenSequence, N: int = 512) -> WitnessBundle:
     """Witness for real-valued c whose mean carries a Liouville certificate.
 
     The phase-only variant: with A = int_0^t Re c and E_l = e^{-2 pi i a0
@@ -1144,13 +1124,13 @@ def L0_reduction_witness(c: TorusFunction, certificate: LiouvilleCertificate,
         f_l = (1 - E_l) e^{-i lambda_l A(t)} phi(t),
         u_l = e^{-i lambda_l A(t)} [Phi_phi(t) + E_l (I_phi - Phi_phi(t))],
 
-    where phi is a fixed bump vanishing near the anchor t_l and near the seam,
-    Phi_phi its cumulative integral from 0, and I_phi = int_0^{2pi} phi.  Then
-    |u_l(t_l)| = I_phi for every level (no decay) while sup|f_l| = |1 - E_l|
-    sup|phi| <= 2 pi gap_l sup|phi| (certified decay).  The anchor search
-    maximizes the cumulative integral of Im(lambda c), which vanishes
-    identically here, so the anchor sits at t = 0 and phi's default support
-    stays away from it.
+    where phi is the fixed Gevrey-2 bump with support [2, 4.5] and plateau
+    [2.6, 3.9], Phi_phi its cumulative integral from 0, and I_phi =
+    int_0^{2pi} phi.  Then |u_l(t_l)| = I_phi for every level (no decay)
+    while sup|f_l| = |1 - E_l| sup|phi| <= 2 pi gap_l sup|phi| (certified
+    decay).  The anchor search maximizes the cumulative integral of
+    Im(lambda c), which vanishes identically here, so the anchor sits at
+    t = 0, away from phi's support and from the seam.
     """
     cc = c.resample(N)
     if cc.imag_part().sup_norm() > 1e-12:
@@ -1174,26 +1154,10 @@ def L0_reduction_witness(c: TorusFunction, certificate: LiouvilleCertificate,
     anchor_idx = 0
     t_anchor = float(t[anchor_idx])
 
-    if phi is None:
-        phi = gevrey_bump(2.0, (2.0, 4.5), (2.6, 3.9), N)
-    if isinstance(phi, GevreyBump):
-        if phi.samples.n != N:       # rebuild at N to keep the exact 0/1 grid trace
-            phi = gevrey_bump(phi.sigma, phi.support, phi.plateau, N)
-        phi_tf = phi.samples
-    else:
-        phi_tf = phi.resample(N)
-    phv = np.asarray(phi_tf.samples)
-    if float(np.max(np.abs(phv.imag))) > 1e-14:
-        raise ValueError("phi must be real-valued")
-    phv = np.real(phv)
-    if float(np.min(phv)) < -1e-12 or float(np.max(phv)) > 1.0 + 1e-12:
-        raise ValueError("phi must take values in [0, 1]")
+    phi = gevrey_bump(2.0, (2.0, 4.5), (2.6, 3.9), N)
+    phi_tf = phi.samples
+    phv = np.real(phi_tf.samples)
     I_phi = 2.0 * math.pi * float(phi_tf.mean().real)
-    if not I_phi > 0.0:
-        raise ValueError("phi must have positive integral; a vanishing bump is degenerate")
-    guard = [anchor_idx, (anchor_idx + 1) % N, (anchor_idx - 1) % N]
-    if float(np.max(np.abs(phv[guard]))) > 0.0:
-        raise ValueError("phi must vanish near the anchor point t_l")
 
     drift_phi, Pphi = _cover_primitive(phi_tf)
     Phi_phi = drift_phi * t + Pphi                      # cumulative from 0
@@ -1233,7 +1197,7 @@ def L0_reduction_witness(c: TorusFunction, certificate: LiouvilleCertificate,
             "t_anchor": t_anchor,
             "I_phi": I_phi,
             "sup_phi": float(np.max(phv)),
-            "phi": phi if isinstance(phi, GevreyBump) else {"n": phi_tf.n},
+            "phi": phi,
             "gap_log10": [_gap_log10(lev.gap) for lev in certificate.levels],
             "gap_E": [abs(1.0 - cmath.exp(-2j * math.pi *
                                           float(kappa * lev.lam - lev.tau)))

@@ -21,6 +21,7 @@ from hypotorus.classify import (
     SignReport,
     Verdict,
     WitnessPlan,
+    _circular_runs,
     classify,
     classify_constant,
     resonant_set,
@@ -127,6 +128,21 @@ class TestSignReport:
         assert 0.0 <= rep.zero_measure <= 2 * np.pi + 1e-12
         assert 0 <= rep.longest_zero_run <= rep.n
         assert rep.min_b <= rep.mean_b <= rep.max_b
+
+    @given(st.lists(st.booleans(), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_circular_runs_match_a_scan_of_the_circle(self, bits):
+        # reference: a run starts at s when s is True and s - 1 (mod n) is not
+        n, want = len(bits), []
+        for s in range(n):
+            if bits[s] and not bits[s - 1]:
+                ln = 0
+                while bits[(s + ln) % n]:
+                    ln += 1
+                want.append((s, ln))
+        if bits and all(bits):
+            want = [(0, n)]
+        assert sorted(_circular_runs(np.array(bits, dtype=bool))) == want
 
 
 # --------------------------------------------------------------------------- #
@@ -290,6 +306,37 @@ class TestClassifyConstant:
         v = classify_constant(Fraction(1, 3), 0, tab)
         assert (v.decision, v.branch, v.confidence) == (
             "notGH", BRANCH_RESONANCE, "heuristic")
+
+    # the float route (a float whose binary denominator exceeds 2^20, or a
+    # non-integer spectrum) and its three resonance outcomes
+    def test_float_resonance_on_an_exact_table_is_window_bound(self):
+        tab = build_eigensequence("table", 64, values=[(j + 1) * 2**21 for j in range(64)])
+        v = classify_constant(2.0**-21, 0.0, tab)
+        assert (v.decision, v.branch, v.confidence) == (
+            "notGH", BRANCH_RESONANCE, "heuristic")
+        assert v.evidence["route"] == "constant-float"
+        assert v.evidence["n_resonant"] == 64
+        assert "observed within the stored window" in v.evidence["recurrence"]
+        assert v.witness_handle.detail["alpha"] == repr(2.0**-21)
+
+    def test_float_resonance_on_a_formula_kind_recurs(self):
+        nd = build_eigensequence("harmonic_nd 2097152", 64)   # lambda_0 = 2^21
+        v = classify_constant(3 * 2.0**-21, 0.0, nd)
+        assert (v.decision, v.branch, v.confidence) == (
+            "notGH", BRANCH_RESONANCE, "definitive")
+        assert v.evidence["route"] == "constant-float"
+        assert v.evidence["resonant_indices"] == [0]
+        assert "recur indefinitely" in v.evidence["recurrence"]
+        assert v.witness_handle.detail["alpha"] == "3/2097152"
+
+    def test_float_resonance_on_a_float_table_is_heuristic(self):
+        tab = build_eigensequence("table", 64, values=[(j + 1) / 2 for j in range(64)])
+        v = classify_constant(2.0, 0.0, tab)
+        assert (v.decision, v.branch, v.confidence) == (
+            "notGH", BRANCH_RESONANCE, "heuristic")
+        assert v.evidence["route"] == "constant-float"
+        assert v.evidence["n_resonant"] == 64
+        assert v.witness_handle.detail["alpha"] == "2.0"
 
     def test_nonfinite_inputs_rejected(self, h1d):
         with pytest.raises(ValueError):

@@ -26,6 +26,8 @@ from hypotorus.cli import (MAX_ARRAY_BYTES, ConfigError, ExperimentConfig, _buil
 from hypotorus.errors import HypotorusError
 from hypotorus.modes import ModeField
 from hypotorus.spectrum import build_eigensequence
+from hypotorus.torusfn import grid
+from hypotorus.witness import gevrey_bump
 
 ROOT = Path(__file__).resolve().parents[1]
 COOKBOOK = ROOT / "cookbook"
@@ -210,6 +212,29 @@ def test_solve_coefficient_from_sample_file(tmp_path):
     eigs = build_eigensequence("harmonic1d", 8)
     u = ModeField.from_csv((out / "u_field.csv").read_text(), eigs, J=8)
     assert abs(u.sup_norms()[5] - 1.0 / 6.5) < 1e-9
+
+
+def test_solve_forcing_from_mode_field_file(tmp_path):
+    t = (2.0 * np.pi * np.arange(64) / 64).tolist()
+    lines = ["j,t,re,im"] + [f"5,{ti!r},{math.cos(ti)!r},{math.sin(ti)!r}" for ti in t]
+    fpath = tmp_path / "f.csv"
+    fpath.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path, c="1/2", j_modes=8, grid_n=64, f_file=str(fpath))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    eigs = build_eigensequence("harmonic1d", 8)
+    u = ModeField.from_csv((out / "u_field.csv").read_text(), eigs, J=8)
+    assert abs(u.sup_norms()[5] - 1.0 / 6.5) < 1e-9
+
+
+def test_an_output_path_the_os_refuses_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file, not a directory\n", encoding="utf-8")
+    cfg = write_config(tmp_path, c="i(1 - cos t)", j_modes=16)
+    assert main(["classify", "--config", cfg, "--out", str(blocker)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "taken" in err
+    assert "Traceback" not in err
 
 
 def test_coefficient_file_rows_out_of_t_order_exit_1(tmp_path, capsys):
@@ -464,6 +489,43 @@ def test_witness_explicit_constant_kind(tmp_path):
     assert main(["witness", "--config", cfg, "--out", str(out)]) == 0
     man = read_json(out, "manifest.json")
     assert man["meta"]["route"] == "integer-resonance"
+    assert read_json(out, "witness_verify.json")["ok"] is True
+
+
+def test_witness_explicit_l0_kind(tmp_path):
+    # the certificate's mean plus the formula as oscillation
+    cfg = write_config(tmp_path, c="3/10 cos t", construct_levels=3, j_modes=40)
+    out = tmp_path / "out"
+    assert main(["witness", "--kind", "L0", "--config", cfg, "--out", str(out)]) == 0
+    man = read_json(out, "manifest.json")
+    assert man["kind"] == "l0-reduction"
+    assert len(man["levels"]) == 3
+    assert read_json(out, "witness_verify.json")["ok"] is True
+
+
+def test_witness_explicit_plateau_kind(tmp_path):
+    # Im c: + on (0.5, 1.5), exactly 0 on [1.5, 3.5], - on (3.5, 4.5)
+    up = gevrey_bump(2.0, (0.5, 1.5), (0.95, 1.05), 1024).samples.samples.real
+    dn = gevrey_bump(2.0, (3.5, 4.5), (3.95, 4.05), 1024).samples.samples.real
+    rows = [f"{t!r},0.0,{v!r}" for t, v in zip(grid(1024).tolist(), (4.0 * (up - dn)).tolist())]
+    cpath = tmp_path / "c.csv"
+    cpath.write_text("t,re,im\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path, c_file=str(cpath), intervals=[1.5, 3.5],
+                       witness_n=1024, j_modes=16)
+    out = tmp_path / "out"
+    assert main(["witness", "--kind", "plateau", "--config", cfg, "--out", str(out)]) == 0
+    assert read_json(out, "manifest.json")["kind"] == "plateau"
+    assert read_json(out, "witness_verify.json")["ok"] is True
+
+
+def test_classify_with_witness_on_a_resonant_constant(tmp_path):
+    # c = 1/3 resonates with lambda = 3, 9, 15, ...: the constant-resonance plan
+    cfg = write_config(tmp_path, c="1/3", j_modes=16)
+    out = tmp_path / "out"
+    assert main(["classify", "--witness", "--config", cfg, "--out", str(out)]) == 0
+    assert read_json(out, "verdict.json")["branch"] == "prop-3.9-resonance"
+    man = read_json(out, "manifest.json")
+    assert man["kind"] == "constant"
     assert read_json(out, "witness_verify.json")["ok"] is True
 
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypotorus.diophantine import classify_rational, construct_liouville
@@ -18,7 +18,6 @@ import hypotorus.witness as witness_mod
 from hypotorus.witness import (
     _best_window,
     _resonant_modes,
-    GevreyBump,
     NoCertificate,
     PartitionNotFound,
     PatternNotFound,
@@ -254,6 +253,26 @@ def test_constant_liouville_certificate_transfers_gap_decay():
     assert b.decay.r2 > 0.999
     assert b.exponent == 1.0                      # 1/(2 n mu) with n=1, mu=1/2
     assert b.verify()["ok"]
+
+
+@pytest.mark.parametrize("built_on, used_on", [("harmonic1d_power 1", "harmonic1d_power 3"),
+                                               ("harmonic_nd 1", "harmonic_nd 2")])
+def test_certificate_refused_on_a_spectrum_of_another_progression(built_on, used_on):
+    # the levels claim lambda = 3, 19, 65547 (1 + 2j), none of them an
+    # eigenvalue of used_on, whose kind starts with the same word
+    cert = construct_liouville(build_eigensequence(built_on, 64), 3, j_cap=None)
+    eigs = build_eigensequence(used_on, 64)
+    c = TorusFunction(float(cert.kappa) + 0.3 * np.cos(grid(512)) + 0j)
+    with pytest.raises(NoCertificate, match="built on"):
+        constant_witness(cert, eigs, L=3)
+    with pytest.raises(NoCertificate, match="built on"):
+        L0_reduction_witness(c, cert, eigs, N=512)
+
+
+def test_certificate_accepted_on_every_spectrum_of_its_progression():
+    cert = construct_liouville(build_eigensequence("harmonic1d_power 1", 64), 3, j_cap=None)
+    for kind in ("harmonic1d", "harmonic_nd 1", "harmonic1d_power 1"):
+        assert constant_witness(cert, build_eigensequence(kind, 64), L=3).verify()["ok"]
 
 
 def test_constant_out_of_band_levels_stay_symbolic():
@@ -549,6 +568,25 @@ def test_best_window_keeps_the_first_of_tied_windows():
     assert _best_window(np.arange(2.0 * N), N) is None
 
 
+@given(bits=st.lists(st.booleans(), min_size=1, max_size=40), pick=st.integers(0, 39))
+@settings(max_examples=200, deadline=None)
+def test_component_and_run_slices_match_a_scan(bits, pick):
+    mask = np.array(bits)
+    trues = np.flatnonzero(mask)
+    assume(trues.size)
+    center = int(trues[pick % trues.size])
+    lo = hi = center                      # reference: walk out from the centre
+    while lo > 0 and bits[lo - 1]:
+        lo -= 1
+    while hi + 1 < len(bits) and bits[hi + 1]:
+        hi += 1
+    assert witness_mod._component(mask, center) == (lo, hi)
+    if np.all(np.diff(trues) == 1):
+        assert witness_mod._run_or_index(trues) == slice(int(trues[0]), int(trues[-1]) + 1)
+    else:
+        assert witness_mod._run_or_index(trues) is trues
+
+
 def _full_grid_bump_levels(eigs, js, bumps, k0):
     """Oracle for _bump_levels' u and f: exp(lambda E) on the whole grid for u
     and again on the band columns for f."""
@@ -779,8 +817,7 @@ def liouville_setup():
 
 def test_l0_floor_is_the_bump_integral_on_every_level(liouville_setup):
     eigs, cert, c = liouville_setup
-    phi = gevrey_bump(2.0, (2.0, 4.0), (2.5, 3.5), 512)
-    b = L0_reduction_witness(c, cert, eigs, N=512, phi=phi)
+    b = L0_reduction_witness(c, cert, eigs, N=512)
     I_phi = b.meta["I_phi"]
     assert I_phi > 0.0
     for lv in b.levels:
@@ -812,23 +849,6 @@ def test_l0_refuses_uncertified_or_mismatched_input(liouville_setup):
         L0_reduction_witness(c_sin(512), cert, eigs, N=512)   # Im c != 0
     with pytest.raises(NoCertificate):
         L0_reduction_witness(c, "not a certificate", eigs, N=512)
-
-
-def test_l0_rejects_degenerate_bump(liouville_setup):
-    eigs, cert, c = liouville_setup
-    zero = GevreyBump(sigma=2.0, support=(2.0, 4.0), plateau=(2.5, 3.5),
-                      samples=TorusFunction.zero(512))
-    with pytest.raises(ValueError, match="integral"):
-        L0_reduction_witness(c, cert, eigs, N=512, phi=zero)
-
-
-def test_l0_bump_must_avoid_the_anchor(liouville_setup):
-    eigs, cert, c = liouville_setup
-    # support wraps through t = 0 is impossible for a bump, but one touching
-    # the anchor's guard band is caught
-    phi = gevrey_bump(2.0, (0.004, 4.0), (2.5, 3.5), 512)
-    with pytest.raises(ValueError, match="anchor"):
-        L0_reduction_witness(c, cert, eigs, N=512, phi=phi)
 
 
 # --------------------------------------------------------------------------- #
