@@ -47,7 +47,7 @@ from .diagnostics import PMColumns, fit_decay
 from .diophantine import (classify_rational, construct_liouville,
                           distance_sequence, liouville_fit)
 from .errors import ConfigError, HypotorusError
-from .formulas import parse_formula, parse_rational, parse_real
+from .formulas import TrigPolynomial, parse_formula, parse_rational, parse_real
 from .modes import MAX_ARRAY_BYTES, AllModesResonant, ModeField, solve_field
 from .spectrum import EigenSequence, build_eigensequence
 from .torusfn import TorusFunction, grid
@@ -143,10 +143,13 @@ class ExperimentConfig:
     Parsed configs are normalized (defaults filled, exact fields such as
     ``params.mu`` canonicalized to fraction strings) so that
     :meth:`canonical_json` round-trips byte-identically and two runs of the
-    same config are comparable file-for-file.
+    same config are comparable file-for-file.  Validation parses every
+    formula (``c`` and each ``f`` entry) once, and the config keeps the
+    results for its builders.
     """
 
-    def __init__(self, data: dict):
+    def __init__(self, data: dict, parsed: dict | None = None):
+        self._polys: dict = dict(parsed or {})   # formula text -> TrigPolynomial
         self._d = self._normalize(data)
 
     # -- construction ------------------------------------------------------ #
@@ -170,11 +173,10 @@ class ExperimentConfig:
     def with_overrides(self, **fields) -> "ExperimentConfig":
         merged = self.as_dict()
         merged.update(fields)
-        return ExperimentConfig(merged)
+        return ExperimentConfig(merged, self._polys)
 
     # -- normalization ------------------------------------------------------#
-    @staticmethod
-    def _normalize(data: dict) -> dict:
+    def _normalize(self, data: dict) -> dict:
         unknown = set(data) - set(_DEFAULTS)
         _need(not unknown, f"unknown config keys: {sorted(unknown)}")
         d = {**_DEFAULTS, **data}
@@ -220,7 +222,7 @@ class ExperimentConfig:
                 _need(isinstance(d[key], str), f"{key} must be a string")
         if d["c"] is not None:
             with _context("coefficient formula"):
-                parse_formula(d["c"])
+                self.formula(d["c"])
 
         if d["f"] is not None:
             _need(isinstance(d["f"], dict), "f must map mode index to formula")
@@ -232,7 +234,7 @@ class ExperimentConfig:
                 _need(j >= 0, f"f mode index must be >= 0, got {j}")
                 _need(isinstance(v, str), f"f[{j}] must be a formula string")
                 with _context(f"f[{j}]"):
-                    parse_formula(v)
+                    self.formula(v)
                 norm_f[str(j)] = v
             d["f"] = norm_f
 
@@ -263,6 +265,13 @@ class ExperimentConfig:
 
     def __getitem__(self, key: str):
         return self._d[key]
+
+    def formula(self, text: str) -> TrigPolynomial:
+        """The parsed formula ``text``, parsed on its first request only."""
+        poly = self._polys.get(text)
+        if poly is None:
+            poly = self._polys[text] = parse_formula(text)
+        return poly
 
     # -- builders ---------------------------------------------------------------#
     def array_bytes(self, command: str) -> int:
@@ -303,7 +312,7 @@ class ExperimentConfig:
             return c, None
         _need(self._d["c"] is not None,
               "a coefficient is required: set 'c' (formula) or 'c_file' (samples)")
-        poly = parse_formula(self._d["c"])
+        poly = self.formula(self._d["c"])
         return poly.to_torus_function(self._d["grid_n"]), poly
 
     def forcing(self, eigs: EigenSequence) -> ModeField:
@@ -319,7 +328,7 @@ class ExperimentConfig:
         for k, text in self._d["f"].items():
             j = int(k)
             _need(j < J, f"f mode {j} is outside j_modes = {J}")
-            entries[j] = parse_formula(text).to_torus_function(N)
+            entries[j] = self.formula(text).to_torus_function(N)
         return ModeField(entries, eigs)
 
     def kappa_value(self):
@@ -549,7 +558,7 @@ def cmd_witness(cfg: ExperimentConfig, out: Path) -> int:
         t = grid(N)
         osc = np.zeros(N, dtype=np.complex128)
         if cfg["c"] is not None:
-            poly = parse_formula(cfg["c"])
+            poly = cfg.formula(cfg["c"])
             _need(poly.is_real, "the L0 route needs a real-valued formula c")
             _need(poly.max_freq < N // 2,
                   f"c has frequency {poly.max_freq}, beyond the band of the "

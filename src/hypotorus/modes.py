@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import csvio
 from .errors import ConfigError, HypotorusError
@@ -218,49 +219,75 @@ def _band_width(chat: np.ndarray) -> int:
     return int(np.abs(np.fft.fftfreq(n, d=1.0 / n)[big]).max()) if big.size else 0
 
 
-def _banded_lu_solve(G: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Solve B x = X in place for a batch of band matrices (partial pivoting).
+def _banded_lu_solve(GX: np.ndarray, w: int) -> np.ndarray:
+    """Solve B x = X in place for a batch of m band matrices (partial pivoting).
 
-    ``G[:, s, q]`` holds B[s, s - d + q] for q = 0..2d (entries outside the
-    matrix are zero) and ``X`` is (m, n, r).  Elimination runs on a sliding
-    (d+1) x (2d+1) window, one numpy step per column for the whole batch; row
-    s of U (columns s..s+2d, the band grown by pivoting) overwrites G[:, s]
-    after that row has left the window.  Returns the (m,) mask of modes whose
-    pivot column was exactly zero.  Only elementwise operations touch the
-    batch axis, so each mode's bytes do not depend on the batch it rides in.
+    ``GX`` is (n, w + r, m), modes on the last axis, so matrix row s of the
+    whole batch is one contiguous (w + r, m) block: ``GX[s, q]`` holds
+    B[s, s - d + q] for q = 0..2d = w - 1 (entries outside the matrix are
+    zero) and ``GX[s, w:]`` row s of the r right-hand sides.  Elimination
+    runs on one sliding (d+1, w + r, m) window, rows s..s+d with band
+    columns s..s+2d followed by their right-hand sides, one numpy step per
+    column for the whole batch; the row swap (skipped at a column where no
+    mode pivots), the update and the store each touch band and right-hand
+    sides in one call.  Row s of U (columns s..s+2d, the band grown by
+    pivoting) and its right-hand sides overwrite GX[s] once the row has
+    left the window; back substitution then leaves x in ``GX[:, w:]``,
+    reading column s of U (U[t, s] = GX[t, s - t]) through one strided
+    view.  This is the band LU of Golub & Van Loan, Matrix Computations,
+    section 4.3.  Returns the (m,) mask of modes whose pivot column was
+    exactly zero.  Only elementwise operations touch the batch axis (the two
+    batch-wide tests skip a swap or a pivot fix that would change no byte),
+    so each mode's bytes do not depend on the batch it rides in.
     """
-    m, n, w = G.shape
+    n, width, m = GX.shape
     d = (w - 1) // 2
     rows = np.arange(m)
     singular = np.zeros(m, dtype=bool)
-    W = np.zeros((m, d + 1, w), dtype=np.complex128)   # rows s..s+d, cols s..s+2d
+    M = np.zeros((d + 1, width, m), dtype=np.complex128)
     for i in range(d + 1):
-        W[:, i, :i + d + 1] = G[:, i, d - i:]
-    Xw = X[:, :d + 1].copy()
+        M[i, :i + d + 1] = GX[i, d - i:w]
+        M[i, w:] = GX[i, w:]
+    # views of the window made once: column s, the pivot row and its pivot,
+    # the entries below the pivot and the rows below right of column s
+    col, top, piv, mult, prow, below = M[:, 0], M[0], M[0, 0], M[1:, :1], M[:1, 1:], M[1:, 1:]
+    mag = np.empty((m, d + 1))                # |column s|, argmax along its rows
+    p = np.empty(m, dtype=np.intp)
+    l = np.empty((d, 1, m), dtype=np.complex128)
+    t = np.empty((d, width - 1, m), dtype=np.complex128)
     for s in range(n):
-        p = np.argmax(np.abs(W[:, :, 0]), axis=1)
-        for win in (W, Xw):
-            top = win[rows, p]
-            win[rows, p] = win[:, 0]
-            win[:, 0] = top
-        piv = W[:, 0, 0]
-        zero = piv == 0
-        singular |= zero
-        piv[zero] = 1.0
-        l = W[:, 1:, :1] / piv[:, None, None]
-        W[:, 1:, 1:] -= l * W[:, :1, 1:]
-        Xw[:, 1:] -= l * Xw[:, :1]
-        G[:, s] = W[:, 0]
-        X[:, s] = Xw[:, 0]
-        W[:, :-1, :-1] = W[:, 1:, 1:]
-        W[:, :-1, -1] = 0.0
-        Xw[:, :-1] = Xw[:, 1:]
-        W[:, -1] = G[:, s + d + 1] if s + d + 1 < n else 0.0
-        Xw[:, -1] = X[:, s + d + 1] if s + d + 1 < n else 0.0
+        np.abs(col, out=mag.T)
+        mag.argmax(axis=1, out=p)
+        if np.count_nonzero(p):
+            swap = M[p, :, rows]
+            M[p, :, rows] = top.T
+            top[...] = swap.T
+        if np.count_nonzero(piv) < m:
+            zero = piv == 0
+            singular |= zero
+            piv[zero] = 1.0
+        np.divide(mult, piv, out=l)
+        np.multiply(l, prow, out=t)
+        np.subtract(below, t, out=below)
+        GX[s] = top
+        M[:-1, :w - 1] = M[1:, 1:w]
+        M[:-1, w - 1] = 0.0
+        M[:-1, w:] = M[1:, w:]
+        M[-1] = GX[s + d + 1] if s + d + 1 < n else 0.0
+    G, X = GX[:, :w], GX[:, w:]
+    s0, s1, s2 = G.strides
+    # U[a + j, a + 2d] = G[a + j, 2d - j] = diag[a, j]: column a + 2d of U
+    diag = as_strided(G[:, 2 * d:], (max(0, n - 2 * d), 2 * d, m), (s0, s0 - s1, s2),
+                      writeable=False)
+    prod = np.empty((2 * d, width - w, m), dtype=np.complex128)
     for s in range(n - 1, -1, -1):           # column-oriented back substitution
-        X[:, s] /= G[:, s, :1]
-        t = np.arange(max(0, s - 2 * d), s)
-        X[:, t] -= G[:, t, s - t][:, :, None] * X[:, s, None, :]
+        xs = X[s]
+        np.divide(xs, G[s, :1], out=xs)
+        lo = max(0, s - 2 * d)
+        u = diag[lo] if s >= 2 * d else as_strided(G[:, s:], (s, m), (s0 - s1, s2),
+                                                    writeable=False)
+        np.multiply(u[:, None], xs, out=prod[:s - lo])
+        np.subtract(X[lo:s], prod[:s - lo], out=X[lo:s])
     return singular
 
 
@@ -277,36 +304,40 @@ def _solve_cyclic_banded(lams: np.ndarray, chat: np.ndarray, fhat: np.ndarray,
     and one banded solve with 2d + 1 right-hand sides restores the corners
     exactly.  B is invertible when Im c >= 0 (or <= 0) is not identically 0:
     Re x*Bx = -lam x*T(Im c)x with T the positive definite Toeplitz section.
+    The band G and the right-hand sides X share one (n, 2(2d+1), m) array
+    laid out for :func:`_banded_lu_solve`: ``G[s, q, i]`` = B[s, s - d + q]
+    of mode i, ``X[s, 0, i]`` row s of its forcing and ``X[s, 1:, i]`` row s
+    of the corner columns U.
     """
     m, n = fhat.shape
     w = 2 * d + 1
     q = np.arange(w)
     k = np.fft.fftshift(wavenumbers(n))
-    G = np.empty((m, n, w), dtype=np.complex128)
-    G[:] = (1j * lams)[:, None, None] * chat[(d - q) % n]
-    G[:, :, d] += 1j * k
-    cols = np.arange(n)[:, None] - d + q      # column of G[:, s, q]
+    GX = np.zeros((n, 2 * w, m), dtype=np.complex128)
+    G, X = GX[:, :w], GX[:, w:]
+    G[:] = ((1j * lams)[:, None] * chat[(d - q) % n]).T
+    G[:, d] += (1j * k)[:, None]
+    cols = np.arange(n)[:, None] - d + q      # column of G[s, q]
     corner = (cols < 0) | (cols >= n)
     R = np.r_[0:d, n - d:n]                   # corner rows; corner columns are R too
     slot = np.zeros(n, dtype=np.intp)
     slot[R] = np.arange(2 * d)
     ri, qi = np.nonzero(corner[R])
     V = np.zeros((m, 2 * d, 2 * d), dtype=np.complex128)   # V^T restricted to columns R
-    V[:, ri, slot[cols[R[ri], qi] % n]] = G[:, R[ri], qi]
-    G[:, corner] = 0.0
+    V[:, ri, slot[cols[R[ri], qi] % n]] = G[R[ri], qi].T
+    G[R[ri], qi] = 0.0
 
-    X = np.zeros((m, n, w), dtype=np.complex128)
-    X[:, :, 0] = np.fft.fftshift(fhat, axes=1)
-    X[:, R, 1 + np.arange(2 * d)] = 1.0
-    singular = _banded_lu_solve(G, X)
-    y, Z = X[:, :, 0], X[:, :, 1:]
+    X[:, 0] = np.fft.fftshift(fhat, axes=1).T
+    X[R, 1 + np.arange(2 * d)] = 1.0
+    singular = _banded_lu_solve(GX, w)
+    y, Z = X[:, 0], X[:, 1:]
 
     S = np.zeros((m, 2 * d, 2 * d), dtype=np.complex128)
     S[:, np.arange(2 * d), np.arange(2 * d)] = 1.0
     Vy = np.zeros((m, 2 * d), dtype=np.complex128)
     for i in range(2 * d):                    # fixed-order sums, no batched BLAS
-        S += V[:, :, i, None] * Z[:, R[i], None, :]
-        Vy += V[:, :, i] * y[:, R[i], None]
+        S += V[:, :, i, None] * Z[R[i]].T[:, None, :]
+        Vy += V[:, :, i] * y[R[i], :, None]
     try:
         coef = np.linalg.solve(S, Vy[..., None])[..., 0]
     except np.linalg.LinAlgError:             # find the singular modes one by one
@@ -318,15 +349,16 @@ def _solve_cyclic_banded(lams: np.ndarray, chat: np.ndarray, fhat: np.ndarray,
                 singular[i] = True
     x = y.copy()
     for i in range(2 * d):
-        x -= Z[:, :, i] * coef[:, i, None]
-    return np.fft.ifftshift(x, axes=1), singular
+        x -= Z[:, i] * coef[:, i]
+    return np.fft.ifftshift(x.T, axes=1), singular
 
 
 def _banded_chunk(n: int, d: int) -> int:
     """Modes per cyclic-banded chunk at grid n and band half-width d: G and X
-    hold 2 n (2d+1) complex numbers per mode, and a chunk holds at most the
-    ~3 n^2 of one dense solve and at most _CHUNK_CELLS.  A mode's bytes do
-    not depend on its chunk (see _banded_lu_solve)."""
+    (one array, see _solve_cyclic_banded) hold 2 n (2d+1) complex numbers per
+    mode, and a chunk holds at most the ~3 n^2 of one dense solve and at most
+    _CHUNK_CELLS.  A mode's bytes do not depend on its chunk (see
+    _banded_lu_solve)."""
     return max(1, min(3 * n, _CHUNK_CELLS // n) // (2 * (2 * d + 1)))
 
 
@@ -684,8 +716,9 @@ def _apply_rows(lam: np.ndarray, c: TorusFunction, u: np.ndarray,
     n = u.shape[1]
     ik = 1j * wavenumbers(n) if ik is None else ik
     if coeffs is None:
-        out = np.fft.fft(u, axis=1, out=out)
-        out /= n
+        # scaling by 1/n is exact on a power-of-two grid, so this is
+        # fft(u)/n up to the sign of an exact zero (erased by abs())
+        out = np.fft.fft(u, axis=1, norm="forward", out=out)
         np.multiply(ik, out, out=out)
     else:
         out = np.multiply(ik, coeffs, out=out)

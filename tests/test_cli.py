@@ -307,6 +307,39 @@ def test_classify_with_witness_emits_files(tmp_path):
     assert check["ok"] is True
 
 
+def _count_parses(monkeypatch):
+    import hypotorus.cli as cli
+    texts = []
+    real = cli.parse_formula
+    monkeypatch.setattr(cli, "parse_formula", lambda text: texts.append(text) or real(text))
+    return texts
+
+
+def test_solve_parses_each_formula_once(tmp_path, monkeypatch):
+    texts = _count_parses(monkeypatch)
+    f = {"0": "exp(it)", "2": "1/2 exp(2it)", "3": "exp(it)"}
+    cfg = write_config(tmp_path, c="1/2 + 1/5 cos t", grid_n=64, j_modes=4, f=f)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert sorted(texts) == ["1/2 + 1/5 cos t", "1/2 exp(2it)", "exp(it)"]
+
+
+def test_flag_overrides_reuse_the_parsed_formulas(tmp_path, monkeypatch):
+    # --kind rebuilds the config; the L0 route reads c from it
+    texts = _count_parses(monkeypatch)
+    cfg = write_config(tmp_path, c="3/10 cos t", construct_levels=3, j_modes=40)
+    assert main(["witness", "--kind", "L0", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 0
+    assert texts == ["3/10 cos t"]
+
+
+def test_config_keeps_its_bytes_with_parsed_formulas():
+    cfg = ExperimentConfig({"c": "i(1 - cos t)", "f": {"1": "exp(it)"}})
+    again = cfg.with_overrides(j_modes=8)
+    assert again.formula("i(1 - cos t)") is cfg.formula("i(1 - cos t)")
+    assert again.as_dict() == {**cfg.as_dict(), "j_modes": 8}
+    assert ExperimentConfig.from_json(cfg.canonical_json()).canonical_json() == cfg.canonical_json()
+
+
 # --------------------------------------------------------------------------- #
 # diophantine
 # --------------------------------------------------------------------------- #
@@ -340,6 +373,18 @@ def test_diophantine_construct_certificate(tmp_path):
     assert main(["diophantine", "--config", cfg, "--out", str(out)]) == 0
     cert = read_json(out, "certificate.json")
     assert len(cert["levels"]) == 3
+
+
+def test_diophantine_short_table_is_no_fit(tmp_path):
+    # fewer than 64 modes: no windowed fit, the reason names the count
+    cfg = write_config(tmp_path, kappa="1/3", j_modes=32)
+    out = tmp_path / "out"
+    assert main(["diophantine", "--config", cfg, "--out", str(out)]) == 0
+    fit = read_json(out, "fit.json")
+    assert fit["kind"] == "no-fit"
+    assert "fit" not in fit
+    assert fit["reason"] == "the windowed Liouville fit needs >= 64 modes, the table holds 32"
+    assert len((out / "distances.csv").read_text().splitlines()) == 33
 
 
 def test_diophantine_needs_kappa_or_construct(tmp_path, capsys):

@@ -24,7 +24,8 @@ from hypotorus.modes import (
     solve_mode_detailed,
 )
 from hypotorus.modes import (_CHUNK_CELLS, _apply_rows, _band_width, _banded_chunk,
-                             _solve_cyclic_banded, operator_residuals, row_chunks)
+                             _banded_lu_solve, _solve_cyclic_banded, operator_residuals,
+                             row_chunks)
 from hypotorus import csvio
 from hypotorus.spectrum import build_eigensequence
 from hypotorus.torusfn import TorusFunction, grid, wavenumbers
@@ -291,6 +292,83 @@ def test_banded_chunk_is_capped_at_chunk_cells(n, d, modes):
     assert _banded_chunk(n, d) == modes
     assert modes * 2 * n * (2 * d + 1) <= min(3 * n * n, _CHUNK_CELLS)
     assert _CHUNK_CELLS * 16 == 48 << 20
+
+
+def _banded_lu_solve_mnw(G, X, pivoted=None):
+    """The batched band LU on (m, n, .) arrays, as it ran before the kernel
+    moved to the (n, ., m) layout: the reference for its bytes.  Appends to
+    ``pivoted``, if given, whether any mode swapped rows at each column."""
+    m, n, w = G.shape
+    d = (w - 1) // 2
+    rows = np.arange(m)
+    singular = np.zeros(m, dtype=bool)
+    W = np.zeros((m, d + 1, w), dtype=np.complex128)   # rows s..s+d, cols s..s+2d
+    for i in range(d + 1):
+        W[:, i, :i + d + 1] = G[:, i, d - i:]
+    Xw = X[:, :d + 1].copy()
+    for s in range(n):
+        p = np.argmax(np.abs(W[:, :, 0]), axis=1)
+        if pivoted is not None:
+            pivoted.append(bool(p.any()))
+        for win in (W, Xw):
+            top = win[rows, p]
+            win[rows, p] = win[:, 0]
+            win[:, 0] = top
+        piv = W[:, 0, 0]
+        zero = piv == 0
+        singular |= zero
+        piv[zero] = 1.0
+        l = W[:, 1:, :1] / piv[:, None, None]
+        W[:, 1:, 1:] -= l * W[:, :1, 1:]
+        Xw[:, 1:] -= l * Xw[:, :1]
+        G[:, s] = W[:, 0]
+        X[:, s] = Xw[:, 0]
+        W[:, :-1, :-1] = W[:, 1:, 1:]
+        W[:, :-1, -1] = 0.0
+        Xw[:, :-1] = Xw[:, 1:]
+        W[:, -1] = G[:, s + d + 1] if s + d + 1 < n else 0.0
+        Xw[:, -1] = X[:, s + d + 1] if s + d + 1 < n else 0.0
+    for s in range(n - 1, -1, -1):           # column-oriented back substitution
+        X[:, s] /= G[:, s, :1]
+        t = np.arange(max(0, s - 2 * d), s)
+        X[:, t] -= G[:, t, s - t][:, :, None] * X[:, s, None, :]
+    return singular
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.sampled_from([1, 3, 17]), st.sampled_from([8, 16, 64]),
+       st.integers(1, 3), st.booleans(), st.integers(0, 2 ** 31 - 1))
+def test_banded_lu_matches_the_mnw_reference_bit_for_bit(d, m, n, r, zero_col, seed):
+    # random complex bands (columns n/2.. pivot; the rows above n/2 are
+    # diagonally dominant and do not), row n/2 planted with a zero diagonal
+    # and a zero lower band so that column n/2 must pivot, and optionally
+    # one all-zero column in mode 0, whose exactly zero pivot is singular
+    rng = np.random.default_rng(seed)
+    w = 2 * d + 1
+    G = rng.normal(size=(m, n, w)) + 1j * rng.normal(size=(m, n, w))
+    cols = np.arange(n)[:, None] - d + np.arange(w)
+    G[:, (cols < 0) | (cols >= n)] = 0.0
+    h = n // 2
+    G[:, :h, d] += 1e3
+    if d:
+        G[:, h, :d + 1] = 0.0
+    if zero_col:
+        j = int(rng.choice(np.delete(np.arange(n), h)))
+        rows = np.arange(max(0, j - d), min(n, j + d + 1))
+        G[0, rows, j - rows + d] = 0.0
+    X = rng.normal(size=(m, n, r)) + 1j * rng.normal(size=(m, n, r))
+    GX = np.concatenate([G, X], axis=2).transpose(1, 2, 0).copy()
+    pivoted = []
+    want = _banded_lu_solve_mnw(G, X, pivoted)
+    got = _banded_lu_solve(GX, w)
+    assert got.tolist() == want.tolist()
+    assert bool(got[0]) == zero_col
+    assert not got[1:].any()
+    U, x = GX[:, :w].transpose(2, 0, 1), GX[:, w:].transpose(2, 0, 1)
+    assert U.copy().view(np.uint64).tolist() == G.view(np.uint64).tolist()
+    assert x.copy().view(np.uint64).tolist() == X.view(np.uint64).tolist()
+    assert not all(pivoted)                  # the swap is skipped somewhere
+    assert pivoted[h] == (d > 0)             # and taken at the planted column
 
 
 @pytest.mark.parametrize("formula", ["auto", 1, 2, "fourier"])
@@ -587,6 +665,34 @@ def test_in_place_residuals_equal_the_out_of_place_expression(log2n, rows, given
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     if given_coeffs:
         assert coeffs.view(np.uint64).tobytes() == kept.view(np.uint64).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 10), st.lists(st.sampled_from(["random", "+0", "-0", "signed zeros",
+                                                     "subnormal", "mixed"]),
+                                    min_size=1, max_size=12),
+       st.integers(0, 2 ** 31 - 1))
+def test_forward_normalised_fft_residuals_on_zeros_and_subnormals(log2n, kinds, seed):
+    # the forward-normalised FFT scales by 1/n, exact on a power-of-two
+    # grid, where fft(u)/n divides by n: the coefficients agree up to the
+    # sign of an exact zero, and so do the residuals after abs()
+    n, rng = 1 << log2n, np.random.default_rng(seed)
+    tiny = np.finfo(float).smallest_subnormal
+    rows = {"random": lambda: rng.normal(size=n) + 1j * rng.normal(size=n),
+            "+0": lambda: np.zeros(n, dtype=complex),
+            "-0": lambda: np.full(n, complex(-0.0, -0.0)),
+            "signed zeros": lambda: (rng.choice([0.0, -0.0], n)
+                                     + 1j * rng.choice([0.0, -0.0], n)),
+            "subnormal": lambda: tiny * (rng.integers(-9, 10, n) + 1j * rng.integers(-9, 10, n)),
+            "mixed": lambda: np.where(rng.random(n) < 0.5, rng.normal(size=n) + 0j,
+                                      rng.choice([0.0, -0.0, tiny, -tiny], n) + 0j)}
+    u = np.array([rows[k]() for k in kinds])
+    c = TorusFunction(rng.normal(size=n) + 1j * rng.normal(size=n))
+    lam = rng.uniform(-50.0, 50.0, len(kinds))
+    f = np.where(rng.random(u.shape) < 0.5, 0.0, rng.normal(size=u.shape)) + 0j
+    got = operator_residuals(lam, c, u, f)
+    want = _out_of_place_residuals(lam, c, u, f, None, slice(None))
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_mode_field_validation():

@@ -6,7 +6,7 @@
 Runs the same CLI calls under each tree, in OUT_DIR/parent and
 OUT_DIR/change, with PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1:
 every cookbook config, the ops of the three benchmark workloads for seeds 1
-and 101 (CHANGE_TREE/perfbench/workloads.py), seven extra solve configs,
+and 101 (CHANGE_TREE/perfbench/workloads.py), eight extra solve configs,
 three decays of the notgh solve's field (k_max 4, 0 and 7), eleven
 diophantine tables (every integer eigenvalue kind, a negative kappa, a
 denominator near 2^60, a decimal, a float-valued table, an integer table
@@ -58,6 +58,9 @@ EXTRA = {   # solve configs; notgh: Im c changes sign, collocation misses its bu
                         "f": {str(j): "exp(it)" for j in range(300)}},
     "chunks-banded": {"c": "i(1 - cos t)", "grid_n": 512, "j_modes": 300,
                       "f": {str(j): "exp(it)" for j in range(300)}},
+    # band half-width d = 2 with partial pivoting (312 of 512 columns swap rows)
+    "banded-pivot-d2": {"c": "i(1/10 - 1/10 cos t) + 2 cos 2t", "grid_n": 512, "j_modes": 64,
+                        "f": {str(j): "exp(it)" for j in range(64)}},
 }
 # decays of the notgh field: k_max 4 (the default), 0 (a one-column pm table)
 # and 7 (fit_decay's stack deeper than pm_seminorms' min(k_max, 4))
