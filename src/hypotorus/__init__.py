@@ -36,8 +36,8 @@ from .diophantine import (DistanceSequence, LiouvilleCertificate, RationalVerdic
                           dist_to_int_exact, distance_sequence, divisor_sandwich, liouville_fit)
 from .errors import ConfigError, HypotorusError
 from .formulas import FormulaError, TrigPolynomial, parse_formula
-from .modes import (AllModesResonant, DivisorReport, ModeField, apply_mode, apply_operator,
-                    solve_field, solve_mode)
+from .modes import (DivisorReport, ModeField, apply_mode, apply_operator, solve_field,
+                    solve_mode)
 from .spectrum import EigenSequence, HermiteBasis, build_eigensequence
 from .torusfn import MeanDecomposition, TorusFunction, grid
 from .witness import (GevreyBump, NoCertificate, WitnessBundle, L0_reduction_witness,

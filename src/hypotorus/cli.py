@@ -18,9 +18,10 @@ bytes always produce the same output bytes.
 
 Exit codes (README.md tabulates them by class): 0 ok, else the
 ``exit_code`` of the :class:`~hypotorus.errors.HypotorusError` that stopped
-the run, or of :class:`~hypotorus.modes.AllModesResonant` when a solve
-leaves some modes resonant -- 1 config error (an array over
-:data:`MAX_ARRAY_BYTES` included), unavailable or failed witness, or
+the run, or that of :class:`~hypotorus.modes.ResonantMode` when a solve
+leaves any forced mode resonant (it still writes its files) -- 1 config
+error (an array over :data:`MAX_ARRAY_BYTES` included, or a non-finite
+sample in a c_file or f_file), unavailable or failed witness, or
 certificate level overflow; 2 resonance; 3 degenerate data.  An output path
 the OS refuses exits 1; any other exception is a bug and shows its
 traceback.  ``classify --witness`` exits 0 when its witness is unavailable
@@ -48,7 +49,7 @@ from .diophantine import (classify_rational, construct_liouville,
                           distance_sequence, liouville_fit)
 from .errors import ConfigError, HypotorusError
 from .formulas import TrigPolynomial, parse_formula, parse_rational, parse_real
-from .modes import MAX_ARRAY_BYTES, AllModesResonant, ModeField, solve_field
+from .modes import MAX_ARRAY_BYTES, ModeField, ResonantMode, solve_field
 from .spectrum import EigenSequence, build_eigensequence
 from .torusfn import TorusFunction, grid
 from .witness import (L0_reduction_witness, WitnessBudgetMiss, WitnessBundle,
@@ -316,10 +317,12 @@ class ExperimentConfig:
         return poly.to_torus_function(self._d["grid_n"]), poly
 
     def forcing(self, eigs: EigenSequence) -> ModeField:
-        if self._d["f_file"] is not None:
-            with _open_text(self._d["f_file"], "f_file") as fh:
-                return ModeField.from_csv(fh, eigs, J=self._d["j_modes"],
-                                          max_bytes=MAX_ARRAY_BYTES)
+        path = self._d["f_file"]
+        if path is not None:
+            with _open_text(path, "f_file") as fh:
+                f = ModeField.from_csv(fh, eigs, J=self._d["j_modes"], max_bytes=MAX_ARRAY_BYTES)
+            _need(np.isfinite(f.samples).all(), f"f_file {path}: samples must be finite")
+            return f
         _need(bool(self._d["f"]),
               "solve needs a forcing term: provide 'f' (mode->formula map) "
               "or 'f_file' (mode-field CSV)")
@@ -362,15 +365,10 @@ def _write_json(path: Path, obj) -> None:
 def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     eigs = cfg.eigensequence()
     c, _ = cfg.coefficient()
-    f = cfg.forcing(eigs)
-    try:
-        u, rep = solve_field(c, f)
-    except AllModesResonant as exc:
-        u = ModeField([None] * cfg["j_modes"], eigs)
-        rep = exc.report
+    u, rep = solve_field(c, cfg.forcing(eigs))
     _write_text(out / "u_field.csv", u.csv_pieces())
     _write_text(out / "divisors.csv", rep.to_csv())
-    resonant = sorted(rep.resonant_indices())
+    resonant = rep.resonant_indices()
     _write_json(out / "residuals.json", {
         "max_residual": rep.max_residual(),
         "n_modes": cfg["j_modes"],
@@ -378,7 +376,7 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
         "n_resonant": len(resonant),
         "resonant_indices": resonant[:64],
     })
-    return AllModesResonant.exit_code if resonant else 0
+    return ResonantMode.exit_code if resonant else 0
 
 
 # --------------------------------------------------------------------------- #

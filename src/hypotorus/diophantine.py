@@ -60,6 +60,11 @@ _L2E_UP = Fraction(1442696, 1000000)
 # residues follow no progression; about a second of integer arithmetic.
 _POWER_SCAN_CAP = 1 << 20
 
+# Most bits a certified modulus of construct_liouville may need; the levels
+# beyond are out of reach of exact arithmetic (the next eigenvalue index is
+# itself exponential in the previous one).
+_BITS_CAP = 2_000_000
+
 # max/median threshold for the bounded-slope test, growth factor for the
 # monotone-growth flag, and the floor applied to the median.  The test runs
 # on scale-normalized slopes (envelope growth per e-fold of x), whose natural
@@ -648,7 +653,6 @@ def construct_liouville(
     *,
     mu: Union[Fraction, float] = Fraction(1, 2),
     j_cap: Optional[int] = 10**6,
-    bits_cap: int = 2_000_000,
 ) -> LiouvilleCertificate:
     """Greedy exact-rational construction of an exponential-Liouville number.
 
@@ -663,10 +667,8 @@ def construct_liouville(
 
     Raises :class:`LevelOverflow` when the next level would exceed ``j_cap``
     (pass ``None`` to lift; levels grow roughly like ``exp((j+1)^e)`` per
-    step) or when the certified modulus would need more than ``bits_cap``
-    bits (levels beyond that are astronomically out of reach of exact
-    arithmetic: the following eigenvalue index is itself exponential in the
-    previous one).
+    step) or when the certified modulus would need more than ``_BITS_CAP``
+    bits.
     """
     if L < 1:
         raise ValueError(f"need at least one level, got L={L}")
@@ -699,9 +701,9 @@ def construct_liouville(
         lam_min = lams[-1] + step  # strict increase at minimum
         for i in range(len(js)):
             K = (lev - (i + 1)) + _k_bound(js[i], e)
-            if K > bits_cap:
+            if K > _BITS_CAP:
                 raise LevelOverflow(
-                    f"level {lev}: certified modulus needs more than {bits_cap} bits"
+                    f"level {lev}: certified modulus needs more than {_BITS_CAP} bits"
                 )
             # lambda >= 2^K * lambda_{j_i} / D  ensures the adjustment at this
             # level erodes the level-i gap by at most 2^-K.

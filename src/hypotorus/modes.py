@@ -35,15 +35,17 @@ steps.  A wide band (a sampled c with a full spectrum) is solved densely, mode
 by mode.  Every solve is verified by applying the operator back to the
 result; if the integral path misses its residual budget the mode is re-solved
 by collocation and flagged ``refactored``.  One routine makes these choices
-with masks over the (m, n) forcing rows and returns the solution rows plus one
-array per audit column; ``solve_mode_detailed`` hands it a single row.
+with masks over the (m, n) forcing rows and returns the solution rows plus a
+DivisorReport, one array per audit column and one row per mode;
+``solve_field`` returns that report as it is, and ``solve_mode_detailed``
+hands the routine a single row and reads row 0 of its report.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -59,7 +61,6 @@ __all__ = [
     "ModeSolution",
     "DivisorReport",
     "ResonantMode",
-    "AllModesResonant",
     "OverflowClamped",
     "small_divisor",
     "solve_mode",
@@ -106,16 +107,6 @@ class ResonantMode(HypotorusError):
         self.divisor = divisor
         super().__init__(message or
                          f"resonant mode: lambda={lam}, divisor={divisor:.3e} < {TOL_RES}")
-
-
-class AllModesResonant(HypotorusError):
-    """Every requested mode was resonant; ``report`` holds their divisor rows."""
-
-    exit_code = 2
-
-    def __init__(self, message: str, report: "DivisorReport"):
-        self.report = report
-        super().__init__(message)
 
 
 class OverflowClamped(UserWarning):
@@ -424,6 +415,40 @@ class ModeSolution:
     refactored: bool = False
 
 
+@dataclass(eq=False)
+class DivisorReport:
+    """The solver's record of a batch: one row per mode, as equal-length
+    columns.  ``j`` and ``lam`` name the mode; ``divisor``, ``formula``,
+    ``residual``, ``residual_budget``, ``ill_conditioned``, ``clamped`` and
+    ``refactored`` are ModeSolution's fields; ``resonant`` marks a mode left
+    unsolved, ``singular`` one whose collocation matrix was exactly singular
+    (divisor 0).  A resonant row has formula "", a NaN residual and no flags."""
+
+    j: np.ndarray
+    lam: np.ndarray
+    divisor: np.ndarray
+    resonant: np.ndarray
+    singular: np.ndarray
+    formula: np.ndarray
+    residual: np.ndarray
+    residual_budget: np.ndarray
+    ill_conditioned: np.ndarray
+    clamped: np.ndarray
+    refactored: np.ndarray
+
+    def resonant_indices(self) -> list[int]:
+        return self.j[self.resonant].tolist()
+
+    def max_residual(self) -> float:
+        """The largest residual of a solved mode (NaN if any is NaN, or if none is solved)."""
+        solved = self.residual[~self.resonant]
+        return float(np.max(solved)) if solved.size else math.nan
+
+    def to_csv(self) -> str:
+        return csvio.text(("j", "lambda", "divisor", "resonant"),
+                          self.j, self.lam, self.divisor, self.resonant)
+
+
 def apply_mode(lam: float, c: TorusFunction, u: TorusFunction) -> TorusFunction:
     """f = u' + i*lam*c*u (spectral derivative, pointwise product)."""
     if c.n != u.n:
@@ -434,21 +459,21 @@ def apply_mode(lam: float, c: TorusFunction, u: TorusFunction) -> TorusFunction:
 
 def _solve_modes(lams: np.ndarray, js: np.ndarray, c: TorusFunction,
                  dec: MeanDecomposition, F: np.ndarray, Fhat: np.ndarray | None,
-                 formula: str | int, tol_res: float) -> tuple[np.ndarray, np.ndarray, dict]:
+                 formula: str | int,
+                 tol_res: float) -> tuple[np.ndarray, np.ndarray, DivisorReport]:
     """Solve u' + i*lam*c*u = f for the rows ``js`` of the (m, n) forcing
     samples ``F`` (coefficients ``Fhat``, or None for fft(F)/n), ``lams``
     aligned to ``js``, c on the rows' grid with mean decomposition ``dec``.
 
     Returns the (m, n) solution samples and coefficients (zero off ``js`` and
-    on resonant rows) and one audit column per ModeSolution field, plus
-    ``resonant`` and ``singular`` (an exactly singular collocation matrix).
-    Masks pick each mode's path: the sign rule's formula gives the divisor,
-    budget and conditioning flag, and a divisor below ``tol_res`` is
-    resonant.  Forced collocation, or |lam|*osc(Im C) > OSC_BUDGET in auto
-    mode, sends a mode to collocation; else its formula runs (a forced one is
-    resonant if its own divisor is below ``tol_res`` or 0), and in auto mode a
-    budget miss (NaN misses) joins collocation as ``refactored``.  Both paths
-    run over chunks of rows; every residual comes from operator_residuals.
+    on resonant rows) and the DivisorReport of the rows ``js``.  Masks pick
+    each mode's path: the sign rule's formula gives the divisor, budget and
+    conditioning flag, and a divisor below ``tol_res`` is resonant.  Forced
+    collocation, or |lam|*osc(Im C) > OSC_BUDGET in auto mode, sends a mode
+    to collocation; else its formula runs (a forced one is resonant if its
+    own divisor is below ``tol_res`` or 0), and in auto mode a budget miss
+    (NaN misses) joins collocation as ``refactored``.  Both paths run over
+    chunks of rows; every residual comes from operator_residuals.
     """
     if formula not in ("auto", 1, 2, "fourier"):
         raise ValueError(f"formula must be 'auto', 1, 2 or 'fourier', got {formula!r}")
@@ -497,13 +522,13 @@ def _solve_modes(lams: np.ndarray, js: np.ndarray, c: TorusFunction,
                lambda p, r: (np.fft.ifft(Uhat[r] * n, axis=1), Uhat[r]))
     resonant |= singular
     U[js[resonant]] = Uhat[js[resonant]] = 0.0
-    ok = ~resonant       # resonant rows read as a resonant DivisorRow's defaults
-    return U, Uhat, {
-        "divisor": np.where(singular, 0.0, divisor),
-        "formula": np.select([~ok, coll, which == 1], ["", "fourier", "solu1"], "solu2"),
-        "residual": np.where(ok, residual, math.nan), "residual_budget": budget,
-        "ill_conditioned": ill & ok, "clamped": clamped & ok, "refactored": refactored & ok,
-        "resonant": resonant, "singular": singular}
+    ok = ~resonant
+    return U, Uhat, DivisorReport(
+        j=js, lam=lams, divisor=np.where(singular, 0.0, divisor), resonant=resonant,
+        singular=singular,
+        formula=np.select([~ok, coll, which == 1], ["", "fourier", "solu1"], "solu2"),
+        residual=np.where(ok, residual, math.nan), residual_budget=budget,
+        ill_conditioned=ill & ok, clamped=clamped & ok, refactored=refactored & ok)
 
 
 def solve_mode_detailed(lam: float, c: TorusFunction, f: TorusFunction, *,
@@ -518,15 +543,17 @@ def solve_mode_detailed(lam: float, c: TorusFunction, f: TorusFunction, *,
     """
     if c.n != f.n:
         c = c.resample(f.n)
-    U, Uhat, audit = _solve_modes(np.array([lam], dtype=np.float64), np.zeros(1, dtype=np.intp),
-                                  c, c.decompose_mean(), f.samples[None], f.coeffs[None],
-                                  formula, tol_res)
-    a = {k: v[0].item() for k, v in audit.items()}
-    if a.pop("singular"):
+    U, Uhat, rep = _solve_modes(np.array([lam], dtype=np.float64), np.zeros(1, dtype=np.intp),
+                                c, c.decompose_mean(), f.samples[None], f.coeffs[None],
+                                formula, tol_res)
+    if rep.singular[0]:
         raise ResonantMode(lam, 0.0, f"collocation matrix singular for lambda={lam}")
-    if a.pop("resonant"):
-        raise ResonantMode(lam, a["divisor"])
-    return ModeSolution(TorusFunction._from_parts(U[0], Uhat[0]), lam, **a)
+    if rep.resonant[0]:
+        raise ResonantMode(lam, rep.divisor[0].item())
+    return ModeSolution(TorusFunction._from_parts(U[0], Uhat[0]), lam, **{
+        k: getattr(rep, k)[0].item() for k in ("divisor", "formula", "residual",
+                                               "residual_budget", "ill_conditioned",
+                                               "clamped", "refactored")})
 
 
 def solve_mode(lam: float, c: TorusFunction, f: TorusFunction, *,
@@ -795,58 +822,21 @@ def operator_residuals(lam: Sequence[float], c: TorusFunction, u: np.ndarray,
 # whole-field solve with divisor report
 # --------------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class DivisorRow:
-    j: int
-    lam: float
-    divisor: float
-    resonant: bool
-    formula: str = ""
-    residual: float = float("nan")
-    ill_conditioned: bool = False
-    refactored: bool = False
-
-
-@dataclass
-class DivisorReport:
-    rows: list[DivisorRow] = field(default_factory=list)
-
-    def resonant_indices(self) -> list[int]:
-        return [r.j for r in self.rows if r.resonant]
-
-    def max_residual(self) -> float:
-        vals = [r.residual for r in self.rows if not r.resonant]
-        return max(vals) if vals else float("nan")
-
-    def to_csv(self) -> str:
-        return csvio.text(("j", "lambda", "divisor", "resonant"),
-                          [r.j for r in self.rows], [float(r.lam) for r in self.rows],
-                          [float(r.divisor) for r in self.rows],
-                          [bool(r.resonant) for r in self.rows])
-
-
 def solve_field(c: TorusFunction, f: ModeField, *, formula: str | int = "auto",
                 tol_res: float = TOL_RES) -> tuple[ModeField, DivisorReport]:
     """Solve every defined mode of f; resonant modes stay undefined (None).
 
     One _solve_modes call fills the (J, n) solution arrays from the defined
-    rows and returns the audit columns of the divisor report.  Raises
-    AllModesResonant, carrying that report, when no mode could be solved.
+    rows and returns their DivisorReport, which is handed back as it is.
+    When every mode is resonant the field has no defined mode.
     """
     if c.n != f.n:
         c = c.resample(f.n)
     js = np.flatnonzero(f.mask)
-    lams = f.eigs.lambdas[js]
-    samples, coeffs, a = _solve_modes(lams, js, c, c.decompose_mean(), f.samples,
-                                      f._coeffs, formula, tol_res)
-    cols = ("divisor", "resonant", "formula", "residual", "ill_conditioned", "refactored")
-    report = DivisorReport([DivisorRow(*row) for row in zip(
-        js.tolist(), lams.tolist(), *(a[k].tolist() for k in cols))])
+    samples, coeffs, report = _solve_modes(f.eigs.lambdas[js], js, c, c.decompose_mean(),
+                                           f.samples, f._coeffs, formula, tol_res)
     mask = np.zeros(f.J, dtype=bool)
-    mask[js[~a["resonant"]]] = True
-    if not mask.any():
-        raise AllModesResonant(
-            f"all {f.J} modes resonant (e.g. lambda*c0 in Z for every mode)", report)
+    mask[js[~report.resonant]] = True
     return ModeField._of(samples, mask, f.eigs, coeffs), report
 
 

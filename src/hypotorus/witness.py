@@ -348,10 +348,12 @@ class WitnessBundle:
 
     # -- verification -------------------------------------------------- #
 
-    def verify(self, tol_residual: Optional[float] = None) -> dict:
+    def verify(self) -> dict:
         """Re-run the bundle's own checks, recomputing every residual from
-        u, f and c; returns a report dict with "ok"."""
-        return self._report(self._residuals(), tol_residual)
+        u, f and c, against the tolerance of the bundle's kind; returns a
+        report dict with "ok"."""
+        return self._report(self._residuals(),
+                            TOL_RESIDUAL_CONSTANT if self.kind == "constant" else TOL_RESIDUAL)
 
     def _residuals(self) -> list[float]:
         """sup|u' + i lam c u - f| of every row, in one batched call."""
@@ -359,9 +361,7 @@ class WitnessBundle:
         return operator_residuals(lams, self.c, self.u, self.f, self.u_coeffs,
                                   cols=self.f_cols).tolist()
 
-    def _report(self, residuals: list, tol_residual: Optional[float] = None) -> dict:
-        tol = tol_residual if tol_residual is not None else (
-            TOL_RESIDUAL_CONSTANT if self.kind == "constant" else TOL_RESIDUAL)
+    def _report(self, residuals: list, tol: float) -> dict:
         floor = min((lv.sup_u for lv in self.levels), default=0.0)
         checks = {
             "residuals_ok": all(r < tol for r in residuals),
@@ -1145,22 +1145,19 @@ def L0_reduction_witness(c: TorusFunction, certificate: LiouvilleCertificate,
             f"build c with the certified mean")
 
     a = cc.real_part()
-    drift_a, Pa = _cover_primitive(a)
-    t = grid(N)
-    A = drift_a * t + Pa
+    A = _window_primitive(*_cover_primitive(a), 0, N)
 
     # anchor: argmax of the cumulative integral of Im(lambda c); Im c == 0
     # makes that cumulative identically zero, so the first grid point wins
     anchor_idx = 0
-    t_anchor = float(t[anchor_idx])
+    t_anchor = float(grid(N)[anchor_idx])
 
     phi = gevrey_bump(2.0, (2.0, 4.5), (2.6, 3.9), N)
     phi_tf = phi.samples
     phv = np.real(phi_tf.samples)
     I_phi = 2.0 * math.pi * float(phi_tf.mean().real)
 
-    drift_phi, Pphi = _cover_primitive(phi_tf)
-    Phi_phi = drift_phi * t + Pphi                      # cumulative from 0
+    Phi_phi = _window_primitive(*_cover_primitive(phi_tf), 0, N)   # cumulative from 0
 
     lam_cap = _BAND_FRACTION * (N / 2.0) / max(a.sup_norm(), 1e-300)
     levels, us, fs = [], [], []

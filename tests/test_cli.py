@@ -227,6 +227,27 @@ def test_solve_forcing_from_mode_field_file(tmp_path):
     assert abs(u.sup_norms()[5] - 1.0 / 6.5) < 1e-9
 
 
+@pytest.mark.parametrize("j, col, value", [(1, 1, "inf"), (2, 2, "nan")])
+def test_solve_refuses_a_non_finite_forcing_file(tmp_path, capsys, j, col, value):
+    # one non-finite sample in one mode once solved to all-NaN rows, exit 0,
+    # and a max_residual that left them out
+    t = (2.0 * np.pi * np.arange(16) / 16).tolist()
+    rows = {m: [[ti, math.cos(m * ti), math.sin(ti)] for ti in t] for m in range(3)}
+    rows[j][5][col] = float(value)
+    lines = ["j,t,re,im"] + [f"{m},{ti!r},{re!r},{im!r}"
+                             for m in range(3) for ti, re, im in rows[m]]
+    fpath = tmp_path / "f.csv"
+    fpath.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path, c="1/2 + 1/5 cos t", j_modes=4, grid_n=16,
+                       f_file=str(fpath))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"f_file {fpath}: samples must be finite" in err
+    assert "usage" in err.lower()
+    assert not (out / "residuals.json").exists()
+
+
 def test_an_output_path_the_os_refuses_exits_1(tmp_path, capsys):
     blocker = tmp_path / "taken"
     blocker.write_text("a file, not a directory\n", encoding="utf-8")

@@ -10,7 +10,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypotorus.modes import (
-    AllModesResonant,
     DivisorReport,
     ModeField,
     OverflowClamped,
@@ -397,14 +396,21 @@ def test_solve_field_is_batch_invariant(c_of, formula):
             sols = [solve_mode_detailed(float(eigs.lambdas[j]), c, f[j], formula=formula)
                     for j in range(J)]
         if formula in ("auto", "fourier"):
-            assert sum(r.formula == "fourier" for r in report.rows) > J // 2
-        for j, (row, sol) in enumerate(zip(report.rows, sols)):
+            assert np.count_nonzero(report.formula == "fourier") > J // 2
+        assert report.j.tolist() == list(range(J))
+        assert not report.resonant.any() and not report.singular.any()
+        # every audit column, row by row, bit for bit
+        for j, sol in enumerate(sols):
             assert u[j].samples.tobytes() == sol.u.samples.tobytes()
-            assert row.formula == sol.formula
-            assert np.float64(row.divisor).tobytes() == np.float64(sol.divisor).tobytes()
-            assert np.float64(row.residual).tobytes() == np.float64(sol.residual).tobytes()
+            assert report.lam[j] == sol.lam
+            assert report.formula[j] == sol.formula
+            for col in ("divisor", "residual", "residual_budget"):
+                got, want = getattr(report, col)[j], np.float64(getattr(sol, col))
+                assert got.tobytes() == want.tobytes(), (j, col)
+            for col in ("ill_conditioned", "clamped", "refactored"):
+                assert getattr(report, col)[j] == getattr(sol, col), (j, col)
             if formula == "auto":
-                assert row.residual <= sol.residual_budget
+                assert report.residual[j] <= sol.residual_budget
 
 
 @pytest.mark.parametrize("c_of, paths", [
@@ -430,7 +436,7 @@ def test_solve_field_builds_no_torus_function_per_mode(monkeypatch, c_of, paths)
         monkeypatch.setattr(TorusFunction, "__init__", counting)
         _, report = solve_field(c, f)
         monkeypatch.undo()
-        assert paths <= {"refactored" if r.refactored else r.formula for r in report.rows}
+        assert paths <= set(np.where(report.refactored, "refactored", report.formula).tolist())
     assert counts[8] == counts[64], counts
 
 
@@ -449,8 +455,8 @@ def test_forced_formula_exact_resonance_raises(formula):
     with np.errstate(all="raise"):
         _, report = solve_field(TorusFunction.constant(0.25, 64), f,
                                 formula=formula, tol_res=0.0)
-    assert [r.resonant for r in report.rows] == [False, True, True, False]
-    assert report.rows[0].formula == report.rows[3].formula == f"solu{formula}"
+    assert report.resonant.tolist() == [False, True, True, False]
+    assert report.formula[[0, 3]].tolist() == [f"solu{formula}"] * 2
 
 
 def test_forced_fourier_resonance_is_singular():
@@ -465,8 +471,9 @@ def test_forced_fourier_resonance_is_singular():
     f = ModeField([f_harmonic(64)] * 4, eigs)
     _, report = solve_field(TorusFunction.constant(1.0 / 3.0, 64), f,
                             formula="fourier", tol_res=0.0)
-    assert [r.resonant for r in report.rows] == [False, True, False, False]
-    assert report.rows[1].divisor == 0.0
+    assert report.resonant.tolist() == [False, True, False, False]
+    assert report.singular.tolist() == [False, True, False, False]
+    assert report.divisor[1] == 0.0
 
 
 def test_banded_solve_imports_no_scipy():
@@ -479,7 +486,7 @@ def test_banded_solve_imports_no_scipy():
             "eigs = build_eigensequence('harmonic1d', 16)\n"
             "f = ModeField([TorusFunction(np.exp(1j * t))] * 16, eigs)\n"
             "_, rep = solve_field(TorusFunction(1j * (1 - np.cos(t))), f)\n"
-            "assert sum(r.formula == 'fourier' for r in rep.rows) >= 10\n"
+            "assert (rep.formula == 'fourier').sum() >= 10\n"
             "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
@@ -537,10 +544,35 @@ def test_solve_field_single_mode():
 
 
 def test_solve_field_all_resonant():
+    # every lambda_j c0 is an integer: the field comes back with no defined
+    # mode and a report that is resonant in every row
     eigs = build_eigensequence("harmonic1d", 6)
     f = ModeField([f_harmonic(64)] * 6, eigs)
-    with pytest.raises(AllModesResonant):
-        solve_field(TorusFunction.constant(1.0), f)
+    u, report = solve_field(TorusFunction.constant(1.0), f)
+    assert u.J == 6 and not u.mask.any()
+    assert list(u) == [None] * 6
+    assert report.j.tolist() == list(range(6))
+    assert report.resonant.all()
+    assert report.resonant_indices() == list(range(6))
+    assert (report.formula == "").all() and np.isnan(report.residual).all()
+    assert math.isnan(report.max_residual())
+
+
+@pytest.mark.parametrize("row", [0, 2, 4])
+def test_max_residual_shows_nan(row):
+    # one NaN residual of a solved mode makes the maximum NaN, wherever it sits
+    n = 5
+    residual = np.full(n, 1e-12)
+    residual[row] = math.nan
+    zeros = np.zeros(n, dtype=bool)
+    report = DivisorReport(
+        j=np.arange(n), lam=np.arange(n) + 1.0, divisor=np.ones(n), resonant=zeros,
+        singular=zeros, formula=np.array(["solu1"] * n), residual=residual,
+        residual_budget=np.full(n, 1e-8), ill_conditioned=zeros, clamped=zeros,
+        refactored=zeros)
+    assert math.isnan(report.max_residual())
+    residual[row] = 3e-12
+    assert report.max_residual() == 3e-12
 
 
 def test_solve_field_partial_resonance():
@@ -561,9 +593,8 @@ def test_solve_field_gh_instance_divisors():
     entries = [TorusFunction(np.exp(1j * t) / math.factorial(j + 1)) for j in range(6)]
     u, report = solve_field(c, ModeField(entries, eigs))
     assert report.resonant_indices() == []
-    for row in report.rows:
-        assert row.divisor >= 1 - math.exp(-2 * math.pi * row.lam) - 1e-12
-        assert row.residual < 1e-7
+    assert (report.divisor >= 1 - np.exp(-2 * np.pi * report.lam) - 1e-12).all()
+    assert (report.residual < 1e-7).all()
 
 
 def test_apply_operator_kills_resonant_exponentials():

@@ -6,7 +6,8 @@
 Runs the same CLI calls under each tree, in OUT_DIR/parent and
 OUT_DIR/change, with PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1:
 every cookbook config, the ops of the three benchmark workloads for seeds 1
-and 101 (CHANGE_TREE/perfbench/workloads.py), eight extra solve configs,
+and 101 (CHANGE_TREE/perfbench/workloads.py), nine extra solve configs
+(one an f_file with non-finite samples, refused with exit 1),
 three decays of the notgh solve's field (k_max 4, 0 and 7), eleven
 diophantine tables (every integer eigenvalue kind, a negative kappa, a
 denominator near 2^60, a decimal, a float-valued table, an integer table
@@ -61,6 +62,9 @@ EXTRA = {   # solve configs; notgh: Im c changes sign, collocation misses its bu
     # band half-width d = 2 with partial pivoting (312 of 512 columns swap rows)
     "banded-pivot-d2": {"c": "i(1/10 - 1/10 cos t) + 2 cos 2t", "grid_n": 512, "j_modes": 64,
                         "f": {str(j): "exp(it)" for j in range(64)}},
+    # an f_file with one inf (mode 1) and one nan (mode 2): refused, exit 1
+    "f-file-nonfinite": {"c": "1/2 + 1/5 cos t", "grid_n": 16, "j_modes": 4,
+                         "f_file": "extra/f_nonfinite.csv"},
 }
 # decays of the notgh field: k_max 4 (the default), 0 (a one-column pm table)
 # and 7 (fit_decay's stack deeper than pm_seminorms' min(k_max, 4))
@@ -132,17 +136,23 @@ def _bump(t: float, a: float, g: float, d: float, b: float) -> float:
 
 def inputs() -> dict:
     """A mode CSV (modes 1, 3, 6) and a sample CSV of c on a 64-point grid,
-    with long, varied digits and signed zeros; and a c on the 1024-point grid
-    whose Im c is + on (0.5, 1.5), exactly 0 on [1.5, 3.5] and - on (3.5, 4.5)."""
+    with long, varied digits and signed zeros; a mode CSV (modes 0, 1, 2) on
+    a 16-point grid with re = inf at one sample of mode 1 and im = nan at one
+    of mode 2; and a c on the 1024-point grid whose Im c is + on (0.5, 1.5),
+    exactly 0 on [1.5, 3.5] and - on (3.5, 4.5)."""
     t = [2.0 * math.pi * i / 64 for i in range(64)]
     f = "".join(f"{j},{s!r},{math.sin(j * s + 1) / 7 ** j!r},"
                 f"{-0.0 if j == 3 else math.cos(s) / j!r}\n" for j in (1, 3, 6) for s in t)
     c = "".join(f"{s!r},{0.5 + math.cos(s) / 3!r},{(1 - math.cos(s)) / 10!r}\n" for s in t)
+    t = [2.0 * math.pi * i / 16 for i in range(16)]
+    g = "".join(f"{j},{s!r},{'inf' if (j, i) == (1, 5) else repr(math.cos(s))},"
+                f"{'nan' if (j, i) == (2, 9) else repr(math.sin(s))}\n"
+                for j in range(3) for i, s in enumerate(t))
     t = [2.0 * math.pi * i / 1024 for i in range(1024)]
     p = "".join(f"{s!r},0.0,{4.0 * (_bump(s, 0.5, 0.95, 1.05, 1.5) - _bump(s, 3.5, 3.95, 4.05, 4.5))!r}\n"
                 for s in t)
     return {"f_modes.csv": "j,t,re,im\n" + f, "c_samples.csv": "t,re,im\n" + c,
-            "c_plateau.csv": "t,re,im\n" + p}
+            "f_nonfinite.csv": "j,t,re,im\n" + g, "c_plateau.csv": "t,re,im\n" + p}
 
 
 def calls(change: Path, workloads) -> list:
