@@ -34,6 +34,7 @@ from typing import List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from .errors import HypotorusError
+from .formulas import TrigPolynomial
 from .torusfn import TorusFunction
 from .spectrum import EigenSequence
 from .diophantine import (
@@ -383,10 +384,18 @@ def _snap_mean(x: float) -> Tuple[Optional[Fraction], float]:
     return None, float("nan")
 
 
-def _reduce_to_mean(a0: float, rep: SignReport, eigs: EigenSequence,
-                    mu, base_ev: dict) -> Verdict:
+def _rational_mean(a0: float, exact: Optional[Fraction]) -> Tuple[Optional[Fraction], float]:
+    """(the rational mean of c, its distance from the grid mean a0): the
+    exact mean of a formula c, else :func:`_snap_mean` of a0."""
+    if exact is None:
+        return _snap_mean(a0)
+    return exact, float(abs(Fraction(a0) - exact))
+
+
+def _reduce_to_mean(a0: float, exact: Optional[Fraction], rep: SignReport,
+                    eigs: EigenSequence, mu, base_ev: dict) -> Verdict:
     """b == 0 on the grid: the verdict is the constant operator's at a0."""
-    frac, err = _snap_mean(a0)
+    frac, err = _rational_mean(a0, exact)
     if frac is not None:
         sub = classify_constant(frac, 0, eigs, mu)
         red = {"a0": a0, "a0_exact": frac, "snap_error": err}
@@ -402,8 +411,8 @@ def _reduce_to_mean(a0: float, rep: SignReport, eigs: EigenSequence,
     return Verdict(sub.decision, sub.branch, ev, sub.confidence, sub.witness_handle)
 
 
-def _resonant_mean_rescue(a0: float, b0: float, eigs: EigenSequence,
-                          base_ev: dict) -> Optional[Verdict]:
+def _resonant_mean_rescue(a0: float, exact: Optional[Fraction], b0: float,
+                          eigs: EigenSequence, base_ev: dict) -> Optional[Verdict]:
     """notGH by recurring integer resonance of the mean, geometry regardless.
 
     Applies only when the mean is (up to fp noise) a real rational whose
@@ -413,7 +422,7 @@ def _resonant_mean_rescue(a0: float, b0: float, eigs: EigenSequence,
     """
     if abs(b0) > float(_MEAN_SNAP_TOL) or not eigs.integer_valued:
         return None
-    frac, err = _snap_mean(a0)
+    frac, err = _rational_mean(a0, exact)
     if frac is None:
         return None
     rv = classify_rational(frac.numerator, frac.denominator, eigs)
@@ -436,8 +445,9 @@ def _resonant_mean_rescue(a0: float, b0: float, eigs: EigenSequence,
     return Verdict("notGH", BRANCH_RESONANCE, ev, conf, plan)
 
 
-def _sign_change_tree(b: TorusFunction, rep: SignReport, a0: float, b0: float,
-                      eigs: EigenSequence, base_ev: dict) -> Verdict:
+def _sign_change_tree(b: TorusFunction, rep: SignReport, a0: float,
+                      exact: Optional[Fraction], b0: float, eigs: EigenSequence,
+                      base_ev: dict) -> Verdict:
     n = rep.n
     threshold = n // _PLATEAU_DIVISOR
     if rep.longest_zero_run <= threshold:
@@ -478,7 +488,7 @@ def _sign_change_tree(b: TorusFunction, rep: SignReport, a0: float, b0: float,
                   "plateau_threshold": threshold}
             return Verdict("notGH", BRANCH_SIGN_CHANGE, ev, "definitive", plan)
 
-    rescue = _resonant_mean_rescue(a0, b0, eigs, base_ev)
+    rescue = _resonant_mean_rescue(a0, exact, b0, eigs, base_ev)
     if rescue is not None:
         return rescue
     ev = {**base_ev,
@@ -492,7 +502,8 @@ def _sign_change_tree(b: TorusFunction, rep: SignReport, a0: float, b0: float,
 
 
 def classify(c: TorusFunction, eigs: EigenSequence,
-             mu: Union[Fraction, float] = Fraction(1, 2)) -> Verdict:
+             mu: Union[Fraction, float] = Fraction(1, 2),
+             poly: Optional[TrigPolynomial] = None) -> Verdict:
     """Hypoellipticity verdict for L = D_t + c(t) P from samples of c.
 
     Runs the sign analysis of Im c first (either sign-definiteness or a
@@ -500,8 +511,14 @@ def classify(c: TorusFunction, eigs: EigenSequence,
     constant operator at the mean when Im c vanishes, and falls back to
     resonance of the mean or an honest "inconclusive" for fat ambiguous
     zero sets.  Constant inputs are delegated wholesale to
-    :func:`classify_constant`, threshold-free.
+    :func:`classify_constant`, threshold-free.  ``poly``, the exact formula
+    that c samples, if there is one, gives the mean exactly: a constant
+    poly goes to :func:`classify_constant` with its exact value, and the
+    mean routes use its exact real mean in place of a snapped grid mean.
     """
+    if poly is not None and poly.is_constant:
+        mean = poly.mean
+        return classify_constant(mean.re, 0 if mean.im == 0 else float(mean.im), eigs, mu)
     m = c.mean()
     if (c - m).sup_norm() < _TOL_IMAG:
         return classify_constant(m.real, m.imag, eigs, mu)
@@ -509,14 +526,15 @@ def classify(c: TorusFunction, eigs: EigenSequence,
     b = c.imag_part()
     rep = sign_report(b)
     a0, b0 = float(m.real), float(m.imag)
+    exact = None if poly is None else poly.mean.re
     base_ev = {"c0": {"re": a0, "im": b0}, "sign_report": plain(rep)}
 
     if not rep.identically_zero and not rep.changes_sign:
         ev = {**base_ev, "route": "variable-sign-definite"}
         return Verdict("GH", BRANCH_SIGN, ev, "definitive")
     if rep.changes_sign:
-        return _sign_change_tree(b, rep, a0, b0, eigs, base_ev)
-    return _reduce_to_mean(a0, rep, eigs, mu, base_ev)
+        return _sign_change_tree(b, rep, a0, exact, b0, eigs, base_ev)
+    return _reduce_to_mean(a0, exact, rep, eigs, mu, base_ev)
 
 
 # ---------------------------------------------------------------------------

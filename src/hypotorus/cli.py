@@ -43,7 +43,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import csvio, jsonio
-from .classify import Verdict, classify, classify_constant
+from .classify import Verdict, classify
 from .diagnostics import PMColumns, fit_decay
 from .diophantine import (classify_rational, construct_liouville,
                           distance_sequence, liouville_fit)
@@ -114,6 +114,15 @@ def _json_int(s: str) -> int:     # int() refuses more than 4300 digits
     return int(s)
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is refused."""
+    obj = {}
+    for k, v in pairs:
+        _need(k not in obj, f"config repeats the key {k!r}")
+        obj[k] = v
+    return obj
+
+
 def _is_real(x) -> bool:
     """x is an int or float within the float range (so not NaN or inf)."""
     return (isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -157,7 +166,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
-            obj = json.loads(text, parse_int=_json_int)
+            obj = json.loads(text, parse_int=_json_int, object_pairs_hook=_json_object)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from None
         _need(isinstance(obj, dict), "config top level must be a JSON object")
@@ -227,12 +236,14 @@ class ExperimentConfig:
 
         if d["f"] is not None:
             _need(isinstance(d["f"], dict), "f must map mode index to formula")
-            norm_f = {}
+            norm_f, keys = {}, {}
             for k, v in d["f"].items():
                 _need(re.fullmatch(r"\s*[+-]?\d+\s*", k) is not None,
                       f"f key {k!r} is not a mode index")
                 j = int(k)
                 _need(j >= 0, f"f mode index must be >= 0, got {j}")
+                _need(j not in keys, f"f keys {keys.get(j)!r} and {k!r} both name mode {j}")
+                keys[j] = k
                 _need(isinstance(v, str), f"f[{j}] must be a formula string")
                 with _context(f"f[{j}]"):
                     self.formula(v)
@@ -384,16 +395,10 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
 # --------------------------------------------------------------------------- #
 
 def _classify(cfg: ExperimentConfig) -> tuple:
-    """(verdict, c_fn, poly, eigs); constants go through the exact route."""
+    """(verdict, c_fn, eigs); a formula c is classified with its exact poly."""
     eigs = cfg.eigensequence()
     c_fn, poly = cfg.coefficient()
-    if poly is not None and poly.is_constant:
-        mean = poly.mean
-        beta = 0 if mean.im == 0 else float(mean.im)
-        verdict = classify_constant(mean.re, beta, eigs, cfg.mu)
-    else:
-        verdict = classify(c_fn, eigs, cfg.mu)
-    return verdict, c_fn, poly, eigs
+    return classify(c_fn, eigs, cfg.mu, poly), c_fn, eigs
 
 
 def _build_witness(cfg: ExperimentConfig, kind: str, eigs: EigenSequence,
@@ -437,7 +442,7 @@ def _emit_witness(bundle: WitnessBundle, out: Path) -> None:
 
 
 def cmd_classify(cfg: ExperimentConfig, out: Path) -> int:
-    verdict, c_fn, _, eigs = _classify(cfg)
+    verdict, c_fn, eigs = _classify(cfg)
     _write_json(out / "verdict.json", verdict.as_dict())
     if cfg["witness"] and verdict.decision == "notGH":
         try:
@@ -534,7 +539,7 @@ def cmd_witness(cfg: ExperimentConfig, out: Path) -> int:
     eigs = cfg.eigensequence()
 
     if kind == "auto":
-        verdict, c_fn, _, eigs = _classify(cfg)
+        verdict, c_fn, eigs = _classify(cfg)
         _write_json(out / "verdict.json", verdict.as_dict())
         if verdict.decision != "notGH":
             raise WitnessUnavailable(f"the operator classifies {verdict.decision} "

@@ -10,16 +10,20 @@ solution, given by either of two equivalent integral formulas:
 with E1 = exp(-2 pi i lam c0), E2 = exp(+2 pi i lam c0).  Writing
 int c = c0*s + C(t) - C(t-s) with C the pinned primitive of the oscillating
 part, and expanding G(r) = exp(i lam C(r)) f(r) in Fourier modes, the inner
-s-integral is elementary per mode:
+s-integral is elementary per mode, and it produces the factor 1 - E1 (first
+formula) or E2 - 1 (second) that cancels the formula's prefactor.  So both
+formulas are one Fourier multiplier:
 
-    u(t) = pref * intfac * exp(-i lam C(t)) * sum_k Ghat_k e^{ikt} / (i (lam c0 + k))
+    u(t) = exp(-i lam C(t)) * sum_k Ghat_k e^{ikt} / (i (lam c0 + k))
 
-where (pref, intfac) = ((1-E1)^{-1}, 1-E1) for the first formula and
-((E2-1)^{-1}, E2-1) for the second.  The s-integral is thus evaluated in
-closed form (the integrand is *not* periodic in s, so a naive trapezoid rule
-in s would be wrong by O(1); see the quadrature notes in the tests).  Formula
-selection follows the sign rule: the first formula when lam*b0 <= 0, the
-second when lam*b0 >= 0 (b0 = Im c0), which keeps every exponential bounded.
+evaluated in closed form (the integrand is *not* periodic in s, so a naive
+trapezoid rule in s would be wrong by O(1); see the quadrature notes in the
+tests).  What still tells the formulas apart is their divisor, |1 - E1| or
+|E2 - 1|; the two differ by the factor |E2| = exp(2 pi lam b0) (b0 = Im c0).
+The sign rule takes the first when lam*b0 <= 0 and the second when
+lam*b0 >= 0, the smaller divisor, and that divisor decides resonance, the
+residual budget and the ill-conditioned flag, and labels the mode "solu1" or
+"solu2".  Forcing formula 1 or 2 forces only that choice.
 
 The gauge factor exp(+-i lam C(t)) grows like exp(|lam| osc(Im C)), and the
 split multiplies roundoff by that factor.  When |lam|*osc(Im C) exceeds a
@@ -44,7 +48,6 @@ hands the routine a single row and reads row 0 of its report.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -54,14 +57,14 @@ from numpy.lib.stride_tricks import as_strided
 from . import csvio
 from .errors import ConfigError, HypotorusError
 from .spectrum import EigenSequence
-from .torusfn import MeanDecomposition, TorusFunction, _check_size, grid, wavenumbers
+from .torusfn import (MeanDecomposition, TorusFunction, _band_width, _check_size, grid,
+                      wavenumbers)
 
 __all__ = [
     "ModeField",
     "ModeSolution",
     "DivisorReport",
     "ResonantMode",
-    "OverflowClamped",
     "small_divisor",
     "solve_mode",
     "solve_mode_detailed",
@@ -71,14 +74,12 @@ __all__ = [
     "operator_residuals",
     "row_chunks",
     "index_runs",
-    "equivalence_check",
 ]
 
 TOL_RES = 1e-8          # divisor below this -> mode treated as resonant
 TOL_ILL = 1e-4          # divisor below this -> solvable but flagged ill-conditioned
-CLAMP = 700.0           # |real exponent| cap, the IEEE-double overflow boundary
 OSC_BUDGET = 10.0       # max |lam|*osc(Im C) for the integral path in auto mode
-_BAND_TOL = 64 * np.finfo(float).eps   # |chat_k| below this * max|chat| is roundoff
+_EXP_MAX = 700.0        # a larger real exponent of E nears the IEEE-double overflow
 _CHUNK_CELLS = 3 << 20  # complex numbers in one banded chunk's G and X (48 MiB)
 
 #: Ceiling in bytes on a run's largest array.  The CLI refuses a config whose
@@ -102,43 +103,32 @@ class ResonantMode(HypotorusError):
 
     exit_code = 2
 
-    def __init__(self, lam: float, divisor: float, message: str | None = None):
+    def __init__(self, lam: float, divisor: float, message: str):
         self.lam = lam
         self.divisor = divisor
-        super().__init__(message or
-                         f"resonant mode: lambda={lam}, divisor={divisor:.3e} < {TOL_RES}")
-
-
-class OverflowClamped(UserWarning):
-    """A real exponent exceeded the IEEE-double range and was clamped."""
+        super().__init__(message)
 
 
 # --------------------------------------------------------------------------- #
 # small divisors
 # --------------------------------------------------------------------------- #
 
-def _divisor_parts(lam: float, c0: complex, which: int) -> tuple[float, float]:
-    """(x, |sin(pi r)|) with x the real exponent of the formula's E-factor and
-    r the reduced fractional part of lam*Re(c0)."""
-    a0, b0 = c0.real, c0.imag
-    x = 2.0 * math.pi * lam * b0
-    if which == 2:
-        x = -x
-    y = lam * a0
-    r = y - round(y)  # |r| <= 1/2 up to float error of y itself
-    return x, abs(math.sin(math.pi * r))
-
-
 def _divisor(lam: float, c0: complex, which: int) -> float:
     """|1 - e^{-2 pi i lam c0}| (which=1) or |e^{2 pi i lam c0} - 1| (which=2).
 
-    Computed as sqrt(expm1(x)^2 + 4 e^x sin^2(pi r)) after range reduction,
-    accurate even within 1e-15 of a resonance.
+    Computed as sqrt(expm1(x)^2 + 4 e^x sin^2(pi r)), with x the real
+    exponent of the formula's E-factor and r the fractional part of
+    lam*Re(c0) reduced to the nearest integer, accurate even within 1e-15 of
+    a resonance; inf when x exceeds _EXP_MAX.
     """
-    x, s = _divisor_parts(lam, c0, which)
-    if x > CLAMP:
+    x = 2.0 * math.pi * lam * c0.imag
+    if which == 2:
+        x = -x
+    if x > _EXP_MAX:
         return math.inf
-    return math.hypot(math.expm1(x), 2.0 * math.exp(x / 2.0) * s)
+    y = lam * c0.real
+    r = y - round(y)  # |r| <= 1/2 up to float error of y itself
+    return math.hypot(math.expm1(x), 2.0 * math.exp(x / 2.0) * abs(math.sin(math.pi * r)))
 
 
 def small_divisor(lam: float, c0: complex) -> float:
@@ -151,27 +141,13 @@ def small_divisor(lam: float, c0: complex) -> float:
 
 
 # --------------------------------------------------------------------------- #
-# the two closed-form integral paths and the collocation path
+# the closed-form integral path and the collocation path
 # --------------------------------------------------------------------------- #
 
-def _prefactor(lam: float, c0: complex, which: int) -> tuple[complex, bool]:
-    """pref * intfac of one mode's integral formula, the real exponent of its
-    E-factor clamped to +-CLAMP (with a warning); returns (value, clamped?)."""
-    x, y = 2.0 * math.pi * lam * c0.imag, -2.0 * math.pi * lam * c0.real  # E1 = e^{x+iy} = 1/E2
-    if which == 2:
-        x, y = -x, -y
-    r = math.exp(max(-CLAMP, min(CLAMP, x)))
-    E = complex(r * math.cos(y), r * math.sin(y))
-    d = 1.0 - E if which == 1 else E - 1.0
-    if abs(x) > CLAMP:  # only a forced formula can clamp; the selected side cannot
-        warnings.warn(f"exponent clamped at +-{CLAMP} for lambda={lam}", OverflowClamped)
-    return (1.0 / d) * d, abs(x) > CLAMP
-
-
-def _solve_integral(lams: np.ndarray, dec: MeanDecomposition, F: np.ndarray,
-                    scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _solve_integral(lams: np.ndarray, dec: MeanDecomposition,
+                    F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Samples and fft/n coefficients of the closed-form solution of each row
-    of ``F``, with eigenvalue lams[s] and its formula's pref * intfac scale[s].
+    of ``F``, with eigenvalue lams[s] (the module docstring's multiplier).
     Products keep the single-mode operand order, in place so that one (m, n)
     buffer is live at a time: complex multiplication is not bitwise
     commutative under FMA, and a row's bytes must not depend on its batch."""
@@ -188,26 +164,11 @@ def _solve_integral(lams: np.ndarray, dec: MeanDecomposition, F: np.ndarray,
     g[:, n // 2] = 0.0                        # Nyquist convention matches derivative()
     g = np.fft.ifft(g, axis=1)
     g *= n                                    # sum_k core_k e^{ikt} on the grid
-    u = np.exp(-1j * lam * Cc)
-    np.multiply(scale[:, None], u, out=u)     # (pref * intfac) * e^{-i lam C(t)}
+    u = np.exp(-1j * lam * Cc)                # e^{-i lam C(t)}
     u *= g
     uhat = np.fft.fft(u, axis=1)
     uhat /= n
     return u, uhat
-
-
-def _band_width(chat: np.ndarray) -> int:
-    """Largest |k| whose coefficient chat_k lies above roundoff.
-
-    A coefficient at or below _BAND_TOL * max|chat| is indistinguishable from
-    the FFT roundoff of the samples (a formula c of degree d leaves a tail of
-    ~1e-17 beyond d).  Dropping such a tail perturbs the operator by at most
-    |lam| * sum of the dropped |chat_k|; the residual every solve is checked
-    with uses the full c, so it shows that perturbation if it ever matters.
-    """
-    n = chat.shape[0]
-    big = np.flatnonzero(np.abs(chat) > _BAND_TOL * np.abs(chat).max())
-    return int(np.abs(np.fft.fftfreq(n, d=1.0 / n)[big]).max()) if big.size else 0
 
 
 def _banded_lu_solve(GX: np.ndarray, w: int) -> np.ndarray:
@@ -411,7 +372,6 @@ class ModeSolution:
     residual: float
     residual_budget: float
     ill_conditioned: bool = False
-    clamped: bool = False
     refactored: bool = False
 
 
@@ -419,8 +379,8 @@ class ModeSolution:
 class DivisorReport:
     """The solver's record of a batch: one row per mode, as equal-length
     columns.  ``j`` and ``lam`` name the mode; ``divisor``, ``formula``,
-    ``residual``, ``residual_budget``, ``ill_conditioned``, ``clamped`` and
-    ``refactored`` are ModeSolution's fields; ``resonant`` marks a mode left
+    ``residual``, ``residual_budget``, ``ill_conditioned`` and ``refactored``
+    are ModeSolution's fields; ``resonant`` marks a mode left
     unsolved, ``singular`` one whose collocation matrix was exactly singular
     (divisor 0).  A resonant row has formula "", a NaN residual and no flags."""
 
@@ -433,7 +393,6 @@ class DivisorReport:
     residual: np.ndarray
     residual_budget: np.ndarray
     ill_conditioned: np.ndarray
-    clamped: np.ndarray
     refactored: np.ndarray
 
     def resonant_indices(self) -> list[int]:
@@ -506,13 +465,10 @@ def _solve_modes(lams: np.ndarray, js: np.ndarray, c: TorusFunction,
             U[r], Uhat[r] = solve(p, r)
             residual[p] = operator_residuals(lams[p], c, U[r], F[r], Uhat[r])
 
-    scale = np.zeros(lams.shape, dtype=np.complex128)
-    clamped, singular = np.zeros((2, lams.size), dtype=bool)
-    for p in np.flatnonzero(integral).tolist():
-        scale[p], clamped[p] = _prefactor(lams[p].item(), c0, int(which[p]))
-    finish(np.flatnonzero(integral), lambda p, r: _solve_integral(lams[p], dec, F[r], scale[p]))
+    finish(np.flatnonzero(integral), lambda p, r: _solve_integral(lams[p], dec, F[r]))
     refactored = integral & (formula == "auto") & ~(residual <= budget)
     coll |= refactored
+    singular = np.zeros(lams.size, dtype=bool)
     pos = np.flatnonzero(coll)
     if pos.size:
         r = js[pos]
@@ -528,7 +484,7 @@ def _solve_modes(lams: np.ndarray, js: np.ndarray, c: TorusFunction,
         singular=singular,
         formula=np.select([~ok, coll, which == 1], ["", "fourier", "solu1"], "solu2"),
         residual=np.where(ok, residual, math.nan), residual_budget=budget,
-        ill_conditioned=ill & ok, clamped=clamped & ok, refactored=refactored & ok)
+        ill_conditioned=ill & ok, refactored=refactored & ok)
 
 
 def solve_mode_detailed(lam: float, c: TorusFunction, f: TorusFunction, *,
@@ -536,8 +492,9 @@ def solve_mode_detailed(lam: float, c: TorusFunction, f: TorusFunction, *,
                         tol_res: float = TOL_RES) -> ModeSolution:
     """Solve u' + i*lam*c*u = f; returns the solution with its audit record.
 
-    ``formula`` is "auto" (sign rule + stability budget), 1 or 2 (force an
-    integral formula), or "fourier" (force collocation).  Every path is
+    ``formula`` is "auto" (sign rule + stability budget), 1 or 2 (the
+    integral path with that formula's divisor and label), or "fourier"
+    (force collocation).  Every path is
     residual-verified; in auto mode an integral solve that misses its budget
     is redone by collocation and flagged.  Raises ResonantMode on resonance.
     """
@@ -549,11 +506,13 @@ def solve_mode_detailed(lam: float, c: TorusFunction, f: TorusFunction, *,
     if rep.singular[0]:
         raise ResonantMode(lam, 0.0, f"collocation matrix singular for lambda={lam}")
     if rep.resonant[0]:
-        raise ResonantMode(lam, rep.divisor[0].item())
+        d = rep.divisor[0].item()
+        rule = f"< tol_res = {tol_res}" if d < tol_res else "is exactly 0"
+        raise ResonantMode(lam, d, f"resonant mode: lambda={lam}, divisor={d:.3e} {rule}")
     return ModeSolution(TorusFunction._from_parts(U[0], Uhat[0]), lam, **{
         k: getattr(rep, k)[0].item() for k in ("divisor", "formula", "residual",
                                                "residual_budget", "ill_conditioned",
-                                               "clamped", "refactored")})
+                                               "refactored")})
 
 
 def solve_mode(lam: float, c: TorusFunction, f: TorusFunction, *,
@@ -838,24 +797,3 @@ def solve_field(c: TorusFunction, f: ModeField, *, formula: str | int = "auto",
     mask = np.zeros(f.J, dtype=bool)
     mask[js[~report.resonant]] = True
     return ModeField._of(samples, mask, f.eigs, coeffs), report
-
-
-# --------------------------------------------------------------------------- #
-# formula equivalence
-# --------------------------------------------------------------------------- #
-
-def equivalence_check(lam: float, c: TorusFunction, f: TorusFunction) -> float:
-    """sup-norm gap between the two closed-form formulas on one instance.
-
-    Both formulas are forced (no collocation, no refactoring), so the result
-    measures exactly the analytic equivalence of the two representations.
-    Raises ValueError when either formula would need exponent clamping, and
-    ResonantMode on resonance.
-    """
-    dec = c.resample(f.n).decompose_mean() if c.n != f.n else c.decompose_mean()
-    x1, _ = _divisor_parts(lam, dec.c0, 1)
-    if abs(x1) > CLAMP:
-        raise ValueError(f"|2 pi lam b0| = {abs(x1):.1f} > {CLAMP}: formulas not comparable")
-    s1 = solve_mode_detailed(lam, c, f, formula=1)
-    s2 = solve_mode_detailed(lam, c, f, formula=2)
-    return (s1.u - s2.u).sup_norm()

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _DEFAULT_N = 256
+_BAND_TOL = 64 * np.finfo(float).eps   # |c_k| below this * max|c| is roundoff
 
 Scalar = Union[int, float, complex]
 
@@ -62,6 +63,21 @@ def wavenumbers(n: int) -> np.ndarray:
     k = np.fft.fftfreq(n, d=1.0 / n)
     k[n // 2] = 0.0
     return k
+
+
+def _band_width(coeffs: np.ndarray) -> int:
+    """Largest |k| whose coefficient lies above roundoff.
+
+    A coefficient at or below _BAND_TOL * max|c_k| is indistinguishable from
+    the FFT roundoff of the samples (a formula of degree d leaves a tail of
+    ~1e-17 beyond d).  Dropping such a tail perturbs the mode operator by at
+    most |lam| * sum of the dropped |c_k|; the residual every solve is
+    checked with uses the full c, so it shows that perturbation if it ever
+    matters.
+    """
+    n = coeffs.shape[0]
+    big = np.flatnonzero(np.abs(coeffs) > _BAND_TOL * np.abs(coeffs).max())
+    return int(np.abs(np.fft.fftfreq(n, d=1.0 / n)[big]).max()) if big.size else 0
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -235,12 +251,21 @@ class TorusFunction:
         return max(coarse, fine), differs
 
     def resample(self, n2: int) -> "TorusFunction":
-        """Trig interpolation onto a finer/coarser power-of-two grid."""
+        """Trig interpolation onto a finer or coarser power-of-two grid.
+
+        Coarsening must be lossless: a frequency above roundoff (see
+        :func:`_band_width`) with |k| >= n2/2 is refused with a ConfigError.
+        """
         n2 = _check_size(n2)
         n = self.n
         if n2 == n:
             return self
         c = self.coeffs
+        if n2 < n:
+            d = _band_width(c)
+            if d >= n2 // 2:
+                raise ConfigError(f"a function with frequency {d} cannot be resampled onto "
+                                  f"{n2} grid points, which hold |k| < {n2 // 2}")
         c2 = np.zeros(n2, dtype=np.complex128)
         half = min(n, n2) // 2
         c2[:half] = c[:half]

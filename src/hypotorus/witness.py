@@ -30,8 +30,8 @@ Constructors
 Numerics
 --------
 Real parts of every evaluated exponent are <= 0 by construction, so ``exp``
-may underflow to zero but can never overflow; no clamping is needed on the
-decay side (the mode-solver clamp policy would only bind at +700).  A bundle
+may underflow to zero but can never overflow, and no exponent needs a
+guard.  A bundle
 keeps the levels its grid resolves (bandwidth below ~0.45 of Nyquist) as
 rows of an (S, N) array u and an (S, K) array f of the forcing on its K
 columns ``f_cols``, the only columns where f can be nonzero: the bump

@@ -27,6 +27,7 @@ from hypotorus.classify import (
     resonant_set,
     sign_report,
 )
+from hypotorus.formulas import parse_formula
 from hypotorus.spectrum import build_eigensequence
 from hypotorus.torusfn import TorusFunction
 
@@ -395,6 +396,22 @@ class TestClassify:
         assert (v.decision, v.branch, v.confidence) == (
             "GH", BRANCH_DIOPHANTINE, "definitive")
         assert v.evidence["reduction"]["a0_exact"] == Fraction(1, 2)
+
+    def test_formula_poly_gives_the_exact_mean(self, h1d):
+        # the samples alone snap only denominators up to 64, so 1/65 reads as
+        # an empirical real; its formula resonates at lambda = 65
+        poly = parse_formula("1/65 + cos t")
+        c = poly.to_torus_function(N)
+        v = classify(c, h1d, poly=poly)
+        assert (v.decision, v.branch, v.confidence) == (
+            "notGH", BRANCH_RESONANCE, "definitive")
+        assert v.evidence["reduction"]["a0_exact"] == Fraction(1, 65)
+        assert classify(c, h1d).evidence["reduction"]["a0_exact"] is None
+        # a constant poly is the constant route, with its exact value
+        poly = parse_formula("1/65")
+        w = classify(poly.to_torus_function(N), h1d, poly=poly)
+        assert w.evidence["route"] == "constant-rational"
+        assert w.evidence["alpha"] == Fraction(1, 65)
 
     def test_reduction_property(self, h1d):
         # a GH verdict through the reduction agrees with classify_constant

@@ -248,6 +248,57 @@ def test_solve_refuses_a_non_finite_forcing_file(tmp_path, capsys, j, col, value
     assert not (out / "residuals.json").exists()
 
 
+def test_solve_large_lambda_complex_constant_is_quiet(tmp_path):
+    # |2 pi lambda b0| passes 700 at lambda = 601 and 701 on the sign rule's
+    # own side: the solve once warned per mode on stderr, in a separate
+    # process so that no test harness swallows the warnings
+    cfg = write_config(tmp_path, c="3/10 + 1/5 i", grid_n=64, j_modes=400,
+                       f={"10": "exp(it)", "300": "exp(it)", "350": "exp(2it)"})
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "hypotorus.cli", "solve", "--config", cfg,
+                           "--out", str(out)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert read_json(out, "residuals.json")["max_residual"] < 1e-14
+
+
+def test_solve_refuses_a_forcing_grid_too_coarse_for_c(tmp_path, capsys):
+    # c = 1/2 + 1/5 cos 20t on a 16-point f_file grid once lost its cos 20t
+    # and solved c = 1/2
+    t = (2.0 * np.pi * np.arange(16) / 16).tolist()
+    lines = ["j,t,re,im"] + [f"1,{ti!r},{math.cos(ti)!r},{math.sin(ti)!r}" for ti in t]
+    fpath = tmp_path / "f.csv"
+    fpath.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path, c="1/2 + 1/5 cos 20t", grid_n=256, j_modes=4,
+                       f_file=str(fpath))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert "frequency 20 cannot be resampled onto 16 grid points" in capsys.readouterr().err
+    assert not (out / "u_field.csv").exists()
+
+
+def test_solve_refuses_f_keys_naming_one_mode(tmp_path, capsys):
+    cfg = write_config(tmp_path, c="1/2 + 1/5 cos t", grid_n=16, j_modes=4,
+                       f={"1": "exp(it)", "01": "2 exp(it)", " 1": "3 exp(it)"})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert "f keys '1' and '01' both name mode 1" in capsys.readouterr().err
+    assert not (out / "u_field.csv").exists()
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"c": "1/2", "c": "1/3"}', "c"),
+    ('{"c": "1/2", "f": {"1": "exp(it)", "1": "2 exp(it)"}}', "1"),
+])
+def test_config_refuses_a_repeated_json_key(tmp_path, capsys, text, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"repeats the key '{key}'"):
+        ExperimentConfig.from_json(text)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"config repeats the key '{key}'" in capsys.readouterr().err
+
+
 def test_an_output_path_the_os_refuses_exits_1(tmp_path, capsys):
     blocker = tmp_path / "taken"
     blocker.write_text("a file, not a directory\n", encoding="utf-8")
@@ -313,6 +364,35 @@ def test_classify_nonreal_constant(tmp_path):
     v = read_json(out, "verdict.json")
     assert v["decision"] == "GH"
     assert v["branch"] == "thm-3.6a-nonreal"
+
+
+@pytest.mark.parametrize("c, decision, branch, alpha", [
+    # the mean 10000000003/30000000000 has an even denominator: no odd
+    # lambda_j resonates (it once snapped to 1/3)
+    ("1/3 + 1/10000000000 + cos t", "GH", "thm-3.6b-diophantine", (10000000003, 30000000000)),
+    # odd denominators beyond the snap's 64 resonate at lambda_j = q
+    ("1/65 + cos t", "notGH", "prop-3.9-resonance", (1, 65)),
+    ("1/2000003 + cos t", "notGH", "prop-3.9-resonance", (1, 2000003)),
+])
+def test_classify_takes_the_exact_mean_of_a_formula(tmp_path, c, decision, branch, alpha):
+    cfg = write_config(tmp_path, c=c, j_modes=64)
+    out = tmp_path / "out"
+    assert main(["classify", "--config", cfg, "--out", str(out)]) == 0
+    v = read_json(out, "verdict.json")
+    assert (v["decision"], v["branch"], v["confidence"]) == (decision, branch, "definitive")
+    red = v["evidence"]["reduction"]
+    assert red["a0_exact"] == {"num": str(alpha[0]), "den": str(alpha[1])}
+    assert red["snap_error"] < 1e-15
+
+
+def test_classify_exact_mean_beyond_the_power_scan_exits_1(tmp_path, capsys):
+    # harmonic1d_power scans one residue period, at most 2^20 long, as a
+    # constant c with that mean already does
+    model = {"kind": "harmonic1d_power 2"}
+    for c in ("1/2000003", "1/2000003 + cos t"):
+        cfg = write_config(tmp_path, c=c, j_modes=64, model=model)
+        assert main(["classify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "denominator 2000003 exceeds the residue scan bound" in capsys.readouterr().err
 
 
 def test_classify_with_witness_emits_files(tmp_path):
@@ -617,6 +697,17 @@ def test_witness_budget_miss_is_reported_not_raised(tmp_path, capsys):
     assert "witness construction failed" in capsys.readouterr().err
 
 
+def test_witness_refuses_a_witness_grid_too_coarse_for_c(tmp_path, capsys):
+    # at witness_n 512 the cos 300t of c was dropped, and the witness of
+    # 1/2 + i sin t verified; at 1024 the same c misses its budget
+    cfg = write_config(tmp_path, c="1/2 + i sin t + 1/10 cos 300t", grid_n=1024, j_modes=8,
+                       witness_kind="sign-change", witness_n=512)
+    out = tmp_path / "w"
+    assert main(["witness", "--config", cfg, "--out", str(out)]) == 1
+    assert "frequency 300 cannot be resampled onto 512 grid points" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("cmd", ["solve", "classify", "diophantine"])
 @pytest.mark.parametrize("model", [
     {"kind": "harmonic1d_power 400"},
@@ -727,11 +818,15 @@ def test_witness_check_failure_exits_1(tmp_path, capsys):
 # --------------------------------------------------------------------------- #
 
 def _config_sizes(argvs) -> dict:
-    """name -> array_bytes of each (name, argv) CLI call."""
+    """name -> array_bytes of each (name, argv) CLI call; None for a config
+    that loading refuses."""
     sizes = {}
     for name, argv in argvs:
         ns = _build_parser().parse_args([str(a) for a in argv])
-        sizes[name] = _load_config(ns).array_bytes(ns.command)
+        try:
+            sizes[name] = _load_config(ns).array_bytes(ns.command)
+        except ConfigError:
+            sizes[name] = None
     return sizes
 
 
@@ -745,6 +840,9 @@ def test_shipped_configs_stay_under_the_ceiling(tmp_path, monkeypatch):
     spec.loader.exec_module(bytediff)
     monkeypatch.chdir(tmp_path)
     sizes = _config_sizes(bytediff.calls(ROOT, workloads))
+    # the one config that loading refuses: three f keys that name mode 1
+    assert [name for name, size in sizes.items() if size is None] == ["extra/f-duplicate-keys"]
+    sizes.pop("extra/f-duplicate-keys")
     assert sum(name.startswith("cookbook/") for name in sizes) >= 5
     assert max(sizes.values()) <= MAX_ARRAY_BYTES
     # the largest: the verdicts witness store and the diophantine table

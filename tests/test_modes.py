@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from hypotorus.modes import (
     DivisorReport,
     ModeField,
-    OverflowClamped,
     ResonantMode,
     apply_mode,
     apply_operator,
-    equivalence_check,
     small_divisor,
     solve_field,
     solve_mode,
@@ -157,31 +155,49 @@ def test_against_cotangent_collocation_oracle(inst, lam):
 # formula equivalence and selection
 # --------------------------------------------------------------------------- #
 
-def test_equivalence_on_oracle_instances():
-    for inst in ("A", "B", "C"):
-        assert equivalence_check(3.0, c_instance(inst), f_harmonic()) < 1e-9
+def test_forced_formulas_are_one_multiplier():
+    # both formulas reduce to the same Fourier multiplier, so on c03's
+    # instances forcing 1 or 2 gives the same samples and coefficients, bit
+    # for bit; only the divisor and the label follow the forced formula
+    rng = np.random.default_rng(31)
+    tt = grid(128)
+    for _ in range(20):
+        lam = float(rng.uniform(2.0, 40.0))
+        a0 = float(rng.uniform(0.08, 0.42))
+        b0 = float(rng.uniform(0.1, 0.4) * rng.choice([-1.0, 1.0]))
+        c = TorusFunction(a0 + 1j * b0 + 0.05 * np.cos(tt) + 0.03j * np.sin(2 * tt))
+        band = rng.integers(-6, 7, size=4)
+        f = TorusFunction(sum(complex(rng.normal(), rng.normal()) * np.exp(1j * k * tt)
+                              for k in band))
+        s1 = solve_mode_detailed(lam, c, f, formula=1)
+        s2 = solve_mode_detailed(lam, c, f, formula=2)
+        assert s1.u.samples.tobytes() == s2.u.samples.tobytes()
+        assert s1.u.coeffs.tobytes() == s2.u.coeffs.tobytes()
+        assert (s1.formula, s2.formula) == ("solu1", "solu2")
+        assert s1.divisor != s2.divisor
 
 
-def test_equivalence_zero_f():
-    assert equivalence_check(3.0, c_instance("C"), TorusFunction.zero(256)) == 0.0
-
-
-def test_equivalence_rejects_clamped_regime():
-    c = TorusFunction.constant(1j)  # b0 = 1
-    with pytest.raises(ValueError):
-        equivalence_check(200.0, c, f_harmonic())
-
-
-def test_equivalence_resonant_raises():
-    with pytest.raises(ResonantMode):
-        equivalence_check(3.0, TorusFunction.constant(1.0), f_harmonic())
-
-
-def test_forced_formula_clamp_warns():
+def test_forced_formula_on_the_unstable_side_is_the_stable_solve():
+    # c = i, lam = 200: the first formula's E-factor is e^{400 pi}, far past
+    # the double range, but the multiplier never forms it
     c = TorusFunction.constant(1j)
-    with pytest.warns(OverflowClamped):
-        sol = solve_mode_detailed(200.0, c, f_harmonic(), formula=1)
-    assert sol.clamped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forced = solve_mode_detailed(200.0, c, f_harmonic(), formula=1)
+        stable = solve_mode_detailed(200.0, c, f_harmonic())
+    assert stable.formula == "solu2" and forced.formula == "solu1"
+    assert forced.u.samples.tobytes() == stable.u.samples.tobytes()
+    assert forced.divisor == math.inf
+
+
+def test_resonant_mode_names_the_deciding_tolerance():
+    # lam*c0 = 1 + 3e-5: the divisor 1.885e-4 is below tol_res = 1e-3 but
+    # far above the default TOL_RES, so the message must name 1e-3
+    with pytest.raises(ResonantMode) as exc:
+        solve_mode(3.0, TorusFunction.constant(1 / 3 + 1e-5, 64),
+                   TorusFunction.harmonic(1, 64), tol_res=1e-3)
+    assert "divisor=1.885e-04 < tol_res = 0.001" in str(exc.value)
+    assert "1e-08" not in str(exc.value)
 
 
 def test_negative_lambda_selects_other_formula():
@@ -388,10 +404,8 @@ def test_solve_field_is_batch_invariant(c_of, formula):
     assert f_csv._coeffs is None
     c = TorusFunction(c_of(t))
     for f in (f, f_csv):
-        # a forced formula on the unstable side clamps and overflows: the point
-        # here is that the batch reproduces the single-mode solve, NaNs included
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.simplefilter("ignore", OverflowClamped)
+        # the batch reproduces the single-mode solve, NaNs included
+        with np.errstate(all="ignore"):
             u, report = solve_field(c, f, formula=formula)
             sols = [solve_mode_detailed(float(eigs.lambdas[j]), c, f[j], formula=formula)
                     for j in range(J)]
@@ -407,7 +421,7 @@ def test_solve_field_is_batch_invariant(c_of, formula):
             for col in ("divisor", "residual", "residual_budget"):
                 got, want = getattr(report, col)[j], np.float64(getattr(sol, col))
                 assert got.tobytes() == want.tobytes(), (j, col)
-            for col in ("ill_conditioned", "clamped", "refactored"):
+            for col in ("ill_conditioned", "refactored"):
                 assert getattr(report, col)[j] == getattr(sol, col), (j, col)
             if formula == "auto":
                 assert report.residual[j] <= sol.residual_budget
@@ -568,8 +582,7 @@ def test_max_residual_shows_nan(row):
     report = DivisorReport(
         j=np.arange(n), lam=np.arange(n) + 1.0, divisor=np.ones(n), resonant=zeros,
         singular=zeros, formula=np.array(["solu1"] * n), residual=residual,
-        residual_budget=np.full(n, 1e-8), ill_conditioned=zeros, clamped=zeros,
-        refactored=zeros)
+        residual_budget=np.full(n, 1e-8), ill_conditioned=zeros, refactored=zeros)
     assert math.isnan(report.max_residual())
     residual[row] = 3e-12
     assert report.max_residual() == 3e-12

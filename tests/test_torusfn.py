@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypotorus.errors import ConfigError
 from hypotorus.torusfn import TorusFunction, grid
 
 
@@ -160,6 +161,29 @@ def test_resample_up_down(rng):
     assert np.allclose(up.samples, f.eval_at(grid(256)), atol=1e-11)
     down = up.resample(64)
     assert np.allclose(down.samples, f.samples, atol=1e-11)
+
+
+def test_lossless_downsample_keeps_its_bytes():
+    # sampled on 256 points a band-12 function leaves ~1e-17 of roundoff in
+    # every slot: it does not count, and the coarse grid gets the fine
+    # coefficients with |k| < 32 as they are, the two k = +-32 folded
+    fine = TorusFunction(np.cos(12 * grid(256)) + 0.5j * np.sin(3 * grid(256)))
+    c = fine.coeffs
+    assert np.abs(c[13:-12]).max() > 0.0
+    want = np.zeros(64, dtype=np.complex128)
+    want[:32], want[-31:] = c[:32], c[-31:]
+    want[32] = c[32] + c[-32]
+    down = fine.resample(64)
+    assert down.coeffs.tobytes() == want.tobytes()
+    assert down.samples.tobytes() == TorusFunction.from_coeffs(want).samples.tobytes()
+
+
+@pytest.mark.parametrize("k, n2", [(20, 16), (8, 16), (300, 512)])
+def test_lossy_downsample_is_refused(k, n2):
+    f = TorusFunction(0.5 + 0.2 * np.cos(k * grid(1024)))
+    with pytest.raises(ConfigError, match=f"frequency {k} "):
+        f.resample(n2)
+    assert f.resample(2 ** (2 * k).bit_length()).sup_norm() == pytest.approx(0.7)
 
 
 def test_real_data_stays_real_under_resample():

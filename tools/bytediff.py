@@ -6,8 +6,10 @@
 Runs the same CLI calls under each tree, in OUT_DIR/parent and
 OUT_DIR/change, with PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1:
 every cookbook config, the ops of the three benchmark workloads for seeds 1
-and 101 (CHANGE_TREE/perfbench/workloads.py), nine extra solve configs
-(one an f_file with non-finite samples, refused with exit 1),
+and 101 (CHANGE_TREE/perfbench/workloads.py), twelve extra solve configs
+(three refused with exit 1: an f_file with non-finite samples, an f_file on
+a grid too coarse for c's cos 20t, and three f keys that name one mode; one
+a complex constant c at lambda up to 701, where |2 pi lambda Im c| > 700),
 three decays of the notgh solve's field (k_max 4, 0 and 7), eleven
 diophantine tables (every integer eigenvalue kind, a negative kappa, a
 denominator near 2^60, a decimal, a float-valued table, an integer table
@@ -17,12 +19,16 @@ distinct-value rule of distances.csv: 5/13 and 12345/32771, whose 7 and
 rendered once each, and 12345/131101, whose 65551 exceed them and are
 rendered value by value), one witness per
 constructor, a constant one at denominator 20001, a constant one on the
-auto route (classify, then its plan), and five more sign-change witnesses:
+auto route (classify, then its plan), and six more sign-change witnesses:
 the mirrored window of a negative table, a drifting Im c, two harmonics,
 1/2 + i sin 4t at the default witness_n, which misses its residual budget
-and exits 1, and 1/2 + i sin t on harmonic1d_power 2, whose levels are no
+and exits 1, 1/2 + i sin t on harmonic1d_power 2, whose levels are no
 arithmetic progression and take every exp directly (the other bump
-witnesses run on arithmetic spectra and take one exp per row chunk).  Three classify --witness calls: 1/2 + i sin 4t, which
+witnesses run on arithmetic spectra and take one exp per row chunk), and
+a c with cos 300t on a 512-point witness grid, refused with exit 1.
+Three plain classify calls on real c whose verdict follows the exact mean:
+1/3 + 1e-10 + cos t, 1/65 + cos t and 1/2000003 + cos t.  Three
+classify --witness calls: 1/2 + i sin 4t, which
 misses its budget, exits 0 and writes witness_plan.json; the plateau c,
 whose variable-plateau verdict carries a sign_report and whose witness
 writes a plateau manifest; and 1/2 + i 3/4 sin 2t at benchmark size
@@ -65,6 +71,16 @@ EXTRA = {   # solve configs; notgh: Im c changes sign, collocation misses its bu
     # an f_file with one inf (mode 1) and one nan (mode 2): refused, exit 1
     "f-file-nonfinite": {"c": "1/2 + 1/5 cos t", "grid_n": 16, "j_modes": 4,
                          "f_file": "extra/f_nonfinite.csv"},
+    # complex constant c, |2 pi lambda b0| > 700 at lambda = 601 and 701
+    "complex-constant-large-lambda": {"c": "3/10 + 1/5 i", "grid_n": 64, "j_modes": 400,
+                                      "f": {"10": "exp(it)", "300": "exp(it)",
+                                            "350": "exp(2it)"}},
+    # c has cos 20t, the f_file a 16-point grid: refused, exit 1
+    "f-file-coarse": {"c": "1/2 + 1/5 cos 20t", "grid_n": 256, "j_modes": 4,
+                      "f_file": "extra/f_coarse.csv"},
+    # three f keys that name mode 1: refused, exit 1
+    "f-duplicate-keys": {"c": "1/2 + 1/5 cos t", "grid_n": 16, "j_modes": 4,
+                         "f": {"1": "exp(it)", "01": "2 exp(it)", " 1": "3 exp(it)"}},
 }
 # decays of the notgh field: k_max 4 (the default), 0 (a one-column pm table)
 # and 7 (fit_decay's stack deeper than pm_seminorms' min(k_max, 4))
@@ -93,6 +109,9 @@ WITNESS = {  # one witness call per constructor; sign-change also runs in the be
     "sign-change-power2": {"c": "1/2 + i sin t", "witness_kind": "sign-change",
                            "witness_n": 2048, "j_modes": 8,
                            "model": {"kind": "harmonic1d_power 2"}},
+    # c has cos 300t, the witness grid 512 points: refused, exit 1
+    "sign-change-coarse": {"c": "1/2 + i sin t + 1/10 cos 300t", "grid_n": 1024,
+                           "j_modes": 8, "witness_kind": "sign-change", "witness_n": 512},
 }
 
 CLASSIFY = {  # classify --witness: a plan written on a budget miss, a plateau, benchmark size
@@ -101,6 +120,12 @@ CLASSIFY = {  # classify --witness: a plan written on a budget miss, a plateau, 
                 "intervals": [1.5, 3.5], "witness": True},
     "sign-change-k2": {"c": "1/2 + i 3/4 sin 2t", "j_modes": 512, "witness_n": 8192,
                        "witness": True},
+}
+
+VERDICT = {  # plain classify: real c whose verdict follows its exact mean
+    "mean-near-third": {"c": "1/3 + 1/10000000000 + cos t", "j_modes": 64},
+    "mean-q65": {"c": "1/65 + cos t", "j_modes": 64},
+    "mean-q2000003": {"c": "1/2000003 + cos t", "j_modes": 64},
 }
 
 DIOPHANTINE = {  # exact tables on every integer kind, and the float table
@@ -138,8 +163,9 @@ def inputs() -> dict:
     """A mode CSV (modes 1, 3, 6) and a sample CSV of c on a 64-point grid,
     with long, varied digits and signed zeros; a mode CSV (modes 0, 1, 2) on
     a 16-point grid with re = inf at one sample of mode 1 and im = nan at one
-    of mode 2; and a c on the 1024-point grid whose Im c is + on (0.5, 1.5),
-    exactly 0 on [1.5, 3.5] and - on (3.5, 4.5)."""
+    of mode 2; a mode CSV with mode 1 = e^{it} on a 16-point grid; and a c
+    on the 1024-point grid whose Im c is + on (0.5, 1.5), exactly 0 on
+    [1.5, 3.5] and - on (3.5, 4.5)."""
     t = [2.0 * math.pi * i / 64 for i in range(64)]
     f = "".join(f"{j},{s!r},{math.sin(j * s + 1) / 7 ** j!r},"
                 f"{-0.0 if j == 3 else math.cos(s) / j!r}\n" for j in (1, 3, 6) for s in t)
@@ -148,11 +174,13 @@ def inputs() -> dict:
     g = "".join(f"{j},{s!r},{'inf' if (j, i) == (1, 5) else repr(math.cos(s))},"
                 f"{'nan' if (j, i) == (2, 9) else repr(math.sin(s))}\n"
                 for j in range(3) for i, s in enumerate(t))
+    e = "".join(f"1,{s!r},{math.cos(s)!r},{math.sin(s)!r}\n" for s in t)
     t = [2.0 * math.pi * i / 1024 for i in range(1024)]
     p = "".join(f"{s!r},0.0,{4.0 * (_bump(s, 0.5, 0.95, 1.05, 1.5) - _bump(s, 3.5, 3.95, 4.05, 4.5))!r}\n"
                 for s in t)
     return {"f_modes.csv": "j,t,re,im\n" + f, "c_samples.csv": "t,re,im\n" + c,
-            "f_nonfinite.csv": "j,t,re,im\n" + g, "c_plateau.csv": "t,re,im\n" + p}
+            "f_nonfinite.csv": "j,t,re,im\n" + g, "f_coarse.csv": "j,t,re,im\n" + e,
+            "c_plateau.csv": "t,re,im\n" + p}
 
 
 def calls(change: Path, workloads) -> list:
@@ -192,6 +220,10 @@ def calls(change: Path, workloads) -> list:
         Path("extra", f"witness-{name}.json").write_text(json.dumps(cfg, indent=1))
         out.append((f"extra/witness-{name}", ["witness", "--config", f"extra/witness-{name}.json",
                                               "--out", f"extra/witness-{name}"]))
+    for name, cfg in VERDICT.items():
+        Path("extra", f"verdict-{name}.json").write_text(json.dumps(cfg, indent=1))
+        out.append((f"extra/verdict-{name}", ["classify", "--config", f"extra/verdict-{name}.json",
+                                              "--out", f"extra/verdict-{name}"]))
     for name, cfg in CLASSIFY.items():
         Path("extra", f"classify-{name}.json").write_text(json.dumps(cfg, indent=1))
         out.append((f"extra/classify-{name}", ["classify", "--witness", "--config",
