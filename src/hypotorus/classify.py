@@ -19,6 +19,12 @@ The decision runs on the imaginary part b = Im c and on the mean c0:
   flanks, handled by a two-bump witness); anything murkier is reported as
   inconclusive rather than guessed.
 
+A formula coefficient is read from its exact trigonometric polynomial:
+whether c is constant, and the rational mean that the arithmetic routes
+use.  Only sampled input (a c_file) is tested for constancy on the grid
+and has its grid mean snapped to a small-denominator rational.  The sign
+analysis of b runs on grid samples either way.
+
 Branch labels in verdict JSON are stable contract strings.  ``confidence``
 separates exact arithmetic ("definitive") from fitted evidence
 ("heuristic").
@@ -58,7 +64,6 @@ __all__ = [
     "sign_report",
     "classify_constant",
     "classify",
-    "resonant_set",
 ]
 
 TOL_SIGN = 1e-10          # |b| below this counts as zero on the grid
@@ -368,15 +373,14 @@ def _snap_mean(x: float) -> Tuple[Optional[Fraction], float]:
     """Snap a grid mean to a nearby small-denominator rational.
 
     Means of sampled functions carry O(N*eps) rounding, so an exact mean of
-    0 arrives as ~1e-17.  Exact binary rationals (denominator <= 2**20) are
-    taken as themselves; otherwise the closest rational with denominator
-    <= 64 within 1e-9 is accepted.  Returns (None, nan) when nothing snaps.
+    0 arrives as ~1e-17.  An exact rational (:func:`_exact_rational`) is
+    taken as itself; otherwise the closest rational with denominator <= 64
+    within 1e-9 is accepted.  Returns (None, nan) when nothing snaps.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"mean must be finite, got {x!r}")
+    frac = _exact_rational(x)
+    if frac is not None:
+        return frac, 0.0
     fx = Fraction(x)
-    if fx.denominator <= _EXACT_DEN_CAP:
-        return fx, 0.0
     cand = fx.limit_denominator(_MEAN_DEN_CAP)
     err = abs(fx - cand)
     if err <= _MEAN_SNAP_TOL:
@@ -384,18 +388,10 @@ def _snap_mean(x: float) -> Tuple[Optional[Fraction], float]:
     return None, float("nan")
 
 
-def _rational_mean(a0: float, exact: Optional[Fraction]) -> Tuple[Optional[Fraction], float]:
-    """(the rational mean of c, its distance from the grid mean a0): the
-    exact mean of a formula c, else :func:`_snap_mean` of a0."""
-    if exact is None:
-        return _snap_mean(a0)
-    return exact, float(abs(Fraction(a0) - exact))
-
-
-def _reduce_to_mean(a0: float, exact: Optional[Fraction], rep: SignReport,
+def _reduce_to_mean(a0: float, frac: Optional[Fraction], err: float,
                     eigs: EigenSequence, mu, base_ev: dict) -> Verdict:
-    """b == 0 on the grid: the verdict is the constant operator's at a0."""
-    frac, err = _rational_mean(a0, exact)
+    """b == 0 on the grid: the verdict is the constant operator's at the
+    mean, the rational ``frac`` (``err`` from the grid mean a0) if known."""
     if frac is not None:
         sub = classify_constant(frac, 0, eigs, mu)
         red = {"a0": a0, "a0_exact": frac, "snap_error": err}
@@ -411,7 +407,7 @@ def _reduce_to_mean(a0: float, exact: Optional[Fraction], rep: SignReport,
     return Verdict(sub.decision, sub.branch, ev, sub.confidence, sub.witness_handle)
 
 
-def _resonant_mean_rescue(a0: float, exact: Optional[Fraction], b0: float,
+def _resonant_mean_rescue(frac: Optional[Fraction], err: float, b0: float,
                           eigs: EigenSequence, base_ev: dict) -> Optional[Verdict]:
     """notGH by recurring integer resonance of the mean, geometry regardless.
 
@@ -420,10 +416,7 @@ def _resonant_mean_rescue(a0: float, exact: Optional[Fraction], b0: float,
     class: that pattern rules out hypoellipticity no matter what the zero
     set of b looks like.
     """
-    if abs(b0) > float(_MEAN_SNAP_TOL) or not eigs.integer_valued:
-        return None
-    frac, err = _rational_mean(a0, exact)
-    if frac is None:
+    if frac is None or abs(b0) > float(_MEAN_SNAP_TOL) or not eigs.integer_valued:
         return None
     rv = classify_rational(frac.numerator, frac.denominator, eigs)
     if not rv.resonant:
@@ -445,8 +438,8 @@ def _resonant_mean_rescue(a0: float, exact: Optional[Fraction], b0: float,
     return Verdict("notGH", BRANCH_RESONANCE, ev, conf, plan)
 
 
-def _sign_change_tree(b: TorusFunction, rep: SignReport, a0: float,
-                      exact: Optional[Fraction], b0: float, eigs: EigenSequence,
+def _sign_change_tree(b: TorusFunction, rep: SignReport, frac: Optional[Fraction],
+                      err: float, b0: float, eigs: EigenSequence,
                       base_ev: dict) -> Verdict:
     n = rep.n
     threshold = n // _PLATEAU_DIVISOR
@@ -488,7 +481,7 @@ def _sign_change_tree(b: TorusFunction, rep: SignReport, a0: float,
                   "plateau_threshold": threshold}
             return Verdict("notGH", BRANCH_SIGN_CHANGE, ev, "definitive", plan)
 
-    rescue = _resonant_mean_rescue(a0, exact, b0, eigs, base_ev)
+    rescue = _resonant_mean_rescue(frac, err, b0, eigs, base_ev)
     if rescue is not None:
         return rescue
     ev = {**base_ev,
@@ -511,42 +504,31 @@ def classify(c: TorusFunction, eigs: EigenSequence,
     constant operator at the mean when Im c vanishes, and falls back to
     resonance of the mean or an honest "inconclusive" for fat ambiguous
     zero sets.  Constant inputs are delegated wholesale to
-    :func:`classify_constant`, threshold-free.  ``poly``, the exact formula
-    that c samples, if there is one, gives the mean exactly: a constant
-    poly goes to :func:`classify_constant` with its exact value, and the
-    mean routes use its exact real mean in place of a snapped grid mean.
+    :func:`classify_constant`, threshold-free.  ``poly`` is the exact
+    formula that c samples, if there is one: then c is constant exactly
+    when ``poly`` is, and the mean routes take its exact real mean.  Without
+    it (sampled input) constancy is tested on the grid and the grid mean is
+    snapped to a nearby small-denominator rational.
     """
-    if poly is not None and poly.is_constant:
-        mean = poly.mean
-        return classify_constant(mean.re, 0 if mean.im == 0 else float(mean.im), eigs, mu)
     m = c.mean()
-    if (c - m).sup_norm() < _TOL_IMAG:
+    a0, b0 = float(m.real), float(m.imag)
+    if poly is not None:
+        mean = poly.mean
+        if poly.is_constant:
+            return classify_constant(mean.re, 0 if mean.im == 0 else float(mean.im), eigs, mu)
+        frac, err = mean.re, float(abs(Fraction(a0) - mean.re))
+    elif (c - m).sup_norm() < _TOL_IMAG:
         return classify_constant(m.real, m.imag, eigs, mu)
+    else:
+        frac, err = _snap_mean(a0)
 
     b = c.imag_part()
     rep = sign_report(b)
-    a0, b0 = float(m.real), float(m.imag)
-    exact = None if poly is None else poly.mean.re
     base_ev = {"c0": {"re": a0, "im": b0}, "sign_report": plain(rep)}
 
     if not rep.identically_zero and not rep.changes_sign:
         ev = {**base_ev, "route": "variable-sign-definite"}
         return Verdict("GH", BRANCH_SIGN, ev, "definitive")
     if rep.changes_sign:
-        return _sign_change_tree(b, rep, a0, exact, b0, eigs, base_ev)
-    return _reduce_to_mean(a0, exact, rep, eigs, mu, base_ev)
-
-
-# ---------------------------------------------------------------------------
-# resonant set sampler
-# ---------------------------------------------------------------------------
-
-def resonant_set(c0: complex, eigs: EigenSequence, tol: float = 1e-9) -> List[int]:
-    """Mode indices j (within the stored window) with lambda_j * c0 near Z.
-
-    Membership requires both |Im(lambda_j c0)| < tol and the distance of
-    Re(lambda_j c0) to the nearest integer below tol.
-    """
-    z = complex(c0)
-    near = distance_sequence(z.real, eigs).d < tol
-    return np.flatnonzero(near & (np.abs(eigs.lambdas * z.imag) < tol)).tolist()
+        return _sign_change_tree(b, rep, frac, err, b0, eigs, base_ev)
+    return _reduce_to_mean(a0, frac, err, eigs, mu, base_ev)

@@ -51,7 +51,7 @@ from .errors import ConfigError, HypotorusError
 from .formulas import TrigPolynomial, parse_formula, parse_rational, parse_real
 from .modes import MAX_ARRAY_BYTES, ModeField, ResonantMode, solve_field
 from .spectrum import EigenSequence, build_eigensequence
-from .torusfn import TorusFunction, grid
+from .torusfn import TorusFunction
 from .witness import (L0_reduction_witness, WitnessBudgetMiss, WitnessBundle,
                       constant_witness, plateau_witness, sign_change_witness)
 
@@ -422,8 +422,21 @@ def _witness_from_plan(cfg: ExperimentConfig, verdict: Verdict,
     if plan is None:
         raise WitnessUnavailable("the verdict carries no witness plan")
     if plan.kind == "constant-resonance":
-        alpha = Fraction(str(plan.detail["alpha"]))
-        return _build_witness(cfg, "constant", eigs, c_fn, {"alpha": alpha})
+        alpha = plan.detail["alpha"]
+        if verdict.evidence["route"] == "variable-real-reduction":
+            raise WitnessUnavailable(
+                f"the verdict follows the resonant mean {alpha} of a non-constant "
+                f"c; the constant witness at {alpha} would verify c = {alpha}, "
+                "not this c")
+        return _build_witness(cfg, "constant", eigs, c_fn, {"alpha": Fraction(str(alpha))})
+    if plan.kind == "plateau" and cfg["intervals"] is None:
+        t0, t1 = plan.detail["interval"]
+        before, after = plan.detail["sign_before"], plan.detail["sign_after"]
+        if before != 1 or t0 >= t1:
+            raise WitnessUnavailable(
+                f"the plateau from t = {t0:.6g} to {t1:.6g} is flanked ({before:+d}, 0, "
+                f"{after:+d}); plateau_witness takes a (+1, 0, -1) run with t0 < t1: "
+                "set 'intervals': [t0, t1]")
     if plan.kind in ("sign-change", "plateau"):
         return _build_witness(cfg, plan.kind, eigs, c_fn, plan.detail)
     if plan.kind == "constant-liouville":
@@ -558,15 +571,11 @@ def cmd_witness(cfg: ExperimentConfig, out: Path) -> int:
         L = cfg["construct_levels"] or 3
         cert = construct_liouville(eigs, L, mu=cfg.mu)
         N = cfg["witness_n"] or 512
-        t = grid(N)
-        osc = np.zeros(N, dtype=np.complex128)
+        osc = np.zeros(N)
         if cfg["c"] is not None:
             poly = cfg.formula(cfg["c"])
             _need(poly.is_real, "the L0 route needs a real-valued formula c")
-            _need(poly.max_freq < N // 2,
-                  f"c has frequency {poly.max_freq}, beyond the band of the "
-                  f"{N}-point witness grid")
-            osc = np.asarray(poly.eval(t), dtype=np.complex128)
+            osc = poly.to_torus_function(N).samples
         c_fn = TorusFunction(float(cert.kappa) + osc)
         bundle = L0_reduction_witness(c_fn, cert, eigs, N=N)
 

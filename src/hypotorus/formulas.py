@@ -20,13 +20,10 @@ totality is rejected with a position-tagged :class:`FormulaError`.
 
 from __future__ import annotations
 
-import math
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
-
-import numpy as np
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .errors import ConfigError
 from .torusfn import TorusFunction
@@ -200,14 +197,6 @@ class TrigPolynomial:
         if out:
             raise FormulaError(f"frequency {out[0]} outside the band of an {n}-point grid")
         return TorusFunction.from_coeff_dict(self._complex_coeffs(), n)
-
-    def eval(self, t):
-        """Pointwise value at float t (scalar or array)."""
-        t = np.asarray(t, dtype=np.float64)
-        acc = np.zeros(t.shape, dtype=np.complex128)
-        for k, v in self._complex_coeffs().items():
-            acc += v * np.exp(1j * k * t)
-        return acc if acc.shape else complex(acc)
 
     def _complex_coeffs(self) -> Dict[int, complex]:
         try:

@@ -24,7 +24,6 @@ from hypotorus.classify import (
     _circular_runs,
     classify,
     classify_constant,
-    resonant_set,
     sign_report,
 )
 from hypotorus.formulas import parse_formula
@@ -184,36 +183,6 @@ class TestVerdictType:
             Verdict("GH", BRANCH_SIGN, {}, "definitive", plan)
         v = Verdict("notGH", BRANCH_SIGN_CHANGE, {}, "definitive", plan)
         assert json.loads(v.to_json())["witness"]["kind"] == "sign-change"
-
-
-# --------------------------------------------------------------------------- #
-# resonant_set
-# --------------------------------------------------------------------------- #
-
-class TestResonantSet:
-    def test_integer_mean_hits_every_mode(self):
-        h10 = build_eigensequence("harmonic1d", 10)
-        assert resonant_set(1, h10) == list(range(10))
-
-    def test_half_mean_hits_nothing(self):
-        h10 = build_eigensequence("harmonic1d", 10)
-        assert resonant_set(0.5, h10) == []
-
-    def test_imaginary_mean_hits_nothing(self):
-        h10 = build_eigensequence("harmonic1d", 10)
-        assert resonant_set(1j, h10) == []
-
-    def test_third_hits_every_third_mode(self):
-        h10 = build_eigensequence("harmonic1d", 10)
-        assert resonant_set(1.0 / 3.0, h10, tol=1e-9) == [1, 4, 7]
-
-    @given(st.integers(-20, 20), st.integers(1, 20))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_exact_divisibility_for_rationals(self, p, q):
-        h = build_eigensequence("harmonic1d", 40)
-        got = resonant_set(p / q, h, tol=1e-9)
-        want = [j for j in range(40) if (p * (2 * j + 1)) % q == 0]
-        assert got == want
 
 
 # --------------------------------------------------------------------------- #
@@ -412,6 +381,22 @@ class TestClassify:
         w = classify(poly.to_torus_function(N), h1d, poly=poly)
         assert w.evidence["route"] == "constant-rational"
         assert w.evidence["alpha"] == Fraction(1, 65)
+
+    @pytest.mark.parametrize("text", ["1/65 + 1/10000000000000 cos t",
+                                      "1/3 + 1/10000000000000 i cos t"])
+    def test_formula_poly_is_never_constant_on_the_grid(self, h1d, text):
+        # the oscillation is below the grid test's 1e-12, but the formula is
+        # not constant, so its exact mean decides (both resonate)
+        poly = parse_formula(text)
+        c = poly.to_torus_function(N)
+        assert (c - c.mean()).sup_norm() < 1e-12
+        v = classify(c, h1d, poly=poly)
+        assert v.evidence["route"] == "variable-real-reduction"
+        assert (v.decision, v.branch, v.confidence) == (
+            "notGH", BRANCH_RESONANCE, "definitive")
+        assert v.evidence["reduction"]["a0_exact"] == poly.mean.re
+        # the samples alone still take the grid constancy test
+        assert classify(c, h1d).evidence["route"].startswith("constant-")
 
     def test_reduction_property(self, h1d):
         # a GH verdict through the reduction agrees with classify_constant

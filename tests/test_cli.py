@@ -373,6 +373,10 @@ def test_classify_nonreal_constant(tmp_path):
     # odd denominators beyond the snap's 64 resonate at lambda_j = q
     ("1/65 + cos t", "notGH", "prop-3.9-resonance", (1, 65)),
     ("1/2000003 + cos t", "notGH", "prop-3.9-resonance", (1, 2000003)),
+    # an oscillation below 1e-12 is still no constant: the exact mean decides
+    ("1/65 + 1/10000000000000 cos t", "notGH", "prop-3.9-resonance", (1, 65)),
+    ("1/3 + 1/10000000000000 i cos t", "notGH", "prop-3.9-resonance", (1, 3)),
+    ("1/2 + 1/10000000000000 cos t", "GH", "thm-3.6b-diophantine", (1, 2)),
 ])
 def test_classify_takes_the_exact_mean_of_a_formula(tmp_path, c, decision, branch, alpha):
     cfg = write_config(tmp_path, c=c, j_modes=64)
@@ -649,15 +653,19 @@ def test_witness_explicit_l0_kind(tmp_path):
     assert read_json(out, "witness_verify.json")["ok"] is True
 
 
-def test_witness_explicit_plateau_kind(tmp_path):
-    # Im c: + on (0.5, 1.5), exactly 0 on [1.5, 3.5], - on (3.5, 4.5)
+def _plateau_config(tmp_path, **fields):
+    """A config whose c_file has Im c: + on (0.5, 1.5), exactly 0 on
+    [1.5, 3.5], - on (3.5, 4.5)."""
     up = gevrey_bump(2.0, (0.5, 1.5), (0.95, 1.05), 1024).samples.samples.real
     dn = gevrey_bump(2.0, (3.5, 4.5), (3.95, 4.05), 1024).samples.samples.real
     rows = [f"{t!r},0.0,{v!r}" for t, v in zip(grid(1024).tolist(), (4.0 * (up - dn)).tolist())]
     cpath = tmp_path / "c.csv"
     cpath.write_text("t,re,im\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    cfg = write_config(tmp_path, c_file=str(cpath), intervals=[1.5, 3.5],
-                       witness_n=1024, j_modes=16)
+    return write_config(tmp_path, c_file=str(cpath), witness_n=1024, j_modes=16, **fields)
+
+
+def test_witness_explicit_plateau_kind(tmp_path):
+    cfg = _plateau_config(tmp_path, intervals=[1.5, 3.5])
     out = tmp_path / "out"
     assert main(["witness", "--kind", "plateau", "--config", cfg, "--out", str(out)]) == 0
     assert read_json(out, "manifest.json")["kind"] == "plateau"
@@ -673,6 +681,43 @@ def test_classify_with_witness_on_a_resonant_constant(tmp_path):
     man = read_json(out, "manifest.json")
     assert man["kind"] == "constant"
     assert read_json(out, "witness_verify.json")["ok"] is True
+
+
+def _assert_witness_unavailable(tmp_path, capsys, cfg, reason):
+    """classify --witness exits 0 and writes the plan with ``reason`` in place
+    of a witness; the witness command exits 1 without the usage line.
+    Returns (verdict.json, witness_plan.json)."""
+    out = tmp_path / "classify"
+    assert main(["classify", "--witness", "--config", cfg, "--out", str(out)]) == 0
+    verdict, plan = read_json(out, "verdict.json"), read_json(out, "witness_plan.json")
+    assert verdict["decision"] == "notGH"
+    assert not (out / "manifest.json").exists()
+    assert reason in plan["reason"]
+    assert "warning: witness not emitted" in capsys.readouterr().err
+    assert main(["witness", "--config", cfg, "--out", str(tmp_path / "w")]) == 1
+    err = capsys.readouterr().err
+    assert reason in err and "usage:" not in err
+    assert not (tmp_path / "w" / "manifest.json").exists()
+    return verdict, plan
+
+
+def test_classify_with_witness_on_a_resonant_mean_of_a_variable_c(tmp_path, capsys):
+    # the verdict inherits the constant-resonance plan of c = 1/3, whose
+    # witness u_j = e^{-i tau_j t} leaves residual lambda_j under 1/3 + cos t
+    cfg = write_config(tmp_path, c="1/3 + cos t", j_modes=16)
+    verdict, plan = _assert_witness_unavailable(tmp_path, capsys, cfg,
+                                                "resonant mean 1/3 of a non-constant c")
+    assert verdict["evidence"]["route"] == "variable-real-reduction"
+    assert plan["plan"]["kind"] == "constant-resonance"
+
+
+def test_classify_with_witness_on_a_plateau_the_constructor_cannot_take(tmp_path, capsys):
+    # without intervals the plan names the longest zero run, which wraps
+    # t = 0 and is flanked (-, 0, +)
+    cfg = _plateau_config(tmp_path, grid_n=1024)
+    _, plan = _assert_witness_unavailable(tmp_path, capsys, cfg, "flanked (-1, 0, +1)")
+    assert plan["plan"]["kind"] == "plateau"
+    assert "set 'intervals'" in plan["reason"]
 
 
 def test_witness_on_gh_operator_exits_1(tmp_path, capsys):

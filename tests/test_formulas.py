@@ -5,7 +5,6 @@ cos kt = (e^{ikt} + e^{-ikt})/2 and sin kt = (e^{ikt} - e^{-ikt})/(2i);
 the parser must reproduce the coefficients as exact Fractions, not floats.
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -207,12 +206,6 @@ def test_synthesis_band_limit_enforced():
     with pytest.raises(ValueError):
         p.to_torus_function(64)
     assert p.to_torus_function(128).n == 128
-
-
-def test_eval_at_float_points():
-    p = parse_formula("1/2 + i sin t")
-    v = p.eval(math.pi / 2)
-    assert abs(v - (0.5 + 1j)) < 1e-15
 
 
 # --------------------------------------------------------------------------- #

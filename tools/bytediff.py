@@ -26,13 +26,17 @@ and exits 1, 1/2 + i sin t on harmonic1d_power 2, whose levels are no
 arithmetic progression and take every exp directly (the other bump
 witnesses run on arithmetic spectra and take one exp per row chunk), and
 a c with cos 300t on a 512-point witness grid, refused with exit 1.
-Three plain classify calls on real c whose verdict follows the exact mean:
-1/3 + 1e-10 + cos t, 1/65 + cos t and 1/2000003 + cos t.  Three
-classify --witness calls: 1/2 + i sin 4t, which
+Five plain classify calls on c whose verdict follows the exact mean:
+1/3 + 1e-10 + cos t, 1/65 + cos t and 1/2000003 + cos t, and two whose
+oscillation is below 1e-12, 1/65 + 1e-13 cos t and 1/3 + 1e-13 i cos t.
+Five classify --witness calls: 1/2 + i sin 4t, which
 misses its budget, exits 0 and writes witness_plan.json; the plateau c,
 whose variable-plateau verdict carries a sign_report and whose witness
-writes a plateau manifest; and 1/2 + i 3/4 sin 2t at benchmark size
-(j_modes 512, witness_n 8192).
+writes a plateau manifest; 1/2 + i 3/4 sin 2t at benchmark size
+(j_modes 512, witness_n 8192); and two whose plan no packaged constructor
+honours, so they write witness_plan.json: 1/3 + cos t, whose notGH
+verdict follows its resonant mean, and the plateau c without intervals,
+whose longest zero run wraps t = 0 with flanks (-, 0, +).
 Band widths of the forcing store: the benchmark sign-change ops cover
 k = 3 (seed 1, f on 24% of the columns) and k = 1 (seed 101, 49%), the
 sin 2t classify call 36%, and the constant witnesses none (f_j = 0).
@@ -120,12 +124,19 @@ CLASSIFY = {  # classify --witness: a plan written on a budget miss, a plateau, 
                 "intervals": [1.5, 3.5], "witness": True},
     "sign-change-k2": {"c": "1/2 + i 3/4 sin 2t", "j_modes": 512, "witness_n": 8192,
                        "witness": True},
+    # plans written, not built: a resonant mean of a variable c, and a
+    # plateau run that wraps t = 0 (no intervals)
+    "resonant-mean-variable": {"c": "1/3 + cos t", "j_modes": 16, "witness": True},
+    "plateau-no-intervals": {"c_file": "extra/c_plateau.csv", "grid_n": 1024, "j_modes": 16,
+                             "witness": True},
 }
 
-VERDICT = {  # plain classify: real c whose verdict follows its exact mean
+VERDICT = {  # plain classify: c whose verdict follows its exact mean
     "mean-near-third": {"c": "1/3 + 1/10000000000 + cos t", "j_modes": 64},
     "mean-q65": {"c": "1/65 + cos t", "j_modes": 64},
     "mean-q2000003": {"c": "1/2000003 + cos t", "j_modes": 64},
+    "mean-tiny-cos-q65": {"c": "1/65 + 1/10000000000000 cos t", "j_modes": 64},
+    "mean-tiny-icos-third": {"c": "1/3 + 1/10000000000000 i cos t", "j_modes": 64},
 }
 
 DIOPHANTINE = {  # exact tables on every integer kind, and the float table
