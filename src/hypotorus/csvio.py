@@ -14,15 +14,14 @@ the pieces as they come, so a large table is never held whole:
 * a column made only of str holds cells rendered already and is written
   as it is.
 
-:class:`SampleRows` is the one reader.  It types each column by its name:
-``j`` and ``k`` int64, ``lambda`` an exact int or else a float, every other
-column float64.  Numbers take Python's syntax in ASCII without ``_``
-separators, and fields are not unquoted.
+:class:`SampleRows` is the one reader, of the two CSV inputs the CLI takes:
+the ``j,t,re,im`` mode field and the ``t,re,im`` samples.  The ``j`` column
+is int64 and every other column float64.  Numbers take Python's syntax in
+ASCII without ``_`` separators, and fields are not unquoted.
 """
 
 from __future__ import annotations
 
-import functools
 import io
 import warnings
 from typing import Iterable, Iterator
@@ -82,26 +81,18 @@ def write(path, text: str | Iterable[str]) -> None:
 
 
 def _dtype(name: str):
-    return np.int64 if name in ("j", "k") else object if name == "lambda" else np.float64
+    return np.int64 if name == "j" else np.float64
 
 
 def _number(s: str, dtype) -> int | float:
     """``s`` as loadtxt reads it into ``dtype`` under the rules of the module
-    docstring: an int64 within its range, an ``object`` an int or a float."""
+    docstring; an int64 must lie within its range."""
     if "_" in s or not s.isascii():
         raise ValueError(s)
-    try:
-        v = float(s) if dtype is np.float64 else int(s)
-    except ValueError:
-        if dtype is not object:
-            raise
-        return float(s)
+    v = float(s) if dtype is np.float64 else int(s)
     if dtype is np.int64 and not -2**63 <= v < 2**63:
         raise ValueError(s)
     return v
-
-
-_int_or_float = functools.partial(_number, dtype=object)   # the ``lambda`` converter
 
 
 def _text_lines(text: str):
@@ -141,13 +132,12 @@ class SampleRows:
         if [h.strip() for h in next(lines, "").split(",")] != list(names):
             raise ConfigError(f"{what} must have header {','.join(names)}")
         dtype = [(name, _dtype(name)) for name in names]
-        converters = {k: _int_or_float for k, name in enumerate(names) if name == "lambda"}
         self._errors: dict[str, str] = {}
         try:
-            with warnings.catch_warnings(), unlimited_int_digits():
+            with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no data rows: see below
                 self._table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                                         ndmin=1, converters=converters)
+                                         ndmin=1)
             self.size = len(self._table)
         except ValueError as e:
             self._table = self._diagnose(names, what)
@@ -187,13 +177,11 @@ class SampleRows:
             dtype = _dtype(name)
             vals = []
             try:
-                with unlimited_int_digits():
-                    for r, f in enumerate(fields):
-                        vals.append(_number(f[k], dtype))
+                for r, f in enumerate(fields):
+                    vals.append(_number(f[k], dtype))
             except ValueError:
-                kind = "an int or float" if dtype is object else dtype.__name__
                 self._errors[name] = (f"line {self._lines[r]}: {name} = {fields[r][k]!r} "
-                                      f"does not parse as {kind}")
+                                      f"does not parse as {dtype.__name__}")
             else:
                 table[name] = np.array(vals, dtype=dtype)
         return table

@@ -22,11 +22,10 @@ indices, with ``e = eigs.exponent(mu) = 1/(2 n mu)`` read off the spectrum.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -128,26 +127,27 @@ def divisor_sandwich(x: float) -> Tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class DistanceSequence:
-    """Distances ``d_j = dist(kappa * lambda_j, Z)`` over a mode window.
+    """Distances ``d_j = dist(kappa * lambda_j, Z)`` over the mode window
+    ``j = 0 .. len(d) - 1``.
 
     ``exact`` records whether the distances were computed in rational
     arithmetic (integer eigenvalues and rational ``kappa``), in which case
     zeros in ``d`` are genuine resonances rather than float underflow.
+    The table is written as ``distances.csv`` and never read back.
     """
 
     kappa: Union[float, Fraction]
     e: Fraction
-    js: Tuple[int, ...]
     lambdas: Tuple[int, ...] | Tuple[float, ...]
     d: np.ndarray
     exact: bool
 
     def __len__(self) -> int:
-        return len(self.js)
+        return len(self.d)
 
     @property
     def resonant_indices(self) -> Tuple[int, ...]:
-        return tuple(int(self.js[i]) for i in np.flatnonzero(self.d == 0.0))
+        return tuple(np.flatnonzero(self.d == 0.0).tolist())
 
     def csv_pieces(self) -> Iterator[str]:
         """The CSV text in pieces: the header, then blocks of rows.
@@ -165,20 +165,10 @@ class DistanceSequence:
             d = np.ascontiguousarray(d, dtype=np.float64)
             bits, at = np.unique(d.view(np.uint64), return_inverse=True)
             d = np.array(csvio.cells(bits.view(np.float64)), dtype=object)[at]
-        return csvio.pieces(("j", "lambda", "d"), self.js, self.lambdas, d)
+        return csvio.pieces(("j", "lambda", "d"), range(len(d)), self.lambdas, d)
 
     def to_csv(self) -> str:
         return "".join(self.csv_pieces())
-
-    @staticmethod
-    def from_csv(source, kappa=float("nan"), e=Fraction(1)) -> "DistanceSequence":
-        """Inverse of :meth:`to_csv`, from the text or a text handle (see
-        :class:`~hypotorus.csvio.SampleRows`)."""
-        rows = csvio.SampleRows(source, ("j", "lambda", "d"), "distance CSV")
-        return DistanceSequence(kappa=kappa, e=Fraction(e),
-                                js=tuple(rows.column("j").tolist()),
-                                lambdas=tuple(rows.column("lambda").tolist()),
-                                d=rows.column("d").copy(), exact=False)
 
 
 def distance_sequence(
@@ -201,7 +191,6 @@ def distance_sequence(
     if J is not None and J > len(eigs):
         raise ValueError(f"J={J} exceeds the tabulated window {len(eigs)}")
     e = eigs.exponent(mu)
-    js = tuple(range(n_modes))
     exact = isinstance(kappa, (Fraction, int)) and eigs.integer_valued
     if exact:
         kap = Fraction(kappa)
@@ -213,7 +202,7 @@ def distance_sequence(
         with np.errstate(over="ignore", invalid="ignore"):
             f = np.mod(float(kappa) * eigs.lambdas[:n_modes], 1.0)
         d = np.minimum(f, 1.0 - f)
-    return DistanceSequence(kappa=kappa, e=e, js=js, lambdas=lams, d=d, exact=exact)
+    return DistanceSequence(kappa=kappa, e=e, lambdas=lams, d=d, exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +325,7 @@ def liouville_fit(seq: DistanceSequence) -> FitReport:
         max_over_median=float(ratio),
         growth_monotone=bool(growth),
         classification=label,
-        resonant_indices=tuple(int(seq.js[i]) for i in resonant),
+        resonant_indices=tuple(resonant.tolist()),
         e=e,
         n_modes_used=int(n_modes - len(resonant)),
     )
@@ -542,10 +531,6 @@ def _frac_le_pow2(a: int, b: int, K: int) -> bool:
     return (a << K) <= b
 
 
-def _fraction_from_json(obj: dict) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
-
-
 @dataclass(frozen=True)
 class CertLevel:
     """One certified approximation level ``|kappa*lambda - tau| <= 2^-K``."""
@@ -621,30 +606,6 @@ class LiouvilleCertificate:
 
     def to_json(self) -> str:
         return dumps(self.as_dict())
-
-    @staticmethod
-    def from_json(text: str) -> "LiouvilleCertificate":
-        with unlimited_int_digits():
-            obj = json.loads(text)
-            levels = tuple(
-                CertLevel(
-                    j=int(lv["j"]),
-                    lam=int(lv["lambda"]),
-                    tau=int(lv["tau"]),
-                    gap=_fraction_from_json(lv["gap"]),
-                    K=int(lv["K"]),
-                )
-                for lv in obj["levels"]
-            )
-            return LiouvilleCertificate(
-                kappa=_fraction_from_json(obj["kappa"]),
-                levels=levels,
-                n=int(obj["n"]),
-                mu=_fraction_from_json(obj["mu"]),
-                e=_fraction_from_json(obj["exponent"]),
-                eigs_kind=obj["eigs_kind"],
-                ap_index=tuple(int(v) for v in obj["ap_index"]),
-            )
 
 
 def construct_liouville(

@@ -83,14 +83,6 @@ class ExactComplex:
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
-    def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
-
 
 _EC_ZERO = ExactComplex(Fraction(0))
 _EC_ONE = ExactComplex(Fraction(1))
@@ -178,16 +170,6 @@ class TrigPolynomial:
 
     def __truediv__(self, q: Union[int, Fraction]) -> "TrigPolynomial":
         return TrigPolynomial({k: v / q for k, v in self._coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TrigPolynomial) and self._coeffs == other._coeffs
-
-    def __repr__(self) -> str:
-        if not self._coeffs:
-            return "TrigPolynomial(0)"
-        terms = " + ".join(f"({v})e^{{{k}it}}" if k else f"({v})"
-                           for k, v in sorted(self._coeffs.items()))
-        return f"TrigPolynomial({terms})"
 
     # -- realizations --------------------------------------------------------#
     def to_torus_function(self, n: int = 256) -> TorusFunction:

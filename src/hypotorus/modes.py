@@ -308,10 +308,9 @@ def _solve_cyclic_banded(lams: np.ndarray, chat: np.ndarray, fhat: np.ndarray,
 def _banded_chunk(n: int, d: int) -> int:
     """Modes per cyclic-banded chunk at grid n and band half-width d: G and X
     (one array, see _solve_cyclic_banded) hold 2 n (2d+1) complex numbers per
-    mode, and a chunk holds at most the ~3 n^2 of one dense solve and at most
-    _CHUNK_CELLS.  A mode's bytes do not depend on its chunk (see
-    _banded_lu_solve)."""
-    return max(1, min(3 * n, _CHUNK_CELLS // n) // (2 * (2 * d + 1)))
+    mode, and a chunk holds at most _CHUNK_CELLS.  A mode's bytes do not
+    depend on its chunk (see _banded_lu_solve)."""
+    return max(1, _CHUNK_CELLS // n // (2 * (2 * d + 1)))
 
 
 def _solve_collocation(lams: np.ndarray, c: TorusFunction,

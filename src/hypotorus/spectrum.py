@@ -34,7 +34,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import csvio
 from .errors import ConfigError
 
 __all__ = [
@@ -64,6 +63,8 @@ class EigenSequence:
     and never on the float view.  ``ap_index`` is (base, step) when
     lambda_j = base + step*j exactly in the *index* j — the arithmetic
     progression structure the certified Liouville constructor requires.
+    A sequence is built by :func:`build_eigensequence`; a table spectrum
+    comes from a config's ``model.values``, not from a file.
     """
 
     kind: str
@@ -121,24 +122,6 @@ class EigenSequence:
     def integer_valued(self) -> bool:
         """The window is tabulated as exact integers (every built-in kind)."""
         return self.exact is not None
-
-    # ---- CSV interchange (columns j, lambda) ---------------------------- #
-
-    def to_csv(self) -> str:
-        return csvio.text(("j", "lambda"), range(self.J),
-                          self.lambdas if self.exact is None else self.exact)
-
-    @classmethod
-    def from_csv(cls, text: str, m: int = 2, n: int = 1) -> "EigenSequence":
-        """Inverse of :meth:`to_csv`; ``j`` must run 0, 1, 2, ... in order."""
-        rows = csvio.SampleRows(text, ("j", "lambda"), "eigenvalue CSV")
-        off = np.flatnonzero(rows.column("j") != np.arange(rows.size))
-        if off.size:
-            r = int(off[0])
-            raise ValueError(f"line {rows.line(r)}: j = {rows.column('j')[r]} where "
-                             f"{r} is due; eigenvalue rows run j = 0, 1, 2, ... in order")
-        return build_eigensequence("table", rows.size, values=rows.column("lambda").tolist(),
-                                   m=m, n=n)
 
 
 def _exact_mu(mu) -> Fraction:

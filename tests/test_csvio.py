@@ -1,4 +1,4 @@
-"""The CSV format: writer bytes pinned, and the rules every reader keeps."""
+"""The CSV format: writer bytes pinned, and read back by int() and float()."""
 
 import hashlib
 import math
@@ -9,9 +9,15 @@ import pytest
 
 from hypotorus import csvio
 from hypotorus.diophantine import DistanceSequence, construct_liouville, distance_sequence
-from hypotorus.spectrum import EigenSequence, build_eigensequence
+from hypotorus.jsonio import unlimited_int_digits
+from hypotorus.spectrum import build_eigensequence
 from hypotorus.torusfn import TorusFunction
 from hypotorus.witness import constant_witness
+
+
+def _columns(seq):
+    """The cells of ``seq.to_csv()`` by column, each headed by its name."""
+    return tuple(zip(*(line.split(",") for line in seq.to_csv().splitlines())))
 
 
 # --------------------------------------------------------------------------- #
@@ -31,11 +37,13 @@ from hypotorus.witness import constant_witness
      "j,lambda\n0,0.5\n1,-2.5\n2,3.0\n3,1e+16\n4,-1e+16\n"),
 ])
 def test_eigenvalue_csv_bytes(kind, values, text):
+    # the j and lambda columns of distances.csv: an exact eigenvalue is its
+    # int at any size, a float one its repr, and each parses back
     eigs = build_eigensequence(kind, 5, values=values)
-    assert eigs.to_csv() == text
-    back = EigenSequence.from_csv(text)
-    assert back.to_csv() == text
-    assert back.exact == eigs.exact
+    j, lam, _ = _columns(distance_sequence(Fraction(1, 3), eigs))
+    assert "".join(f"{a},{b}\n" for a, b in zip(j, lam)) == text
+    number = float if eigs.exact is None else int
+    assert tuple(map(number, lam[1:])) == (eigs.exact or tuple(eigs.lambdas.tolist()))
 
 
 def test_sample_csv_bytes_of_special_floats():
@@ -79,9 +87,9 @@ def test_distance_csv_pieces_write_the_whole_text(tmp_path):
     for lambdas in (tuple(range(1, 2 * J, 2)),
                     tuple(2**70 + j for j in range(J)),
                     tuple(0.5 if j == J - 3 else j for j in range(J))):
-        seq = DistanceSequence(kappa=Fraction(1, 3), e=Fraction(1), js=tuple(range(J)),
-                               lambdas=lambdas, d=d, exact=True)
-        whole = "j,lambda,d\n" + csvio.rows(*map(csvio.cells, (seq.js, lambdas, d)))
+        seq = DistanceSequence(kappa=Fraction(1, 3), e=Fraction(1), lambdas=lambdas, d=d,
+                               exact=True)
+        whole = "j,lambda,d\n" + csvio.rows(*map(csvio.cells, (range(J), lambdas, d)))
         csvio.write(tmp_path / "d.csv", seq.csv_pieces())
         assert (tmp_path / "d.csv").read_bytes().decode("utf-8") == seq.to_csv() == whole
     assert len(list(seq.csv_pieces())) == 4
@@ -96,9 +104,9 @@ def test_distance_cells_are_keyed_on_bit_patterns():
     pool = np.r_[pool, -pool[4:5], np.array([0x7FF8000000000001], np.uint64).view(float)]
     d = pool[np.random.default_rng(5).integers(0, pool.size, J)]
     d[:pool.size] = pool
-    seq = DistanceSequence(kappa=Fraction(2, 7), e=Fraction(1), js=tuple(range(J)),
+    seq = DistanceSequence(kappa=Fraction(2, 7), e=Fraction(1),
                            lambdas=tuple(range(1, 2 * J, 2)), d=d, exact=True)
-    assert list(seq.csv_pieces()) == list(csvio.pieces(("j", "lambda", "d"), seq.js,
+    assert list(seq.csv_pieces()) == list(csvio.pieces(("j", "lambda", "d"), range(J),
                                                        seq.lambdas, d))
     assert "\n0,1,-0.0\n1,3,0.0\n2,5,inf\n3,7,-inf\n4,9,nan\n" in seq.to_csv()
 
@@ -109,70 +117,21 @@ def test_cells_keep_rendered_strings():
 
 
 # --------------------------------------------------------------------------- #
-# the reader rules on the distance and eigenvalue CSVs
+# distances.csv read back by int() and float()
 # --------------------------------------------------------------------------- #
 
-def _read_distances(tmp_path, text):
-    path = tmp_path / "d.csv"
-    path.write_text(text, encoding="utf-8")
-    with open(path, encoding="utf-8") as fh:
-        return DistanceSequence.from_csv(fh)
-
-
-_DISTANCES = "j,lambda,d\n0,1,0.25\n1,3,0.5\n2,1e+16,0.0\n"
-
-
-def test_distance_csv_skips_blank_lines(tmp_path):
-    want = _read_distances(tmp_path, _DISTANCES)
-    assert want.js == (0, 1, 2) and want.lambdas == (1, 3, 1e16)
-    assert [type(v) for v in want.lambdas] == [int, int, float]
-    text = "j,lambda,d\n0,1,0.25\n\n1,3,0.5\n2,1e+16,0.0\n\n"
-    back = _read_distances(tmp_path, text)
-    assert (back.js, back.lambdas) == (want.js, want.lambdas)
-    assert back.d.tobytes() == want.d.tobytes()
-
-
-def test_distance_csv_accepts_a_spaced_header(tmp_path):
-    back = _read_distances(tmp_path, _DISTANCES.replace("j,lambda,d", "j, lambda, d"))
-    assert back.lambdas == (1, 3, 1e16)
-
-
-@pytest.mark.parametrize("text, match", [
-    ("j,lambda,d\n0,1,0.25\n\n1,3\n", "line 4: 2 fields; distance CSV rows hold 3"),
-    ("j,lambda,d\n0,1,0.25\n1,1_0,0.5\n", "line 3: lambda = '1_0' does not parse"),
-    ("j,lambda,d\n0,1,0.25\n1,3,x\n", "line 3: d = 'x' does not parse as float64"),
-])
-def test_distance_csv_names_the_bad_line(tmp_path, text, match):
-    with pytest.raises(ValueError, match=match):
-        _read_distances(tmp_path, text)
-
-
 def test_distance_csv_reads_integers_of_any_size():
+    # lambda beyond 2^64 and of 5001 digits; d bit for bit, -0.0, inf and
+    # nan included
     eigs = build_eigensequence("table", 3, values=[2**64 + 1, 2**70, 10**300])
-    seq = distance_sequence(Fraction(3, 7), eigs)
     huge = DistanceSequence(kappa=Fraction(1, 3), e=Fraction(1),
-                            js=(0, 1), lambdas=(2**70, 10**5000), d=np.array([1 / 3, 1 / 3]),
-                            exact=True)
-    for seq in (seq, huge):
-        back = DistanceSequence.from_csv(seq.to_csv())
-        assert back.lambdas == seq.lambdas
-        assert back.d.tobytes() == seq.d.tobytes()
-
-
-def test_eigenvalue_csv_skips_blank_lines():
-    want = EigenSequence.from_csv("j,lambda\n0,1\n1,3\n2,5\n")
-    for text in ("j,lambda\n0,1\n\n1,3\n2,5\n", "j,lambda\n0,1\n1,3\n2,5\n\n\n"):
-        assert EigenSequence.from_csv(text).exact == want.exact == (1, 3, 5)
-
-
-@pytest.mark.parametrize("text, match", [
-    ("j,lambda\n0,1\n\n1\n", "line 4: 1 fields; eigenvalue CSV rows hold 2"),
-    ("j,lambda\n7,1\n3,3\n", "line 2: j = 7 where 0 is due"),
-    ("j,lambda\n0,1\n\n2,3\n", "line 4: j = 2 where 1 is due"),
-    ("j,lambda\n0,1\n1,1_0\n", "line 3: lambda = '1_0' does not parse"),
-    ("j,lambda\n0,1\n1,3０\n", "line 3: lambda = "),
-    ("j,lambda\n", "needs data rows"),
-])
-def test_eigenvalue_csv_refuses(text, match):
-    with pytest.raises(ValueError, match=match):
-        EigenSequence.from_csv(text)
+                            lambdas=(2**70, 10**5000, 10**5000, 10**5000),
+                            d=np.array([1 / 3, -0.0, math.inf, math.nan]), exact=True)
+    for seq in (distance_sequence(Fraction(3, 7), eigs), huge):
+        j, lam, d = _columns(seq)
+        assert (j[0], lam[0], d[0]) == ("j", "lambda", "d")
+        assert tuple(map(int, j[1:])) == tuple(range(len(seq)))
+        with unlimited_int_digits():
+            assert tuple(map(int, lam[1:])) == seq.lambdas
+        assert np.array(list(map(float, d[1:]))).tobytes() == seq.d.tobytes()
+    assert d[1:] == ("0.3333333333333333", "-0.0", "inf", "nan")

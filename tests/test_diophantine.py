@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from hypotorus import diophantine as dio
 from hypotorus.diagnostics import ols
+from hypotorus.jsonio import unlimited_int_digits
 from hypotorus.modes import small_divisor
 from hypotorus.spectrum import EigenSequence, build_eigensequence
 
@@ -158,20 +159,24 @@ class TestDistanceSequence:
         assert seq.d[0] == pytest.approx(dio.dist_to_int((0.25 + 1e-3) * 1.0))
 
     def test_csv_roundtrip(self, h1d):
+        # the cells parse back by int() and float() to the table
         seq = dio.distance_sequence(Fraction(2, 7), h1d, J=96)
-        back = dio.DistanceSequence.from_csv(seq.to_csv(), kappa=Fraction(2, 7))
-        assert back.js == seq.js
-        assert back.lambdas == seq.lambdas
-        np.testing.assert_array_equal(back.d, seq.d)
+        header, *rows = seq.to_csv().splitlines()
+        j, lam, d = zip(*(r.split(",") for r in rows))
+        assert header == "j,lambda,d"
+        assert tuple(map(int, j)) == tuple(range(96)) == tuple(range(len(seq)))
+        assert tuple(map(int, lam)) == seq.lambdas
+        assert np.array(list(map(float, d))).tobytes() == seq.d.tobytes()
 
     def test_csv_roundtrip_of_float_lambdas_in_exponent_form(self):
         # repr writes a float lambda >= 1e16 as '1e+16', which is no int literal
         eigs = build_eigensequence("table", 8, values=[1.5, 2.5, 1e16, 3e16, 1e17,
                                                        2.5e17, 1e20, 1.25e22])
         seq = dio.distance_sequence(0.3, eigs)
-        back = dio.DistanceSequence.from_csv(seq.to_csv(), kappa=0.3)
-        assert back.lambdas == seq.lambdas
-        np.testing.assert_array_equal(back.d, seq.d)
+        _, lam, d = zip(*(r.split(",") for r in seq.to_csv().splitlines()[1:]))
+        assert lam[2:4] == ("1e+16", "3e+16")
+        assert tuple(map(float, lam)) == seq.lambdas
+        assert np.array(list(map(float, d))).tobytes() == seq.d.tobytes()
 
     def test_window_validation(self, h1d):
         with pytest.raises(ValueError):
@@ -286,7 +291,7 @@ class TestResiduePath:
         n = len(d)
         d[[lead + z % len(ds) for z in zeros]] = 0.0
         seq = dio.DistanceSequence(kappa=float("nan"), e=Fraction(1),
-                                   js=tuple(range(n)), lambdas=tuple(range(n)), d=d, exact=False)
+                                   lambdas=tuple(range(n)), d=d, exact=False)
         rep = dio.liouville_fit(seq)
         with np.errstate(divide="ignore"):
             y = np.where(d > 0.0, -np.log(d), np.nan)
@@ -594,6 +599,22 @@ class TestLiouvilleFit:
 # certified construction
 # --------------------------------------------------------------------------- #
 
+def _certificate_from_json(text):
+    """certificate.json parsed by json.loads and int() into a certificate."""
+    def frac(obj):
+        return Fraction(int(obj["num"]), int(obj["den"]))
+
+    with unlimited_int_digits():
+        obj = json.loads(text)
+        levels = tuple(dio.CertLevel(j=int(lv["j"]), lam=int(lv["lambda"]), tau=int(lv["tau"]),
+                                     gap=frac(lv["gap"]), K=int(lv["K"]))
+                       for lv in obj["levels"])
+        return dio.LiouvilleCertificate(
+            kappa=frac(obj["kappa"]), levels=levels, n=obj["n"], mu=frac(obj["mu"]),
+            e=frac(obj["exponent"]), eigs_kind=obj["eigs_kind"],
+            ap_index=tuple(obj["ap_index"]))
+
+
 class TestConstructLiouville:
     def test_single_level_is_exact_hit(self, h1d):
         cert = dio.construct_liouville(h1d, 1)
@@ -664,13 +685,16 @@ class TestConstructLiouville:
 
     def test_json_roundtrip(self, h1d):
         cert = dio.construct_liouville(h1d, 3)
-        back = dio.LiouvilleCertificate.from_json(cert.to_json())
+        back = _certificate_from_json(cert.to_json())
         assert back == cert
         assert back.verify()
 
     def test_json_roundtrip_huge(self, h1d):
+        # the fourth level's index has 14234 digits, past CPython's str() guard
         cert = dio.construct_liouville(h1d, 4, j_cap=None)
-        back = dio.LiouvilleCertificate.from_json(cert.to_json())
+        with unlimited_int_digits():
+            assert len(str(cert.levels[-1].j)) == 14234
+        back = _certificate_from_json(cert.to_json())
         assert back == cert
         assert back.verify()
 

@@ -298,14 +298,14 @@ def test_banded_collocation_keeps_the_cyclic_corners():
 
 
 @pytest.mark.parametrize("n, d, modes", [
-    (512, 1, 256), (512, 2, 153),          # 3 n^2 cells, as before the cap
-    (1024, 1, 512), (1024, 2, 307),        # 3 n^2 = the cap
-    (4096, 1, 128), (4096, 2, 76),         # capped: was 2048 and 1228 modes
+    (512, 1, 1024), (512, 2, 614),
+    (1024, 1, 512), (1024, 2, 307),
+    (4096, 1, 128), (4096, 2, 76),
 ])
 def test_banded_chunk_is_capped_at_chunk_cells(n, d, modes):
     # G and X hold 2 n (2d+1) complex numbers per mode
     assert _banded_chunk(n, d) == modes
-    assert modes * 2 * n * (2 * d + 1) <= min(3 * n * n, _CHUNK_CELLS)
+    assert modes * 2 * n * (2 * d + 1) <= _CHUNK_CELLS < (modes + 1) * 2 * n * (2 * d + 1)
     assert _CHUNK_CELLS * 16 == 48 << 20
 
 
@@ -806,6 +806,11 @@ def _mode_rows(j=1, n=4):
     ("1,{t!r},1.0", "line 4: 3 fields; mode-field CSV rows hold 4 "),
     ("1,{t!r},x,0.0", "line 4: re = 'x' does not parse as float64"),
     ("1.0,{t!r},1.0,0.0", "line 4: j = '1.0' does not parse as int64"),
+    # int() and float() would take these: no _ separators, ASCII digits only
+    ("1_0,{t!r},1.0,0.0", "line 4: j = '1_0' does not parse as int64"),
+    ("1,{t!r},2_0,0.0", "line 4: re = '2_0' does not parse as float64"),
+    ("\uff11,{t!r},1.0,0.0", "line 4: j = '\uff11' does not parse as int64"),
+    ("1,{t!r},1.0,\uff12.0", "line 4: im = '\uff12.0' does not parse as float64"),
 ])
 def test_mode_field_csv_names_the_first_bad_line(bad, match):
     eigs = build_eigensequence("harmonic1d", 3)
@@ -816,6 +821,20 @@ def test_mode_field_csv_names_the_first_bad_line(bad, match):
     rows[5] = bad.format(t=t[5])   # the same fault further down is not the one named
     with pytest.raises(ValueError, match=match):
         ModeField.from_csv("\n".join(["j,t,re,im"] + rows) + "\n", eigs, J=3)
+
+
+@pytest.mark.parametrize("bad, match", [
+    ("{t!r},1.0", "line 4: 2 fields; sample CSV rows hold 3 "),
+    ("1_5,1.0,0.0", "line 4: t = '1_5' does not parse as float64"),
+    ("{t!r},2_0,0.0", "line 4: re = '2_0' does not parse as float64"),
+    ("{t!r},1.0,\uff12.0", "line 4: im = '\uff12.0' does not parse as float64"),
+])
+def test_sample_csv_names_the_first_bad_line(bad, match):
+    rows, t = [r.split(",", 1)[1] for r in _mode_rows(n=8)], grid(8).tolist()
+    for k in (2, 5):   # the same fault further down is not the one named
+        rows[k] = bad.format(t=t[k])
+        with pytest.raises(ValueError, match=match):
+            TorusFunction.from_sample_csv("\n".join(["t,re,im"] + rows) + "\n")
 
 
 def test_mode_field_csv_checks_in_order():
@@ -846,6 +865,18 @@ def test_sample_csv_readers_skip_blank_rows_and_keep_file_lines():
     spaced = "\n".join(["j,t,re,im", "", rows[0], "", "", rows[1], "\r"] + rows[2:] + ["", ""])
     back = ModeField.from_csv(spaced, eigs, J=3)
     assert back.samples.tobytes() == plain.samples.tobytes()
+    # spaces around a header name are ignored
+    back = ModeField.from_csv("\n".join(["j, t, re, im"] + rows), eigs, J=3)
+    assert back.samples.tobytes() == plain.samples.tobytes()
+    samples = [r.split(",", 1)[1] for r in rows]
+    assert (TorusFunction.from_sample_csv("\n".join(["t , re,im "] + samples))
+            == TorusFunction.from_sample_csv("\n".join(["t,re,im"] + samples)))
+    # a header followed by blank lines only has no data rows
+    for tail in ("", "\n", "\n\n\r\n"):
+        with pytest.raises(ValueError, match="mode-field CSV needs data rows"):
+            ModeField.from_csv("j,t,re,im" + tail, eigs, J=3)
+        with pytest.raises(ValueError, match="sample CSV needs data rows"):
+            TorusFunction.from_sample_csv("t,re,im" + tail)
     # after skipped blank lines, errors give the file line of the bad row
     swapped = ["j,t,re,im", "", rows[0], "", rows[2], rows[1], rows[3]]
     with pytest.raises(ValueError, match="line 5: t = 3.141592653589793 "):

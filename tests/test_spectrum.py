@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypotorus.spectrum import (
-    EigenSequence,
     HermiteBasis,
     analyze_x,
     build_eigensequence,
@@ -142,15 +141,6 @@ def test_huge_power_is_refused_before_its_integers_are_built():
     # lambda_7 = 15^k >= 2^(3k): refused from the exponent alone
     with pytest.raises(ValueError, match=r"harmonic1d_power 1000000: lambda_7 = 15\^1000000"):
         build_eigensequence("harmonic1d_power 1000000", 8)
-
-
-def test_eigensequence_csv_roundtrip():
-    e = build_eigensequence("harmonic1d", 10)
-    text = e.to_csv()
-    assert text.splitlines()[0] == "j,lambda"
-    e2 = EigenSequence.from_csv(text, m=2, n=1)
-    assert list(e2.lambdas) == list(e.lambdas)
-    assert e2.exact == e.exact
 
 
 def test_exponent_is_exact_one_over_2_n_mu():

@@ -263,8 +263,14 @@ def test_sample_csv_rejects_rows_out_of_t_order(rng):
 
 
 def test_csv_rejects_wrong_header():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must have header t,re,im"):
         TorusFunction.from_sample_csv("a,b,c\n0,0,0\n")
+    # spaces around a name are ignored, not inside one; fields split at commas only
+    for header in ("t,r e,im", "t;re;im", "t,re,im,"):
+        with pytest.raises(ValueError, match="must have header t,re,im"):
+            TorusFunction.from_sample_csv(header + "\n0.0,0.0,0.0\n")
+    with pytest.raises(ValueError, match="needs data rows"):
+        TorusFunction.from_sample_csv("t, re, im\n")
 
 
 # --------------------------------------------------------------------------- #

@@ -6,10 +6,11 @@
 Runs the same CLI calls under each tree, in OUT_DIR/parent and
 OUT_DIR/change, with PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1:
 every cookbook config, the ops of the three benchmark workloads for seeds 1
-and 101 (CHANGE_TREE/perfbench/workloads.py), twelve extra solve configs
+and 101 (CHANGE_TREE/perfbench/workloads.py), thirteen extra solve configs
 (three refused with exit 1: an f_file with non-finite samples, an f_file on
 a grid too coarse for c's cos 20t, and three f keys that name one mode; one
-a complex constant c at lambda up to 701, where |2 pi lambda Im c| > 700),
+a complex constant c at lambda up to 701, where |2 pi lambda Im c| > 700;
+one whose c_file and f_file have spaced headers, blank lines and CRLF ends),
 three decays of the notgh solve's field (k_max 4, 0 and 7), eleven
 diophantine tables (every integer eigenvalue kind, a negative kappa, a
 denominator near 2^60, a decimal, a float-valued table, an integer table
@@ -85,6 +86,9 @@ EXTRA = {   # solve configs; notgh: Im c changes sign, collocation misses its bu
     # three f keys that name mode 1: refused, exit 1
     "f-duplicate-keys": {"c": "1/2 + 1/5 cos t", "grid_n": 16, "j_modes": 4,
                          "f": {"1": "exp(it)", "01": "2 exp(it)", " 1": "3 exp(it)"}},
+    # the inputs of f-file and c-file in the variants the readers tolerate
+    "spaced-csv": {"c_file": "extra/c_spaced.csv", "f_file": "extra/f_spaced.csv",
+                   "grid_n": 64, "j_modes": 8},
 }
 # decays of the notgh field: k_max 4 (the default), 0 (a one-column pm table)
 # and 7 (fit_decay's stack deeper than pm_seminorms' min(k_max, 4))
@@ -172,11 +176,12 @@ def _bump(t: float, a: float, g: float, d: float, b: float) -> float:
 
 def inputs() -> dict:
     """A mode CSV (modes 1, 3, 6) and a sample CSV of c on a 64-point grid,
-    with long, varied digits and signed zeros; a mode CSV (modes 0, 1, 2) on
-    a 16-point grid with re = inf at one sample of mode 1 and im = nan at one
-    of mode 2; a mode CSV with mode 1 = e^{it} on a 16-point grid; and a c
-    on the 1024-point grid whose Im c is + on (0.5, 1.5), exactly 0 on
-    [1.5, 3.5] and - on (3.5, 4.5)."""
+    with long, varied digits and signed zeros, and both again with spaced
+    headers, a blank line after every fifth row and CRLF ends; a mode CSV
+    (modes 0, 1, 2) on a 16-point grid with re = inf at one sample of mode 1
+    and im = nan at one of mode 2; a mode CSV with mode 1 = e^{it} on a
+    16-point grid; and a c on the 1024-point grid whose Im c is + on
+    (0.5, 1.5), exactly 0 on [1.5, 3.5] and - on (3.5, 4.5)."""
     t = [2.0 * math.pi * i / 64 for i in range(64)]
     f = "".join(f"{j},{s!r},{math.sin(j * s + 1) / 7 ** j!r},"
                 f"{-0.0 if j == 3 else math.cos(s) / j!r}\n" for j in (1, 3, 6) for s in t)
@@ -189,7 +194,13 @@ def inputs() -> dict:
     t = [2.0 * math.pi * i / 1024 for i in range(1024)]
     p = "".join(f"{s!r},0.0,{4.0 * (_bump(s, 0.5, 0.95, 1.05, 1.5) - _bump(s, 3.5, 3.95, 4.05, 4.5))!r}\n"
                 for s in t)
+    def spaced(header, rows):
+        lines = [r + ("\r\n\r\n" if k % 5 == 4 else "\r\n")
+                 for k, r in enumerate(rows.splitlines())]
+        return header + "\r\n\r\n" + "".join(lines)
+
     return {"f_modes.csv": "j,t,re,im\n" + f, "c_samples.csv": "t,re,im\n" + c,
+            "f_spaced.csv": spaced("j , t, re ,im", f), "c_spaced.csv": spaced(" t, re, im", c),
             "f_nonfinite.csv": "j,t,re,im\n" + g, "f_coarse.csv": "j,t,re,im\n" + e,
             "c_plateau.csv": "t,re,im\n" + p}
 
