@@ -87,10 +87,12 @@ _CHUNK_CELLS = 3 << 20  # complex numbers in one banded chunk's G and X (48 MiB)
 #: input field times k_max + 1, conservative now that decay holds about two
 #: derivative levels at a time), would exceed it before
 #: anything is built; dense collocation refuses a grid whose n x n complex
-#: matrix would (n > 2048), before any n x n allocation.  The benchmark's
-#: largest is a sign-change witness at (512, 8192): u at 64 MiB plus f on its
-#: transition bands, 16-31 MiB (24-49% of the columns); classify --witness on
-#: it peaks at 122-137 MB RSS.  Peak memory is a multiple of the largest
+#: matrix would (n > 2048), before any n x n allocation.  The witness term
+#: of array_bytes, levels x witness_n cells, now over-counts: a witness
+#: holds one row chunk of u and f (about 2 MiB at the benchmark's
+#: (512, 8192), which once stored 64 MiB of u plus 16-31 MiB of f), yet
+#: the ceiling still refuses the configs it did; ROADMAP item 2 settles it
+#: with the rest.  Peak memory is a multiple of the largest
 #: array: a solve of a 32 MiB field (J = 512, grid 4096, every mode forced)
 #: peaks at 225-229 MB RSS, about 7x, set by the banded chunk (the CSV is
 #: written one mode block at a time); ROADMAP item 2 replaces this ceiling
@@ -190,7 +192,11 @@ def _banded_lu_solve(GX: np.ndarray, w: int) -> np.ndarray:
     section 4.3.  Returns the (m,) mask of modes whose pivot column was
     exactly zero.  Only elementwise operations touch the batch axis (the two
     batch-wide tests skip a swap or a pivot fix that would change no byte),
-    so each mode's bytes do not depend on the batch it rides in.
+    so each mode's bytes do not depend on the batch it rides in.  numpy's
+    complex multiply rounds differently in its scalar loop, which it takes
+    for a one-element product whose operands differ in rank; so the back
+    substitution multiplies operands of equal rank, and a lone mode's
+    one-element product (m = r = 1) takes the loop of every larger batch.
     """
     n, width, m = GX.shape
     d = (w - 1) // 2
@@ -238,7 +244,7 @@ def _banded_lu_solve(GX: np.ndarray, w: int) -> np.ndarray:
         lo = max(0, s - 2 * d)
         u = diag[lo] if s >= 2 * d else as_strided(G[:, s:], (s, m), (s0 - s1, s2),
                                                     writeable=False)
-        np.multiply(u[:, None], xs, out=prod[:s - lo])
+        np.multiply(u[:, None], xs[None], out=prod[:s - lo])
         np.subtract(X[lo:s], prod[:s - lo], out=X[lo:s])
     return singular
 

@@ -31,27 +31,32 @@ Numerics
 --------
 Real parts of every evaluated exponent are <= 0 by construction, so ``exp``
 may underflow to zero but can never overflow, and no exponent needs a
-guard.  A bundle
-keeps the levels its grid resolves (bandwidth below ~0.45 of Nyquist) as
-rows of an (S, N) array u and an (S, K) array f of the forcing on its K
-columns ``f_cols``, the only columns where f can be nonzero: the bump
+guard.  A bundle samples the levels its grid resolves (bandwidth below
+~0.45 of Nyquist) as S rows of u on the N-grid and of the forcing f on its
+K columns ``f_cols``, the only columns where f can be nonzero: the bump
 kinds' transition bands (at N = 8192, 49% of the grid for b sin t and 24%
 for b sin 3t), none for a resonant constant witness, all N for the
-Liouville routes.  The bump constructions fill both in chunks of levels,
-broadcasting lambda over the window exponents.  Each bump's exp(lambda E) is
-taken once, on its support and transition bands only, and feeds both u and
-f.  Along an arithmetic spectrum (harmonic1d, an arithmetic table) a chunk
-of levels lambda_lo + r delta takes one exp per bump, exp(lambda_lo E), times
-a table of exp(r delta E) built once: each entry is one product of two
-exps, within ~3 |lambda E| eps relative of the direct exp, which every other
-spectrum keeps.  The sign-change window is scored for all N window starts
-at once from two sparse range tables (first argmax and min, int32 indices)
-over the 2N-point cover: O(N log N), and the same window as a scan of every
-start.  All residuals of a bundle come from one batched
-:func:`modes.operator_residuals` call on u, f and ``f_cols``, at
-construction and again in :meth:`WitnessBundle.verify`.  Levels beyond the
-grid band carry ``residual=None`` and are verified on their closed form in
-exact rational arithmetic.
+Liouville routes.  It holds a recipe for those rows and one chunk of them,
+never the (S, N) store: the bump kinds keep their bumps, bands and window
+exponents and fill u and f one :func:`modes.row_chunks` block at a time
+into buffers reused across chunks, broadcasting lambda over the window
+exponents; the constant and L0 kinds, a few rows each, keep their small
+arrays behind the same row interface.  Each bump's exp(lambda E) is taken
+once per fill, on its support and transition bands only, and feeds both u
+and f.  Along an arithmetic spectrum (harmonic1d, an arithmetic table) a
+chunk of levels lambda_lo + r delta takes one exp per bump, exp(lambda_lo
+E), times a table of exp(r delta E) built once: each entry is one product
+of two exps, within ~3 |lambda E| eps relative of the direct exp, which
+every other spectrum keeps.  The sign-change window is scored for all N
+window starts at once from two sparse range tables (first argmax and min,
+int32 indices) over the 2N-point cover: O(N log N), and the same window as
+a scan of every start.  Construction makes one pass over the chunks: it
+fills each, takes its rows' grid sup norms, runs the kind's own check
+(|u(t*)| = 1 for sign-change) and takes its residuals with
+:func:`modes.operator_residuals`; :meth:`WitnessBundle.verify` refills
+every chunk from the same recipe and recomputes its residuals.  Levels
+beyond the grid band carry ``residual=None`` and are verified on their
+closed form in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -220,12 +225,13 @@ def gevrey_bump(sigma: float, support: Sequence[float], plateau: Sequence[float]
 class WitnessLevel:
     """One active mode of a witness.
 
-    ``row`` is the level's row in its bundle's ``u``/``f`` arrays when the
+    ``row`` is the level's row in its bundle's sampled rows when the
     level's bandwidth fits the grid; otherwise it is None and the level is
     described by its closed form (``freq`` for the constant construction)
     with ``residual=None`` and a note saying how the identity was verified.
     ``sup_u``/``sup_f`` are exact where the construction pins them (1.0, 0.0,
-    |gap|) and grid maxima otherwise.
+    |gap|) and grid maxima otherwise, which the bundle's construction pass
+    fills in where a construction leaves them None.
     """
 
     j: int
@@ -300,23 +306,69 @@ def _own_types(v):
     raise TypeError(type(v).__name__)
 
 
+class _Rows:
+    """The S sampled rows of a witness on its N-grid, handed out one
+    :func:`modes.row_chunks` block at a time.
+
+    A subclass sets ``n`` (N) and ``f_cols``, a sorted read-only (K,)
+    integer index of the only grid columns where the forcing can be
+    nonzero, and defines ``__len__`` (S) and ``fill(s)``: for a block ``s``
+    of ``row_chunks(S, N)`` it returns the block's u, (rows, N), its forcing
+    on ``f_cols``, (rows, K), and its exact trig coefficients or None.  The
+    arrays may be buffers that the next ``fill`` overwrites.
+    """
+
+    def whole(self, s=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the rows ``s`` (an index or a slice) of u and of the
+        forcing on the whole grid, +0.0 off ``f_cols``, each row taken from
+        the block that holds it."""
+        pick = np.arange(len(self))[s]
+        want = pick.reshape(-1)
+        u = np.zeros((want.size, self.n), dtype=np.complex128)
+        f = np.zeros_like(u)
+        for b in row_chunks(len(self), self.n):
+            hit = np.flatnonzero((want >= b.start) & (want < b.stop))
+            if hit.size:
+                ub, fb, _ = self.fill(b)
+                u[hit] = ub[want[hit] - b.start]
+                f[np.ix_(hit, self.f_cols)] = fb[want[hit] - b.start]
+        return u.reshape(*pick.shape, self.n), f.reshape(*pick.shape, self.n)
+
+
+class _ArrayRows(_Rows):
+    """Rows held whole in small read-only arrays: u (S, N), the forcing f
+    (S, K) on ``f_cols`` and the rows' exact trig ``coeffs`` (S, N) or None.
+    The constant and L0 kinds keep theirs so (a few rows each)."""
+
+    def __init__(self, u: np.ndarray, f: np.ndarray, f_cols: np.ndarray,
+                 coeffs: Optional[np.ndarray] = None):
+        for a in (u, f, f_cols, coeffs):
+            if a is not None:
+                a.flags.writeable = False
+        self.u, self.f, self.f_cols, self.coeffs = u, f, f_cols, coeffs
+        self.n = u.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.u)
+
+    def fill(self, s: slice):
+        return self.u[s], self.f[s], None if self.coeffs is None else self.coeffs[s]
+
+
 @dataclass
 class WitnessBundle:
     """A verified non-hypoellipticity witness on a sparse mode subsequence.
 
     ``levels`` lists the subsequence (the construction is zero off it, so
-    nothing else is kept).  ``u`` is a read-only (S, N) complex128 array
-    whose rows hold the S grid-sampled levels, in level order, at the points
-    t_i = 2*pi*i/N.  ``f`` is a read-only (S, K) complex128 array of the
-    same rows' forcing on the grid columns ``f_cols``, a sorted read-only
-    (K,) integer index; the forcing is exactly +0.0 on every other column,
-    and :meth:`f_rows` scatters it back onto the grid.  ``u_coeffs`` holds
-    the exact trig coefficients of
-    the rows of ``u`` when they are pure harmonics (the constant
-    construction), else None.  ``floor_u`` is the reported constant c0 with
-    sup|u_{j_l}| >= c0 > 0, and ``decay`` summarizes the forcing decay;
-    ``exponent`` is the Gelfand-Shilov abscissa power 1/(2 n mu) used for the
-    fit.
+    nothing else is kept).  ``rows`` holds a recipe for the S grid-sampled
+    levels, in level order, at the points t_i = 2*pi*i/N, and one chunk of
+    them: it fills u and the forcing f on the grid columns ``f_cols`` (f is
+    exactly +0.0 on every other column) one :func:`modes.row_chunks` block
+    at a time, and never holds the (S, N) store.  :meth:`u_rows` and
+    :meth:`f_rows` return copies of chosen rows on the whole grid.
+    ``floor_u`` is the reported constant c0 with sup|u_{j_l}| >= c0 > 0,
+    and ``decay`` summarizes the forcing decay; ``exponent`` is the
+    Gelfand-Shilov abscissa power 1/(2 n mu) used for the fit.
     """
 
     kind: str
@@ -326,10 +378,7 @@ class WitnessBundle:
     exponent: float
     floor_u: float
     decay: DecayRecord
-    u: np.ndarray
-    f: np.ndarray
-    f_cols: np.ndarray
-    u_coeffs: Optional[np.ndarray] = None
+    rows: _Rows
     meta: dict = field(default_factory=dict)
 
     @property
@@ -340,26 +389,44 @@ class WitnessBundle:
     def subsequence(self) -> list[int]:
         return [lv.j for lv in self.levels]
 
+    @property
+    def f_cols(self) -> np.ndarray:
+        return self.rows.f_cols
+
+    def u_rows(self, s=slice(None)) -> np.ndarray:
+        """The rows ``s`` of u on the whole N-grid (a copy)."""
+        return self.rows.whole(s)[0]
+
     def f_rows(self, s=slice(None)) -> np.ndarray:
         """The rows ``s`` of the forcing on the whole N-grid, +0.0 off ``f_cols``."""
-        out = np.zeros(self.u[s].shape, dtype=np.complex128)
-        out[..., self.f_cols] = self.f[s]
-        return out
+        return self.rows.whole(s)[1]
 
     # -- verification -------------------------------------------------- #
 
     def verify(self) -> dict:
-        """Re-run the bundle's own checks, recomputing every residual from
-        u, f and c, against the tolerance of the bundle's kind; returns a
-        report dict with "ok"."""
-        return self._report(self._residuals(),
+        """Re-run the bundle's own checks, refilling every chunk of rows and
+        recomputing its residuals from u, f and c, against the tolerance of
+        the bundle's kind; returns a report dict with "ok"."""
+        return self._report(self._scan()[0].tolist(),
                             TOL_RESIDUAL_CONSTANT if self.kind == "constant" else TOL_RESIDUAL)
 
-    def _residuals(self) -> list[float]:
-        """sup|u' + i lam c u - f| of every row, in one batched call."""
-        lams = [lv.lam for lv in self.levels if lv.sampled]
-        return operator_residuals(lams, self.c, self.u, self.f, self.u_coeffs,
-                                  cols=self.f_cols).tolist()
+    def _scan(self, probe=None, norms: bool = False):
+        """One pass over the chunks of ``rows``: each is filled once, shown
+        to ``probe(s, u)`` if given, and its residuals sup|u' + i lam c u - f|
+        taken by :func:`modes.operator_residuals`, with its rows' sup|u| and
+        sup|f| if ``norms``.  Returns the (S,) arrays residual, sup_u and
+        sup_f (NaN unless ``norms``)."""
+        lams = np.array([lv.lam for lv in self.levels if lv.sampled], dtype=np.float64)
+        res, sup_u, sup_f = np.full((3, len(lams)), math.nan)
+        for s in row_chunks(len(lams), self.c.n):
+            u, f, coeffs = self.rows.fill(s)
+            if probe is not None:
+                probe(s, u)
+            if norms:
+                np.abs(u).max(axis=1, out=sup_u[s])
+                np.abs(f).max(axis=1, initial=0.0, out=sup_f[s])
+            res[s] = operator_residuals(lams[s], self.c, u, f, coeffs, cols=self.rows.f_cols)
+        return res, sup_u, sup_f
 
     def _report(self, residuals: list, tol: float) -> dict:
         floor = min((lv.sup_u for lv in self.levels), default=0.0)
@@ -501,8 +568,8 @@ def constant_witness(alpha, eigs: EigenSequence, L: int = 4,
     return _verified(TOL_RESIDUAL_CONSTANT, kind="constant", levels=levels,
                      c=TorusFunction.constant(complex(float(frac)), N), eigs=eigs,
                      exponent=float(eigs.exponent(mu)), floor_u=1.0,
-                     u=u, f=np.zeros((len(taus), 0), dtype=np.complex128),
-                     f_cols=np.arange(0), u_coeffs=u_coeffs,
+                     rows=_ArrayRows(u, np.zeros((len(taus), 0), dtype=np.complex128),
+                                     np.arange(0), u_coeffs),
                      meta={"alpha": str(frac), "route": route,
                            "tau": [lv.freq for lv in levels]})
 
@@ -569,8 +636,8 @@ def _constant_from_certificate(cert: LiouvilleCertificate, eigs: EigenSequence,
     return _verified(TOL_RESIDUAL_CONSTANT, kind="constant", levels=levels,
                      c=TorusFunction.constant(complex(float(kappa)), N), eigs=eigs,
                      exponent=float(cert.e), floor_u=1.0,
-                     u=u, f=u * np.array(scales, dtype=np.complex128)[:, None],
-                     f_cols=np.arange(N), u_coeffs=u_coeffs,
+                     rows=_ArrayRows(u, u * np.array(scales, dtype=np.complex128)[:, None],
+                                     np.arange(N), u_coeffs),
                      meta={
                          "alpha": alpha_str,
                          "route": "liouville-certificate",
@@ -595,17 +662,23 @@ def _harmonics(taus: Sequence[int], N: int) -> tuple[np.ndarray, np.ndarray]:
     return np.fft.ifft(coeffs * N, axis=1), coeffs
 
 
-def _verified(tol: float, checks=None, **parts) -> WitnessBundle:
-    """The bundle of ``parts`` with its decay record and each sampled level's
-    residual, computed once; refused unless the named checks (default: all)
-    pass, with :class:`WitnessBudgetMiss` when a residual misses ``tol``."""
-    for a in (parts["u"], parts["f"], parts["f_cols"], parts.get("u_coeffs")):
-        if a is not None:
-            a.flags.writeable = False
-    bundle = WitnessBundle(decay=_decay_record(parts["levels"], parts["exponent"]), **parts)
-    res = bundle._residuals()
-    bundle.levels = [lv if lv.row is None else replace(lv, residual=res[lv.row])
-                     for lv in bundle.levels]
+def _verified(tol: float, checks=None, probe=None, **parts) -> WitnessBundle:
+    """The bundle of ``parts`` after one pass over its chunks of rows, which
+    takes each sampled level's residual and, where a level leaves them None,
+    its grid sup norms (a ``floor_u`` of None is then the least sup|u|);
+    ``probe(s, u)`` sees each chunk first.  The decay record follows.
+    Refused unless the named checks (default: all) pass, with
+    :class:`WitnessBudgetMiss` when a residual misses ``tol``."""
+    bundle = WitnessBundle(decay=None, **parts)
+    res, sup_u, sup_f = (a.tolist() for a in bundle._scan(
+        probe, norms=any(lv.sup_u is None for lv in bundle.levels)))
+    bundle.levels = [lv if lv.row is None else replace(
+        lv, residual=res[lv.row],
+        sup_u=sup_u[lv.row] if lv.sup_u is None else lv.sup_u,
+        sup_f=sup_f[lv.row] if lv.sup_f is None else lv.sup_f) for lv in bundle.levels]
+    if bundle.floor_u is None:
+        bundle.floor_u = min(lv.sup_u for lv in bundle.levels)
+    bundle.decay = _decay_record(bundle.levels, bundle.exponent)
     rep = bundle._report(res, tol)
     failed = [k for k in checks or rep["checks"] if not rep["checks"][k]]
     if "residuals_ok" in failed:
@@ -740,93 +813,116 @@ def _run_or_index(idx: np.ndarray):
     return idx
 
 
-def _bump_levels(eigs: EigenSequence, js: np.ndarray, bumps, k0: int):
-    """The levels ``js`` of a bump witness, their (S, N) u, and their
-    forcing as an (S, K) array f on its K sorted band columns ``f_cols``.
+class _BumpRows(_Rows):
+    """The rows of a bump witness at the levels ``lams``: a recipe, and
+    buffers for one chunk of u and f that every :meth:`fill` reuses.
 
     Each bump is (g, E, bands) in window order (window index m = circle index
     (k0+m) mod N): a GevreyBump g, the exponent E of its factor exp(lambda E)
     and the inclusive index ranges of its transition bands.  On the circle
-    grid, row s holds for lambda = lambda_{js[s]}
+    grid, row s holds for lambda = lams[s]
 
         u = sum over the bumps of g exp(lambda E),
         f = g' exp(lambda E) on each bump's bands, 0 elsewhere,
 
-    with g' the spectral derivative on the circle.  exp(lambda E) is taken
-    once per bump, on the union of its support (g > 0) and its bands, and
-    feeds both u and f; u is exactly 0 off the supports, so points outside
-    a support can never overflow.  Off the bands, and wherever every bump is
-    flat (exactly 0 or 1), g' vanishes to all orders; writing 0 there drops
-    the spectral-derivative ringing that would put a flat noise floor under
-    sup|f|.  So f is kept on ``f_cols``, the union of the bumps' band
-    columns less the flat points, and is +0.0 elsewhere; a later bump
-    overwrites an earlier one on a shared column.  Rows are filled in chunks.
+    with g' the spectral derivative on the circle.  The set-up rolls the
+    bumps onto the circle and keeps each bump's support (g > 0), its bands
+    and E on the union of the two; exp(lambda E) is taken there only, once
+    per fill, and feeds both u and f.  u is exactly 0 off the supports, so
+    points outside a support can never overflow.  Off the bands, and
+    wherever every bump is flat (exactly 0 or 1), g' vanishes to all
+    orders; writing 0 there drops the spectral-derivative ringing that
+    would put a flat noise floor under sup|f|.  So f is kept on ``f_cols``,
+    the union of the bumps' band columns less the flat points, and is +0.0
+    elsewhere; a later bump overwrites an earlier one on a shared column.
 
     A chunk whose float lambdas are exactly lambda_lo + r*delta (r = 0, 1,
     ...), with delta of the sign of lambda_lo, takes one exp per bump:
     exp(lambda_lo E) times row r of the bump's table exp(r delta E), built
-    once per (bump, delta) with one row per chunk row.  Every harmonic1d
-    chunk and every arithmetic table chunk does; any other chunk takes
-    exp(lambda E) directly.  Re(lambda E) <= 0 by construction, and the
-    sign rule keeps both factors of modulus <= 1, so nothing overflows.
-    Each entry is one product of two exps, so its error does not grow
-    along the chunk: it stays within ~3 |lambda E| eps relative of the
-    direct exp (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 3), the order of the direct exp's own argument rounding.  Where E
-    is exactly 0 (the sign-change anchor) both factors are exactly 1.
+    on first use per (bump, delta) with one row per chunk row.  Every
+    harmonic1d chunk and every arithmetic table chunk does; any other chunk
+    takes exp(lambda E) directly.  So a row's bytes depend on the bounds of
+    its chunk, and rows are only ever filled in the blocks of
+    ``row_chunks(S, N)``.  Re(lambda E) <= 0 by construction, and the sign
+    rule keeps both factors of modulus <= 1, so nothing overflows.  Each
+    entry is one product of two exps, so its error does not grow along the
+    chunk: it stays within ~3 |lambda E| eps relative of the direct exp
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3), the
+    order of the direct exp's own argument rounding.  Where E is exactly 0
+    (the sign-change anchor) both factors are exactly 1.
     """
-    gs = [np.roll(np.real(g.samples.samples), k0) for g, _, _ in bumps]
-    N = len(gs[0])
-    flat = np.logical_and.reduce([(g == 0.0) | (g == 1.0) for g in gs])
-    idxs = [(np.concatenate([np.arange(lo, hi + 1) for lo, hi in bands]) + k0) % N
-            for _, _, bands in bumps]
-    idxs = [idx[~flat[idx]] for idx in idxs]
-    f_cols = np.unique(np.concatenate(idxs))
-    circ = []
-    for g, (_, E, _), idx in zip(gs, bumps, idxs):
-        supp = np.flatnonzero(g > 0.0)
-        cols = np.union1d(supp, idx)
-        dg = np.real(TorusFunction(g).derivative().samples)
-        at_f, at_idx = np.searchsorted(f_cols, idx), np.searchsorted(cols, idx)
-        band = [(slice(at_f[a], at_f[a] + b - a), dg[idx[a:b]],
-                 slice(at_idx[a], at_idx[a] + b - a)) for a, b in index_runs(at_f, at_idx)]
-        circ.append((g[supp], np.roll(E, k0)[cols], band,
-                     *map(_run_or_index, (supp, np.searchsorted(cols, supp)))))
-    lams = np.asarray(eigs.lambdas, dtype=np.float64)[js]
-    u = np.zeros((len(js), N), dtype=np.complex128)
-    f = np.zeros((len(js), len(f_cols)), dtype=np.complex128)
-    sup_u, sup_f = np.empty(len(js)), np.empty(len(js))
-    tables = {}
-    for s in row_chunks(*u.shape):
-        lam = lams[s]
-        d = lam[1] - lam[0] if lam.size > 1 else 0.0
-        ap = d * lam[0] > 0.0 and np.array_equal(lam, lam[0] + d * np.arange(lam.size))
-        for k, (g, E, band, supp, at_supp) in enumerate(circ):
+
+    def __init__(self, lams: np.ndarray, bumps, k0: int):
+        gs = [np.roll(np.real(g.samples.samples), k0) for g, _, _ in bumps]
+        N = len(gs[0])
+        flat = np.logical_and.reduce([(g == 0.0) | (g == 1.0) for g in gs])
+        idxs = [(np.concatenate([np.arange(lo, hi + 1) for lo, hi in bands]) + k0) % N
+                for _, _, bands in bumps]
+        idxs = [idx[~flat[idx]] for idx in idxs]
+        f_cols = np.unique(np.concatenate(idxs))
+        circ = []
+        for g, (_, E, _), idx in zip(gs, bumps, idxs):
+            supp = np.flatnonzero(g > 0.0)
+            cols = np.union1d(supp, idx)
+            dg = np.real(TorusFunction(g).derivative().samples)
+            at_f, at_idx = np.searchsorted(f_cols, idx), np.searchsorted(cols, idx)
+            band = [(slice(at_f[a], at_f[a] + b - a), dg[idx[a:b]],
+                     slice(at_idx[a], at_idx[a] + b - a)) for a, b in index_runs(at_f, at_idx)]
+            circ.append((g[supp], np.roll(E, k0)[cols], band,
+                         *map(_run_or_index, (supp, np.searchsorted(cols, supp)))))
+        f_cols.flags.writeable = False
+        self.lams, self.n, self.f_cols, self._circ, self._tables = lams, N, f_cols, circ, {}
+        rows = len(lams[next(row_chunks(len(lams), N), slice(0))])   # the largest chunk
+        # u is +0.0 off the supports; only a sum of bumps writes whole rows
+        self._u = np.zeros((rows, N), dtype=np.complex128)
+        self._full = np.empty_like(self._u) if len(circ) > 1 else None
+        # every fill writes all of f's columns: f_cols is the union of the bands
+        self._f = np.empty((rows, len(f_cols)), dtype=np.complex128)
+
+    def __len__(self) -> int:
+        return len(self.lams)
+
+    def fill(self, s: slice):
+        lam = self.lams[s]
+        m = lam.size
+        u, f = self._u[:m], self._f[:m]
+        d = lam[1] - lam[0] if m > 1 else 0.0
+        ap = d * lam[0] > 0.0 and np.array_equal(lam, lam[0] + d * np.arange(m))
+        if self._full is not None:
+            u[...] = 0.0
+        for k, (g, E, band, supp, at_supp) in enumerate(self._circ):
             with np.errstate(under="ignore"):
                 if ap:
-                    if (k, d) not in tables:
-                        tables[k, d] = np.exp((d * np.arange(s.stop - s.start))[:, None] * E)
-                    e = np.exp(lam[0] * E) * tables[k, d][:lam.size]
+                    if (k, d) not in self._tables:
+                        self._tables[k, d] = np.exp(
+                            (d * np.arange(s.stop - s.start))[:, None] * E)
+                    e = np.exp(lam[0] * E) * self._tables[k, d][:m]
                 else:
                     e = np.exp(lam[:, None] * E)
-            term = g * e[:, at_supp]
             if k:
                 # later bumps add on the whole row, so that off their
                 # support u + 0 turns a -0 into +0 as a full-grid sum does
-                full = np.zeros_like(u[s])
-                full[:, supp] = term
-                u[s] = u[s] + full
+                full = self._full[:m]
+                full[...] = 0.0
+                full[:, supp] = g * e[:, at_supp]
+                u += full
+            elif isinstance(supp, slice):     # one run: no temporary, every fill
+                np.multiply(g, e[:, at_supp], out=u[:, supp])
             else:
-                u[s, supp] = term
+                u[:, supp] = g * e[:, at_supp]
             for to, dg, at in band:
-                f[s, to] = dg * e[:, at]
-        sup_u[s] = np.abs(u[s]).max(axis=1)
-        sup_f[s] = np.abs(f[s]).max(axis=1, initial=0.0)
-    levels = [WitnessLevel(j=int(j), lam=float(lams[r]), sup_u=float(sup_u[r]),
-                           sup_f=float(sup_f[r]), row=r,
+                np.multiply(dg, e[:, at], out=f[:, to])
+        return u, f, None
+
+
+def _bump_levels(eigs: EigenSequence, js: np.ndarray, bumps, k0: int):
+    """The levels ``js`` of a bump witness, their sup norms left to the
+    construction pass, and the :class:`_BumpRows` recipe of their rows."""
+    lams = np.asarray(eigs.lambdas, dtype=np.float64)[js]
+    levels = [WitnessLevel(j=int(j), lam=float(lams[r]), sup_u=None, sup_f=None, row=r,
                            lam_exact=eigs.exact_lambda(int(j)) if eigs.integer_valued else None)
               for r, j in enumerate(js)]
-    return levels, u, f, f_cols
+    return levels, _BumpRows(lams, bumps, k0)
 
 
 def _band_check(lam_max: float, c_sup: float, N: int, who: str) -> None:
@@ -926,19 +1022,21 @@ def sign_change_witness(c: TorusFunction, eigs: EigenSequence, mu=Fraction(1, 2)
 
     # g*' is nonzero only on the transition bands [alpha*,gamma*], [delta*,beta*]
     psi_w = np.real(psi_star.samples.samples)
-    levels, u, f, f_cols = _bump_levels(eigs, use, [
+    levels, rows = _bump_levels(eigs, use, [
         (g_star, psi_w * (Bw - 1j * Aw), [(part["la"], part["lb"]), (part["ra"], part["rb"])])], k0)
     t_anchor = (t0 + tau[i]) % (2.0 * math.pi)
-    at_anchor = np.abs(u[:, (k0 + i) % N])
-    bad = np.flatnonzero(np.abs(at_anchor - 1.0) > 1e-9)
-    if bad.size:
-        raise WitnessCheckFailed(f"internal: |u({t_anchor:.4f})| = {at_anchor[bad[0]]!r} "
-                                 f"!= 1 at level {use[bad[0]]}")
+
+    def at_anchor(s: slice, u: np.ndarray) -> None:
+        """|u(t*)| = 1 on every row of the chunk ``s``."""
+        mod = np.abs(u[:, (k0 + i) % N])
+        bad = np.flatnonzero(np.abs(mod - 1.0) > 1e-9)
+        if bad.size:
+            raise WitnessCheckFailed(f"internal: |u({t_anchor:.4f})| = {mod[bad[0]]!r} "
+                                     f"!= 1 at level {use[s][bad[0]]}")
 
     bundle = _verified(
-        TOL_RESIDUAL, kind="sign-change", levels=levels, c=cc, eigs=eigs,
-        u=u, f=f, f_cols=f_cols,
-        exponent=float(eigs.exponent(mu)), floor_u=min(lv.sup_u for lv in levels),
+        TOL_RESIDUAL, probe=at_anchor, kind="sign-change", levels=levels, c=cc, eigs=eigs,
+        rows=rows, exponent=float(eigs.exponent(mu)), floor_u=None,
         meta={
             "side": "max" if side > 0 else "min",
             "subsequence_note": sub_note,
@@ -1084,13 +1182,12 @@ def plateau_witness(c: TorusFunction, intervals: Sequence[float], eigs: EigenSeq
     # cancel exactly and the true forcing is identically zero there --
     # writing 0 instead of the numerically cancelled sum keeps sup|f_j| free
     # of a roundoff floor
-    levels, u, f, f_cols = _bump_levels(eigs, np.arange(len(lams)), [
+    levels, rows = _bump_levels(eigs, np.arange(len(lams)), [
         (g0, B0 - 1j * A, [(la, lb)]), (g1, B1 - 1j * A, [(ra, rb)])], k0)
 
     return _verified(
-        TOL_RESIDUAL, kind="plateau", levels=levels, c=cc, eigs=eigs,
-        u=u, f=f, f_cols=f_cols,
-        exponent=float(eigs.exponent(mu)), floor_u=min(lv.sup_u for lv in levels),
+        TOL_RESIDUAL, kind="plateau", levels=levels, c=cc, eigs=eigs, rows=rows,
+        exponent=float(eigs.exponent(mu)), floor_u=None,
         meta={
             "anchors": {"t0": t0, "t1": t1},
             "cut": tcut,
@@ -1187,8 +1284,8 @@ def L0_reduction_witness(c: TorusFunction, certificate: LiouvilleCertificate,
     bundle = _verified(
         TOL_RESIDUAL, ("residuals_ok", "decay_ok"), kind="l0-reduction", levels=levels,
         c=cc, eigs=eigs, exponent=float(certificate.e), floor_u=I_phi,
-        u=np.array(us, dtype=np.complex128).reshape(-1, N),
-        f=np.array(fs, dtype=np.complex128).reshape(-1, N), f_cols=np.arange(N),
+        rows=_ArrayRows(np.array(us, dtype=np.complex128).reshape(-1, N),
+                        np.array(fs, dtype=np.complex128).reshape(-1, N), np.arange(N)),
         meta={
             "a0": str(kappa),
             "t_anchor": t_anchor,

@@ -208,7 +208,7 @@ def test_c06_liouville_certificate_and_constant_witness():
     for lv in bundle.levels:
         assert abs(lv.sup_u - 1.0) <= 1e-12
         if lv.sampled:
-            assert abs(float(np.max(np.abs(bundle.u[lv.row]))) - 1.0) <= 1e-9
+            assert abs(float(np.max(np.abs(bundle.u_rows(lv.row)))) - 1.0) <= 1e-9
     assert bundle.decay.eps_f > 0.0
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
@@ -232,7 +232,7 @@ def test_c07_sign_change_witness_quality(eigs64):
     idx = int(round(t_star / (2 * math.pi / Nw))) % Nw
     for lv in bundle.levels:
         assert lv.sampled
-        assert abs(abs(bundle.u[lv.row][idx]) - 1.0) <= 1e-6
+        assert abs(abs(bundle.u_rows(lv.row)[idx]) - 1.0) <= 1e-6
 
     dec = bundle.decay
     assert dec.rate_lambda > 0.0

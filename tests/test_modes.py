@@ -350,14 +350,12 @@ def _banded_lu_solve_mnw(G, X, pivoted=None):
     return singular
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 4), st.sampled_from([1, 3, 17]), st.sampled_from([8, 16, 64]),
-       st.integers(1, 3), st.booleans(), st.integers(0, 2 ** 31 - 1))
-def test_banded_lu_matches_the_mnw_reference_bit_for_bit(d, m, n, r, zero_col, seed):
-    # random complex bands (columns n/2.. pivot; the rows above n/2 are
-    # diagonally dominant and do not), row n/2 planted with a zero diagonal
-    # and a zero lower band so that column n/2 must pivot, and optionally
-    # one all-zero column in mode 0, whose exactly zero pivot is singular
+def _random_band_system(d, m, n, r, zero_col, seed):
+    """(G, X) of m random complex band systems: columns n/2.. pivot (the
+    rows above n/2 are diagonally dominant and do not), row n/2 planted
+    with a zero diagonal and a zero lower band so that column n/2 must
+    pivot, and optionally one all-zero column in mode 0, whose exactly zero
+    pivot is singular."""
     rng = np.random.default_rng(seed)
     w = 2 * d + 1
     G = rng.normal(size=(m, n, w)) + 1j * rng.normal(size=(m, n, w))
@@ -372,6 +370,16 @@ def test_banded_lu_matches_the_mnw_reference_bit_for_bit(d, m, n, r, zero_col, s
         rows = np.arange(max(0, j - d), min(n, j + d + 1))
         G[0, rows, j - rows + d] = 0.0
     X = rng.normal(size=(m, n, r)) + 1j * rng.normal(size=(m, n, r))
+    return G, X
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.sampled_from([1, 3, 17]), st.sampled_from([8, 16, 64]),
+       st.integers(1, 3), st.booleans(), st.integers(0, 2 ** 31 - 1))
+@example(d=1, m=1, n=8, r=1, zero_col=False, seed=3192)   # a one-element product
+def test_banded_lu_matches_the_mnw_reference_bit_for_bit(d, m, n, r, zero_col, seed):
+    G, X = _random_band_system(d, m, n, r, zero_col, seed)
+    w, h = 2 * d + 1, n // 2
     GX = np.concatenate([G, X], axis=2).transpose(1, 2, 0).copy()
     pivoted = []
     want = _banded_lu_solve_mnw(G, X, pivoted)
@@ -384,6 +392,23 @@ def test_banded_lu_matches_the_mnw_reference_bit_for_bit(d, m, n, r, zero_col, s
     assert x.copy().view(np.uint64).tolist() == X.view(np.uint64).tolist()
     assert not all(pivoted)                  # the swap is skipped somewhere
     assert pivoted[h] == (d > 0)             # and taken at the planted column
+
+
+@pytest.mark.parametrize("d, n, r, seed", [(1, 8, 1, 3192), (1, 8, 1, 40), (2, 8, 1, 162),
+                                           (1, 16, 1, 203), (2, 16, 3, 5), (0, 8, 1, 1)])
+def test_banded_lu_bytes_do_not_depend_on_the_batch(d, n, r, seed):
+    # one mode solved alone and as every mode of batches of 2, 3 and 17
+    # copies; with r = 1 the last back-substitution product of a lone mode
+    # has one element, which numpy once took through another loop
+    G, X = _random_band_system(d, 1, n, r, False, seed)
+    GX = np.concatenate([G, X], axis=2).transpose(1, 2, 0).copy()
+    alone = GX.copy()
+    _banded_lu_solve(alone, 2 * d + 1)
+    for m in (2, 3, 17):
+        batch = np.repeat(GX, m, axis=2)
+        _banded_lu_solve(batch, 2 * d + 1)
+        for i in range(m):
+            assert batch[..., i].tobytes() == alone[..., 0].tobytes(), (m, i)
 
 
 @pytest.mark.parametrize("formula", ["auto", 1, 2, "fourier"])

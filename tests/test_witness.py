@@ -3,15 +3,16 @@ import math
 import os
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypotorus.diophantine import classify_rational, construct_liouville
-from hypotorus.modes import apply_mode, operator_residuals
+from hypotorus.modes import apply_mode, index_runs, operator_residuals, row_chunks
 from hypotorus.spectrum import build_eigensequence
 from hypotorus.torusfn import TorusFunction, grid
 import hypotorus.witness as witness_mod
@@ -176,7 +177,7 @@ def test_constant_integer_solution_is_the_conjugate_harmonic():
     b = constant_witness(2, eigs, L=3, N=256)
     for lv in b.levels:
         expect = TorusFunction.harmonic(-2 * (2 * lv.j + 1), 256)
-        assert np.allclose(b.u[lv.row], np.asarray(expect.samples), atol=1e-12)
+        assert np.allclose(b.u_rows(lv.row), np.asarray(expect.samples), atol=1e-12)
 
 
 def test_constant_rational_resonant_subsequence():
@@ -320,7 +321,7 @@ def test_sign_change_mode_identities(sin_witness):
     for lv in sin_witness.levels:
         assert lv.residual < 1e-7
         assert abs(lv.sup_u - 1.0) < 1e-12
-        u = TorusFunction(sin_witness.u[lv.row])
+        u = TorusFunction(sin_witness.u_rows(lv.row))
         assert abs(abs(u.eval_at(sin_witness.meta["t_star"])) - 1.0) < 1e-6
 
 
@@ -365,29 +366,55 @@ def test_batched_residuals_equal_the_per_level_operator(kind):
     b = _every_kind()[kind]()
     sampled = [lv for lv in b.levels if lv.sampled]
     assert sampled and [lv.row for lv in sampled] == list(range(len(sampled)))
-    assert b.u.shape == b.f_rows().shape == (len(sampled), b.c.n)
-    assert not (b.u.flags.writeable or b.f.flags.writeable or b.f_cols.flags.writeable)
+    u_all = b.u_rows()
+    assert u_all.shape == b.f_rows().shape == (len(sampled), b.c.n)
+    assert not b.f_cols.flags.writeable
     for lv in sampled:
         u = (TorusFunction.harmonic(-lv.freq, b.c.n) if b.kind == "constant"
-             else TorusFunction(b.u[lv.row]))
-        assert u.samples.tobytes() == b.u[lv.row].tobytes()
+             else TorusFunction(b.u_rows(lv.row)))
+        assert u.samples.tobytes() == b.u_rows(lv.row).tobytes() == u_all[lv.row].tobytes()
         ref = (apply_mode(lv.lam, b.c, u) - TorusFunction(b.f_rows(lv.row))).sup_norm()
         assert lv.residual == ref
+    u_all[...] = 0.0                          # the accessor hands out copies
+    assert b.u_rows().tobytes() != u_all.tobytes()
     assert b.verify()["max_residual"] == max(lv.residual for lv in sampled)
+
+
+class _EditedRows(witness_mod._Rows):
+    """The rows of ``rows`` with the forcing kept on the columns ``keep`` of
+    its ``f_cols`` only, and ``edit(s, f)`` applied to a copy of each chunk."""
+
+    def __init__(self, rows, keep=slice(None), edit=None):
+        self.rows, self.keep, self.edit = rows, keep, edit
+        self.n, self.f_cols = rows.n, rows.f_cols[keep]
+
+    def __len__(self):
+        return len(self.rows)
+
+    def fill(self, s):
+        u, f, coeffs = self.rows.fill(s)
+        f = f[:, self.keep].copy()
+        if self.edit is not None:
+            self.edit(s, f)
+        return u, f, coeffs
 
 
 def test_verify_recomputes_the_residuals_from_the_band_store(sin_witness):
     b = sin_witness
     assert b.verify()["checks"]["residuals_ok"]
-    row, k = np.unravel_index(np.argmax(np.abs(b.f)), b.f.shape)
+    band = b.f_rows()[:, b.f_cols]
+    row, k = np.unravel_index(np.argmax(np.abs(band)), band.shape)
     # drop the band column where |f| peaks: f reads as 0 there
     keep = np.arange(len(b.f_cols)) != k
-    dropped = replace(b, f=b.f[:, keep], f_cols=b.f_cols[keep])
-    assert not dropped.verify()["checks"]["residuals_ok"]
+    assert not replace(b, rows=_EditedRows(b.rows, keep)).verify()["checks"]["residuals_ok"]
+
     # move one band value by 1e-6
-    moved = b.f.copy()
-    moved[row, k] += 1e-6
-    assert not replace(b, f=moved).verify()["checks"]["residuals_ok"]
+    def move(s, f):
+        if s.start <= row < s.stop:
+            f[row - s.start, k] += 1e-6
+
+    assert not replace(b, rows=_EditedRows(b.rows, edit=move)).verify()["checks"]["residuals_ok"]
+    assert b.verify()["checks"]["residuals_ok"]
 
 
 def test_sign_change_stores_its_forcing_on_the_bands_only():
@@ -399,11 +426,15 @@ def test_sign_change_stores_its_forcing_on_the_bands_only():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert b.f.shape == (128, len(b.f_cols))
+    f = b.f_rows()
+    assert f.shape == (128, 2048)
     assert np.all(np.diff(b.f_cols) > 0)
-    assert b.f.nbytes <= 0.3 * b.u.nbytes
-    # u, f on its bands and the meta samples; a dense f alone is 1.0 u
-    assert held < 1.8 * b.u.nbytes
+    assert len(b.f_cols) <= 0.3 * 2048
+    off = np.ascontiguousarray(np.delete(f, b.f_cols, axis=1)).view(np.float64)
+    assert not off.any() and not np.signbit(off).any()            # +0.0 off the bands
+    # a recipe, one chunk of 32 rows and the meta samples; the dense
+    # (128, 2048) u alone would be 4 MiB
+    assert held < f.nbytes
 
 
 def test_sign_change_forcing_decays_at_the_margin_rate(sin_witness):
@@ -433,7 +464,7 @@ def test_sign_change_u_and_f_vanish_off_the_bump(sin_witness):
     lv = sin_witness.levels[3]
     # the construction anchors window coordinates at meta["t0"]
     k0 = int(round(sin_witness.meta["t0"] / (2 * math.pi / 1024)))
-    uv = np.roll(sin_witness.u[lv.row], -k0)
+    uv = np.roll(sin_witness.u_rows(lv.row), -k0)
     fv = np.roll(sin_witness.f_rows(lv.row), -k0)
     off = gv == 0.0
     assert np.all(uv[off] == 0.0)
@@ -649,38 +680,40 @@ def _levels_input(two: bool, ap: bool = True):
     return eigs, js, [(g0, E, [(20, 60)]), (g1, 0.5 * E, [(200, 230)])], k0
 
 
-def _scattered(u, f_band, f_cols):
-    f = np.zeros_like(u)
-    f[:, f_cols] = f_band
-    return f
+def _streamed(eigs, js, bumps, k0):
+    """u and f of _bump_levels on the whole grid, and its levels' sup|u| and
+    sup|f| as the construction pass takes them, chunk by chunk."""
+    levels, rows = witness_mod._bump_levels(eigs, js, bumps, k0)
+    b = WitnessBundle(kind="bump", levels=levels, c=TorusFunction.constant(0.0, rows.n),
+                      eigs=eigs, exponent=1.0, floor_u=None, decay=None, rows=rows)
+    _, sup_u, sup_f = b._scan(norms=True)
+    return (*rows.whole(), sup_u.tolist(), sup_f.tolist())
 
 
 @pytest.mark.parametrize("two", [False, True], ids=["one-bump", "two-bumps"])
 def test_bump_levels_match_the_full_grid_formula_bit_for_bit(two):
     # off an arithmetic progression every exp is taken directly: bit for bit
     args = _levels_input(two, ap=False)
-    levels, u, f_band, f_cols = witness_mod._bump_levels(*args)
-    f = _scattered(u, f_band, f_cols)
+    u, f, sup_u, sup_f = _streamed(*args)
     u_ref, f_ref = _full_grid_bump_levels(*args)
     assert np.signbit(u_ref.view(np.float64)).any()      # the signed zeros are there
     assert u.tobytes() == u_ref.tobytes()
     assert f.tobytes() == f_ref.tobytes()
-    assert [lv.sup_u for lv in levels] == np.abs(u_ref).max(axis=1).tolist()
-    assert [lv.sup_f for lv in levels] == np.abs(f_ref).max(axis=1).tolist()
+    assert sup_u == np.abs(u_ref).max(axis=1).tolist()
+    assert sup_f == np.abs(f_ref).max(axis=1).tolist()
 
 
 @pytest.mark.parametrize("two", [False, True], ids=["one-bump", "two-bumps"])
 def test_bump_levels_on_an_arithmetic_spectrum_stay_within_the_product_bound(two):
     args = _levels_input(two)
-    levels, u, f_band, f_cols = witness_mod._bump_levels(*args)
-    f = _scattered(u, f_band, f_cols)
+    u, f, sup_u, sup_f = _streamed(*args)
     u_ref, f_ref = _full_grid_bump_levels(*args)
     bu, bf = _oracle_bound(*args)
     assert u.tobytes() != u_ref.tobytes()                 # the table rule ran
     assert np.all(np.abs(u - u_ref) <= bu)
     assert np.all(np.abs(f - f_ref) <= bf)
-    assert np.allclose([lv.sup_u for lv in levels], np.abs(u_ref).max(axis=1), rtol=1e-11)
-    assert np.allclose([lv.sup_f for lv in levels], np.abs(f_ref).max(axis=1), rtol=1e-11)
+    assert np.allclose(sup_u, np.abs(u_ref).max(axis=1), rtol=1e-11)
+    assert np.allclose(sup_f, np.abs(f_ref).max(axis=1), rtol=1e-11)
 
 
 @pytest.mark.parametrize("kind", ["sign-change", "plateau"])
@@ -703,12 +736,138 @@ def test_witness_bump_levels_match_the_full_grid_formula(kind, monkeypatch):
     (args,) = seen
     u, f = _full_grid_bump_levels(*args)
     bu, bf = _oracle_bound(*args)
-    assert np.all(np.abs(b.u - u) <= bu)
+    assert np.all(np.abs(b.u_rows() - u) <= bu)
     assert np.all(np.abs(b.f_rows() - f) <= bf)
     assert all(lv.residual < TOL_RESIDUAL for lv in b.levels)
     if kind == "sign-change":
         anchor = round(b.meta["t_star"] * b.c.n / (2.0 * math.pi)) % b.c.n
-        assert np.all(np.abs(b.u[:, anchor]) == 1.0)
+        assert np.all(np.abs(b.u_rows()[:, anchor]) == 1.0)
+
+
+def _whole_store_bump_levels(eigs, js, bumps, k0):
+    """The bump levels built whole, as before they were streamed: every
+    level a row of one (S, N) u and of one (S, K) band forcing f, filled
+    chunk by chunk, and the rows' sup norms.  The reference for the bytes
+    of the streamed rows; returns u, f, f_cols, sup_u, sup_f."""
+    gs = [np.roll(np.real(g.samples.samples), k0) for g, _, _ in bumps]
+    N = len(gs[0])
+    flat = np.logical_and.reduce([(g == 0.0) | (g == 1.0) for g in gs])
+    idxs = [(np.concatenate([np.arange(lo, hi + 1) for lo, hi in bands]) + k0) % N
+            for _, _, bands in bumps]
+    idxs = [idx[~flat[idx]] for idx in idxs]
+    f_cols = np.unique(np.concatenate(idxs))
+    circ = []
+    for g, (_, E, _), idx in zip(gs, bumps, idxs):
+        supp = np.flatnonzero(g > 0.0)
+        cols = np.union1d(supp, idx)
+        dg = np.real(TorusFunction(g).derivative().samples)
+        at_f, at_idx = np.searchsorted(f_cols, idx), np.searchsorted(cols, idx)
+        band = [(slice(at_f[a], at_f[a] + b - a), dg[idx[a:b]],
+                 slice(at_idx[a], at_idx[a] + b - a)) for a, b in index_runs(at_f, at_idx)]
+        circ.append((g[supp], np.roll(E, k0)[cols], band,
+                     *map(witness_mod._run_or_index, (supp, np.searchsorted(cols, supp)))))
+    lams = np.asarray(eigs.lambdas, dtype=np.float64)[js]
+    u = np.zeros((len(js), N), dtype=np.complex128)
+    f = np.zeros((len(js), len(f_cols)), dtype=np.complex128)
+    sup_u, sup_f = np.empty(len(js)), np.empty(len(js))
+    tables = {}
+    for s in row_chunks(*u.shape):
+        lam = lams[s]
+        d = lam[1] - lam[0] if lam.size > 1 else 0.0
+        ap = d * lam[0] > 0.0 and np.array_equal(lam, lam[0] + d * np.arange(lam.size))
+        for k, (g, E, band, supp, at_supp) in enumerate(circ):
+            with np.errstate(under="ignore"):
+                if ap:
+                    if (k, d) not in tables:
+                        tables[k, d] = np.exp((d * np.arange(s.stop - s.start))[:, None] * E)
+                    e = np.exp(lam[0] * E) * tables[k, d][:lam.size]
+                else:
+                    e = np.exp(lam[:, None] * E)
+            term = g * e[:, at_supp]
+            if k:
+                full = np.zeros_like(u[s])
+                full[:, supp] = term
+                u[s] = u[s] + full
+            else:
+                u[s, supp] = term
+            for to, dg, at in band:
+                f[s, to] = dg * e[:, at]
+        sup_u[s] = np.abs(u[s]).max(axis=1)
+        sup_f[s] = np.abs(f[s]).max(axis=1, initial=0.0)
+    return u, f, f_cols, sup_u, sup_f
+
+
+def _table_spectrum(J, shape):
+    """A table spectrum of J levels: 'gaps' grows with uneven steps (no
+    arithmetic progression), 'mixed' alternates sign (the sign-change
+    witness keeps its positive subsequence, lambda = 1, 5, 9, ...)."""
+    if shape == "gaps":
+        return build_eigensequence("table", J, values=[2 * j + 1 + (j * j % 5) / 4 for j in range(J)],
+                                   m=2, n=1)
+    return build_eigensequence("table", J, values=[(-1) ** j * (2 * j + 1) for j in range(J)],
+                               m=2, n=1)
+
+
+@given(kind=st.sampled_from(["sign-change", "plateau"]),
+       spectrum=st.sampled_from(["harmonic1d", "gaps", "mixed"]),
+       extra=st.integers(1, 40), a0=st.sampled_from([0.0, 0.5]))
+@settings(max_examples=24, deadline=None)
+@example(kind="sign-change", spectrum="harmonic1d", extra=11, a0=0.5)
+@example(kind="sign-change", spectrum="gaps", extra=38, a0=0.0)
+@example(kind="sign-change", spectrum="mixed", extra=13, a0=0.5)
+@example(kind="plateau", spectrum="harmonic1d", extra=9, a0=0.0)
+@example(kind="plateau", spectrum="gaps", extra=22, a0=0.0)
+def test_streamed_rows_equal_the_whole_store_bit_for_bit(kind, spectrum, extra, a0):
+    # sign-change at N = 2048 (chunks of 32 rows), plateau at N = 4096
+    # (chunks of 16, two bumps), on arithmetic and other spectra, with
+    # S = chunk + extra sampled levels: more than one chunk, the last partial
+    if kind == "sign-change":
+        N = 2048
+        c = c_sin(N, a0=a0)
+    else:
+        assume(spectrum != "mixed")          # the plateau takes positive spectra
+        N = 4096
+        c, iv = plateau_coefficient(N, amp=1.0)
+    chunk = (1 << 16) // N
+    S = chunk + extra
+    assume(S % chunk)
+    eigs = (build_eigensequence("harmonic1d", S) if spectrum == "harmonic1d"
+            else _table_spectrum(2 * S if spectrum == "mixed" else S, spectrum))
+    real = witness_mod._bump_levels
+    with mock.patch.object(witness_mod, "_bump_levels", side_effect=real) as spy:
+        b = (sign_change_witness(c, eigs, N=N) if kind == "sign-change"
+             else plateau_witness(c, iv, eigs, N=N))
+    u, f, f_cols, sup_u, sup_f = _whole_store_bump_levels(*spy.call_args.args)
+    lams = [lv.lam for lv in b.levels]
+    assert len(lams) == S
+    assert b.f_cols.tobytes() == f_cols.tobytes()
+    assert b.u_rows().tobytes() == u.tobytes()
+    whole_f = np.zeros_like(u)
+    whole_f[:, f_cols] = f
+    assert b.f_rows().tobytes() == whole_f.tobytes()
+    assert [lv.sup_u for lv in b.levels] == sup_u.tolist()
+    assert [lv.sup_f for lv in b.levels] == sup_f.tolist()
+    res = operator_residuals(lams, b.c, u, f, cols=f_cols).tolist()
+    assert [lv.residual for lv in b.levels] == res
+    assert b.floor_u == min(sup_u.tolist())
+    rep = b.verify()
+    assert rep["ok"] and rep["max_residual"] == max(res)
+
+
+def test_streamed_sign_change_witness_holds_under_10_mb():
+    # the benchmark's witness, J = 512 at N = 8192: a dense u alone would
+    # be 64 MiB and its band forcing 15.6 MiB
+    c = TorusFunction(0.75 + 0.75j * np.sin(3.0 * grid(8192)))
+    eigs = build_eigensequence("harmonic1d", 512)
+    tracemalloc.start()
+    try:
+        b = sign_change_witness(c, eigs, N=8192)
+        rep = b.verify()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep["ok"] and rep["n_sampled"] == 512
+    assert peak < 10e6
 
 
 # --------------------------------------------------------------------------- #
@@ -750,7 +909,7 @@ def test_plateau_modulus_is_one_on_the_whole_plateau(plateau_bundle):
     b = plateau_bundle
     t0, t1 = b.meta["anchors"]["t0"], b.meta["anchors"]["t1"]
     for lv in (b.levels[0], b.levels[-1]):
-        u = TorusFunction(b.u[lv.row])
+        u = TorusFunction(b.u_rows(lv.row))
         assert abs(abs(u.eval_at(t0)) - 1.0) < 1e-6
         assert abs(abs(u.eval_at(t1)) - 1.0) < 1e-6
         tg = np.asarray(u.grid)
@@ -764,7 +923,7 @@ def test_plateau_solution_vanishes_where_both_bumps_do(plateau_bundle):
     g1 = np.real(np.asarray(b.meta["bumps"]["g1"].samples.samples))
     k0 = int(round(b.meta["cut"] / (2 * math.pi / 1024)))
     for lv in (b.levels[0], b.levels[-1]):
-        uw = np.roll(b.u[lv.row], -k0)
+        uw = np.roll(b.u_rows(lv.row), -k0)
         dead = (g0 == 0.0) & (g1 == 0.0)
         assert dead.any()
         assert np.all(uw[dead] == 0.0)
@@ -821,7 +980,7 @@ def test_l0_floor_is_the_bump_integral_on_every_level(liouville_setup):
     I_phi = b.meta["I_phi"]
     assert I_phi > 0.0
     for lv in b.levels:
-        assert abs(abs(TorusFunction(b.u[lv.row]).eval_at(b.meta["t_anchor"])) - I_phi) \
+        assert abs(abs(TorusFunction(b.u_rows(lv.row)).eval_at(b.meta["t_anchor"])) - I_phi) \
             < 1e-8 if lv.sampled else True
         assert lv.sup_u <= I_phi * (1.0 + 1e-9)
     floors = [lv.sup_u for lv in b.levels]

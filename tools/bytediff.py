@@ -20,13 +20,17 @@ distinct-value rule of distances.csv: 5/13 and 12345/32771, whose 7 and
 rendered once each, and 12345/131101, whose 65551 exceed them and are
 rendered value by value), one witness per
 constructor, a constant one at denominator 20001, a constant one on the
-auto route (classify, then its plan), and six more sign-change witnesses:
+auto route (classify, then its plan), and eight more sign-change witnesses:
 the mirrored window of a negative table, a drifting Im c, two harmonics,
 1/2 + i sin 4t at the default witness_n, which misses its residual budget
 and exits 1, 1/2 + i sin t on harmonic1d_power 2, whose levels are no
 arithmetic progression and take every exp directly (the other bump
-witnesses run on arithmetic spectra and take one exp per row chunk), and
-a c with cos 300t on a 512-point witness grid, refused with exit 1.
+witnesses run on arithmetic spectra and take one exp per row chunk),
+a c with cos 300t on a 512-point witness grid, refused with exit 1,
+40 levels at witness_n 2048, whose last row chunk holds 8 rows after one
+of 32, and a mixed-sign table, whose positive subsequence is sampled.
+One more plateau witness, on harmonic1d_power 2 at witness_n 8192: its two
+bumps take every exp directly, in row chunks of 8 + 8 + 4.
 Five plain classify calls on c whose verdict follows the exact mean:
 1/3 + 1e-10 + cos t, 1/65 + cos t and 1/2000003 + cos t, and two whose
 oscillation is below 1e-12, 1/65 + 1e-13 cos t and 1/3 + 1e-13 i cos t.
@@ -120,6 +124,19 @@ WITNESS = {  # one witness call per constructor; sign-change also runs in the be
     # c has cos 300t, the witness grid 512 points: refused, exit 1
     "sign-change-coarse": {"c": "1/2 + i sin t + 1/10 cos 300t", "grid_n": 1024,
                            "j_modes": 8, "witness_kind": "sign-change", "witness_n": 512},
+    # the chunks of rows that a witness fills one at a time: a last chunk
+    # of 8 rows after one of 32; two bumps whose levels take every exp
+    # directly, in chunks of 8 + 8 + 4 (the second bump adds over whole
+    # rows); and a mixed-sign table, whose positive subsequence is sampled
+    "sign-change-partial-chunk": {"c": "1/2 + i sin t", "witness_kind": "sign-change",
+                                  "witness_n": 2048, "j_modes": 40},
+    "plateau-power2": {"c_file": "extra/c_plateau_8192.csv", "witness_kind": "plateau",
+                       "intervals": [1.5, 3.5], "grid_n": 8192, "witness_n": 8192,
+                       "j_modes": 20, "model": {"kind": "harmonic1d_power 2"}},
+    "sign-change-mixed-table": {"c": "1/2 + i sin t", "witness_kind": "sign-change",
+                                "witness_n": 2048, "j_modes": 48,
+                                "model": {"kind": "table",
+                                          "values": [(-1) ** j * (2 * j + 1) for j in range(48)]}},
 }
 
 CLASSIFY = {  # classify --witness: a plan written on a budget miss, a plateau, benchmark size
@@ -180,8 +197,9 @@ def inputs() -> dict:
     headers, a blank line after every fifth row and CRLF ends; a mode CSV
     (modes 0, 1, 2) on a 16-point grid with re = inf at one sample of mode 1
     and im = nan at one of mode 2; a mode CSV with mode 1 = e^{it} on a
-    16-point grid; and a c on the 1024-point grid whose Im c is + on
-    (0.5, 1.5), exactly 0 on [1.5, 3.5] and - on (3.5, 4.5)."""
+    16-point grid; and a c whose Im c is + on (0.5, 1.5), exactly 0 on
+    [1.5, 3.5] and - on (3.5, 4.5), on the 1024-point grid (amplitude 4)
+    and on the 8192-point grid (amplitude 1)."""
     t = [2.0 * math.pi * i / 64 for i in range(64)]
     f = "".join(f"{j},{s!r},{math.sin(j * s + 1) / 7 ** j!r},"
                 f"{-0.0 if j == 3 else math.cos(s) / j!r}\n" for j in (1, 3, 6) for s in t)
@@ -191,9 +209,12 @@ def inputs() -> dict:
                 f"{'nan' if (j, i) == (2, 9) else repr(math.sin(s))}\n"
                 for j in range(3) for i, s in enumerate(t))
     e = "".join(f"1,{s!r},{math.cos(s)!r},{math.sin(s)!r}\n" for s in t)
-    t = [2.0 * math.pi * i / 1024 for i in range(1024)]
-    p = "".join(f"{s!r},0.0,{4.0 * (_bump(s, 0.5, 0.95, 1.05, 1.5) - _bump(s, 3.5, 3.95, 4.05, 4.5))!r}\n"
-                for s in t)
+    def plateau(n, amp):
+        t = [2.0 * math.pi * i / n for i in range(n)]
+        return "t,re,im\n" + "".join(
+            f"{s!r},0.0,{amp * (_bump(s, 0.5, 0.95, 1.05, 1.5) - _bump(s, 3.5, 3.95, 4.05, 4.5))!r}\n"
+            for s in t)
+
     def spaced(header, rows):
         lines = [r + ("\r\n\r\n" if k % 5 == 4 else "\r\n")
                  for k, r in enumerate(rows.splitlines())]
@@ -202,7 +223,7 @@ def inputs() -> dict:
     return {"f_modes.csv": "j,t,re,im\n" + f, "c_samples.csv": "t,re,im\n" + c,
             "f_spaced.csv": spaced("j , t, re ,im", f), "c_spaced.csv": spaced(" t, re, im", c),
             "f_nonfinite.csv": "j,t,re,im\n" + g, "f_coarse.csv": "j,t,re,im\n" + e,
-            "c_plateau.csv": "t,re,im\n" + p}
+            "c_plateau.csv": plateau(1024, 4.0), "c_plateau_8192.csv": plateau(8192, 1.0)}
 
 
 def calls(change: Path, workloads) -> list:
