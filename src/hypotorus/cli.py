@@ -290,9 +290,9 @@ class ExperimentConfig:
         """Estimated bytes of the largest array ``command`` builds: a per-mode
         table, the sampled c, the solved field (solve) or a (levels, N)
         witness store, with at most max(J, 4) levels and N = 1024 (the
-        largest constructor default) when ``witness_n`` is unset.  A witness
-        no longer stores its (levels, N) rows, only one chunk of them, so
-        that term over-counts; it is kept until a peak estimate per command
+        largest constructor default) when ``witness_n`` is unset.  The
+        witness term over-counts a witness's peak, which is one row_chunks
+        block of its rows; it is kept until a peak estimate per command
         replaces this one (ROADMAP item 2)."""
         J, N = self._d["j_modes"], self._d["grid_n"]
         sizes = [_MODE_BYTES * J, _CELL_BYTES * N]

@@ -88,15 +88,13 @@ _CHUNK_CELLS = 3 << 20  # complex numbers in one banded chunk's G and X (48 MiB)
 #: derivative levels at a time), would exceed it before
 #: anything is built; dense collocation refuses a grid whose n x n complex
 #: matrix would (n > 2048), before any n x n allocation.  The witness term
-#: of array_bytes, levels x witness_n cells, now over-counts: a witness
-#: holds one row chunk of u and f (about 2 MiB at the benchmark's
-#: (512, 8192), which once stored 64 MiB of u plus 16-31 MiB of f), yet
-#: the ceiling still refuses the configs it did; ROADMAP item 2 settles it
-#: with the rest.  Peak memory is a multiple of the largest
-#: array: a solve of a 32 MiB field (J = 512, grid 4096, every mode forced)
-#: peaks at 225-229 MB RSS, about 7x, set by the banded chunk (the CSV is
-#: written one mode block at a time); ROADMAP item 2 replaces this ceiling
-#: with a peak estimate per command.
+#: of array_bytes, levels x witness_n cells, over-counts a witness's peak,
+#: which is one row_chunks block of u and f (about 2 MiB at levels 512,
+#: witness_n 8192).  Peak memory is a multiple of the largest array: a
+#: solve of a 32 MiB field (J = 512, grid 4096, every mode forced) peaks at
+#: 225-229 MB RSS, about 7x, set by the banded chunk (the CSV is written one
+#: mode block at a time); ROADMAP item 2 replaces this ceiling with a peak
+#: estimate per command.
 MAX_ARRAY_BYTES = 1 << 27
 
 

@@ -418,7 +418,7 @@ class WitnessBundle:
         sup_f (NaN unless ``norms``)."""
         lams = np.array([lv.lam for lv in self.levels if lv.sampled], dtype=np.float64)
         res, sup_u, sup_f = np.full((3, len(lams)), math.nan)
-        for s in row_chunks(len(lams), self.c.n):
+        for s in row_chunks(len(lams), self.rows.n):
             u, f, coeffs = self.rows.fill(s)
             if probe is not None:
                 probe(s, u)
@@ -906,8 +906,6 @@ class _BumpRows(_Rows):
                 full[...] = 0.0
                 full[:, supp] = g * e[:, at_supp]
                 u += full
-            elif isinstance(supp, slice):     # one run: no temporary, every fill
-                np.multiply(g, e[:, at_supp], out=u[:, supp])
             else:
                 u[:, supp] = g * e[:, at_supp]
             for to, dg, at in band:
