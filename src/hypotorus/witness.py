@@ -53,8 +53,9 @@ int32 indices) over the 2N-point cover: O(N log N), and the same window as
 a scan of every start.  Construction makes one pass over the chunks: it
 fills each, takes its rows' grid sup norms, runs the kind's own check
 (|u(t*)| = 1 for sign-change) and takes its residuals with
-:func:`modes.operator_residuals`; :meth:`WitnessBundle.verify` refills
-every chunk from the same recipe and recomputes its residuals.  Levels
+:func:`modes.operator_residuals`, and keeps the report of its checks as
+``WitnessBundle.report``; :meth:`WitnessBundle.verify` refills every chunk
+from the same recipe and recomputes that report on demand.  Levels
 beyond the grid band carry ``residual=None`` and are verified on their
 closed form in exact rational arithmetic.
 """
@@ -102,6 +103,9 @@ __all__ = [
 TOL_RESIDUAL = 1e-7
 #: tighter tolerance for the constant-coefficient construction (pure modes)
 TOL_RESIDUAL_CONSTANT = 1e-9
+#: the residual tolerance of each bundle kind: construction and verify() read it
+TOL_BY_KIND = {"constant": TOL_RESIDUAL_CONSTANT, "sign-change": TOL_RESIDUAL,
+               "plateau": TOL_RESIDUAL, "l0-reduction": TOL_RESIDUAL}
 #: fraction of the Nyquist frequency a level's bandwidth may occupy before we
 #: refuse to verify it on the grid
 _BAND_FRACTION = 0.45
@@ -368,7 +372,10 @@ class WitnessBundle:
     :meth:`f_rows` return copies of chosen rows on the whole grid.
     ``floor_u`` is the reported constant c0 with sup|u_{j_l}| >= c0 > 0,
     and ``decay`` summarizes the forcing decay; ``exponent`` is the
-    Gelfand-Shilov abscissa power 1/(2 n mu) used for the fit.
+    Gelfand-Shilov abscissa power 1/(2 n mu) used for the fit.  ``report``
+    is the report of the check that construction ran on these rows before
+    returning the bundle (None on a bundle built by hand); :meth:`verify`
+    runs that check again.
     """
 
     kind: str
@@ -380,6 +387,7 @@ class WitnessBundle:
     decay: DecayRecord
     rows: _Rows
     meta: dict = field(default_factory=dict)
+    report: Optional[dict] = None
 
     @property
     def eigs_kind(self) -> str:
@@ -404,11 +412,12 @@ class WitnessBundle:
     # -- verification -------------------------------------------------- #
 
     def verify(self) -> dict:
-        """Re-run the bundle's own checks, refilling every chunk of rows and
-        recomputing its residuals from u, f and c, against the tolerance of
-        the bundle's kind; returns a report dict with "ok"."""
-        return self._report(self._scan()[0].tolist(),
-                            TOL_RESIDUAL_CONSTANT if self.kind == "constant" else TOL_RESIDUAL)
+        """Run the construction's check again on the bundle as it is now:
+        refill every chunk of rows, recompute its residuals from u, f and c
+        against ``TOL_BY_KIND[kind]`` and re-check the norms and the decay.
+        Returns a fresh report dict with "ok"; on an unchanged bundle it
+        equals ``report``."""
+        return self._report(self._scan()[0].tolist())
 
     def _scan(self, probe=None, norms: bool = False):
         """One pass over the chunks of ``rows``: each is filled once, shown
@@ -428,7 +437,8 @@ class WitnessBundle:
             res[s] = operator_residuals(lams[s], self.c, u, f, coeffs, cols=self.rows.f_cols)
         return res, sup_u, sup_f
 
-    def _report(self, residuals: list, tol: float) -> dict:
+    def _report(self, residuals: list) -> dict:
+        tol = TOL_BY_KIND[self.kind]
         floor = min((lv.sup_u for lv in self.levels), default=0.0)
         checks = {
             "residuals_ok": all(r < tol for r in residuals),
@@ -565,7 +575,7 @@ def constant_witness(alpha, eigs: EigenSequence, L: int = 4,
             taus.append(tau)
 
     u, u_coeffs = _harmonics(taus, N)
-    return _verified(TOL_RESIDUAL_CONSTANT, kind="constant", levels=levels,
+    return _verified(kind="constant", levels=levels,
                      c=TorusFunction.constant(complex(float(frac)), N), eigs=eigs,
                      exponent=float(eigs.exponent(mu)), floor_u=1.0,
                      rows=_ArrayRows(u, np.zeros((len(taus), 0), dtype=np.complex128),
@@ -633,7 +643,7 @@ def _constant_from_certificate(cert: LiouvilleCertificate, eigs: EigenSequence,
     u, u_coeffs = _harmonics(taus, N)
     with unlimited_int_digits():
         alpha_str = str(kappa)          # certificate rationals outgrow the 3.11+ str guard
-    return _verified(TOL_RESIDUAL_CONSTANT, kind="constant", levels=levels,
+    return _verified(kind="constant", levels=levels,
                      c=TorusFunction.constant(complex(float(kappa)), N), eigs=eigs,
                      exponent=float(cert.e), floor_u=1.0,
                      rows=_ArrayRows(u, u * np.array(scales, dtype=np.complex128)[:, None],
@@ -662,13 +672,15 @@ def _harmonics(taus: Sequence[int], N: int) -> tuple[np.ndarray, np.ndarray]:
     return np.fft.ifft(coeffs * N, axis=1), coeffs
 
 
-def _verified(tol: float, checks=None, probe=None, **parts) -> WitnessBundle:
+def _verified(checks=None, probe=None, **parts) -> WitnessBundle:
     """The bundle of ``parts`` after one pass over its chunks of rows, which
     takes each sampled level's residual and, where a level leaves them None,
     its grid sup norms (a ``floor_u`` of None is then the least sup|u|);
-    ``probe(s, u)`` sees each chunk first.  The decay record follows.
-    Refused unless the named checks (default: all) pass, with
-    :class:`WitnessBudgetMiss` when a residual misses ``tol``."""
+    ``probe(s, u)`` sees each chunk first.  The decay record follows, then
+    the report of every check, residuals against ``TOL_BY_KIND[kind]``: it
+    is kept as ``bundle.report``, the one check of the bundle that the CLI
+    writes.  Refused unless the named checks (default: all) pass, with
+    :class:`WitnessBudgetMiss` when a residual misses its tolerance."""
     bundle = WitnessBundle(decay=None, **parts)
     res, sup_u, sup_f = (a.tolist() for a in bundle._scan(
         probe, norms=any(lv.sup_u is None for lv in bundle.levels)))
@@ -679,14 +691,16 @@ def _verified(tol: float, checks=None, probe=None, **parts) -> WitnessBundle:
     if bundle.floor_u is None:
         bundle.floor_u = min(lv.sup_u for lv in bundle.levels)
     bundle.decay = _decay_record(bundle.levels, bundle.exponent)
-    rep = bundle._report(res, tol)
+    rep = bundle._report(res)
     failed = [k for k in checks or rep["checks"] if not rep["checks"][k]]
     if "residuals_ok" in failed:
-        raise WitnessBudgetMiss(bundle.kind, rep["max_residual"], tol, bundle.c.n)
+        raise WitnessBudgetMiss(bundle.kind, rep["max_residual"], TOL_BY_KIND[bundle.kind],
+                                bundle.c.n)
     if failed:
         raise WitnessCheckFailed(
             f"witness verification failed for kind={bundle.kind!r}: {rep['checks']} "
             f"(max residual {rep['max_residual']})")
+    bundle.report = rep
     return bundle
 
 
@@ -1033,7 +1047,7 @@ def sign_change_witness(c: TorusFunction, eigs: EigenSequence, mu=Fraction(1, 2)
                                      f"!= 1 at level {use[s][bad[0]]}")
 
     bundle = _verified(
-        TOL_RESIDUAL, probe=at_anchor, kind="sign-change", levels=levels, c=cc, eigs=eigs,
+        probe=at_anchor, kind="sign-change", levels=levels, c=cc, eigs=eigs,
         rows=rows, exponent=float(eigs.exponent(mu)), floor_u=None,
         meta={
             "side": "max" if side > 0 else "min",
@@ -1184,7 +1198,7 @@ def plateau_witness(c: TorusFunction, intervals: Sequence[float], eigs: EigenSeq
         (g0, B0 - 1j * A, [(la, lb)]), (g1, B1 - 1j * A, [(ra, rb)])], k0)
 
     return _verified(
-        TOL_RESIDUAL, kind="plateau", levels=levels, c=cc, eigs=eigs, rows=rows,
+        kind="plateau", levels=levels, c=cc, eigs=eigs, rows=rows,
         exponent=float(eigs.exponent(mu)), floor_u=None,
         meta={
             "anchors": {"t0": t0, "t1": t1},
@@ -1280,7 +1294,7 @@ def L0_reduction_witness(c: TorusFunction, certificate: LiouvilleCertificate,
 
     # the floor here is |u(t_l)| = I_phi, not min sup_u (sup_u >= I_phi always)
     bundle = _verified(
-        TOL_RESIDUAL, ("residuals_ok", "decay_ok"), kind="l0-reduction", levels=levels,
+        ("residuals_ok", "decay_ok"), kind="l0-reduction", levels=levels,
         c=cc, eigs=eigs, exponent=float(certificate.e), floor_u=I_phi,
         rows=_ArrayRows(np.array(us, dtype=np.complex128).reshape(-1, N),
                         np.array(fs, dtype=np.complex128).reshape(-1, N), np.arange(N)),

@@ -27,7 +27,7 @@ from hypotorus.errors import HypotorusError
 from hypotorus.modes import ModeField
 from hypotorus.spectrum import build_eigensequence
 from hypotorus.torusfn import grid
-from hypotorus.witness import gevrey_bump
+from hypotorus.witness import WitnessBundle, gevrey_bump
 
 ROOT = Path(__file__).resolve().parents[1]
 COOKBOOK = ROOT / "cookbook"
@@ -653,15 +653,22 @@ def test_witness_explicit_l0_kind(tmp_path):
     assert read_json(out, "witness_verify.json")["ok"] is True
 
 
+def _c_file_config(tmp_path, re, im, **fields):
+    """A config whose c_file holds the samples ``re`` + i ``im`` on their grid."""
+    rows = [f"{t!r},{a!r},{b!r}"
+            for t, a, b in zip(grid(len(re)).tolist(), re.tolist(), im.tolist())]
+    cpath = tmp_path / "c.csv"
+    cpath.write_text("t,re,im\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return write_config(tmp_path, c_file=str(cpath), **fields)
+
+
 def _plateau_config(tmp_path, **fields):
     """A config whose c_file has Im c: + on (0.5, 1.5), exactly 0 on
     [1.5, 3.5], - on (3.5, 4.5)."""
     up = gevrey_bump(2.0, (0.5, 1.5), (0.95, 1.05), 1024).samples.samples.real
     dn = gevrey_bump(2.0, (3.5, 4.5), (3.95, 4.05), 1024).samples.samples.real
-    rows = [f"{t!r},0.0,{v!r}" for t, v in zip(grid(1024).tolist(), (4.0 * (up - dn)).tolist())]
-    cpath = tmp_path / "c.csv"
-    cpath.write_text("t,re,im\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    return write_config(tmp_path, c_file=str(cpath), witness_n=1024, j_modes=16, **fields)
+    return _c_file_config(tmp_path, np.zeros(1024), 4.0 * (up - dn), witness_n=1024, j_modes=16,
+                          **fields)
 
 
 def test_witness_explicit_plateau_kind(tmp_path):
@@ -718,6 +725,53 @@ def test_classify_with_witness_on_a_plateau_the_constructor_cannot_take(tmp_path
     _, plan = _assert_witness_unavailable(tmp_path, capsys, cfg, "flanked (-1, 0, +1)")
     assert plan["plan"]["kind"] == "plateau"
     assert "set 'intervals'" in plan["reason"]
+
+
+def test_classify_with_witness_on_a_liouville_suspicion(tmp_path, capsys):
+    # the float value of the level-3 certified construction 20699/65547:
+    # the fit suspects a Liouville number, with no exact certificate
+    cfg = _c_file_config(tmp_path, np.full(256, float(Fraction(20699, 65547))), np.zeros(256),
+                         grid_n=256, j_modes=2048)
+    verdict, plan = _assert_witness_unavailable(tmp_path, capsys, cfg,
+                                                "carries no exact certificate")
+    assert verdict["branch"] == "thm-3.6b-diophantine"
+    assert plan["plan"]["kind"] == "constant-liouville"
+
+
+def test_classify_with_witness_on_a_plan_without_a_constructor(tmp_path, capsys):
+    # Im c has a fat zero set, so the geometry is ambiguous; the real part
+    # 1 resonates with every mode and the verdict rests on that mean alone
+    b = np.empty(256)
+    b[:64], b[64:160], b[160:224], b[224:] = 1.0, 0.0, 1.0, -4.0
+    cfg = _c_file_config(tmp_path, np.ones(256), b, grid_n=256, j_modes=64)
+    verdict, plan = _assert_witness_unavailable(tmp_path, capsys, cfg,
+                                                "has no packaged constructor")
+    assert verdict["evidence"]["route"] == "variable-resonant-mean"
+    assert plan["plan"]["kind"] == "resonance-mean"
+
+
+def _count_scans(monkeypatch) -> list:
+    """The kinds of the bundles whose rows ``WitnessBundle._scan`` passes over."""
+    kinds, scan = [], WitnessBundle._scan
+
+    def counting(self, *args, **kwargs):
+        kinds.append(self.kind)
+        return scan(self, *args, **kwargs)
+
+    monkeypatch.setattr(WitnessBundle, "_scan", counting)
+    return kinds
+
+
+@pytest.mark.parametrize("argv", [["witness", "--kind", "sign-change"], ["classify", "--witness"]],
+                         ids=["witness", "classify"])
+def test_an_emitted_witness_is_checked_in_one_pass(tmp_path, monkeypatch, argv):
+    # witness_verify.json is the report of the check construction ran
+    scans = _count_scans(monkeypatch)
+    cfg = write_config(tmp_path, c="1/2 + i sin t", j_modes=32)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
+    assert scans == ["sign-change"]
+    assert read_json(out, "witness_verify.json")["ok"] is True
 
 
 def test_witness_on_gh_operator_exits_1(tmp_path, capsys):

@@ -11,6 +11,7 @@ from fractions import Fraction
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hypotorus import jsonio
 from hypotorus.diophantine import classify_rational, construct_liouville
 from hypotorus.modes import apply_mode, index_runs, operator_residuals, row_chunks
 from hypotorus.spectrum import build_eigensequence
@@ -338,7 +339,7 @@ def test_construction_computes_each_residual_once(monkeypatch):
     eigs = build_eigensequence("harmonic1d", 16)
     b = sign_change_witness(c_sin(256), eigs, N=256)
     assert calls == [16]                      # one batch of every sampled level
-    rep = b.verify()                          # the independent re-check
+    rep = b.verify()                          # the check again, on demand
     assert calls == [16, 16]
     assert rep["ok"] and rep["n_sampled"] == 16
     assert rep["max_residual"] == max(lv.residual for lv in b.levels)
@@ -380,6 +381,25 @@ def test_batched_residuals_equal_the_per_level_operator(kind):
     assert b.verify()["max_residual"] == max(lv.residual for lv in sampled)
 
 
+@pytest.mark.parametrize("kind", ["constant", "certificate", "sign-change", "plateau", "L0"])
+def test_stored_report_equals_a_fresh_verify(kind, monkeypatch):
+    # the CLI writes the report that construction made; a fresh verify() of
+    # the same bundle must give the same dict and the same artifact text
+    b = _every_kind()[kind]()
+    fresh = b.verify()
+    assert b.report == fresh
+    assert jsonio.dumps(b.report) == jsonio.dumps(fresh)
+    assert b.report["ok"] and b.report["n_sampled"] == sum(lv.sampled for lv in b.levels)
+    assert set(b.report["checks"]) == {"residuals_ok", "floor_positive", "floor_holds",
+                                       "decay_ok"}
+    # both read the kind's one tolerance: at 0 every residual misses it
+    monkeypatch.setitem(witness_mod.TOL_BY_KIND, b.kind, 0.0)
+    assert not b.verify()["checks"]["residuals_ok"]
+    with pytest.raises(WitnessBudgetMiss) as miss:
+        _every_kind()[kind]()
+    assert miss.value.tol == 0.0
+
+
 class _EditedRows(witness_mod._Rows):
     """The rows of ``rows`` with the forcing kept on the columns ``keep`` of
     its ``f_cols`` only, and ``edit(s, f)`` applied to a copy of each chunk."""
@@ -413,7 +433,11 @@ def test_verify_recomputes_the_residuals_from_the_band_store(sin_witness):
         if s.start <= row < s.stop:
             f[row - s.start, k] += 1e-6
 
-    assert not replace(b, rows=_EditedRows(b.rows, edit=move)).verify()["checks"]["residuals_ok"]
+    moved = replace(b, rows=_EditedRows(b.rows, edit=move))
+    # the stored report describes the rows as built; verify() sees the edit
+    assert moved.report["ok"]
+    rep = moved.verify()
+    assert not rep["ok"] and not rep["checks"]["residuals_ok"]
     assert b.verify()["checks"]["residuals_ok"]
 
 
