@@ -88,13 +88,15 @@ _CHUNK_CELLS = 3 << 20  # complex numbers in one banded chunk's G and X (48 MiB)
 #: derivative levels at a time), would exceed it before
 #: anything is built; dense collocation refuses a grid whose n x n complex
 #: matrix would (n > 2048), before any n x n allocation.  The witness term
-#: of array_bytes, levels x witness_n cells, over-counts a witness's peak,
-#: which is one row_chunks block of u and f (about 2 MiB at levels 512,
-#: witness_n 8192).  Peak memory is a multiple of the largest array: a
-#: solve of a 32 MiB field (J = 512, grid 4096, every mode forced) peaks at
-#: 225-229 MB RSS, about 7x, set by the banded chunk (the CSV is written one
-#: mode block at a time); ROADMAP item 2 replaces this ceiling with a peak
-#: estimate per command.
+#: of array_bytes, levels x witness_n cells, over-counts a witness's peak:
+#: two row_chunks blocks of u and f (the one being filled and the one whose
+#: residuals the helper thread takes) plus that thread's one block of
+#: residual scratch, about 3.5 MiB at levels 512, witness_n 8192.  Peak
+#: memory is a multiple of the largest array: a solve of a 32 MiB field
+#: (J = 512, grid 4096, every mode forced) peaks at 225-229 MB RSS, about
+#: 7x, set by the banded chunk (the CSV is written one mode block at a
+#: time); ROADMAP item 2 replaces this ceiling with a peak estimate per
+#: command.
 MAX_ARRAY_BYTES = 1 << 27
 
 
@@ -696,12 +698,12 @@ def _apply_rows(lam: np.ndarray, c: TorusFunction, u: np.ndarray,
     if known exactly, else fft(u)/n.
 
     The expression is ifft(i*k * coeffs * n) + ((i*lam_s) * c) * u_s, each
-    product and sum in that operand order, evaluated in place on two arrays
-    the shape of ``u``: ``out``, which holds the scaled coefficients, then
-    the derivative (the inverse FFT writes over them), then the result; and
-    ``tmp``, the product term.  Either is allocated when not given; ``ik``
-    is i*wavenumbers(n), computed when not given.  The caller's ``coeffs``
-    are never written to."""
+    product and sum in that operand order, evaluated in place: ``out``, an
+    array the shape of ``u``, holds the scaled coefficients, then the
+    derivative (the inverse FFT writes over them), then the result; ``tmp``,
+    one row of n, holds the product term of one row at a time.  Either is
+    allocated when not given; ``ik`` is i*wavenumbers(n), computed when not
+    given.  Neither ``u`` nor the caller's ``coeffs`` is written to."""
     n = u.shape[1]
     ik = 1j * wavenumbers(n) if ik is None else ik
     if coeffs is None:
@@ -713,9 +715,11 @@ def _apply_rows(lam: np.ndarray, c: TorusFunction, u: np.ndarray,
         out = np.multiply(ik, coeffs, out=out)
     out *= n
     du = np.fft.ifft(out, axis=1, out=out)
-    t = np.multiply((1j * lam)[:, None], c.samples, out=tmp)
-    t *= u
-    du += t
+    tmp = np.empty(n, dtype=np.complex128) if tmp is None else tmp
+    for il, u_s, du_s in zip(1j * lam, u, du):
+        t = np.multiply(il, c.samples, out=tmp)
+        t *= u_s
+        du_s += t
     return du
 
 
@@ -758,25 +762,28 @@ def operator_residuals(lam: Sequence[float], c: TorusFunction, u: np.ndarray,
     run of consecutive columns, which is the full-grid difference bit for
     bit.  ``coeffs`` holds the exact trig coefficients of the rows of ``u``
     where they are known (a pure harmonic's one-hot spectrum); otherwise
-    they are taken from the samples by FFT.  The chunks share one set of
-    buffers, the wave numbers and the runs, made once per call.
+    they are taken from the samples by FFT.  The chunks share one chunk of
+    buffer, one row of product term (which then holds each row's |r|), the
+    wave numbers and the runs, made once per call.  Neither ``u`` nor ``f``
+    is written to.
     """
     lam = np.asarray(lam, dtype=np.float64)
     S, n = u.shape
     c = c.resample(n)
     ik = 1j * wavenumbers(n)
     runs = _column_runs(cols)
-    shape = u[next(row_chunks(S, n), slice(0))].shape       # the largest chunk
-    buf, tmp = np.empty((2, *shape), dtype=np.complex128)
-    mag = np.empty(shape)
+    buf = np.empty(u[next(row_chunks(S, n), slice(0))].shape, dtype=np.complex128)
+    tmp = np.empty(n, dtype=np.complex128)
+    mag = tmp.view(np.float64)[:n]          # |r| of one row, once tmp is free
     out = np.empty(S)
     for s in row_chunks(S, n):
         m = len(u[s])
         r = _apply_rows(lam[s], c, u[s], None if coeffs is None else coeffs[s],
-                        ik, buf[:m], tmp[:m])
+                        ik, buf[:m], tmp)
         for at, of in runs:
             r[:, at] -= f[s, of]
-        np.abs(r, out=mag[:m]).max(axis=1, out=out[s])
+        for i, r_i in enumerate(r, s.start):
+            out[i] = np.abs(r_i, out=mag).max()
     return out
 
 

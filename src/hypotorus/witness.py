@@ -36,26 +36,30 @@ guard.  A bundle samples the levels its grid resolves (bandwidth below
 K columns ``f_cols``, the only columns where f can be nonzero: the bump
 kinds' transition bands (at N = 8192, 49% of the grid for b sin t and 24%
 for b sin 3t), none for a resonant constant witness, all N for the
-Liouville routes.  It holds a recipe for those rows and one chunk of them,
-never the (S, N) store: the bump kinds keep their bumps, bands and window
-exponents and fill u and f one :func:`modes.row_chunks` block at a time
-into buffers reused across chunks, broadcasting lambda over the window
-exponents; the constant and L0 kinds, a few rows each, keep their small
-arrays behind the same row interface.  Each bump's exp(lambda E) is taken
-once per fill, on its support and transition bands only, and feeds both u
-and f.  Along an arithmetic spectrum (harmonic1d, an arithmetic table) a
-chunk of levels lambda_lo + r delta takes one exp per bump, exp(lambda_lo
-E), times a table of exp(r delta E) built once: each entry is one product
-of two exps, within ~3 |lambda E| eps relative of the direct exp, which
-every other spectrum keeps.  The sign-change window is scored for all N
+Liouville routes.  It holds a recipe for those rows, never the (S, N)
+store: the bump kinds keep their bumps, bands and window exponents and
+fill new arrays of u and f one :func:`modes.row_chunks` block at a time,
+broadcasting lambda over the window exponents; the constant and L0 kinds,
+a few rows each, keep their small arrays behind the same row interface.
+Each bump's exp(lambda E) is taken once per fill, on its support and
+transition bands only, and feeds both u and f.  Along an arithmetic
+spectrum (harmonic1d, an arithmetic table) a chunk of levels lambda_lo +
+r delta takes one exp per bump, exp(lambda_lo E), times a table of
+exp(r delta E) built once: each entry is one product of two exps, within
+~3 |lambda E| eps relative of the direct exp, which every other spectrum
+keeps.  The sign-change window is scored for all N
 window starts at once from two sparse range tables (first argmax and min,
 int32 indices) over the 2N-point cover: O(N log N), and the same window as
 a scan of every start.  Construction makes one pass over the chunks: it
-fills each, takes its rows' grid sup norms, runs the kind's own check
-(|u(t*)| = 1 for sign-change) and takes its residuals with
-:func:`modes.operator_residuals`, and keeps the report of its checks as
-``WitnessBundle.report``; :meth:`WitnessBundle.verify` refills every chunk
-from the same recipe and recomputes that report on demand.  Levels
+fills each, takes its rows' grid sup norms (sup|u| on a single bump's
+support, where u is nonzero), runs the kind's own check (|u(t*)| = 1 for
+sign-change) and takes its residuals with :func:`modes.operator_residuals`,
+and keeps the report of its checks as ``WitnessBundle.report``;
+:meth:`WitnessBundle.verify` refills every chunk from the same recipe and
+recomputes that report on demand.  The pass is a two-stage pipeline: one
+helper thread takes the residuals of chunk k-1 while the calling thread
+fills, measures and checks chunk k, so at most two chunks are alive, and
+the helper ends with the pass.  Levels
 beyond the grid band carry ``residual=None`` and are verified on their
 closed form in exact rational arithmetic.
 """
@@ -318,9 +322,13 @@ class _Rows:
     integer index of the only grid columns where the forcing can be
     nonzero, and defines ``__len__`` (S) and ``fill(s)``: for a block ``s``
     of ``row_chunks(S, N)`` it returns the block's u, (rows, N), its forcing
-    on ``f_cols``, (rows, K), and its exact trig coefficients or None.  The
-    arrays may be buffers that the next ``fill`` overwrites.
+    on ``f_cols``, (rows, K), and its exact trig coefficients or None.  No
+    later fill writes to the arrays, so a block stays as it is while the
+    next one is filled.  ``u_cols`` indexes the columns where u can be
+    nonzero (all by default); u is exactly +0.0 on the others.
     """
+
+    u_cols = slice(None)
 
     def whole(self, s=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the rows ``s`` (an index or a slice) of u and of the
@@ -422,19 +430,50 @@ class WitnessBundle:
     def _scan(self, probe=None, norms: bool = False):
         """One pass over the chunks of ``rows``: each is filled once, shown
         to ``probe(s, u)`` if given, and its residuals sup|u' + i lam c u - f|
-        taken by :func:`modes.operator_residuals`, with its rows' sup|u| and
-        sup|f| if ``norms``.  Returns the (S,) arrays residual, sup_u and
-        sup_f (NaN unless ``norms``)."""
+        taken by :func:`modes.operator_residuals`, with its rows' sup|u| (on
+        ``rows.u_cols``) and sup|f| if ``norms``.  Returns the (S,) arrays
+        residual, sup_u and sup_f (NaN unless ``norms``).
+
+        The pass is a two-stage pipeline: while this thread fills chunk k,
+        takes its norms and probes it, one helper thread takes the residuals
+        of chunk k-1, whose FFTs and ufunc loops release the GIL.  Chunk k
+        is queued for the helper, and chunk k+1 is filled only once chunk
+        k-1's residuals are in, so at most two chunks are alive.  Errors
+        surface in serial order: a failure on this thread first waits for
+        the pending residuals and, if they failed, raises their error
+        instead; a failure on the helper is raised at the next wait.  The
+        helper ends with the pass.  Every residual and norm is the one a
+        serial pass takes."""
+        # imported here, not at the top: it adds ~9 ms to every command's
+        # start, and only a witness pass needs it
+        from concurrent.futures import ThreadPoolExecutor
+
         lams = np.array([lv.lam for lv in self.levels if lv.sampled], dtype=np.float64)
         res, sup_u, sup_f = np.full((3, len(lams)), math.nan)
-        for s in row_chunks(len(lams), self.rows.n):
-            u, f, coeffs = self.rows.fill(s)
-            if probe is not None:
-                probe(s, u)
-            if norms:
-                np.abs(u).max(axis=1, out=sup_u[s])
-                np.abs(f).max(axis=1, initial=0.0, out=sup_f[s])
+
+        def residuals(s, chunk):
+            # take the arrays out of the queued call, so that they are
+            # freed as soon as this returns
+            u, f, coeffs = chunk.pop()
             res[s] = operator_residuals(lams[s], self.c, u, f, coeffs, cols=self.rows.f_cols)
+
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            pending = helper.submit(lambda: None)          # nothing pending yet
+            for s in row_chunks(len(lams), self.rows.n):
+                try:
+                    u, f, coeffs = self.rows.fill(s)
+                    if probe is not None:
+                        probe(s, u)
+                    if norms:
+                        np.abs(u[:, self.rows.u_cols]).max(axis=1, out=sup_u[s])
+                        np.abs(f).max(axis=1, initial=0.0, out=sup_f[s])
+                except BaseException:
+                    pending.result()        # an earlier chunk's error comes first
+                    raise
+                # queue this chunk before waiting, so the helper never idles
+                done, pending = pending, helper.submit(residuals, s, [(u, f, coeffs)])
+                done.result()
+            pending.result()
         return res, sup_u, sup_f
 
     def _report(self, residuals: list) -> dict:
@@ -673,14 +712,17 @@ def _harmonics(taus: Sequence[int], N: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _verified(checks=None, probe=None, **parts) -> WitnessBundle:
-    """The bundle of ``parts`` after one pass over its chunks of rows, which
-    takes each sampled level's residual and, where a level leaves them None,
-    its grid sup norms (a ``floor_u`` of None is then the least sup|u|);
-    ``probe(s, u)`` sees each chunk first.  The decay record follows, then
-    the report of every check, residuals against ``TOL_BY_KIND[kind]``: it
-    is kept as ``bundle.report``, the one check of the bundle that the CLI
-    writes.  Refused unless the named checks (default: all) pass, with
-    :class:`WitnessBudgetMiss` when a residual misses its tolerance."""
+    """The bundle of ``parts`` after one pass over its chunks of rows (the
+    pipelined :meth:`WitnessBundle._scan`), which takes each sampled level's
+    residual and, where a level leaves them None, its grid sup norms (a
+    ``floor_u`` of None is then the least sup|u|); ``probe(s, u)`` sees
+    each chunk before its residuals are taken, and an error it raises
+    surfaces only if no earlier chunk's residuals failed.  The decay record
+    follows, then the report of every check, residuals against
+    ``TOL_BY_KIND[kind]``: it is kept as ``bundle.report``, the one check of
+    the bundle that the CLI writes.  Refused unless the named checks
+    (default: all) pass, with :class:`WitnessBudgetMiss` when a residual
+    misses its tolerance."""
     bundle = WitnessBundle(decay=None, **parts)
     res, sup_u, sup_f = (a.tolist() for a in bundle._scan(
         probe, norms=any(lv.sup_u is None for lv in bundle.levels)))
@@ -828,8 +870,8 @@ def _run_or_index(idx: np.ndarray):
 
 
 class _BumpRows(_Rows):
-    """The rows of a bump witness at the levels ``lams``: a recipe, and
-    buffers for one chunk of u and f that every :meth:`fill` reuses.
+    """The rows of a bump witness at the levels ``lams``: a recipe that
+    :meth:`fill` turns into new arrays of u and f for one chunk at a time.
 
     Each bump is (g, E, bands) in window order (window index m = circle index
     (k0+m) mod N): a GevreyBump g, the exponent E of its factor exp(lambda E)
@@ -841,12 +883,13 @@ class _BumpRows(_Rows):
 
     with g' the spectral derivative on the circle.  The set-up rolls the
     bumps onto the circle and keeps each bump's support (g > 0), its bands
-    and E on the union of the two; exp(lambda E) is taken there only, once
-    per fill, and feeds both u and f.  u is exactly 0 off the supports, so
-    points outside a support can never overflow.  Off the bands, and
-    wherever every bump is flat (exactly 0 or 1), g' vanishes to all
-    orders; writing 0 there drops the spectral-derivative ringing that
-    would put a flat noise floor under sup|f|.  So f is kept on ``f_cols``,
+    and E on the union of the two, support first; exp(lambda E) is taken
+    there only, once per fill, and feeds f, then (times g, over itself) u.
+    u is exactly +0.0 off the supports, so points outside a support can
+    never overflow.  Off the bands, and wherever every bump is flat
+    (exactly 0 or 1), g' vanishes to all orders; writing 0 there drops the
+    spectral-derivative ringing that would put a flat noise floor under
+    sup|f|.  So f is kept on ``f_cols``,
     the union of the bumps' band columns less the flat points, and is +0.0
     elsewhere; a later bump overwrites an earlier one on a shared column.
 
@@ -874,24 +917,21 @@ class _BumpRows(_Rows):
                 for _, _, bands in bumps]
         idxs = [idx[~flat[idx]] for idx in idxs]
         f_cols = np.unique(np.concatenate(idxs))
-        circ = []
+        circ, at = [], np.empty(N, dtype=np.intp)
         for g, (_, E, _), idx in zip(gs, bumps, idxs):
             supp = np.flatnonzero(g > 0.0)
-            cols = np.union1d(supp, idx)
+            # E on the support first, then on the band columns off it
+            cols = np.concatenate([supp, np.setdiff1d(idx, supp)])
+            at[cols] = np.arange(cols.size)
             dg = np.real(TorusFunction(g).derivative().samples)
-            at_f, at_idx = np.searchsorted(f_cols, idx), np.searchsorted(cols, idx)
+            at_f, at_idx = np.searchsorted(f_cols, idx), at[idx]
             band = [(slice(at_f[a], at_f[a] + b - a), dg[idx[a:b]],
                      slice(at_idx[a], at_idx[a] + b - a)) for a, b in index_runs(at_f, at_idx)]
-            circ.append((g[supp], np.roll(E, k0)[cols], band,
-                         *map(_run_or_index, (supp, np.searchsorted(cols, supp)))))
+            circ.append((g[supp], np.roll(E, k0)[cols], band, _run_or_index(supp)))
         f_cols.flags.writeable = False
         self.lams, self.n, self.f_cols, self._circ, self._tables = lams, N, f_cols, circ, {}
-        rows = len(lams[next(row_chunks(len(lams), N), slice(0))])   # the largest chunk
-        # u is +0.0 off the supports; only a sum of bumps writes whole rows
-        self._u = np.zeros((rows, N), dtype=np.complex128)
-        self._full = np.empty_like(self._u) if len(circ) > 1 else None
-        # every fill writes all of f's columns: f_cols is the union of the bands
-        self._f = np.empty((rows, len(f_cols)), dtype=np.complex128)
+        # one bump's u is +0.0 off its support; a sum of bumps writes whole rows
+        self.u_cols = circ[0][3] if len(circ) == 1 else slice(None)
 
     def __len__(self) -> int:
         return len(self.lams)
@@ -899,12 +939,12 @@ class _BumpRows(_Rows):
     def fill(self, s: slice):
         lam = self.lams[s]
         m = lam.size
-        u, f = self._u[:m], self._f[:m]
+        u = np.zeros((m, self.n), dtype=np.complex128)
+        # every fill writes all of f's columns: f_cols is the union of the bands
+        f = np.empty((m, len(self.f_cols)), dtype=np.complex128)
         d = lam[1] - lam[0] if m > 1 else 0.0
         ap = d * lam[0] > 0.0 and np.array_equal(lam, lam[0] + d * np.arange(m))
-        if self._full is not None:
-            u[...] = 0.0
-        for k, (g, E, band, supp, at_supp) in enumerate(self._circ):
+        for k, (g, E, band, supp) in enumerate(self._circ):
             with np.errstate(under="ignore"):
                 if ap:
                     if (k, d) not in self._tables:
@@ -912,18 +952,20 @@ class _BumpRows(_Rows):
                             (d * np.arange(s.stop - s.start))[:, None] * E)
                     e = np.exp(lam[0] * E) * self._tables[k, d][:m]
                 else:
-                    e = np.exp(lam[:, None] * E)
+                    e = lam[:, None] * E
+                    np.exp(e, out=e)
+            for to, dg, at in band:
+                np.multiply(dg, e[:, at], out=f[:, to])
+            # then g e on the support, over the support's leading columns of e
+            ge = np.multiply(g, e[:, :g.size], out=e[:, :g.size])
             if k:
                 # later bumps add on the whole row, so that off their
                 # support u + 0 turns a -0 into +0 as a full-grid sum does
-                full = self._full[:m]
-                full[...] = 0.0
-                full[:, supp] = g * e[:, at_supp]
+                full = np.zeros_like(u)
+                full[:, supp] = ge
                 u += full
             else:
-                u[:, supp] = g * e[:, at_supp]
-            for to, dg, at in band:
-                np.multiply(dg, e[:, at], out=f[:, to])
+                u[:, supp] = ge
         return u, f, None
 
 

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import re
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -26,6 +29,7 @@ from hypotorus.witness import (
     TOL_RESIDUAL,
     WitnessBudgetMiss,
     WitnessBundle,
+    WitnessCheckFailed,
     constant_witness,
     gevrey_bump,
     L0_reduction_witness,
@@ -841,10 +845,12 @@ def _table_spectrum(J, shape):
 @example(kind="sign-change", spectrum="mixed", extra=13, a0=0.5)
 @example(kind="plateau", spectrum="harmonic1d", extra=9, a0=0.0)
 @example(kind="plateau", spectrum="gaps", extra=22, a0=0.0)
+@example(kind="sign-change", spectrum="harmonic1d", extra=-20, a0=0.0)
 def test_streamed_rows_equal_the_whole_store_bit_for_bit(kind, spectrum, extra, a0):
     # sign-change at N = 2048 (chunks of 32 rows), plateau at N = 4096
     # (chunks of 16, two bumps), on arithmetic and other spectra, with
-    # S = chunk + extra sampled levels: more than one chunk, the last partial
+    # S = chunk + extra sampled levels: more than one chunk, the last
+    # partial; the example with a negative extra fits S in one chunk
     if kind == "sign-change":
         N = 2048
         c = c_sin(N, a0=a0)
@@ -892,6 +898,101 @@ def test_streamed_sign_change_witness_holds_under_10_mb():
         tracemalloc.stop()
     assert rep["ok"] and rep["n_sampled"] == 512
     assert peak < 10e6
+
+
+class _Planted(Exception):
+    """An error planted in one stage of the witness pass."""
+
+
+def _four_chunk_witness():
+    """A sign-change witness of 100 levels at N = 2048: row chunks of 32,
+    32, 32 and 4 rows."""
+    return sign_change_witness(c_sin(2048), build_eigensequence("harmonic1d", 100), N=2048)
+
+
+def _doubling_rows(monkeypatch, rows):
+    """Make every bump fill double u on the given global rows, so that
+    |u(t*)| reads exactly 2.0 there."""
+    real = witness_mod._BumpRows.fill
+
+    def fill(self, s):
+        u, f, coeffs = real(self, s)
+        hit = [r - s.start for r in rows if s.start <= r < s.stop]
+        u[hit] *= 2.0
+        return u, f, coeffs
+
+    monkeypatch.setattr(witness_mod._BumpRows, "fill", fill)
+
+
+def _failing_third_call(monkeypatch):
+    """Make the third operator_residuals call raise _Planted."""
+    calls = []
+
+    def failing(lam, c, u, f, coeffs=None, cols=slice(None)):
+        calls.append(len(lam))
+        if len(calls) == 3:
+            raise _Planted("residuals of the third chunk")
+        return operator_residuals(lam, c, u, f, coeffs, cols)
+
+    monkeypatch.setattr(witness_mod, "operator_residuals", failing)
+    return calls
+
+
+def test_the_pipelined_pass_equals_a_serial_one_under_frequent_thread_switches():
+    # 100 levels at N = 8192 take 13 row chunks; with the interpreter
+    # switching threads every microsecond, every residual and sup norm is
+    # still the one a serial pass over the whole rows gives
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        b = sign_change_witness(c_sin(8192), build_eigensequence("harmonic1d", 100), N=8192)
+        rep = b.verify()
+    finally:
+        sys.setswitchinterval(switch)
+    u, f = b.u_rows(), b.f_rows()
+    res = operator_residuals([lv.lam for lv in b.levels], b.c, u, f).tolist()
+    assert [lv.residual for lv in b.levels] == res
+    assert rep == b.report and rep["max_residual"] == max(res)
+    assert [lv.sup_u for lv in b.levels] == np.abs(u).max(axis=1).tolist()
+    assert [lv.sup_f for lv in b.levels] == np.abs(f).max(axis=1).tolist()
+
+
+def test_a_probe_failure_names_the_first_bad_level_in_chunk_order(monkeypatch):
+    # levels 40 (second chunk) and 70 (third chunk) fail the anchor check;
+    # as in a serial pass, the first of them in chunk order is reported,
+    # and no helper thread is left behind
+    threads = threading.active_count()
+    _doubling_rows(monkeypatch, [70, 40])
+    with pytest.raises(WitnessCheckFailed) as failed:
+        _four_chunk_witness()
+    assert re.search(r"\| = \S*2\.0\S* != 1 at level 40$", str(failed.value))
+    assert threading.active_count() == threads
+
+
+def test_an_error_in_the_third_chunk_residuals_propagates(monkeypatch):
+    threads = threading.active_count()
+    built = _four_chunk_witness()
+    calls = _failing_third_call(monkeypatch)
+    with pytest.raises(_Planted):
+        _four_chunk_witness()
+    assert calls[:3] == [32, 32, 32]
+    assert threading.active_count() == threads
+    calls.clear()
+    with pytest.raises(_Planted):
+        built.verify()
+    assert calls[:3] == [32, 32, 32]
+    assert threading.active_count() == threads
+
+
+def test_a_residual_error_surfaces_before_a_later_probe_failure(monkeypatch):
+    # serial order: the third chunk's residuals fail before the fourth
+    # chunk is filled, so their error wins over the fourth chunk's probe
+    threads = threading.active_count()
+    _failing_third_call(monkeypatch)
+    _doubling_rows(monkeypatch, [97])
+    with pytest.raises(_Planted):
+        _four_chunk_witness()
+    assert threading.active_count() == threads
 
 
 # --------------------------------------------------------------------------- #
