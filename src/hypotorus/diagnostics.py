@@ -3,10 +3,10 @@
 Everything here measures, on finite data, the quantities the function-space
 characterizations bound: mode-coefficient decay with derivative stacks
 (:func:`fit_decay`), the spectral-side seminorm table S(M, k)
-(:func:`pm_seminorms`), physical-side weighted sup norms through exact
-Hermite ladder identities (:func:`x_seminorms`), the polynomial-versus-
-exponential envelope constant (:func:`lemma25_check`), and the Gevrey-order
-bookkeeping of a solve (:func:`regularity_loss_report`).
+(:func:`pm_seminorms`) and the polynomial-versus-exponential envelope
+constant (:func:`lemma25_check`).  Scope: every quantity is computed from
+the eigenfunction coefficients u_j(t); there is no physical-side seminorm
+on an x-grid.
 
 All fits are ordinary least squares on log quantities over explicit windows
 -- transparent and reproducible, no robust regression.  Values below 1e-300
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -28,20 +28,17 @@ from . import csvio
 from .errors import ConfigError, HypotorusError
 from .jsonio import plain
 from .modes import ModeField
-from .spectrum import EigenSequence, HermiteBasis, ladder_diff_x, ladder_mul_x, _phi_matrix
+from .spectrum import EigenSequence
 
 __all__ = [
     "DegenerateData",
-    "DimensionUnsupported",
     "DecayFit",
     "PMTable",
     "Lemma25Result",
     "fit_decay",
     "pm_seminorms",
     "PMColumns",
-    "x_seminorms",
     "lemma25_check",
-    "regularity_loss_report",
 ]
 
 _FLOOR = 1e-300
@@ -52,10 +49,6 @@ class DegenerateData(HypotorusError, ValueError):
     """Every coefficient sits below the 1e-300 floor; nothing to fit."""
 
     exit_code = 3
-
-
-class DimensionUnsupported(HypotorusError, ValueError):
-    """Physical-side seminorms are implemented for one x-dimension only."""
 
 
 def _exp(x: float) -> float:      # math.exp, with inf where that overflows
@@ -350,51 +343,6 @@ def pm_seminorms(u: ModeField, eigs: EigenSequence, M_max: int = 8,
 
 
 # --------------------------------------------------------------------------- #
-# physical-side seminorms
-# --------------------------------------------------------------------------- #
-
-def x_seminorms(u: ModeField, basis: HermiteBasis, alpha: int, beta: int,
-                k: int) -> float:
-    """Grid sup of |x^alpha d_x^beta d_t^k u(t, x)| via exact ladders.
-
-    The x-operators act on Hermite coefficients exactly (each application of
-    x or d/dx maps mode j to modes j +- 1 with square-root weights), so the
-    only approximations are the t-spectral derivative and the synthesis
-    grid.  One dimension only; alpha, beta <= 8 keeps this a sanity check,
-    not an asymptotic claim.
-    """
-    if u.eigs.n != 1:
-        raise DimensionUnsupported(
-            f"x seminorms need n = 1 eigenfunctions, got n = {u.eigs.n}")
-    if not (0 <= alpha <= 8 and 0 <= beta <= 8):
-        raise ValueError(f"alpha, beta in [0, 8] required, got ({alpha}, {beta})")
-    if k < 0:
-        raise ValueError("k >= 0 required")
-    J = u.J
-    if J > basis.J:
-        raise ValueError(f"field holds {J} modes but the basis only {basis.J}")
-
-    top = u
-    for _ in range(k):
-        top = top.derivative()
-    coeff = top.samples                            # undefined modes are zero rows
-
-    # transfer matrix of x^alpha d_x^beta on the first J coefficients
-    T = np.eye(J)
-    for _ in range(beta):
-        T = np.stack([ladder_diff_x(T[:, c]) for c in range(J)], axis=1)
-    for _ in range(alpha):
-        T = np.stack([ladder_mul_x(T[:, c]) for c in range(J)], axis=1)
-    out_modes = T.shape[0]
-
-    half = math.sqrt(2.0 * out_modes + 1.0) + 2.0
-    xs = np.linspace(-half, half, 4001)
-    phi = _phi_matrix(out_modes, xs)
-    vals = phi @ (T @ coeff)                       # (x, t)
-    return float(np.max(np.abs(vals)))
-
-
-# --------------------------------------------------------------------------- #
 # the envelope constant of the polynomial-vs-exponential bound
 # --------------------------------------------------------------------------- #
 
@@ -453,44 +401,3 @@ def lemma25_check(gamma: float, s: float, epsilon: float, ell_max: int = 20,
     return Lemma25Result(gamma=gamma, s=s, epsilon=epsilon, ell_max=ell_max,
                          j_max=j_max, C_of_ell=tuple(cs), j_star=tuple(stars),
                          C_max=float(np.max(c_arr)), bounded=finite and growth_ok)
-
-
-# --------------------------------------------------------------------------- #
-# loss of regularity
-# --------------------------------------------------------------------------- #
-
-def regularity_loss_report(f_fit: DecayFit, u_fit: DecayFit, eigs: EigenSequence,
-                           mu=Fraction(1, 2)) -> dict:
-    """Compare the solved field's Gevrey order against the predicted bound.
-
-    The theory caps the solution's t-order at max(sigma(f), m mu), with m
-    the order of the operator whose spectrum is ``eigs``: constant
-    coefficients lose nothing, variable ones at most lift the order to m mu.
-    Flags are tolerant of fit noise (0.25 on the order scale) and only raised
-    on reliable fits.
-    """
-    for name, fit in (("f", f_fit), ("u", u_fit)):
-        if not (fit.r2 >= _R2_CLAIM or math.isinf(fit.epsilon)):
-            raise ValueError(
-                f"{name}-fit has r2 = {fit.r2:.3f} < {_R2_CLAIM}; refusing to "
-                f"compare unreliable Gevrey orders")
-    tol = 0.25
-    bound = max(f_fit.sigma_fit, float(eigs.m) * float(mu))
-    s_u, s_f = u_fit.sigma_fit, f_fit.sigma_fit
-    within = bool(s_u <= bound + tol) if math.isfinite(s_u) else True
-    loss = bool(s_u > s_f + tol) if (math.isfinite(s_u) and math.isfinite(s_f)) \
-        else False
-    ratio = (u_fit.epsilon / f_fit.epsilon
-             if f_fit.epsilon not in (0.0,) and math.isfinite(f_fit.epsilon)
-             and math.isfinite(u_fit.epsilon) else float("nan"))
-    return {
-        "sigma_f": s_f,
-        "sigma_u": s_u,
-        "bound_sigma": bound,
-        "within_bound": within,
-        "loss_detected": loss,
-        "epsilon_ratio": ratio,
-        "tolerance": tol,
-        "note": ("constant-coefficient solves should show sigma_u ~ sigma_f; "
-                 "variable ones may climb to the bound"),
-    }

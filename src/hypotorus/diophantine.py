@@ -580,9 +580,6 @@ class LiouvilleCertificate:
                 return False
         return True
 
-    def gaps(self) -> Tuple[Fraction, ...]:
-        return tuple(lev.gap for lev in self.levels)
-
     def as_dict(self) -> dict:
         with unlimited_int_digits():
             return {

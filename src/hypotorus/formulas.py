@@ -56,9 +56,6 @@ class ExactComplex:
     def __add__(self, other: "ExactComplex") -> "ExactComplex":
         return ExactComplex(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.re - other.re, self.im - other.im)
-
     def __neg__(self) -> "ExactComplex":
         return ExactComplex(-self.re, -self.im)
 

@@ -1,4 +1,4 @@
-"""Eigenvalue models for the elliptic operator P, plus the 1D Hermite layer.
+"""Eigenvalue models for the elliptic operator P, plus the 1D Hermite basis.
 
 Built-in spectra:
 
@@ -15,13 +15,14 @@ Indexing is 0-based (lambda_0 = 1 for the 1D oscillator); the package's
 decay fits use (j+1)^e with e = :meth:`EigenSequence.exponent`, 1/(2 n mu),
 so that j = 0 is harmless.
 
-The Hermite layer provides L^2(R)-orthonormal eigenfunctions phi_j for the
-1D oscillator via the normalized three-term recurrence (no raw Hermite
-polynomials, hence no overflow), Gauss-Hermite analysis/synthesis, and the
-ladder identities
-
-    x phi_j   = sqrt((j+1)/2) phi_{j+1} + sqrt(j/2) phi_{j-1}
-    phi_j'    = sqrt(j/2) phi_{j-1}     - sqrt((j+1)/2) phi_{j+1}
+The Hermite basis holds the L^2(R)-orthonormal eigenfunctions phi_j of the
+1D oscillator, from the normalized three-term recurrence (no raw Hermite
+polynomials, hence no overflow), on Gauss-Hermite nodes with the weights
+that make their Gram matrix the identity.  It is there to check the
+eigenbasis itself (orthonormality, the eigenrelation, Weyl growth).  Scope:
+the package works on the spectral side alone, on the coefficients of a
+function in this basis; it has no real-space transform to or from x and no
+seminorm on an x-grid.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,13 +41,6 @@ __all__ = [
     "EigenSequence",
     "build_eigensequence",
     "HermiteBasis",
-    "hermite_eval",
-    "analyze_x",
-    "synthesize_x",
-    "check_eigenrelation",
-    "ladder_mul_x",
-    "ladder_diff_x",
-    "weyl_ratio_spread",
 ]
 
 
@@ -235,44 +229,19 @@ def build_eigensequence(kind: str, J: int, *, values: Sequence | None = None,
     raise ConfigError(f"unknown eigensequence kind {kind!r}")
 
 
-def weyl_ratio_spread(eigs: EigenSequence) -> float:
-    """Relative spread of |lambda_j| / j^{m/2n} over the top half of the window.
-
-    Small spread is the finite-size face of the Weyl law |lambda_j| ~ C j^{m/2n}.
-    """
-    J = eigs.J
-    if J < 8:
-        raise ValueError("need J >= 8 for a meaningful Weyl window")
-    j = np.arange(J // 2, J, dtype=float)
-    r = np.abs(eigs.lambdas[J // 2:]) / j ** (eigs.m / (2.0 * eigs.n))
-    return float((r.max() - r.min()) / np.mean(r))
-
-
 # --------------------------------------------------------------------------- #
-# Hermite functions
+# the Hermite basis
 # --------------------------------------------------------------------------- #
 
-def hermite_eval(j: int, x) -> np.ndarray | float:
-    """L^2(R)-normalized Hermite function phi_j(x).
-
-    Uses the normalized recurrence
+def _phi_matrix(J: int, x: np.ndarray) -> np.ndarray:
+    """Matrix Phi[i, j] = phi_j(x_i) for j < J, the L^2(R)-normalized
+    Hermite functions, by the normalized recurrence
 
         phi_0 = pi^{-1/4} exp(-x^2/2),
         phi_{j+1} = x sqrt(2/(j+1)) phi_j - sqrt(j/(j+1)) phi_{j-1},
 
-    which keeps every intermediate O(1); safe for j <= 512, |x| <= 30.  It
-    is column j of ``_phi_matrix(j + 1, x)``.
+    which keeps every intermediate O(1); safe for j <= 512, |x| <= 30.
     """
-    if j < 0:
-        raise ValueError("mode index j >= 0 required")
-    xx = np.asarray(x, dtype=np.float64)
-    col = _phi_matrix(j + 1, xx.ravel())[:, j]
-    return float(col[0]) if xx.ndim == 0 else col.reshape(xx.shape)
-
-
-def _phi_matrix(J: int, x: np.ndarray) -> np.ndarray:
-    """Matrix Phi[i, j] = phi_j(x_i) for j < J, by the recurrence of
-    hermite_eval."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty((x.shape[0], J))
     prev = np.zeros_like(x)
@@ -310,7 +279,7 @@ class HermiteBasis:
         if Q is None:
             Q = 2 * J
         if Q < J:
-            raise ValueError("need Q >= J quadrature nodes for a faithful analysis")
+            raise ValueError("need Q >= J quadrature nodes for an exact Gram matrix")
         if Q > _MAX_Q:
             raise ValueError(
                 f"Q = {Q} exceeds {_MAX_Q}: Gauss-Hermite weights underflow IEEE doubles")
@@ -326,64 +295,3 @@ class HermiteBasis:
 
     def gram_deviation(self) -> float:
         return float(np.max(np.abs(self.gram() - np.eye(self.J))))
-
-
-def analyze_x(g: np.ndarray | Callable, basis: HermiteBasis) -> np.ndarray:
-    """Coefficients <g, phi_j> for j < J via Gauss-Hermite quadrature.
-
-    ``g`` is either samples on ``basis.nodes`` or a callable evaluated there.
-    """
-    vals = np.asarray(g(basis.nodes) if callable(g) else g)
-    if vals.shape != basis.nodes.shape:
-        raise ValueError("samples must live on the basis quadrature nodes")
-    return basis.phi.T @ (basis.mod_weights * vals)
-
-
-def synthesize_x(coeffs: np.ndarray, basis_or_x: HermiteBasis | np.ndarray) -> np.ndarray:
-    """Pointwise sum_j coeffs[j] phi_j(x) on the basis nodes or a given x-grid."""
-    c = np.asarray(coeffs)
-    if isinstance(basis_or_x, HermiteBasis):
-        if c.shape[0] > basis_or_x.J:
-            raise ValueError("more coefficients than basis modes")
-        return basis_or_x.phi[:, : c.shape[0]] @ c
-    x = np.asarray(basis_or_x, dtype=np.float64)
-    return _phi_matrix(c.shape[0], x) @ c
-
-
-def ladder_mul_x(coeffs: np.ndarray) -> np.ndarray:
-    """Hermite coefficients of x*u from those of u (exact ladder identity)."""
-    c = np.asarray(coeffs, dtype=np.float64 if np.isrealobj(coeffs) else np.complex128)
-    J = c.shape[0]
-    out = np.zeros(J + 1, dtype=c.dtype)
-    j = np.arange(J)
-    out[1:] += np.sqrt((j + 1) / 2.0) * c          # phi_{j+1} share
-    out[:-2] += np.sqrt(j[1:] / 2.0) * c[1:]       # phi_{j-1} share
-    return out
-
-
-def ladder_diff_x(coeffs: np.ndarray) -> np.ndarray:
-    """Hermite coefficients of u' from those of u (exact ladder identity)."""
-    c = np.asarray(coeffs, dtype=np.float64 if np.isrealobj(coeffs) else np.complex128)
-    J = c.shape[0]
-    out = np.zeros(J + 1, dtype=c.dtype)
-    j = np.arange(J)
-    out[1:] -= np.sqrt((j + 1) / 2.0) * c
-    out[:-2] += np.sqrt(j[1:] / 2.0) * c[1:]
-    return out
-
-
-def check_eigenrelation(j: int, x_grid: np.ndarray | None = None,
-                        h: float = 1e-3) -> float:
-    """Residual of (-d^2/dx^2 + x^2) phi_j = (2j+1) phi_j on a test grid.
-
-    The second derivative is the 5-point central difference with step ``h``;
-    the returned value is the grid maximum of the defect.
-    """
-    if x_grid is None:
-        half = math.sqrt(2 * j + 1) + 2.0
-        x_grid = np.linspace(-half, half, 201)
-    x = np.asarray(x_grid, dtype=np.float64)
-    f = lambda t: hermite_eval(j, t)
-    d2 = (-f(x - 2 * h) + 16 * f(x - h) - 30 * f(x) + 16 * f(x + h) - f(x + 2 * h)) / (12 * h * h)
-    res = -d2 + (x * x) * f(x) - (2 * j + 1) * f(x)
-    return float(np.max(np.abs(res)))

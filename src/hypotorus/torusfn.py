@@ -175,18 +175,6 @@ class TorusFunction:
             self._coeffs = _freeze(np.fft.fft(self._samples) / self.n)
         return self._coeffs
 
-    def coeff_table(self) -> list[tuple[int, complex]]:
-        """(k, c_k) for k = -N/2..N/2, the Nyquist entry split evenly."""
-        n = self.n
-        c = self.coeffs
-        out = []
-        nyq = c[n // 2] / 2.0
-        out.append((-n // 2, complex(nyq)))
-        for k in range(-n // 2 + 1, n // 2):
-            out.append((k, complex(c[k % n])))
-        out.append((n // 2, complex(nyq)))
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TorusFunction(n={self.n}, sup={self.sup_norm():.3g})"
 
@@ -202,10 +190,6 @@ class TorusFunction:
         degree < N.
         """
         return complex(np.mean(self._samples))
-
-    def integral(self) -> complex:
-        """Integral over one period (2*pi times the mean)."""
-        return 2.0 * np.pi * self.mean()
 
     def derivative(self) -> "TorusFunction":
         """Spectral derivative; the Nyquist mode is sent to zero."""
@@ -240,15 +224,6 @@ class TorusFunction:
     def sup_norm(self) -> float:
         """Grid sup |f|: the documented proxy for the true sup-norm."""
         return float(np.max(np.abs(self._samples)))
-
-    def refined_sup_norm(self) -> tuple[float, bool]:
-        """Grid sup after one grid doubling, with a flag when the two
-        estimates disagree by more than 1% (an under-resolution signal)."""
-        coarse = self.sup_norm()
-        fine = self.resample(2 * self.n).sup_norm()
-        ref = max(coarse, fine)
-        differs = ref > 0 and abs(fine - coarse) > 0.01 * ref
-        return max(coarse, fine), differs
 
     def resample(self, n2: int) -> "TorusFunction":
         """Trig interpolation onto a finer or coarser power-of-two grid.
@@ -311,22 +286,10 @@ class TorusFunction:
     def __sub__(self, other):
         return TorusFunction(self._samples - self._coerce(other))
 
-    def __rsub__(self, other):
-        return TorusFunction(self._coerce(other) - self._samples)
-
     def __mul__(self, other):
         return TorusFunction(self._samples * self._coerce(other))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return TorusFunction(self._samples / self._coerce(other))
-
-    def __neg__(self):
-        return TorusFunction(-self._samples)
-
-    def conj(self) -> "TorusFunction":
-        return TorusFunction(np.conj(self._samples))
 
     def real_part(self) -> "TorusFunction":
         return TorusFunction(self._samples.real.astype(np.complex128))
@@ -377,11 +340,3 @@ class MeanDecomposition:
     c0: complex
     tilde: TorusFunction
     tilde_primitive: TorusFunction
-
-    @property
-    def a0(self) -> float:
-        return self.c0.real
-
-    @property
-    def b0(self) -> float:
-        return self.c0.imag

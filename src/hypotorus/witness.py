@@ -1085,7 +1085,7 @@ def sign_change_witness(c: TorusFunction, eigs: EigenSequence, mu=Fraction(1, 2)
         mod = np.abs(u[:, (k0 + i) % N])
         bad = np.flatnonzero(np.abs(mod - 1.0) > 1e-9)
         if bad.size:
-            raise WitnessCheckFailed(f"internal: |u({t_anchor:.4f})| = {mod[bad[0]]!r} "
+            raise WitnessCheckFailed(f"internal: |u({t_anchor:.4f})| = {float(mod[bad[0]])!r} "
                                      f"!= 1 at level {use[s][bad[0]]}")
 
     bundle = _verified(
@@ -1318,7 +1318,7 @@ def L0_reduction_witness(c: TorusFunction, certificate: LiouvilleCertificate,
         one_minus_E = 1.0 - E
         lam_f = float(lev.lam)
         bracket = Phi_phi + E * (I_phi - Phi_phi)
-        u_at_anchor = abs(bracket[anchor_idx])          # = |E| * I_phi = I_phi
+        u_at_anchor = float(abs(bracket[anchor_idx]))   # = |E| * I_phi = I_phi
         if abs(u_at_anchor - I_phi) > 1e-9 * max(1.0, I_phi):
             raise WitnessCheckFailed(
                 f"internal: |u(t_l)| = {u_at_anchor!r} != int(phi) = {I_phi!r}")

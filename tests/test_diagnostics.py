@@ -11,26 +11,21 @@ from hypotorus import diagnostics as dg
 from hypotorus.diagnostics import (
     DecayFit,
     DegenerateData,
-    DimensionUnsupported,
     PMColumns,
     fit_decay,
     lemma25_check,
     ols,
     pm_seminorms,
-    regularity_loss_report,
-    x_seminorms,
 )
 from hypotorus.cli import ExperimentConfig
 from hypotorus.jsonio import plain
 from hypotorus.modes import ModeField, solve_field
-from hypotorus.spectrum import HermiteBasis, build_eigensequence
+from hypotorus.spectrum import build_eigensequence
 from hypotorus.torusfn import TorusFunction, grid, wavenumbers
 
 # ---------------------------------------------------------------------------
 # frozen oracle values (closed forms, not this code)
 #
-# * sup|phi_0| = pi^{-1/4}; sup|phi_0'| = sup |x| pi^{-1/4} e^{-x^2/2} attained
-#   at |x| = 1, giving pi^{-1/4} e^{-1/2}; |x phi_0| peaks at the same value.
 # * a field u_j = e^{-0.3(j+1)} (constant in t) has -log sup|u_j| exactly
 #   linear in (j+1), so OLS recovers epsilon = 0.3 and C = 1 to roundoff.
 # * S(0, 0) for u_j = e^{-(j+1)} constant in t is the geometric sum
@@ -38,8 +33,6 @@ from hypotorus.torusfn import TorusFunction, grid, wavenumbers
 # * lemma 2.5 at gamma = s = epsilon = 1: max_j j^l e^{-j} sits at j = l, so
 #   C(l) = (l^l e^{-l} / l!)^{1/l} <= 1 and -> 1 from below (Stirling).
 # ---------------------------------------------------------------------------
-SUP_PHI0 = math.pi ** -0.25
-SUP_DPHI0 = math.pi ** -0.25 * math.exp(-0.5)
 
 
 def constant_field(rates, eigs, n=64):
@@ -450,58 +443,6 @@ def test_pm_table_csv_round_trip():
 
 
 # --------------------------------------------------------------------------- #
-# x_seminorms
-# --------------------------------------------------------------------------- #
-
-@pytest.fixture(scope="module")
-def basis16():
-    return HermiteBasis.build(16)
-
-
-def test_x_seminorm_ground_state_sup(basis16):
-    eigs = build_eigensequence("harmonic1d", 16)
-    u = ModeField.single_mode(eigs, 0, TorusFunction.constant(1.0, 32), J=16)
-    val = x_seminorms(u, basis16, alpha=0, beta=0, k=0)
-    assert abs(val - SUP_PHI0) < 1e-6
-
-
-def test_x_seminorm_ground_state_derivative(basis16):
-    eigs = build_eigensequence("harmonic1d", 16)
-    u = ModeField.single_mode(eigs, 0, TorusFunction.constant(1.0, 32), J=16)
-    assert abs(x_seminorms(u, basis16, alpha=0, beta=1, k=0) - SUP_DPHI0) < 1e-5
-    # |x phi_0| peaks at the same closed-form value
-    assert abs(x_seminorms(u, basis16, alpha=1, beta=0, k=0) - SUP_DPHI0) < 1e-5
-
-
-def test_x_seminorm_time_derivative_scales(basis16):
-    # u_0(t) = cos t: d_t u has the same x-profile, sup unchanged
-    eigs = build_eigensequence("harmonic1d", 16)
-    u = ModeField.single_mode(eigs, 0, TorusFunction.from_callable(np.cos, 64), J=16)
-    v0 = x_seminorms(u, basis16, alpha=0, beta=0, k=0)
-    v1 = x_seminorms(u, basis16, alpha=0, beta=0, k=1)
-    assert abs(v0 - SUP_PHI0) < 1e-6
-    assert abs(v1 - SUP_PHI0) < 1e-6
-
-
-def test_x_seminorm_zero_field(basis16):
-    eigs = build_eigensequence("harmonic1d", 16)
-    assert x_seminorms(ModeField.zeros(eigs, 16, 32), basis16, 0, 0, 0) == 0.0
-
-
-def test_x_seminorm_guards(basis16):
-    eigs2 = build_eigensequence("harmonic_nd 2", 8)
-    u2 = ModeField([TorusFunction.constant(1.0, 32) for _ in range(8)], eigs2)
-    with pytest.raises(DimensionUnsupported):
-        x_seminorms(u2, basis16, 0, 0, 0)
-    eigs = build_eigensequence("harmonic1d", 16)
-    u = ModeField.single_mode(eigs, 0, TorusFunction.constant(1.0, 32), J=16)
-    with pytest.raises(ValueError):
-        x_seminorms(u, basis16, alpha=9, beta=0, k=0)
-    with pytest.raises(ValueError):
-        x_seminorms(u, basis16, alpha=0, beta=-1, k=0)
-
-
-# --------------------------------------------------------------------------- #
 # lemma25_check
 # --------------------------------------------------------------------------- #
 
@@ -558,33 +499,13 @@ def _field_of_harmonics(eigs, rate, n=64, freq=1):
 
 
 def test_regularity_no_loss_for_constant_coefficient():
+    # constant coefficients lose no Gevrey order: sigma(u) ~ sigma(f)
     eigs = build_eigensequence("harmonic1d", 48)
     f = _field_of_harmonics(eigs, 0.5)
     u, _ = solve_field(TorusFunction.constant(0.5, 64), f)
     f_fit = fit_decay(f, k_max=4)
     u_fit = fit_decay(u, k_max=4)
-    rep = regularity_loss_report(f_fit, u_fit, eigs, Fraction(1, 2))
-    assert rep["bound_sigma"] == max(f_fit.sigma_fit, float(eigs.m) * 0.5)
-    assert rep["within_bound"]
     assert abs(u_fit.sigma_fit - f_fit.sigma_fit) < 0.3
-    assert not rep["loss_detected"]
-
-
-def test_regularity_bound_arithmetic():
-    m2 = build_eigensequence("harmonic1d", 8)             # order m = 2
-    m4 = build_eigensequence("harmonic1d_power 2", 8)     # order m = 4
-    fit = DecayFit(epsilon=1.0, C=1.0, sigma_fit=2.0, sigma_fit_joint=2.0,
-                   r2=0.99, r2_sigma=0.99, window=(0, 10), n_used=10,
-                   sub_exponential=False, note="")
-    rep2 = regularity_loss_report(fit, fit, m2)
-    rep4 = regularity_loss_report(fit, fit, m4)
-    assert rep2["bound_sigma"] == 2.0     # max(2, 2*1/2) = 2
-    assert rep4["bound_sigma"] == 2.0     # max(2, 4*1/2) = 2
-    lowfit = DecayFit(epsilon=1.0, C=1.0, sigma_fit=1.2, sigma_fit_joint=1.2,
-                      r2=0.99, r2_sigma=0.99, window=(0, 10), n_used=10,
-                      sub_exponential=False, note="")
-    rep = regularity_loss_report(lowfit, lowfit, m4)
-    assert rep["bound_sigma"] == 2.0      # mu*m dominates sigma_fit = 1.2
 
 
 # --------------------------------------------------------------------------- #

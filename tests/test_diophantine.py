@@ -628,7 +628,7 @@ class TestConstructLiouville:
         assert tuple(lv.lam for lv in cert.levels) == L3_LAMS
         assert tuple(lv.tau for lv in cert.levels) == L3_TAUS
         assert cert.kappa == L3_KAPPA
-        assert cert.gaps() == L3_GAPS
+        assert tuple(lv.gap for lv in cert.levels) == L3_GAPS
         assert tuple(lv.K for lv in cert.levels) == L3_KS
         assert cert.verify()
 

@@ -7,26 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypotorus.spectrum import (
-    HermiteBasis,
-    analyze_x,
-    build_eigensequence,
-    check_eigenrelation,
-    hermite_eval,
-    ladder_diff_x,
-    ladder_mul_x,
-    synthesize_x,
-    weyl_ratio_spread,
-)
+from hypotorus.spectrum import HermiteBasis, _phi_matrix, build_eigensequence
 
 # frozen oracle values (30-digit quadrature / closed forms, computed offline)
 PHI0_AT_0 = 0.7511255444649425
 PHI2_AT_0 = -0.5311259660135985
 PHI5_AT_1_3 = -0.3993914628137507
 PHI12_AT_2_7 = 0.3761831378705980
-IP_GAUSS_PHI0 = 1.0870307726111885   # <e^{-x^2}, phi_0> = pi^{1/4} sqrt(2/3)
-IP_GAUSS_PHI2 = -0.2562156102239411
-IP_GAUSS_PHI4 = 0.0739630757666883
 
 
 # --------------------------------------------------------------------------- #
@@ -164,35 +151,47 @@ def test_exponent_refuses_mu_below_one_half():
             h1.exponent(mu)
 
 
+def weyl_spread(e) -> float:
+    """Relative spread of |lambda_j| / j^{m/2n} over the top half of the
+    window: small when the window follows the Weyl law |lambda_j| ~ C j^{m/2n}."""
+    j = np.arange(e.J // 2, e.J, dtype=float)
+    r = np.abs(e.lambdas[e.J // 2:]) / j ** (e.m / (2.0 * e.n))
+    return float((r.max() - r.min()) / np.mean(r))
+
+
 def test_weyl_spread_harmonic_nd_2():
     e = build_eigensequence("harmonic_nd 2", 4096)
-    assert weyl_ratio_spread(e) < 0.10
+    assert weyl_spread(e) < 0.10
 
 
 def test_weyl_spread_harmonic1d():
     # lambda_j = 2j+1 ~ 2j: ratio essentially constant over the top half
     e = build_eigensequence("harmonic1d", 4096)
-    assert weyl_ratio_spread(e) < 0.01
+    assert weyl_spread(e) < 0.01
 
 
 # --------------------------------------------------------------------------- #
-# Hermite evaluation
+# Hermite functions: columns of _phi_matrix
 # --------------------------------------------------------------------------- #
+
+def phi(j: int, x) -> np.ndarray:
+    """phi_j on the points x, column j of the recurrence matrix."""
+    return _phi_matrix(j + 1, np.atleast_1d(np.asarray(x, dtype=np.float64)))[:, j]
+
 
 def test_hermite_frozen_values():
-    assert hermite_eval(0, 0.0) == pytest.approx(PHI0_AT_0, abs=1e-14)
-    assert hermite_eval(1, 0.0) == pytest.approx(0.0, abs=1e-16)
-    assert hermite_eval(2, 0.0) == pytest.approx(PHI2_AT_0, abs=1e-14)
-    assert hermite_eval(5, 1.3) == pytest.approx(PHI5_AT_1_3, abs=1e-13)
-    assert hermite_eval(12, 2.7) == pytest.approx(PHI12_AT_2_7, abs=1e-13)
+    assert phi(0, 0.0)[0] == pytest.approx(PHI0_AT_0, abs=1e-14)
+    assert phi(1, 0.0)[0] == pytest.approx(0.0, abs=1e-16)
+    assert phi(2, 0.0)[0] == pytest.approx(PHI2_AT_0, abs=1e-14)
+    assert phi(5, 1.3)[0] == pytest.approx(PHI5_AT_1_3, abs=1e-13)
+    assert phi(12, 2.7)[0] == pytest.approx(PHI12_AT_2_7, abs=1e-13)
 
 
 def test_hermite_high_mode_no_overflow():
     # j = 512 at x = 30: recurrence must stay finite (value is tiny but finite)
-    v = hermite_eval(512, 30.0)
-    assert np.isfinite(v)
+    assert np.isfinite(phi(512, 30.0)[0])
     x = np.linspace(-30, 30, 501)
-    vals = hermite_eval(512, x)
+    vals = phi(512, x)
     assert np.all(np.isfinite(vals))
     assert np.max(np.abs(vals)) < 1.0  # normalized functions are bounded by ~0.8
 
@@ -200,17 +199,31 @@ def test_hermite_high_mode_no_overflow():
 def test_hermite_parity():
     x = np.linspace(0.1, 4.0, 17)
     for j in (0, 1, 4, 7):
-        sym = hermite_eval(j, -x) - (-1) ** j * hermite_eval(j, x)
+        sym = phi(j, -x) - (-1) ** j * phi(j, x)
         assert np.max(np.abs(sym)) < 1e-13
 
 
-def test_hermite_rejects_negative_mode():
-    with pytest.raises(ValueError):
-        hermite_eval(-1, 0.0)
+def eigen_defect(j: int, x: np.ndarray, h: float = 1e-3) -> float:
+    """Grid max of |(-d^2/dx^2 + x^2 - (2j+1)) phi_j|, the second derivative
+    by the 5-point central difference with step h."""
+    f = lambda t: phi(j, t)
+    d2 = (-f(x - 2 * h) + 16 * f(x - h) - 30 * f(x) + 16 * f(x + h) - f(x + 2 * h)) / (12 * h * h)
+    return float(np.max(np.abs(-d2 + (x * x) * f(x) - (2 * j + 1) * f(x))))
+
+
+def test_eigenrelation_low_modes():
+    for j, tol in ((0, 1e-5), (10, 1e-4)):
+        half = math.sqrt(2 * j + 1) + 2.0
+        assert eigen_defect(j, np.linspace(-half, half, 201)) < tol
+
+
+def test_eigenrelation_odd_mode_at_origin():
+    # phi_1 odd => -phi_1'' + x^2 phi_1 - 3 phi_1 vanishes at x = 0 identically
+    assert eigen_defect(1, np.array([0.0])) < 1e-9
 
 
 # --------------------------------------------------------------------------- #
-# quadrature basis: Gram, analyze, synthesize
+# quadrature basis
 # --------------------------------------------------------------------------- #
 
 def test_gram_identity():
@@ -227,108 +240,6 @@ def test_basis_validation():
         HermiteBasis.build(J=0)
 
 
-def test_analyze_picks_out_unit_vectors():
-    b = HermiteBasis.build(J=16)
-    g = hermite_eval(3, b.nodes)
-    c = analyze_x(g, b)
-    expect = np.zeros(16)
-    expect[3] = 1.0
-    assert np.max(np.abs(c - expect)) < 1e-10
-
-
-def test_analyze_linearity():
-    b = HermiteBasis.build(J=8)
-    g = hermite_eval(0, b.nodes) + 2.0 * hermite_eval(5, b.nodes)
-    c = analyze_x(g, b)
-    expect = np.zeros(8)
-    expect[0], expect[5] = 1.0, 2.0
-    assert np.max(np.abs(c - expect)) < 1e-10
-
-
-def test_analyze_gaussian_against_independent_quadrature():
-    # oracle: 10^4-point composite quadrature on |x| <= 12, plus frozen values.
-    # e^{-x^2} is not a finite phi-sum, so analysis is only quadrature-exact in
-    # the Q -> inf limit; Q = 64 puts the Gauss-Hermite error near roundoff.
-    b = HermiteBasis.build(J=6, Q=64)
-    c = analyze_x(np.exp(-b.nodes ** 2), b)
-    xs = np.linspace(-12.0, 12.0, 10_000)
-    for j, frozen in ((0, IP_GAUSS_PHI0), (2, IP_GAUSS_PHI2), (4, IP_GAUSS_PHI4)):
-        oracle = np.trapezoid(np.exp(-xs ** 2) * hermite_eval(j, xs), xs)
-        assert oracle == pytest.approx(frozen, abs=1e-12)
-        assert c[j] == pytest.approx(frozen, abs=1e-10)
-    # closed form for j = 0: pi^{1/4} sqrt(2/3)
-    assert c[0] == pytest.approx(np.pi ** 0.25 * math.sqrt(2.0 / 3.0), abs=1e-12)
-    # odd coefficients vanish by parity
-    assert abs(c[1]) < 1e-12 and abs(c[3]) < 1e-12
-
-
-def test_analyze_synthesize_projection_identity():
-    b = HermiteBasis.build(J=12)
-    g = hermite_eval(2, b.nodes) + hermite_eval(4, b.nodes)
-    back = synthesize_x(analyze_x(g, b), b)
-    assert np.max(np.abs(back - g)) < 1e-9
-
-
-def test_synthesize_on_arbitrary_grid():
-    x = np.linspace(-3, 3, 41)
-    c = np.zeros(5)
-    c[0] = 1.0
-    assert np.max(np.abs(synthesize_x(c, x) - hermite_eval(0, x))) < 1e-13
-    assert np.max(np.abs(synthesize_x(np.zeros(5), x))) == 0.0
-
-
-def test_analyze_shape_mismatch():
-    b = HermiteBasis.build(J=4)
-    with pytest.raises(ValueError):
-        analyze_x(np.zeros(7), b)
-    with pytest.raises(ValueError):
-        synthesize_x(np.zeros(10), b)
-
-
-# --------------------------------------------------------------------------- #
-# eigenrelation and ladders
-# --------------------------------------------------------------------------- #
-
-def test_eigenrelation_low_modes():
-    assert check_eigenrelation(0) < 1e-5
-    assert check_eigenrelation(10) < 1e-4
-
-
-def test_eigenrelation_odd_mode_at_origin():
-    # phi_1 odd => -phi_1'' + x^2 phi_1 - 3 phi_1 vanishes at x = 0 identically
-    assert check_eigenrelation(1, x_grid=np.array([0.0])) < 1e-9
-
-
-def test_ladder_mul_x_matches_pointwise():
-    x = np.linspace(-4, 4, 81)
-    c = np.array([0.3, -1.0, 0.0, 2.0])
-    lhs = synthesize_x(ladder_mul_x(c), x)
-    rhs = x * synthesize_x(c, x)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_ladder_diff_x_matches_spectral_derivative():
-    # derivative of phi_0: phi_0' = -x phi_0 = -(1/sqrt2) phi_1
-    d = ladder_diff_x(np.array([1.0]))
-    assert d[0] == pytest.approx(0.0)
-    assert d[1] == pytest.approx(-1.0 / math.sqrt(2.0))
-    # sup |phi_0'| = pi^{-1/4} e^{-1/2} (calculus oracle)
-    x = np.linspace(-6, 6, 4001)
-    vals = synthesize_x(d, x)
-    assert np.max(np.abs(vals)) == pytest.approx(np.pi ** -0.25 * math.exp(-0.5), abs=1e-6)
-
-
-def test_ladder_eigenrelation_exact():
-    # H = -(d/dx)^2 + x^2 acting through ladders: H e_j = (2j+1) e_j
-    for j in range(6):
-        c = np.zeros(j + 1)
-        c[j] = 1.0
-        hc = -ladder_diff_x(ladder_diff_x(c)) + ladder_mul_x(ladder_mul_x(c))
-        expect = np.zeros(j + 3)
-        expect[j] = 2 * j + 1
-        assert np.max(np.abs(hc - expect)) < 1e-12
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=40))
 def test_gauss_quadrature_normalizes_each_mode(j):
@@ -337,13 +248,3 @@ def test_gauss_quadrature_normalizes_each_mode(j):
     v = b.phi[:, j]
     assert np.dot(b.mod_weights, v * v) == pytest.approx(1.0, abs=1e-10)
 
-
-@settings(max_examples=20, deadline=None)
-@given(st.lists(st.floats(min_value=-3, max_value=3, allow_nan=False), min_size=4, max_size=4))
-def test_analyze_synthesize_roundtrip_property(coeffs):
-    b = HermiteBasis.build(J=8)
-    c0 = np.zeros(8)
-    c0[: 4] = coeffs
-    g = synthesize_x(c0, b)
-    c1 = analyze_x(g, b)
-    assert np.max(np.abs(c1 - c0)) < 1e-9 * (1 + np.max(np.abs(c0)))

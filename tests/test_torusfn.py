@@ -83,12 +83,6 @@ def test_mean_of_pure_modes():
         assert abs(TorusFunction.harmonic(k, n).mean()) < 1e-14
 
 
-def test_integral_of_cos_squared():
-    # integral of cos^2 over the period is pi
-    f = TorusFunction.from_callable(lambda t: np.cos(t) ** 2, 64)
-    assert abs(f.integral() - np.pi) < 1e-13
-
-
 # --------------------------------------------------------------------------- #
 # calculus
 # --------------------------------------------------------------------------- #
@@ -116,8 +110,8 @@ def test_decompose_mean_reconstructs():
     f = TorusFunction.from_callable(lambda t: 2.0 + 1j + np.cos(t) + 1j * np.sin(3 * t), 64)
     d = f.decompose_mean()
     assert abs(d.c0 - (2.0 + 1j)) < 1e-13
-    assert d.a0 == pytest.approx(2.0)
-    assert d.b0 == pytest.approx(1.0)
+    assert d.c0.real == pytest.approx(2.0)
+    assert d.c0.imag == pytest.approx(1.0)
     assert np.allclose((d.tilde + d.c0).samples, f.samples, atol=1e-13)
     # P' = tilde and P(0) = 0
     assert np.allclose(d.tilde_primitive.derivative().samples, d.tilde.samples, atol=1e-11)
@@ -195,17 +189,6 @@ def test_real_data_stays_real_under_resample():
 def test_sup_norm():
     f = TorusFunction.from_callable(lambda t: 3.0 * np.sin(t), 64)
     assert f.sup_norm() == pytest.approx(3.0, abs=1e-3)
-    ref, flag = f.refined_sup_norm()
-    assert ref == pytest.approx(3.0, abs=1e-6)
-    assert not flag
-
-
-def test_refined_sup_norm_flags_underresolution():
-    # a pure Nyquist-adjacent mode sampled coarsely: grid sup underestimates
-    f = TorusFunction.from_coeff_dict({7: 1.0, 6: 1.0}, n=16)
-    _, flag = f.refined_sup_norm()
-    # fine grid catches constructive interference between the two modes
-    assert isinstance(flag, bool)
 
 
 # --------------------------------------------------------------------------- #
@@ -220,10 +203,6 @@ def test_arithmetic_ops():
     assert np.allclose((f - g).samples, np.cos(t) - np.sin(t))
     assert np.allclose((f * g).samples, np.cos(t) * np.sin(t))
     assert np.allclose((2.0 * f).samples, 2.0 * np.cos(t))
-    assert np.allclose((f / 2.0).samples, np.cos(t) / 2.0)
-    assert np.allclose((1 - f).samples, 1 - np.cos(t))
-    assert np.allclose((-f).samples, -np.cos(t))
-    assert np.allclose(f.conj().samples, np.cos(t))
     h = f + 1j * g
     assert np.allclose(h.real_part().samples, np.cos(t))
     assert np.allclose(h.imag_part().samples, np.sin(t))

@@ -36,6 +36,11 @@ bumps take every exp directly, in row chunks of 8 + 8 + 4.
 Five plain classify calls on c whose verdict follows the exact mean:
 1/3 + 1e-10 + cos t, 1/65 + cos t and 1/2000003 + cos t, and two whose
 oscillation is below 1e-12, 1/65 + 1e-13 cos t and 1/3 + 1e-13 i cos t.
+Two more on c_file samples, whose routes no formula reaches: a constant
+0.1 (the float-constant route with its distance fit) and a real mean 1/3
+whose Im c has two fat zero runs with same-sign flanks (the resonant-mean
+rescue).  They record the bytes of today's sampled route and assert no
+verdict.
 Five classify --witness calls: 1/2 + i sin 4t, which
 misses its budget, exits 0 and writes witness_plan.json; the plateau c,
 whose variable-plateau verdict carries a sign_report and whose witness
@@ -163,6 +168,13 @@ VERDICT = {  # plain classify: c whose verdict follows its exact mean
     "mean-q2000003": {"c": "1/2000003 + cos t", "j_modes": 64},
     "mean-tiny-cos-q65": {"c": "1/65 + 1/10000000000000 cos t", "j_modes": 64},
     "mean-tiny-icos-third": {"c": "1/3 + 1/10000000000000 i cos t", "j_modes": 64},
+    # sampled c on routes no formula reaches: a constant whose value is no
+    # small-denominator rational (the float-constant route and its distance
+    # fit), and a real mean 1/3 with Im c zero on two plateaus whose flanks
+    # share a sign (no (+, 0, -) pattern: the resonant-mean rescue decides)
+    "c-file-constant": {"c_file": "extra/c_constant.csv", "grid_n": 64, "j_modes": 64},
+    "c-file-resonant-mean": {"c_file": "extra/c_same_sign_plateaus.csv", "grid_n": 1024,
+                             "j_modes": 16},
 }
 
 DIOPHANTINE = {  # exact tables on every integer kind, and the float table
@@ -204,7 +216,11 @@ def inputs() -> dict:
     and im = nan at one of mode 2; a mode CSV with mode 1 = e^{it} on a
     16-point grid; and a c whose Im c is + on (0.5, 1.5), exactly 0 on
     [1.5, 3.5] and - on (3.5, 4.5), on the 1024-point grid (amplitude 4)
-    and on the 8192-point grid (amplitude 1)."""
+    and on the 8192-point grid (amplitude 1); a constant c = 0.1 on the
+    64-point grid; and on the 1024-point grid a c = 1/3 + cos t + i sin t w(t),
+    where w = 1 - bump(t) - bump(2 pi - t) vanishes on [1.07, 2.07] and on
+    its mirror image, so Im c has mean 0, crosses zero at 0 and pi, and has
+    a (+, 0, +) and a (-, 0, -) run."""
     t = [2.0 * math.pi * i / 64 for i in range(64)]
     f = "".join(f"{j},{s!r},{math.sin(j * s + 1) / 7 ** j!r},"
                 f"{-0.0 if j == 3 else math.cos(s) / j!r}\n" for j in (1, 3, 6) for s in t)
@@ -220,6 +236,11 @@ def inputs() -> dict:
             f"{s!r},0.0,{amp * (_bump(s, 0.5, 0.95, 1.05, 1.5) - _bump(s, 3.5, 3.95, 4.05, 4.5))!r}\n"
             for s in t)
 
+    t = [2.0 * math.pi * i / 1024 for i in range(1024)]
+    w = [1.0 - _bump(s, 0.57, 1.07, 2.07, 2.57) - _bump(2.0 * math.pi - s, 0.57, 1.07, 2.07, 2.57)
+         for s in t]
+    same = "".join(f"{s!r},{1 / 3 + math.cos(s)!r},{math.sin(s) * v!r}\n" for s, v in zip(t, w))
+
     def spaced(header, rows):
         lines = [r + ("\r\n\r\n" if k % 5 == 4 else "\r\n")
                  for k, r in enumerate(rows.splitlines())]
@@ -228,7 +249,10 @@ def inputs() -> dict:
     return {"f_modes.csv": "j,t,re,im\n" + f, "c_samples.csv": "t,re,im\n" + c,
             "f_spaced.csv": spaced("j , t, re ,im", f), "c_spaced.csv": spaced(" t, re, im", c),
             "f_nonfinite.csv": "j,t,re,im\n" + g, "f_coarse.csv": "j,t,re,im\n" + e,
-            "c_plateau.csv": plateau(1024, 4.0), "c_plateau_8192.csv": plateau(8192, 1.0)}
+            "c_plateau.csv": plateau(1024, 4.0), "c_plateau_8192.csv": plateau(8192, 1.0),
+            "c_constant.csv": "t,re,im\n" + "".join(f"{2.0 * math.pi * i / 64!r},0.1,0.0\n"
+                                                      for i in range(64)),
+            "c_same_sign_plateaus.csv": "t,re,im\n" + same}
 
 
 def calls(change: Path, workloads) -> list:

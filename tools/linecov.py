@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Report the statements of src/hypotorus that nothing runs.
 
-    python tools/linecov.py [tests] [cli]
+    python tools/linecov.py [tests] [cli] [acceptance]
 
 A ``sys.settrace`` line tracer (stdlib only) records the lines of
 src/hypotorus that run while the chosen sets run in this process:
@@ -9,9 +9,13 @@ src/hypotorus that run while the chosen sets run in this process:
 - ``tests``: the whole pytest suite under tests/;
 - ``cli``: every CLI call of tools/bytediff.py (the cookbook, both seeds of
   the benchmark workloads, and its extras), each through
-  ``hypotorus.cli.main`` in a temporary directory, with its output hidden.
+  ``hypotorus.cli.main`` in a temporary directory, with its output hidden;
+- ``acceptance``: tests/test_acceptance.py alone, the acceptance criteria
+  c01-c12.
 
-With no argument both sets run.  The report lists, per module, how many
+``cli acceptance`` shows what a command or an acceptance criterion
+reaches; code that only the unit tests run shows up as not run.  With no
+argument ``tests`` and ``cli`` run.  The report lists, per module, how many
 statements ran, then each block of consecutive statements that did not,
 with its line range and first line.  A statement counts as run when any
 line of it ran; a compound statement (def, if, for, with, try, ...) counts
@@ -117,9 +121,9 @@ def report(hits: dict) -> str:
     return "\n".join(rows)
 
 
-def run_tests() -> int:
+def run_tests(target: Path) -> int:
     import pytest
-    return pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+    return pytest.main(["-q", "-p", "no:cacheprovider", str(target)])
 
 
 def run_cli() -> int:
@@ -150,8 +154,9 @@ def run_cli() -> int:
 
 
 def main(argv: list) -> int:
+    tests = {"tests": ROOT / "tests", "acceptance": ROOT / "tests" / "test_acceptance.py"}
     sets = argv or ["tests", "cli"]
-    if not set(sets) <= {"tests", "cli"}:
+    if not set(sets) <= {"cli", *tests}:
         print(__doc__, file=sys.stderr)
         return 2
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -161,7 +166,7 @@ def main(argv: list) -> int:
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(ROOT / "src"))
     hits = install()
-    codes = [run_tests() if s == "tests" else run_cli() for s in sets]
+    codes = [run_cli() if s == "cli" else run_tests(tests[s]) for s in sets]
     sys.settrace(None)
     threading.settrace(None)
     print(report(hits))
