@@ -445,7 +445,7 @@ def classify_rational(p: int, q: int, eigs: EigenSequence) -> RationalVerdict:
                     f"kappa denominator {q} exceeds the residue scan bound "
                     f"{_POWER_SCAN_CAP} for {kind!r}")
             # j in chunks, so the object arrays of one chunk are all that is held
-            k, step = int(kind.split()[1]), 1 << 16
+            k, step = eigs.m // 2, 1 << 16                    # m = 2k
             chunks = (np.arange(2 * lo + 1, 2 * min(lo + step, q), 2, dtype=object) ** k
                       for lo in range(0, q, step))
         else:

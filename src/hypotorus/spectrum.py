@@ -96,8 +96,7 @@ class EigenSequence:
             base, step = self.ap_index
             return base + step * j
         if self.kind.startswith("harmonic1d_power"):
-            k = int(self.kind.split()[1])
-            return (2 * j + 1) ** k
+            return (2 * j + 1) ** (self.m // 2)         # m = 2k
         if self.kind.startswith("harmonic_nd"):
             return _nd_value(j, self.n)
         raise ValueError(f"no exact integer formula for kind {self.kind!r} at j={j}")

@@ -50,18 +50,21 @@ exp(r delta E) built once: each entry is one product of two exps, within
 keeps.  The sign-change window is scored for all N
 window starts at once from two sparse range tables (first argmax and min,
 int32 indices) over the 2N-point cover: O(N log N), and the same window as
-a scan of every start.  Construction makes one pass over the chunks: it
-fills each, takes its rows' grid sup norms (sup|u| on a single bump's
-support, where u is nonzero), runs the kind's own check (|u(t*)| = 1 for
-sign-change) and takes its residuals with :func:`modes.operator_residuals`,
-and keeps the report of its checks as ``WitnessBundle.report``;
-:meth:`WitnessBundle.verify` refills every chunk from the same recipe and
-recomputes that report on demand.  The pass is a two-stage pipeline: one
-helper thread takes the residuals of chunk k-1 while the calling thread
-fills, measures and checks chunk k, so at most two chunks are alive, and
-the helper ends with the pass.  Levels
-beyond the grid band carry ``residual=None`` and are verified on their
-closed form in exact rational arithmetic.
+a scan of every start.  The row recipe checks itself: ``rows.scan(c)``
+makes one pass over the chunks, filling each, taking its rows' grid sup
+norms over whole rows and its residuals with
+:func:`modes.operator_residuals`; the one hook of the pass is a probe that
+sees each chunk's u (the sign-change anchor check |u(t*)| = 1).
+Construction scans once, completes the levels, the floor and the decay
+record, and builds the report of every check; a bundle exists only once
+that report passes, and keeps it as ``WitnessBundle.report``.
+:meth:`WitnessBundle.verify` scans the same recipe again and recomputes
+that report on demand.  The pass is a two-stage pipeline: one helper
+thread takes the residuals of chunk k-1 while the calling thread fills,
+measures and probes chunk k, so at most two chunks are alive, and the
+helper ends with the pass.  Levels beyond the grid band carry
+``residual=None`` and are verified on their closed form in exact rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -316,19 +319,19 @@ def _own_types(v):
 
 class _Rows:
     """The S sampled rows of a witness on its N-grid, handed out one
-    :func:`modes.row_chunks` block at a time.
+    :func:`modes.row_chunks` block at a time, and the scan that checks them.
 
-    A subclass sets ``n`` (N) and ``f_cols``, a sorted read-only (K,)
-    integer index of the only grid columns where the forcing can be
-    nonzero, and defines ``__len__`` (S) and ``fill(s)``: for a block ``s``
-    of ``row_chunks(S, N)`` it returns the block's u, (rows, N), its forcing
-    on ``f_cols``, (rows, K), and its exact trig coefficients or None.  No
-    later fill writes to the arrays, so a block stays as it is while the
-    next one is filled.  ``u_cols`` indexes the columns where u can be
-    nonzero (all by default); u is exactly +0.0 on the others.
+    A subclass sets ``lams``, the (S,) float64 lambda of its rows in row
+    order, ``n`` (N) and ``f_cols``, a sorted read-only (K,) integer index
+    of the only grid columns where the forcing can be nonzero, and defines
+    ``fill(s)``: for a block ``s`` of ``row_chunks(S, N)`` it returns the
+    block's u, (rows, N), its forcing on ``f_cols``, (rows, K), and its
+    exact trig coefficients or None.  No later fill writes to the arrays,
+    so a block stays as it is while the next one is filled.
     """
 
-    u_cols = slice(None)
+    def __len__(self) -> int:
+        return len(self.lams)
 
     def whole(self, s=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the rows ``s`` (an index or a slice) of u and of the
@@ -346,28 +349,99 @@ class _Rows:
                 f[np.ix_(hit, self.f_cols)] = fb[want[hit] - b.start]
         return u.reshape(*pick.shape, self.n), f.reshape(*pick.shape, self.n)
 
+    def scan(self, c: TorusFunction, probe=None):
+        """One pass over the chunks: each is filled once, shown to
+        ``probe(s, u)`` if given, and its rows' sup|u| and sup|f| taken
+        over whole rows and their residuals sup|u' + i lam c u - f| by
+        :func:`modes.operator_residuals`.  Returns the (S,) float64 arrays
+        residual, sup_u and sup_f.
+
+        The pass is a two-stage pipeline: while this thread fills chunk k,
+        takes its norms and probes it, one helper thread takes the residuals
+        of chunk k-1, whose FFTs and ufunc loops release the GIL.  Chunk k
+        is queued for the helper, and chunk k+1 is filled only once chunk
+        k-1's residuals are in, so at most two chunks are alive.  Errors
+        surface in serial order: a failure on this thread first waits for
+        the pending residuals and, if they failed, raises their error
+        instead; a failure on the helper is raised at the next wait.  The
+        helper ends with the pass.  Every residual and norm is the one a
+        serial pass takes."""
+        # imported here, not at the top: it adds ~9 ms to every command's
+        # start, and only a witness pass needs it
+        from concurrent.futures import ThreadPoolExecutor
+
+        res, sup_u, sup_f = np.full((3, len(self)), math.nan)
+
+        def residuals(s, chunk):
+            # take the arrays out of the queued call, so that they are
+            # freed as soon as this returns
+            u, f, coeffs = chunk.pop()
+            res[s] = operator_residuals(self.lams[s], c, u, f, coeffs, cols=self.f_cols)
+
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            pending = helper.submit(lambda: None)          # nothing pending yet
+            for s in row_chunks(len(self), self.n):
+                try:
+                    u, f, coeffs = self.fill(s)
+                    if probe is not None:
+                        probe(s, u)
+                    np.abs(u).max(axis=1, out=sup_u[s])
+                    np.abs(f).max(axis=1, initial=0.0, out=sup_f[s])
+                except BaseException:
+                    pending.result()        # an earlier chunk's error comes first
+                    raise
+                # queue this chunk before waiting, so the helper never idles
+                done, pending = pending, helper.submit(residuals, s, [(u, f, coeffs)])
+                done.result()
+            pending.result()
+        return res, sup_u, sup_f
+
 
 class _ArrayRows(_Rows):
     """Rows held whole in small read-only arrays: u (S, N), the forcing f
-    (S, K) on ``f_cols`` and the rows' exact trig ``coeffs`` (S, N) or None.
-    The constant and L0 kinds keep theirs so (a few rows each)."""
+    (S, K) on ``f_cols`` and the rows' exact trig ``coeffs`` (S, N) or None,
+    at the levels ``lams``.  The constant and L0 kinds keep theirs so (a few
+    rows each)."""
 
-    def __init__(self, u: np.ndarray, f: np.ndarray, f_cols: np.ndarray,
-                 coeffs: Optional[np.ndarray] = None):
-        for a in (u, f, f_cols, coeffs):
+    def __init__(self, lams: Sequence[float], u: np.ndarray, f: np.ndarray,
+                 f_cols: np.ndarray, coeffs: Optional[np.ndarray] = None):
+        lams = np.array(lams, dtype=np.float64)
+        for a in (lams, u, f, f_cols, coeffs):
             if a is not None:
                 a.flags.writeable = False
-        self.u, self.f, self.f_cols, self.coeffs = u, f, f_cols, coeffs
+        self.lams, self.u, self.f, self.f_cols, self.coeffs = lams, u, f, f_cols, coeffs
         self.n = u.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.u)
 
     def fill(self, s: slice):
         return self.u[s], self.f[s], None if self.coeffs is None else self.coeffs[s]
 
 
-@dataclass
+def _report(kind: str, levels: Sequence[WitnessLevel], floor_u: float,
+            decay: DecayRecord, residuals: list) -> dict:
+    """The report of every check of a witness: its sampled levels'
+    ``residuals`` against ``TOL_BY_KIND[kind]``, the floor of its levels'
+    sup|u| against ``floor_u``, and the decay of its forcing."""
+    tol = TOL_BY_KIND[kind]
+    floor = min((lv.sup_u for lv in levels), default=0.0)
+    checks = {
+        "residuals_ok": all(r < tol for r in residuals),
+        "floor_positive": floor > 0.0,
+        # floor_u is a reported lower bound; every level must respect it
+        "floor_holds": floor >= floor_u - 1e-12 * max(1.0, floor_u),
+        "decay_ok": decay.f_zero or decay.n_fit < 2 or decay.eps_f > 0.0,
+    }
+    return {
+        "ok": all(checks.values()),
+        "checks": checks,
+        "max_residual": max(residuals, default=None),
+        "n_sampled": len(residuals),
+        "floor_u": floor,
+        "eps_f": decay.eps_f,
+        "f_zero": decay.f_zero,
+    }
+
+
+@dataclass(frozen=True)
 class WitnessBundle:
     """A verified non-hypoellipticity witness on a sparse mode subsequence.
 
@@ -381,9 +455,9 @@ class WitnessBundle:
     ``floor_u`` is the reported constant c0 with sup|u_{j_l}| >= c0 > 0,
     and ``decay`` summarizes the forcing decay; ``exponent`` is the
     Gelfand-Shilov abscissa power 1/(2 n mu) used for the fit.  ``report``
-    is the report of the check that construction ran on these rows before
-    returning the bundle (None on a bundle built by hand); :meth:`verify`
-    runs that check again.
+    is the report of every check, which construction ran on these rows
+    and which passed before the bundle was built; :meth:`verify` runs the
+    check again.  A bundle is frozen: no field is ever reassigned.
     """
 
     kind: str
@@ -394,8 +468,8 @@ class WitnessBundle:
     floor_u: float
     decay: DecayRecord
     rows: _Rows
+    report: dict
     meta: dict = field(default_factory=dict)
-    report: Optional[dict] = None
 
     @property
     def eigs_kind(self) -> str:
@@ -421,81 +495,12 @@ class WitnessBundle:
 
     def verify(self) -> dict:
         """Run the construction's check again on the bundle as it is now:
-        refill every chunk of rows, recompute its residuals from u, f and c
+        scan ``rows`` afresh, recompute its residuals from u, f and c
         against ``TOL_BY_KIND[kind]`` and re-check the norms and the decay.
         Returns a fresh report dict with "ok"; on an unchanged bundle it
         equals ``report``."""
-        return self._report(self._scan()[0].tolist())
-
-    def _scan(self, probe=None, norms: bool = False):
-        """One pass over the chunks of ``rows``: each is filled once, shown
-        to ``probe(s, u)`` if given, and its residuals sup|u' + i lam c u - f|
-        taken by :func:`modes.operator_residuals`, with its rows' sup|u| (on
-        ``rows.u_cols``) and sup|f| if ``norms``.  Returns the (S,) arrays
-        residual, sup_u and sup_f (NaN unless ``norms``).
-
-        The pass is a two-stage pipeline: while this thread fills chunk k,
-        takes its norms and probes it, one helper thread takes the residuals
-        of chunk k-1, whose FFTs and ufunc loops release the GIL.  Chunk k
-        is queued for the helper, and chunk k+1 is filled only once chunk
-        k-1's residuals are in, so at most two chunks are alive.  Errors
-        surface in serial order: a failure on this thread first waits for
-        the pending residuals and, if they failed, raises their error
-        instead; a failure on the helper is raised at the next wait.  The
-        helper ends with the pass.  Every residual and norm is the one a
-        serial pass takes."""
-        # imported here, not at the top: it adds ~9 ms to every command's
-        # start, and only a witness pass needs it
-        from concurrent.futures import ThreadPoolExecutor
-
-        lams = np.array([lv.lam for lv in self.levels if lv.sampled], dtype=np.float64)
-        res, sup_u, sup_f = np.full((3, len(lams)), math.nan)
-
-        def residuals(s, chunk):
-            # take the arrays out of the queued call, so that they are
-            # freed as soon as this returns
-            u, f, coeffs = chunk.pop()
-            res[s] = operator_residuals(lams[s], self.c, u, f, coeffs, cols=self.rows.f_cols)
-
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            pending = helper.submit(lambda: None)          # nothing pending yet
-            for s in row_chunks(len(lams), self.rows.n):
-                try:
-                    u, f, coeffs = self.rows.fill(s)
-                    if probe is not None:
-                        probe(s, u)
-                    if norms:
-                        np.abs(u[:, self.rows.u_cols]).max(axis=1, out=sup_u[s])
-                        np.abs(f).max(axis=1, initial=0.0, out=sup_f[s])
-                except BaseException:
-                    pending.result()        # an earlier chunk's error comes first
-                    raise
-                # queue this chunk before waiting, so the helper never idles
-                done, pending = pending, helper.submit(residuals, s, [(u, f, coeffs)])
-                done.result()
-            pending.result()
-        return res, sup_u, sup_f
-
-    def _report(self, residuals: list) -> dict:
-        tol = TOL_BY_KIND[self.kind]
-        floor = min((lv.sup_u for lv in self.levels), default=0.0)
-        checks = {
-            "residuals_ok": all(r < tol for r in residuals),
-            "floor_positive": floor > 0.0,
-            # floor_u is a reported lower bound; every level must respect it
-            "floor_holds": floor >= self.floor_u - 1e-12 * max(1.0, self.floor_u),
-            "decay_ok": (self.decay.f_zero or self.decay.n_fit < 2
-                         or self.decay.eps_f > 0.0),
-        }
-        return {
-            "ok": all(checks.values()),
-            "checks": checks,
-            "max_residual": max(residuals, default=None),
-            "n_sampled": len(residuals),
-            "floor_u": floor,
-            "eps_f": self.decay.eps_f,
-            "f_zero": self.decay.f_zero,
-        }
+        return _report(self.kind, self.levels, self.floor_u, self.decay,
+                       self.rows.scan(self.c)[0].tolist())
 
     # -- export --------------------------------------------------------- #
 
@@ -595,7 +600,7 @@ def constant_witness(alpha, eigs: EigenSequence, L: int = 4,
             f"in the stored window of {len(eigs)}")
     route = "integer-resonance" if frac.denominator == 1 else "rational-resonance"
 
-    levels, taus = [], []
+    levels, taus, lams = [], [], []
     for j in js:
         lam = eigs.exact_lambda(j)
         if abs(lam) >= 2 ** 1024:
@@ -612,12 +617,13 @@ def constant_witness(alpha, eigs: EigenSequence, L: int = 4,
                                      "f = i(alpha*lambda - tau)e^{-i tau t} = 0 exactly")))
         if sampled:
             taus.append(tau)
+            lams.append(float(lam))
 
     u, u_coeffs = _harmonics(taus, N)
     return _verified(kind="constant", levels=levels,
                      c=TorusFunction.constant(complex(float(frac)), N), eigs=eigs,
                      exponent=float(eigs.exponent(mu)), floor_u=1.0,
-                     rows=_ArrayRows(u, np.zeros((len(taus), 0), dtype=np.complex128),
+                     rows=_ArrayRows(lams, u, np.zeros((len(taus), 0), dtype=np.complex128),
                                      np.arange(0), u_coeffs),
                      meta={"alpha": str(frac), "route": route,
                            "tau": [lv.freq for lv in levels]})
@@ -657,7 +663,7 @@ def _constant_from_certificate(cert: LiouvilleCertificate, eigs: EigenSequence,
                                L: int, N: int) -> WitnessBundle:
     _check_certificate(cert, eigs)
     kappa = cert.kappa
-    levels, taus, scales = [], [], []
+    levels, taus, lams, scales = [], [], [], []
     for lev in cert.levels[:max(1, L)]:
         delta = kappa * lev.lam - lev.tau          # signed; |delta| == lev.gap
         if abs(delta) != lev.gap:
@@ -677,6 +683,7 @@ def _constant_from_certificate(cert: LiouvilleCertificate, eigs: EigenSequence,
                                      "holds term-by-term, gap recomputed exactly")))
         if sampled:
             taus.append(lev.tau)
+            lams.append(lam_f)
             scales.append(complex(1j * float(delta)))
 
     u, u_coeffs = _harmonics(taus, N)
@@ -685,7 +692,7 @@ def _constant_from_certificate(cert: LiouvilleCertificate, eigs: EigenSequence,
     return _verified(kind="constant", levels=levels,
                      c=TorusFunction.constant(complex(float(kappa)), N), eigs=eigs,
                      exponent=float(cert.e), floor_u=1.0,
-                     rows=_ArrayRows(u, u * np.array(scales, dtype=np.complex128)[:, None],
+                     rows=_ArrayRows(lams, u, u * np.array(scales, dtype=np.complex128)[:, None],
                                      np.arange(N), u_coeffs),
                      meta={
                          "alpha": alpha_str,
@@ -711,39 +718,37 @@ def _harmonics(taus: Sequence[int], N: int) -> tuple[np.ndarray, np.ndarray]:
     return np.fft.ifft(coeffs * N, axis=1), coeffs
 
 
-def _verified(checks=None, probe=None, **parts) -> WitnessBundle:
-    """The bundle of ``parts`` after one pass over its chunks of rows (the
-    pipelined :meth:`WitnessBundle._scan`), which takes each sampled level's
-    residual and, where a level leaves them None, its grid sup norms (a
-    ``floor_u`` of None is then the least sup|u|); ``probe(s, u)`` sees
-    each chunk before its residuals are taken, and an error it raises
-    surfaces only if no earlier chunk's residuals failed.  The decay record
-    follows, then the report of every check, residuals against
-    ``TOL_BY_KIND[kind]``: it is kept as ``bundle.report``, the one check of
-    the bundle that the CLI writes.  Refused unless the named checks
-    (default: all) pass, with :class:`WitnessBudgetMiss` when a residual
-    misses its tolerance."""
-    bundle = WitnessBundle(decay=None, **parts)
-    res, sup_u, sup_f = (a.tolist() for a in bundle._scan(
-        probe, norms=any(lv.sup_u is None for lv in bundle.levels)))
-    bundle.levels = [lv if lv.row is None else replace(
+def _verified(*, kind: str, levels: list[WitnessLevel], c: TorusFunction, rows: _Rows,
+              exponent: float, floor_u: Optional[float], probe=None, **parts) -> WitnessBundle:
+    """The bundle of these parts, built only once every check passes.
+
+    One ``rows.scan(c, probe)`` takes each sampled level's residual and,
+    where a level leaves them None, its grid sup norms (a ``floor_u`` of
+    None is then the least sup|u|); ``probe(s, u)`` sees each chunk before
+    its residuals are taken, and an error it raises surfaces only if no
+    earlier chunk's residuals failed.  The decay record follows, then the
+    report of every check, residuals against ``TOL_BY_KIND[kind]``.  Any
+    failed check refuses the witness, with :class:`WitnessBudgetMiss` when
+    a residual misses its tolerance; otherwise the bundle keeps the report
+    as ``report``, the one check of the bundle that the CLI writes.  The
+    other ``parts`` (eigs, meta) go to the bundle as they are."""
+    res, sup_u, sup_f = (a.tolist() for a in rows.scan(c, probe))
+    levels = [lv if lv.row is None else replace(
         lv, residual=res[lv.row],
         sup_u=sup_u[lv.row] if lv.sup_u is None else lv.sup_u,
-        sup_f=sup_f[lv.row] if lv.sup_f is None else lv.sup_f) for lv in bundle.levels]
-    if bundle.floor_u is None:
-        bundle.floor_u = min(lv.sup_u for lv in bundle.levels)
-    bundle.decay = _decay_record(bundle.levels, bundle.exponent)
-    rep = bundle._report(res)
-    failed = [k for k in checks or rep["checks"] if not rep["checks"][k]]
-    if "residuals_ok" in failed:
-        raise WitnessBudgetMiss(bundle.kind, rep["max_residual"], TOL_BY_KIND[bundle.kind],
-                                bundle.c.n)
-    if failed:
+        sup_f=sup_f[lv.row] if lv.sup_f is None else lv.sup_f) for lv in levels]
+    if floor_u is None:
+        floor_u = min(lv.sup_u for lv in levels)
+    decay = _decay_record(levels, exponent)
+    rep = _report(kind, levels, floor_u, decay, res)
+    if not rep["checks"]["residuals_ok"]:
+        raise WitnessBudgetMiss(kind, rep["max_residual"], TOL_BY_KIND[kind], c.n)
+    if not rep["ok"]:
         raise WitnessCheckFailed(
-            f"witness verification failed for kind={bundle.kind!r}: {rep['checks']} "
+            f"witness verification failed for kind={kind!r}: {rep['checks']} "
             f"(max residual {rep['max_residual']})")
-    bundle.report = rep
-    return bundle
+    return WitnessBundle(kind=kind, levels=levels, c=c, rows=rows, exponent=exponent,
+                         floor_u=floor_u, decay=decay, report=rep, **parts)
 
 
 # --------------------------------------------------------------------------- #
@@ -930,11 +935,6 @@ class _BumpRows(_Rows):
             circ.append((g[supp], np.roll(E, k0)[cols], band, _run_or_index(supp)))
         f_cols.flags.writeable = False
         self.lams, self.n, self.f_cols, self._circ, self._tables = lams, N, f_cols, circ, {}
-        # one bump's u is +0.0 off its support; a sum of bumps writes whole rows
-        self.u_cols = circ[0][3] if len(circ) == 1 else slice(None)
-
-    def __len__(self) -> int:
-        return len(self.lams)
 
     def fill(self, s: slice):
         lam = self.lams[s]
@@ -1311,7 +1311,7 @@ def L0_reduction_witness(c: TorusFunction, certificate: LiouvilleCertificate,
     Phi_phi = _window_primitive(*_cover_primitive(phi_tf), 0, N)   # cumulative from 0
 
     lam_cap = _BAND_FRACTION * (N / 2.0) / max(a.sup_norm(), 1e-300)
-    levels, us, fs = [], [], []
+    levels, lams, us, fs = [], [], [], []
     for lev in certificate.levels:
         delta = kappa * lev.lam - lev.tau               # exact signed residue
         E = cmath.exp(-2j * math.pi * float(delta))
@@ -1330,15 +1330,16 @@ def L0_reduction_witness(c: TorusFunction, certificate: LiouvilleCertificate,
             note="" if sampled else ("bandwidth beyond the grid; identity verified "
                                      "through the exact residue (|1 - E| = 2|sin(pi delta)|)")))
         if sampled:
+            lams.append(lam_f)
             phase = np.exp(-1j * lam_f * A)
             us.append(phase * bracket)
             fs.append(one_minus_E * phase * phv)
 
-    # the floor here is |u(t_l)| = I_phi, not min sup_u (sup_u >= I_phi always)
-    bundle = _verified(
-        ("residuals_ok", "decay_ok"), kind="l0-reduction", levels=levels,
-        c=cc, eigs=eigs, exponent=float(certificate.e), floor_u=I_phi,
-        rows=_ArrayRows(np.array(us, dtype=np.complex128).reshape(-1, N),
+    # the floor is |u(t_l)| = I_phi, which every sup|u| must reach
+    return _verified(
+        kind="l0-reduction", levels=levels, c=cc, eigs=eigs,
+        exponent=float(certificate.e), floor_u=I_phi,
+        rows=_ArrayRows(lams, np.array(us, dtype=np.complex128).reshape(-1, N),
                         np.array(fs, dtype=np.complex128).reshape(-1, N), np.arange(N)),
         meta={
             "a0": str(kappa),
@@ -1353,6 +1354,3 @@ def L0_reduction_witness(c: TorusFunction, certificate: LiouvilleCertificate,
             "u_floor_note": "|u_l(t_l)| = int(phi) exactly, independent of l",
         },
     )
-    if min(lv.sup_u for lv in levels) < I_phi - 1e-9:
-        raise WitnessCheckFailed("internal: some level's sup|u| fell below int(phi)")
-    return bundle

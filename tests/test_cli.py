@@ -27,7 +27,7 @@ from hypotorus.errors import HypotorusError
 from hypotorus.modes import ModeField
 from hypotorus.spectrum import build_eigensequence
 from hypotorus.torusfn import grid
-from hypotorus.witness import WitnessBundle, gevrey_bump
+from hypotorus.witness import _Rows, gevrey_bump
 
 ROOT = Path(__file__).resolve().parents[1]
 COOKBOOK = ROOT / "cookbook"
@@ -751,14 +751,14 @@ def test_classify_with_witness_on_a_plan_without_a_constructor(tmp_path, capsys)
 
 
 def _count_scans(monkeypatch) -> list:
-    """The kinds of the bundles whose rows ``WitnessBundle._scan`` passes over."""
-    kinds, scan = [], WitnessBundle._scan
+    """The row recipes, by class name, that ``_Rows.scan`` passes over."""
+    kinds, scan = [], _Rows.scan
 
     def counting(self, *args, **kwargs):
-        kinds.append(self.kind)
+        kinds.append(type(self).__name__)
         return scan(self, *args, **kwargs)
 
-    monkeypatch.setattr(WitnessBundle, "_scan", counting)
+    monkeypatch.setattr(_Rows, "scan", counting)
     return kinds
 
 
@@ -770,7 +770,7 @@ def test_an_emitted_witness_is_checked_in_one_pass(tmp_path, monkeypatch, argv):
     cfg = write_config(tmp_path, c="1/2 + i sin t", j_modes=32)
     out = tmp_path / "out"
     assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
-    assert scans == ["sign-change"]
+    assert scans == ["_BumpRows"]
     assert read_json(out, "witness_verify.json")["ok"] is True
 
 

@@ -5,7 +5,7 @@ import re
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
 import numpy as np
@@ -404,16 +404,25 @@ def test_stored_report_equals_a_fresh_verify(kind, monkeypatch):
     assert miss.value.tol == 0.0
 
 
+@pytest.mark.parametrize("kind", ["constant", "certificate", "sign-change", "plateau", "L0"])
+def test_every_route_returns_a_frozen_bundle_that_passed_its_report(kind):
+    # a bundle exists only once every check of its report passed; nothing
+    # patches it afterwards
+    b = _every_kind()[kind]()
+    assert isinstance(b, WitnessBundle) and b.report["ok"] is True
+    for name, value in (("report", {"ok": False}), ("decay", None), ("floor_u", 0.0)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(b, name, value)
+    assert b.report["ok"] is True
+
+
 class _EditedRows(witness_mod._Rows):
     """The rows of ``rows`` with the forcing kept on the columns ``keep`` of
     its ``f_cols`` only, and ``edit(s, f)`` applied to a copy of each chunk."""
 
     def __init__(self, rows, keep=slice(None), edit=None):
         self.rows, self.keep, self.edit = rows, keep, edit
-        self.n, self.f_cols = rows.n, rows.f_cols[keep]
-
-    def __len__(self):
-        return len(self.rows)
+        self.lams, self.n, self.f_cols = rows.lams, rows.n, rows.f_cols[keep]
 
     def fill(self, s):
         u, f, coeffs = self.rows.fill(s)
@@ -711,10 +720,8 @@ def _levels_input(two: bool, ap: bool = True):
 def _streamed(eigs, js, bumps, k0):
     """u and f of _bump_levels on the whole grid, and its levels' sup|u| and
     sup|f| as the construction pass takes them, chunk by chunk."""
-    levels, rows = witness_mod._bump_levels(eigs, js, bumps, k0)
-    b = WitnessBundle(kind="bump", levels=levels, c=TorusFunction.constant(0.0, rows.n),
-                      eigs=eigs, exponent=1.0, floor_u=None, decay=None, rows=rows)
-    _, sup_u, sup_f = b._scan(norms=True)
+    _, rows = witness_mod._bump_levels(eigs, js, bumps, k0)
+    _, sup_u, sup_f = rows.scan(TorusFunction.constant(0.0, rows.n))
     return (*rows.whole(), sup_u.tolist(), sup_f.tolist())
 
 

@@ -6,11 +6,13 @@
 Runs the same CLI calls under each tree, in OUT_DIR/parent and
 OUT_DIR/change, with PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1:
 every cookbook config, the ops of the three benchmark workloads for seeds 1
-and 101 (CHANGE_TREE/perfbench/workloads.py), thirteen extra solve configs
+and 101 (CHANGE_TREE/perfbench/workloads.py), fourteen extra solve configs
 (three refused with exit 1: an f_file with non-finite samples, an f_file on
 a grid too coarse for c's cos 20t, and three f keys that name one mode; one
 a complex constant c at lambda up to 701, where |2 pi lambda Im c| > 700;
-one whose c_file and f_file have spaced headers, blank lines and CRLF ends),
+one whose c_file and f_file have spaced headers, blank lines and CRLF ends;
+one whose c has band half-width 20 on a 64-point grid, so its collocation
+modes take the dense solve, mode by mode),
 three decays of the notgh solve's field (k_max 4, 0 and 7), eleven
 diophantine tables (every integer eigenvalue kind, a negative kappa, a
 denominator near 2^60, a decimal, a float-valued table, an integer table
@@ -36,11 +38,12 @@ bumps take every exp directly, in row chunks of 8 + 8 + 4.
 Five plain classify calls on c whose verdict follows the exact mean:
 1/3 + 1e-10 + cos t, 1/65 + cos t and 1/2000003 + cos t, and two whose
 oscillation is below 1e-12, 1/65 + 1e-13 cos t and 1/3 + 1e-13 i cos t.
-Two more on c_file samples, whose routes no formula reaches: a constant
-0.1 (the float-constant route with its distance fit) and a real mean 1/3
+Three more on c_file samples, whose routes no formula reaches: a constant
+0.1 (the float-constant route with its distance fit), a real mean 1/3
 whose Im c has two fat zero runs with same-sign flanks (the resonant-mean
-rescue).  They record the bytes of today's sampled route and assert no
-verdict.
+rescue), and a real 0.7071067811865476 + cos t, whose grid mean snaps to
+no rational (the reduction to a float mean).  They record the bytes of
+today's sampled route and assert no verdict.
 Five classify --witness calls: 1/2 + i sin 4t, which
 misses its budget, exits 0 and writes witness_plan.json; the plateau c,
 whose variable-plateau verdict carries a sign_report and whose witness
@@ -100,6 +103,11 @@ EXTRA = {   # solve configs; notgh: Im c changes sign, collocation misses its bu
     # the inputs of f-file and c-file in the variants the readers tolerate
     "spaced-csv": {"c_file": "extra/c_spaced.csv", "f_file": "extra/f_spaced.csv",
                    "grid_n": 64, "j_modes": 8},
+    # band half-width d = 20 (the cos 20t of c): 8(3d + 1) > 64, so every
+    # collocation mode takes the dense branch of modes._solve_collocation
+    "dense-collocation": {"c": "1/2 + i(1 - cos t) + 1/10 cos 20t", "grid_n": 64, "j_modes": 16,
+                          "f": {**{str(j): "exp(it)" for j in (0, 1, 2, 3, 9)},
+                                "5": "exp(2it)", "15": "exp(-it)"}},
 }
 # decays of the notgh field: k_max 4 (the default), 0 (a one-column pm table)
 # and 7 (fit_decay's stack deeper than pm_seminorms' min(k_max, 4))
@@ -175,6 +183,10 @@ VERDICT = {  # plain classify: c whose verdict follows its exact mean
     "c-file-constant": {"c_file": "extra/c_constant.csv", "grid_n": 64, "j_modes": 64},
     "c-file-resonant-mean": {"c_file": "extra/c_same_sign_plateaus.csv", "grid_n": 1024,
                              "j_modes": 16},
+    # a real c whose grid mean snaps to no rational: the reduction to the
+    # mean takes the float constant
+    "c-file-unsnapped-mean": {"c_file": "extra/c_unsnapped_mean.csv", "grid_n": 64,
+                              "j_modes": 64},
 }
 
 DIOPHANTINE = {  # exact tables on every integer kind, and the float table
@@ -216,8 +228,9 @@ def inputs() -> dict:
     and im = nan at one of mode 2; a mode CSV with mode 1 = e^{it} on a
     16-point grid; and a c whose Im c is + on (0.5, 1.5), exactly 0 on
     [1.5, 3.5] and - on (3.5, 4.5), on the 1024-point grid (amplitude 4)
-    and on the 8192-point grid (amplitude 1); a constant c = 0.1 on the
-    64-point grid; and on the 1024-point grid a c = 1/3 + cos t + i sin t w(t),
+    and on the 8192-point grid (amplitude 1); a constant c = 0.1 and a real
+    c = 0.7071067811865476 + cos t on the 64-point grid; and on the
+    1024-point grid a c = 1/3 + cos t + i sin t w(t),
     where w = 1 - bump(t) - bump(2 pi - t) vanishes on [1.07, 2.07] and on
     its mirror image, so Im c has mean 0, crosses zero at 0 and pi, and has
     a (+, 0, +) and a (-, 0, -) run."""
@@ -252,6 +265,9 @@ def inputs() -> dict:
             "c_plateau.csv": plateau(1024, 4.0), "c_plateau_8192.csv": plateau(8192, 1.0),
             "c_constant.csv": "t,re,im\n" + "".join(f"{2.0 * math.pi * i / 64!r},0.1,0.0\n"
                                                       for i in range(64)),
+            "c_unsnapped_mean.csv": "t,re,im\n" + "".join(
+                f"{s!r},{0.7071067811865476 + math.cos(s)!r},0.0\n"
+                for s in (2.0 * math.pi * i / 64 for i in range(64))),
             "c_same_sign_plateaus.csv": "t,re,im\n" + same}
 
 
