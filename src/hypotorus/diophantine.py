@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -149,8 +149,11 @@ class DistanceSequence:
     def resonant_indices(self) -> Tuple[int, ...]:
         return tuple(np.flatnonzero(self.d == 0.0).tolist())
 
-    def csv_pieces(self) -> Iterator[str]:
-        """The CSV text in pieces: the header, then blocks of rows.
+    def csv_pieces(self) -> csvio.Table:
+        """The CSV text as a :class:`~hypotorus.csvio.Table` by
+        :func:`~hypotorus.csvio.pieces`: the header, then blocks of rows,
+        rendered as they are asked for (a large table's second half may be
+        rendered in a forked child by :func:`~hypotorus.csvio.write`).
 
         An exact table at kappa = p/q holds at most floor(q/2) + 1 distinct
         distances; when that is at most three quarters of its rows, each

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -95,8 +95,11 @@ _CHUNK_CELLS = 3 << 20  # complex numbers in one banded chunk's G and X (48 MiB)
 #: memory is a multiple of the largest array: a solve of a 32 MiB field
 #: (J = 512, grid 4096, every mode forced) peaks at 225-229 MB RSS, about
 #: 7x, set by the banded chunk (the CSV is written one mode block at a
-#: time); ROADMAP item 2 replaces this ceiling with a peak estimate per
-#: command.
+#: time).  Writing the CSV adds one child process (csvio.write): it holds
+#: its own render buffers, one mode block at a time, and the pages it
+#: shares with the parent copy-on-write, so its own peak RSS counts mostly
+#: shared pages, not a second field.  ROADMAP item 2 replaces this ceiling
+#: with a peak estimate per command.
 MAX_ARRAY_BYTES = 1 << 27
 
 
@@ -635,15 +638,20 @@ class ModeField:
 
     # ---- CSV interchange: long format, one row per (mode, grid point) ---- #
 
-    def csv_pieces(self) -> Iterator[str]:
-        """The CSV text in pieces: the header, then one block of rows per
-        defined mode; ``t`` is rendered once."""
-        yield "j,t,re,im\n"
-        if self.mask.any():
-            n, ts = self.n, csvio.cells(grid(self.n))
-            for j in self.defined():
-                yield csvio.rows([str(j)] * n, ts, csvio.cells(self.samples[j].real),
-                                 csvio.cells(self.samples[j].imag))
+    def csv_pieces(self) -> csvio.Table:
+        """The CSV text as a :class:`~hypotorus.csvio.Table`: the header, then
+        one block of rows per defined mode, rendered as it is asked for
+        (:func:`~hypotorus.csvio.write` may render the second half of the
+        blocks in a forked child); ``t`` is rendered once, here."""
+        js = self.defined()
+        samples = self.samples
+        n = samples.shape[1]
+        ts = csvio.cells(grid(n)) if js else []
+
+        def block(j: int) -> str:
+            return csvio.rows([str(j)] * n, ts, csvio.cells(samples[j].real),
+                              csvio.cells(samples[j].imag))
+        return csvio.Table("j,t,re,im\n", js, block, 4 * n * len(js))
 
     def to_csv(self) -> str:
         """The whole CSV text; :meth:`csv_pieces` joined."""

@@ -11,6 +11,7 @@ lambda_5 = 11, so sup|u_5| = 1/6.5.
 import importlib.util
 import json
 import math
+import os
 import re
 import resource
 import subprocess
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypotorus import csvio
 from hypotorus.cli import (MAX_ARRAY_BYTES, ConfigError, ExperimentConfig, _build_parser,
                            _load_config, main)
 from hypotorus.errors import HypotorusError
@@ -246,6 +248,46 @@ def test_solve_refuses_a_non_finite_forcing_file(tmp_path, capsys, j, col, value
     assert f"f_file {fpath}: samples must be finite" in err
     assert "usage" in err.lower()
     assert not (out / "residuals.json").exists()
+
+
+# 64 modes of 512 samples: 2^17 cells, so csvio.write splits u_field.csv
+_SPLIT_SOLVE = {"c": "1/2 + 1/5 cos t", "grid_n": 512, "j_modes": 64,
+                "f": {str(j): "exp(it)" for j in range(64)}}
+
+
+def test_solve_whose_field_splits_is_quiet(tmp_path, monkeypatch):
+    # in a separate process, as a user runs it: exit 0, nothing on stderr,
+    # and the bytes of a solve whose fork is refused, rendered in-process
+    assert 4 * 64 * 512 >= csvio._SPLIT_CELLS
+    cfg = write_config(tmp_path, **_SPLIT_SOLVE)
+    proc = subprocess.run([sys.executable, "-m", "hypotorus.cli", "solve", "--config", cfg,
+                           "--out", str(tmp_path / "split")],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+    def refuse():
+        raise OSError(11, "Resource temporarily unavailable")
+    monkeypatch.setattr(os, "fork", refuse)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
+    for name in ("u_field.csv", "divisors.csv", "residuals.json"):
+        assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+def test_solve_whose_split_child_fails_exits_1(tmp_path, monkeypatch, capsys):
+    # a block that raises in the forked child: an OSError, exit 1
+    parent, cells = os.getpid(), csvio.cells
+
+    def child_fails(values):
+        if os.getpid() != parent:
+            raise RuntimeError("render failed")
+        return cells(values)
+    monkeypatch.setattr(csvio, "cells", child_fails)
+    cfg = write_config(tmp_path, **_SPLIT_SOLVE)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "u_field.csv" in err and "status 1" in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)      # no child or zombie left
 
 
 def test_solve_large_lambda_complex_constant_is_quiet(tmp_path):

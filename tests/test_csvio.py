@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import os
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -77,10 +80,14 @@ def test_cells_render_each_kind():
     assert csvio.rows(["1", "2"], ["x", "y"]) == "1,x\n2,y\n"
 
 
-def test_distance_csv_pieces_write_the_whole_text(tmp_path):
+@pytest.mark.parametrize("split_cells", [csvio._SPLIT_CELLS, 0],
+                         ids=["at-threshold", "split-all"])
+def test_distance_csv_pieces_write_the_whole_text(tmp_path, monkeypatch, split_cells):
     # three blocks of rows, the last one short; lambda columns of plain ints,
     # ints beyond 2^64 and a float among ints: the bytes csvio.write stores
-    # from the pieces are to_csv's and the whole-text rendering's
+    # from the pieces are to_csv's and the whole-text rendering's, also
+    # when a forked child renders the last two blocks
+    monkeypatch.setattr(csvio, "_SPLIT_CELLS", split_cells)
     J = 2 * csvio._BLOCK_ROWS + 5
     d = np.random.default_rng(8).random(J)
     d[[0, 7, J - 1]] = (-0.0, math.inf, math.nan)
@@ -93,6 +100,7 @@ def test_distance_csv_pieces_write_the_whole_text(tmp_path):
         csvio.write(tmp_path / "d.csv", seq.csv_pieces())
         assert (tmp_path / "d.csv").read_bytes().decode("utf-8") == seq.to_csv() == whole
     assert len(list(seq.csv_pieces())) == 4
+    _assert_no_child()
 
 
 def test_distance_cells_are_keyed_on_bit_patterns():
@@ -109,6 +117,108 @@ def test_distance_cells_are_keyed_on_bit_patterns():
     assert list(seq.csv_pieces()) == list(csvio.pieces(("j", "lambda", "d"), range(J),
                                                        seq.lambdas, d))
     assert "\n0,1,-0.0\n1,3,0.0\n2,5,inf\n3,7,-inf\n4,9,nan\n" in seq.to_csv()
+
+
+def test_columns_of_unequal_length_are_refused():
+    # pieces and rows once cut every column to the shortest
+    with pytest.raises(ValueError):
+        csvio.pieces(("a", "b"), [1, 2], [1])
+    with pytest.raises(ValueError):
+        csvio.text(("a", "b"), range(5), [])
+    with pytest.raises(ValueError):
+        csvio.rows(["1", "2"], ["x"])
+    assert csvio.pieces(("a",)).cells == 0
+
+
+# --------------------------------------------------------------------------- #
+# the split writer: one forked child renders a large table's second half
+# --------------------------------------------------------------------------- #
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)      # no child or zombie left
+
+
+def _table(blocks, fail=None, hang=None):
+    """A table of ``blocks`` numbered one-line blocks, large enough to split;
+    block ``fail`` raises ZeroDivisionError in whichever process renders it,
+    block ``hang`` sleeps a minute in the child."""
+    parent = os.getpid()
+
+    def render(k):
+        if k == fail:
+            1 / 0
+        if k == hang and os.getpid() != parent:
+            time.sleep(60)
+        return f"{k},{k / 7!r}\n"
+    return csvio.Table("k,x\n", range(blocks), render, csvio._SPLIT_CELLS)
+
+
+@pytest.mark.parametrize("blocks", [0, 1, 2, 3, 8])
+def test_split_table_writes_its_pieces(tmp_path, monkeypatch, blocks):
+    # the child is forked only for two blocks or more; either way the bytes
+    # are the table's pieces joined
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    table = _table(blocks)
+    csvio.write(tmp_path / "t.csv", table)
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "".join(table)
+    assert len(forks) == (blocks >= 2)
+    assert list(tmp_path.iterdir()) == [tmp_path / "t.csv"]   # the child's file is unnamed
+    _assert_no_child()
+
+
+def test_small_table_is_rendered_in_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    table = csvio.Table("k\n", range(4), lambda k: f"{k}\n", csvio._SPLIT_CELLS - 1)
+    csvio.write(tmp_path / "t.csv", table)
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "k\n0\n1\n2\n3\n"
+
+
+def test_failed_child_raises_oserror(tmp_path):
+    # a block of the child's half raises: the child exits 1, the parent
+    # reaps it and raises OSError
+    with pytest.raises(OSError, match="exited with status 1"):
+        csvio.write(tmp_path / "t.csv", _table(5, fail=3))
+    _assert_no_child()
+
+
+def test_failed_parent_kills_and_reaps_its_child(tmp_path):
+    # a block of the parent's half raises while the child sleeps in its
+    # own half: the child is killed and reaped, and the parent's error is
+    # the one raised
+    t0 = time.monotonic()
+    with pytest.raises(ZeroDivisionError):
+        csvio.write(tmp_path / "t.csv", _table(4, fail=1, hang=3))
+    assert time.monotonic() - t0 < 30
+    _assert_no_child()
+
+
+def test_failed_fork_renders_in_process(tmp_path, monkeypatch):
+    def refuse():
+        raise OSError(11, "Resource temporarily unavailable")
+    monkeypatch.setattr(os, "fork", refuse)
+    table = _table(5)
+    csvio.write(tmp_path / "t.csv", table)
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "".join(table)
+    _assert_no_child()
+
+
+def test_live_thread_renders_in_process(tmp_path, monkeypatch):
+    # a child forked beside another thread would inherit locks that thread
+    # holds: the parent renders every block itself
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a thread"))
+    stop = threading.Event()
+    helper = threading.Thread(target=stop.wait)
+    helper.start()
+    try:
+        table = _table(5)
+        csvio.write(tmp_path / "t.csv", table)
+    finally:
+        stop.set()
+        helper.join()
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "".join(table)
 
 
 def test_cells_keep_rendered_strings():

@@ -1,8 +1,10 @@
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1031,13 +1033,28 @@ def _to_csv_whole(mf):
     return "".join(blocks)
 
 
+def _write_counting_forks(path, table, split_cells):
+    """csvio.write of ``table`` with the split threshold at ``split_cells``;
+    the number of children it forked."""
+    with mock.patch.object(csvio, "_SPLIT_CELLS", split_cells), \
+            mock.patch.object(os, "fork", side_effect=os.fork) as fork:
+        csvio.write(path, table)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)      # no child or zombie left
+    return fork.call_count
+
+
+@pytest.mark.parametrize("split_cells", [csvio._SPLIT_CELLS, 0],
+                         ids=["at-threshold", "split-all"])
 @given(mask=st.lists(st.booleans(), min_size=1, max_size=6),
        logn=st.integers(2, 4), data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_streamed_field_csv_writes_the_whole_text(tmp_path_factory, mask, logn, data):
+def test_streamed_field_csv_writes_the_whole_text(tmp_path_factory, split_cells, mask, logn,
+                                                  data):
     # interleaved undefined modes, none defined (header only), signed zeros,
     # infinities and NaNs: the pieces csvio.write stores are to_csv's bytes,
-    # and the bytes of the whole-text writer
+    # and the bytes of the whole-text writer; at split_cells 0 every field
+    # of two defined modes or more is split between two processes
     J, n = len(mask), 1 << logn
     bits = data.draw(st.lists(_float_bits, min_size=2 * J * n, max_size=2 * J * n))
     samples = np.zeros((J, n if any(mask) else 0), dtype=np.complex128)
@@ -1047,10 +1064,29 @@ def test_streamed_field_csv_writes_the_whole_text(tmp_path_factory, mask, logn, 
         samples[~np.array(mask)] = 0.0
     mf = ModeField._of(samples, np.array(mask), build_eigensequence("harmonic1d", J))
     path = tmp_path_factory.mktemp("csv") / "u.csv"
-    csvio.write(path, mf.csv_pieces())
+    forks = _write_counting_forks(path, mf.csv_pieces(), split_cells)
     text = path.read_bytes().decode("utf-8")
     assert text == mf.to_csv() == _to_csv_whole(mf)
     assert (text == "j,t,re,im\n") == (not any(mask))
+    assert forks == (split_cells == 0 and sum(mask) >= 2)
+
+
+@pytest.mark.parametrize("defined", [0, 1, 2, 3, 5])
+def test_split_field_csv_keeps_mode_order(tmp_path, defined):
+    # 0, 1, 2 and odd numbers of defined modes among undefined ones, with
+    # -0.0, +-inf and NaN in every mode: the split halves are taken over
+    # the defined modes, and the bytes are those of the whole-text writer
+    J, n = 2 * defined + 1, 64
+    mask = np.arange(J) % 2 == 1
+    rng = np.random.default_rng(defined)
+    samples = rng.standard_normal((J, n)) + 1j * rng.standard_normal((J, n))
+    samples[:, :4] = (complex(-0.0, math.inf), complex(-math.inf, math.nan),
+                      complex(math.nan, -0.0), 5e-324)
+    samples[~mask] = 0.0
+    mf = ModeField._of(samples, mask, build_eigensequence("harmonic1d", J))
+    assert len(mf.csv_pieces().keys) == defined
+    assert _write_counting_forks(tmp_path / "u.csv", mf.csv_pieces(), 0) == (defined >= 2)
+    assert (tmp_path / "u.csv").read_bytes() == _to_csv_whole(mf).encode("utf-8")
 
 
 def test_streamed_field_csv_writes_in_bounded_memory(tmp_path):

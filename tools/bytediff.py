@@ -6,13 +6,16 @@
 Runs the same CLI calls under each tree, in OUT_DIR/parent and
 OUT_DIR/change, with PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1:
 every cookbook config, the ops of the three benchmark workloads for seeds 1
-and 101 (CHANGE_TREE/perfbench/workloads.py), fourteen extra solve configs
+and 101 (CHANGE_TREE/perfbench/workloads.py), fifteen extra solve configs
 (three refused with exit 1: an f_file with non-finite samples, an f_file on
 a grid too coarse for c's cos 20t, and three f keys that name one mode; one
 a complex constant c at lambda up to 701, where |2 pi lambda Im c| > 700;
 one whose c_file and f_file have spaced headers, blank lines and CRLF ends;
 one whose c has band half-width 20 on a 64-point grid, so its collocation
-modes take the dense solve, mode by mode),
+modes take the dense solve, mode by mode; one whose 43 defined modes are
+odd in number with gaps between them, c = 1/3 + 1/5 cos t at J = 65, where
+the modes with lambda = 0 mod 3 are resonant and the run exits 2, so the
+two halves of a split u_field.csv are taken over defined modes),
 three decays of the notgh solve's field (k_max 4, 0 and 7), eleven
 diophantine tables (every integer eigenvalue kind, a negative kappa, a
 denominator near 2^60, a decimal, a float-valued table, an integer table
@@ -108,6 +111,10 @@ EXTRA = {   # solve configs; notgh: Im c changes sign, collocation misses its bu
     "dense-collocation": {"c": "1/2 + i(1 - cos t) + 1/10 cos 20t", "grid_n": 64, "j_modes": 16,
                           "f": {**{str(j): "exp(it)" for j in (0, 1, 2, 3, 9)},
                                 "5": "exp(2it)", "15": "exp(-it)"}},
+    # 22 of 65 modes resonant (lambda = 0 mod 3), exit 2: u_field.csv holds
+    # 43 modes with gaps, 4 x 43 x 1024 cells, which csvio.write splits
+    "split-odd-gaps": {"c": "1/3 + 1/5 cos t", "grid_n": 1024, "j_modes": 65,
+                       "f": {str(j): "exp(it)" for j in range(65)}},
 }
 # decays of the notgh field: k_max 4 (the default), 0 (a one-column pm table)
 # and 7 (fit_decay's stack deeper than pm_seminorms' min(k_max, 4))
