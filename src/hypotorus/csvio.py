@@ -15,12 +15,17 @@ or a table's pieces as they come, so a large table is never held whole:
   as it is.
 
 Rendering is ``repr`` bound (about 1.1 us a float on a 2-vCPU x86-64 VM,
-where a vectorised Schubfach renderer ran no faster) and holds the GIL, so a
-thread cannot share it.  :func:`write` hands the second half of a large
-table's blocks to one forked child, which renders them from the arrays it
-shares with the parent while the parent renders the first half.  A field
-of 128 modes of 512 samples then writes in a median 51 ms instead of 87 ms
-of wall time (in-process, same machine), at no less CPU time.
+where a vectorised Schubfach renderer ran no faster) and parsing is
+``np.loadtxt`` bound; both hold the GIL, so a thread cannot share them.
+Above a measured size each direction takes a second CPU from one forked
+child instead, through one helper, :func:`_in_two`: :func:`write` shares a
+large table's blocks with the child by demand, and :class:`SampleRows`
+parses the first half of a large file's bytes in the child.  The output
+file and the parsed columns are those of one process, and every error
+falls back to, or is, the serial one.  A field of 128 modes of 1024
+samples (8.8 MB) then parses in a median 88 ms instead of 116 ms of wall
+time (in-process, same machine).  Neither saves CPU time: pinned to one CPU
+a benchmark iteration that writes and reads that field costs 4.6% more.
 
 :class:`SampleRows` is the one reader, of the two CSV inputs the CLI takes:
 the ``j,t,re,im`` mode field and the ``t,re,im`` samples.  The ``j`` column
@@ -30,9 +35,9 @@ ASCII without ``_`` separators, and fields are not unquoted.
 
 from __future__ import annotations
 
+import codecs
 import io
 import os
-import shutil
 import tempfile
 import threading
 import warnings
@@ -47,6 +52,7 @@ __all__ = ["cells", "rows", "pieces", "text", "write", "Table", "SampleRows"]
 
 _BLOCK_ROWS = 1 << 12   # rows rendered at a time by pieces
 _SPLIT_CELLS = 1 << 16  # cells from which write renders a table in two processes
+_SPLIT_BYTES = 1 << 21  # bytes from which SampleRows parses a file in two processes
 
 
 def _cell(v) -> str:
@@ -113,55 +119,102 @@ def write(path, text: str | Iterable[str]) -> None:
     a string or an iterable of string pieces, each written as it comes.
 
     A :class:`Table` of two blocks or more and at least ``_SPLIT_CELLS``
-    cells is rendered in two processes.  One forked child renders the second
-    half of the blocks into an unnamed temporary file in ``path``'s
-    directory and leaves by ``os._exit``, so it never returns into the
-    caller or flushes its buffers; the parent renders the first half into
-    ``path`` meanwhile, reaps the child and appends its bytes.  The
+    cells is rendered in two processes (:func:`_in_two`) that claim blocks
+    by demand: the parent takes them from the front, straight into
+    ``path``, and one forked child from the back.  The child appends each
+    block to an unnamed temporary file in ``path``'s directory as soon as
+    it renders it and records the block's byte length in a shared anonymous
+    ``mmap``, so it holds one block at a time; once it is reaped, the parent
+    copies its blocks back in key order.  A claim moves a counter pair in
+    the map under an ``fcntl.lockf`` lock on the temporary file, so neither
+    process idles while blocks are left, whichever CPU runs slower.  The
     threshold is measured: on a 2-vCPU x86-64 VM the fork, the wait and the
     copy cost about 3 ms, the split broke even at about 2^15 cells (8 modes
-    of 1024 samples) and took 0.78 of the serial time at 2^16.  If the
-    child fails, :func:`write` raises ``OSError``; if the parent's own half
-    raises, the child is killed and reaped first.  No child outlives the
-    call.  If another Python thread is alive (a forked child would hold
-    copies of locks it cannot release) or ``os.fork`` fails, the parent
-    renders every block itself.
+    of 1024 samples) and took 0.78 of the serial time at 2^16.  If the child
+    fails, :func:`write` raises ``OSError``; if the parent's own blocks
+    raise, the child is killed and reaped first; if the parent dies, the
+    child sees it between blocks and leaves with status 1.  If another
+    Python thread is alive or ``os.fork`` fails, the parent renders every
+    block itself.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        child = None
-        if isinstance(text, Table) and len(text.keys) >= 2 and text.cells >= _SPLIT_CELLS:
-            mid = len(text.keys) // 2
-            child = _fork(path, text.render, text.keys[mid:])
-        if child is None:
+        if not (isinstance(text, Table) and len(text.keys) >= 2 and text.cells >= _SPLIT_CELLS
+                and _write_split(path, fh, text)):
             fh.writelines([text] if isinstance(text, str) else text)
-            return
-        pid, tmp = child
-        with tmp:
+
+
+def _write_split(path, fh, table: Table) -> bool:
+    """Render ``table`` into ``fh`` in two processes as :func:`write` tells;
+    False, with nothing written, if no child could be forked."""
+    import fcntl
+    import mmap
+    import struct
+    n = len(table.keys)
+    # the parent's next key and the end of the keys left to the child, then
+    # the byte length of each block the child rendered
+    shared = mmap.mmap(-1, 8 * (n + 2))
+    struct.pack_into("qq", shared, 0, 0, n)
+    with shared, tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) as tmp:
+        fd = tmp.fileno()
+
+        def claim(front: bool) -> int | None:
+            """The next key from the front or the back; None when none is left."""
+            fcntl.lockf(fd, fcntl.LOCK_EX)
             try:
-                fh.write(text.header)
-                fh.writelines(map(text.render, text.keys[:mid]))
-            except BaseException:
-                import signal
-                os.kill(pid, signal.SIGKILL)
-                raise
+                lo, hi = struct.unpack_from("qq", shared)
+                if lo == hi:
+                    return None
+                struct.pack_into("qq", shared, 0, lo + front, hi - (not front))
+                return lo if front else hi - 1
             finally:
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if status:
-                raise OSError(f"{path}: the child process rendering the table's second half "
-                              f"exited with status {status}")
-            fh.flush()
-            tmp.seek(0)
-            shutil.copyfileobj(tmp, fh.buffer)
+                fcntl.lockf(fd, fcntl.LOCK_UN)
+
+        def child(parent: int) -> None:
+            with open(fd, "wb", closefd=False) as out:
+                while (k := claim(False)) is not None:
+                    _exit_if_orphaned(parent)
+                    block = table.render(table.keys[k]).encode("utf-8")
+                    out.write(block)
+                    struct.pack_into("q", shared, 8 * (k + 2), len(block))
+
+        def parent() -> None:
+            fh.write(table.header)
+            while (k := claim(True)) is not None:
+                fh.write(table.render(table.keys[k]))
+
+        done = _in_two(child, parent)
+        if done is None:
+            return False
+        if done[0]:
+            raise OSError(f"{path}: the child process rendering the table's last blocks "
+                          f"exited with status {done[0]}")
+        fh.flush()
+        hi = struct.unpack_from("q", shared, 8)[0]
+        sizes = struct.unpack_from(f"{n - hi}q", shared, 8 * (hi + 2))
+        end = sum(sizes)
+        for size in sizes:  # key order; the child wrote them last key first
+            end -= size
+            fh.buffer.write(os.pread(fd, size, end))
+    return True
 
 
-def _fork(path, render, keys):
-    """(pid, file): a forked child rendering ``render(key)`` for each of
-    ``keys`` into ``file``, an unnamed temporary file beside ``path``; None
-    if another Python thread is alive or the fork fails (or the platform
-    has none)."""
+def _in_two(child: Callable[[int], None], parent: Callable[[], object]):
+    """(status, result): ``result`` is ``parent()``, run here while one
+    forked child runs ``child(pid)``, ``pid`` being this process's, and
+    ``status`` is the child's exit status once it is reaped.  None, with
+    neither run, if another Python thread is alive (a forked child would
+    hold copies of locks it cannot release) or the fork fails (or the
+    platform has none).
+
+    The child leaves by ``os._exit``, 0 if ``child`` returns and 1 if it
+    raises, so it never returns into the caller or flushes the parent's
+    buffers.  If ``parent()`` raises, the child is killed and reaped before
+    the error propagates.  No child outlives the call, and one whose parent
+    dies leaves by :func:`_exit_if_orphaned`, which ``child`` calls between
+    its steps."""
     if threading.active_count() > 1 or not hasattr(os, "fork"):
         return None
-    tmp = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
+    here = os.getpid()
     try:
         with warnings.catch_warnings():
             # Python 3.12 warns of native threads too (a BLAS pool); the
@@ -169,19 +222,32 @@ def _fork(path, render, keys):
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except OSError:
-        tmp.close()
         return None
     if pid == 0:
         status = 1
         try:
             import gc
             gc.disable()    # a collection would copy every page it touches
-            with open(tmp.fileno(), "w", encoding="utf-8", newline="", closefd=False) as out:
-                out.writelines(map(render, keys))
+            child(here)
             status = 0
         finally:
             os._exit(status)
-    return pid, tmp
+    try:
+        result = parent()
+    except BaseException:
+        import signal
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return status, result
+
+
+def _exit_if_orphaned(parent: int) -> None:
+    """Leave this forked child with status 1 once ``parent`` is no longer
+    its parent (killed, so the child was handed to another)."""
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 def _dtype(name: str):
@@ -210,6 +276,61 @@ def _text_lines(text: str):
         i = j
 
 
+def _records(lines, dtype) -> np.ndarray:
+    """The data rows of ``lines`` as records of ``dtype``: the one
+    ``np.loadtxt`` call of :class:`SampleRows` (no rows, no records)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data rows: SampleRows refuses them
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def _line_end(fd: int, at: int, end: int) -> int | None:
+    """The offset just past the first ``b"\\n"`` of the file open at ``fd``
+    from ``at`` on, before ``end``; None if there is none."""
+    while at < end:
+        chunk = os.pread(fd, min(1 << 16, end - at), at)
+        if not chunk:
+            return None
+        i = chunk.find(b"\n")
+        if i >= 0:
+            return at + i + 1
+        at += len(chunk)
+    return None
+
+
+class _Bytes(io.RawIOBase):
+    """Bytes ``lo`` to ``hi`` of the file open at ``fd``, read by
+    ``os.pread``, which moves no process's file offset."""
+
+    def __init__(self, fd: int, lo: int, hi: int):
+        self._fd, self._at, self._hi = fd, lo, hi
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        data = os.pread(self._fd, min(len(b), self._hi - self._at), self._at)
+        b[:len(data)] = data
+        self._at += len(data)
+        return len(data)
+
+
+class _Joined:
+    """Two record arrays read as one: a column is joined when it is asked
+    for, so the halves' whole tables are never joined at once."""
+
+    __slots__ = ("halves",)
+
+    def __init__(self, *halves: np.ndarray):
+        self.halves = halves
+
+    def __len__(self) -> int:
+        return sum(map(len, self.halves))
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return np.concatenate([h[name] for h in self.halves])
+
+
 class SampleRows:
     """The data rows of a CSV table, by column.
 
@@ -220,10 +341,24 @@ class SampleRows:
     floats parse by CPython's string-to-double conversion, so a ``repr``
     float comes back bit for bit.
 
-    One ``np.loadtxt`` pass parses every row, reading a handle in chunks.  If
-    it fails, the rows are split again in Python to find the fault: a wrong
-    field count raises at once, a value that does not parse raises when its
-    column is asked for, so each reader keeps its own check order.  The file
+    Rows are parsed by ``np.loadtxt``, reading a handle in chunks.  A file
+    handle of ``_SPLIT_BYTES`` or more in UTF-8 is parsed in two processes
+    (see :meth:`_halves`): each reads its own byte range by ``os.pread``
+    with the handle's encoding and errors and universal newlines (the
+    ``open`` default), so neither holds its half's text whole or moves the
+    other's file offset.  A cut after ``b"\\n"`` splits no UTF-8 sequence
+    and no ``\\r\\n``, so the halves hold exactly the lines of the whole.
+    The threshold is measured: on a 2-vCPU x86-64 VM the split broke even
+    at about 1 MB and took 0.8 of the serial time at 2 MB.  Text, a
+    smaller file, a live thread or a failed fork take the serial path: one
+    ``np.loadtxt`` pass over every row.  The child checks that its parent
+    lives before it writes its records, and leaves with status 1 if not.
+
+    If a parse fails (either half included: the serial path then runs
+    again from the header), the rows are split again in Python to find the
+    fault: a wrong field count raises at once, a value that does not parse
+    raises when its column is asked for, so each reader keeps its own check
+    order and every message and line number is the serial one.  The file
     is re-read only on that path and when ``line`` is called, so ``source``
     is the CSV text or a seekable text handle positioned at the header.  Text
     is split into lines lazily, never copied whole.
@@ -237,20 +372,70 @@ class SampleRows:
             raise ConfigError(f"{what} must have header {','.join(names)}")
         dtype = [(name, _dtype(name)) for name in names]
         self._errors: dict[str, str] = {}
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no data rows: see below
-                self._table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                                         ndmin=1)
-            self.size = len(self._table)
-        except ValueError as e:
-            self._table = self._diagnose(names, what)
-            if not self._errors:
-                raise ConfigError(f"{what}: {e}") from None
-            self.size = len(self._lines)
+        self._table = self._halves(dtype)
+        if self._table is None:
+            try:
+                self._table = _records(lines, dtype)
+            except ValueError as e:
+                self._table = self._diagnose(names, what)
+                if not self._errors:
+                    raise ConfigError(f"{what}: {e}") from None
+        self.size = len(self._table) if self._lines is None else len(self._lines)
         if self.size == 0:
             raise ConfigError(f"{what} needs data rows of {len(names)} fields "
                               f"{','.join(names)}")
+
+    def _halves(self, dtype) -> "_Joined | None":
+        """The records of a large UTF-8 file, parsed in two processes: the
+        bytes from the header on are cut after the first ``b"\\n"`` from
+        their midpoint, one forked child parses the first half and passes
+        its records back through an unnamed temporary file, and this
+        process parses the second half meanwhile (:func:`_in_two`).  None
+        if the source is text, under ``_SPLIT_BYTES`` or of another
+        encoding, if no child could be forked, or if either half fails to
+        parse; the serial path then reads the rows and finds the fault."""
+        src, start = self._src, self._start
+        try:
+            fd = src.fileno()
+        except (AttributeError, OSError, ValueError):     # text, or no file
+            return None
+        # a cookie of 2^64 or more carries decoder state, not a byte offset
+        if start >> 64 or codecs.lookup(src.encoding).name != "utf-8":
+            return None
+        size = os.fstat(fd).st_size
+        cut = size - start >= _SPLIT_BYTES and _line_end(fd, (start + size) // 2, size)
+        if not cut:
+            return None
+
+        def half(lo: int, hi: int):
+            return io.TextIOWrapper(io.BufferedReader(_Bytes(fd, lo, hi), 1 << 16),
+                                    encoding=src.encoding, errors=src.errors)
+
+        def child(parent: int) -> None:
+            with half(start, cut) as lines:
+                next(lines)    # the header
+                first = _records(lines, dtype)
+            _exit_if_orphaned(parent)
+            with open(tmp.fileno(), "wb", closefd=False) as out:
+                out.write(first.view(np.uint8))
+
+        def parent() -> np.ndarray:
+            with half(cut, size) as lines:
+                return _records(lines, dtype)
+
+        try:
+            tmp = tempfile.TemporaryFile()
+        except OSError:
+            return None
+        with tmp:
+            try:
+                done = _in_two(child, parent)
+            except ValueError:
+                return None
+            if done is None or done[0]:
+                return None
+            tmp.seek(0)
+            return _Joined(np.fromfile(tmp, dtype=dtype), done[1])
 
     def _read(self):
         """The source's lines from the header on: the handle rewound, or the

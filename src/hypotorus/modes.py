@@ -98,8 +98,11 @@ _CHUNK_CELLS = 3 << 20  # complex numbers in one banded chunk's G and X (48 MiB)
 #: time).  Writing the CSV adds one child process (csvio.write): it holds
 #: its own render buffers, one mode block at a time, and the pages it
 #: shares with the parent copy-on-write, so its own peak RSS counts mostly
-#: shared pages, not a second field.  ROADMAP item 2 replaces this ceiling
-#: with a peak estimate per command.
+#: shared pages, not a second field.  Reading a large CSV (decay, f_file)
+#: adds one short-lived child too (csvio.SampleRows): it parses the first
+#: half of the file into records, about half the parsed table, and passes
+#: them back through a temporary file.  ROADMAP item 2 replaces this
+#: ceiling with a peak estimate per command.
 MAX_ARRAY_BYTES = 1 << 27
 
 

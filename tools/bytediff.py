@@ -16,7 +16,12 @@ modes take the dense solve, mode by mode; one whose 43 defined modes are
 odd in number with gaps between them, c = 1/3 + 1/5 cos t at J = 65, where
 the modes with lambda = 0 mod 3 are resonant and the run exits 2, so the
 two halves of a split u_field.csv are taken over defined modes),
-three decays of the notgh solve's field (k_max 4, 0 and 7), eleven
+three decays of the notgh solve's field (k_max 4, 0 and 7), two decays
+of a generated 40-mode field of about 3 MB, above the size from which
+csvio.SampleRows parses a file in two processes (CRLF ends and a blank line
+at the middle row, exit 0; and one malformed re value in the second half,
+refused with exit 1, so the split reader's fallback and its message run),
+eleven
 diophantine tables (every integer eigenvalue kind, a negative kappa, a
 denominator near 2^60, a decimal, a float-valued table, an integer table
 beyond 2^64, and three J = 65536 tables on either side of the
@@ -60,7 +65,10 @@ k = 3 (seed 1, f on 24% of the columns) and k = 1 (seed 101, 49%), the
 sin 2t classify call 36%, and the constant witnesses none (f_j = 0).
 Some extras read CSVs the tool writes, so every CSV reader of the CLI
 (decay input, f_file, c_file) runs.
-Prints every file and exit code that differs; exits 1 if any does.
+Compares every output file, every exit code and every call's stderr (with
+the tree and out-dir paths read as <tree> and <out>), so a changed error
+message or line number shows.  Prints each that differs; exits 1 if any
+does.
 """
 
 import json
@@ -120,6 +128,11 @@ EXTRA = {   # solve configs; notgh: Im c changes sign, collocation misses its bu
 # and 7 (fit_decay's stack deeper than pm_seminorms' min(k_max, 4))
 DECAY = {"decay": {"j_modes": 64}, "decay-k0": {"j_modes": 64, "k_max": 0},
          "decay-k7": {"j_modes": 64, "k_max": 7}}
+# decays of a generated field above csvio._SPLIT_BYTES, so its parse is
+# split in two processes: CRLF ends with a blank line at the middle row
+# (exit 0), and the same field with one malformed re value in the second
+# half (exit 1, its message and line number on stderr)
+SPLIT_DECAY = {"decay-split": "field_split.csv", "decay-split-bad": "field_split_bad.csv"}
 WITNESS = {  # one witness call per constructor; sign-change also runs in the benchmark ops
     "constant": {"c": "1/3", "witness_kind": "constant", "witness_n": 8, "j_modes": 16},
     "constant-q20001": {"c": "1/20001", "witness_kind": "constant", "j_modes": 16},
@@ -240,7 +253,10 @@ def inputs() -> dict:
     1024-point grid a c = 1/3 + cos t + i sin t w(t),
     where w = 1 - bump(t) - bump(2 pi - t) vanishes on [1.07, 2.07] and on
     its mirror image, so Im c has mean 0, crosses zero at 0 and pi, and has
-    a (+, 0, +) and a (-, 0, -) run."""
+    a (+, 0, +) and a (-, 0, -) run; and on the same grid a 40-mode field
+    u_j = e^{-j/2} (cos(t + j) + i sin(2t) / 3) with CRLF ends and a blank
+    line at the middle row, also with one re value three quarters down
+    spelled 0.5x."""
     t = [2.0 * math.pi * i / 64 for i in range(64)]
     f = "".join(f"{j},{s!r},{math.sin(j * s + 1) / 7 ** j!r},"
                 f"{-0.0 if j == 3 else math.cos(s) / j!r}\n" for j in (1, 3, 6) for s in t)
@@ -261,6 +277,15 @@ def inputs() -> dict:
          for s in t]
     same = "".join(f"{s!r},{1 / 3 + math.cos(s)!r},{math.sin(s) * v!r}\n" for s, v in zip(t, w))
 
+    def split_field(bad: bool) -> str:
+        rows = [f"{j},{s!r},{math.exp(-j / 2) * math.cos(s + j)!r},"
+                f"{math.exp(-j / 2) * math.sin(2 * s) / 3!r}" for j in range(40) for s in t]
+        if bad:
+            j, s, re, im = rows[3 * len(rows) // 4].split(",")
+            rows[3 * len(rows) // 4] = ",".join((j, s, "0.5x", im))
+        rows.insert(len(rows) // 2, "")
+        return "j,t,re,im\r\n" + "".join(r + "\r\n" for r in rows)
+
     def spaced(header, rows):
         lines = [r + ("\r\n\r\n" if k % 5 == 4 else "\r\n")
                  for k, r in enumerate(rows.splitlines())]
@@ -275,7 +300,8 @@ def inputs() -> dict:
             "c_unsnapped_mean.csv": "t,re,im\n" + "".join(
                 f"{s!r},{0.7071067811865476 + math.cos(s)!r},0.0\n"
                 for s in (2.0 * math.pi * i / 64 for i in range(64))),
-            "c_same_sign_plateaus.csv": "t,re,im\n" + same}
+            "c_same_sign_plateaus.csv": "t,re,im\n" + same,
+            "field_split.csv": split_field(False), "field_split_bad.csv": split_field(True)}
 
 
 def calls(change: Path, workloads) -> list:
@@ -306,6 +332,10 @@ def calls(change: Path, workloads) -> list:
         out.append((f"extra/notgh-{name}", ["decay", "--config", f"extra/{name}.json", "--input",
                                             "extra/notgh/u_field.csv",
                                             "--out", f"extra/notgh-{name}"]))
+    Path("extra", "decay-split.json").write_text(json.dumps({"j_modes": 40}))
+    for name, field in SPLIT_DECAY.items():
+        out.append((f"extra/{name}", ["decay", "--config", "extra/decay-split.json", "--input",
+                                      f"extra/{field}", "--out", f"extra/{name}"]))
     for name, cfg in DIOPHANTINE.items():
         Path("extra", f"diophantine-{name}.json").write_text(json.dumps(cfg, indent=1))
         out.append((f"extra/diophantine-{name}", ["diophantine", "--config",
@@ -328,14 +358,19 @@ def calls(change: Path, workloads) -> list:
 
 
 def run(tree: Path, side: Path, change: Path, workloads) -> dict:
-    """Exit code of every call, run under ``tree`` with ``side`` as cwd."""
+    """(exit code, stderr) of every call, run under ``tree`` with ``side``
+    as cwd; in stderr the two directories read ``<tree>`` and ``<out>``."""
     side.mkdir(parents=True)
     os.chdir(side)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                PYTHONDONTWRITEBYTECODE="1")
-    return {name: subprocess.run([sys.executable, "-m", "hypotorus.cli", *argv],
-                                 env=env, capture_output=True).returncode
-            for name, argv in calls(change, workloads)}
+    done = {}
+    for name, argv in calls(change, workloads):
+        r = subprocess.run([sys.executable, "-m", "hypotorus.cli", *argv],
+                           env=env, capture_output=True)
+        err = r.stderr.decode("utf-8", "replace")
+        done[name] = r.returncode, err.replace(str(side), "<out>").replace(str(tree), "<tree>")
+    return done
 
 
 def main(argv: list) -> int:
@@ -346,18 +381,23 @@ def main(argv: list) -> int:
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(change / "perfbench"))
     import workloads
-    codes = {s: run(t, out / s, change, workloads)
-             for s, t in (("parent", parent), ("change", change))}
-    diffs = [f"exit code {k}: {codes['parent'][k]} -> {codes['change'][k]}"
-             for k in codes["parent"] if codes["parent"][k] != codes["change"][k]]
+    done = {s: run(t, out / s, change, workloads)
+            for s, t in (("parent", parent), ("change", change))}
+    diffs = []
+    for k, (code, err) in done["parent"].items():
+        new_code, new_err = done["change"][k]
+        if code != new_code:
+            diffs.append(f"exit code {k}: {code} -> {new_code}")
+        if err != new_err:
+            diffs.append(f"stderr {k}")
     files = {s: {p.relative_to(out / s) for p in (out / s).rglob("*") if p.is_file()}
-             for s in codes}
+             for s in done}
     for rel in sorted(files["parent"] | files["change"]):
         a, b = out / "parent" / rel, out / "change" / rel
         if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
             diffs.append(f"file {rel}")
     print("\n".join(diffs) or f"identical: {len(files['change'])} files, "
-          f"{len(codes['change'])} exit codes")
+          f"{len(done['change'])} exit codes and stderr streams")
     return 1 if diffs else 0
 
 
