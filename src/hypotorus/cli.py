@@ -292,8 +292,8 @@ class ExperimentConfig:
         witness store, with at most max(J, 4) levels and N = 1024 (the
         largest constructor default) when ``witness_n`` is unset.  The
         witness term over-counts a witness's peak, which is two row_chunks
-        blocks of its rows (one being filled, one having its residuals
-        taken) plus one block of residual scratch; it is kept until a peak
+        blocks of its rows (one for each of the pass's two threads) plus
+        half a block of residual scratch for each; it is kept until a peak
         estimate per command replaces this one (ROADMAP item 2)."""
         J, N = self._d["j_modes"], self._d["grid_n"]
         sizes = [_MODE_BYTES * J, _CELL_BYTES * N]

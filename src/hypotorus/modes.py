@@ -89,9 +89,9 @@ _CHUNK_CELLS = 3 << 20  # complex numbers in one banded chunk's G and X (48 MiB)
 #: anything is built; dense collocation refuses a grid whose n x n complex
 #: matrix would (n > 2048), before any n x n allocation.  The witness term
 #: of array_bytes, levels x witness_n cells, over-counts a witness's peak:
-#: two row_chunks blocks of u and f (the one being filled and the one whose
-#: residuals the helper thread takes) plus that thread's one block of
-#: residual scratch, about 3.5 MiB at levels 512, witness_n 8192.  Peak
+#: two row_chunks blocks of u and f (one for each of the pass's two
+#: threads) plus each thread's half block of residual scratch, about
+#: 3.5 MiB at levels 512, witness_n 8192.  Peak
 #: memory is a multiple of the largest array: a solve of a 32 MiB field
 #: (J = 512, grid 4096, every mode forced) peaks at 225-229 MB RSS, about
 #: 7x, set by the banded chunk (the CSV is written one mode block at a
@@ -694,10 +694,10 @@ class ModeField:
         return cls._of(samples, mask, eigs)
 
 
-def row_chunks(rows: int, n: int) -> Iterable[slice]:
-    """Slices of ``rows`` rows of ``n`` samples, 2^16 samples or one row each,
-    so a batch's temporaries stay small beside its (rows, n) arrays."""
-    step = max(1, (1 << 16) // n)
+def row_chunks(rows: int, n: int, cells: int = 1 << 16) -> Iterable[slice]:
+    """Slices of ``rows`` rows of ``n`` samples, ``cells`` samples or one row
+    each, so a batch's temporaries stay small beside its (rows, n) arrays."""
+    step = max(1, cells // n)
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
@@ -765,7 +765,8 @@ def operator_residuals(lam: Sequence[float], c: TorusFunction, u: np.ndarray,
                        f: np.ndarray, coeffs: np.ndarray | None = None,
                        cols=slice(None)) -> np.ndarray:
     """sup_t |u_s' + i*lam_s*c*u_s - f_s| for every row s of the (S, n) array
-    ``u``, as apply_operator computes it, in chunks of rows.
+    ``u``, as apply_operator computes it, in chunks of rows of 2^15 samples,
+    half a :func:`row_chunks` block.
 
     ``f`` holds the forcing on the columns ``cols`` of the grid only (all of
     them by default; else strictly increasing indices) and f_s = 0
@@ -775,19 +776,21 @@ def operator_residuals(lam: Sequence[float], c: TorusFunction, u: np.ndarray,
     where they are known (a pure harmonic's one-hot spectrum); otherwise
     they are taken from the samples by FFT.  The chunks share one chunk of
     buffer, one row of product term (which then holds each row's |r|), the
-    wave numbers and the runs, made once per call.  Neither ``u`` nor ``f``
-    is written to.
+    wave numbers and the runs, made once per call.  The half block keeps a
+    witness pass, which runs this on two threads at once, within the memory
+    of one whole-block call; each row's FFT is the same in any batch.
+    Neither ``u`` nor ``f`` is written to.
     """
     lam = np.asarray(lam, dtype=np.float64)
     S, n = u.shape
     c = c.resample(n)
     ik = 1j * wavenumbers(n)
     runs = _column_runs(cols)
-    buf = np.empty(u[next(row_chunks(S, n), slice(0))].shape, dtype=np.complex128)
+    buf = np.empty(u[next(row_chunks(S, n, 1 << 15), slice(0))].shape, dtype=np.complex128)
     tmp = np.empty(n, dtype=np.complex128)
     mag = tmp.view(np.float64)[:n]          # |r| of one row, once tmp is free
     out = np.empty(S)
-    for s in row_chunks(S, n):
+    for s in row_chunks(S, n, 1 << 15):
         m = len(u[s])
         r = _apply_rows(lam[s], c, u[s], None if coeffs is None else coeffs[s],
                         ik, buf[:m], tmp)

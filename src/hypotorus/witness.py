@@ -59,9 +59,10 @@ Construction scans once, completes the levels, the floor and the decay
 record, and builds the report of every check; a bundle exists only once
 that report passes, and keeps it as ``WitnessBundle.report``.
 :meth:`WitnessBundle.verify` scans the same recipe again and recomputes
-that report on demand.  The pass is a two-stage pipeline: one helper
-thread takes the residuals of chunk k-1 while the calling thread fills,
-measures and probes chunk k, so at most two chunks are alive, and the
+that report on demand.  Two identical workers share the pass, the
+calling thread and one helper thread: each claims the next chunk in chunk
+order and fills, probes, measures and checks it, so at most two chunks
+are alive, an error surfaces as a serial pass would raise it, and the
 helper ends with the pass.  Levels beyond the grid band carry
 ``residual=None`` and are verified on their closed form in exact rational
 arithmetic.
@@ -73,6 +74,7 @@ import cmath
 import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Integral
@@ -326,8 +328,9 @@ class _Rows:
     of the only grid columns where the forcing can be nonzero, and defines
     ``fill(s)``: for a block ``s`` of ``row_chunks(S, N)`` it returns the
     block's u, (rows, N), its forcing on ``f_cols``, (rows, K), and its
-    exact trig coefficients or None.  No later fill writes to the arrays,
-    so a block stays as it is while the next one is filled.
+    exact trig coefficients or None.  Two threads may fill different
+    blocks at once and in any order, and each block gets the same bytes;
+    no later fill writes to the arrays a fill returned.
     """
 
     def __len__(self) -> int:
@@ -356,44 +359,58 @@ class _Rows:
         :func:`modes.operator_residuals`.  Returns the (S,) float64 arrays
         residual, sup_u and sup_f.
 
-        The pass is a two-stage pipeline: while this thread fills chunk k,
-        takes its norms and probes it, one helper thread takes the residuals
-        of chunk k-1, whose FFTs and ufunc loops release the GIL.  Chunk k
-        is queued for the helper, and chunk k+1 is filled only once chunk
-        k-1's residuals are in, so at most two chunks are alive.  Errors
-        surface in serial order: a failure on this thread first waits for
-        the pending residuals and, if they failed, raises their error
-        instead; a failure on the helper is raised at the next wait.  The
-        helper ends with the pass.  Every residual and norm is the one a
-        serial pass takes."""
-        # imported here, not at the top: it adds ~9 ms to every command's
-        # start, and only a witness pass needs it
-        from concurrent.futures import ThreadPoolExecutor
-
+        Two identical workers share the pass, this thread and one helper
+        thread: each claims the next chunk in chunk order under one lock
+        and takes all of it, fill, probe, norms and residuals, whose FFTs
+        and ufunc loops release the GIL.  So each worker holds one chunk at
+        a time, and a worker that stalls delays one chunk, not the pass.
+        Errors surface in serial order: a worker that fails records its
+        error under its chunk's index and stops, no chunk after it is
+        claimed, and once both workers are done the error of the lowest
+        failed chunk is raised (every earlier chunk was claimed, so it has
+        finished or failed too).  The helper is joined on every path, and
+        is not started for a pass of one chunk.  Every residual and norm
+        is the one a serial pass takes."""
         res, sup_u, sup_f = np.full((3, len(self)), math.nan)
+        chunks = list(row_chunks(len(self), self.n))
+        lock, claimed, failed = threading.Lock(), 0, {}
 
-        def residuals(s, chunk):
-            # take the arrays out of the queued call, so that they are
-            # freed as soon as this returns
-            u, f, coeffs = chunk.pop()
+        def take(s):
+            u, f, coeffs = self.fill(s)
+            if probe is not None:
+                probe(s, u)
+            # row by row: a whole chunk's |u| would keep half a chunk more alive
+            for r, row in enumerate(u, s.start):
+                sup_u[r] = np.abs(row).max()
+            np.abs(f).max(axis=1, initial=0.0, out=sup_f[s])
             res[s] = operator_residuals(self.lams[s], c, u, f, coeffs, cols=self.f_cols)
 
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            pending = helper.submit(lambda: None)          # nothing pending yet
-            for s in row_chunks(len(self), self.n):
+        def work():
+            nonlocal claimed
+            while True:
+                with lock:
+                    if failed or claimed == len(chunks):
+                        return
+                    k, claimed = claimed, claimed + 1
                 try:
-                    u, f, coeffs = self.fill(s)
-                    if probe is not None:
-                        probe(s, u)
-                    np.abs(u).max(axis=1, out=sup_u[s])
-                    np.abs(f).max(axis=1, initial=0.0, out=sup_f[s])
-                except BaseException:
-                    pending.result()        # an earlier chunk's error comes first
-                    raise
-                # queue this chunk before waiting, so the helper never idles
-                done, pending = pending, helper.submit(residuals, s, [(u, f, coeffs)])
-                done.result()
-            pending.result()
+                    take(chunks[k])
+                except BaseException as e:
+                    with lock:
+                        failed[k] = e
+                    return
+
+        helper = threading.Thread(target=work) if len(chunks) > 1 else None
+        if helper is not None:
+            helper.start()
+        try:
+            work()
+        finally:
+            with lock:
+                claimed = len(chunks)       # after an interrupt in work(), claim no more
+            if helper is not None:
+                helper.join()
+        if failed:
+            raise failed[min(failed)]
         return res, sup_u, sup_f
 
 
@@ -889,7 +906,9 @@ class _BumpRows(_Rows):
     with g' the spectral derivative on the circle.  The set-up rolls the
     bumps onto the circle and keeps each bump's support (g > 0), its bands
     and E on the union of the two, support first; exp(lambda E) is taken
-    there only, once per fill, and feeds f, then (times g, over itself) u.
+    there only, once per fill, and feeds f, then (times g, over itself) u;
+    the first bump takes it straight in u's support columns when E lies on
+    its support only and that is one run.
     u is exactly +0.0 off the supports, so points outside a support can
     never overflow.  Off the bands, and wherever every bump is flat
     (exactly 0 or 1), g' vanishes to all orders; writing 0 there drops the
@@ -901,7 +920,9 @@ class _BumpRows(_Rows):
     A chunk whose float lambdas are exactly lambda_lo + r*delta (r = 0, 1,
     ...), with delta of the sign of lambda_lo, takes one exp per bump:
     exp(lambda_lo E) times row r of the bump's table exp(r delta E), built
-    on first use per (bump, delta) with one row per chunk row.  Every
+    under a lock by the first chunk to ask, per (bump, delta), with one row
+    per row of a full chunk, so no row depends on the order chunks are
+    filled in.  Every
     harmonic1d chunk and every arithmetic table chunk does; any other chunk
     takes exp(lambda E) directly.  So a row's bytes depend on the bounds of
     its chunk, and rows are only ever filled in the blocks of
@@ -935,6 +956,8 @@ class _BumpRows(_Rows):
             circ.append((g[supp], np.roll(E, k0)[cols], band, _run_or_index(supp)))
         f_cols.flags.writeable = False
         self.lams, self.n, self.f_cols, self._circ, self._tables = lams, N, f_cols, circ, {}
+        first = next(row_chunks(1, N))
+        self._height, self._lock = first.stop - first.start, threading.Lock()
 
     def fill(self, s: slice):
         lam = self.lams[s]
@@ -945,14 +968,20 @@ class _BumpRows(_Rows):
         d = lam[1] - lam[0] if m > 1 else 0.0
         ap = d * lam[0] > 0.0 and np.array_equal(lam, lam[0] + d * np.arange(m))
         for k, (g, E, band, supp) in enumerate(self._circ):
+            # the first bump, when E lies on its support only and that is
+            # one run, takes exp(lambda E) straight in u's support columns
+            direct = not k and E.size == g.size and isinstance(supp, slice)
+            e = u[:, supp] if direct else np.empty((m, E.size), dtype=np.complex128)
             with np.errstate(under="ignore"):
                 if ap:
-                    if (k, d) not in self._tables:
-                        self._tables[k, d] = np.exp(
-                            (d * np.arange(s.stop - s.start))[:, None] * E)
-                    e = np.exp(lam[0] * E) * self._tables[k, d][:m]
+                    with self._lock:        # one build, whichever chunk asks first
+                        table = self._tables.get((k, d))
+                        if table is None:
+                            table = (d * np.arange(self._height))[:, None] * E
+                            self._tables[k, d] = np.exp(table, out=table)
+                    np.multiply(np.exp(lam[0] * E), table[:m], out=e)
                 else:
-                    e = lam[:, None] * E
+                    np.multiply(lam[:, None], E, out=e)
                     np.exp(e, out=e)
             for to, dg, at in band:
                 np.multiply(dg, e[:, at], out=f[:, to])
@@ -964,7 +993,7 @@ class _BumpRows(_Rows):
                 full = np.zeros_like(u)
                 full[:, supp] = ge
                 u += full
-            else:
+            elif not direct:
                 u[:, supp] = ge
         return u, f, None
 

@@ -4,6 +4,7 @@ import os
 import re
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from unittest import mock
@@ -931,37 +932,94 @@ def _doubling_rows(monkeypatch, rows):
     monkeypatch.setattr(witness_mod._BumpRows, "fill", fill)
 
 
-def _failing_third_call(monkeypatch):
-    """Make the third operator_residuals call raise _Planted."""
-    calls = []
+def _plant_in_residuals(monkeypatch, plant):
+    """Call ``plant(row)`` before each operator_residuals call of the
+    four-chunk witness, ``row`` the first row of the call's chunk (0, 32,
+    64 or 96), whichever thread makes the call and in whatever order.
+    Returns the rows, in call order."""
+    first_row = {lv.lam: lv.row for lv in _four_chunk_witness().levels}
+    rows = []
 
-    def failing(lam, c, u, f, coeffs=None, cols=slice(None)):
-        calls.append(len(lam))
-        if len(calls) == 3:
-            raise _Planted("residuals of the third chunk")
+    def planted(lam, c, u, f, coeffs=None, cols=slice(None)):
+        rows.append(first_row[float(lam[0])])
+        plant(rows[-1])
         return operator_residuals(lam, c, u, f, coeffs, cols)
 
-    monkeypatch.setattr(witness_mod, "operator_residuals", failing)
-    return calls
+    monkeypatch.setattr(witness_mod, "operator_residuals", planted)
+    return rows
 
 
-def test_the_pipelined_pass_equals_a_serial_one_under_frequent_thread_switches():
+def _fail_at(row):
+    """A plant that makes the residuals of the chunk at ``row`` raise."""
+    def plant(r):
+        if r == row:
+            raise _Planted(f"residuals of the chunk at row {row}")
+    return plant
+
+
+def test_the_two_thread_pass_equals_a_serial_one_under_frequent_thread_switches():
     # 100 levels at N = 8192 take 13 row chunks; with the interpreter
     # switching threads every microsecond, every residual and sup norm is
-    # still the one a serial pass over the whole rows gives
+    # still the one a serial pass over the whole rows gives, also when two
+    # verify() passes, four workers on one recipe, race to build its table
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         b = sign_change_witness(c_sin(8192), build_eigensequence("harmonic1d", 100), N=8192)
-        rep = b.verify()
+        b.rows._tables.clear()
+        reps = [None, None]
+
+        def verify(i):
+            reps[i] = b.verify()
+
+        passes = [threading.Thread(target=verify, args=(i,)) for i in range(2)]
+        for t in passes:
+            t.start()
+        for t in passes:
+            t.join(timeout=120)
+            assert not t.is_alive()
     finally:
         sys.setswitchinterval(switch)
     u, f = b.u_rows(), b.f_rows()
     res = operator_residuals([lv.lam for lv in b.levels], b.c, u, f).tolist()
     assert [lv.residual for lv in b.levels] == res
-    assert rep == b.report and rep["max_residual"] == max(res)
+    assert reps == [b.report] * 2 and b.report["max_residual"] == max(res)
     assert [lv.sup_u for lv in b.levels] == np.abs(u).max(axis=1).tolist()
     assert [lv.sup_f for lv in b.levels] == np.abs(f).max(axis=1).tolist()
+
+
+def test_a_bump_table_does_not_depend_on_the_order_chunks_are_filled_in():
+    # 100 levels at N = 8192: 12 chunks of 8 rows, then one of 4.  A fresh
+    # recipe builds each exp(r delta E) table at full chunk height, whichever
+    # chunk asks first: filled last chunk first, or first asked for the last
+    # chunk by its clipped bounds, every chunk is the one an in-order fill gives
+    rows = sign_change_witness(c_sin(8192), build_eigensequence("harmonic1d", 100), N=8192).rows
+    chunks = list(row_chunks(len(rows), rows.n))
+    assert [len(rows.lams[s]) for s in chunks] == [8] * 12 + [4]
+
+    def filled(order):
+        rows._tables.clear()
+        return {s.start: [a.tobytes() for a in rows.fill(s)[:2]] for s in order}
+
+    in_order = filled(chunks)
+    assert filled(chunks[::-1]) == in_order
+    assert filled([slice(96, 100), *chunks[:-1]]) == in_order
+
+
+def test_a_pass_of_one_chunk_starts_no_thread(monkeypatch):
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(witness_mod.threading, "Thread", Counted)
+    sign_change_witness(c_sin(8192), build_eigensequence("harmonic1d", 5), N=8192)
+    constant_witness(Fraction(1, 3), build_eigensequence("harmonic1d", 16), L=4, N=64)
+    assert started == []
+    _four_chunk_witness()
+    assert len(started) == 1
 
 
 def test_a_probe_failure_names_the_first_bad_level_in_chunk_order(monkeypatch):
@@ -979,26 +1037,53 @@ def test_a_probe_failure_names_the_first_bad_level_in_chunk_order(monkeypatch):
 def test_an_error_in_the_third_chunk_residuals_propagates(monkeypatch):
     threads = threading.active_count()
     built = _four_chunk_witness()
-    calls = _failing_third_call(monkeypatch)
-    with pytest.raises(_Planted):
+    rows = _plant_in_residuals(monkeypatch, _fail_at(64))
+    with pytest.raises(_Planted, match="at row 64$"):
         _four_chunk_witness()
-    assert calls[:3] == [32, 32, 32]
+    # the chunks before it were claimed first, and finish on their own
+    assert {0, 32, 64} <= set(rows)
     assert threading.active_count() == threads
-    calls.clear()
-    with pytest.raises(_Planted):
+    rows.clear()
+    with pytest.raises(_Planted, match="at row 64$"):
         built.verify()
-    assert calls[:3] == [32, 32, 32]
+    assert {0, 32, 64} <= set(rows)
     assert threading.active_count() == threads
 
 
 def test_a_residual_error_surfaces_before_a_later_probe_failure(monkeypatch):
     # serial order: the third chunk's residuals fail before the fourth
-    # chunk is filled, so their error wins over the fourth chunk's probe
+    # chunk is filled, so their error wins over the fourth chunk's probe,
+    # whichever of the two fails first
     threads = threading.active_count()
-    _failing_third_call(monkeypatch)
+    _plant_in_residuals(monkeypatch, _fail_at(64))
     _doubling_rows(monkeypatch, [97])
-    with pytest.raises(_Planted):
+    with pytest.raises(_Planted, match="at row 64$"):
         _four_chunk_witness()
+    assert threading.active_count() == threads
+
+
+def test_the_lowest_failed_chunk_wins_when_a_later_one_fails_first(monkeypatch):
+    # the third chunk's residuals wait until the fourth chunk's have
+    # failed, so the fourth chunk's error is recorded first; the third
+    # chunk's is still the one raised, as a serial pass would raise it
+    threads = threading.active_count()
+    fourth_failed, order = threading.Event(), []
+
+    def plant(row):
+        if row == 64:
+            assert fourth_failed.wait(10)
+            time.sleep(0.05)                # its worker records the failure
+            order.append(row)
+            raise _Planted("residuals of the third chunk")
+        if row == 96:
+            order.append(row)
+            fourth_failed.set()
+            raise _Planted("residuals of the fourth chunk")
+
+    _plant_in_residuals(monkeypatch, plant)
+    with pytest.raises(_Planted, match="third chunk"):
+        _four_chunk_witness()
+    assert order == [96, 64]
     assert threading.active_count() == threads
 
 

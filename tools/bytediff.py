@@ -30,7 +30,7 @@ distinct-value rule of distances.csv: 5/13 and 12345/32771, whose 7 and
 rendered once each, and 12345/131101, whose 65551 exceed them and are
 rendered value by value), one witness per
 constructor, a constant one at denominator 20001, a constant one on the
-auto route (classify, then its plan), and nine more sign-change witnesses:
+auto route (classify, then its plan), and ten more sign-change witnesses:
 the mirrored window of a negative table, a drifting Im c, two harmonics,
 1/2 + i sin 4t at the default witness_n, which misses its residual budget
 and exits 1, 1/2 + i sin t on harmonic1d_power 2, whose levels are no
@@ -38,9 +38,10 @@ arithmetic progression and take every exp directly (the other bump
 witnesses run on arithmetic spectra and take one exp per row chunk),
 a c with cos 300t on a 512-point witness grid, refused with exit 1,
 40 levels at witness_n 2048, whose last row chunk holds 8 rows after one
-of 32, 5 levels at witness_n 8192, which fit one row chunk and so one step
-of the witness pass's pipeline, and a mixed-sign table, whose positive
-subsequence is sampled.
+of 32, 5 levels at witness_n 8192, which fit one row chunk and so run on
+one thread, 100 levels at witness_n 8192, twelve row chunks of 8 and a
+short last one of 4, which the witness pass's two threads may fill before
+a full one, and a mixed-sign table, whose positive subsequence is sampled.
 One more plateau witness, on harmonic1d_power 2 at witness_n 8192: its two
 bumps take every exp directly, in row chunks of 8 + 8 + 4.
 Five plain classify calls on c whose verdict follows the exact mean:
@@ -172,9 +173,13 @@ WITNESS = {  # one witness call per constructor; sign-change also runs in the be
                                 "witness_n": 2048, "j_modes": 48,
                                 "model": {"kind": "table",
                                           "values": [(-1) ** j * (2 * j + 1) for j in range(48)]}},
-    # 5 levels in one chunk of 8 rows: the pass's pipeline takes one step
+    # 5 levels in one chunk of 8 rows: the pass runs on one thread
     "sign-change-one-chunk": {"c": "1/2 + i sin t", "witness_kind": "sign-change",
                               "witness_n": 8192, "j_modes": 5},
+    # 12 chunks of 8 rows, then one of 4: the two threads claim chunks by
+    # demand, so the short last chunk may be filled before a full one
+    "sign-change-short-tail": {"c": "1/2 + i sin t", "witness_kind": "sign-change",
+                               "witness_n": 8192, "j_modes": 100},
 }
 
 CLASSIFY = {  # classify --witness: a plan written on a budget miss, a plateau, benchmark size
