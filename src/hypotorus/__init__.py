@@ -31,7 +31,8 @@ Layout
 import types
 
 from .classify import (BRANCH_DIOPHANTINE, BRANCH_NONREAL, BRANCH_RESONANCE, BRANCH_SIGN,
-                       BRANCH_SIGN_CHANGE, Verdict, WitnessPlan, classify, classify_constant)
+                       BRANCH_SIGN_CHANGE, Verdict, WitnessPlan, classify, classify_constant,
+                       classify_samples)
 from .diagnostics import DecayFit, PMTable, fit_decay, lemma25_check, pm_seminorms
 from .diophantine import (DistanceSequence, LiouvilleCertificate, RationalVerdict,
                           classify_rational, construct_liouville, dist_to_int,

@@ -19,11 +19,11 @@ The decision runs on the imaginary part b = Im c and on the mean c0:
   flanks, handled by a two-bump witness); anything murkier is reported as
   inconclusive rather than guessed.
 
-A formula coefficient is read from its exact trigonometric polynomial:
-whether c is constant, and the rational mean that the arithmetic routes
-use.  Only sampled input (a c_file) is tested for constancy on the grid
-and has its grid mean snapped to a small-denominator rational.  The sign
-analysis of b runs on grid samples either way.
+Each input kind has its own entry point.  :func:`classify` reads whether a
+formula c is constant, and its rational mean, from its exact trigonometric
+polynomial; :func:`classify_samples` tests grid samples (a c_file) for
+constancy and snaps their mean to a small-denominator rational.  Both end in
+one tree, whose sign analysis of b runs on grid samples.
 
 Branch labels in verdict JSON are stable contract strings.  ``confidence``
 separates exact arithmetic ("definitive") from fitted evidence
@@ -64,6 +64,7 @@ __all__ = [
     "sign_report",
     "classify_constant",
     "classify",
+    "classify_samples",
 ]
 
 TOL_SIGN = 1e-10          # |b| below this counts as zero on the grid
@@ -83,7 +84,7 @@ BRANCH_NONREAL = "thm-3.6a-nonreal"
 _DECISIONS = frozenset({"GH", "notGH", "inconclusive"})
 _BRANCHES_GH = frozenset({BRANCH_SIGN, BRANCH_DIOPHANTINE, BRANCH_NONREAL})
 _BRANCHES_NOTGH = frozenset({BRANCH_SIGN_CHANGE, BRANCH_RESONANCE, BRANCH_DIOPHANTINE})
-_FORMULA_KINDS = ("harmonic1d", "harmonic1d_power", "harmonic_nd")
+_CLOSED_FORM_KINDS = ("harmonic1d", "harmonic1d_power", "harmonic_nd")
 
 
 class NonRealInput(HypotorusError, ValueError):
@@ -220,8 +221,6 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 def _as_real(v, name: str) -> float:
-    if isinstance(v, Fraction):
-        return float(v)
     out = float(v)
     if not math.isfinite(out):
         raise ValueError(f"{name} must be finite, got {v!r}")
@@ -286,17 +285,16 @@ def _constant_rational(frac: Fraction, eigs: EigenSequence) -> Verdict:
 def _constant_float(alpha: float, eigs: EigenSequence,
                     mu: Union[Fraction, float]) -> Verdict:
     J = len(eigs.lambdas)
-    kappa: Union[float, Fraction]
     kappa = Fraction(alpha) if eigs.integer_valued else alpha
     seq = distance_sequence(kappa, eigs, mu)
     res = seq.resonant_indices
     ev = {"route": "constant-float", "alpha": alpha, "beta": 0.0}
 
     if res:
-        formula = eigs.kind.split()[0] in _FORMULA_KINDS
+        closed_form = eigs.kind.split()[0] in _CLOSED_FORM_KINDS
         ev["resonant_indices"] = _trim(res)
         ev["n_resonant"] = len(res)
-        if seq.exact and formula:
+        if seq.exact and closed_form:
             # the residue of lambda_j * alpha mod 1 is periodic along the
             # mode (or block) index, so one exact hit recurs forever
             plan = WitnessPlan("constant-resonance", {
@@ -494,34 +492,11 @@ def _sign_change_tree(b: TorusFunction, rep: SignReport, frac: Optional[Fraction
     return Verdict("inconclusive", "none", ev, "heuristic")
 
 
-def classify(c: TorusFunction, eigs: EigenSequence,
-             mu: Union[Fraction, float] = Fraction(1, 2),
-             poly: Optional[TrigPolynomial] = None) -> Verdict:
-    """Hypoellipticity verdict for L = D_t + c(t) P from samples of c.
-
-    Runs the sign analysis of Im c first (either sign-definiteness or a
-    sign change across a thin zero set is decisive), reduces to the
-    constant operator at the mean when Im c vanishes, and falls back to
-    resonance of the mean or an honest "inconclusive" for fat ambiguous
-    zero sets.  Constant inputs are delegated wholesale to
-    :func:`classify_constant`, threshold-free.  ``poly`` is the exact
-    formula that c samples, if there is one: then c is constant exactly
-    when ``poly`` is, and the mean routes take its exact real mean.  Without
-    it (sampled input) constancy is tested on the grid and the grid mean is
-    snapped to a nearby small-denominator rational.
-    """
-    m = c.mean()
-    a0, b0 = float(m.real), float(m.imag)
-    if poly is not None:
-        mean = poly.mean
-        if poly.is_constant:
-            return classify_constant(mean.re, 0 if mean.im == 0 else float(mean.im), eigs, mu)
-        frac, err = mean.re, float(abs(Fraction(a0) - mean.re))
-    elif (c - m).sup_norm() < _TOL_IMAG:
-        return classify_constant(m.real, m.imag, eigs, mu)
-    else:
-        frac, err = _snap_mean(a0)
-
+def _classify_variable(c: TorusFunction, m: complex, frac: Optional[Fraction],
+                       err: float, eigs: EigenSequence, mu) -> Verdict:
+    """The tree on b = Im c for a non-constant c of grid mean m; ``frac`` is
+    its rational real mean, if known, ``err`` that mean's distance from m."""
+    a0, b0 = m.real, m.imag
     b = c.imag_part()
     rep = sign_report(b)
     base_ev = {"c0": {"re": a0, "im": b0}, "sign_report": plain(rep)}
@@ -532,3 +507,27 @@ def classify(c: TorusFunction, eigs: EigenSequence,
     if rep.changes_sign:
         return _sign_change_tree(b, rep, frac, err, b0, eigs, base_ev)
     return _reduce_to_mean(a0, frac, err, eigs, mu, base_ev)
+
+
+def classify(poly: TrigPolynomial, eigs: EigenSequence,
+             mu: Union[Fraction, float] = Fraction(1, 2), n: int = 256) -> Verdict:
+    """Verdict for L = D_t + c(t) P, c the formula ``poly``: constant exactly
+    when ``poly`` is, sampled on an ``n``-point grid for the sign analysis of
+    Im c, and the mean routes take its exact real mean."""
+    mean = poly.mean
+    if poly.is_constant:
+        return classify_constant(mean.re, 0 if mean.im == 0 else float(mean.im), eigs, mu)
+    c = poly.to_torus_function(n)
+    m = c.mean()
+    return _classify_variable(c, m, mean.re, float(abs(Fraction(m.real) - mean.re)), eigs, mu)
+
+
+def classify_samples(c: TorusFunction, eigs: EigenSequence,
+                     mu: Union[Fraction, float] = Fraction(1, 2)) -> Verdict:
+    """Verdict for L = D_t + c(t) P from grid samples of c: constant when they
+    stay within 1e-12 of their mean, and the mean routes take the grid mean
+    snapped to a small-denominator rational (:func:`_snap_mean`), if any."""
+    m = c.mean()
+    if (c - m).sup_norm() < _TOL_IMAG:
+        return classify_constant(m.real, m.imag, eigs, mu)
+    return _classify_variable(c, m, *_snap_mean(m.real), eigs, mu)

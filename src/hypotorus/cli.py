@@ -43,7 +43,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import csvio, jsonio
-from .classify import Verdict, classify
+from .classify import Verdict, classify, classify_samples
 from .diagnostics import PMColumns, fit_decay
 from .diophantine import (classify_rational, construct_liouville,
                           distance_sequence, liouville_fit)
@@ -318,18 +318,17 @@ class ExperimentConfig:
     def mu(self) -> Fraction:
         return Fraction(self._d["params"]["mu"])
 
-    def coefficient(self) -> tuple:
-        """(TorusFunction, TrigPolynomial | None); the poly when c is a formula."""
+    def coefficient(self) -> TorusFunction:
+        """c on its grid: the c_file's samples, else the formula's."""
         path = self._d["c_file"]
         if path is not None:
             with _open_text(path, f"c_file {path}") as fh, _context(f"c_file {path}"):
                 c = TorusFunction.from_sample_csv(fh)
             _need(np.isfinite(c.samples).all(), f"c_file {path}: samples must be finite")
-            return c, None
+            return c
         _need(self._d["c"] is not None,
               "a coefficient is required: set 'c' (formula) or 'c_file' (samples)")
-        poly = self.formula(self._d["c"])
-        return poly.to_torus_function(self._d["grid_n"]), poly
+        return self.formula(self._d["c"]).to_torus_function(self._d["grid_n"])
 
     def forcing(self, eigs: EigenSequence) -> ModeField:
         path = self._d["f_file"]
@@ -379,7 +378,7 @@ def _write_json(path: Path, obj) -> None:
 
 def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     eigs = cfg.eigensequence()
-    c, _ = cfg.coefficient()
+    c = cfg.coefficient()
     u, rep = solve_field(c, cfg.forcing(eigs))
     _write_text(out / "u_field.csv", u.csv_pieces())
     _write_text(out / "divisors.csv", rep.to_csv())
@@ -399,10 +398,11 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
 # --------------------------------------------------------------------------- #
 
 def _classify(cfg: ExperimentConfig) -> tuple:
-    """(verdict, c_fn, eigs); a formula c is classified with its exact poly."""
-    eigs = cfg.eigensequence()
-    c_fn, poly = cfg.coefficient()
-    return classify(c_fn, eigs, cfg.mu, poly), c_fn, eigs
+    """(verdict, c_fn, eigs): by classify_samples on a c_file, else by classify."""
+    eigs, c_fn = cfg.eigensequence(), cfg.coefficient()
+    if cfg["c_file"] is not None:
+        return classify_samples(c_fn, eigs, cfg.mu), c_fn, eigs
+    return classify(cfg.formula(cfg["c"]), eigs, cfg.mu, cfg["grid_n"]), c_fn, eigs
 
 
 def _build_witness(cfg: ExperimentConfig, kind: str, eigs: EigenSequence,
@@ -566,9 +566,10 @@ def cmd_witness(cfg: ExperimentConfig, out: Path) -> int:
                                      f"(branch {verdict.branch}); no witness exists")
         bundle = _witness_from_plan(cfg, verdict, c_fn, eigs)
     elif kind != "L0":
-        c_fn, poly = cfg.coefficient()
+        c_fn = cfg.coefficient()
         detail = {}
         if kind == "constant":
+            poly = cfg.formula(cfg["c"]) if cfg["c_file"] is None else None
             _need(poly is not None and poly.is_constant,
                   "witness_kind 'constant' needs a constant formula c")
             _need(poly.mean.im == 0, "the constant witness needs real c")

@@ -24,6 +24,7 @@ from hypotorus.classify import (
     _circular_runs,
     classify,
     classify_constant,
+    classify_samples,
     sign_report,
 )
 from hypotorus.formulas import parse_formula
@@ -328,7 +329,7 @@ class TestClassifyConstant:
 class TestClassify:
     def test_sign_definite_imaginary_part(self, h1d):
         c = TorusFunction.from_callable(lambda t: 1j * (1 - np.cos(t)))
-        v = classify(c, h1d)
+        v = classify_samples(c, h1d)
         assert (v.decision, v.branch, v.confidence) == (
             "GH", BRANCH_SIGN, "definitive")
         assert v.witness_handle is None
@@ -336,23 +337,23 @@ class TestClassify:
 
     def test_negative_definite_imaginary_part(self, h1d):
         c = TorusFunction.from_callable(lambda t: -1j * (1 - np.cos(t)))
-        v = classify(c, h1d)
+        v = classify_samples(c, h1d)
         assert (v.decision, v.branch) == ("GH", BRANCH_SIGN)
 
     def test_sign_change_with_thin_zero_set(self, h1d):
         c = TorusFunction.from_callable(lambda t: 0.5 + 1j * np.sin(t))
-        v = classify(c, h1d)
+        v = classify_samples(c, h1d)
         assert (v.decision, v.branch, v.confidence) == (
             "notGH", BRANCH_SIGN_CHANGE, "definitive")
         assert v.witness_handle.kind == "sign-change"
         assert v.witness_handle.detail["constructor"] == "sign_change_witness"
 
     def test_cos_imaginary_part_changes_sign(self, h1d):
-        v = classify(TorusFunction.from_callable(lambda t: 1j * np.cos(t)), h1d)
+        v = classify_samples(TorusFunction.from_callable(lambda t: 1j * np.cos(t)), h1d)
         assert (v.decision, v.branch) == ("notGH", BRANCH_SIGN_CHANGE)
 
     def test_real_sin_reduces_to_resonant_zero_mean(self, h1d):
-        v = classify(TorusFunction.from_callable(np.sin), h1d)
+        v = classify_samples(TorusFunction.from_callable(np.sin), h1d)
         assert (v.decision, v.branch, v.confidence) == (
             "notGH", BRANCH_RESONANCE, "definitive")
         red = v.evidence["reduction"]
@@ -361,7 +362,7 @@ class TestClassify:
 
     def test_real_half_plus_cos_reduces_to_floor(self, h1d):
         c = TorusFunction.from_callable(lambda t: 0.5 + 0.3 * np.cos(t))
-        v = classify(c, h1d)
+        v = classify_samples(c, h1d)
         assert (v.decision, v.branch, v.confidence) == (
             "GH", BRANCH_DIOPHANTINE, "definitive")
         assert v.evidence["reduction"]["a0_exact"] == Fraction(1, 2)
@@ -371,14 +372,14 @@ class TestClassify:
         # an empirical real; its formula resonates at lambda = 65
         poly = parse_formula("1/65 + cos t")
         c = poly.to_torus_function(N)
-        v = classify(c, h1d, poly=poly)
+        v = classify(poly, h1d, n=N)
         assert (v.decision, v.branch, v.confidence) == (
             "notGH", BRANCH_RESONANCE, "definitive")
         assert v.evidence["reduction"]["a0_exact"] == Fraction(1, 65)
-        assert classify(c, h1d).evidence["reduction"]["a0_exact"] is None
+        assert classify_samples(c, h1d).evidence["reduction"]["a0_exact"] is None
         # a constant poly is the constant route, with its exact value
         poly = parse_formula("1/65")
-        w = classify(poly.to_torus_function(N), h1d, poly=poly)
+        w = classify(poly, h1d, n=N)
         assert w.evidence["route"] == "constant-rational"
         assert w.evidence["alpha"] == Fraction(1, 65)
 
@@ -390,26 +391,26 @@ class TestClassify:
         poly = parse_formula(text)
         c = poly.to_torus_function(N)
         assert (c - c.mean()).sup_norm() < 1e-12
-        v = classify(c, h1d, poly=poly)
+        v = classify(poly, h1d, n=N)
         assert v.evidence["route"] == "variable-real-reduction"
         assert (v.decision, v.branch, v.confidence) == (
             "notGH", BRANCH_RESONANCE, "definitive")
         assert v.evidence["reduction"]["a0_exact"] == poly.mean.re
         # the samples alone still take the grid constancy test
-        assert classify(c, h1d).evidence["route"].startswith("constant-")
+        assert classify_samples(c, h1d).evidence["route"].startswith("constant-")
 
     def test_reduction_property(self, h1d):
         # a GH verdict through the reduction agrees with classify_constant
         # at the snapped mean, branch and confidence included
         c = TorusFunction.from_callable(lambda t: 0.5 + 0.3 * np.cos(t))
-        v = classify(c, h1d)
+        v = classify_samples(c, h1d)
         w = classify_constant(Fraction(1, 2), 0, h1d)
         assert (v.decision, v.branch, v.confidence) == (
             w.decision, w.branch, w.confidence)
 
     def test_plateau_pattern_is_notgh(self, h1d):
         c = TorusFunction.from_samples(1j * _plateau_samples())
-        v = classify(c, h1d)
+        v = classify_samples(c, h1d)
         assert (v.decision, v.branch, v.confidence) == (
             "notGH", BRANCH_SIGN_CHANGE, "definitive")
         assert v.witness_handle.kind == "plateau"
@@ -422,7 +423,7 @@ class TestClassify:
 
     def test_mirrored_plateau_pattern(self, h1d):
         c = TorusFunction.from_samples(-1j * _plateau_samples())
-        v = classify(c, h1d)
+        v = classify_samples(c, h1d)
         assert (v.decision, v.branch) == ("notGH", BRANCH_SIGN_CHANGE)
         assert v.witness_handle.kind == "plateau"
         assert v.evidence["plateau"]["sign_before"] == -1
@@ -435,7 +436,7 @@ class TestClassify:
         v2[64:160] = 0.0
         v2[160:251] = 1.0
         v2[251:] = -1.0
-        v = classify(TorusFunction.from_samples(0.543 + 1j * v2), h1d)
+        v = classify_samples(TorusFunction.from_samples(0.543 + 1j * v2), h1d)
         assert (v.decision, v.branch, v.confidence) == (
             "inconclusive", "none", "heuristic")
         assert "three-interval" in v.evidence["reason"]
@@ -451,14 +452,14 @@ class TestClassify:
         v3[160:224] = 1.0
         v3[224:] = -4.0
         assert v3.mean() == 0.0
-        v = classify(TorusFunction.from_samples(1.0 + 1j * v3), h1d)
+        v = classify_samples(TorusFunction.from_samples(1.0 + 1j * v3), h1d)
         assert (v.decision, v.branch, v.confidence) == (
             "notGH", BRANCH_RESONANCE, "definitive")
         assert v.witness_handle.kind == "resonance-mean"
         assert v.evidence["a0"] == Fraction(1)
 
     def test_constant_input_delegates_exactly(self, h1d):
-        v = classify(TorusFunction.constant(2.0 + 0.0j), h1d)
+        v = classify_samples(TorusFunction.constant(2.0 + 0.0j), h1d)
         w = classify_constant(2.0, 0.0, h1d)
         assert (v.decision, v.branch, v.confidence) == (
             w.decision, w.branch, w.confidence)
@@ -467,7 +468,7 @@ class TestClassify:
     def test_tiny_nonzero_beta_stays_decisive(self, h1d):
         # constant inputs bypass the grid threshold: beta = 1e-13 is a
         # genuine nonzero constant, not a zero function
-        v = classify(TorusFunction.constant(0.3 + 1e-13j), h1d)
+        v = classify_samples(TorusFunction.constant(0.3 + 1e-13j), h1d)
         assert (v.decision, v.branch, v.confidence) == (
             "GH", BRANCH_NONREAL, "definitive")
 
@@ -475,7 +476,7 @@ class TestClassify:
         for i in range(100):
             a = float(rng.uniform(-2, 2))
             b = float(rng.uniform(-1, 1)) if i % 2 else 0.0
-            v = classify(TorusFunction.constant(complex(a, b)), h1d_small)
+            v = classify_samples(TorusFunction.constant(complex(a, b)), h1d_small)
             w = classify_constant(a, b, h1d_small)
             assert (v.decision, v.branch, v.confidence) == (
                 w.decision, w.branch, w.confidence), (a, b)
@@ -483,16 +484,16 @@ class TestClassify:
     def test_params_are_passed_through(self, h1d):
         # with mu = 1 the exponent halves; the constant fit still resolves
         c = TorusFunction.from_callable(lambda t: (math.sqrt(2) - 1) + 0.0 * t)
-        v = classify(c, h1d, mu=1)
+        v = classify_samples(c, h1d, mu=1)
         assert v.decision == "GH"
         assert v.evidence["fit"]["exponent"] == pytest.approx(0.5)
 
     def test_decision_is_rotation_invariant(self, h1d):
         base = TorusFunction.from_callable(lambda t: 0.3 + 1j * np.sin(t))
-        v0 = classify(base, h1d)
+        v0 = classify_samples(base, h1d)
         for shift in (1, 17, 128, 200):
             rolled = TorusFunction.from_samples(np.roll(base.samples, shift))
-            v = classify(rolled, h1d)
+            v = classify_samples(rolled, h1d)
             assert (v.decision, v.branch, v.confidence) == (
                 v0.decision, v0.branch, v0.confidence)
 
@@ -505,7 +506,7 @@ class TestClassify:
             return a0 + 1j * amp * np.cos(k * t + 0.1)
         c = TorusFunction.from_samples(np.roll(
             TorusFunction.from_callable(fn).samples, shift))
-        v = classify(c, h)
+        v = classify_samples(c, h)
         assert v.decision in ("GH", "notGH", "inconclusive")
         assert (v.witness_handle is not None) == (v.decision == "notGH")
         json.loads(v.to_json())  # always serializable
@@ -518,11 +519,11 @@ class TestClassify:
 class TestBranchLabels:
     def test_all_four_contract_strings_are_reachable(self, h1d):
         cases = {
-            classify(TorusFunction.from_callable(
+            classify_samples(TorusFunction.from_callable(
                 lambda t: 1j * (1 - np.cos(t))), h1d).branch,
-            classify(TorusFunction.from_callable(
+            classify_samples(TorusFunction.from_callable(
                 lambda t: 0.5 + 1j * np.sin(t)), h1d).branch,
-            classify(TorusFunction.from_callable(np.sin), h1d).branch,
+            classify_samples(TorusFunction.from_callable(np.sin), h1d).branch,
             classify_constant(Fraction(1, 2), 0, h1d).branch,
         }
         assert cases == {
@@ -533,7 +534,7 @@ class TestBranchLabels:
         }
 
     def test_evidence_survives_json(self, h1d):
-        v = classify(TorusFunction.from_callable(
+        v = classify_samples(TorusFunction.from_callable(
             lambda t: 0.5 + 1j * np.sin(t)), h1d)
         d = json.loads(v.to_json())
         assert d["branch"] == "thm-3.15-sign-change"
@@ -541,6 +542,6 @@ class TestBranchLabels:
         assert d["evidence"]["sign_report"]["changes_sign"] is True
 
     def test_fraction_evidence_uses_decimal_strings(self, h1d):
-        v = classify(TorusFunction.from_callable(np.sin), h1d)
+        v = classify_samples(TorusFunction.from_callable(np.sin), h1d)
         d = json.loads(v.to_json())
         assert d["evidence"]["reduction"]["a0_exact"] == {"num": "0", "den": "1"}

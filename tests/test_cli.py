@@ -454,6 +454,69 @@ def test_classify_with_witness_emits_files(tmp_path):
     assert check["ok"] is True
 
 
+def _bytediff():
+    """tools/bytediff.py as a module, for its extra configs."""
+    spec = importlib.util.spec_from_file_location("bytediff", ROOT / "tools" / "bytediff.py")
+    bytediff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bytediff)
+    return bytediff
+
+
+# ROADMAP item 1: formula c whose Im c changes sign, but where the grid
+# misses it (a dip of 1e-12, an amplitude of 1e-13) or sees a zero of high
+# order as a zero run (Im c = (1 - cos t)^8 (1/2 + cos t), and
+# (1 - cos t)^6 sin t, whose one zero has order 13)
+ITEM1 = {
+    "dip": "i(1 - cos t - 1/1000000000000)",
+    "tiny-icos": "1/2 + 1/10000000000000 i cos t",
+    "flat-8": "1/2 + i " + "(1 - cos t)" * 8 + " (1/2 + cos t)",
+    "order-13": "1/2 + i " + "(1 - cos t)" * 6 + " sin t",
+}
+
+
+def _classify_item1(tmp_path, name):
+    cfg = write_config(tmp_path, c=ITEM1[name], j_modes=64)
+    assert main(["classify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    return read_json(tmp_path / "out", "verdict.json")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("name", ["dip", "tiny-icos", "flat-8"])
+def test_classify_finds_the_exact_sign_change_of_a_formula(tmp_path, name):
+    v = _classify_item1(tmp_path, name)
+    assert (v["decision"], v["confidence"], v["branch"]) == (
+        "notGH", "definitive", "thm-3.15-sign-change")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_classify_takes_the_sign_change_route_at_a_zero_of_high_order(tmp_path):
+    assert _classify_item1(tmp_path, "order-13")["evidence"]["route"] == "variable-sign-change"
+
+
+def test_the_formula_route_never_snaps_the_mean(tmp_path, monkeypatch):
+    # every formula classify config that ships (cookbook, bytediff extras)
+    # and item 1's: classify reads the mean from the polynomial instead.
+    # The package attribute hypotorus.classify is the function, not the module.
+    classify_module = importlib.import_module("hypotorus.classify")
+
+    def refuse(x):
+        raise AssertionError(f"_snap_mean({x!r}) ran")
+
+    configs = [json.loads(p.read_text(encoding="utf-8"))
+               for p in sorted(COOKBOOK.glob("classify_*.json"))]
+    configs += [cfg for cfg in _bytediff().VERDICT.values() if "c" in cfg]
+    configs += [{"c": c, "j_modes": 64} for c in ITEM1.values()]
+    assert len(configs) == 3 + 6 + 4
+    monkeypatch.setattr(classify_module, "_snap_mean", refuse)
+    for k, fields in enumerate(configs):
+        cfg = write_config(tmp_path, f"cfg{k}.json", **fields)
+        assert main(["classify", "--config", cfg, "--out", str(tmp_path / f"o{k}")]) == 0
+    # the sampled route of a non-constant c does snap
+    cfg = _c_file_config(tmp_path, np.cos(grid(64)), np.zeros(64), j_modes=16)
+    with pytest.raises(AssertionError, match="_snap_mean"):
+        main(["classify", "--config", cfg, "--out", str(tmp_path / "sampled")])
+
+
 def _count_parses(monkeypatch):
     import hypotorus.cli as cli
     texts = []
@@ -976,11 +1039,8 @@ def test_shipped_configs_stay_under_the_ceiling(tmp_path, monkeypatch):
     # extra configs of tools/bytediff.py
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import workloads
-    spec = importlib.util.spec_from_file_location("bytediff", ROOT / "tools" / "bytediff.py")
-    bytediff = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bytediff)
     monkeypatch.chdir(tmp_path)
-    sizes = _config_sizes(bytediff.calls(ROOT, workloads))
+    sizes = _config_sizes(_bytediff().calls(ROOT, workloads))
     # the one config that loading refuses: three f keys that name mode 1
     assert [name for name, size in sizes.items() if size is None] == ["extra/f-duplicate-keys"]
     sizes.pop("extra/f-duplicate-keys")

@@ -1262,10 +1262,10 @@ def test_manifest_is_json_serializable_for_all_kinds(liouville_setup):
 # --------------------------------------------------------------------------- #
 
 def test_plans_from_the_classifier_build_working_witnesses():
-    from hypotorus.classify import classify, classify_constant
+    from hypotorus.classify import classify_constant, classify_samples
 
     eigs = build_eigensequence("harmonic1d", 16)
-    v = classify(c_sin(512), eigs)
+    v = classify_samples(c_sin(512), eigs)
     assert v.decision == "notGH"
     plan = v.witness_handle
     assert plan.kind == "sign-change"

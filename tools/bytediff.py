@@ -47,7 +47,12 @@ bumps take every exp directly, in row chunks of 8 + 8 + 4.
 Five plain classify calls on c whose verdict follows the exact mean:
 1/3 + 1e-10 + cos t, 1/65 + cos t and 1/2000003 + cos t, and two whose
 oscillation is below 1e-12, 1/65 + 1e-13 cos t and 1/3 + 1e-13 i cos t.
-Three more on c_file samples, whose routes no formula reaches: a constant
+One on the constant formula 1/3 over the float-valued table 0.7 (j + 1),
+j < 64, the one formula call that reaches the float-constant route: it
+drops the two resonances that float rounding leaves (j + 1 = 30 and 60)
+and takes the distance fit.
+Three more on c_file samples, whose routes no formula on an integer
+spectrum reaches: a constant
 0.1 (the float-constant route with its distance fit), a real mean 1/3
 whose Im c has two fat zero runs with same-sign flanks (the resonant-mean
 rescue), and a real 0.7071067811865476 + cos t, whose grid mean snaps to
@@ -201,10 +206,15 @@ VERDICT = {  # plain classify: c whose verdict follows its exact mean
     "mean-q2000003": {"c": "1/2000003 + cos t", "j_modes": 64},
     "mean-tiny-cos-q65": {"c": "1/65 + 1/10000000000000 cos t", "j_modes": 64},
     "mean-tiny-icos-third": {"c": "1/3 + 1/10000000000000 i cos t", "j_modes": 64},
-    # sampled c on routes no formula reaches: a constant whose value is no
-    # small-denominator rational (the float-constant route and its distance
-    # fit), and a real mean 1/3 with Im c zero on two plateaus whose flanks
-    # share a sign (no (+, 0, -) pattern: the resonant-mean rescue decides)
+    # a constant formula on a spectrum that is no integer kind: the float route
+    "constant-third-float-table": {"c": "1/3", "j_modes": 64,
+                                   "model": {"kind": "table",
+                                             "values": [0.7 * (j + 1) for j in range(64)]}},
+    # sampled c on routes no formula on an integer spectrum reaches: a
+    # constant whose value is no small-denominator rational (the
+    # float-constant route and its distance fit), and a real mean 1/3 with
+    # Im c zero on two plateaus whose flanks share a sign (no (+, 0, -)
+    # pattern: the resonant-mean rescue decides)
     "c-file-constant": {"c_file": "extra/c_constant.csv", "grid_n": 64, "j_modes": 64},
     "c-file-resonant-mean": {"c_file": "extra/c_same_sign_plateaus.csv", "grid_n": 1024,
                              "j_modes": 16},
