@@ -326,9 +326,13 @@ class ExperimentConfig:
                 c = TorusFunction.from_sample_csv(fh)
             _need(np.isfinite(c.samples).all(), f"c_file {path}: samples must be finite")
             return c
+        return self.coefficient_formula().to_torus_function(self._d["grid_n"])
+
+    def coefficient_formula(self) -> TrigPolynomial:
+        """The parsed formula c, which a config without a c_file needs."""
         _need(self._d["c"] is not None,
               "a coefficient is required: set 'c' (formula) or 'c_file' (samples)")
-        return self.formula(self._d["c"]).to_torus_function(self._d["grid_n"])
+        return self.formula(self._d["c"])
 
     def forcing(self, eigs: EigenSequence) -> ModeField:
         path = self._d["f_file"]
@@ -398,17 +402,21 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
 # --------------------------------------------------------------------------- #
 
 def _classify(cfg: ExperimentConfig) -> tuple:
-    """(verdict, c_fn, eigs): by classify_samples on a c_file, else by classify."""
-    eigs, c_fn = cfg.eigensequence(), cfg.coefficient()
+    """(verdict, c_fn, eigs): by classify_samples on the samples c_fn of a
+    c_file, else by classify of the formula, with c_fn None (classify
+    samples it itself, and a witness samples it again if it needs c)."""
+    eigs = cfg.eigensequence()
     if cfg["c_file"] is not None:
+        c_fn = cfg.coefficient()
         return classify_samples(c_fn, eigs, cfg.mu), c_fn, eigs
-    return classify(cfg.formula(cfg["c"]), eigs, cfg.mu, cfg["grid_n"]), c_fn, eigs
+    return classify(cfg.coefficient_formula(), eigs, cfg.mu, cfg["grid_n"]), None, eigs
 
 
 def _build_witness(cfg: ExperimentConfig, kind: str, eigs: EigenSequence,
-                   c_fn: TorusFunction, detail: dict) -> WitnessBundle:
-    """The 'constant', 'sign-change' or 'plateau' witness of c_fn; ``detail``
-    holds the constant's alpha and the fallback plateau interval."""
+                   c_fn: TorusFunction | None, detail: dict) -> WitnessBundle:
+    """The 'constant', 'sign-change' or 'plateau' witness of c_fn (which the
+    constant one does not read); ``detail`` holds the constant's alpha and
+    the fallback plateau interval."""
     mu, sigma = cfg.mu, cfg["params"]["sigma"]
     kw = {} if cfg["witness_n"] is None else {"N": cfg["witness_n"]}
     if kind == "constant":
@@ -421,7 +429,7 @@ def _build_witness(cfg: ExperimentConfig, kind: str, eigs: EigenSequence,
 
 
 def _witness_from_plan(cfg: ExperimentConfig, verdict: Verdict,
-                       c_fn: TorusFunction, eigs: EigenSequence) -> WitnessBundle:
+                       c_fn: TorusFunction | None, eigs: EigenSequence) -> WitnessBundle:
     plan = verdict.witness_handle
     if plan is None:
         raise WitnessUnavailable("the verdict carries no witness plan")
@@ -442,6 +450,7 @@ def _witness_from_plan(cfg: ExperimentConfig, verdict: Verdict,
                 f"{after:+d}); plateau_witness takes a (+1, 0, -1) run with t0 < t1: "
                 "set 'intervals': [t0, t1]")
     if plan.kind in ("sign-change", "plateau"):
+        c_fn = cfg.coefficient() if c_fn is None else c_fn
         return _build_witness(cfg, plan.kind, eigs, c_fn, plan.detail)
     if plan.kind == "constant-liouville":
         raise WitnessUnavailable(

@@ -2,7 +2,6 @@
 
 A table is a header line of column names, then one line per row of
 comma-separated cells; every line ends with ``'\\n'`` and files are UTF-8.
-:func:`cells` renders a column, :func:`rows` joins rendered columns,
 :func:`pieces` makes a :class:`Table` that renders the rows a block at a
 time, :func:`text` joins its pieces and :func:`write` stores either the text
 or a table's pieces as they come, so a large table is never held whole:
@@ -14,28 +13,48 @@ or a table's pieces as they come, so a large table is never held whole:
 * a column made only of str holds cells rendered already and is written
   as it is.
 
-Rendering is ``repr`` bound (about 1.1 us a float on a 2-vCPU x86-64 VM,
-where a vectorised Schubfach renderer ran no faster) and parsing is
-``np.loadtxt`` bound; both hold the GIL, so a thread cannot share them.
-Above a measured size each direction takes a second CPU from one forked
-child instead, through one helper, :func:`_in_two`: :func:`write` shares a
-large table's blocks with the child by demand, and :class:`SampleRows`
-parses the first half of a large file's bytes in the child.  The output
-file and the parsed columns are those of one process, and every error
-falls back to, or is, the serial one.  A field of 128 modes of 1024
-samples (8.8 MB) then parses in a median 88 ms instead of 116 ms of wall
-time (in-process, same machine).  Neither saves CPU time: pinned to one CPU
-a benchmark iteration that writes and reads that field costs 4.6% more.
+A block is rendered as one (rows, width) uint8 matrix: each cell is laid
+out in its own NUL-padded slot, the commas and newlines are fixed columns,
+and the NULs are deleted when the matrix is packed into text.  A column of
+int64 values is cut into groups of four digits by :func:`ints`, and a
+float64 column of ``_KERNEL_MIN`` values or more by :func:`floats`, whose
+shortest-digits kernel gives ``repr``'s bytes without calling it (after
+Loitsch, PLDI 2010, and Adams, "Ryu", PLDI 2018).  For a finite nonzero
+x = M 2^e it takes e10 = floor(log10 |x|), corrected by one where needed,
+and D = |x| 10^(16 - e10) in [1e16, 1e17) as one 80-bit ``longdouble``
+product: 10^q is the 64-bit significand nearest to it and the product
+rounds once more, so D is off by at most 2^-8 + 1e17 2^-64 < 0.0093 units,
+and the half-gap 2^(e-1) 10^q between x and its neighbours (taken in
+``longdouble`` too, by an exact power of two) by at most 5e16 2^-64 <
+0.0027.  Everything after that is int64, or float64 for fractions below 2:
+the integers of the rounding interval, the largest 10^k with a multiple
+among them, the multiple nearest to D and the layout.  A value whose
+answer could change within ``_GUARD`` = 2^-6 > 0.0093 + 0.0027 of an
+interval end or of a rounding tie takes ``repr`` instead: about 2% of
+random bit patterns and of a solved field's values.  So do inf and nan; ±0
+are laid out as 0.  The tables are built on the first call, and where
+``longdouble`` has fewer than 64 significand bits every cell takes
+``repr``.  Measured on a 2-vCPU x86-64 VM: below 300-500 values the
+kernel's fixed cost (about 0.2 ms) exceeds ``repr``'s; 8192 values at a
+time keep its temporaries under 128 KiB, where the allocator reuses memory
+(16384 at a time was 30% slower, in page faults); and it renders a solved
+field in 0.19-0.26 of ``repr``'s time (0.8-1.9 us a float there).
 
 :class:`SampleRows` is the one reader, of the two CSV inputs the CLI takes:
 the ``j,t,re,im`` mode field and the ``t,re,im`` samples.  The ``j`` column
 is int64 and every other column float64.  Numbers take Python's syntax in
-ASCII without ``_`` separators, and fields are not unquoted.
+ASCII without ``_`` separators, and fields are not unquoted.  Parsing is
+``np.loadtxt`` bound and holds the GIL, so a thread cannot share it: a large
+file's first half is parsed by one forked child instead (:func:`_in_two`).
+A field of 128 modes of 1024 samples (8.8 MB) then parses in a median 88 ms
+instead of 116 ms of wall time (in-process, same machine), for no less CPU
+time.
 """
 
 from __future__ import annotations
 
 import codecs
+import functools
 import io
 import os
 import tempfile
@@ -48,11 +67,15 @@ import numpy as np
 from .errors import ConfigError
 from .jsonio import unlimited_int_digits
 
-__all__ = ["cells", "rows", "pieces", "text", "write", "Table", "SampleRows"]
+__all__ = ["cells", "floats", "ints", "lines", "pieces", "text", "write", "Table",
+           "SampleRows"]
 
-_BLOCK_ROWS = 1 << 12   # rows rendered at a time by pieces
-_SPLIT_CELLS = 1 << 16  # cells from which write renders a table in two processes
+_BLOCK_CELLS = 1 << 15  # cells rendered at a time by pieces and ModeField.csv_pieces
+_KERNEL_MIN = 1 << 9    # floats from which floats() runs its kernel rather than repr
+_CHUNK = 1 << 13        # floats the kernel takes at a time
 _SPLIT_BYTES = 1 << 21  # bytes from which SampleRows parses a file in two processes
+_GUARD = 2.0 ** -6      # the error margin of the float kernel, in units of D
+_Q = 294                # the kernel's powers of ten are 10^q for -_Q <= q <= 342
 
 
 def _cell(v) -> str:
@@ -61,35 +84,239 @@ def _cell(v) -> str:
 
 
 def cells(values) -> list[str]:
-    """The cells of one column under the rules in the module docstring."""
-    floats = isinstance(values, np.ndarray) and values.dtype.kind == "f"
+    """The cells of one column by the module's rules, one ``repr`` at a time."""
+    all_floats = isinstance(values, np.ndarray) and values.dtype.kind == "f"
     values = values.tolist() if isinstance(values, np.ndarray) else list(values)
     with unlimited_int_digits():
-        types = set() if floats else set(map(type, values))
+        types = set() if all_floats else set(map(type, values))
         if types <= {int, float}:
             return list(map(repr, values))   # repr(int) is its str
         return values if types == {str} else [_cell(v) for v in values]
 
 
-def rows(*cell_columns) -> str:
-    """One line per row of the rendered columns, each ended by ``'\\n'``;
-    the columns must be of one length."""
-    lines = list(map(",".join, zip(*cell_columns, strict=True)))
-    lines.append("")
-    return "\n".join(lines)
+@functools.cache
+def _kit():
+    """The kernels' tables, built on the first call: "0000".."9999" as
+    uint32, 10^0..10^19 as uint64 and, by digit count, the uint32 masks of
+    an int's digits, then for :func:`_shortest` 10^q and 2^(b-1076) in
+    ``longdouble``, the layouts (:func:`_layouts`) and the masks of the
+    digits shown; or None there where ``longdouble`` has fewer than 64
+    significand bits."""
+    d, nd = np.arange(10000), np.arange(21)[:, None]
+    quads = np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], 1) + 48
+    return (quads.astype(np.uint8).view(np.uint32).ravel(),
+            10 ** np.arange(20, dtype=np.uint64),
+            (np.arange(20) >= 20 - nd).astype(np.uint8).view(np.uint32) * np.uint32(255),
+            None if np.finfo(np.longdouble).nmant < 63 else (
+                _powers_of_ten(), np.ldexp(np.longdouble(1), np.arange(2047) - 1076),
+                _layouts(), (np.arange(1, 17) < nd[:18]).astype(np.uint8)
+                .view(np.uint32) * np.uint32(255)))
+
+
+def _powers_of_ten() -> np.ndarray:
+    """10^q for q = -_Q .. 342 in ``longdouble``: the nearest 64-bit integer
+    m to 10^q 2^-s, m >= 2^63, by exact integer arithmetic, then ldexp."""
+    sig, shift = [], []
+    for q in range(-_Q, 343):
+        if q >= 0:
+            s = (10 ** q).bit_length() - 64
+            m = 10 ** q << -s if s < 0 else (10 ** q + (1 << s >> 1)) >> s
+        else:
+            s = -(10 ** -q).bit_length() - 63
+            m = ((1 << -s) + 10 ** -q // 2) // 10 ** -q
+        sig.append(m >> (m >> 64))              # a carry to 2^64 halves it
+        shift.append(s + (m >> 64))
+    return np.ldexp(np.array(sig, np.uint64).astype(np.longdouble), np.array(shift))
+
+
+def _layouts() -> np.ndarray:
+    """The positional ``repr`` of exponent E = -4 .. 15 (row E + 4) as 24
+    indices into a cell of :func:`_shortest` in exponent form: sign, digit,
+    '.', 16 digits, 'e', sign, three exponent digits.  That cell's hundreds
+    digit (21) is then a NUL and its tens digit (22) a '0'."""
+    table = np.full((20, 24), 21, dtype=np.intp)
+    for E in range(-4, 16):
+        cell = ([0, 22, 2] + [22] * (-E - 1) + [1, *range(3, 19)] if E < 0
+                else [0, 1, *range(3, 3 + E), 2, *range(3 + E, 19)])
+        table[E + 4, :len(cell)] = cell
+    return table
+
+
+def _shortest(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the ``repr`` of each float64 of ``x`` into its row of ``out``
+    (24 wide, zeroed) by the kernel of the module docstring; the indices
+    of the values left to ``repr``, whose rows hold garbage."""
+    quads, ten, _, (pow10, pow2, layouts, masks) = _kit()
+    ten = ten[:18].astype(np.int64)
+    bits = x.view(np.uint64)
+    b = (bits >> np.uint64(52)).astype(np.int64) & 0x7FF     # biased exponent
+    nonfinite = b == 0x7FF
+    zero = (bits << np.uint64(1)) == 0
+    ax = np.abs(x)
+    special = np.flatnonzero(nonfinite | zero)
+    ax[special], b[special] = 1.0, 1023                      # placeholders
+    e10 = np.floor(np.log10(ax)).astype(np.int64)
+    axl = ax.astype(np.longdouble)
+    p = pow10[_Q + 16 - e10]
+    D = axl * p
+    off = (D >= 1e17).astype(np.int64) - (D < 1e16)
+    fix = np.flatnonzero(off)
+    if fix.size:
+        e10[fix] += off[fix]
+        p[fix] = pow10[_Q + 16 - e10[fix]]
+        D[fix] = axl[fix] * p[fix]
+    Di = D.astype(np.int64)
+    Df = (D - Di).astype(np.float64)            # exact: D - Di is a multiple of D's ulp
+    # the half-gaps above and below x in units of D, as int + fraction: the
+    # gap below a power of two is half the gap above (but at b = 1)
+    h = p * pow2[np.maximum(b, 1)]              # 2^(e-1) 10^q, e = max(b, 1) - 1075
+    hi = h.astype(np.int64)
+    hf = (h - hi).astype(np.float64)
+    below = ((bits << np.uint64(12)) == 0) & (b > 1)
+    li, lf = np.where(below, hi >> 1, hi), np.where(below, ((hi & 1) + hf) / 2, hf)
+    lo_i, lo_f, hi_i, hi_f = Di - li, Df - lf, Di + hi, Df + hf
+    # k: the largest 10^k with a multiple among the integers that perhaps
+    # lie in the rounding interval; R: the multiple nearest to D
+    Lw = lo_i + np.ceil(lo_f - _GUARD).astype(np.int64)
+    Hw = hi_i + np.floor(hi_f + _GUARD).astype(np.int64)
+    k = np.zeros(x.size, np.int64)
+    rows = np.arange(x.size)
+    for t in ten[1:].tolist():
+        rows = rows[Hw[rows] // t * t >= Lw[rows]]
+        if not rows.size:
+            break
+        k[rows] += 1
+    t = ten[k]
+    q = Di // t
+    above = (Di - q * t - t // 2).astype(np.float64) + (Df - 0.5 * (k == 0))
+    R = (q + (above > 0)) * t
+    # sure iff R lies in the interval narrowed by the guard and D is not
+    # within it of a tie: then no multiple of 10^(k+1) lies in the interval
+    # and R is its nearest multiple of 10^k
+    bad = ((np.abs(above) < _GUARD) | (R < ten[16])
+           | (R < lo_i + np.ceil(lo_f + _GUARD).astype(np.int64))
+           | (R > hi_i + np.floor(hi_f - _GUARD).astype(np.int64)))
+    big = R >= 10 ** 17                         # R = 10^17: one digit, E one higher
+    R[big] = ten[16]
+    R[zero] = 0                                 # the placeholder's 1e16, so nd 1, E 0
+    bad = (bad & ~zero) | nonfinite
+    nd, E = np.where(big, 1, 17 - k), e10 + big
+    # each cell in exponent form, digits past the last shown NUL; then the
+    # positional ones are moved into place, one gather per exponent
+    positional = (E >= -4) & (E <= 15)
+    shown = np.where(positional & (E >= 0), np.maximum(nd, E + 2), nd)
+    out[:, 0] = (bits >> np.uint64(63)).astype(np.uint8) * np.uint8(45)
+    lead = R // ten[16]
+    out[:, 1] = lead + 48
+    out[:, 2] = 46 * ((nd > 1) | positional)
+    R -= lead * ten[16]
+    hi8 = R // ten[8]
+    lo8 = R - hi8 * ten[8]
+    h4, l4 = hi8 // 10000, lo8 // 10000
+    digits = quads[np.stack([h4, hi8 - h4 * 10000, l4, lo8 - l4 * 10000], axis=1)]
+    digits &= masks[shown]
+    out[:, 3:19].view(np.uint32)[:] = digits
+    out[:, 19] = 101
+    aE = np.abs(E)
+    out[:, 20:24].view(np.uint32)[:, 0] = quads[aE]
+    out[:, 20] = 43 + 2 * (E < 0)
+    out[:, 21] *= aE >= 100
+    at = np.flatnonzero(positional)
+    at = at[np.argsort(E[at], kind="stable")]
+    for part in np.split(at, np.flatnonzero(np.diff(E[at])) + 1) if at.size else ():
+        out[part] = out[part][:, layouts[E[part[0]] + 4]]
+    return np.flatnonzero(bad)
+
+
+def floats(x) -> np.ndarray:
+    """The cells of the float64 values ``x`` as an (n, width <= 24) uint8
+    matrix, each its ``repr`` in ASCII padded with NULs (see the module
+    docstring)."""
+    x = np.ascontiguousarray(x, dtype=np.float64).ravel()
+    out = np.zeros((x.size, 24), np.uint8)
+    if x.size >= _KERNEL_MIN and _kit()[3] is not None:
+        rest = np.concatenate([lo + _shortest(x[lo:lo + _CHUNK], out[lo:lo + _CHUNK])
+                               for lo in range(0, x.size, _CHUNK)])
+    else:
+        rest = np.arange(x.size)
+    if rest.size:
+        text = np.array(list(map(repr, x[rest].tolist())), dtype="S24")
+        out[rest] = text.view(np.uint8).reshape(-1, 24)
+    return out[:, :24 - np.argmax(out.any(axis=0)[::-1])]   # trailing NUL columns cut
+
+
+def ints(v) -> np.ndarray:
+    """The cells of the int64 values ``v`` as an (n, width <= 20) uint8
+    matrix, each its decimal ``str`` in ASCII padded with NULs."""
+    v = np.asarray(v, dtype=np.int64).ravel()
+    a = np.abs(v).view(np.uint64)               # |-2^63| wraps to 2^63
+    quads, ten, masks, _ = _kit()
+    groups = np.empty((5, v.size), np.intp)     # four digits each, last first
+    for i in range(4, -1, -1):
+        q = a // np.uint64(10000)
+        groups[i] = a - q * np.uint64(10000)
+        a = q
+    nd = np.maximum(np.searchsorted(ten, np.abs(v).view(np.uint64), side="right"), 1)
+    out = np.empty((v.size, 20), np.uint8)
+    out.view(np.uint32)[:] = quads[groups].T & masks[nd]
+    neg = np.flatnonzero(v < 0)
+    out[neg, 19 - nd[neg]] = 45
+    return out[:, 20 - max(nd.max(initial=1) + (neg.size > 0), 1):]   # flush right
+
+
+def _matrix(col) -> np.ndarray:
+    """The cells of one column slice as a NUL-padded (rows, width) uint8
+    matrix: a 2-D uint8 array is one already; int64 values go to
+    :func:`ints`, float64 values to :func:`floats` and the rest to
+    :func:`cells`.  A cell holds no NUL."""
+    if isinstance(col, range):
+        col = np.arange(col.start, col.stop, col.step, dtype=np.int64)
+    elif not isinstance(col, np.ndarray):
+        types = set(map(type, col))
+        if types in ({int}, {float}):
+            try:
+                col = np.array(col, dtype=np.int64 if types == {int} else np.float64)
+            except OverflowError:                # an int beyond int64
+                pass
+    if isinstance(col, np.ndarray):
+        if col.ndim == 2:
+            return col
+        kind, size = col.dtype.kind, col.dtype.itemsize
+        if kind == "f" and size <= 8:
+            return floats(col)
+        if kind == "i" or (kind == "u" and size < 8):
+            return ints(col)
+    encoded = [s.encode("utf-8") for s in cells(col)]
+    return np.array(encoded, dtype=bytes).view(np.uint8).reshape(len(encoded), -1)
+
+
+def lines(*matrices) -> str:
+    """One line per row of the cell matrices (each (rows, width) uint8, of
+    one row count), its cells joined by commas and ended by ``'\\n'``."""
+    if len({len(m) for m in matrices}) != 1:
+        raise ValueError(f"cell matrices of unequal lengths {[len(m) for m in matrices]}")
+    widths = [m.shape[1] + 1 for m in matrices]
+    buf = bytearray(len(matrices[0]) * sum(widths))
+    frame = np.frombuffer(buf, np.uint8).reshape(-1, sum(widths))
+    at = 0
+    for m, width in zip(matrices, widths):
+        frame[:, at:at + width - 1] = m
+        frame[:, at + width - 1] = 44
+        at += width
+    frame[:, -1] = 10
+    return buf.translate(None, b"\0").decode("utf-8")
 
 
 class Table:
     """A table streamed in blocks: its header line, then ``render(key)`` for
     each of ``keys`` in order, each rendered when it is asked for.
-    Iterating yields these pieces; ``cells`` counts the cells of all blocks,
-    which :func:`write` reads to decide whether to split the rendering.  A
-    plain class, because a dataclass adds about 1 ms to every import."""
+    Iterating yields these pieces.  A plain class, because a dataclass adds
+    about 1 ms to every import."""
 
-    __slots__ = ("header", "keys", "render", "cells")
+    __slots__ = ("header", "keys", "render")
 
-    def __init__(self, header: str, keys: Sequence, render: Callable[..., str], cells: int):
-        self.header, self.keys, self.render, self.cells = header, keys, render, cells
+    def __init__(self, header: str, keys: Sequence, render: Callable[..., str]):
+        self.header, self.keys, self.render = header, keys, render
 
     def __iter__(self) -> Iterator[str]:
         yield self.header
@@ -98,15 +325,15 @@ class Table:
 
 def pieces(names, *columns) -> Table:
     """The table of ``names`` over the rows of ``columns`` (sequences of one
-    length) by :func:`cells`, one block per ``_BLOCK_ROWS`` rows."""
+    length), about ``_BLOCK_CELLS`` cells to a block."""
     size = len(columns[0]) if columns else 0
     if any(len(col) != size for col in columns):
         raise ValueError(f"columns of unequal lengths {[len(col) for col in columns]}")
+    step = max(1, _BLOCK_CELLS // max(1, len(columns)))
 
     def block(lo: int) -> str:
-        return rows(*(cells(col[lo:lo + _BLOCK_ROWS]) for col in columns))
-    return Table(",".join(names) + "\n", range(0, size, _BLOCK_ROWS), block,
-                 size * len(columns))
+        return lines(*(_matrix(col[lo:lo + step]) for col in columns))
+    return Table(",".join(names) + "\n", range(0, size, step), block)
 
 
 def text(names, *columns) -> str:
@@ -116,86 +343,9 @@ def text(names, *columns) -> str:
 
 def write(path, text: str | Iterable[str]) -> None:
     """Store ``text`` at ``path`` as UTF-8, line ends untranslated; ``text`` is
-    a string or an iterable of string pieces, each written as it comes.
-
-    A :class:`Table` of two blocks or more and at least ``_SPLIT_CELLS``
-    cells is rendered in two processes (:func:`_in_two`) that claim blocks
-    by demand: the parent takes them from the front, straight into
-    ``path``, and one forked child from the back.  The child appends each
-    block to an unnamed temporary file in ``path``'s directory as soon as
-    it renders it and records the block's byte length in a shared anonymous
-    ``mmap``, so it holds one block at a time; once it is reaped, the parent
-    copies its blocks back in key order.  A claim moves a counter pair in
-    the map under an ``fcntl.lockf`` lock on the temporary file, so neither
-    process idles while blocks are left, whichever CPU runs slower.  The
-    threshold is measured: on a 2-vCPU x86-64 VM the fork, the wait and the
-    copy cost about 3 ms, the split broke even at about 2^15 cells (8 modes
-    of 1024 samples) and took 0.78 of the serial time at 2^16.  If the child
-    fails, :func:`write` raises ``OSError``; if the parent's own blocks
-    raise, the child is killed and reaped first; if the parent dies, the
-    child sees it between blocks and leaves with status 1.  If another
-    Python thread is alive or ``os.fork`` fails, the parent renders every
-    block itself.
-    """
+    a string or an iterable of string pieces, each written as it comes."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if not (isinstance(text, Table) and len(text.keys) >= 2 and text.cells >= _SPLIT_CELLS
-                and _write_split(path, fh, text)):
-            fh.writelines([text] if isinstance(text, str) else text)
-
-
-def _write_split(path, fh, table: Table) -> bool:
-    """Render ``table`` into ``fh`` in two processes as :func:`write` tells;
-    False, with nothing written, if no child could be forked."""
-    import fcntl
-    import mmap
-    import struct
-    n = len(table.keys)
-    # the parent's next key and the end of the keys left to the child, then
-    # the byte length of each block the child rendered
-    shared = mmap.mmap(-1, 8 * (n + 2))
-    struct.pack_into("qq", shared, 0, 0, n)
-    with shared, tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) as tmp:
-        fd = tmp.fileno()
-
-        def claim(front: bool) -> int | None:
-            """The next key from the front or the back; None when none is left."""
-            fcntl.lockf(fd, fcntl.LOCK_EX)
-            try:
-                lo, hi = struct.unpack_from("qq", shared)
-                if lo == hi:
-                    return None
-                struct.pack_into("qq", shared, 0, lo + front, hi - (not front))
-                return lo if front else hi - 1
-            finally:
-                fcntl.lockf(fd, fcntl.LOCK_UN)
-
-        def child(parent: int) -> None:
-            with open(fd, "wb", closefd=False) as out:
-                while (k := claim(False)) is not None:
-                    _exit_if_orphaned(parent)
-                    block = table.render(table.keys[k]).encode("utf-8")
-                    out.write(block)
-                    struct.pack_into("q", shared, 8 * (k + 2), len(block))
-
-        def parent() -> None:
-            fh.write(table.header)
-            while (k := claim(True)) is not None:
-                fh.write(table.render(table.keys[k]))
-
-        done = _in_two(child, parent)
-        if done is None:
-            return False
-        if done[0]:
-            raise OSError(f"{path}: the child process rendering the table's last blocks "
-                          f"exited with status {done[0]}")
-        fh.flush()
-        hi = struct.unpack_from("q", shared, 8)[0]
-        sizes = struct.unpack_from(f"{n - hi}q", shared, 8 * (hi + 2))
-        end = sum(sizes)
-        for size in sizes:  # key order; the child wrote them last key first
-            end -= size
-            fh.buffer.write(os.pread(fd, size, end))
-    return True
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def _in_two(child: Callable[[int], None], parent: Callable[[], object]):

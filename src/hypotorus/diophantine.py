@@ -152,8 +152,7 @@ class DistanceSequence:
     def csv_pieces(self) -> csvio.Table:
         """The CSV text as a :class:`~hypotorus.csvio.Table` by
         :func:`~hypotorus.csvio.pieces`: the header, then blocks of rows,
-        rendered as they are asked for (a large table's second half may be
-        rendered in a forked child by :func:`~hypotorus.csvio.write`).
+        rendered as they are asked for.
 
         An exact table at kappa = p/q holds at most floor(q/2) + 1 distinct
         distances; when that is at most three quarters of its rows, each
@@ -167,7 +166,7 @@ class DistanceSequence:
         if self.exact and 4 * (Fraction(self.kappa).denominator // 2 + 1) <= 3 * d.size:
             d = np.ascontiguousarray(d, dtype=np.float64)
             bits, at = np.unique(d.view(np.uint64), return_inverse=True)
-            d = np.array(csvio.cells(bits.view(np.float64)), dtype=object)[at]
+            d = csvio.floats(bits.view(np.float64))[at]
         return csvio.pieces(("j", "lambda", "d"), range(len(d)), self.lambdas, d)
 
     def to_csv(self) -> str:

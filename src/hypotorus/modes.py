@@ -94,15 +94,13 @@ _CHUNK_CELLS = 3 << 20  # complex numbers in one banded chunk's G and X (48 MiB)
 #: 3.5 MiB at levels 512, witness_n 8192.  Peak
 #: memory is a multiple of the largest array: a solve of a 32 MiB field
 #: (J = 512, grid 4096, every mode forced) peaks at 225-229 MB RSS, about
-#: 7x, set by the banded chunk (the CSV is written one mode block at a
-#: time).  Writing the CSV adds one child process (csvio.write): it holds
-#: its own render buffers, one mode block at a time, and the pages it
-#: shares with the parent copy-on-write, so its own peak RSS counts mostly
-#: shared pages, not a second field.  Reading a large CSV (decay, f_file)
-#: adds one short-lived child too (csvio.SampleRows): it parses the first
-#: half of the file into records, about half the parsed table, and passes
-#: them back through a temporary file.  ROADMAP item 2 replaces this
-#: ceiling with a peak estimate per command.
+#: 7x, set by the banded chunk (the CSV is written in blocks of whole
+#: modes of about csvio._BLOCK_CELLS cells, a few MB of temporaries at a
+#: time, in this process).  Reading a large CSV (decay, f_file) adds one
+#: short-lived child process (csvio.SampleRows): it parses the first half
+#: of the file into records, about half the parsed table, and passes them
+#: back through a temporary file.  ROADMAP item 2 replaces this ceiling
+#: with a peak estimate per command.
 MAX_ARRAY_BYTES = 1 << 27
 
 
@@ -643,18 +641,21 @@ class ModeField:
 
     def csv_pieces(self) -> csvio.Table:
         """The CSV text as a :class:`~hypotorus.csvio.Table`: the header, then
-        one block of rows per defined mode, rendered as it is asked for
-        (:func:`~hypotorus.csvio.write` may render the second half of the
-        blocks in a forked child); ``t`` is rendered once, here."""
-        js = self.defined()
+        blocks of whole defined modes of about ``csvio._BLOCK_CELLS`` cells,
+        each rendered as it is asked for into one byte matrix; the ``t``
+        cells are rendered once, here."""
+        js = np.flatnonzero(self.mask)
         samples = self.samples
         n = samples.shape[1]
-        ts = csvio.cells(grid(n)) if js else []
+        ts = csvio.floats(grid(n)) if js.size else None
+        step = max(1, csvio._BLOCK_CELLS // (4 * n)) if n else 1
 
-        def block(j: int) -> str:
-            return csvio.rows([str(j)] * n, ts, csvio.cells(samples[j].real),
-                              csvio.cells(samples[j].imag))
-        return csvio.Table("j,t,re,im\n", js, block, 4 * n * len(js))
+        def block(lo: int) -> str:
+            u = samples[js[lo:lo + step]]
+            return csvio.lines(np.repeat(csvio.ints(js[lo:lo + step]), n, axis=0),
+                               np.tile(ts, (len(u), 1)), csvio.floats(u.real),
+                               csvio.floats(u.imag))
+        return csvio.Table("j,t,re,im\n", range(0, js.size, step), block)
 
     def to_csv(self) -> str:
         """The whole CSV text; :meth:`csv_pieces` joined."""

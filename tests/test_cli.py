@@ -11,7 +11,6 @@ lambda_5 = 11, so sup|u_5| = 1/6.5.
 import importlib.util
 import json
 import math
-import os
 import re
 import resource
 import subprocess
@@ -26,6 +25,7 @@ from hypotorus import csvio
 from hypotorus.cli import (MAX_ARRAY_BYTES, ConfigError, ExperimentConfig, _build_parser,
                            _load_config, main)
 from hypotorus.errors import HypotorusError
+from hypotorus.formulas import TrigPolynomial
 from hypotorus.modes import ModeField
 from hypotorus.spectrum import build_eigensequence
 from hypotorus.torusfn import grid
@@ -250,44 +250,24 @@ def test_solve_refuses_a_non_finite_forcing_file(tmp_path, capsys, j, col, value
     assert not (out / "residuals.json").exists()
 
 
-# 64 modes of 512 samples: 2^17 cells, so csvio.write splits u_field.csv
+# 64 modes of 512 samples: 2^17 cells, so u_field.csv is split into blocks
 _SPLIT_SOLVE = {"c": "1/2 + 1/5 cos t", "grid_n": 512, "j_modes": 64,
                 "f": {str(j): "exp(it)" for j in range(64)}}
 
 
 def test_solve_whose_field_splits_is_quiet(tmp_path, monkeypatch):
     # in a separate process, as a user runs it: exit 0, nothing on stderr,
-    # and the bytes of a solve whose fork is refused, rendered in-process
-    assert 4 * 64 * 512 >= csvio._SPLIT_CELLS
+    # and the bytes of a solve whose float cells are all rendered by repr
+    assert 4 * 64 * 512 >= 4 * csvio._BLOCK_CELLS
     cfg = write_config(tmp_path, **_SPLIT_SOLVE)
     proc = subprocess.run([sys.executable, "-m", "hypotorus.cli", "solve", "--config", cfg,
                            "--out", str(tmp_path / "split")],
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
-
-    def refuse():
-        raise OSError(11, "Resource temporarily unavailable")
-    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(csvio, "_KERNEL_MIN", 1 << 62)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
     for name in ("u_field.csv", "divisors.csv", "residuals.json"):
         assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
-
-
-def test_solve_whose_split_child_fails_exits_1(tmp_path, monkeypatch, capsys):
-    # a block that raises in the forked child: an OSError, exit 1
-    parent, cells = os.getpid(), csvio.cells
-
-    def child_fails(values):
-        if os.getpid() != parent:
-            raise RuntimeError("render failed")
-        return cells(values)
-    monkeypatch.setattr(csvio, "cells", child_fails)
-    cfg = write_config(tmp_path, **_SPLIT_SOLVE)
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "u_field.csv" in err and "status 1" in err
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)      # no child or zombie left
 
 
 def test_solve_large_lambda_complex_constant_is_quiet(tmp_path):
@@ -376,6 +356,29 @@ def test_classify_sign_definite_is_gh(tmp_path):
     v = read_json(out, "verdict.json")
     assert v["decision"] == "GH"
     assert v["branch"] == "thm-3.10-sign"
+
+
+@pytest.mark.parametrize("c, witness, samples", [
+    ("i(1 - cos t)", False, 1),            # a plain classify samples c once
+    ("1/2 + i sin t", True, 2),             # and a sign-change witness once more
+    ("3/4", True, 0),                       # a constant is never sampled
+])
+def test_classify_samples_a_formula_only_where_it_is_used(tmp_path, monkeypatch, c, witness,
+                                                          samples):
+    calls = []
+    sample = TrigPolynomial.to_torus_function
+    monkeypatch.setattr(TrigPolynomial, "to_torus_function",
+                        lambda poly, n: calls.append(n) or sample(poly, n))
+    cfg = write_config(tmp_path, c=c, j_modes=16, witness=witness)
+    assert main(["classify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [256] * samples
+
+
+def test_classify_refuses_a_frequency_outside_the_band(tmp_path, capsys):
+    cfg = write_config(tmp_path, c="1/2 + i sin 200t", j_modes=16, grid_n=256)
+    assert main(["classify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: frequency -200 outside the band of an 256-point grid\n")
 
 
 def test_classify_integer_mean_is_resonant(tmp_path):

@@ -3,7 +3,6 @@
 import hashlib
 import math
 import os
-import signal
 import tempfile
 import threading
 import time
@@ -11,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypotorus import csvio
@@ -82,18 +81,24 @@ def test_cells_render_each_kind():
     assert csvio.cells(np.array([1, 2])) == ["1", "2"]
     assert csvio.cells(x for x in (1.0, 2)) == ["1.0", "2"]
     assert csvio.text(("a", "b"), [], []) == "a,b\n"
-    assert csvio.rows(["1", "2"], ["x", "y"]) == "1,x\n2,y\n"
+    assert csvio.text(("a", "b"), [1, 2], ["x", "y"]) == "a,b\n1,x\n2,y\n"
 
 
-@pytest.mark.parametrize("split_cells", [csvio._SPLIT_CELLS, 0],
-                         ids=["at-threshold", "split-all"])
-def test_distance_csv_pieces_write_the_whole_text(tmp_path, monkeypatch, split_cells):
+def _rows(*cell_columns):
+    """The lines of the rendered columns, as the writer once joined them."""
+    return "".join(",".join(row) + "\n" for row in zip(*cell_columns, strict=True))
+
+
+@pytest.mark.parametrize("kernel_min", [csvio._KERNEL_MIN, 0],
+                         ids=["at-threshold", "kernel-all"])
+def test_distance_csv_pieces_write_the_whole_text(tmp_path, monkeypatch, kernel_min):
     # three blocks of rows, the last one short; lambda columns of plain ints,
     # ints beyond 2^64 and a float among ints: the bytes csvio.write stores
-    # from the pieces are to_csv's and the whole-text rendering's, also
-    # when a forked child renders the last two blocks
-    monkeypatch.setattr(csvio, "_SPLIT_CELLS", split_cells)
-    J = 2 * csvio._BLOCK_ROWS + 5
+    # from the pieces are to_csv's and those of one repr or str a cell, also
+    # when every float column, however short, takes the float kernel
+    monkeypatch.setattr(csvio, "_KERNEL_MIN", kernel_min)
+    step = csvio._BLOCK_CELLS // 3
+    J = 2 * step + 5
     d = np.random.default_rng(8).random(J)
     d[[0, 7, J - 1]] = (-0.0, math.inf, math.nan)
     for lambdas in (tuple(range(1, 2 * J, 2)),
@@ -101,18 +106,17 @@ def test_distance_csv_pieces_write_the_whole_text(tmp_path, monkeypatch, split_c
                     tuple(0.5 if j == J - 3 else j for j in range(J))):
         seq = DistanceSequence(kappa=Fraction(1, 3), e=Fraction(1), lambdas=lambdas, d=d,
                                exact=True)
-        whole = "j,lambda,d\n" + csvio.rows(*map(csvio.cells, (range(J), lambdas, d)))
+        whole = "j,lambda,d\n" + _rows(*map(csvio.cells, (range(J), lambdas, d)))
         csvio.write(tmp_path / "d.csv", seq.csv_pieces())
         assert (tmp_path / "d.csv").read_bytes().decode("utf-8") == seq.to_csv() == whole
     assert len(list(seq.csv_pieces())) == 4
-    _assert_no_child()
 
 
 def test_distance_cells_are_keyed_on_bit_patterns():
     # an exact table at q = 7 renders each distinct bit pattern of d once:
     # -0.0 and 0.0 compare equal as floats but render apart, and a NaN, also
     # one with a sign or a payload, is "nan"
-    J = 3 * csvio._BLOCK_ROWS + 7
+    J = csvio._BLOCK_CELLS + 7
     pool = np.array([-0.0, 0.0, math.inf, -math.inf, math.nan, 1 / 7, 2 / 7, 5e-324])
     pool = np.r_[pool, -pool[4:5], np.array([0x7FF8000000000001], np.uint64).view(float)]
     d = pool[np.random.default_rng(5).integers(0, pool.size, J)]
@@ -131,171 +135,89 @@ def test_columns_of_unequal_length_are_refused():
     with pytest.raises(ValueError):
         csvio.text(("a", "b"), range(5), [])
     with pytest.raises(ValueError):
-        csvio.rows(["1", "2"], ["x"])
-    assert csvio.pieces(("a",)).cells == 0
+        csvio.lines(csvio.ints([1, 2]), csvio.ints([1]))
+    assert list(csvio.pieces(("a",))) == ["a\n"]
 
-
-# --------------------------------------------------------------------------- #
-# the split writer: one forked child renders a large table's second half
-# --------------------------------------------------------------------------- #
 
 def _assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)      # no child or zombie left
 
 
-def _table(blocks, fail=None, hang=None, pause=0.0):
-    """A table of ``blocks`` numbered one-line blocks, large enough to split;
-    block ``fail`` raises ZeroDivisionError in whichever process renders it
-    (``"child"``: every block the child renders), block ``hang`` sleeps a
-    minute in the child, and the parent sleeps ``pause`` seconds before each
-    block it renders, so the child is sure to claim some."""
-    parent = os.getpid()
-
-    def render(k):
-        if os.getpid() == parent:
-            time.sleep(pause)
-        elif k == hang:
-            time.sleep(60)
-        if k == fail or fail == "child" and os.getpid() != parent:
-            1 / 0
-        return f"{k},{k / 7!r}\n"
-    return csvio.Table("k,x\n", range(blocks), render, csvio._SPLIT_CELLS)
-
-
-@pytest.mark.parametrize("blocks", [0, 1, 2, 3, 8, 3000])
-def test_split_table_writes_its_pieces(tmp_path, monkeypatch, blocks):
-    # the child is forked only for two blocks or more; either way the bytes
-    # are the table's pieces joined (at 3000 quick blocks both processes
-    # claim at once, and a lost claim would drop or repeat a block)
-    forks = []
-    real_fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-    table = _table(blocks)
-    csvio.write(tmp_path / "t.csv", table)
-    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "".join(table)
-    assert len(forks) == (blocks >= 2)
-    assert list(tmp_path.iterdir()) == [tmp_path / "t.csv"]   # the child's file is unnamed
-    _assert_no_child()
-
-
-def test_child_blocks_come_back_in_key_order(tmp_path):
-    # the parent is slow, so the child claims most blocks, the last first
-    table = _table(8, pause=0.05)
-    csvio.write(tmp_path / "t.csv", table)
-    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "".join(table)
-    _assert_no_child()
-
-
-def test_small_table_is_rendered_in_process(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-    table = csvio.Table("k\n", range(4), lambda k: f"{k}\n", csvio._SPLIT_CELLS - 1)
-    csvio.write(tmp_path / "t.csv", table)
-    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "k\n0\n1\n2\n3\n"
-
-
-def test_failed_child_raises_oserror(tmp_path):
-    # a block the child claims raises: the child exits 1, the parent reaps
-    # it and raises OSError
-    with pytest.raises(OSError, match="exited with status 1"):
-        csvio.write(tmp_path / "t.csv", _table(5, fail="child", pause=0.1))
-    _assert_no_child()
-
-
-def test_failed_parent_kills_and_reaps_its_child(tmp_path):
-    # a block the parent claims raises while the child sleeps in the last
-    # block, its first claim: the child is killed and reaped, and the
-    # parent's error is the one raised
-    t0 = time.monotonic()
-    with pytest.raises(ZeroDivisionError):
-        csvio.write(tmp_path / "t.csv", _table(4, fail=1, hang=3))
-    assert time.monotonic() - t0 < 30
-    _assert_no_child()
-
-
-def test_failed_fork_renders_in_process(tmp_path, monkeypatch):
-    def refuse():
-        raise OSError(11, "Resource temporarily unavailable")
-    monkeypatch.setattr(os, "fork", refuse)
-    table = _table(5)
-    csvio.write(tmp_path / "t.csv", table)
-    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "".join(table)
-    _assert_no_child()
-
-
-def test_live_thread_renders_in_process(tmp_path, monkeypatch):
-    # a child forked beside another thread would inherit locks that thread
-    # holds: the parent renders every block itself
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a thread"))
-    stop = threading.Event()
-    helper = threading.Thread(target=stop.wait)
-    helper.start()
-    try:
-        table = _table(5)
-        csvio.write(tmp_path / "t.csv", table)
-    finally:
-        stop.set()
-        helper.join()
-    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "".join(table)
-
-
-def _gone(pid):
-    """Whether process ``pid`` has exited (a zombie awaiting its new parent's
-    wait included)."""
-    try:
-        os.kill(pid, 0)
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
-    except (ProcessLookupError, FileNotFoundError):
-        return True
-
-
-def test_orphaned_render_child_leaves(tmp_path):
-    # a writing process is killed mid-table: its render child sees between
-    # blocks that its parent is gone and exits
-    pidfile = tmp_path / "child.pid"
-    writer = os.fork()
-    if writer == 0:
-        try:
-            parent = os.getpid()
-
-            def render(k):
-                if os.getpid() != parent and not pidfile.exists():
-                    (tmp_path / "pid.tmp").write_text(str(os.getpid()))
-                    os.replace(tmp_path / "pid.tmp", pidfile)
-                time.sleep(0.2)
-                return f"{k}\n"
-            csvio.write(tmp_path / "t.csv", csvio.Table("k\n", range(400), render,
-                                                        csvio._SPLIT_CELLS))
-        finally:
-            os._exit(0)
-    child = None
-    try:
-        deadline = time.monotonic() + 30
-        while not pidfile.exists() and time.monotonic() < deadline:
-            time.sleep(0.02)
-        child = int(pidfile.read_text())
-        os.kill(writer, signal.SIGKILL)
-        os.waitpid(writer, 0)
-        deadline = time.monotonic() + 5
-        while not _gone(child) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert _gone(child)
-    finally:
-        for pid in (writer, child):
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except (ProcessLookupError, TypeError):
-                pass
-        try:
-            os.waitpid(writer, 0)
-        except ChildProcessError:
-            pass
-
-
 def test_cells_keep_rendered_strings():
     # the rendered d column of DistanceSequence.csv_pieces: an object array of str
     assert csvio.cells(np.array(["0.5", "-0.0", "nan"], dtype=object)) == ["0.5", "-0.0", "nan"]
+
+
+# --------------------------------------------------------------------------- #
+# the float and int kernels: every cell is repr's or str's bytes
+# --------------------------------------------------------------------------- #
+
+def _kernel_cells(x):
+    """The cells of floats(x) with the kernel run on every value, however few."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csvio, "_KERNEL_MIN", 0)
+        return [bytes(row).replace(b"\0", b"").decode() for row in
+                csvio.floats(np.asarray(x, dtype=np.float64))]
+
+
+def _bits(*values):
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+@example(_bits(5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16,
+               9.999999999999999e15, 1e-5, 1e-4, 0.1, 1e22, 1e23))
+@example(_bits(-5e-324, -0.0, 0.0, math.inf, -math.inf, math.nan, -1e23, 1e15, 1e-4))
+@settings(max_examples=400, deadline=None)
+def test_float_kernel_renders_every_bit_pattern_as_repr(bits):
+    # normal, subnormal, +-0, +-inf and nan (with any sign and payload)
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _kernel_cells(x) == list(map(repr, x.tolist()))
+
+
+def test_float_kernel_on_subnormals_and_powers():
+    # the first 2^17 subnormals of each sign, then every power of two and of
+    # ten, each with both neighbours, of each sign
+    sub = np.arange(1, 2**17, dtype=np.uint64)
+    powers = np.r_[np.ldexp(1.0, np.arange(-1074, 1024)),
+                   [float(f"1e{k}") for k in range(-323, 309)]].view(np.uint64)
+    near = np.r_[powers - np.uint64(1), powers, powers + np.uint64(1)].view(np.float64)
+    near = near[np.isfinite(near)]
+    for x in (sub.view(np.float64), near):
+        for signed in (x, -x):
+            assert _kernel_cells(signed) == list(map(repr, signed.tolist()))
+
+
+def test_powers_of_ten_are_the_nearest_64_bit_significands():
+    if csvio._kit()[3] is None:
+        pytest.skip("longdouble has fewer than 64 significand bits here")
+    for q, p in enumerate(csvio._kit()[3][0].tolist(), -csvio._Q):
+        exact = Fraction(10) ** q
+        assert abs(Fraction(*np.longdouble(p).as_integer_ratio()) - exact) <= exact / 2**64
+
+
+def test_floats_without_an_80_bit_longdouble_take_repr(monkeypatch):
+    # where longdouble has fewer than 64 significand bits every cell is repr's
+    finfo = np.finfo
+    monkeypatch.setattr(np, "finfo", lambda t: type("F", (), {"nmant": 52})()
+                        if t is np.longdouble else finfo(t))
+    csvio._kit.cache_clear()
+    try:
+        x = np.random.default_rng(4).standard_normal(3000) * 10.0 ** np.arange(-150, 150, 0.1)
+        x[:4] = (-0.0, math.nan, 5e-324, 1e16)
+        assert _kernel_cells(x) == list(map(repr, x.tolist()))
+        assert csvio._kit()[3] is None
+    finally:
+        csvio._kit.cache_clear()
+
+
+def test_int_cells_are_str_up_to_the_int64_bounds():
+    v = [0, 1, -1, 9, 10, -10, 9999, 10000, 10**18, 2**63 - 1, -2**63, -2**63 + 1]
+    assert [bytes(r).replace(b"\0", b"").decode() for r in csvio.ints(v)] == list(map(str, v))
+    # a tuple of ints within int64 takes the kernel, one beyond it str
+    for col in (tuple(v), (2**63, -2**63 - 1, 5)):
+        assert csvio.text(("a",), col) == "a\n" + "".join(f"{i}\n" for i in col)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,5 +1,4 @@
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -1023,38 +1022,28 @@ def test_mode_field_csv_reads_a_file_in_bounded_memory(tmp_path):
 
 
 def _to_csv_whole(mf):
-    # ModeField.to_csv as it was before the CSV was streamed: the whole text
-    blocks = ["j,t,re,im\n"]
+    # ModeField.to_csv as it was before the CSV was streamed: the whole text,
+    # one repr or str a cell
+    lines = ["j,t,re,im\n"]
     if mf.mask.any():
-        n, ts = mf.n, csvio.cells(grid(mf.n))
-        blocks += [csvio.rows([str(j)] * n, ts, csvio.cells(mf.samples[j].real),
-                              csvio.cells(mf.samples[j].imag))
-                   for j in mf.defined()]
-    return "".join(blocks)
+        ts = csvio.cells(grid(mf.n))
+        lines += [f"{j},{t},{r},{i}\n" for j in mf.defined()
+                  for t, r, i in zip(ts, csvio.cells(mf.samples[j].real),
+                                     csvio.cells(mf.samples[j].imag))]
+    return "".join(lines)
 
 
-def _write_counting_forks(path, table, split_cells):
-    """csvio.write of ``table`` with the split threshold at ``split_cells``;
-    the number of children it forked."""
-    with mock.patch.object(csvio, "_SPLIT_CELLS", split_cells), \
-            mock.patch.object(os, "fork", side_effect=os.fork) as fork:
-        csvio.write(path, table)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)      # no child or zombie left
-    return fork.call_count
-
-
-@pytest.mark.parametrize("split_cells", [csvio._SPLIT_CELLS, 0],
-                         ids=["at-threshold", "split-all"])
+@pytest.mark.parametrize("kernel_min", [csvio._KERNEL_MIN, 0],
+                         ids=["at-threshold", "kernel-all"])
 @given(mask=st.lists(st.booleans(), min_size=1, max_size=6),
        logn=st.integers(2, 4), data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_streamed_field_csv_writes_the_whole_text(tmp_path_factory, split_cells, mask, logn,
+def test_streamed_field_csv_writes_the_whole_text(tmp_path_factory, kernel_min, mask, logn,
                                                   data):
     # interleaved undefined modes, none defined (header only), signed zeros,
     # infinities and NaNs: the pieces csvio.write stores are to_csv's bytes,
-    # and the bytes of the whole-text writer; at split_cells 0 every field
-    # of two defined modes or more is split between two processes
+    # and the bytes of the whole-text writer; at kernel_min 0 every float
+    # column, however short, takes the float kernel
     J, n = len(mask), 1 << logn
     bits = data.draw(st.lists(_float_bits, min_size=2 * J * n, max_size=2 * J * n))
     samples = np.zeros((J, n if any(mask) else 0), dtype=np.complex128)
@@ -1064,18 +1053,19 @@ def test_streamed_field_csv_writes_the_whole_text(tmp_path_factory, split_cells,
         samples[~np.array(mask)] = 0.0
     mf = ModeField._of(samples, np.array(mask), build_eigensequence("harmonic1d", J))
     path = tmp_path_factory.mktemp("csv") / "u.csv"
-    forks = _write_counting_forks(path, mf.csv_pieces(), split_cells)
-    text = path.read_bytes().decode("utf-8")
-    assert text == mf.to_csv() == _to_csv_whole(mf)
+    with mock.patch.object(csvio, "_KERNEL_MIN", kernel_min):
+        csvio.write(path, mf.csv_pieces())
+        text = path.read_bytes().decode("utf-8")
+        assert text == mf.to_csv() == _to_csv_whole(mf)
     assert (text == "j,t,re,im\n") == (not any(mask))
-    assert forks == (split_cells == 0 and sum(mask) >= 2)
 
 
 @pytest.mark.parametrize("defined", [0, 1, 2, 3, 5])
-def test_split_field_csv_keeps_mode_order(tmp_path, defined):
+def test_split_field_csv_keeps_mode_order(tmp_path, monkeypatch, defined):
     # 0, 1, 2 and odd numbers of defined modes among undefined ones, with
-    # -0.0, +-inf and NaN in every mode: the split halves are taken over
-    # the defined modes, and the bytes are those of the whole-text writer
+    # -0.0, +-inf and NaN in every mode, split into blocks of one mode and
+    # of two: the blocks are taken over the defined modes in order, and the
+    # bytes are those of the whole-text writer
     J, n = 2 * defined + 1, 64
     mask = np.arange(J) % 2 == 1
     rng = np.random.default_rng(defined)
@@ -1084,9 +1074,11 @@ def test_split_field_csv_keeps_mode_order(tmp_path, defined):
                       complex(math.nan, -0.0), 5e-324)
     samples[~mask] = 0.0
     mf = ModeField._of(samples, mask, build_eigensequence("harmonic1d", J))
-    assert len(mf.csv_pieces().keys) == defined
-    assert _write_counting_forks(tmp_path / "u.csv", mf.csv_pieces(), 0) == (defined >= 2)
-    assert (tmp_path / "u.csv").read_bytes() == _to_csv_whole(mf).encode("utf-8")
+    for modes in (1, 2):
+        monkeypatch.setattr(csvio, "_BLOCK_CELLS", 4 * n * modes)
+        assert len(mf.csv_pieces().keys) == -(-defined // modes)
+        csvio.write(tmp_path / "u.csv", mf.csv_pieces())
+        assert (tmp_path / "u.csv").read_bytes() == _to_csv_whole(mf).encode("utf-8")
 
 
 def test_streamed_field_csv_writes_in_bounded_memory(tmp_path):

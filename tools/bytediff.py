@@ -6,7 +6,7 @@
 Runs the same CLI calls under each tree, in OUT_DIR/parent and
 OUT_DIR/change, with PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1:
 every cookbook config, the ops of the three benchmark workloads for seeds 1
-and 101 (CHANGE_TREE/perfbench/workloads.py), fifteen extra solve configs
+and 101 (CHANGE_TREE/perfbench/workloads.py), sixteen extra solve configs
 (three refused with exit 1: an f_file with non-finite samples, an f_file on
 a grid too coarse for c's cos 20t, and three f keys that name one mode; one
 a complex constant c at lambda up to 701, where |2 pi lambda Im c| > 700;
@@ -15,7 +15,10 @@ one whose c has band half-width 20 on a 64-point grid, so its collocation
 modes take the dense solve, mode by mode; one whose 43 defined modes are
 odd in number with gaps between them, c = 1/3 + 1/5 cos t at J = 65, where
 the modes with lambda = 0 mod 3 are resonant and the run exits 2, so the
-two halves of a split u_field.csv are taken over defined modes),
+blocks of u_field.csv are taken over defined modes; and one whose f_j,
+1e-300 to 3e-327 written as plain decimals, give a field of 3-digit
+exponents, subnormals down to 5e-324, exact zeros and -0.0 for the float
+kernel of csvio),
 three decays of the notgh solve's field (k_max 4, 0 and 7), two decays
 of a generated 40-mode field of about 3 MB, above the size from which
 csvio.SampleRows parses a file in two processes (CRLF ends and a blank line
@@ -126,9 +129,14 @@ EXTRA = {   # solve configs; notgh: Im c changes sign, collocation misses its bu
                           "f": {**{str(j): "exp(it)" for j in (0, 1, 2, 3, 9)},
                                 "5": "exp(2it)", "15": "exp(-it)"}},
     # 22 of 65 modes resonant (lambda = 0 mod 3), exit 2: u_field.csv holds
-    # 43 modes with gaps, 4 x 43 x 1024 cells, which csvio.write splits
+    # 43 modes with gaps, 4 x 43 x 1024 cells, in several blocks
     "split-odd-gaps": {"c": "1/3 + 1/5 cos t", "grid_n": 1024, "j_modes": 65,
                        "f": {str(j): "exp(it)" for j in range(65)}},
+    # f_j of 1e-300 to 3e-327: the field's cells take 3-digit exponents, and
+    # 1788 of its 2816 floats are subnormal, 160 zero and 33 of those -0.0
+    "subnormal-field": {"c": "1/2 + 1/5 cos t", "grid_n": 64, "j_modes": 22,
+                        "f": {str(j): f"0.{'0' * (299 + j)}1 exp(it) + "
+                                      f"0.{'0' * (305 + j)}3 exp(-3it)" for j in range(22)}},
 }
 # decays of the notgh field: k_max 4 (the default), 0 (a one-column pm table)
 # and 7 (fit_decay's stack deeper than pm_seminorms' min(k_max, 4))
